@@ -77,6 +77,7 @@ pub mod power;
 pub mod replay;
 mod runtime;
 pub mod trace;
+mod tracefmt;
 pub mod tsink;
 
 pub use array::{ArrayId, ArrayProxy, ObjId, Payload};

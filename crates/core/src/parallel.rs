@@ -699,7 +699,6 @@ impl Runtime {
                 // base snapshot is meaningless across threads, so shard
                 // summaries report arena deltas as best-effort only.
                 arena_base: crate::arena::ArenaStats::default(),
-                entry_name_cache: FxHashMap::default(),
                 global_window: false,
                 sync_windows: 0,
                 sync_width_ns: 0,
@@ -1325,6 +1324,18 @@ fn folder_step(rt: &mut Runtime, sh: &Shared, shards: usize, win: u64, st: &mut 
     }
 }
 
+/// The clock value the window counters credit for an advance `my_w →
+/// new_clock`. When nothing is pending anywhere the clock jumps to the
+/// `u64::MAX` idle sentinel; that jump is neither window width nor α-cell
+/// edges crossed, so it counts only up to the last cell actually drained.
+fn counted_clock(new_clock: u64, my_w: u64, last_cell: u64) -> u64 {
+    if new_clock == u64::MAX {
+        last_cell.max(my_w)
+    } else {
+        new_clock
+    }
+}
+
 /// One adaptive worker. Per iteration: snapshot every peer's published
 /// progress (double-reading around the mailbox floors), ingest this
 /// shard's mailboxes, grant itself the horizon
@@ -1354,6 +1365,8 @@ fn worker_adaptive(
     let win = rt.win_ns;
     let mut batch: Vec<(u64, Ev)> = Vec::new();
     let mut my_w = sh.clock[s].load(Ordering::SeqCst);
+    // End of the last α-cell this shard drained (see `counted_clock`).
+    let mut last_cell = my_w;
     let mut pend: Vec<u64> = vec![u64::MAX; shards];
     let mut spins = 0u32;
     let mut parked = false;
@@ -1434,6 +1447,7 @@ fn worker_adaptive(
             }
             rt.drain_window(SimTime(cell_end), &mut batch);
             drained = true;
+            last_cell = cell_end;
             if rt.exit_requested {
                 // Sequential stops at the end of the cell that requested
                 // exit. Publish the cut BEFORE any clock that could
@@ -1459,12 +1473,13 @@ fn worker_adaptive(
         let new_clock = my_w.max(new_n.min(b));
         let clock_moved = new_clock > my_w;
         if clock_moved {
+            let counted = counted_clock(new_clock, my_w, last_cell);
             rt.sync_windows += 1;
-            rt.sync_width_ns += new_clock - my_w;
+            rt.sync_width_ns += counted - my_w;
             if !parked {
                 // Every α-cell edge crossed without blocking is a barrier
                 // the lockstep engine would have paid four waits for.
-                rt.sync_elided += new_clock / win - my_w / win;
+                rt.sync_elided += counted / win - my_w / win;
             }
             parked = false;
             my_w = new_clock;
@@ -1508,4 +1523,24 @@ fn worker_adaptive(
         rt.pending_contribs.extend(st.buf);
     }
     rt
+}
+
+#[cfg(test)]
+mod tests {
+    use super::counted_clock;
+
+    /// Regression: a shard going idle used to add `u64::MAX - my_w` to the
+    /// window width and `u64::MAX / α` to `barriers_elided`.
+    #[test]
+    fn idle_sentinel_is_not_counted_as_window_width() {
+        let win = 900u64;
+        // Idle after draining up to cell 12: credit reaches that cell edge.
+        let counted = counted_clock(u64::MAX, 10 * win, 12 * win);
+        assert_eq!(counted - 10 * win, 2 * win);
+        assert_eq!(counted / win - 10, 2);
+        // Idle with the clock already past the last drained cell: nothing.
+        assert_eq!(counted_clock(u64::MAX, 15 * win, 12 * win), 15 * win);
+        // A real horizon counts in full, drained cells or not.
+        assert_eq!(counted_clock(40 * win, 10 * win, 12 * win), 40 * win);
+    }
 }

@@ -18,8 +18,8 @@
 
 use crate::array::ObjId;
 use crate::chare::{RedValue, SysEvent};
+use crate::runtime::KEY_SLOT_SHIFT;
 use charm_machine::SimTime;
-use std::collections::{HashMap, HashSet};
 
 /// Configuration for [`RuntimeBuilder::record`](crate::RuntimeBuilder::record).
 #[derive(Debug, Clone, Default)]
@@ -271,18 +271,84 @@ fn red_value_digest(p: &mut charm_pup::Puper, v: &RedValue) {
     }
 }
 
-/// Where a recorded message came from.
-#[derive(Clone, Copy)]
-enum Origin {
+/// What the recorder knows about one message id: nothing yet, which exec
+/// produced it (remembered from creation until its first routing), or that
+/// its routing is on the record. Packed into a `u32` lane cell.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum MsgState {
+    /// No origin noted.
+    Unknown,
+    /// Routing already recorded: later forwards and limbo re-flushes are
+    /// extra hops of the same send.
+    Routed,
     /// Host send or RTS-origin event: becomes a [`ReplayLog::roots`] entry.
     External,
     /// Produced by the exec at this local index.
-    Exec(usize),
-    /// Produced on behalf of the exec with this scheduler dispatch key —
-    /// used by the window-boundary reduction fold, which runs outside any
-    /// exec (and, in parallel mode, possibly on a different shard than the
-    /// producing exec). Resolved to an exec index when the log is built.
-    Dispatch((u64, u64)),
+    Exec(u32),
+    /// Produced on behalf of the exec whose scheduler dispatch key sits at
+    /// this index of [`Recorder::fold_keys`] — used by the window-boundary
+    /// reduction fold, which runs outside any exec (and, in parallel mode,
+    /// possibly on a different shard than the producing exec). Resolved to
+    /// an exec index when the log is built.
+    Dispatch(u32),
+}
+
+impl MsgState {
+    const UNKNOWN: u32 = 0;
+    const ROUTED: u32 = 1;
+    const EXTERNAL: u32 = 2;
+    /// First cell value that carries an index: `BASE + 2 * i` is
+    /// `Exec(i)`, `BASE + 2 * i + 1` is `Dispatch(i)`.
+    const BASE: u32 = 3;
+    /// Largest index a cell can carry.
+    const MAX_INDEX: usize = ((u32::MAX - Self::BASE - 1) / 2) as usize;
+
+    fn pack(self) -> u32 {
+        match self {
+            MsgState::Unknown => Self::UNKNOWN,
+            MsgState::Routed => Self::ROUTED,
+            MsgState::External => Self::EXTERNAL,
+            MsgState::Exec(i) => Self::BASE + 2 * i,
+            MsgState::Dispatch(i) => Self::BASE + 2 * i + 1,
+        }
+    }
+
+    fn unpack(cell: u32) -> Self {
+        match cell {
+            Self::UNKNOWN => MsgState::Unknown,
+            Self::ROUTED => MsgState::Routed,
+            Self::EXTERNAL => MsgState::External,
+            c if (c - Self::BASE).is_multiple_of(2) => MsgState::Exec((c - Self::BASE) / 2),
+            c => MsgState::Dispatch((c - Self::BASE) / 2),
+        }
+    }
+}
+
+/// Per-message state in dense lanes: message ids are
+/// `slot << KEY_SLOT_SHIFT | counter` with one monotone counter per
+/// producer slot, so `lanes[slot][counter]` reaches a message's cell with
+/// two indexed loads and no hashing, and a lane grows by appending (the
+/// [`LocCache`](crate::array) two-tier shape). One `u32` per id the slot
+/// ever allocated.
+#[derive(Default)]
+struct MsgLanes {
+    lanes: Vec<Vec<u32>>,
+}
+
+impl MsgLanes {
+    #[inline]
+    fn cell(&mut self, msg_id: u64) -> &mut u32 {
+        let slot = (msg_id >> KEY_SLOT_SHIFT) as usize;
+        let ctr = (msg_id & ((1 << KEY_SLOT_SHIFT) - 1)) as usize;
+        if slot >= self.lanes.len() {
+            self.lanes.resize_with(slot + 1, Vec::new);
+        }
+        let lane = &mut self.lanes[slot];
+        if ctr >= lane.len() {
+            lane.resize(ctr + 1, MsgState::UNKNOWN);
+        }
+        &mut lane[ctr]
+    }
 }
 
 /// The in-flight recording state. Lives inside the [`Runtime`](crate::Runtime)
@@ -290,26 +356,35 @@ enum Origin {
 pub(crate) struct Recorder {
     pub(crate) cfg: ReplayConfig,
     entry_names: Vec<String>,
-    entry_ix: HashMap<String, u32>,
+    /// Interned [`ExecRec::entry`] per `(array, entry kind)`, so an exec
+    /// neither formats nor compares its `array::kind` name: indexed by
+    /// array id, then scanned by kind (an array sees a handful).
+    entry_memo: Vec<Vec<(&'static str, u32)>>,
+    /// Every exec so far, `sends` still empty: those accumulate in
+    /// `sends` below and are dealt out when the log is built.
     execs: Vec<ExecRec>,
     /// Scheduler dispatch key `(t_ns, heap_key)` of each exec, parallel to
-    /// `execs`. This is the total order the windowed engine executes in —
-    /// shard recorders are merged back into one log by sorting on it
-    /// (heap keys are globally unique: each shard allocates from the slots
-    /// it owns).
+    /// `execs`, ascending. This is the total order the windowed engine
+    /// executes in — shard recorders are merged back into one log by
+    /// sorting on it (heap keys are globally unique: each shard allocates
+    /// from the slots it owns).
     dispatch_keys: Vec<(u64, u64)>,
+    /// Recorded sends in routing order, and (parallel to it) the exec
+    /// that produced each.
+    sends: Vec<SendRec>,
+    send_exec: Vec<u32>,
     roots: Vec<SendRec>,
     state_points: Vec<DigestPoint>,
-    /// msg id → producing exec. Lookup-only; never iterated.
-    origin: HashMap<u64, Origin>,
-    /// msg ids whose routing was already recorded (re-routes after limbo
-    /// flushes and stale-cache forwards must not duplicate the send).
-    routed: HashSet<u64>,
+    /// msg id → origin until routed, then the routed mark (re-routes after
+    /// limbo flushes and stale-cache forwards must not duplicate the send).
+    msgs: MsgLanes,
     /// Index of the exec currently applying its actions.
-    current: Option<usize>,
+    current: Option<u32>,
     /// While set, new messages are attributed to the exec with this
     /// dispatch key instead of `current` (reduction-fold callbacks).
     pub(crate) origin_dispatch: Option<(u64, u64)>,
+    /// Dispatch keys that [`MsgState::Dispatch`] cells index.
+    fold_keys: Vec<(u64, u64)>,
     /// Sends whose producing exec is identified by dispatch key; attached
     /// to the right exec (any shard's) when the log is finalized.
     deferred: Vec<((u64, u64), SendRec)>,
@@ -324,15 +399,17 @@ impl Recorder {
         Recorder {
             cfg,
             entry_names: Vec::new(),
-            entry_ix: HashMap::new(),
+            entry_memo: Vec::new(),
             execs: Vec::new(),
             dispatch_keys: Vec::new(),
+            sends: Vec::new(),
+            send_exec: Vec::new(),
             roots: Vec::new(),
             state_points: Vec::new(),
-            origin: HashMap::new(),
-            routed: HashSet::new(),
+            msgs: MsgLanes::default(),
             current: None,
             origin_dispatch: None,
+            fold_keys: Vec::new(),
             deferred: Vec::new(),
             shed_execs: 0,
             shed_sends: 0,
@@ -356,13 +433,28 @@ impl Recorder {
         self.shed_sends
     }
 
+    /// Index of `name` in `entry_names`, appended on first sight. Only
+    /// reached once per `(array, kind)` (and per merged shard name), so a
+    /// scan over the handful of names beats any hash table.
     fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.entry_ix.get(name) {
+        if let Some(i) = self.entry_names.iter().position(|n| n == name) {
+            return i as u32;
+        }
+        self.entry_names.push(name.to_string());
+        self.entry_names.len() as u32 - 1
+    }
+
+    /// [`ExecRec::entry`] for `kind` of `array`; `array_name` is only read
+    /// the first time the pair executes.
+    fn entry_index(&mut self, array: usize, array_name: &str, kind: &'static str) -> u32 {
+        if array >= self.entry_memo.len() {
+            self.entry_memo.resize_with(array + 1, Vec::new);
+        }
+        if let Some(&(_, i)) = self.entry_memo[array].iter().find(|(k, _)| *k == kind) {
             return i;
         }
-        let i = self.entry_names.len() as u32;
-        self.entry_names.push(name.to_string());
-        self.entry_ix.insert(name.to_string(), i);
+        let i = self.intern(&format!("{array_name}::{kind}"));
+        self.entry_memo[array].push((kind, i));
         i
     }
 
@@ -374,16 +466,21 @@ impl Recorder {
     /// A new message was created; remember which exec (if any) produced it.
     pub(crate) fn note_origin(&mut self, msg_id: u64) {
         let origin = match (self.origin_dispatch, self.current) {
-            (Some(dk), _) => Origin::Dispatch(dk),
-            (None, Some(i)) => Origin::Exec(i),
+            (Some(dk), _) => {
+                if self.fold_keys.last() != Some(&dk) {
+                    assert!(self.fold_keys.len() < MsgState::MAX_INDEX, "fold-key index overflow");
+                    self.fold_keys.push(dk);
+                }
+                MsgState::Dispatch(self.fold_keys.len() as u32 - 1)
+            }
+            (None, Some(i)) => MsgState::Exec(i),
             // Past the exec cap nothing executes on the record, so a
             // message without a current exec has no recordable producer:
-            // skip the origin table (it must not grow unbounded either)
-            // and count the send when it routes.
+            // leave its cell unknown and count the send when it routes.
             (None, None) if self.capped() => return,
-            (None, None) => Origin::External,
+            (None, None) => MsgState::External,
         };
-        self.origin.insert(msg_id, origin);
+        *self.msgs.cell(msg_id) = origin.pack();
     }
 
     /// A message's delivery was scheduled (first routing only; later
@@ -398,9 +495,8 @@ impl Recorder {
         tree_depth: u64,
         rtt_bytes: usize,
     ) {
-        if !self.routed.insert(msg_id) {
-            return;
-        }
+        let cell = self.msgs.cell(msg_id);
+        let state = MsgState::unpack(std::mem::replace(cell, MsgState::ROUTED));
         let rec = SendRec {
             msg_id,
             bytes: bytes as u64,
@@ -409,18 +505,23 @@ impl Recorder {
             tree_depth: tree_depth as u32,
             rtt_bytes: rtt_bytes as u64,
         };
-        match self.origin.get(&msg_id).copied() {
-            Some(Origin::Exec(i)) => self.execs[i].sends.push(rec),
-            Some(Origin::Dispatch(dk)) => self.deferred.push((dk, rec)),
+        match state {
+            MsgState::Routed => {}
+            MsgState::Exec(i) => {
+                self.sends.push(rec);
+                self.send_exec.push(i);
+            }
+            MsgState::Dispatch(k) => self.deferred.push((self.fold_keys[k as usize], rec)),
             // An untracked message under a capped recording was produced
             // past the cap: shed it (visibly) instead of growing `roots`.
-            None if self.capped() => self.shed_sends += 1,
-            Some(Origin::External) | None => self.roots.push(rec),
+            MsgState::Unknown if self.capped() => self.shed_sends += 1,
+            MsgState::External | MsgState::Unknown => self.roots.push(rec),
         }
     }
 
     /// An entry method is about to apply its actions; every send recorded
-    /// until [`Recorder::end_exec`] belongs to it. Returns the exec seq.
+    /// until [`Recorder::end_exec`] belongs to it. `array_name` and `kind`
+    /// name the entry (`<array>::<kind>`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn begin_exec(
         &mut self,
@@ -428,7 +529,8 @@ impl Recorder {
         start: SimTime,
         dur: SimTime,
         dst: ObjId,
-        entry_name: &str,
+        array_name: &str,
+        kind: &'static str,
         msg_id: u64,
         msg_src: Option<ObjId>,
         msg_digest: u64,
@@ -443,7 +545,8 @@ impl Recorder {
             self.current = None;
             return;
         }
-        let entry = self.intern(entry_name);
+        assert!(self.execs.len() < MsgState::MAX_INDEX, "exec index overflow");
+        let entry = self.entry_index(dst.array.0 as usize, array_name, kind);
         let seq = self.execs.len() as u64;
         self.dispatch_keys.push(dispatch);
         self.execs.push(ExecRec {
@@ -462,7 +565,7 @@ impl Recorder {
             n_local,
             sends: Vec::new(),
         });
-        self.current = Some(self.execs.len() - 1);
+        self.current = Some(seq as u32);
     }
 
     pub(crate) fn end_exec(&mut self) {
@@ -494,7 +597,8 @@ impl Recorder {
     /// parallel run. Execs from all sources are re-sorted by scheduler
     /// dispatch key — exactly the order the sequential engine would have
     /// executed them in — then renumbered; entry names are re-interned,
-    /// origin indices remapped, and roots/state points appended.
+    /// exec indices in sends and message cells remapped, and roots/state
+    /// points appended.
     pub(crate) fn absorb_shards(&mut self, shards: Vec<Recorder>) {
         let mut sources: Vec<Recorder> = Vec::with_capacity(shards.len() + 1);
         sources.push(std::mem::replace(self, Recorder::new(self.cfg.clone())));
@@ -509,36 +613,66 @@ impl Recorder {
             }
         }
         order.sort_unstable_by_key(|&(dk, _, _)| dk);
+        assert!(order.len() <= MsgState::MAX_INDEX, "exec index overflow");
 
         // Move execs out so they can be re-owned in sorted order.
         let mut pools: Vec<Vec<Option<ExecRec>>> = sources
             .iter_mut()
             .map(|s| s.execs.drain(..).map(Some).collect())
             .collect();
-        let mut remap: Vec<Vec<usize>> = pools.iter().map(|p| vec![usize::MAX; p.len()]).collect();
-        let entry_maps: Vec<Vec<String>> = sources
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.entry_names))
+        let mut remap: Vec<Vec<u32>> = pools.iter().map(|p| vec![u32::MAX; p.len()]).collect();
+        // Source entry index → merged index, interned at first use so the
+        // merged name order is the sequential engine's first-use order.
+        let mut entry_maps: Vec<Vec<Option<u32>>> = sources
+            .iter()
+            .map(|s| vec![None; s.entry_names.len()])
             .collect();
 
         for (gi, &(dk, si, li)) in order.iter().enumerate() {
             let mut e = pools[si][li].take().expect("exec consumed twice");
             e.seq = gi as u64;
-            e.entry = self.intern(&entry_maps[si][e.entry as usize]);
-            remap[si][li] = gi;
+            let local = e.entry as usize;
+            e.entry = match entry_maps[si][local] {
+                Some(merged) => merged,
+                None => {
+                    let merged = self.intern(&sources[si].entry_names[local]);
+                    entry_maps[si][local] = Some(merged);
+                    merged
+                }
+            };
+            remap[si][li] = gi as u32;
             self.dispatch_keys.push(dk);
             self.execs.push(e);
         }
 
         for (si, src) in sources.into_iter().enumerate() {
-            for (msg_id, org) in src.origin {
-                let org = match org {
-                    Origin::Exec(li) => Origin::Exec(remap[si][li]),
-                    other => other,
-                };
-                self.origin.insert(msg_id, org);
+            // Each exec's sends were all routed on the shard that ran it,
+            // so appending source by source keeps every exec's send order.
+            self.sends.extend(src.sends);
+            self.send_exec
+                .extend(src.send_exec.into_iter().map(|li| remap[si][li as usize]));
+            let fold_base = self.fold_keys.len() as u32;
+            self.fold_keys.extend(src.fold_keys);
+            for (slot, lane) in src.msgs.lanes.into_iter().enumerate() {
+                if slot >= self.msgs.lanes.len() {
+                    self.msgs.lanes.resize_with(slot + 1, Vec::new);
+                }
+                let merged = &mut self.msgs.lanes[slot];
+                if merged.len() < lane.len() {
+                    merged.resize(lane.len(), MsgState::UNKNOWN);
+                }
+                // A message id is noted and routed by the one source that
+                // owns its slot at the time, so cells never conflict.
+                for (ctr, cell) in lane.into_iter().enumerate() {
+                    let state = match MsgState::unpack(cell) {
+                        MsgState::Unknown => continue,
+                        MsgState::Exec(li) => MsgState::Exec(remap[si][li as usize]),
+                        MsgState::Dispatch(k) => MsgState::Dispatch(fold_base + k),
+                        other => other,
+                    };
+                    merged[ctr] = state.pack();
+                }
             }
-            self.routed.extend(src.routed);
             self.roots.extend(src.roots);
             self.state_points.extend(src.state_points);
             self.shed_execs += src.shed_execs;
@@ -564,18 +698,31 @@ impl Recorder {
         end: SimTime,
         final_digests: Vec<(ObjId, u64)>,
     ) -> ReplayLog {
-        // Attach dispatch-keyed sends (reduction-fold callbacks) to their
-        // producing execs, in fold order.
-        let by_key: HashMap<(u64, u64), usize> = self
-            .dispatch_keys
-            .iter()
-            .enumerate()
-            .map(|(i, &dk)| (dk, i))
-            .collect();
-        for (dk, rec) in self.deferred.drain(..) {
-            match by_key.get(&dk) {
-                Some(&i) => self.execs[i].sends.push(rec),
-                None => self.roots.push(rec),
+        // Deal the flat send list out to the execs. An exec routes its
+        // sends back to back, so the list is runs of one exec index: each
+        // run becomes that exec's `sends` in one exact-size copy (a send
+        // that routed late — parked in limbo — is a run of its own and
+        // appends, keeping routing order).
+        let mut run_start = 0;
+        while run_start < self.sends.len() {
+            let exec = self.send_exec[run_start];
+            let run_len = self.send_exec[run_start..]
+                .iter()
+                .take_while(|&&i| i == exec)
+                .count();
+            let into = &mut self.execs[exec as usize].sends;
+            into.reserve_exact(run_len);
+            into.extend_from_slice(&self.sends[run_start..run_start + run_len]);
+            run_start += run_len;
+        }
+        // Dispatch-keyed sends (reduction-fold callbacks) come after, in
+        // fold order. They find their producing exec by its key; execs run
+        // in key order, so the keys are already sorted.
+        debug_assert!(self.dispatch_keys.is_sorted());
+        for (dk, rec) in self.deferred {
+            match self.dispatch_keys.binary_search(&dk) {
+                Ok(i) => self.execs[i].sends.push(rec),
+                Err(_) => self.roots.push(rec),
             }
         }
         let final_state = DigestPoint {
@@ -665,6 +812,73 @@ mod tests {
         assert_eq!(back.final_state, log.final_state);
         assert_eq!(back.entry_names, log.entry_names);
         assert_eq!(back.machine, "homog");
+    }
+
+    #[test]
+    fn msg_state_cells_roundtrip() {
+        let top = MsgState::MAX_INDEX as u32;
+        for s in [
+            MsgState::Unknown,
+            MsgState::Routed,
+            MsgState::External,
+            MsgState::Exec(0),
+            MsgState::Exec(7),
+            MsgState::Exec(top),
+            MsgState::Dispatch(0),
+            MsgState::Dispatch(top),
+        ] {
+            assert_eq!(MsgState::unpack(s.pack()), s);
+        }
+        assert_eq!(MsgState::Unknown.pack(), 0, "fresh lane cells read as unknown");
+    }
+
+    /// The recorder's bookkeeping end to end: origins survive until the
+    /// first routing (however late), re-routes are not recorded twice, fold
+    /// callbacks find their exec by dispatch key, and every exec's sends
+    /// come out in routing order.
+    #[test]
+    fn sends_attach_to_their_producing_exec_in_routing_order() {
+        let id = |slot: u64, ctr: u64| (slot << KEY_SLOT_SHIFT) | ctr;
+        let dst = ObjId {
+            array: crate::ArrayId(0),
+            ix: Ix::I1(0),
+        };
+        let mut r = Recorder::new(ReplayConfig::default());
+        let begin = |r: &mut Recorder, dispatch| {
+            r.begin_exec(0, SimTime(0), SimTime(1), dst, "a", "on_message", 0, None, 0, 8, 0.0, 0, 0, dispatch)
+        };
+        let route = |r: &mut Recorder, msg_id| r.on_routed(msg_id, 8, 0, 1, 0, 0);
+
+        r.note_origin(id(9, 0)); // host send
+        route(&mut r, id(9, 0));
+
+        begin(&mut r, (10, 1));
+        r.note_origin(id(0, 0));
+        r.note_origin(id(0, 1)); // destination missing: parked unrouted
+        route(&mut r, id(0, 0));
+        r.end_exec();
+
+        begin(&mut r, (20, 2));
+        r.note_origin(id(1, 0));
+        route(&mut r, id(1, 0));
+        route(&mut r, id(0, 0)); // limbo re-flush of a routed message
+        r.end_exec();
+
+        route(&mut r, id(0, 1)); // the parked one, outside any exec
+        for (key, msg_id) in [((10, 1), id(5, 0)), ((99, 9), id(5, 1))] {
+            r.origin_dispatch = Some(key);
+            r.note_origin(msg_id);
+            route(&mut r, msg_id);
+            r.origin_dispatch = None;
+        }
+
+        let log = r.into_log("m".into(), 2, 0, SimTime(0), 2, 1e9, SimTime(30), vec![]);
+        let ids = |sends: &[SendRec]| sends.iter().map(|s| s.msg_id).collect::<Vec<_>>();
+        assert_eq!(log.entry_names, vec!["a::on_message".to_string()]);
+        assert_eq!(ids(&log.execs[0].sends), vec![id(0, 0), id(0, 1), id(5, 0)]);
+        assert_eq!(ids(&log.execs[1].sends), vec![id(1, 0)]);
+        // The key no exec has falls back to the roots.
+        assert_eq!(ids(&log.roots), vec![id(9, 0), id(5, 1)]);
     }
 
     #[test]

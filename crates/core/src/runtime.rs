@@ -664,7 +664,6 @@ impl RuntimeBuilder {
             reconfig_overhead_expand: SimTime::from_secs_f64(6.5),
             arena_enabled: !self.classic_hotpath,
             arena_base: crate::arena::stats(),
-            entry_name_cache: FxHashMap::default(),
             global_window: self.global_window,
             sync_windows: 0,
             sync_width_ns: 0,
@@ -817,9 +816,6 @@ pub struct Runtime {
     /// This thread's arena counters when the runtime was built; `summary()`
     /// reports the delta.
     pub(crate) arena_base: crate::arena::ArenaStats,
-    /// Recorder entry names per (array, entry kind), built once instead of
-    /// `format!`-allocated on every recorded execution.
-    pub(crate) entry_name_cache: FxHashMap<(u32, &'static str), String>,
     /// Force parallel workers onto the global-window (full-barrier) engine
     /// ([`RuntimeBuilder::global_window`]); A/B fallback for the adaptive
     /// per-shard-pair lookahead core.
@@ -1684,10 +1680,8 @@ impl Runtime {
             Payload::Sys(ev) => EntryKind::Event(ev.kind_name()),
         };
         // Digest the consumed payload *before* execution moves it into the
-        // chare. Only pay the cost when recording. The recorder entry name
-        // (`array::kind`) is interned in `entry_name_cache` at use below —
-        // the old per-exec `format!` was a measurable share of recorded-run
-        // dispatch cost.
+        // chare. Only pay the cost when recording. The recorder interns
+        // the entry name (`array::kind`) once per pair.
         let rec_consumed = if self.recorder.is_some() {
             Some(match &mut payload {
                 Payload::User(boxed) => (store.user_msg_digest(boxed), "on_message"),
@@ -1766,31 +1760,23 @@ impl Runtime {
         self.push_ev(end, Ev::PeFree { pe });
 
         let dispatch = self.cur_dispatch;
-        if let Some((digest, kind)) = rec_consumed {
-            // Disjoint-field borrows: the interned name borrows
-            // `entry_name_cache` while the recorder is borrowed mutably.
-            let stores = &self.stores;
-            let entry_name = self
-                .entry_name_cache
-                .entry((aid.0, kind))
-                .or_insert_with(|| format!("{}::{}", stores[aid.0 as usize].name(), kind));
-            if let Some(r) = self.recorder.as_mut() {
-                r.begin_exec(
-                    pe,
-                    self.now,
-                    duration,
-                    dst,
-                    entry_name,
-                    rec_id,
-                    src_obj,
-                    digest,
-                    bytes,
-                    work_units,
-                    n_remote,
-                    n_local,
-                    dispatch,
-                );
-            }
+        if let (Some((digest, kind)), Some(r)) = (rec_consumed, self.recorder.as_mut()) {
+            r.begin_exec(
+                pe,
+                self.now,
+                duration,
+                dst,
+                self.stores[aid.0 as usize].name(),
+                kind,
+                rec_id,
+                src_obj,
+                digest,
+                bytes,
+                work_units,
+                n_remote,
+                n_local,
+                dispatch,
+            );
         }
         // Extend the critical-path chain through this execution; outgoing
         // sends (applied below) inherit the node via `cur_cp`.

@@ -52,6 +52,10 @@
 
 use crate::array::{ArrayId, ObjId};
 use crate::runtime::Runtime;
+use crate::tracefmt::{
+    into_string, push_json_escaped, write_chrome_event, write_chrome_track, write_csv_row,
+    CHROME_OPEN, CHROME_TAIL, CSV_HEADER,
+};
 use charm_machine::SimTime;
 use fxhash::FxHashMap;
 use std::fmt::Write as _;
@@ -314,29 +318,51 @@ pub struct SinkStats {
     pub bytes_written: u64,
 }
 
-/// Maps array ids to names so sinks can format events without a `Runtime`
-/// in hand. Populated by `Runtime::create_array`; name resolution matches
-/// the in-memory exporters byte-for-byte.
+/// Maps array ids to names so sinks and exporters can format events
+/// without a `Runtime` in hand. Populated by `Runtime::create_array`, which
+/// also escapes each name for JSON once, so no formatter ever escapes (or
+/// allocates) per record.
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
-    arrays: Vec<String>,
+    arrays: Vec<ArrayNames>,
+}
+
+#[derive(Debug, Clone)]
+struct ArrayNames {
+    plain: String,
+    /// `plain` with `\` and `"` backslash-escaped.
+    json: String,
+}
+
+impl ArrayNames {
+    fn new(name: &str) -> Self {
+        let name = if name.is_empty() { "?" } else { name };
+        let mut json = Vec::with_capacity(name.len());
+        push_json_escaped(&mut json, name);
+        ArrayNames {
+            plain: name.to_string(),
+            json: into_string(json),
+        }
+    }
 }
 
 impl NameTable {
     pub(crate) fn register(&mut self, id: ArrayId, name: &str) {
         let i = id.0 as usize;
         if self.arrays.len() <= i {
-            self.arrays.resize(i + 1, String::new());
+            self.arrays.resize_with(i + 1, || ArrayNames::new("?"));
         }
-        self.arrays[i] = name.to_string();
+        self.arrays[i] = ArrayNames::new(name);
     }
 
     /// The array's registered name (`"?"` if unknown).
     pub fn array_name(&self, id: ArrayId) -> &str {
-        match self.arrays.get(id.0 as usize) {
-            Some(s) if !s.is_empty() => s,
-            _ => "?",
-        }
+        self.arrays.get(id.0 as usize).map_or("?", |a| &a.plain)
+    }
+
+    /// [`array_name`](Self::array_name), JSON-escaped.
+    pub(crate) fn array_json(&self, id: ArrayId) -> &str {
+        self.arrays.get(id.0 as usize).map_or("?", |a| &a.json)
     }
 
     /// `<array>::<entry>` — identical to the runtime-side resolution.
@@ -1416,134 +1442,6 @@ impl Tracer {
 }
 
 // ---------------------------------------------------------------------------
-// Shared byte-exact formatters (in-memory exporters and streaming sinks
-// funnel through these, so their outputs agree byte-for-byte).
-
-/// Exact microseconds (`ns / 1000` with three fractional digits) — float
-/// formatting is bypassed so exports are byte-deterministic.
-pub(crate) fn us(t: SimTime) -> String {
-    let ns = t.as_nanos();
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Chrome trace-event header: opening brace plus one `thread_name`
-/// metadata line per track.
-pub(crate) fn chrome_header(out: &mut String, num_tracks: usize, rts_track: usize) {
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for track in 0..num_tracks {
-        let name = if track == rts_track {
-            "RTS".to_string()
-        } else {
-            format!("PE {track}")
-        };
-        let _ = writeln!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{track},\"args\":{{\"name\":\"{name}\"}}}},"
-        );
-    }
-}
-
-/// One Chrome trace event (no separators). `entry_name` resolves
-/// `<array>::<entry>` labels.
-pub(crate) fn chrome_event(
-    out: &mut String,
-    rec: &TraceRecord,
-    entry_name: &dyn Fn(ArrayId, EntryKind) -> String,
-) {
-    let ts = us(rec.t);
-    let tid = rec.track;
-    match &rec.kind {
-        TraceEventKind::Entry { obj, entry, dur } => {
-            let name = json_escape(&entry_name(obj.array, *entry));
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"cat\":\"entry\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":0,\"tid\":{tid},\"args\":{{\"ix\":\"{:?}\"}}}}",
-                us(*dur),
-                obj.ix
-            );
-        }
-        TraceEventKind::MsgSend { dst, dst_pe, bytes } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"send\",\"cat\":\"msg\",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"s\":\"t\",\"args\":{{\"to_pe\":{dst_pe},\"bytes\":{bytes},\"dst\":\"{:?}\"}}}}",
-                dst.ix
-            );
-        }
-        TraceEventKind::MsgRecv { src_pe, dst, bytes } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"recv\",\"cat\":\"msg\",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"s\":\"t\",\"args\":{{\"from_pe\":{src_pe},\"bytes\":{bytes},\"dst\":\"{:?}\"}}}}",
-                dst.ix
-            );
-        }
-        TraceEventKind::PeBusy | TraceEventKind::PeIdle => {
-            let v = if matches!(rec.kind, TraceEventKind::PeBusy) { 1 } else { 0 };
-            let _ = write!(
-                out,
-                "{{\"name\":\"busy\",\"cat\":\"pe\",\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"busy\":{v}}}}}"
-            );
-        }
-        other => {
-            let (name, args) = rts_name_args(other);
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"cat\":\"rts\",\"ph\":\"i\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"s\":\"g\",\"args\":{{{args}}}}}"
-            );
-        }
-    }
-}
-
-/// CSV header row (with trailing newline).
-pub(crate) const CSV_HEADER: &str = "t_ns,track,kind,name,dur_ns,bytes,a,b\n";
-
-/// One CSV row (no trailing newline).
-pub(crate) fn csv_row(rec: &TraceRecord, entry_name: &dyn Fn(ArrayId, EntryKind) -> String) -> String {
-    let t = rec.t.as_nanos();
-    let track = rec.track;
-    match &rec.kind {
-        TraceEventKind::Entry { obj, entry, dur } => format!(
-            "{t},{track},entry,{},{},0,0,0",
-            entry_name(obj.array, *entry),
-            dur.as_nanos()
-        ),
-        TraceEventKind::MsgSend { dst_pe, bytes, .. } => {
-            format!("{t},{track},send,,0,{bytes},{track},{dst_pe}")
-        }
-        TraceEventKind::MsgRecv { src_pe, bytes, .. } => {
-            format!("{t},{track},recv,,0,{bytes},{src_pe},{track}")
-        }
-        TraceEventKind::PeBusy => format!("{t},{track},busy,,0,0,0,0"),
-        TraceEventKind::PeIdle => format!("{t},{track},idle,,0,0,0,0"),
-        other => {
-            let (name, _) = rts_name_args(other);
-            match other {
-                TraceEventKind::LbEnd { migrations, cost, .. } => format!(
-                    "{t},{track},{name},,{},0,{migrations},0",
-                    cost.as_nanos()
-                ),
-                TraceEventKind::Migration { from_pe, to_pe, .. } => {
-                    format!("{t},{track},{name},,0,0,{from_pe},{to_pe}")
-                }
-                TraceEventKind::CkptBegin { chares, bytes } => {
-                    format!("{t},{track},{name},,0,{bytes},{chares},0")
-                }
-                TraceEventKind::NodeFail { first_pe, num_pes } => {
-                    format!("{t},{track},{name},,0,0,{first_pe},{num_pes}")
-                }
-                TraceEventKind::Reconfigure { from, to } => {
-                    format!("{t},{track},{name},,0,0,{from},{to}")
-                }
-                _ => format!("{t},{track},{name},,0,0,0,0"),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Export & report (on Runtime, which can resolve array names).
 
 impl Runtime {
@@ -1665,21 +1563,7 @@ impl Runtime {
     /// grouped track-by-track. `None` when tracing is off.
     pub fn trace_chrome_json(&self) -> Option<String> {
         let tr = self.tracer.as_ref()?;
-        let mut out = String::new();
-        chrome_header(&mut out, tr.num_tracks(), tr.rts_track());
-        let name_of = |a, e| self.entry_name(a, e);
-        let mut first = true;
-        for track in 0..tr.num_tracks() {
-            for rec in tr.track(track) {
-                if !first {
-                    out.push_str(",\n");
-                }
-                first = false;
-                chrome_event(&mut out, rec, &name_of);
-            }
-        }
-        out.push_str("\n]}\n");
-        Some(out)
+        Some(chrome_json(tr, (0..tr.num_tracks()).flat_map(|t| tr.track(t))))
     }
 
     /// Export the retained event log as Chrome trace-event JSON in
@@ -1688,24 +1572,7 @@ impl Runtime {
     /// tracing is off.
     pub fn trace_chrome_json_arrival(&self) -> Option<String> {
         let tr = self.tracer.as_ref()?;
-        let mut out = String::new();
-        chrome_header(&mut out, tr.num_tracks(), tr.rts_track());
-        let name_of = |a, e| self.entry_name(a, e);
-        for (i, rec) in self.arrival_records(tr).into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            chrome_event(&mut out, rec, &name_of);
-        }
-        out.push_str("\n]}\n");
-        Some(out)
-    }
-
-    /// Retained records across all rings, sorted back into arrival order.
-    fn arrival_records<'a>(&self, tr: &'a Tracer) -> Vec<&'a TraceRecord> {
-        let mut recs: Vec<&TraceRecord> = (0..tr.num_tracks()).flat_map(|t| tr.track(t)).collect();
-        recs.sort_by_key(|r| r.seq);
-        recs
+        Some(chrome_json(tr, arrival_records(tr)))
     }
 
     /// Export the retained event log as CSV
@@ -1713,28 +1580,14 @@ impl Runtime {
     /// `None` when tracing is off.
     pub fn trace_csv(&self) -> Option<String> {
         let tr = self.tracer.as_ref()?;
-        let mut out = String::from(CSV_HEADER);
-        let name_of = |a, e| self.entry_name(a, e);
-        for track in 0..tr.num_tracks() {
-            for rec in tr.track(track) {
-                out.push_str(&csv_row(rec, &name_of));
-                out.push('\n');
-            }
-        }
-        Some(out)
+        Some(csv(tr, (0..tr.num_tracks()).flat_map(|t| tr.track(t))))
     }
 
     /// CSV export in *arrival order* — byte-identical to a
     /// [`CsvStreamSink`]'s file when nothing was dropped from the rings.
     pub fn trace_csv_arrival(&self) -> Option<String> {
         let tr = self.tracer.as_ref()?;
-        let mut out = String::from(CSV_HEADER);
-        let name_of = |a, e| self.entry_name(a, e);
-        for rec in self.arrival_records(tr) {
-            out.push_str(&csv_row(rec, &name_of));
-            out.push('\n');
-        }
-        Some(out)
+        Some(csv(tr, arrival_records(tr)))
     }
 
     /// Render the projections-lite text report: top-`top_k` entry methods
@@ -1914,63 +1767,37 @@ impl Runtime {
     }
 }
 
-/// Name + JSON args for the RTS-level event kinds.
-fn rts_name_args(kind: &TraceEventKind) -> (&'static str, String) {
-    match kind {
-        TraceEventKind::LbBegin { strategy, objs } => {
-            ("lb_begin", format!("\"strategy\":\"{strategy}\",\"objs\":{objs}"))
-        }
-        TraceEventKind::LbEnd { strategy, migrations, cost } => (
-            "lb_end",
-            format!(
-                "\"strategy\":\"{strategy}\",\"migrations\":{migrations},\"cost_us\":{}",
-                us(*cost)
-            ),
-        ),
-        TraceEventKind::Migration { obj, from_pe, to_pe } => (
-            "migration",
-            format!("\"ix\":\"{:?}\",\"from_pe\":{from_pe},\"to_pe\":{to_pe}", obj.ix),
-        ),
-        TraceEventKind::CkptBegin { chares, bytes } => {
-            ("ckpt_begin", format!("\"chares\":{chares},\"bytes\":{bytes}"))
-        }
-        TraceEventKind::CkptCommit => ("ckpt_commit", String::new()),
-        TraceEventKind::CkptAbort => ("ckpt_abort", String::new()),
-        TraceEventKind::NodeFail { first_pe, num_pes } => {
-            ("node_fail", format!("\"first_pe\":{first_pe},\"num_pes\":{num_pes}"))
-        }
-        TraceEventKind::Rollback { to, chares } => (
-            "rollback",
-            format!("\"to_us\":{},\"chares\":{chares}", us(*to)),
-        ),
-        TraceEventKind::Unrecoverable { lost } => ("unrecoverable", format!("\"lost\":{lost}")),
-        TraceEventKind::DvfsFreq { chip, freq_factor } => (
-            "dvfs_freq",
-            format!("\"chip\":{chip},\"freq\":{freq_factor:.4}"),
-        ),
-        TraceEventKind::Reconfigure { from, to } => {
-            ("reconfigure", format!("\"from\":{from},\"to\":{to}"))
-        }
-        TraceEventKind::PreemptWarning { first_pe, num_pes, deadline, proactive } => (
-            "preempt_warning",
-            format!(
-                "\"first_pe\":{first_pe},\"num_pes\":{num_pes},\"deadline_us\":{},\"proactive\":{proactive}",
-                us(*deadline)
-            ),
-        ),
-        TraceEventKind::Evacuation { chares, first_pe, num_pes } => (
-            "evacuation",
-            format!("\"chares\":{chares},\"first_pe\":{first_pe},\"num_pes\":{num_pes}"),
-        ),
-        TraceEventKind::ElasticDecision { from, to, util } => (
-            "elastic_decision",
-            format!("\"from\":{from},\"to\":{to},\"util\":{util:.4}"),
-        ),
-        TraceEventKind::DegradedCapacity { have, floor } => {
-            ("degraded", format!("\"have\":{have},\"floor\":{floor}"))
-        }
-        _ => ("event", String::new()),
+/// Retained records across all rings, sorted back into arrival order.
+fn arrival_records(tr: &Tracer) -> Vec<&TraceRecord> {
+    let mut recs: Vec<&TraceRecord> = (0..tr.num_tracks()).flat_map(|t| tr.track(t)).collect();
+    recs.sort_by_key(|r| r.seq);
+    recs
+}
+
+/// A whole Chrome trace-event document over `recs`, through the same
+/// writers the streaming sink uses.
+fn chrome_json<'a>(tr: &Tracer, recs: impl IntoIterator<Item = &'a TraceRecord>) -> String {
+    let mut out = CHROME_OPEN.as_bytes().to_vec();
+    for track in 0..tr.num_tracks() {
+        write_chrome_track(&mut out, track, tr.rts_track());
     }
+    for (i, rec) in recs.into_iter().enumerate() {
+        if i > 0 {
+            out.extend_from_slice(b",\n");
+        }
+        write_chrome_event(&mut out, rec, &tr.names);
+    }
+    out.extend_from_slice(CHROME_TAIL.as_bytes());
+    into_string(out)
+}
+
+/// A whole CSV document over `recs`.
+fn csv<'a>(tr: &Tracer, recs: impl IntoIterator<Item = &'a TraceRecord>) -> String {
+    let mut out = CSV_HEADER.as_bytes().to_vec();
+    for rec in recs {
+        write_csv_row(&mut out, rec, &tr.names);
+    }
+    into_string(out)
 }
 
 fn fmt_secs(v: f64) -> String {
@@ -2189,12 +2016,5 @@ mod tests {
         let cp = tr.critical_path().unwrap();
         assert_eq!(cp.segments, 200_000);
         drop(tr); // iterative Drop must not blow the stack
-    }
-
-    #[test]
-    fn microsecond_formatting_is_exact() {
-        assert_eq!(us(SimTime(1_234_567)), "1234.567");
-        assert_eq!(us(SimTime(999)), "0.999");
-        assert_eq!(us(SimTime(1_000)), "1.000");
     }
 }

@@ -2,25 +2,44 @@
 //! CSV writers implementing [`TraceSink`].
 //!
 //! Both funnel every record through the same formatters as the in-memory
-//! exporters, so a streamed file is byte-identical to
+//! exporters (`crate::tracefmt`), so a streamed file is byte-identical to
 //! [`Runtime::trace_chrome_json_arrival`](crate::Runtime::trace_chrome_json_arrival)
 //! / [`trace_csv_arrival`](crate::Runtime::trace_csv_arrival) whenever the
 //! rings retained every record (property-tested in `tests/trace_stream.rs`)
 //! — but unlike the rings they hold O(1) memory no matter how many events
 //! the run produces, which is what lets full event logs survive 128 K–1 M
-//! simulated PEs (`scale_bench`).
+//! simulated PEs (`scale_bench`). Records are formatted straight into one
+//! fixed buffer per sink; the per-record path neither allocates nor makes
+//! a system call.
 //!
-//! Write errors never abort the simulation: they are counted in
-//! [`SinkStats::dropped`] and surfaced in the report footer.
+//! Write errors never abort the simulation: every record that did not
+//! reach the file is counted in [`SinkStats::dropped`] and surfaced in the
+//! report footer.
 
-use crate::trace::{chrome_event, chrome_header, csv_row, NameTable, SinkStats, TraceRecord, TraceSink, CSV_HEADER};
+use crate::trace::{NameTable, SinkStats, TraceRecord, TraceSink};
+use crate::tracefmt::{
+    write_chrome_event, write_chrome_track, write_csv_row, CHROME_OPEN, CHROME_TAIL, CSV_HEADER,
+};
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::Write as _;
 use std::path::Path;
 
-/// Shared plumbing: buffered file, delivery counters, error latch.
+/// Size of a file sink's one buffer.
+const BUF_BYTES: usize = 64 * 1024;
+/// The buffer is written out once it is this full, leaving room for the
+/// next record (only a record longer than the gap — an array name of
+/// several KiB — would make it grow).
+const DRAIN_AT: usize = BUF_BYTES - 4 * 1024;
+
+/// Shared plumbing: the file, its buffer, delivery counters, error latch.
 struct FileSink {
-    out: Option<BufWriter<File>>,
+    name: &'static str,
+    /// Appended by [`FileSink::finish`] so the file is well-formed.
+    tail: &'static str,
+    out: File,
+    buf: Vec<u8>,
+    /// Records in `buf`, not yet handed to the file.
+    buffered: u64,
     records: u64,
     dropped: u64,
     bytes_written: u64,
@@ -28,9 +47,13 @@ struct FileSink {
 }
 
 impl FileSink {
-    fn create(path: &Path) -> std::io::Result<Self> {
+    fn create(path: &Path, name: &'static str, tail: &'static str) -> std::io::Result<Self> {
         Ok(FileSink {
-            out: Some(BufWriter::new(File::create(path)?)),
+            name,
+            tail,
+            out: File::create(path)?,
+            buf: Vec::with_capacity(BUF_BYTES),
+            buffered: 0,
             records: 0,
             dropped: 0,
             bytes_written: 0,
@@ -38,43 +61,54 @@ impl FileSink {
         })
     }
 
-    /// Write a chunk; on error latch the failure into `dropped`.
-    fn write(&mut self, chunk: &str) -> bool {
-        let Some(w) = self.out.as_mut() else {
-            return false;
-        };
-        match w.write_all(chunk.as_bytes()) {
-            Ok(()) => {
-                self.bytes_written += chunk.len() as u64;
-                true
-            }
-            Err(_) => false,
+    /// Hand the buffer to the file. A failed write loses everything in it:
+    /// each buffered record (or the lone header/tail) counts as dropped.
+    fn drain(&mut self) {
+        if self.buf.is_empty() {
+            return;
+        }
+        match self.out.write_all(&self.buf) {
+            Ok(()) => self.bytes_written += self.buf.len() as u64,
+            Err(_) => self.dropped += self.buffered.max(1),
+        }
+        self.buf.clear();
+        self.buffered = 0;
+    }
+
+    /// Format a piece of the file into the buffer.
+    fn chunk(&mut self, format: impl FnOnce(&mut Vec<u8>)) {
+        format(&mut self.buf);
+        if self.buf.len() >= DRAIN_AT {
+            self.drain();
         }
     }
 
-    fn record(&mut self, chunk: &str) {
+    /// Format one record into the buffer.
+    fn record(&mut self, format: impl FnOnce(&mut Vec<u8>)) {
         self.records += 1;
-        if !self.write(chunk) {
+        if self.finished {
             self.dropped += 1;
+            return;
         }
+        self.buffered += 1;
+        self.chunk(format);
     }
 
-    fn finish(&mut self, tail: &str) {
+    /// Append the tail and write out what is buffered. Idempotent; also
+    /// runs on drop, so a sink that was never finished still leaves a
+    /// complete file.
+    fn finish(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
-        if !self.write(tail) {
-            self.dropped += 1;
-        }
-        if let Some(mut w) = self.out.take() {
-            let _ = w.flush();
-        }
+        self.buf.extend_from_slice(self.tail.as_bytes());
+        self.drain();
     }
 
-    fn stats(&self, name: &'static str) -> SinkStats {
+    fn stats(&self) -> SinkStats {
         SinkStats {
-            name: name.to_string(),
+            name: self.name.to_string(),
             records: self.records,
             dropped: self.dropped,
             bytes_written: self.bytes_written,
@@ -82,108 +116,101 @@ impl FileSink {
     }
 }
 
+impl Drop for FileSink {
+    fn drop(&mut self) {
+        self.finish();
+    }
+}
+
 /// Streams the event log to a Chrome trace-event JSON file as records
 /// arrive (Perfetto / `chrome://tracing` loadable). Install via
 /// [`RuntimeBuilder::trace_sink`](crate::RuntimeBuilder::trace_sink);
-/// finalize with [`Runtime::finish_trace`](crate::Runtime::finish_trace)
-/// (dropping the runtime also closes the file, via `TraceSink::finish`
-/// never having run — the JSON tail is then missing, so always finish).
+/// [`Runtime::finish_trace`](crate::Runtime::finish_trace) writes the JSON
+/// tail, flushes, and returns the delivery stats. Dropping the sink (or the
+/// runtime that owns it) unfinished does the same, minus the stats.
 pub struct ChromeStreamSink {
     file: FileSink,
-    first: bool,
-    scratch: String,
 }
 
 impl ChromeStreamSink {
     /// Create/truncate the output file.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Ok(ChromeStreamSink {
-            file: FileSink::create(path.as_ref())?,
-            first: true,
-            scratch: String::new(),
+            file: FileSink::create(path.as_ref(), "chrome_stream", CHROME_TAIL)?,
         })
     }
 }
 
 impl TraceSink for ChromeStreamSink {
     fn name(&self) -> &'static str {
-        "chrome_stream"
+        self.file.name
     }
 
     fn begin(&mut self, num_tracks: usize, _names: &NameTable) {
-        self.scratch.clear();
-        chrome_header(&mut self.scratch, num_tracks, num_tracks.saturating_sub(1));
-        let header = std::mem::take(&mut self.scratch);
-        if !self.file.write(&header) {
-            self.file.dropped += 1;
+        let rts_track = num_tracks.saturating_sub(1);
+        self.file
+            .chunk(|buf| buf.extend_from_slice(CHROME_OPEN.as_bytes()));
+        for track in 0..num_tracks {
+            self.file
+                .chunk(|buf| write_chrome_track(buf, track, rts_track));
         }
-        self.scratch = header; // keep the allocation
     }
 
     fn record(&mut self, rec: &TraceRecord, names: &NameTable) {
-        self.scratch.clear();
-        if !self.first {
-            self.scratch.push_str(",\n");
-        }
-        self.first = false;
-        chrome_event(&mut self.scratch, rec, &|a, e| names.entry_name(a, e));
-        let line = std::mem::take(&mut self.scratch);
-        self.file.record(&line);
-        self.scratch = line;
+        let first = self.file.records == 0;
+        self.file.record(|buf| {
+            if !first {
+                buf.extend_from_slice(b",\n");
+            }
+            write_chrome_event(buf, rec, names);
+        });
     }
 
     fn finish(&mut self, _names: &NameTable) {
-        self.file.finish("\n]}\n");
+        self.file.finish();
     }
 
     fn stats(&self) -> SinkStats {
-        self.file.stats("chrome_stream")
+        self.file.stats()
     }
 }
 
 /// Streams the event log to a CSV file
-/// (`t_ns,track,kind,name,dur_ns,bytes,a,b`) as records arrive.
+/// (`t_ns,track,kind,name,dur_ns,bytes,a,b`) as records arrive. Finished
+/// by [`Runtime::finish_trace`](crate::Runtime::finish_trace) or on drop.
 pub struct CsvStreamSink {
     file: FileSink,
-    scratch: String,
 }
 
 impl CsvStreamSink {
     /// Create/truncate the output file.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Ok(CsvStreamSink {
-            file: FileSink::create(path.as_ref())?,
-            scratch: String::new(),
+            file: FileSink::create(path.as_ref(), "csv_stream", "")?,
         })
     }
 }
 
 impl TraceSink for CsvStreamSink {
     fn name(&self) -> &'static str {
-        "csv_stream"
+        self.file.name
     }
 
     fn begin(&mut self, _num_tracks: usize, _names: &NameTable) {
-        if !self.file.write(CSV_HEADER) {
-            self.file.dropped += 1;
-        }
+        self.file
+            .chunk(|buf| buf.extend_from_slice(CSV_HEADER.as_bytes()));
     }
 
     fn record(&mut self, rec: &TraceRecord, names: &NameTable) {
-        self.scratch.clear();
-        self.scratch.push_str(&csv_row(rec, &|a, e| names.entry_name(a, e)));
-        self.scratch.push('\n');
-        let line = std::mem::take(&mut self.scratch);
-        self.file.record(&line);
-        self.scratch = line;
+        self.file.record(|buf| write_csv_row(buf, rec, names));
     }
 
     fn finish(&mut self, _names: &NameTable) {
-        self.file.finish("");
+        self.file.finish();
     }
 
     fn stats(&self) -> SinkStats {
-        self.file.stats("csv_stream")
+        self.file.stats()
     }
 }
 

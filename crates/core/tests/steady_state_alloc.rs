@@ -1,15 +1,29 @@
 //! Steady-state allocation discipline: once the arena pools and queue
 //! capacities are warm, the engine's message hot path must not touch the
-//! global allocator at all. A counting allocator wraps `System`; two
+//! global allocator at all — and neither must the two observation paths
+//! when they are switched on. A counting allocator wraps `System`; two
 //! identical simulations differing only in *length* must then differ by at
-//! most a trickle of allocations — every per-message envelope and payload
-//! box is served from recycled pools, and every queue push reuses retained
-//! capacity.
+//! most a trickle of allocations:
+//!
+//! * **bare** — every per-message envelope and payload box is served from
+//!   recycled pools, and every queue push reuses retained capacity;
+//! * **streaming sinks** — every record formatted into a Chrome and a CSV
+//!   file goes straight into each sink's fixed buffer: no allocator call
+//!   per record;
+//! * **replay recorder** — allocator calls grow only with the logarithm of
+//!   the run's length (flat buffers doubling), not per exec or per message.
+//!
+//! The counts are exact under a seed, so they serve as a deterministic cost
+//! proxy next to the noisy wall-clock numbers of `benchmark/`.
 //!
 //! This file is its own integration-test binary so the `#[global_allocator]`
-//! override cannot leak into any other test.
+//! override cannot leak into any other test, and it holds a single `#[test]`
+//! because the counter is process-wide: checks must not run concurrently.
 
-use charm_core::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, Runtime};
+use charm_core::{
+    ArrayProxy, Chare, ChromeStreamSink, CsvStreamSink, Ctx, Ix, MachineConfig, ReplayConfig,
+    Runtime, TraceConfig,
+};
 use charm_pup::{Pup, Puper};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,12 +78,37 @@ impl Chare for Relay {
     }
 }
 
+/// What is switched on while the ring runs.
+#[derive(Clone, Copy)]
+enum Observe {
+    Nothing,
+    /// Summary tracing plus a Chrome and a CSV file sink.
+    FileSinks,
+    /// The replay recorder.
+    Recorder,
+}
+
+fn sink_path(ext: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("charm_{}_steady_state.{ext}", std::process::id()))
+}
+
 /// One full simulation: `tokens` concurrent ring walkers, each making
 /// `hops` hops across 4 PEs. Returns total deliveries (sanity).
-fn run_ring(hops: u64) -> u64 {
+fn run_ring(hops: u64, observe: Observe) -> u64 {
     const N: i64 = 16;
     const TOKENS: i64 = 8;
-    let mut rt = Runtime::builder(MachineConfig::homogeneous(4)).build();
+    let mut b = Runtime::builder(MachineConfig::homogeneous(4));
+    match observe {
+        Observe::Nothing => {}
+        Observe::FileSinks => {
+            b = b
+                .tracing(TraceConfig::summary_only())
+                .trace_sink(Box::new(ChromeStreamSink::create(sink_path("json")).unwrap()))
+                .trace_sink(Box::new(CsvStreamSink::create(sink_path("csv")).unwrap()));
+        }
+        Observe::Recorder => b = b.record(ReplayConfig::default()),
+    }
+    let mut rt = b.build();
     let arr = rt.create_array::<Relay>("relay");
     for i in 0..N {
         rt.insert(arr, Ix::i1(i), Relay { n: N, seen: 0 }, Some(i as usize % 4));
@@ -78,35 +117,62 @@ fn run_ring(hops: u64) -> u64 {
         rt.send(arr, Ix::i1(t * 2), hops);
     }
     rt.run();
+    // Dropping the runtime finishes the sinks; the recorder's log is never
+    // built (that deals out one exact-size `Vec` per exec with sends).
     (0..N)
         .map(|i| rt.inspect(arr, &Ix::i1(i), |r| r.seen).unwrap())
         .sum()
 }
 
-#[test]
-fn steady_state_message_path_bypasses_global_allocator() {
+/// Allocator calls a 10× longer run makes beyond a short one, and the
+/// messages it delivers beyond it. Two fresh, identical runtimes: startup,
+/// capacity growth, and teardown costs are identical by determinism — the
+/// difference isolates the extra steady-state traffic.
+fn extra_allocs(observe: Observe) -> (u64, u64) {
     // Warm the thread-local arena pools and libc internals.
-    run_ring(500);
+    run_ring(500, observe);
 
-    // Two fresh, identical runtimes; the long run does 10× the messaging.
-    // Startup, capacity growth, and teardown costs are identical by
-    // determinism — the difference isolates the extra steady-state traffic.
     let snap = ALLOCS.load(Ordering::Relaxed);
-    let short_seen = run_ring(500);
+    let short_seen = run_ring(500, observe);
     let short_allocs = ALLOCS.load(Ordering::Relaxed) - snap;
 
     let snap = ALLOCS.load(Ordering::Relaxed);
-    let long_seen = run_ring(5000);
+    let long_seen = run_ring(5000, observe);
     let long_allocs = ALLOCS.load(Ordering::Relaxed) - snap;
 
     let extra_msgs = long_seen - short_seen;
     assert!(extra_msgs >= 30_000, "expected a real workload, got {extra_msgs}");
-    let extra_allocs = long_allocs.saturating_sub(short_allocs);
+    (long_allocs.saturating_sub(short_allocs), extra_msgs)
+}
+
+#[test]
+fn steady_state_paths_bypass_the_global_allocator() {
     // Without the arena this difference tracks the message count (two boxes
     // per delivery — envelope and payload — ≈ 70k+ allocations here).
+    let (extra, msgs) = extra_allocs(Observe::Nothing);
     assert!(
-        extra_allocs < 200,
-        "steady state leaked {extra_allocs} global allocations for {extra_msgs} extra messages \
-         (short run: {short_allocs}, long run: {long_allocs})"
+        extra < 200,
+        "steady state leaked {extra} global allocations for {msgs} extra messages"
+    );
+
+    // ~7 records per message, each formatted twice. The `format!`-based
+    // formatters made 841 673 calls here; what remains (7) is the tracer's
+    // own summary state growing.
+    let (extra, msgs) = extra_allocs(Observe::FileSinks);
+    for ext in ["json", "csv"] {
+        let _ = std::fs::remove_file(sink_path(ext));
+    }
+    assert!(
+        extra < 32,
+        "streaming to file sinks leaked {extra} global allocations for {msgs} extra messages"
+    );
+
+    // One exec and one send per message. With a `Vec` of sends per exec the
+    // recorder made 36 014 calls here, one per exec; its flat buffers
+    // doubling make 33.
+    let (extra, msgs) = extra_allocs(Observe::Recorder);
+    assert!(
+        extra < 64,
+        "recording made {extra} global allocations for {msgs} extra execs"
     );
 }

@@ -7,7 +7,9 @@
 //!   quantile estimate in the same bucket as the exact order statistic
 //!   (property-tested over arbitrary sample sets).
 //! * **Visible loss** — `RunSummary` carries ring-drop counts and per-sink
-//!   delivery stats; the report footer prints them.
+//!   delivery stats; the report footer prints them. A file sink whose
+//!   writes fail counts every record it lost, and one that is dropped
+//!   unfinished still leaves a complete file.
 //! * **Critical path** — the analyzer's path length equals the makespan
 //!   exactly on a serial-chain micro-app and never exceeds it elsewhere.
 //! * **Engine gating** — sinks and the analyzer force the sequential
@@ -143,6 +145,73 @@ fn streamed_files_byte_equal_in_memory_arrival_exporters() {
         let _ = std::fs::remove_file(&jpath);
         let _ = std::fs::remove_file(&cpath);
     }
+}
+
+#[test]
+fn failed_writes_count_every_lost_record() {
+    // `/dev/full` opens fine and fails every write with ENOSPC — a full
+    // disk. This run fits in the sinks' buffers, so nothing is written (or
+    // fails) until the final flush: the one `finish` used to ignore.
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let mut rt = hopper_runtime(
+        7,
+        TraceConfig::default(),
+        1,
+        vec![
+            Box::new(ChromeStreamSink::create(full).unwrap()),
+            Box::new(CsvStreamSink::create(full).unwrap()),
+        ],
+    );
+    rt.run();
+    let stats = rt.finish_trace();
+    assert_eq!(stats.len(), 2);
+    for s in &stats {
+        assert!(s.records > 0);
+        assert_eq!(s.dropped, s.records, "{}: every record was lost, and counted", s.name);
+        assert_eq!(s.bytes_written, 0, "{}: nothing reached the file", s.name);
+    }
+    let report = rt.projections_report(5).unwrap();
+    assert!(report.contains(&format!("{} write error(s)", stats[0].dropped)), "{report}");
+    // A path that cannot be opened is an error at creation, not a latch.
+    assert!(ChromeStreamSink::create("/nonexistent-dir/t.json").is_err());
+    assert!(CsvStreamSink::create("/nonexistent-dir/t.csv").is_err());
+}
+
+#[test]
+fn dropping_an_unfinished_runtime_completes_the_files() {
+    let run = |tag: &str, finish: bool| {
+        let jpath = tmp(&format!("drop_{tag}.trace.json"));
+        let cpath = tmp(&format!("drop_{tag}.trace.csv"));
+        let mut rt = hopper_runtime(
+            11,
+            TraceConfig::default(),
+            1,
+            vec![
+                Box::new(ChromeStreamSink::create(&jpath).unwrap()),
+                Box::new(CsvStreamSink::create(&cpath).unwrap()),
+            ],
+        );
+        rt.run();
+        if finish {
+            rt.finish_trace();
+            rt.finish_trace(); // idempotent: one tail, not two
+        }
+        drop(rt);
+        let files = (
+            std::fs::read_to_string(&jpath).unwrap(),
+            std::fs::read_to_string(&cpath).unwrap(),
+        );
+        let _ = std::fs::remove_file(&jpath);
+        let _ = std::fs::remove_file(&cpath);
+        files
+    };
+    let finished = run("finished", true);
+    let dropped = run("dropped", false);
+    assert!(finished.0.ends_with("}}\n]}\n"), "one JSON tail after the last event");
+    assert_eq!(dropped, finished, "drop writes what finish_trace would have");
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! TRAM correctness and performance-shape tests: exact-once delivery,
 //! aggregation economics (Fig. 15b's crossover), and determinism.
 
-use charm_core::{Callback, Chare, Ctx, Ix, RedOp, RedValue, Runtime, SimTime, SysEvent};
+use charm_core::{
+    Callback, Chare, Ctx, Ix, MachineConfig, RedOp, RedValue, RunSummary, Runtime, SimTime, SysEvent,
+};
 use charm_pup::{Pup, Puper};
 use charm_tram::{Tram, TramBuf, TramConfig};
 
@@ -141,8 +143,10 @@ struct Outcome {
     checksum: i64,
 }
 
-fn run_verified(num_pes: usize, items_per_pe: u64, tram_cfg: Option<TramConfig>) -> Outcome {
-    let mut rt = Runtime::homogeneous(num_pes);
+/// Set up the flood on `rt` (arrays: 0=sinks, 1=sources, 2=tram agents or
+/// a placeholder) and run the spray phase to completion.
+fn spray(rt: &mut Runtime, items_per_pe: u64, tram_cfg: Option<TramConfig>) -> RunSummary {
+    let num_pes = rt.num_pes();
     let sinks = rt.create_array::<Sink>("sinks");
     let sources = rt.create_array::<Source>("sources");
     for pe in 0..num_pes {
@@ -155,7 +159,7 @@ fn run_verified(num_pes: usize, items_per_pe: u64, tram_cfg: Option<TramConfig>)
             );
         }
     }
-    let tram = tram_cfg.map(|cfg| Tram::attach(&mut rt, "tram", sinks, cfg));
+    let tram = tram_cfg.map(|cfg| Tram::attach(rt, "tram", sinks, cfg));
     // With no TRAM attached, array ids shift; create a placeholder so the
     // verifier/probe ids are stable at 3 and 4.
     if tram.is_none() {
@@ -178,9 +182,14 @@ fn run_verified(num_pes: usize, items_per_pe: u64, tram_cfg: Option<TramConfig>)
         rt.send(sources, Ix::i1(pe as i64), Spray);
     }
     if let Some(t) = &tram {
-        t.flush_all_from_host(&mut rt);
+        t.flush_all_from_host(rt);
     }
-    let s1 = rt.run();
+    rt.run()
+}
+
+fn run_verified(num_pes: usize, items_per_pe: u64, tram_cfg: Option<TramConfig>) -> Outcome {
+    let mut rt = Runtime::homogeneous(num_pes);
+    let s1 = spray(&mut rt, items_per_pe, tram_cfg);
     let spray_time = s1.end_time.as_secs_f64();
 
     // Phase 2: verification sweep (its cost is not part of `time_s`).
@@ -297,4 +306,35 @@ fn tram_runs_are_deterministic() {
     assert_eq!(a.time_s, b.time_s);
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.checksum, b.checksum);
+}
+
+/// Regression: when a shard of the adaptive engine went idle before shard 0
+/// had declared the run over, its clock jumped to the `u64::MAX` sentinel
+/// and the window counters swallowed the jump (`barriers_elided` = 2^64 / α
+/// ≈ 2·10^16 was recorded on this workload at 8 threads). Whether a run
+/// hits that interleaving is up to the host scheduler — the arithmetic is
+/// pinned deterministically in `charm_core::parallel`'s unit test — but
+/// whenever it does, the counters must still be counts: far below 2^48.
+#[test]
+fn parallel_window_counters_stay_counts_on_the_flood() {
+    const LIMIT: u64 = 1 << 48;
+    for threads in [2, 4, 8] {
+        let mut rt = Runtime::builder(MachineConfig::homogeneous(16))
+            .threads(threads)
+            .build();
+        let s = spray(&mut rt, 500, Some(TramConfig::default()));
+        assert!(rt.last_run_parallel(), "{threads} threads: fell back to sequential");
+        for (name, v) in [
+            ("windows_executed", s.windows_executed),
+            ("barriers_waited", s.barriers_waited),
+            ("barriers_elided", s.barriers_elided),
+        ] {
+            assert!(v < LIMIT, "{threads} threads: {name} = {v} is not a count");
+        }
+        assert!(
+            s.avg_window_width < LIMIT as f64,
+            "{threads} threads: avg window width {} ns",
+            s.avg_window_width
+        );
+    }
 }

@@ -1,11 +1,11 @@
 #!/bin/sh
 # Single-entry CI gate: release build, full test suite, clippy (warnings
-# are errors, all crates), and the seven end-to-end smokes (tracing,
+# are errors, all crates), the seven end-to-end smokes (tracing,
 # record/replay, engine throughput, runtime overhead/METG, the elastic
 # controller, streaming observability at scale, and the charm-kv serving
 # workload — the last five also validate the committed BENCH_engine.json /
 # BENCH_overhead.json / BENCH_elastic.json / BENCH_scale.json /
-# BENCH_service.json).
+# BENCH_service.json), and the repository benchmark at smoke sizes.
 # Exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -39,5 +39,8 @@ sh scripts/scale_smoke.sh
 
 echo "==> service smoke"
 sh scripts/service_smoke.sh
+
+echo "==> benchmark smoke"
+sh scripts/benchmark_smoke.sh
 
 echo "CI OK"

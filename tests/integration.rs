@@ -168,3 +168,53 @@ fn presets_compose_with_apps() {
     assert_eq!(r.step_times.len(), 5);
     assert!(r.avg_utilization > 0.0);
 }
+
+/// Observation end to end: the stencil app streams every trace record into
+/// Chrome and CSV files while the replay recorder writes. The streamed bytes
+/// equal the in-memory arrival-order exports, and two same-seed recordings
+/// verify against each other.
+#[test]
+fn streamed_traces_and_replay_logs_match_their_in_memory_forms() {
+    use charm_rs::apps::stencil::{run_with_runtime, StencilConfig};
+    use charm_rs::core::{ChromeStreamSink, CsvStreamSink, ReplayConfig, TraceConfig};
+
+    let record_once = |tag: &str| {
+        let path = |ext: &str| {
+            std::env::temp_dir().join(format!("charm_rs_{}_{tag}.trace.{ext}", std::process::id()))
+        };
+        let (json, csv) = (path("json"), path("csv"));
+        let mut c = StencilConfig::cloud_4k(charm_rs::machine::presets::cloud(8), 2);
+        c.steps = 5;
+        // Rings large enough to retain everything, so the in-memory
+        // exporters see the same stream the sinks did.
+        c.trace = Some(TraceConfig {
+            log_capacity: 1 << 20,
+            ..TraceConfig::default()
+        });
+        c.trace_sinks = vec![
+            Box::new(ChromeStreamSink::create(&json).unwrap()),
+            Box::new(CsvStreamSink::create(&csv).unwrap()),
+        ];
+        c.record = Some(ReplayConfig::with_digest_every(200));
+        let (_, mut rt) = run_with_runtime(c);
+
+        let stats = rt.finish_trace();
+        assert_eq!(stats.len(), 2);
+        assert!(stats.iter().all(|s| s.records > 0 && s.dropped == 0));
+        assert_eq!(rt.tracer().unwrap().dropped_events(), 0);
+        let streamed = |p: &std::path::Path| {
+            let text = std::fs::read_to_string(p).unwrap();
+            let _ = std::fs::remove_file(p);
+            text
+        };
+        assert_eq!(streamed(&json), rt.trace_chrome_json_arrival().unwrap());
+        assert_eq!(streamed(&csv), rt.trace_csv_arrival().unwrap());
+        rt.take_replay_log().expect("recording was on")
+    };
+
+    let (a, b) = (record_once("a"), record_once("b"));
+    assert!(a.execs.iter().any(|e| !e.sends.is_empty()), "the log carries sends");
+    assert!(!a.state_points.is_empty(), "periodic digests were taken");
+    let report = charm_replay::verify(&a, &b);
+    assert!(report.ok(), "{report}");
+}
