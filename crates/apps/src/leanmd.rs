@@ -184,25 +184,31 @@ fn wrap(v: i32, dim: i32) -> i32 {
     v.rem_euclid(dim)
 }
 
-impl Cell {
-    /// Distinct neighbor cells (wraparound may alias on tiny grids).
-    fn neighbors(&self) -> Vec<[i32; 3]> {
-        let d = self.dim as i32;
-        let mut out = Vec::with_capacity(27);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    out.push([
-                        wrap(self.c[0] + dx, d),
-                        wrap(self.c[1] + dy, d),
-                        wrap(self.c[2] + dz, d),
-                    ]);
-                }
-            }
+/// Sorted distinct wrapped coordinates of `v - 1..=v + 1` along one axis
+/// and how many there are (fewer than three when a tiny grid aliases).
+fn axis_neighbors(v: i32, dim: i32) -> ([i32; 3], usize) {
+    let mut a = [wrap(v - 1, dim), wrap(v, dim), wrap(v + 1, dim)];
+    a.sort_unstable();
+    let mut n = 1;
+    for i in 1..3 {
+        if a[i] != a[n - 1] {
+            a[n] = a[i];
+            n += 1;
         }
-        out.sort_unstable();
-        out.dedup();
-        out
+    }
+    (a, n)
+}
+
+impl Cell {
+    /// Distinct neighbor cells in lexicographic order: the product of the
+    /// per-axis distinct coordinates, so nothing is allocated or sorted per
+    /// message.
+    fn neighbors(&self) -> impl Iterator<Item = [i32; 3]> {
+        let d = self.dim as i32;
+        let [(xs, nx), (ys, ny), (zs, nz)] = self.c.map(|v| axis_neighbors(v, d));
+        (0..nx).flat_map(move |i| {
+            (0..ny).flat_map(move |j| (0..nz).map(move |k| [xs[i], ys[j], zs[k]]))
+        })
     }
 
     fn start_step(&mut self, ctx: &mut Ctx<'_>) {
@@ -230,7 +236,8 @@ impl Cell {
     }
 
     fn expected_forces(&self) -> u8 {
-        self.neighbors().len() as u8
+        let d = self.dim as i32;
+        self.c.iter().map(|&v| axis_neighbors(v, d).1 as u8).product()
     }
 
     fn finish_step(&mut self, ctx: &mut Ctx<'_>) {
@@ -707,6 +714,34 @@ pub fn run_with_runtime(mut config: LeanMdConfig) -> (AppRun, Runtime) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn neighbors_are_the_sorted_distinct_wrapped_stencil() {
+        // Reference: all 27 wrapped offsets, sorted and deduplicated —
+        // including the tiny grids where wraparound aliases neighbors.
+        for dim in 1..=5i32 {
+            for x in 0..dim {
+                for y in 0..dim {
+                    for z in 0..dim {
+                        let cell = Cell { c: [x, y, z], dim: dim as u64, ..Cell::default() };
+                        let w = |v: i32| wrap(v, dim);
+                        let mut want = Vec::new();
+                        for dx in -1..=1 {
+                            for dy in -1..=1 {
+                                for dz in -1..=1 {
+                                    want.push([w(x + dx), w(y + dy), w(z + dz)]);
+                                }
+                            }
+                        }
+                        want.sort_unstable();
+                        want.dedup();
+                        assert_eq!(cell.neighbors().collect::<Vec<_>>(), want);
+                        assert_eq!(cell.expected_forces() as usize, want.len());
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn completes_and_conserves_density_model() {

@@ -137,7 +137,11 @@ pub(crate) trait AnyArray: Send {
     #[allow(dead_code)] // part of the store interface; used by tests/tools
     fn set_element_pe(&mut self, ix: &Ix, pe: usize);
     fn indices(&self) -> Vec<Ix>;
-    fn indices_on_pe(&self, pe: usize) -> Vec<Ix>;
+    /// Visit every element once, in sorted index order, as `(index, pe,
+    /// chare state)` — the one walk behind state digests, checkpoints and
+    /// evacuation. The dense tier is already in index order, so only the
+    /// spill tier is sorted, and no element is looked up by key.
+    fn visit_sorted(&mut self, f: &mut dyn FnMut(Ix, usize, &mut dyn charm_pup::Pup));
     /// Run the entry method / event handler for one delivered payload.
     /// Returns false if the element does not exist (message buffered or
     /// dropped by the caller's policy).
@@ -145,9 +149,7 @@ pub(crate) trait AnyArray: Send {
     /// PUP digest of a user message destined for this array (0 on a type
     /// mismatch — `execute` will panic with context anyway).
     fn user_msg_digest(&self, msg: &mut Box<dyn Any + Send>) -> u64;
-    /// PUP digest of one element's chare state.
-    fn digest_element(&mut self, ix: &Ix) -> Option<u64>;
-    /// Serialize an element (for migration / checkpoints).
+    /// Serialize one element (for a single migration).
     fn pack_element(&mut self, ix: &Ix) -> Option<Vec<u8>>;
     /// Deserialize and (re-)insert an element at `pe`.
     fn unpack_insert(&mut self, ix: Ix, pe: usize, bytes: &[u8]);
@@ -507,14 +509,17 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
         v
     }
 
-    fn indices_on_pe(&self, pe: usize) -> Vec<Ix> {
-        let mut v: Vec<Ix> = self
-            .iter()
-            .filter(|(_, e)| e.pe == pe)
-            .map(|(ix, _)| ix)
-            .collect();
-        v.sort_unstable();
-        v
+    fn visit_sorted(&mut self, f: &mut dyn FnMut(Ix, usize, &mut dyn charm_pup::Pup)) {
+        // Slot order is index order within the dense window, so a store
+        // with nothing spilled needs no sort at all.
+        let spilled = !self.spill.is_empty();
+        let mut elems: Vec<(Ix, &mut Element<C>)> = self.iter_mut().collect();
+        if spilled {
+            elems.sort_unstable_by_key(|(ix, _)| *ix);
+        }
+        for (ix, e) in elems {
+            f(ix, e.pe, &mut e.chare);
+        }
     }
 
     fn execute(&mut self, ix: &Ix, payload: Payload, ctx: &mut Ctx<'_>) -> bool {
@@ -557,10 +562,6 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
         msg.downcast_mut::<C::Msg>()
             .map(charm_pup::digest_of)
             .unwrap_or(0)
-    }
-
-    fn digest_element(&mut self, ix: &Ix) -> Option<u64> {
-        self.get_mut(ix).map(|e| charm_pup::digest_of(&mut e.chare))
     }
 
     fn pack_element(&mut self, ix: &Ix) -> Option<Vec<u8>> {
@@ -763,8 +764,44 @@ mod tests {
         let all = s.indices();
         assert_eq!(all.len(), 10);
         assert!(all.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(s.indices_on_pe(0).len(), 4); // 0,3,6,9
-        assert_eq!(s.indices_on_pe(1).len(), 3);
+    }
+
+    #[test]
+    fn visit_sorted_equals_indices_then_lookup() {
+        // One visit must see exactly what the sorted key list plus a
+        // per-key pack/digest sees — on a purely dense population (the
+        // no-sort path) and on one that adds spilled negative/huge 1-D,
+        // 2-D and 3-D indices, inserted out of order.
+        let dense = [Ix::i1(900), Ix::i1(3), Ix::i1(0), Ix::i1(41)];
+        let spilled = [
+            Ix::i3(1, 2, 3),
+            Ix::i1(-4),
+            Ix::i2(7, 7),
+            Ix::i1(DENSE_1D_MAX + 9),
+            Ix::i3(0, 9, 9),
+        ];
+        for ixs in [dense.to_vec(), [&dense[..], &spilled[..]].concat()] {
+            let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
+            for (k, ix) in ixs.iter().enumerate() {
+                s.insert(*ix, k % 3, Dummy { v: 100 + k as i64 });
+            }
+            let by_key: Vec<(Ix, usize, Vec<u8>, u64)> = s
+                .indices()
+                .into_iter()
+                .map(|ix| {
+                    let pe = s.element_pe(&ix).unwrap();
+                    let bytes = s.pack_element(&ix).unwrap();
+                    let digest = charm_pup::fnv1a(&bytes);
+                    (ix, pe, bytes, digest)
+                })
+                .collect();
+            let mut visited = Vec::new();
+            s.visit_sorted(&mut |ix, pe, c| {
+                visited.push((ix, pe, charm_pup::to_bytes(c), charm_pup::digest_of(c)));
+            });
+            assert_eq!(visited.len(), ixs.len());
+            assert_eq!(visited, by_key);
+        }
     }
 
     #[test]

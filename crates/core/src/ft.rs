@@ -110,15 +110,14 @@ impl Runtime {
         let mut placement = BTreeMap::new();
         let mut per_pe = vec![0usize; self.machine.num_pes];
         for s in self.stores.iter_mut() {
-            let id = s.id();
-            for ix in s.indices() {
-                let pe = s.element_pe(&ix).expect("listed element");
-                let b = s.pack_element(&ix).expect("listed element");
+            let array = s.id();
+            s.visit_sorted(&mut |ix, pe, chare| {
+                let b = charm_pup::to_bytes(chare);
                 per_pe[pe] += b.len();
-                let obj = ObjId { array: id, ix };
+                let obj = ObjId { array, ix };
                 placement.insert(obj, pe);
                 bytes.insert(obj, b);
-            }
+            });
         }
 
         // Cost: each PE streams its checkpoint to its buddy concurrently
@@ -263,17 +262,21 @@ impl Runtime {
         // Evacuation cost model: each doomed PE streams its chares to the
         // survivors concurrently (max over doomed PEs), plus one barrier to
         // agree the node is drained.
-        let mut evac: Vec<(ObjId, Vec<u8>)> = Vec::new();
+        let mut evac: Vec<(usize, ObjId, Vec<u8>)> = Vec::new();
         let mut per_pe_bytes = vec![0usize; self.machine.num_pes];
         for s in self.stores.iter_mut() {
-            let id = s.id();
-            for &p in &doomed {
-                for ix in s.indices_on_pe(p) {
-                    let b = s.pack_element(&ix).expect("listed element");
-                    per_pe_bytes[p] += b.len();
-                    evac.push((ObjId { array: id, ix }, b));
+            let array = s.id();
+            let first = evac.len();
+            s.visit_sorted(&mut |ix, pe, chare| {
+                if doomed.contains(&pe) {
+                    let b = charm_pup::to_bytes(chare);
+                    per_pe_bytes[pe] += b.len();
+                    evac.push((pe, ObjId { array, ix }, b));
                 }
-            }
+            });
+            // Drain order is per array, per doomed PE (ascending), per
+            // index: the round-robin placement below depends on it.
+            evac[first..].sort_by_key(|&(pe, ..)| pe);
         }
         let max_bytes = doomed
             .iter()
@@ -316,7 +319,7 @@ impl Runtime {
 
         // ---- proactive drain: migrate every chare off the node --------------
         let n_chares = evac.len();
-        for (rr, (obj, bytes)) in evac.into_iter().enumerate() {
+        for (rr, (_, obj, bytes)) in evac.into_iter().enumerate() {
             let target = survivors[rr % survivors.len()];
             let store = &mut self.stores[obj.array.0 as usize];
             store.remove_element(&obj.ix);
@@ -679,25 +682,17 @@ impl Runtime {
     /// this run's PE count (§III-B).
     pub fn checkpoint_to_disk(&mut self, path: &Path) -> std::io::Result<DiskCkptInfo> {
         let mut payload: Vec<u8> = Vec::new();
-        let arrays: Vec<_> = self.stores.iter().map(|s| s.id()).collect();
-        write_u64(&mut payload, arrays.len() as u64);
+        write_u64(&mut payload, self.stores.len() as u64);
         let mut per_pe = vec![0usize; self.machine.num_pes];
-        for id in arrays {
-            let name = self.stores[id.0 as usize].name().to_string();
-            write_bytes(&mut payload, name.as_bytes());
-            let indices = self.stores[id.0 as usize].indices();
-            write_u64(&mut payload, indices.len() as u64);
-            for ix in indices {
-                let pe = self.stores[id.0 as usize].element_pe(&ix).expect("listed");
-                let body = self.stores[id.0 as usize]
-                    .pack_element(&ix)
-                    .expect("listed");
+        for s in self.stores.iter_mut() {
+            write_bytes(&mut payload, s.name().as_bytes());
+            write_u64(&mut payload, s.len() as u64);
+            s.visit_sorted(&mut |mut ix, pe, chare| {
+                let body = charm_pup::to_bytes(chare);
                 per_pe[pe] += body.len();
-                let mut ixc = ix;
-                let ix_bytes = charm_pup::to_bytes(&mut ixc);
-                write_bytes(&mut payload, &ix_bytes);
+                write_bytes(&mut payload, &charm_pup::to_bytes(&mut ix));
                 write_bytes(&mut payload, &body);
-            }
+            });
         }
 
         let mut out: Vec<u8> = Vec::with_capacity(payload.len() + 20);
@@ -878,27 +873,66 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`), implemented
-/// here because the build environment has no registry access for a crc
-/// crate.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+/// Slicing-by-8 tables for CRC32 (IEEE 802.3, reflected polynomial
+/// `0xEDB88320`): `t[0]` is the classic byte table, and `t[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
             *e = c;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
         t
-    });
+    })
+}
+
+/// One byte of the classic table-driven CRC32 update.
+#[inline]
+fn crc32_step(table: &[u32; 256], crc: u32, b: u8) -> u32 {
+    (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize]
+}
+
+/// CRC32 (IEEE 802.3), eight bytes per step (slicing-by-8); implemented
+/// here because the build environment has no registry access for a crc
+/// crate.
+pub(crate) fn crc32(data: &[u8]) -> u32 {
+    let t = crc32_tables();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = crc32_step(&t[0], crc, b);
     }
     !crc
+}
+
+/// The one-lookup-per-byte CRC32 the sliced version must agree with.
+#[cfg(test)]
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let table = &crc32_tables()[0];
+    !data.iter().fold(0xFFFF_FFFFu32, |crc, &b| crc32_step(table, crc, b))
 }
 
 fn write_u64(out: &mut Vec<u8>, v: u64) {
@@ -993,5 +1027,19 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // Long enough to take the eight-byte path, with a ragged tail.
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    proptest::proptest! {
+        // Every length class (empty, shorter than one slice, exact
+        // multiples, ragged tails) at arbitrary content.
+        #[test]
+        fn crc32_sliced_equals_bytewise(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300)
+        ) {
+            proptest::prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+        }
     }
 }

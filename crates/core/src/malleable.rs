@@ -50,20 +50,25 @@ impl Runtime {
                 return;
             }
             let mut rr = 0usize;
-            let arrays: Vec<_> = self.stores.iter().map(|s| s.id()).collect();
             let mut moved_bytes_max = 0usize;
-            for array in arrays {
-                for pe in to..old {
-                    for ix in self.stores[array.0 as usize].indices_on_pe(pe) {
-                        let bytes = self.stores[array.0 as usize]
-                            .pack_element(&ix)
-                            .expect("listed element");
-                        moved_bytes_max = moved_bytes_max.max(bytes.len());
-                        let target = survivors[rr % survivors.len()];
-                        rr += 1;
-                        self.stores[array.0 as usize].remove_element(&ix);
-                        self.stores[array.0 as usize].unpack_insert(ix, target, &bytes);
+            for s in self.stores.iter_mut() {
+                let mut evac: Vec<(usize, crate::Ix)> = Vec::new();
+                s.visit_sorted(&mut |ix, pe, _chare| {
+                    if (to..old).contains(&pe) {
+                        evac.push((pe, ix));
                     }
+                });
+                // Per retiring PE (ascending), per index: the round-robin
+                // placement depends on this order. Chares move one at a
+                // time so only one packed image is alive at once.
+                evac.sort_by_key(|&(pe, _)| pe);
+                for (_, ix) in evac {
+                    let bytes = s.pack_element(&ix).expect("listed element");
+                    moved_bytes_max = moved_bytes_max.max(bytes.len());
+                    let target = survivors[rr % survivors.len()];
+                    rr += 1;
+                    s.remove_element(&ix);
+                    s.unpack_insert(ix, target, &bytes);
                 }
             }
             // Requeue messages stranded on retiring PEs.

@@ -1076,12 +1076,11 @@ impl Runtime {
     pub fn state_digest(&mut self) -> Vec<(ObjId, u64)> {
         let mut out = Vec::new();
         for s in self.stores.iter_mut() {
-            let id = s.id();
-            for ix in s.indices() {
-                if let Some(d) = s.digest_element(&ix) {
-                    out.push((ObjId { array: id, ix }, d));
-                }
-            }
+            let array = s.id();
+            out.reserve(s.len());
+            s.visit_sorted(&mut |ix, _pe, chare| {
+                out.push((ObjId { array, ix }, charm_pup::digest_of(chare)));
+            });
         }
         out
     }

@@ -157,16 +157,16 @@ impl Torus {
     ///
     /// Returns `None` when `from == to`.
     pub fn route_next(&self, from: usize, to: usize) -> Option<usize> {
-        if from == to {
-            return None;
-        }
-        let mut c = self.coords(from);
-        let ct = self.coords(to);
-        for i in 0..c.len() {
-            if c[i] != ct[i] {
-                c[i] = ct[i];
-                return Some(self.rank(&c));
+        // Peel coordinates off both ranks axis by axis; nothing is allocated.
+        let (mut rf, mut rt, mut stride) = (from, to, 1usize);
+        for &d in &self.dims {
+            let (cf, ct) = (rf % d, rt % d);
+            if cf != ct {
+                return Some(from - cf * stride + ct * stride);
             }
+            rf /= d;
+            rt /= d;
+            stride *= d;
         }
         None
     }
@@ -249,6 +249,22 @@ mod tests {
                     assert!(steps <= t.ndims(), "route too long");
                 }
                 assert_eq!(cur, to);
+            }
+        }
+    }
+
+    #[test]
+    fn route_next_fixes_the_lowest_differing_axis() {
+        // Reference: explicit coordinate vectors.
+        let t = Torus::new(vec![5, 4, 3]);
+        for from in 0..t.size() {
+            for to in 0..t.size() {
+                let (mut c, ct) = (t.coords(from), t.coords(to));
+                let want = (0..c.len()).find(|&i| c[i] != ct[i]).map(|i| {
+                    c[i] = ct[i];
+                    t.rank(&c)
+                });
+                assert_eq!(t.route_next(from, to), want, "{from} -> {to}");
             }
         }
     }

@@ -93,12 +93,20 @@ fn pup_len(p: &mut Puper, len: usize) -> usize {
     v as usize
 }
 
+/// Capacity to reserve for `len` elements announced by a length prefix just
+/// unpacked. The prefix is untrusted input: a truncated or garbage stream
+/// can say 2^60. Bounding the hint by the bytes left keeps the failure an
+/// underflow panic with offset context instead of an allocator abort.
+fn unpack_capacity(p: &Puper, len: usize) -> usize {
+    len.min(p.remaining())
+}
+
 impl<T: Pup + Default> Pup for Vec<T> {
     fn pup(&mut self, p: &mut Puper) {
         let len = pup_len(p, self.len());
         if p.is_unpacking() {
             self.clear();
-            self.reserve_exact(len);
+            self.reserve_exact(unpack_capacity(p, len));
             for _ in 0..len {
                 let mut v = T::default();
                 v.pup(p);
@@ -117,7 +125,7 @@ impl<T: Pup + Default> Pup for VecDeque<T> {
         let len = pup_len(p, self.len());
         if p.is_unpacking() {
             self.clear();
-            self.reserve(len);
+            self.reserve(unpack_capacity(p, len));
             for _ in 0..len {
                 let mut v = T::default();
                 v.pup(p);
@@ -364,7 +372,7 @@ mod tests {
         let unpack = |bytes: Vec<u8>| -> Result<u32, String> {
             use crate::Pup as _;
             let mut back: Result<u32, String> = Ok(0);
-            let mut p = crate::Puper::unpacker(bytes);
+            let mut p = crate::Puper::unpacker(&bytes);
             back.pup(&mut p);
             back
         };
@@ -372,6 +380,44 @@ mod tests {
         assert_eq!(unpack(crate::to_bytes(&mut ok)), Ok(7));
         let mut err: Result<u32, String> = Err("boom".into());
         assert_eq!(unpack(crate::to_bytes(&mut err)), Err("boom".to_string()));
+    }
+
+    /// A length prefix is untrusted input: a stream that claims 2^60
+    /// elements and then ends must unwind with the underflow panic (offset
+    /// context included), never abort in the allocator or report a
+    /// capacity overflow.
+    #[test]
+    fn absurd_length_prefix_underflows_instead_of_allocating() {
+        use std::collections::{BTreeMap, HashMap, VecDeque};
+        #[derive(Default)]
+        struct RawBytes(Vec<u8>);
+        impl crate::Pup for RawBytes {
+            fn pup(&mut self, p: &mut crate::Puper) {
+                p.raw(&mut self.0);
+            }
+        }
+        fn check<T: crate::Pup + Default>(what: &str) {
+            let mut stream = (1u64 << 60).to_le_bytes().to_vec();
+            stream.extend_from_slice(&[7u8; 5]);
+            let err = std::panic::catch_unwind(|| {
+                crate::from_bytes::<T>(&stream);
+            })
+            .expect_err(what);
+            let msg = err
+                .downcast_ref::<String>()
+                .unwrap_or_else(|| panic!("{what}: panic payload is not a message"));
+            assert!(msg.contains("PUP stream underflow"), "{what}: {msg}");
+        }
+        check::<Vec<u64>>("Vec<u64>");
+        check::<Vec<u8>>("Vec<u8>");
+        check::<Vec<String>>("Vec<String>");
+        check::<VecDeque<u32>>("VecDeque<u32>");
+        check::<String>("String");
+        check::<HashMap<u64, u64>>("HashMap");
+        check::<BTreeMap<u64, u64>>("BTreeMap");
+        check::<HashSet<u64>>("HashSet");
+        check::<BTreeSet<u64>>("BTreeSet");
+        check::<RawBytes>("Puper::raw");
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //!
 //! A Rust rendition of Charm++'s `PUP::er` framework (paper §II-D, Fig. 3).
 //! A single `pup` method describes an object's state once, and is driven in
-//! one of three modes:
+//! one of four modes:
 //!
 //! * **Sizing** — computes the number of bytes the packed form occupies,
 //! * **Packing** — serializes the object into a byte stream,
-//! * **Unpacking** — restores the object from a byte stream.
+//! * **Unpacking** — restores the object from a borrowed byte stream,
+//! * **Digesting** — folds the packed form into an FNV-1a hash.
 //!
 //! The same traversal serves migration, checkpointing to disk, double
 //! in-memory checkpoints, and message transport, exactly as in Charm++.
+//!
+//! State that is only *modeled* — a run of bytes standing in for data the
+//! simulation never reads — goes through [`Puper::zeros`], which no mode
+//! except packing ever touches byte by byte.
 //!
 //! ```
 //! use charm_pup::{Pup, Puper};
@@ -55,22 +60,39 @@ pub enum PupMode {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-enum Inner {
+enum Inner<'a> {
     Sizing { size: usize },
     Packing { buf: Vec<u8> },
-    Unpacking { data: Vec<u8>, pos: usize },
+    Unpacking { data: &'a [u8], pos: usize },
     Digesting { hash: u64 },
 }
 
 /// The serialization driver, equivalent to Charm++'s `PUP::er`.
 ///
-/// Construct one of the three modes with [`Puper::sizer`], [`Puper::packer`],
-/// or [`Puper::unpacker`], then hand it to [`Pup::pup`] implementations.
-pub struct Puper {
-    inner: Inner,
+/// Construct one of the four modes with [`Puper::sizer`], [`Puper::packer`],
+/// [`Puper::unpacker`] or [`Puper::digester`], then hand it to [`Pup::pup`]
+/// implementations. `'a` is the lifetime of the stream an unpacker reads;
+/// the other modes borrow nothing.
+pub struct Puper<'a> {
+    inner: Inner<'a>,
 }
 
-impl Puper {
+/// `FNV_PRIME^n mod 2^64` by square-and-multiply: folding `n` zero bytes
+/// into an FNV-1a hash multiplies it by exactly this (`h ^ 0 == h`).
+fn fnv_prime_pow(mut n: u64) -> u64 {
+    let mut base = FNV_PRIME;
+    let mut acc = 1u64;
+    while n > 0 {
+        if n & 1 == 1 {
+            acc = acc.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        n >>= 1;
+    }
+    acc
+}
+
+impl<'a> Puper<'a> {
     /// A sizing puper: after traversal, [`Puper::size`] reports the packed size.
     pub fn sizer() -> Self {
         Puper {
@@ -88,16 +110,11 @@ impl Puper {
         }
     }
 
-    /// An unpacking puper reading from `data`.
-    pub fn unpacker(data: Vec<u8>) -> Self {
+    /// An unpacking puper reading from `data` in place (no copy).
+    pub fn unpacker(data: &'a [u8]) -> Self {
         Puper {
             inner: Inner::Unpacking { data, pos: 0 },
         }
-    }
-
-    /// An unpacking puper reading from a borrowed slice (copies the slice).
-    pub fn unpacker_from(data: &[u8]) -> Self {
-        Self::unpacker(data.to_vec())
     }
 
     /// A digesting puper: after traversal, [`Puper::digest`] reports an
@@ -181,7 +198,7 @@ impl Puper {
     /// The raw-byte primitive every other operation reduces to.
     ///
     /// Sizing adds `bytes.len()`; packing appends; unpacking fills `bytes`
-    /// from the stream.
+    /// from the stream; digesting folds them into the hash.
     ///
     /// # Panics
     /// Panics on unpacking underflow (malformed/truncated stream).
@@ -195,16 +212,39 @@ impl Puper {
                 }
             }
             Inner::Unpacking { data, pos } => {
-                let end = *pos + bytes.len();
-                assert!(
-                    end <= data.len(),
-                    "PUP stream underflow: need {} bytes at offset {}, only {} available",
-                    bytes.len(),
-                    pos,
-                    data.len()
-                );
-                bytes.copy_from_slice(&data[*pos..end]);
-                *pos = end;
+                let src = take(data, pos, bytes.len() as u64);
+                bytes.copy_from_slice(src);
+            }
+        }
+    }
+
+    /// A run of `n` modeled bytes: exactly `bytes(&mut [0u8; n])` in every
+    /// mode, without touching `n` bytes unless they are being packed.
+    ///
+    /// | mode      | effect                                   | cost     |
+    /// |-----------|------------------------------------------|----------|
+    /// | sizing    | adds `n`                                 | O(1)     |
+    /// | packing   | appends `n` zero bytes                   | O(n)     |
+    /// | unpacking | bounds-checks and skips `n` bytes        | O(1)     |
+    /// | digesting | multiplies the hash by `FNV_PRIME^n`     | O(log n) |
+    ///
+    /// # Panics
+    /// Panics on unpacking underflow, like [`Puper::bytes`].
+    pub fn zeros(&mut self, n: u64) {
+        match &mut self.inner {
+            Inner::Sizing { size } => {
+                *size = usize::try_from(n)
+                    .ok()
+                    .and_then(|n| size.checked_add(n))
+                    .expect("PUP size overflows usize");
+            }
+            Inner::Packing { buf } => {
+                let n = usize::try_from(n).expect("PUP run overflows usize");
+                buf.resize(buf.len() + n, 0);
+            }
+            Inner::Digesting { hash } => *hash = hash.wrapping_mul(fnv_prime_pow(n)),
+            Inner::Unpacking { data, pos } => {
+                take(data, pos, n);
             }
         }
     }
@@ -220,12 +260,32 @@ impl Puper {
     pub fn raw(&mut self, v: &mut Vec<u8>) {
         let mut len = v.len() as u64;
         self.p(&mut len);
-        if self.is_unpacking() {
+        if let Inner::Unpacking { data, pos } = &mut self.inner {
+            // Bounds-check before allocating: a garbage prefix must unwind
+            // with the underflow panic, not abort in the allocator.
             v.clear();
-            v.resize(len as usize, 0);
+            v.extend_from_slice(take(data, pos, len));
+        } else {
+            self.bytes(v.as_mut_slice());
         }
-        self.bytes(v.as_mut_slice());
     }
+}
+
+/// Advance `pos` over the next `n` bytes of `data` and return them.
+///
+/// # Panics
+/// Panics with the stream offset if fewer than `n` bytes remain.
+fn take<'a>(data: &'a [u8], pos: &mut usize, n: u64) -> &'a [u8] {
+    let start = *pos;
+    assert!(
+        n <= (data.len() - start) as u64,
+        "PUP stream underflow: need {} bytes at offset {}, only {} available",
+        n,
+        start,
+        data.len()
+    );
+    *pos = start + n as usize;
+    &data[start..*pos]
 }
 
 /// Types that can be packed and unpacked by a [`Puper`].
@@ -235,11 +295,11 @@ impl Puper {
 /// [`impl_pup_struct!`](crate::impl_pup_struct) macro) make that automatic.
 pub trait Pup {
     /// Drive this object's state through the puper.
-    fn pup(&mut self, p: &mut Puper);
+    fn pup(&mut self, p: &mut Puper<'_>);
 }
 
 /// Pup a fixed-size array in place (Charm++'s `PUParray`).
-pub fn pup_array<T: Pup, const N: usize>(p: &mut Puper, arr: &mut [T; N]) {
+pub fn pup_array<T: Pup, const N: usize>(p: &mut Puper<'_>, arr: &mut [T; N]) {
     for v in arr.iter_mut() {
         v.pup(p);
     }
@@ -247,7 +307,7 @@ pub fn pup_array<T: Pup, const N: usize>(p: &mut Puper, arr: &mut [T; N]) {
 
 /// Pup every element of a mutable slice (the slice length is *not* encoded;
 /// callers must know it, as with `PUParray`).
-pub fn pup_slice<T: Pup>(p: &mut Puper, s: &mut [T]) {
+pub fn pup_slice<T: Pup>(p: &mut Puper<'_>, s: &mut [T]) {
     for v in s.iter_mut() {
         v.pup(p);
     }
@@ -274,7 +334,7 @@ pub fn to_bytes<T: Pup + ?Sized>(v: &mut T) -> Vec<u8> {
 /// Panics if the stream is truncated or structurally invalid for `T`.
 pub fn from_bytes<T: Pup + Default>(bytes: &[u8]) -> T {
     let mut v = T::default();
-    let mut p = Puper::unpacker_from(bytes);
+    let mut p = Puper::unpacker(bytes);
     v.pup(&mut p);
     v
 }
@@ -283,7 +343,7 @@ pub fn from_bytes<T: Pup + Default>(bytes: &[u8]) -> T {
 /// returning an error message otherwise. Used when restoring checkpoints.
 pub fn from_bytes_exact<T: Pup + Default>(bytes: &[u8]) -> Result<T, String> {
     let mut v = T::default();
-    let mut p = Puper::unpacker_from(bytes);
+    let mut p = Puper::unpacker(bytes);
     v.pup(&mut p);
     if p.remaining() != 0 {
         return Err(format!(
@@ -425,7 +485,7 @@ mod tests {
         let bytes = p.into_bytes();
         assert_eq!(bytes.len(), 8 + 256);
         let mut out = Vec::new();
-        let mut u = Puper::unpacker(bytes);
+        let mut u = Puper::unpacker(&bytes);
         u.raw(&mut out);
         assert_eq!(out, v);
     }
@@ -481,6 +541,29 @@ mod tests {
             table: [(1, "a".to_string()), (9, "b".to_string())].into(),
         };
         assert_eq!(digest_of(&mut n), fnv1a(&to_bytes(&mut n)));
+    }
+
+    #[test]
+    fn zeros_digest_composes_and_never_walks_the_run() {
+        // zeros(a); zeros(b) ≡ zeros(a + b), including runs far too long to
+        // fold byte by byte (2^40 bytes at ~1 ns each would be ~20 min).
+        for (a, b) in [
+            (0u64, 0u64),
+            (1, 7),
+            (4096, 1),
+            (1 << 40, 12_345),
+            (u64::MAX / 2, 3),
+        ] {
+            let mut split = Puper::digester();
+            split.zeros(a);
+            split.zeros(b);
+            let mut whole = Puper::digester();
+            whole.zeros(a + b);
+            assert_eq!(split.digest(), whole.digest(), "a={a} b={b}");
+        }
+        let mut p = Puper::sizer();
+        p.zeros(1 << 40);
+        assert_eq!(p.size(), 1 << 40);
     }
 
     #[test]

@@ -59,7 +59,95 @@ fn record_strategy(depth: u32) -> BoxedStrategy<Record> {
     }
 }
 
+/// Arbitrary data, a run of `n` modeled bytes, more arbitrary data. The run
+/// goes through `Puper::zeros` (`closed_form`) or through `Puper::bytes` on
+/// a real zero buffer — the two must be indistinguishable in every mode.
+struct Framed {
+    before: Vec<u8>,
+    n: u64,
+    after: Vec<u8>,
+    closed_form: bool,
+}
+
+impl Pup for Framed {
+    fn pup(&mut self, p: &mut Puper) {
+        p.p(&mut self.before);
+        if self.closed_form {
+            p.zeros(self.n);
+        } else {
+            p.bytes(&mut vec![0u8; self.n as usize]);
+        }
+        p.p(&mut self.after);
+    }
+}
+
+/// Unpack `stream` into a `Framed` expecting a run of `n`; returns the
+/// fields and the final stream position, or the panic message.
+fn unpack_framed(
+    stream: &[u8],
+    n: u64,
+    closed_form: bool,
+) -> Result<(Vec<u8>, Vec<u8>, usize), String> {
+    std::panic::catch_unwind(|| {
+        let mut f = Framed {
+            before: vec![],
+            n,
+            after: vec![],
+            closed_form,
+        };
+        let mut p = Puper::unpacker(stream);
+        f.pup(&mut p);
+        (f.before, f.after, p.size())
+    })
+    .map_err(|e| e.downcast_ref::<String>().cloned().unwrap_or_default())
+}
+
+const RUN_LENGTHS: [u64; 7] = [0, 1, 7, 8, 4095, 4096, 4097];
+
 proptest! {
+    // `zeros(n)` ≡ `bytes(&mut vec![0; n])`: same size, same packed bytes,
+    // same digest, same unpack position and contents, same underflow panic.
+    #[test]
+    fn zeros_equals_bytes_of_zeros_in_every_mode(
+        before in vec(any::<u8>(), 0..40),
+        after in vec(any::<u8>(), 0..40),
+        pick in 0usize..10,
+        random_n in 0u64..=(1 << 20),
+        cut in any::<u64>(),
+    ) {
+        let n = RUN_LENGTHS.get(pick).copied().unwrap_or(random_n);
+        let mk = |closed_form| Framed {
+            before: before.clone(),
+            n,
+            after: after.clone(),
+            closed_form,
+        };
+        let (mut z, mut b) = (mk(true), mk(false));
+
+        prop_assert_eq!(packed_size(&mut z), packed_size(&mut b));
+        let stream = to_bytes(&mut z);
+        prop_assert!(stream == to_bytes(&mut b), "packed bytes differ for n={n}");
+        prop_assert_eq!(stream.len(), packed_size(&mut z));
+        prop_assert_eq!(charm_pup::digest_of(&mut z), charm_pup::digest_of(&mut b));
+        prop_assert_eq!(charm_pup::digest_of(&mut z), charm_pup::fnv1a(&stream));
+
+        let want = Ok((before.clone(), after.clone(), stream.len()));
+        prop_assert_eq!(unpack_framed(&stream, n, true), want.clone());
+        prop_assert_eq!(unpack_framed(&stream, n, false), want);
+
+        // Truncate inside the run (or, for n = 0, inside what follows it).
+        let run_start = 8 + before.len();
+        let keep = run_start + (cut % (n + 1)) as usize;
+        if keep < stream.len() {
+            let (ez, eb) = (
+                unpack_framed(&stream[..keep], n, true),
+                unpack_framed(&stream[..keep], n, false),
+            );
+            prop_assert!(matches!(&ez, Err(m) if m.contains("PUP stream underflow")), "{ez:?}");
+            prop_assert_eq!(ez, eb);
+        }
+    }
+
     #[test]
     fn record_roundtrips(mut r in record_strategy(2)) {
         let orig = r.clone();

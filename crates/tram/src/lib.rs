@@ -115,6 +115,9 @@ where
 {
     my_pe: u64,
     dims: Vec<u64>,
+    /// The virtual grid `dims` describes — derived, so rebuilt on unpack
+    /// rather than pup'd. `None` only on a default (never attached) agent.
+    torus: Option<Torus>,
     threshold: u64,
     flush_interval_ns: u64,
     target: ArrayProxy<C>,
@@ -137,6 +140,7 @@ where
         TramAgent {
             my_pe: 0,
             dims: Vec::new(),
+            torus: None,
             threshold: 64,
             flush_interval_ns: 0,
             target: ArrayProxy::default(),
@@ -157,6 +161,9 @@ where
     fn pup(&mut self, p: &mut Puper) {
         p.p(&mut self.my_pe);
         p.p(&mut self.dims);
+        if p.is_unpacking() && !self.dims.is_empty() {
+            self.torus = Some(Torus::new(self.dims.iter().map(|&d| d as usize).collect()));
+        }
         p.p(&mut self.threshold);
         p.p(&mut self.flush_interval_ns);
         p.p(&mut self.target);
@@ -193,10 +200,6 @@ impl<C: Chare> TramAgent<C>
 where
     C::Msg: Default,
 {
-    fn torus(&self) -> Torus {
-        Torus::new(self.dims.iter().map(|&d| d as usize).collect())
-    }
-
     /// Route one item a step: deliver locally or buffer toward the next hop.
     fn route(&mut self, dst_pe: u64, ix: Ix, item: C::Msg, ctx: &mut Ctx<'_>) {
         self.items_routed += 1;
@@ -204,8 +207,10 @@ where
             ctx.send(self.target, ix, item);
             return;
         }
-        let torus = self.torus();
-        let next = torus
+        let next = self
+            .torus
+            .as_ref()
+            .expect("routing agent was attached to a grid")
             .route_next(self.my_pe as usize, dst_pe as usize)
             .expect("dst != self") as u64;
         self.buffers.entry(next).or_default().push((dst_pe, ix, item));
@@ -332,11 +337,8 @@ where
         let n = rt.num_pes();
         // Exact factorization: every grid slot must be a live PE, or
         // dimension-order routing would forward through phantom ranks.
-        let dims: Vec<u64> = Torus::factored(n, config.ndims)
-            .dims()
-            .iter()
-            .map(|&d| d as u64)
-            .collect();
+        let torus = Torus::factored(n, config.ndims);
+        let dims: Vec<u64> = torus.dims().iter().map(|&d| d as u64).collect();
         for pe in 0..n {
             rt.insert(
                 agents,
@@ -344,6 +346,7 @@ where
                 TramAgent {
                     my_pe: pe as u64,
                     dims: dims.clone(),
+                    torus: Some(torus.clone()),
                     threshold: config.flush_threshold.max(1) as u64,
                     flush_interval_ns: config
                         .flush_interval

@@ -13,8 +13,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release -q
 
-echo "==> cargo test"
+echo "==> cargo test (tier-1: the root package)"
 cargo test -q
+
+echo "==> cargo test --workspace (every crate: goldens, property tests)"
+cargo test -q --workspace
 
 echo "==> lint (clippy -D warnings, all crates)"
 sh scripts/lint.sh

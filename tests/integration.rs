@@ -158,6 +158,119 @@ fn pup_across_crates() {
     assert_eq!(charm_rs::pup::roundtrip(&mut blob), blob);
 }
 
+/// A 4×4 periodic halo-exchange block whose state is almost entirely
+/// *modeled* bytes, like the stencil app's blocks.
+#[derive(Default)]
+struct HaloBlock {
+    at: [i32; 2],
+    step: u64,
+    /// Ghosts received for the current and the next step (by step parity:
+    /// a neighbour is never more than one step ahead).
+    got: [u8; 2],
+    data: charm_rs::apps::util::SyntheticBlob,
+}
+
+/// One ghost edge for `step`; `HALO_KICK` starts the exchange.
+#[derive(Default, Clone)]
+struct Ghost {
+    step: u64,
+    edge: charm_rs::apps::util::SyntheticBlob,
+}
+
+const HALO_SIDE: i32 = 4;
+const HALO_STEPS: u64 = 6;
+const HALO_KICK: u64 = u64::MAX;
+
+impl Pup for HaloBlock {
+    fn pup(&mut self, p: &mut Puper) {
+        charm_rs::pup::pup_all!(p; self.at, self.step, self.got, self.data);
+    }
+}
+impl Pup for Ghost {
+    fn pup(&mut self, p: &mut Puper) {
+        charm_rs::pup::pup_all!(p; self.step, self.edge);
+    }
+}
+impl HaloBlock {
+    fn send_ghosts(&self, ctx: &mut Ctx<'_>) {
+        let me = ArrayProxy::<HaloBlock>::from_id(ctx.my_id().array);
+        for (dx, dy) in [(-1, 0), (1, 0), (0, -1), (0, 1)] {
+            let to = Ix::i2(
+                (self.at[0] + dx).rem_euclid(HALO_SIDE),
+                (self.at[1] + dy).rem_euclid(HALO_SIDE),
+            );
+            let edge = charm_rs::apps::util::SyntheticBlob::new(512);
+            ctx.send(me, to, Ghost { step: self.step, edge });
+        }
+    }
+}
+impl Chare for HaloBlock {
+    type Msg = Ghost;
+    fn on_message(&mut self, g: Ghost, ctx: &mut Ctx<'_>) {
+        if g.step == HALO_KICK {
+            self.send_ghosts(ctx);
+            return;
+        }
+        self.got[(g.step % 2) as usize] += 1;
+        while self.step < HALO_STEPS && self.got[(self.step % 2) as usize] == 4 {
+            self.got[(self.step % 2) as usize] = 0;
+            self.step += 1;
+            ctx.work(1e5);
+            // The block "refines": its modeled footprint changes per step.
+            self.data.set_len(self.data.len() + 1024);
+            if self.step < HALO_STEPS {
+                self.send_ghosts(ctx);
+            }
+        }
+    }
+}
+
+/// State capture end to end on modeled bytes: the digest walk, the disk
+/// checkpoint (pack) and the restore (unpack) of a stencil whose blocks hold
+/// `SyntheticBlob`s agree — on a different PE count — and a blob's
+/// closed-form digest is the FNV-1a of the bytes packing materialises.
+#[test]
+fn modeled_state_digest_survives_disk_checkpoint_and_restore() {
+    use charm_rs::apps::util::SyntheticBlob;
+
+    let mut blob = SyntheticBlob::new(70_000);
+    assert_eq!(
+        charm_rs::pup::digest_of(&mut blob),
+        charm_rs::pup::fnv1a(&charm_rs::pup::to_bytes(&mut blob))
+    );
+
+    let mut rt = Runtime::homogeneous(8);
+    let blocks = rt.create_array::<HaloBlock>("halo");
+    for x in 0..HALO_SIDE {
+        for y in 0..HALO_SIDE {
+            let block = HaloBlock {
+                at: [x, y],
+                data: SyntheticBlob::new(32 << 10),
+                ..HaloBlock::default()
+            };
+            rt.insert(blocks, Ix::i2(x, y), block, None);
+        }
+    }
+    rt.broadcast(blocks, Ghost { step: HALO_KICK, ..Ghost::default() });
+    rt.run();
+    let before = rt.state_digest();
+    assert_eq!(before.len(), (HALO_SIDE * HALO_SIDE) as usize);
+
+    let path = std::env::temp_dir().join(format!("charm_rs_{}_halo.ckpt", std::process::id()));
+    let written = rt.checkpoint_to_disk(&path).expect("write checkpoint");
+    // Every block finished all steps: 32 KiB grown by 1 KiB per step.
+    let modeled = (HALO_SIDE * HALO_SIDE) as usize * ((32 << 10) + HALO_STEPS as usize * 1024);
+    assert!(written.bytes > modeled, "{} bytes on disk", written.bytes);
+    assert_eq!(rt.state_digest(), before, "capturing state does not change it");
+
+    let mut fresh = Runtime::homogeneous(3);
+    fresh.create_array::<HaloBlock>("halo");
+    let restored = fresh.restore_from_disk(&path);
+    let _ = std::fs::remove_file(&path);
+    restored.expect("restore");
+    assert_eq!(fresh.state_digest(), before);
+}
+
 /// A machine preset drives an app through the facade without surprises.
 #[test]
 fn presets_compose_with_apps() {
