@@ -82,12 +82,6 @@ pub struct LeanMdConfig {
     pub perturb: Option<charm_core::PerturbConfig>,
     /// Simulator worker threads (1 = sequential engine).
     pub threads: usize,
-    /// Run on the classic (pre-overhaul) engine hot path: binary-heap
-    /// event queue, no arena recycling. A/B regression knob.
-    pub classic_hotpath: bool,
-    /// Force the sharded engine's global-window lockstep fallback instead
-    /// of the adaptive per-shard-pair lookahead. A/B regression knob.
-    pub global_window: bool,
 }
 
 impl Default for LeanMdConfig {
@@ -114,8 +108,6 @@ impl Default for LeanMdConfig {
             trace_sinks: Vec::new(),
             record: None,
             perturb: None,
-            classic_hotpath: false,
-            global_window: false,
         }
     }
 }
@@ -565,8 +557,6 @@ pub fn run_with_runtime(mut config: LeanMdConfig) -> (AppRun, Runtime) {
     ))
     .seed(config.seed)
     .threads(config.threads)
-    .classic_hotpath(config.classic_hotpath)
-    .global_window(config.global_window)
     .lb_trigger(LbTrigger::AtSync);
     if let Some(interval) = config.auto_ckpt {
         b = b.auto_checkpoint(interval);

@@ -56,12 +56,6 @@ pub struct PdesConfig {
     pub trace: Option<charm_core::TraceConfig>,
     /// Simulator worker threads (1 = sequential engine).
     pub threads: usize,
-    /// Run on the classic (pre-overhaul) engine hot path: binary-heap
-    /// event queue, no arena recycling. A/B regression knob.
-    pub classic_hotpath: bool,
-    /// Force the sharded engine's global-window lockstep fallback instead
-    /// of the adaptive per-shard-pair lookahead. A/B regression knob.
-    pub global_window: bool,
 }
 
 impl Default for PdesConfig {
@@ -80,8 +74,6 @@ impl Default for PdesConfig {
             perturb: None,
             trace: None,
             threads: 1,
-            classic_hotpath: false,
-            global_window: false,
         }
     }
 }
@@ -381,9 +373,7 @@ pub fn run_with_runtime(mut config: PdesConfig) -> (PdesRun, Runtime) {
         MachineConfig::homogeneous(1),
     ))
     .seed(config.seed)
-    .threads(config.threads)
-    .classic_hotpath(config.classic_hotpath)
-    .global_window(config.global_window);
+    .threads(config.threads);
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
     }

@@ -56,12 +56,6 @@ pub struct StencilConfig {
     pub trace_sinks: Vec<Box<dyn charm_core::TraceSink>>,
     /// Simulator worker threads (1 = sequential engine).
     pub threads: usize,
-    /// Run on the classic (pre-overhaul) engine hot path: binary-heap
-    /// event queue, no arena recycling. A/B regression knob.
-    pub classic_hotpath: bool,
-    /// Force the sharded engine's global-window lockstep fallback instead
-    /// of the adaptive per-shard-pair lookahead. A/B regression knob.
-    pub global_window: bool,
 }
 
 impl StencilConfig {
@@ -89,8 +83,6 @@ impl StencilConfig {
             trace: None,
             trace_sinks: Vec::new(),
             threads: 1,
-            classic_hotpath: false,
-            global_window: false,
         }
     }
 }
@@ -301,8 +293,6 @@ pub fn run_with_runtime(mut config: StencilConfig) -> (AppRun, Runtime) {
     .dvfs(config.dvfs)
     .dvfs_period(config.dvfs_period)
     .threads(config.threads)
-    .classic_hotpath(config.classic_hotpath)
-    .global_window(config.global_window)
     .lb_trigger(LbTrigger::AtSync);
     if let Some(s) = config.strategy.take() {
         b = b.strategy(s);

@@ -171,16 +171,9 @@ impl Chare for Ping {
 /// `pairs` chare pairs spread over `pes` PEs, each pair exchanging `limit`
 /// zero-work messages per endpoint. Nothing but envelopes, queues, and the
 /// event heap: the closest thing to a syscall benchmark the engine has.
-fn run_ping_pipe(
-    pes: usize,
-    pairs: usize,
-    limit: u64,
-    threads: usize,
-    gw: bool,
-) -> (RunSummary, u64, bool) {
+fn run_ping_pipe(pes: usize, pairs: usize, limit: u64, threads: usize) -> (RunSummary, u64, bool) {
     let mut rt = Runtime::homogeneous(pes);
     rt.set_parallel_threads(threads);
-    rt.set_global_window(gw);
     let arr = rt.create_array::<Ping>("ping");
     for k in 0..pairs {
         let a = (2 * k) as i64;
@@ -267,15 +260,9 @@ impl Chare for Source {
     }
 }
 
-fn run_tram_flood(
-    pes: usize,
-    items_per_source: u64,
-    threads: usize,
-    gw: bool,
-) -> (RunSummary, u64, bool) {
+fn run_tram_flood(pes: usize, items_per_source: u64, threads: usize) -> (RunSummary, u64, bool) {
     let mut rt = Runtime::homogeneous(pes);
     rt.set_parallel_threads(threads);
-    rt.set_global_window(gw);
     let sinks = rt.create_array::<Sink>("sinks");
     for pe in 0..pes {
         for s in 0..SINKS_PER_PE {
@@ -314,28 +301,20 @@ fn run_tram_flood(
 // app workloads
 // ---------------------------------------------------------------------------
 
-fn run_stencil(
-    pes: usize,
-    chares_per_pe: usize,
-    steps: u64,
-    threads: usize,
-    gw: bool,
-) -> (RunSummary, u64, bool) {
+fn run_stencil(pes: usize, chares_per_pe: usize, steps: u64, threads: usize) -> (RunSummary, u64, bool) {
     let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(pes), chares_per_pe);
     cfg.steps = steps;
     cfg.threads = threads;
-    cfg.global_window = gw;
     let (_run, mut rt) = stencil::run_with_runtime(cfg);
     let d = fold_digest(&rt.state_digest());
     let p = rt.last_run_parallel();
     (rt.summary(), d, p)
 }
 
-fn run_leanmd(steps: u64, threads: usize, gw: bool) -> (RunSummary, u64, bool) {
+fn run_leanmd(steps: u64, threads: usize) -> (RunSummary, u64, bool) {
     let cfg = leanmd::LeanMdConfig {
         steps,
         threads,
-        global_window: gw,
         ..Default::default()
     };
     let (_run, mut rt) = leanmd::run_with_runtime(cfg);
@@ -344,12 +323,11 @@ fn run_leanmd(steps: u64, threads: usize, gw: bool) -> (RunSummary, u64, bool) {
     (rt.summary(), d, p)
 }
 
-fn run_pdes(lps_per_pe: usize, windows: u64, threads: usize, gw: bool) -> (RunSummary, u64, bool) {
+fn run_pdes(lps_per_pe: usize, windows: u64, threads: usize) -> (RunSummary, u64, bool) {
     let cfg = pdes::PdesConfig {
         lps_per_pe,
         windows,
         threads,
-        global_window: gw,
         ..Default::default()
     };
     let (_run, mut rt) = pdes::run_with_runtime(cfg);
@@ -371,10 +349,6 @@ struct ScalePoint {
     /// Blocking waits per thousand events on the adaptive engine (parks of
     /// a starved shard; the sequential point records 0).
     barriers_per_kevent: f64,
-    /// Same cadence on the global-window lockstep fallback: four barrier
-    /// waits per shard per window. The adaptive engine's headline claim is
-    /// this ratio.
-    lockstep_barriers_per_kevent: f64,
     barriers_elided: u64,
 }
 
@@ -387,41 +361,28 @@ const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Measure the workloads at 1/2/4/8 worker threads. Digest equality vs
 /// the sequential engine is asserted inside `measure` for every threaded
-/// point, so a scaling number can never come from a wrong answer. The
-/// second closure argument selects the global-window lockstep fallback;
-/// each threaded point runs both engines so `barriers_per_kevent` carries
-/// its own before/after comparison.
-type WorkloadFn = Box<dyn Fn(usize, bool) -> (RunSummary, u64, bool)>;
+/// point, so a scaling number can never come from a wrong answer.
+type WorkloadFn = Box<dyn Fn(usize) -> (RunSummary, u64, bool)>;
 
 fn scaling_matrix() -> Vec<Scaling> {
     let apps: Vec<(&'static str, WorkloadFn)> = vec![
-        ("ping_pipe", Box::new(|t, gw| run_ping_pipe(8, 32, 2_000, t, gw))),
-        ("tram_flood", Box::new(|t, gw| run_tram_flood(8, 6_000, t, gw))),
-        ("stencil2d", Box::new(|t, gw| run_stencil(8, 4, 40, t, gw))),
-        ("leanmd", Box::new(|t, gw| run_leanmd(20, t, gw))),
-        ("pdes", Box::new(|t, gw| run_pdes(64, 16, t, gw))),
+        ("ping_pipe", Box::new(|t| run_ping_pipe(8, 32, 2_000, t))),
+        ("tram_flood", Box::new(|t| run_tram_flood(8, 6_000, t))),
+        ("stencil2d", Box::new(|t| run_stencil(8, 4, 40, t))),
+        ("leanmd", Box::new(|t| run_leanmd(20, t))),
+        ("pdes", Box::new(|t| run_pdes(64, 16, t))),
     ];
     println!("== parallel scaling (events/s at 1/2/4/8 worker threads)");
     println!(
-        "  {:<12} {:>3} {:>14} {:>8} {:>10} {:>10} {:>10} {:>5}",
-        "workload", "thr", "events/s", "speedup", "waits/kev", "lockstep", "elided", "par"
+        "  {:<12} {:>3} {:>14} {:>8} {:>10} {:>10} {:>5}",
+        "workload", "thr", "events/s", "speedup", "waits/kev", "elided", "par"
     );
     let mut out = Vec::new();
     for (name, run) in apps {
         let mut points: Vec<ScalePoint> = Vec::new();
         for t in SCALING_THREADS {
-            let m = measure(name, t, 2, |t| run(t, false));
+            let m = measure(name, t, 2, &run);
             let kev = m.events as f64 / 1_000.0;
-            let lockstep_bpk = if t > 1 {
-                let l = measure(name, t, 2, |t| run(t, true));
-                assert_eq!(
-                    m.digest, l.digest,
-                    "{name} at {t} threads: lockstep fallback digest diverged from adaptive"
-                );
-                l.barriers_waited as f64 / kev
-            } else {
-                0.0
-            };
             let seq_eps = points.first().map_or(m.events_per_sec(), |p| p.events_per_sec);
             let point = ScalePoint {
                 threads: t,
@@ -429,7 +390,6 @@ fn scaling_matrix() -> Vec<Scaling> {
                 speedup_vs_seq: m.events_per_sec() / seq_eps,
                 went_parallel: m.went_parallel,
                 barriers_per_kevent: m.barriers_waited as f64 / kev,
-                lockstep_barriers_per_kevent: lockstep_bpk,
                 barriers_elided: m.barriers_elided,
             };
             assert_eq!(
@@ -438,13 +398,12 @@ fn scaling_matrix() -> Vec<Scaling> {
                 "{name} at {t} threads: unexpected engine selection"
             );
             println!(
-                "  {:<12} {:>3} {:>14.0} {:>7.2}x {:>10.2} {:>10.2} {:>10} {:>5}",
+                "  {:<12} {:>3} {:>14.0} {:>7.2}x {:>10.2} {:>10} {:>5}",
                 name,
                 t,
                 point.events_per_sec,
                 point.speedup_vs_seq,
                 point.barriers_per_kevent,
-                point.lockstep_barriers_per_kevent,
                 point.barriers_elided,
                 if point.went_parallel { "yes" } else { "no" },
             );
@@ -508,12 +467,11 @@ fn write_json(results: &[Measured], scaling: &[Scaling]) -> std::io::Result<std:
             let pc = if k + 1 < sc.points.len() { "," } else { "" };
             let _ = writeln!(
                 j,
-                "        {{\"threads\": {}, \"events_per_sec\": {:.1}, \"speedup_vs_seq\": {:.3}, \"barriers_per_kevent\": {:.3}, \"lockstep_barriers_per_kevent\": {:.3}, \"barriers_elided\": {}, \"went_parallel\": {}}}{pc}",
+                "        {{\"threads\": {}, \"events_per_sec\": {:.1}, \"speedup_vs_seq\": {:.3}, \"barriers_per_kevent\": {:.3}, \"barriers_elided\": {}, \"went_parallel\": {}}}{pc}",
                 p.threads,
                 p.events_per_sec,
                 p.speedup_vs_seq,
                 p.barriers_per_kevent,
-                p.lockstep_barriers_per_kevent,
                 p.barriers_elided,
                 p.went_parallel
             );
@@ -539,19 +497,19 @@ fn main() {
 
     let results: Vec<Measured> = if smoke {
         vec![
-            measure("ping_pipe", threads, 2, |t| run_ping_pipe(8, 8, 400, t, false)),
-            measure("tram_flood", threads, 2, |t| run_tram_flood(8, 800, t, false)),
-            measure("stencil2d", threads, 2, |t| run_stencil(8, 2, 4, t, false)),
-            measure("leanmd", threads, 2, |t| run_leanmd(2, t, false)),
-            measure("pdes", threads, 2, |t| run_pdes(32, 4, t, false)),
+            measure("ping_pipe", threads, 2, |t| run_ping_pipe(8, 8, 400, t)),
+            measure("tram_flood", threads, 2, |t| run_tram_flood(8, 800, t)),
+            measure("stencil2d", threads, 2, |t| run_stencil(8, 2, 4, t)),
+            measure("leanmd", threads, 2, |t| run_leanmd(2, t)),
+            measure("pdes", threads, 2, |t| run_pdes(32, 4, t)),
         ]
     } else {
         vec![
-            measure("ping_pipe", threads, 3, |t| run_ping_pipe(8, 64, 10_000, t, false)),
-            measure("tram_flood", threads, 3, |t| run_tram_flood(16, 30_000, t, false)),
-            measure("stencil2d", threads, 3, |t| run_stencil(16, 8, 120, t, false)),
-            measure("leanmd", threads, 3, |t| run_leanmd(60, t, false)),
-            measure("pdes", threads, 3, |t| run_pdes(192, 40, t, false)),
+            measure("ping_pipe", threads, 3, |t| run_ping_pipe(8, 64, 10_000, t)),
+            measure("tram_flood", threads, 3, |t| run_tram_flood(16, 30_000, t)),
+            measure("stencil2d", threads, 3, |t| run_stencil(16, 8, 120, t)),
+            measure("leanmd", threads, 3, |t| run_leanmd(60, t)),
+            measure("pdes", threads, 3, |t| run_pdes(192, 40, t)),
         ]
     };
 

@@ -39,8 +39,6 @@ fn config(scheme: DvfsScheme, with_lb: bool, scale: Scale) -> StencilConfig {
         trace: None,
         trace_sinks: Vec::new(),
         threads: 1,
-        classic_hotpath: false,
-        global_window: false,
     }
 }
 

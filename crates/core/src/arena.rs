@@ -11,9 +11,9 @@
 //! itself would use, so pooled and plain boxes are fully interchangeable: a
 //! pooled box dropped normally is freed correctly by the global allocator,
 //! and a plain box consumed by [`take_box`] is recycled correctly into the
-//! pool. That property is what lets the `classic_hotpath` builder knob (and
-//! any cold path that just drops an envelope) opt out per call site without
-//! any global mode switch.
+//! pool. That property is what lets any cold path that just drops an
+//! envelope (an aborted run, a queue `clear`) skip the pool without a mode
+//! switch.
 //!
 //! Thread-local by design: the sharded engine's workers each warm their own
 //! pool, and no synchronization ever appears on the dispatch path.

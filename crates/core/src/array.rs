@@ -544,14 +544,9 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
                         std::any::type_name::<C::Msg>()
                     )
                 });
-                // Recycle the payload block (the send-side `box_payload`
+                // Recycle the payload block (the send side's `alloc_box`
                 // then reuses it — no allocator traffic per message).
-                let msg = if ctx.arena {
-                    crate::arena::take_box(boxed)
-                } else {
-                    *boxed
-                };
-                e.chare.on_message(msg, ctx);
+                e.chare.on_message(crate::arena::take_box(boxed), ctx);
             }
             Payload::Sys(ev) => e.chare.on_event(ev, ctx),
         }

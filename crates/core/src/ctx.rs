@@ -77,9 +77,6 @@ pub struct Ctx<'rt> {
     pub(crate) actions: Vec<Action>,
     pub(crate) rng: &'rt mut StdRng,
     pub(crate) ctrl: &'rt ControlValues,
-    /// Serve payload boxes from the thread-local [`crate::arena`] pool
-    /// (mirrors `Runtime::arena_enabled`).
-    pub(crate) arena: bool,
 }
 
 impl<'rt> Ctx<'rt> {
@@ -121,17 +118,6 @@ impl<'rt> Ctx<'rt> {
         self.rng
     }
 
-    /// Box a payload, recycling a pooled block when the arena is on (the
-    /// matching `take_box` is in `ArrayStore::execute`).
-    #[inline]
-    fn box_payload<M: Send + 'static>(&self, msg: M) -> Box<dyn Any + Send> {
-        if self.arena {
-            crate::arena::alloc_box(msg)
-        } else {
-            Box::new(msg)
-        }
-    }
-
     /// Asynchronously invoke the entry method of `ix` in `array` with `msg`
     /// (default priority 0; smaller priorities run first).
     pub fn send<C: Chare>(&mut self, array: ArrayProxy<C>, ix: Ix, msg: C::Msg) {
@@ -143,7 +129,7 @@ impl<'rt> Ctx<'rt> {
     /// remote data requests).
     pub fn send_prio<C: Chare>(&mut self, array: ArrayProxy<C>, ix: Ix, mut msg: C::Msg, prio: i64) {
         let bytes = charm_pup::packed_size(&mut msg) + crate::ENVELOPE_BYTES;
-        let payload = self.box_payload(msg);
+        let payload = crate::arena::alloc_box(msg);
         self.actions.push(Action::Send {
             dst: ObjId {
                 array: array.id,
@@ -160,7 +146,7 @@ impl<'rt> Ctx<'rt> {
     /// idiomatic way to implement periodic chare-driven behaviour.
     pub fn send_after<C: Chare>(&mut self, delay: SimTime, array: ArrayProxy<C>, ix: Ix, mut msg: C::Msg) {
         let bytes = charm_pup::packed_size(&mut msg) + crate::ENVELOPE_BYTES;
-        let payload = self.box_payload(msg);
+        let payload = crate::arena::alloc_box(msg);
         self.actions.push(Action::Send {
             dst: ObjId {
                 array: array.id,
@@ -180,16 +166,9 @@ impl<'rt> Ctx<'rt> {
     {
         let mut probe = msg.clone();
         let bytes = charm_pup::packed_size(&mut probe) + crate::ENVELOPE_BYTES;
-        let use_arena = self.arena;
         self.actions.push(Action::Broadcast {
             array: array.id,
-            make: Box::new(move || {
-                if use_arena {
-                    crate::arena::alloc_box(msg.clone()) as Box<dyn Any + Send>
-                } else {
-                    Box::new(msg.clone()) as Box<dyn Any + Send>
-                }
-            }),
+            make: Box::new(move || crate::arena::alloc_box(msg.clone()) as Box<dyn Any + Send>),
             bytes,
             prio: 0,
         });

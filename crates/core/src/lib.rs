@@ -90,7 +90,7 @@ pub use ft::{buddy_pe, DiskCkptInfo, MemCheckpoint, RestoreError};
 pub use index::Ix;
 pub use interop::CharmLib;
 pub use lbframework::{LbRound, LbStats, LbTrigger, NullLb, ObjStat, Strategy};
-pub use parallel::{default_threads, lookahead, set_default_threads};
+pub use parallel::lookahead;
 pub use power::DvfsScheme;
 pub use replay::{DigestPoint, ExecRec, PerturbConfig, ReplayConfig, ReplayLog, SendRec};
 pub use runtime::{HomeMap, RunSummary, Runtime, RuntimeBuilder, Unrecoverable, ENVELOPE_BYTES};

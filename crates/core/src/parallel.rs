@@ -16,10 +16,14 @@
 //!   wait, counted in [`RunSummary::barriers_waited`]) or when a boundary
 //!   obligation — a reduction fold's completion callback, an exit vote —
 //!   forces a soft rendezvous at one specific window edge.
-//! * the **global-window engine** ([`crate::RuntimeBuilder::global_window`],
-//!   and any run that records periodic state digests): all shards drain the
-//!   same α-sized window and meet at a full condvar barrier per edge — the
-//!   PR-5 core, kept as an A/B fallback against the same goldens.
+//! * the **lockstep engine** — the digest-cut core, chosen when a recording
+//!   asks for periodic state points (`ReplayConfig::digest_every`): all
+//!   shards drain the same α-sized window and meet at a full condvar
+//!   barrier per edge, which gives the exact global cut a state digest at a
+//!   specific α-cell needs and the adaptive engine cannot take.
+//!
+//! Which core runs is decided by that one property of the input and by
+//! nothing else; there is no option to set.
 //!
 //! ## How it stays byte-identical to sequential execution
 //!
@@ -70,22 +74,6 @@ use crate::trace::Tracer;
 use crate::Ix;
 use charm_machine::{EventQueue, SimTime};
 use fxhash::FxHashMap;
-
-/// Process-wide default for [`crate::RuntimeBuilder::threads`].
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Default worker-thread count new runtimes start with (1 = sequential).
-pub fn default_threads() -> usize {
-    DEFAULT_THREADS.load(Ordering::Relaxed).max(1)
-}
-
-/// Set the process-wide default worker-thread count picked up by
-/// [`crate::RuntimeBuilder`]s constructed afterwards. Lets drivers and
-/// tests opt whole programs into parallel execution without threading a
-/// parameter through every builder call site.
-pub fn set_default_threads(n: usize) {
-    DEFAULT_THREADS.store(n.max(1), Ordering::Relaxed);
-}
 
 /// Frozen global element-location table shared by every shard. Locations
 /// cannot change during a parallel run (migration and insertion are
@@ -588,13 +576,7 @@ impl Runtime {
         let mut shard_rts: Vec<Runtime> = Vec::with_capacity(shards);
         for (s, evs) in shard_events.into_iter().enumerate() {
             let (lo, hi) = bounds[s];
-            // Shards inherit the parent's backend choice so a classic-hotpath
-            // A/B run is classic end to end.
-            let mut events = if self.events.is_heap_backed() {
-                EventQueue::heap_backed_with_capacity(evs.len().max(8))
-            } else {
-                EventQueue::with_capacity(evs.len().max(8))
-            };
+            let mut events = EventQueue::with_capacity(evs.len().max(8));
             for (t, k, ev) in evs {
                 events.push_keyed(t, k, ev);
             }
@@ -694,12 +676,10 @@ impl Runtime {
                 last_run_parallel: false,
                 reconfig_overhead_shrink: self.reconfig_overhead_shrink,
                 reconfig_overhead_expand: self.reconfig_overhead_expand,
-                arena_enabled: self.arena_enabled,
                 // Workers recycle through their own thread-local pools; the
                 // base snapshot is meaningless across threads, so shard
                 // summaries report arena deltas as best-effort only.
                 arena_base: crate::arena::ArenaStats::default(),
-                global_window: false,
                 sync_windows: 0,
                 sync_width_ns: 0,
                 sync_waits: 0,
@@ -710,10 +690,9 @@ impl Runtime {
 
         // ----- run -----------------------------------------------------------
         // The adaptive (barrier-free) engine handles every plain run; the
-        // lockstep engine remains for runs that record periodic state
-        // digests (those need an exact global cut at specific α-cells) and
-        // for explicit A/B fallback via `RuntimeBuilder::global_window`.
-        let adaptive = digest_every.is_none() && !self.global_window;
+        // lockstep engine takes runs that record periodic state digests
+        // (those need an exact global cut at specific α-cells).
+        let adaptive = digest_every.is_none();
         // Lower bound on (completion-callback delivery − contribution merge
         // time): the fold prices log_k(P) tree hops of ≥ α each.
         let cb_min = self.tree_depth().saturating_mul(self.win_ns).max(self.win_ns);

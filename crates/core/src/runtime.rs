@@ -273,19 +273,19 @@ pub struct RunSummary {
     /// allocator (this thread, since the runtime was built).
     pub arena_bytes: u64,
     /// Global-allocator calls the arena absorbed (pool hits on allocation
-    /// plus recycled frees). Zero when built with `classic_hotpath(true)`.
+    /// plus recycled frees).
     pub alloc_bypass: u64,
     /// Lookahead windows committed by the engine: every time a drain
     /// horizon advanced (sequential window jumps, parallel per-shard
     /// horizon grants). Summed over shards in parallel mode.
     pub windows_executed: u64,
     /// Blocking synchronizations actually paid: condvar barrier arrivals
-    /// in the global-window engine, parked waits in the adaptive engine.
+    /// in the lockstep engine, parked waits in the adaptive engine.
     /// Always 0 for a sequential run.
     pub barriers_waited: u64,
     /// Window edges crossed *without* blocking: horizon advances the
     /// adaptive engine granted from peer clocks alone where the
-    /// global-window engine would have paid a barrier. 0 sequentially.
+    /// lockstep engine would have paid a barrier. 0 sequentially.
     pub barriers_elided: u64,
     /// Mean committed-horizon advance in ns (total virtual time covered by
     /// windows / `windows_executed`). The global worst case is `win_ns`
@@ -345,8 +345,6 @@ pub struct RuntimeBuilder {
     perturb: Option<PerturbConfig>,
     threads: usize,
     elastic: Option<crate::elastic::ElasticConfig>,
-    classic_hotpath: bool,
-    global_window: bool,
 }
 
 impl RuntimeBuilder {
@@ -477,37 +475,13 @@ impl RuntimeBuilder {
     }
 
     /// Number of OS worker threads for the parallel execution mode
-    /// (default: [`crate::default_threads`], itself 1 unless overridden).
-    /// With `n > 1`, deadline-free runs that use only parallel-safe
-    /// features shard the PEs across `n` workers; results are byte-
-    /// identical to sequential execution. Runs that use sequential-only
+    /// (default 1). With `n > 1`, deadline-free runs that use only
+    /// parallel-safe features shard the PEs across `n` workers; results are
+    /// byte-identical to sequential execution. Runs that use sequential-only
     /// features (fault injection, DVFS, perturbation, …) silently fall
     /// back to the sequential engine.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Run on the pre-overhaul hot path: the classic `BinaryHeap` event
-    /// queue and plain global-allocator boxing instead of the calendar
-    /// queue + arena recycling. Ordering and results are identical by
-    /// contract — this knob exists so regression tests (and bisection) can
-    /// A/B the two hot paths against the same golden recordings.
-    pub fn classic_hotpath(mut self, classic: bool) -> Self {
-        self.classic_hotpath = classic;
-        self
-    }
-
-    /// Run parallel workers on the PR-5-era global-window engine: every
-    /// shard drains the same α-sized window and synchronizes at a full
-    /// condvar barrier per window edge, instead of the adaptive per-shard
-    /// horizons with elided barriers. Results are byte-identical by
-    /// contract — the knob exists so regression tests (and bisection) can
-    /// A/B the two synchronization cores against the same goldens, exactly
-    /// like [`classic_hotpath`](Self::classic_hotpath) does for the event
-    /// queue. No effect on sequential runs.
-    pub fn global_window(mut self, global: bool) -> Self {
-        self.global_window = global;
         self
     }
 
@@ -525,11 +499,7 @@ impl RuntimeBuilder {
         };
         // Pre-size for a few in-flight events per PE; saves the first
         // handful of heap reallocations on every run.
-        let mut events = if self.classic_hotpath {
-            EventQueue::heap_backed_with_capacity(8 * n)
-        } else {
-            EventQueue::with_capacity(8 * n)
-        };
+        let mut events = EventQueue::with_capacity(8 * n);
         // Schedule injected failures and the DVFS sampler. A preemption
         // becomes visible at its announcement time (warning before the
         // kill); its warn key is allocated before its kill key, so a
@@ -662,9 +632,7 @@ impl RuntimeBuilder {
             last_run_parallel: false,
             reconfig_overhead_shrink: SimTime::from_secs_f64(2.0),
             reconfig_overhead_expand: SimTime::from_secs_f64(6.5),
-            arena_enabled: !self.classic_hotpath,
             arena_base: crate::arena::stats(),
-            global_window: self.global_window,
             sync_windows: 0,
             sync_width_ns: 0,
             sync_waits: 0,
@@ -810,16 +778,9 @@ pub struct Runtime {
     pub reconfig_overhead_shrink: SimTime,
     /// Modeled process start-up/reconnect cost on expand (paper: 7.2 s).
     pub reconfig_overhead_expand: SimTime,
-    /// Recycle envelopes and payload boxes through [`crate::arena`]
-    /// (default on; [`RuntimeBuilder::classic_hotpath`] turns it off).
-    pub(crate) arena_enabled: bool,
     /// This thread's arena counters when the runtime was built; `summary()`
     /// reports the delta.
     pub(crate) arena_base: crate::arena::ArenaStats,
-    /// Force parallel workers onto the global-window (full-barrier) engine
-    /// ([`RuntimeBuilder::global_window`]); A/B fallback for the adaptive
-    /// per-shard-pair lookahead core.
-    pub(crate) global_window: bool,
     /// Lookahead windows committed (drain-horizon advances) — see
     /// [`RunSummary::windows_executed`].
     pub(crate) sync_windows: u64,
@@ -856,10 +817,8 @@ impl Runtime {
             trace_sinks: Vec::new(),
             record: None,
             perturb: None,
-            threads: crate::parallel::default_threads(),
+            threads: 1,
             elastic: None,
-            classic_hotpath: false,
-            global_window: false,
         }
     }
 
@@ -955,7 +914,7 @@ impl Runtime {
         if let Some(r) = &mut self.recorder {
             r.note_origin(rec_id); // external origin: no current exec
         }
-        let env = self.alloc_env(Envelope {
+        let env = crate::arena::alloc_box(Envelope {
             dst: ObjId {
                 array: proxy.id,
                 ix,
@@ -990,7 +949,7 @@ impl Runtime {
             if let Some(r) = &mut self.recorder {
                 r.note_origin(rec_id);
             }
-            let env = self.alloc_env(Envelope {
+            let env = crate::arena::alloc_box(Envelope {
                 dst: ObjId {
                     array: proxy.id,
                     ix,
@@ -1038,7 +997,7 @@ impl Runtime {
                 r.note_origin(rec_id);
                 r.on_routed(rec_id, bytes, 0, pe, depth, 0);
             }
-            let env = self.alloc_env(Envelope {
+            let env = crate::arena::alloc_box(Envelope {
                 dst,
                 payload: Payload::User(Box::new(msg.clone())),
                 bytes,
@@ -1165,14 +1124,6 @@ impl Runtime {
     /// equivalent: [`RuntimeBuilder::threads`].
     pub fn set_parallel_threads(&mut self, n: usize) {
         self.threads = n.max(1);
-    }
-
-    /// Force the sharded engine onto the global-window lockstep fallback
-    /// (the pre-adaptive synchronization scheme). A/B knob: both engines
-    /// are byte-identical to sequential, so flipping this may only change
-    /// wall-clock time and the window counters, never results.
-    pub fn set_global_window(&mut self, on: bool) {
-        self.global_window = on;
     }
 
     /// Schedule a malleable reconfiguration (shrink or expand) at `at`.
@@ -1595,18 +1546,6 @@ impl Runtime {
         self.events.push_keyed(t, k, ev);
     }
 
-    /// Box an envelope, recycling a pooled block when the arena is on.
-    /// Paired with the `take_box` in [`Runtime::execute`]: together they
-    /// make steady-state dispatch free of global-allocator calls.
-    #[inline]
-    pub(crate) fn alloc_env(&self, env: Envelope) -> Box<Envelope> {
-        if self.arena_enabled {
-            crate::arena::alloc_box(env)
-        } else {
-            Box::new(env)
-        }
-    }
-
     /// Schedule a message delivery under its envelope key. In shard mode,
     /// deliveries to PEs owned by another shard are buffered in the outbox
     /// and exchanged at the next window barrier; the ingesting shard counts
@@ -1668,11 +1607,7 @@ impl Runtime {
             rec_id,
             src_obj,
             cp,
-        } = if self.arena_enabled {
-            crate::arena::take_box(env)
-        } else {
-            *env
-        };
+        } = crate::arena::take_box(env);
 
         let entry_kind = match &payload {
             Payload::User(_) => EntryKind::Message,
@@ -1700,7 +1635,6 @@ impl Runtime {
             actions: std::mem::take(&mut self.action_scratch),
             rng: &mut self.rngs[pe],
             ctrl: &self.ctrl_snapshot,
-            arena: self.arena_enabled,
         };
         let ok = store.execute(&ix, payload, &mut ctx);
         debug_assert!(ok, "element existed a moment ago");
@@ -1871,7 +1805,7 @@ impl Runtime {
                     if let Some(r) = &mut self.recorder {
                         r.note_origin(rec_id);
                     }
-                    let env = self.alloc_env(Envelope {
+                    let env = crate::arena::alloc_box(Envelope {
                         dst,
                         payload: Payload::User(payload),
                         bytes,
@@ -2076,7 +2010,7 @@ impl Runtime {
                 r.note_origin(rec_id);
                 r.on_routed(rec_id, bytes, src_pe, pe, depth, 0);
             }
-            let env = self.alloc_env(Envelope {
+            let env = crate::arena::alloc_box(Envelope {
                 dst,
                 payload: Payload::User(make()),
                 bytes,
@@ -2268,7 +2202,7 @@ impl Runtime {
         } else {
             None
         };
-        let env = self.alloc_env(Envelope {
+        let env = crate::arena::alloc_box(Envelope {
             dst,
             payload: Payload::Sys(ev),
             bytes: ENVELOPE_BYTES,

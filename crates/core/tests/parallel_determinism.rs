@@ -1,15 +1,14 @@
-//! Parallel-engine determinism property: for every mini-app, seed,
-//! worker-thread count, and synchronization scheme (adaptive per-shard-pair
-//! lookahead vs the `global_window` lockstep fallback), the sharded engine
-//! must produce results **byte-identical** to the sequential scheduler —
-//! same final PUP state digests, same Chrome-trace JSON, same step timings,
-//! and (separately) the same PUP-packed replay log bytes.
+//! Parallel-engine determinism property: for every mini-app, seed and
+//! worker-thread count, the sharded engine must produce results
+//! **byte-identical** to the sequential scheduler — same final PUP state
+//! digests, same Chrome-trace JSON, same step timings, and (separately) the
+//! same PUP-packed replay log bytes.
 //!
 //! The thread counts >1 additionally assert `last_run_parallel()`, so a
 //! silent fallback to the sequential path cannot make this test vacuous.
-//! The `global_window` knob is A/B'd the same way `classic_hotpath` is in
-//! `hotpath_regression`: both engines answer identically, so the knob may
-//! only ever change wall-clock time and window counters.
+//! Nothing here records periodic state digests, so every sharded run is on
+//! the adaptive core; the lockstep (digest-cut) core is pinned against the
+//! committed goldens by `charm-replay`'s `parallel_golden`.
 
 use charm_core::machine::{presets, MachineConfig};
 use charm_core::{Runtime, TraceConfig};
@@ -36,9 +35,9 @@ fn fingerprint(mut rt: Runtime, step_times: Vec<f64>) -> Fingerprint {
     }
 }
 
-fn check_matrix(app: &str, run: impl Fn(u64, usize, bool) -> Fingerprint) {
+fn check_matrix(app: &str, run: impl Fn(u64, usize) -> Fingerprint) {
     for seed in SEEDS {
-        let base = run(seed, 1, false);
+        let base = run(seed, 1);
         assert!(
             !base.went_parallel,
             "{app} seed {seed}: threads=1 must use the sequential engine"
@@ -48,34 +47,31 @@ fn check_matrix(app: &str, run: impl Fn(u64, usize, bool) -> Fingerprint) {
             "{app} seed {seed}: no live chares to digest — test is vacuous"
         );
         for threads in THREADS.iter().copied().filter(|&t| t > 1) {
-            for global_window in [false, true] {
-                let scheme = if global_window { "lockstep" } else { "adaptive" };
-                let par = run(seed, threads, global_window);
-                assert!(
-                    par.went_parallel,
-                    "{app} seed {seed} threads {threads} ({scheme}): engine silently fell back to sequential"
+            let par = run(seed, threads);
+            assert!(
+                par.went_parallel,
+                "{app} seed {seed} threads {threads}: engine silently fell back to sequential"
+            );
+            assert_eq!(
+                base.digests, par.digests,
+                "{app} seed {seed} threads {threads}: final PUP digests diverged"
+            );
+            assert_eq!(
+                base.step_times, par.step_times,
+                "{app} seed {seed} threads {threads}: step timings diverged"
+            );
+            if base.trace_json != par.trace_json {
+                // Locate the first differing line for a readable failure.
+                let (a, b) = (&base.trace_json, &par.trace_json);
+                let diff = a
+                    .lines()
+                    .zip(b.lines())
+                    .enumerate()
+                    .find(|(_, (x, y))| x != y);
+                panic!(
+                    "{app} seed {seed} threads {threads}: Chrome traces diverged at {:?}",
+                    diff.map(|(i, (x, y))| format!("line {i}: {x} vs {y}"))
                 );
-                assert_eq!(
-                    base.digests, par.digests,
-                    "{app} seed {seed} threads {threads} ({scheme}): final PUP digests diverged"
-                );
-                assert_eq!(
-                    base.step_times, par.step_times,
-                    "{app} seed {seed} threads {threads} ({scheme}): step timings diverged"
-                );
-                if base.trace_json != par.trace_json {
-                    // Locate the first differing line for a readable failure.
-                    let (a, b) = (&base.trace_json, &par.trace_json);
-                    let diff = a
-                        .lines()
-                        .zip(b.lines())
-                        .enumerate()
-                        .find(|(_, (x, y))| x != y);
-                    panic!(
-                        "{app} seed {seed} threads {threads} ({scheme}): Chrome traces diverged at {:?}",
-                        diff.map(|(i, (x, y))| format!("line {i}: {x} vs {y}"))
-                    );
-                }
             }
         }
     }
@@ -83,14 +79,13 @@ fn check_matrix(app: &str, run: impl Fn(u64, usize, bool) -> Fingerprint) {
 
 #[test]
 fn stencil_parallel_matches_sequential() {
-    check_matrix("stencil", |seed, threads, global_window| {
+    check_matrix("stencil", |seed, threads| {
         let mut cfg =
             charm_apps::stencil::StencilConfig::cloud_4k(presets::cloud(8), 2);
         cfg.grid = 512;
         cfg.steps = 6;
         cfg.seed = seed;
         cfg.threads = threads;
-        cfg.global_window = global_window;
         cfg.trace = Some(TraceConfig::default());
         let (run, rt) = charm_apps::stencil::run_with_runtime(cfg);
         fingerprint(rt, run.step_times)
@@ -99,7 +94,7 @@ fn stencil_parallel_matches_sequential() {
 
 #[test]
 fn leanmd_parallel_matches_sequential() {
-    check_matrix("leanmd", |seed, threads, global_window| {
+    check_matrix("leanmd", |seed, threads| {
         let cfg = charm_apps::leanmd::LeanMdConfig {
             machine: MachineConfig::homogeneous(8),
             cells_per_dim: 3,
@@ -107,7 +102,6 @@ fn leanmd_parallel_matches_sequential() {
             steps: 4,
             seed,
             threads,
-            global_window,
             trace: Some(TraceConfig::default()),
             ..Default::default()
         };
@@ -173,7 +167,7 @@ fn parallel_tracer_merges_ring_drops() {
 
 #[test]
 fn pdes_parallel_matches_sequential() {
-    check_matrix("pdes", |seed, threads, global_window| {
+    check_matrix("pdes", |seed, threads| {
         let cfg = charm_apps::pdes::PdesConfig {
             machine: MachineConfig::homogeneous(8),
             lps_per_pe: 16,
@@ -181,7 +175,6 @@ fn pdes_parallel_matches_sequential() {
             windows: 6,
             seed,
             threads,
-            global_window,
             trace: Some(TraceConfig::default()),
             ..Default::default()
         };
@@ -193,20 +186,19 @@ fn pdes_parallel_matches_sequential() {
 
 /// Satellite: the PUP-packed replay log — executed entries in order, with
 /// timings, digests, and message routing — must be byte-identical whether
-/// it was recorded by the sequential scheduler, the adaptive sharded
-/// engine, or the global-window lockstep fallback. Recording here uses no
-/// periodic digest points (`ReplayConfig::default()`), which is exactly
-/// the configuration where the adaptive scheme is eligible.
+/// it was recorded by the sequential scheduler or the adaptive sharded
+/// engine. Recording here uses no periodic digest points
+/// (`ReplayConfig::default()`), which is exactly the input the adaptive
+/// core takes.
 #[test]
 fn replay_log_bytes_identical_across_engines() {
-    let record = |threads: usize, global_window: bool| -> Vec<u8> {
+    let record = |threads: usize| -> Vec<u8> {
         let cfg = charm_apps::leanmd::LeanMdConfig {
             machine: MachineConfig::homogeneous(8),
             cells_per_dim: 3,
             atoms_per_cell: 40,
             steps: 4,
             threads,
-            global_window,
             record: Some(charm_core::ReplayConfig::default()),
             ..Default::default()
         };
@@ -219,16 +211,13 @@ fn replay_log_bytes_identical_across_engines() {
         let mut log = rt.take_replay_log().expect("recording was enabled");
         charm_pup::to_bytes(&mut log)
     };
-    let seq = record(1, false);
+    let seq = record(1);
     assert!(!seq.is_empty());
     for threads in [2usize, 4] {
-        for global_window in [false, true] {
-            let scheme = if global_window { "lockstep" } else { "adaptive" };
-            assert_eq!(
-                seq,
-                record(threads, global_window),
-                "threads {threads} ({scheme}): .rlog bytes diverged from sequential"
-            );
-        }
+        assert_eq!(
+            seq,
+            record(threads),
+            "threads {threads}: .rlog bytes diverged from sequential"
+        );
     }
 }

@@ -1,22 +1,19 @@
 //! The discrete-event queue: a total order over (time, insertion sequence).
 //!
-//! Two backends share one API and one ordering contract:
+//! [`EventQueue`] is a calendar queue — a bucket-per-timestamp structure
+//! tuned for the distributions simulations actually generate: near-monotone
+//! inserts and heavy same-timestamp ties. A binary heap orders only the
+//! *distinct* timestamps; all events sharing a timestamp live in one bucket
+//! that is appended in O(1) and key-sorted lazily (at most once per drain,
+//! and only when out-of-order keys actually arrived). Popping a whole
+//! timestep — the engine's batch-dispatch hot path — hands back the bucket in
+//! one `extend` instead of N heap pops, so the per-event cost does not pay
+//! O(log n) against the full event population.
 //!
-//! * **Calendar** (default) — a bucket-per-timestamp structure tuned for the
-//!   distributions simulations actually generate: near-monotone inserts and
-//!   heavy same-timestamp ties. A binary heap orders only the *distinct*
-//!   timestamps; all events sharing a timestamp live in one bucket that is
-//!   appended in O(1) and key-sorted lazily (at most once per drain, and only
-//!   when out-of-order keys actually arrived). Popping a whole timestep —
-//!   the engine's batch-dispatch hot path — hands back the bucket in one
-//!   `extend` instead of N heap pops, so the per-event cost no longer pays
-//!   O(log n) against the full event population.
-//! * **Heap** — the original `BinaryHeap` over `(time, key)`. Kept as the
-//!   reference model for the property suite and as a builder-selectable
-//!   fallback, so "new queue vs. old queue" stays a one-flag A/B test.
-//!
-//! Both backends pop in identical `(time, key)` order; replay logs recorded
-//! against one verify byte-for-byte against the other.
+//! The ordering contract is `(time, key)`, exactly what a `BinaryHeap` over
+//! that pair pops; `tests/properties.rs` checks the queue against such a
+//! model, and the committed replay logs (recorded on a plain heap) pin it
+//! byte for byte.
 
 use crate::SimTime;
 use fxhash::FxHashMap;
@@ -30,34 +27,14 @@ use std::collections::{BinaryHeap, VecDeque};
 pub struct EventQueue<T> {
     seq: u64,
     ops: u64,
-    backend: Backend<T>,
-}
-
-enum Backend<T> {
-    Calendar(Calendar<T>),
-    Heap(BinaryHeap<Entry<T>>),
-}
-
-struct Entry<T> {
-    key: Reverse<(SimTime, u64)>,
-    payload: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
+    /// Distinct pending timestamps (min-heap). Invariant: `t` is in this
+    /// heap exactly once iff `buckets[t]` exists and is non-empty.
+    times: BinaryHeap<Reverse<u64>>,
+    buckets: FxHashMap<u64, Bucket<T>>,
+    /// Emptied bucket storage, recycled so steady-state push/drain cycles
+    /// allocate nothing.
+    pool: Vec<VecDeque<(u64, T)>>,
+    len: usize,
 }
 
 /// One timestamp's events: appended in arrival order, sorted by key only
@@ -98,24 +75,22 @@ impl<T> Bucket<T> {
     }
 }
 
-struct Calendar<T> {
-    /// Distinct pending timestamps (min-heap). Invariant: `t` is in this
-    /// heap exactly once iff `buckets[t]` exists and is non-empty.
-    times: BinaryHeap<Reverse<u64>>,
-    buckets: FxHashMap<u64, Bucket<T>>,
-    /// Emptied bucket storage, recycled so steady-state push/drain cycles
-    /// allocate nothing.
-    pool: Vec<VecDeque<(u64, T)>>,
-    len: usize,
-}
-
 /// Buckets kept for reuse after they drain. A handful suffices: only a few
 /// distinct timestamps are live at once in practice.
 const BUCKET_POOL_MAX: usize = 32;
 
-impl<T> Calendar<T> {
-    fn with_capacity(cap: usize) -> Self {
-        Calendar {
+impl<T> EventQueue<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty queue with room for `cap` distinct timestamps before
+    /// reallocating.
+    pub fn with_capacity(cap: usize) -> Self {
+        EventQueue {
+            seq: 0,
+            ops: 0,
             times: BinaryHeap::with_capacity(cap),
             buckets: FxHashMap::default(),
             pool: Vec::new(),
@@ -123,11 +98,18 @@ impl<T> Calendar<T> {
         }
     }
 
-    fn push(&mut self, t: u64, key: u64, payload: T) {
-        use std::collections::hash_map::Entry as MapEntry;
+    /// Queue operations performed so far (one per push, one per popped
+    /// event). Feeds the engine's `queue_ops` throughput counter.
+    pub fn ops(&self) -> u64 {
+        self.ops
+    }
+
+    fn insert(&mut self, time: SimTime, key: u64, payload: T) {
+        use std::collections::hash_map::Entry;
+        self.ops += 1;
         self.len += 1;
-        match self.buckets.entry(t) {
-            MapEntry::Occupied(mut e) => match e.get_mut() {
+        match self.buckets.entry(time.0) {
+            Entry::Occupied(mut e) => match e.get_mut() {
                 b @ Bucket::One(..) => {
                     // Second event on this timestamp: upgrade to a deque.
                     // `VecDeque::new()` is allocation-free, so the interim
@@ -153,9 +135,9 @@ impl<T> Calendar<T> {
                     items.push_back((key, payload));
                 }
             },
-            MapEntry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 e.insert(Bucket::One(key, payload));
-                self.times.push(Reverse(t));
+                self.times.push(Reverse(time.0));
             }
         }
     }
@@ -167,7 +149,9 @@ impl<T> Calendar<T> {
         }
     }
 
-    fn pop(&mut self) -> Option<(u64, u64, T)> {
+    /// Remove the earliest entry with its `(time, key)` coordinates. Does
+    /// not count the op; callers do.
+    fn pop_entry(&mut self) -> Option<(u64, u64, T)> {
         let &Reverse(t) = self.times.peek()?;
         self.len -= 1;
         match self.buckets.get_mut(&t).expect("bucket for scheduled time") {
@@ -204,63 +188,8 @@ impl<T> Calendar<T> {
         b.ensure_sorted();
         self.times.pop();
         self.len -= b.len();
+        self.ops += b.len() as u64;
         b
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue (calendar-backed).
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty queue with room for `cap` distinct timestamps before
-    /// reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            seq: 0,
-            ops: 0,
-            backend: Backend::Calendar(Calendar::with_capacity(cap)),
-        }
-    }
-
-    /// An empty queue on the classic `BinaryHeap` backend — the reference
-    /// model for the property suite and the A/B fallback for regression
-    /// hunting. Ordering is identical to the calendar backend.
-    pub fn heap_backed() -> Self {
-        Self::heap_backed_with_capacity(0)
-    }
-
-    /// [`heap_backed`](Self::heap_backed) with pre-allocated room for `cap`
-    /// events.
-    pub fn heap_backed_with_capacity(cap: usize) -> Self {
-        EventQueue {
-            seq: 0,
-            ops: 0,
-            backend: Backend::Heap(BinaryHeap::with_capacity(cap)),
-        }
-    }
-
-    /// Is this queue on the classic heap backend?
-    pub fn is_heap_backed(&self) -> bool {
-        matches!(self.backend, Backend::Heap(_))
-    }
-
-    /// Queue operations performed so far (one per push, one per popped
-    /// event). Feeds the engine's `queue_ops` throughput counter.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    fn insert(&mut self, time: SimTime, key: u64, payload: T) {
-        self.ops += 1;
-        match &mut self.backend {
-            Backend::Calendar(c) => c.push(time.0, key, payload),
-            Backend::Heap(h) => h.push(Entry {
-                key: Reverse((time, key)),
-                payload,
-            }),
-        }
     }
 
     /// Schedule `payload` at `time`.
@@ -285,22 +214,14 @@ impl<T> EventQueue<T> {
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let out = match &mut self.backend {
-            Backend::Calendar(c) => c.pop().map(|(t, _, p)| (SimTime(t), p)),
-            Backend::Heap(h) => h.pop().map(|e| (e.key.0 .0, e.payload)),
-        };
-        if out.is_some() {
-            self.ops += 1;
-        }
-        out
+        let (t, _, p) = self.pop_entry()?;
+        self.ops += 1;
+        Some((SimTime(t), p))
     }
 
     /// Timestamp of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(c) => c.times.peek().map(|&Reverse(t)| SimTime(t)),
-            Backend::Heap(h) => h.peek().map(|e| e.key.0 .0),
-        }
+        self.times.peek().map(|&Reverse(t)| SimTime(t))
     }
 
     /// Pop every event scheduled exactly at `t`, in insertion order.
@@ -324,24 +245,13 @@ impl<T> EventQueue<T> {
         if self.peek_time() != Some(t) {
             return;
         }
-        match &mut self.backend {
-            Backend::Calendar(c) => match c.take_head_bucket(t.0) {
-                Bucket::One(_, p) => out.push(p),
-                Bucket::Many { mut items, .. } => {
-                    out.extend(items.drain(..).map(|(_, p)| p));
-                    c.recycle(items);
-                }
-            },
-            Backend::Heap(h) => {
-                while let Some(head) = h.peek() {
-                    if head.key.0 .0 != t {
-                        break;
-                    }
-                    out.push(h.pop().expect("peeked").payload);
-                }
+        match self.take_head_bucket(t.0) {
+            Bucket::One(_, p) => out.push(p),
+            Bucket::Many { mut items, .. } => {
+                out.extend(items.drain(..).map(|(_, p)| p));
+                self.recycle(items);
             }
         }
-        self.ops += out.len() as u64;
     }
 
     /// [`pop_batch_at_into`](Self::pop_batch_at_into), but each payload is
@@ -352,25 +262,13 @@ impl<T> EventQueue<T> {
         if self.peek_time() != Some(t) {
             return;
         }
-        match &mut self.backend {
-            Backend::Calendar(c) => match c.take_head_bucket(t.0) {
-                Bucket::One(k, p) => out.push((k, p)),
-                Bucket::Many { mut items, .. } => {
-                    out.extend(items.drain(..));
-                    c.recycle(items);
-                }
-            },
-            Backend::Heap(h) => {
-                while let Some(head) = h.peek() {
-                    if head.key.0 .0 != t {
-                        break;
-                    }
-                    let e = h.pop().expect("peeked");
-                    out.push((e.key.0 .1, e.payload));
-                }
+        match self.take_head_bucket(t.0) {
+            Bucket::One(k, p) => out.push((k, p)),
+            Bucket::Many { mut items, .. } => {
+                out.extend(items.drain(..));
+                self.recycle(items);
             }
         }
-        self.ops += out.len() as u64;
     }
 
     /// Re-insert an entry obtained from
@@ -385,35 +283,28 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len,
-            Backend::Heap(h) => h.len(),
-        }
+        self.len
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Current allocated capacity, in entries, across the queue's internal
-    /// storage (timestamp index, live buckets, and the recycled-bucket pool
-    /// on the calendar backend; the heap itself on the heap backend).
+    /// storage (timestamp index, live buckets, and the recycled-bucket
+    /// pool).
     pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => {
-                c.times.capacity()
-                    + c.buckets
-                        .values()
-                        .map(|b| match b {
-                            Bucket::One(..) => 1,
-                            Bucket::Many { items, .. } => items.capacity(),
-                        })
-                        .sum::<usize>()
-                    + c.pool.iter().map(|v| v.capacity()).sum::<usize>()
-            }
-            Backend::Heap(h) => h.capacity(),
-        }
+        self.times.capacity()
+            + self
+                .buckets
+                .values()
+                .map(|b| match b {
+                    Bucket::One(..) => 1,
+                    Bucket::Many { items, .. } => items.capacity(),
+                })
+                .sum::<usize>()
+            + self.pool.iter().map(|v| v.capacity()).sum::<usize>()
     }
 
     /// Remove every pending entry with its `(time, key)` coordinates, in
@@ -421,18 +312,9 @@ impl<T> EventQueue<T> {
     /// entries elsewhere with [`push_keyed`](Self::push_keyed) preserves the
     /// total order.
     pub fn drain_entries(&mut self) -> Vec<(SimTime, u64, T)> {
-        let mut out = Vec::with_capacity(self.len());
-        match &mut self.backend {
-            Backend::Calendar(c) => {
-                while let Some((t, k, p)) = c.pop() {
-                    out.push((SimTime(t), k, p));
-                }
-            }
-            Backend::Heap(h) => {
-                while let Some(e) = h.pop() {
-                    out.push((e.key.0 .0, e.key.0 .1, e.payload));
-                }
-            }
+        let mut out = Vec::with_capacity(self.len);
+        while let Some((t, k, p)) = self.pop_entry() {
+            out.push((SimTime(t), k, p));
         }
         self.ops += out.len() as u64;
         out
@@ -453,33 +335,23 @@ impl<T> EventQueue<T> {
     /// cycles don't pay reallocation from zero.
     pub fn clear(&mut self) {
         self.seq = 0;
-        match &mut self.backend {
-            Backend::Calendar(c) => {
-                let retain = Self::CLEAR_RETAIN_CAP / 2;
-                for (_, b) in c.buckets.drain() {
-                    if let Bucket::Many { mut items, .. } = b {
-                        if c.pool.len() < BUCKET_POOL_MAX {
-                            items.clear();
-                            c.pool.push(items);
-                        }
-                    }
-                }
-                c.times.clear();
-                c.len = 0;
-                if c.times.capacity() > retain {
-                    c.times.shrink_to(retain);
-                }
-                // Bound the recycled-bucket pool the same way.
-                while c.pool.iter().map(|v| v.capacity()).sum::<usize>() > retain {
-                    c.pool.pop();
+        let retain = Self::CLEAR_RETAIN_CAP / 2;
+        for (_, b) in self.buckets.drain() {
+            if let Bucket::Many { mut items, .. } = b {
+                if self.pool.len() < BUCKET_POOL_MAX {
+                    items.clear();
+                    self.pool.push(items);
                 }
             }
-            Backend::Heap(h) => {
-                h.clear();
-                if h.capacity() > Self::CLEAR_RETAIN_CAP {
-                    h.shrink_to(Self::CLEAR_RETAIN_CAP);
-                }
-            }
+        }
+        self.times.clear();
+        self.len = 0;
+        if self.times.capacity() > retain {
+            self.times.shrink_to(retain);
+        }
+        // Bound the recycled-bucket pool the same way.
+        while self.pool.iter().map(|v| v.capacity()).sum::<usize>() > retain {
+            self.pool.pop();
         }
     }
 }
@@ -780,18 +652,6 @@ mod tests {
         // Still fully usable after the shrink.
         q.push(SimTime::from_nanos(1), 42);
         assert_eq!(q.pop().unwrap().1, 42);
-    }
-
-    #[test]
-    fn heap_backend_clear_releases_capacity_too() {
-        let mut q = EventQueue::heap_backed();
-        let n = EventQueue::<u64>::CLEAR_RETAIN_CAP * 4;
-        for i in 0..n as u64 {
-            q.push(SimTime::from_nanos(i), i);
-        }
-        assert!(q.capacity() >= n);
-        q.clear();
-        assert!(q.capacity() <= EventQueue::<u64>::CLEAR_RETAIN_CAP);
     }
 
     #[test]

@@ -6,6 +6,51 @@ use charm_machine::{
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The event queue's ordering contract, stated as the simplest structure
+/// that has it: a binary heap over `(time, key, payload)`. Keys are unique
+/// among live entries, so the payload never decides an order.
+#[derive(Default)]
+struct HeapModel {
+    seq: u64,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+}
+
+impl HeapModel {
+    fn push(&mut self, t: SimTime, payload: u64) {
+        self.push_keyed(t, self.seq, payload);
+        self.seq += 1;
+    }
+
+    fn push_keyed(&mut self, t: SimTime, key: u64, payload: u64) {
+        self.heap.push(Reverse((t, key, payload)));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.pop().map(|Reverse((t, _, p))| (t, p))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|&Reverse((t, _, _))| t)
+    }
+
+    /// Every entry at `t` (the head timestamp) as `(key, payload)`.
+    fn pop_batch_at_seq(&mut self, t: SimTime) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        while self.peek_time() == Some(t) {
+            let Reverse((_, k, p)) = self.heap.pop().expect("peeked");
+            out.push((k, p));
+        }
+        out
+    }
+
+    fn clear(&mut self) {
+        self.seq = 0;
+        self.heap.clear();
+    }
+}
 
 /// One scripted mutation of a [`FailurePlan`] under test: a crash push, a
 /// preemption push, or a correlated multi-PE event at one timestamp.
@@ -169,8 +214,8 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// The calendar backend is observationally identical to the classic
-    /// binary-heap backend — same pop order, same peeks, same lengths —
+    /// The calendar queue is observationally identical to a binary heap
+    /// over `(time, key)` — same pop order, same peeks, same lengths —
     /// under arbitrary interleavings of pushes (heavy same-timestamp ties),
     /// caller-keyed pushes (out-of-order keys), single pops, whole-timestep
     /// batch pops with partial restore, and clears (which reset the
@@ -178,9 +223,7 @@ proptest! {
     #[test]
     fn calendar_matches_heap_reference(ops in vec(queue_op(), 0..120)) {
         let mut cal = EventQueue::new();
-        let mut heap = EventQueue::heap_backed();
-        prop_assert!(!cal.is_heap_backed());
-        prop_assert!(heap.is_heap_backed());
+        let mut heap = HeapModel::default();
         // Payload counter; doubles as the caller-key counter for
         // `push_keyed` (offset far above any internal sequence number, so
         // the two key spaces stay disjoint as the contract requires).
@@ -207,16 +250,15 @@ proptest! {
                 QueueOp::Batch => {
                     prop_assert_eq!(cal.peek_time(), heap.peek_time());
                     if let Some(t) = cal.peek_time() {
-                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        let mut a = Vec::new();
                         cal.pop_batch_at_seq_into(t, &mut a);
-                        heap.pop_batch_at_seq_into(t, &mut b);
-                        prop_assert_eq!(&a, &b);
+                        prop_assert_eq!(&a, &heap.pop_batch_at_seq(t));
                         // Restore every other entry under its original key:
-                        // both backends must slot them back identically.
+                        // queue and model must slot them back identically.
                         for (i, &(k, p)) in a.iter().enumerate() {
                             if i % 2 == 1 {
                                 cal.restore(t, k, p);
-                                heap.restore(t, k, p);
+                                heap.push_keyed(t, k, p);
                             }
                         }
                     }
@@ -226,7 +268,7 @@ proptest! {
                     heap.clear();
                 }
             }
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(cal.len(), heap.heap.len());
             prop_assert_eq!(cal.peek_time(), heap.peek_time());
         }
         // Full drain pops the exact same (time, payload) sequence.
@@ -240,7 +282,7 @@ proptest! {
     }
 }
 
-/// One scripted operation against both event-queue backends at once.
+/// One scripted operation against the event queue and its model at once.
 #[derive(Debug, Clone)]
 enum QueueOp {
     Push(u8),
@@ -260,32 +302,31 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     })
 }
 
-/// `clear` bounds retained capacity on both backends, so long campaigns of
-/// many simulations don't pin the high-water mark forever.
+/// `clear` bounds retained capacity, so long campaigns of many simulations
+/// don't pin the high-water mark forever.
 #[test]
 fn event_queue_clear_caps_capacity() {
-    for mut q in [EventQueue::new(), EventQueue::heap_backed()] {
-        // A wide spread of distinct timestamps plus one very deep bucket.
-        for i in 0..50_000u64 {
-            q.push(SimTime::from_nanos(i), i);
-            q.push(SimTime::from_nanos(7), i);
-        }
-        q.clear();
-        assert!(q.is_empty());
-        assert!(
-            q.capacity() <= EventQueue::<u64>::CLEAR_RETAIN_CAP,
-            "retained {} entries of capacity after clear",
-            q.capacity()
-        );
-        // And the sequence counter reset: a cleared queue orders same-time
-        // pushes exactly like a fresh one.
-        let t = SimTime::from_nanos(3);
-        for i in 0..10u64 {
-            q.push(t, i);
-        }
-        for i in 0..10u64 {
-            assert_eq!(q.pop().expect("pushed").1, i);
-        }
+    let mut q = EventQueue::new();
+    // A wide spread of distinct timestamps plus one very deep bucket.
+    for i in 0..50_000u64 {
+        q.push(SimTime::from_nanos(i), i);
+        q.push(SimTime::from_nanos(7), i);
+    }
+    q.clear();
+    assert!(q.is_empty());
+    assert!(
+        q.capacity() <= EventQueue::<u64>::CLEAR_RETAIN_CAP,
+        "retained {} entries of capacity after clear",
+        q.capacity()
+    );
+    // And the sequence counter reset: a cleared queue orders same-time
+    // pushes exactly like a fresh one.
+    let t = SimTime::from_nanos(3);
+    for i in 0..10u64 {
+        q.push(t, i);
+    }
+    for i in 0..10u64 {
+        assert_eq!(q.pop().expect("pushed").1, i);
     }
 }
 

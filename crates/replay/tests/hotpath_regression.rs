@@ -5,14 +5,11 @@
 //!
 //! The golden logs under `tests/golden/` were recorded **before** the PR 4
 //! scheduler optimizations (SipHash maps, no dense-index store, per-event
-//! heap pops). The optimized engine replays them exactly, which is the
-//! proof that the perf work changed nothing observable.
-//!
-//! Each app runs twice: once on the overhauled hot path (calendar event
-//! queue + arena recycling, the default) and once with
-//! `classic_hotpath = true` (binary-heap queue, plain boxing). Both
-//! recordings must match the same golden bytes — the A/B knob itself is
-//! thereby pinned as observation-free.
+//! heap pops, binary-heap event queue, plain boxing). Today's engine —
+//! calendar queue, arena recycling — replays them exactly, which is the
+//! proof that the perf work changed nothing observable: the recording made
+//! on the old hot path is the oracle, so no second hot path is kept to
+//! compare against.
 //!
 //! To re-bless after an *intentional* semantic change (new message, changed
 //! cost model, …):
@@ -79,45 +76,36 @@ fn check_against_golden(app: &str, mut log: ReplayLog) {
 
 #[test]
 fn stencil_matches_pre_optimization_golden() {
-    for classic in [false, true] {
-        let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(8), 2);
-        cfg.steps = 5;
-        cfg.record = Some(ReplayConfig::with_digest_every(64));
-        cfg.classic_hotpath = classic;
-        let (_run, mut rt) = stencil::run_with_runtime(cfg);
-        check_against_golden("stencil", rt.take_replay_log().expect("recording on"));
-    }
+    let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(8), 2);
+    cfg.steps = 5;
+    cfg.record = Some(ReplayConfig::with_digest_every(64));
+    let (_run, mut rt) = stencil::run_with_runtime(cfg);
+    check_against_golden("stencil", rt.take_replay_log().expect("recording on"));
 }
 
 #[test]
 fn leanmd_matches_pre_optimization_golden() {
-    for classic in [false, true] {
-        let cfg = leanmd::LeanMdConfig {
-            cells_per_dim: 3,
-            atoms_per_cell: 20,
-            steps: 3,
-            record: Some(ReplayConfig::with_digest_every(128)),
-            classic_hotpath: classic,
-            ..Default::default()
-        };
-        let (_run, mut rt) = leanmd::run_with_runtime(cfg);
-        check_against_golden("leanmd", rt.take_replay_log().expect("recording on"));
-    }
+    let cfg = leanmd::LeanMdConfig {
+        cells_per_dim: 3,
+        atoms_per_cell: 20,
+        steps: 3,
+        record: Some(ReplayConfig::with_digest_every(128)),
+        ..Default::default()
+    };
+    let (_run, mut rt) = leanmd::run_with_runtime(cfg);
+    check_against_golden("leanmd", rt.take_replay_log().expect("recording on"));
 }
 
 #[test]
 fn pdes_matches_pre_optimization_golden() {
-    for classic in [false, true] {
-        let cfg = pdes::PdesConfig {
-            machine: charm_core::MachineConfig::homogeneous(8),
-            lps_per_pe: 8,
-            initial_events_per_lp: 8,
-            windows: 4,
-            record: Some(ReplayConfig::with_digest_every(256)),
-            classic_hotpath: classic,
-            ..Default::default()
-        };
-        let (_run, mut rt) = pdes::run_with_runtime(cfg);
-        check_against_golden("pdes", rt.take_replay_log().expect("recording on"));
-    }
+    let cfg = pdes::PdesConfig {
+        machine: charm_core::MachineConfig::homogeneous(8),
+        lps_per_pe: 8,
+        initial_events_per_lp: 8,
+        windows: 4,
+        record: Some(ReplayConfig::with_digest_every(256)),
+        ..Default::default()
+    };
+    let (_run, mut rt) = pdes::run_with_runtime(cfg);
+    check_against_golden("pdes", rt.take_replay_log().expect("recording on"));
 }

@@ -1,14 +1,17 @@
 //! Quickstart: the migratable-objects model in one file.
 //!
 //! Builds a small chare array, drives message-driven execution with a
-//! reduction, migrates a chare, and then runs the same program shape on
-//! real OS threads. Run with:
+//! reduction, and then runs the same program on two OS worker threads.
+//! Run with:
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use charm_rs::{ArrayProxy, Callback, Chare, Ctx, Ix, Pup, Puper, RedOp, RedValue, Runtime, SysEvent};
+use charm_rs::{
+    ArrayProxy, Callback, Chare, Ctx, Ix, MachineConfig, Pup, Puper, RedOp, RedValue, Runtime,
+    SysEvent,
+};
 
 /// A chare that squares numbers it receives and contributes the result.
 #[derive(Default)]
@@ -50,9 +53,13 @@ impl Chare for Squarer {
     }
 }
 
-fn simulated() {
-    // 1) A runtime over a simulated 8-PE machine.
-    let mut rt = Runtime::homogeneous(8);
+/// Run the program on `threads` OS worker threads; returns the per-chare state
+/// digests so the two runs can be compared.
+fn run(threads: usize) -> Vec<(charm_rs::core::ObjId, u64)> {
+    // 1) A runtime over a simulated 8-PE machine. With `threads > 1` the
+    //    PEs are sharded across that many workers; results are
+    //    byte-identical to the one-thread run.
+    let mut rt = Runtime::builder(MachineConfig::homogeneous(8)).threads(threads).build();
 
     // 2) Over-decomposition: 32 chares on 8 PEs.
     let arr = rt.create_array::<Squarer>("squarers");
@@ -70,41 +77,18 @@ fn simulated() {
     let sum = rt.metric("sum_of_squares").last().expect("reduced").1;
     let expect: i64 = (0..32).map(|i| i * i).sum();
     println!(
-        "simulated: sum of squares = {sum} (expected {expect}), \
+        "{threads} thread(s): sum of squares = {sum} (expected {expect}), \
          {} entry methods in {} of virtual time",
         summary.entries, summary.end_time
     );
     assert_eq!(sum as i64, expect);
-}
-
-fn threaded() {
-    // The same model with genuine parallelism: actors on OS threads.
-    use charm_rs::threaded::{Actor, ActorId, TCtx, ThreadedRuntime};
-
-    struct SquareActor;
-    impl Actor for SquareActor {
-        type Msg = i64;
-        fn on_message(&mut self, x: i64, ctx: &mut TCtx<'_>) {
-            ctx.contribute(1, (x * x) as f64);
-        }
-    }
-
-    let mut rt = ThreadedRuntime::new(4);
-    let ids: Vec<ActorId> = (0..32).map(|_| rt.spawn(SquareActor, None)).collect();
-    let rx = rt.reduction(1, ids.len());
-    for (i, &id) in ids.iter().enumerate() {
-        rt.send::<SquareActor>(id, i as i64);
-    }
-    let sum = rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("reduction completes");
-    let expect: i64 = (0..32).map(|i| i * i).sum();
-    println!("threaded:  sum of squares = {sum} (expected {expect})");
-    assert_eq!(sum as i64, expect);
+    assert_eq!(rt.last_run_parallel(), threads > 1);
+    rt.state_digest()
 }
 
 fn main() {
-    simulated();
-    threaded();
+    // Genuine parallelism is the same `Chare` program on the runtime's own
+    // multi-worker engine, not a second programming model.
+    assert_eq!(run(1), run(2));
     println!("quickstart OK");
 }

@@ -78,8 +78,10 @@ for name, s in scaling.items():
 # the lockstep engine lost worst on (0.11x at 2T before per-pair horizons)
 # — must stay at least break-even-ish at 2 workers, and the sparse-traffic
 # workloads must actually elide barriers (cross α-cell edges without a
-# blocking wait). Floors sit below the committed record (leanmd >= 0.5x
-# asserted vs ~0.6-0.9x measured) for 1-core CI steal-time headroom.
+# blocking wait) and almost never park: at most 5 blocking waits per
+# thousand events at 2 workers (recorded ~0 since PR 10; the lockstep core
+# pays tens to hundreds). Floors sit below the committed record (leanmd >=
+# 0.5x asserted vs ~0.6-0.9x measured) for 1-core CI steal-time headroom.
 lean2 = next(p for p in scaling["leanmd"]["points"] if p["threads"] == 2)
 assert lean2["speedup_vs_seq"] >= 0.5, (
     f"leanmd@2T regressed to {lean2['speedup_vs_seq']:.2f}x (< 0.5x floor): "
@@ -92,9 +94,10 @@ for name in ("leanmd", "pdes", "stencil2d"):
                 f"{name}@{p['threads']}: zero barriers elided — the adaptive "
                 "scheme degenerated into lockstep"
             )
-            assert p["lockstep_barriers_per_kevent"] >= p["barriers_per_kevent"], (
-                f"{name}@{p['threads']}: adaptive engine waits more often than "
-                "the lockstep fallback it replaces"
+        if p["threads"] == 2:
+            assert p["barriers_per_kevent"] <= 5, (
+                f"{name}@2: {p['barriers_per_kevent']} blocking waits per "
+                "thousand events — the adaptive engine is parking like lockstep"
             )
 
 print(f"BENCH_engine.json ok: {len(doc['workloads'])} workloads, "

@@ -1,11 +1,13 @@
 #!/bin/sh
-# Single-entry CI gate: release build, full test suite, clippy (warnings
-# are errors, all crates), the seven end-to-end smokes (tracing,
-# record/replay, engine throughput, runtime overhead/METG, the elastic
-# controller, streaming observability at scale, and the charm-kv serving
-# workload — the last five also validate the committed BENCH_engine.json /
-# BENCH_overhead.json / BENCH_elastic.json / BENCH_scale.json /
-# BENCH_service.json), and the repository benchmark at smoke sizes.
+# Single-entry CI gate: release build, tier-1 tests (the root package),
+# the full workspace suite, clippy (warnings are errors; whole workspace,
+# all targets — root package, examples and tests included), the seven
+# end-to-end smokes (tracing, record/replay, engine throughput, runtime
+# overhead/METG, the elastic controller, streaming observability at scale,
+# and the charm-kv serving workload — the last five also validate the
+# committed BENCH_engine.json / BENCH_overhead.json / BENCH_elastic.json /
+# BENCH_scale.json / BENCH_service.json), and the repository benchmark at
+# smoke sizes.
 # Exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -19,7 +21,7 @@ cargo test -q
 echo "==> cargo test --workspace (every crate: goldens, property tests)"
 cargo test -q --workspace
 
-echo "==> lint (clippy -D warnings, all crates)"
+echo "==> lint (clippy -D warnings, whole workspace, all targets)"
 sh scripts/lint.sh
 
 echo "==> trace smoke"

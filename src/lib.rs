@@ -20,7 +20,6 @@
 //! | [`ampi`] | `charm-ampi` | virtualized MPI ranks as migratable chares |
 //! | [`sort`] | `charm-sort` | HistSort + MPI multiway-merge baseline |
 //! | [`apps`] | `charm-apps` | LeanMD, AMR3D, Barnes-Hut, PDES, LULESH, Stencil2D, … |
-//! | [`threaded`] | `charm-threaded` | the chare model on real OS threads |
 //!
 //! Start with `examples/quickstart.rs`, then see DESIGN.md for the system
 //! inventory and EXPERIMENTS.md for the paper-vs-measured record.
@@ -32,7 +31,6 @@ pub use charm_lb as lb;
 pub use charm_machine as machine;
 pub use charm_pup as pup;
 pub use charm_sort as sort;
-pub use charm_threaded as threaded;
 pub use charm_tram as tram;
 
 // The most common names, flattened for examples and downstream users.

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the facade crate, interop between host
 //! code and multiple runtime libraries, determinism across the full stack,
-//! and agreement between the simulated and threaded executors.
+//! and agreement between the sequential and the sharded engines.
 
 use charm_rs::sort::{hist_sort, skewed_keys, verify_sorted};
 use charm_rs::{ArrayProxy, Callback, Chare, Ctx, Ix, Pup, Puper, RedOp, RedValue, Runtime, SysEvent};
@@ -111,42 +111,57 @@ fn full_stack_determinism() {
     assert_eq!(a.messages, b.messages);
 }
 
-/// The simulated and threaded executors agree on program results.
+/// The sequential and the sharded multi-worker engine agree on program
+/// results: same chare state, same reduction, and each thread count selects
+/// the engine it should.
 #[test]
-fn simulated_and_threaded_agree() {
-    // Simulated.
-    let mut rt = Runtime::homogeneous(4);
-    let arr = rt.create_array::<Acc>("acc");
-    for i in 0..12 {
-        rt.insert(arr, Ix::i1(i), Acc::default(), None);
-    }
-    for i in 0..12 {
-        rt.send(arr, Ix::i1(i), (i + 1) * (i + 1));
-    }
-    rt.run();
-    let sim = rt.metric("acc_total").last().expect("reduced").1 as i64;
-
-    // Threaded.
-    use charm_rs::threaded::{Actor, TCtx, ThreadedRuntime};
-    struct A;
-    impl Actor for A {
-        type Msg = i64;
-        fn on_message(&mut self, v: i64, ctx: &mut TCtx<'_>) {
-            ctx.contribute(1, v as f64);
+fn sequential_and_sharded_engines_agree() {
+    let run = |threads: usize| {
+        let mut rt = Runtime::builder(charm_rs::MachineConfig::homogeneous(4))
+            .threads(threads)
+            .build();
+        let arr = rt.create_array::<Acc>("acc");
+        for i in 0..12 {
+            rt.insert(arr, Ix::i1(i), Acc::default(), None);
         }
-    }
-    let mut trt = ThreadedRuntime::new(4);
-    let ids: Vec<_> = (0..12).map(|_| trt.spawn(A, None)).collect();
-    let rx = trt.reduction(1, ids.len());
-    for (i, &id) in ids.iter().enumerate() {
-        trt.send::<A>(id, ((i + 1) * (i + 1)) as i64);
-    }
-    let thr = rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("threaded reduction") as i64;
+        for i in 0..12 {
+            rt.send(arr, Ix::i1(i), (i + 1) * (i + 1));
+        }
+        rt.run();
+        assert_eq!(rt.last_run_parallel(), threads > 1);
+        let total = rt.metric("acc_total").last().expect("reduced").1 as i64;
+        (rt.state_digest(), total)
+    };
+    let (seq, par) = (run(1), run(2));
+    assert_eq!(seq, par);
+    assert_eq!(seq.1, (1..=12).map(|i| i * i).sum::<i64>());
+}
 
-    assert_eq!(sim, thr);
-    assert_eq!(sim, (1..=12).map(|i| i * i).sum::<i64>());
+/// Which sharded core runs is read off the input, never set: a plain
+/// recording takes the adaptive core, one that asks for periodic state
+/// digests takes the lockstep (exact-cut) core, and both reproduce the
+/// one-thread recording byte for byte.
+#[test]
+fn sync_core_is_chosen_by_input_not_by_knob() {
+    use charm_rs::apps::stencil::{run_with_runtime, StencilConfig};
+    use charm_rs::core::ReplayConfig;
+
+    let record = |threads: usize, rc: ReplayConfig| {
+        let mut c = StencilConfig::cloud_4k(charm_rs::machine::presets::cloud(8), 2);
+        c.steps = 5;
+        c.threads = threads;
+        c.record = Some(rc);
+        let (_, mut rt) = run_with_runtime(c);
+        assert_eq!(rt.last_run_parallel(), threads > 1);
+        let mut log = rt.take_replay_log().expect("recording was on");
+        (charm_rs::pup::to_bytes(&mut log), log.state_points.len())
+    };
+    for rc in [ReplayConfig::default(), ReplayConfig::with_digest_every(64)] {
+        let periodic = rc.digest_every.is_some();
+        let (seq, points) = record(1, rc.clone());
+        assert_eq!(points > 0, periodic, "digest points follow the recording's request");
+        assert_eq!(record(2, rc).0, seq, "periodic digests: {periodic}");
+    }
 }
 
 /// PUP round-trips compose across crate boundaries (facade types).
