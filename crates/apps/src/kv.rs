@@ -101,7 +101,7 @@ pub struct KvConfig {
     pub trace: Option<charm_core::TraceConfig>,
     /// Streaming trace sinks (require `trace`).
     pub trace_sinks: Vec<Box<dyn charm_core::TraceSink>>,
-    /// Simulator worker threads (1 = sequential engine).
+    #[doc(hidden)] // no longer read: kept for `benchmark/`'s 2-thread pass
     pub threads: usize,
 }
 
@@ -754,7 +754,6 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
         MachineConfig::homogeneous(1),
     ))
     .seed(config.seed)
-    .threads(config.threads)
     .lb_trigger(LbTrigger::AtSync);
     if let Some(s) = config.strategy.take() {
         b = b.strategy(s);

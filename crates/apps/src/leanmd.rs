@@ -80,7 +80,7 @@ pub struct LeanMdConfig {
     pub record: Option<charm_core::ReplayConfig>,
     /// Schedule perturbation for race hunting (None = off).
     pub perturb: Option<charm_core::PerturbConfig>,
-    /// Simulator worker threads (1 = sequential engine).
+    #[doc(hidden)] // no longer read: kept for `benchmark/`'s 2-thread pass
     pub threads: usize,
 }
 
@@ -556,7 +556,6 @@ pub fn run_with_runtime(mut config: LeanMdConfig) -> (AppRun, Runtime) {
         MachineConfig::homogeneous(1),
     ))
     .seed(config.seed)
-    .threads(config.threads)
     .lb_trigger(LbTrigger::AtSync);
     if let Some(interval) = config.auto_ckpt {
         b = b.auto_checkpoint(interval);

@@ -54,7 +54,7 @@ pub struct PdesConfig {
     pub perturb: Option<charm_core::PerturbConfig>,
     /// Projections-lite tracing (None = off; see `charm_core::trace`).
     pub trace: Option<charm_core::TraceConfig>,
-    /// Simulator worker threads (1 = sequential engine).
+    #[doc(hidden)] // no longer read: kept for `benchmark/`'s 2-thread pass
     pub threads: usize,
 }
 
@@ -372,8 +372,7 @@ pub fn run_with_runtime(mut config: PdesConfig) -> (PdesRun, Runtime) {
         &mut config.machine,
         MachineConfig::homogeneous(1),
     ))
-    .seed(config.seed)
-    .threads(config.threads);
+    .seed(config.seed);
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
     }

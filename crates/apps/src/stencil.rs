@@ -54,7 +54,7 @@ pub struct StencilConfig {
     /// before any chare exists — so they observe the complete record
     /// stream. Requires `trace` to be set.
     pub trace_sinks: Vec<Box<dyn charm_core::TraceSink>>,
-    /// Simulator worker threads (1 = sequential engine).
+    #[doc(hidden)] // no longer read: kept for `benchmark/`'s 2-thread pass
     pub threads: usize,
 }
 
@@ -292,7 +292,6 @@ pub fn run_with_runtime(mut config: StencilConfig) -> (AppRun, Runtime) {
     .seed(config.seed)
     .dvfs(config.dvfs)
     .dvfs_period(config.dvfs_period)
-    .threads(config.threads)
     .lb_trigger(LbTrigger::AtSync);
     if let Some(s) = config.strategy.take() {
         b = b.strategy(s);
@@ -363,64 +362,7 @@ pub fn run_with_runtime(mut config: StencilConfig) -> (AppRun, Runtime) {
     }
     rt.send(driver, Ix::i1(0), 0u8);
     let summary = rt.run();
-    let mut run = crate::collect_app_run(&rt, &summary, "stencil_step");
-    // Attach thermal readings when present.
-    if let Some(t) = rt.thermal() {
-        run.step_times.truncate(config.steps as usize);
-        let _ = t;
-    }
-    (run, rt)
-}
-
-/// Run and also report the thermal journal (Fig. 4 needs max temp).
-pub fn run_thermal(config: StencilConfig) -> (AppRun, f64) {
-    let steps = config.steps;
-    let mut b = Runtime::builder(config.machine)
-        .seed(config.seed)
-        .dvfs(config.dvfs)
-        .dvfs_period(config.dvfs_period);
-    if let Some(s) = config.strategy {
-        b = b.strategy(s);
-    }
-    let mut rt = b.build();
-    let blocks: ArrayProxy<Block> = rt.create_array("stencil_blocks");
-    let driver: ArrayProxy<Driver> = rt.create_array("stencil_driver");
-    rt.set_at_sync(blocks, true);
-    let side = config.blocks_per_side;
-    let pts = (config.grid / side).max(1) as u64;
-    for bx in 0..side as i32 {
-        for by in 0..side as i32 {
-            let linear = bx as usize * side + by as usize;
-            let pe = linear * rt.num_pes() / (side * side);
-            rt.insert(
-                blocks,
-                Ix::i2(bx, by),
-                Block {
-                    bx,
-                    by,
-                    side: side as u64,
-                    points_per_side: pts,
-                    flops_per_point: config.flops_per_point,
-                    data: SyntheticBlob::new(pts * pts * 8),
-                    driver,
-                    blocks,
-                    ..Block::default()
-                },
-                Some(pe),
-            );
-        }
-    }
-    rt.insert(driver, Ix::i1(0), Driver { step: 0, steps, blocks }, Some(0));
-    if let Some(period) = config.lb_period {
-        rt.schedule_periodic_lb(period, 10_000);
-    }
-    rt.send(driver, Ix::i1(0), 0u8);
-    let summary = rt.run();
-    let max_temp = rt
-        .thermal()
-        .map(|t| t.max_temp_observed())
-        .unwrap_or(f64::NAN);
-    (crate::collect_app_run(&rt, &summary, "stencil_step"), max_temp)
+    (crate::collect_app_run(&rt, &summary, "stencil_step"), rt)
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@
 //!    evacuation must beat the restart on makespan.
 //!
 //! Every arm runs twice with the same seed and the final PUP state digests
-//! must agree, as in `engine_bench`. `--smoke` runs a tiny matrix and does
-//! not rewrite `BENCH_elastic.json`.
+//! must agree. `--smoke` runs a tiny matrix and does not rewrite
+//! `BENCH_elastic.json`.
 
 use charm_apps::{leanmd, stencil, AppRun};
 use charm_core::{ElasticConfig, HysteresisPolicy, Runtime, SimTime};

@@ -8,7 +8,7 @@
 //! nobody fixes; LB_10s/LB_5s reduce the penalty; MetaTemp reduces it the
 //! most for the least balancing effort.
 
-use charm_apps::stencil::{run_thermal, StencilConfig};
+use charm_apps::stencil::{run_with_runtime, StencilConfig};
 use charm_bench::{fmt_s, Figure, Scale};
 use charm_core::{DvfsScheme, SimTime};
 use charm_machine::presets;
@@ -67,7 +67,8 @@ fn main() {
     );
     let mut base_time = None;
     for (name, scheme, with_lb) in schemes {
-        let (run, max_temp) = run_thermal(config(scheme, with_lb, scale));
+        let (run, rt) = run_with_runtime(config(scheme, with_lb, scale));
+        let max_temp = rt.thermal().map_or(f64::NAN, |t| t.max_temp_observed());
         let t = run.total_s;
         if base_time.is_none() {
             base_time = Some(t);

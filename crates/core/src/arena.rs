@@ -15,7 +15,7 @@
 //! envelope (an aborted run, a queue `clear`) skip the pool without a mode
 //! switch.
 //!
-//! Thread-local by design: the sharded engine's workers each warm their own
+//! Thread-local by design: each thread that runs a `Runtime` warms its own
 //! pool, and no synchronization ever appears on the dispatch path.
 
 use std::alloc::Layout;

@@ -166,18 +166,10 @@ pub(crate) trait AnyArray: Send {
     /// Remove every element (used by failure rollback before restoring the
     /// checkpointed population).
     fn clear(&mut self);
-    /// Move every element homed on a PE in `[lo, hi)` into a fresh store
-    /// with the same identity — shard construction for the parallel engine.
-    /// Loads and epochs travel with the elements.
-    fn split_off_pes(&mut self, lo: usize, hi: usize) -> Box<dyn AnyArray>;
-    /// Move all elements of `other` (a store split from this one) back in.
-    fn absorb(&mut self, other: Box<dyn AnyArray>);
     /// Downcast support for typed host-side inspection.
     fn as_any(&self) -> &dyn Any;
     #[allow(dead_code)] // mutable counterpart of as_any, for tooling
     fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// Owned downcast support (used by [`AnyArray::absorb`]).
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any>;
 }
 
 /// Which `Ix` variant owns an array's dense window (see [`dense_slot`]).
@@ -307,27 +299,6 @@ impl LocCache {
             lane.clear();
         }
         self.spill.clear();
-    }
-
-    /// Every cached `(obj, (pe, epoch))`, in no particular order — callers
-    /// are order-insensitive (the parallel-mode staleness precheck).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjId, (usize, u32))> + '_ {
-        let kinds = &self.kinds;
-        self.dense
-            .iter()
-            .enumerate()
-            .flat_map(move |(a, lane)| {
-                lane.iter().enumerate().filter(|(_, &v)| v != 0).map(move |(slot, &v)| {
-                    (
-                        ObjId {
-                            array: ArrayId(a as u32),
-                            ix: slot_ix(kinds[a], slot),
-                        },
-                        (((v >> 32) - 1) as usize, v as u32),
-                    )
-                })
-            })
-            .chain(self.spill.iter().map(|(o, &v)| (*o, v)))
     }
 }
 
@@ -629,62 +600,11 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
         self.spill.clear();
     }
 
-    fn split_off_pes(&mut self, lo: usize, hi: usize) -> Box<dyn AnyArray> {
-        let mut out = ArrayStore::<C>::new(self.id, &self.name);
-        out.dense_kind = self.dense_kind;
-        out.at_sync = self.at_sync;
-        let kind = self.dense_kind;
-        for (slot, s) in self.dense.iter_mut().enumerate() {
-            if s.as_deref().is_some_and(|e| (lo..hi).contains(&e.pe)) {
-                let e = s.take().expect("checked");
-                self.dense_len -= 1;
-                let prev = out.put(slot_ix(kind, slot), *e);
-                debug_assert!(prev.is_none());
-            }
-        }
-        let moved: Vec<Ix> = self
-            .spill
-            .iter()
-            .filter(|(_, e)| (lo..hi).contains(&e.pe))
-            .map(|(ix, _)| *ix)
-            .collect();
-        for ix in moved {
-            let e = self.spill.remove(&ix).expect("collected above");
-            let prev = out.put(ix, e);
-            debug_assert!(prev.is_none());
-        }
-        Box::new(out)
-    }
-
-    fn absorb(&mut self, other: Box<dyn AnyArray>) {
-        let other = other
-            .as_any_box()
-            .downcast::<ArrayStore<C>>()
-            .unwrap_or_else(|_| panic!("absorb: store type mismatch for array '{}'", self.name));
-        let mut elems: Vec<(Ix, Element<C>)> = Vec::new();
-        let mut o = *other;
-        let kind = o.dense_kind;
-        for (slot, s) in o.dense.iter_mut().enumerate() {
-            if let Some(e) = s.take() {
-                elems.push((slot_ix(kind, slot), *e));
-            }
-        }
-        elems.extend(o.spill.drain());
-        for (ix, e) in elems {
-            let prev = self.put(ix, e);
-            assert!(prev.is_none(), "absorb: duplicate element {ix}");
-        }
-    }
-
     fn as_any(&self) -> &dyn Any {
         self
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
@@ -857,32 +777,6 @@ mod tests {
         s.set_element_pe(&Ix::i1(2), 4);
         assert_eq!(s.locate(&Ix::i1(2)), Some((4, 1)));
         assert_eq!(s.locate(&Ix::i1(99)), None);
-    }
-
-    #[test]
-    fn split_and_absorb_preserve_elements_and_load() {
-        let mut s = ArrayStore::<Dummy>::new(ArrayId(3), "dummy");
-        for i in 0..8 {
-            s.insert(Ix::i1(i), (i % 4) as usize, Dummy { v: i });
-        }
-        s.insert(Ix::i1(-2), 1, Dummy { v: -2 }); // spill tier
-        s.add_load(&Ix::i1(1), 0.5);
-        let mut shard = s.split_off_pes(1, 3);
-        // PEs 1 and 2 own 1,2,5,6 and the spilled -2.
-        assert_eq!(shard.len(), 5);
-        assert_eq!(s.len(), 4);
-        assert_eq!(shard.element_pe(&Ix::i1(1)), Some(1));
-        assert_eq!(shard.element_pe(&Ix::i1(-2)), Some(1));
-        assert_eq!(s.element_pe(&Ix::i1(0)), Some(0));
-        assert!(s.element_pe(&Ix::i1(1)).is_none());
-        // Loads travel with the split and back.
-        let loads = shard.drain_loads();
-        assert_eq!(loads.iter().find(|l| l.0 == Ix::i1(1)).unwrap().2, 0.5);
-        s.absorb(shard);
-        assert_eq!(s.len(), 9);
-        assert_eq!(s.peek(&Ix::i1(5)).unwrap().v, 5);
-        let all = s.indices();
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use charm_pup::{Pup, Puper};
 /// and recoverable. `Default` plays the role of Charm++'s migration
 /// constructor: the runtime default-constructs and then unpacks.
 ///
-/// `Send` (on the chare and its message type) is what lets the parallel
-/// engine shard arrays across OS worker threads; chare state is plain data
+/// `Send` (on the chare and its message type) lets a host program build a
+/// runtime on one thread and run it on another; chare state is plain data
 /// (it must be, to be `Pup`), so the bound is structural rather than
 /// restrictive.
 pub trait Chare: Pup + Default + Send + 'static {

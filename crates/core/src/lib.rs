@@ -72,7 +72,6 @@ mod index;
 pub mod interop;
 pub mod lbframework;
 mod malleable;
-mod parallel;
 pub mod power;
 pub mod replay;
 mod runtime;
@@ -90,7 +89,6 @@ pub use ft::{buddy_pe, DiskCkptInfo, MemCheckpoint, RestoreError};
 pub use index::Ix;
 pub use interop::CharmLib;
 pub use lbframework::{LbRound, LbStats, LbTrigger, NullLb, ObjStat, Strategy};
-pub use parallel::lookahead;
 pub use power::DvfsScheme;
 pub use replay::{DigestPoint, ExecRec, PerturbConfig, ReplayConfig, ReplayLog, SendRec};
 pub use runtime::{HomeMap, RunSummary, Runtime, RuntimeBuilder, Unrecoverable, ENVELOPE_BYTES};

@@ -287,9 +287,8 @@ enum MsgState {
     Exec(u32),
     /// Produced on behalf of the exec whose scheduler dispatch key sits at
     /// this index of [`Recorder::fold_keys`] — used by the window-boundary
-    /// reduction fold, which runs outside any exec (and, in parallel mode,
-    /// possibly on a different shard than the producing exec). Resolved to
-    /// an exec index when the log is built.
+    /// reduction fold, which runs outside any exec. Resolved to an exec
+    /// index when the log is built.
     Dispatch(u32),
 }
 
@@ -364,10 +363,7 @@ pub(crate) struct Recorder {
     /// `sends` below and are dealt out when the log is built.
     execs: Vec<ExecRec>,
     /// Scheduler dispatch key `(t_ns, heap_key)` of each exec, parallel to
-    /// `execs`, ascending. This is the total order the windowed engine
-    /// executes in — shard recorders are merged back into one log by
-    /// sorting on it (heap keys are globally unique: each shard allocates
-    /// from the slots it owns).
+    /// `execs`, ascending: the total order the engine executes in.
     dispatch_keys: Vec<(u64, u64)>,
     /// Recorded sends in routing order, and (parallel to it) the exec
     /// that produced each.
@@ -386,7 +382,7 @@ pub(crate) struct Recorder {
     /// Dispatch keys that [`MsgState::Dispatch`] cells index.
     fold_keys: Vec<(u64, u64)>,
     /// Sends whose producing exec is identified by dispatch key; attached
-    /// to the right exec (any shard's) when the log is finalized.
+    /// to that exec when the log is finalized.
     deferred: Vec<((u64, u64), SendRec)>,
     /// Entry executions dropped past [`ReplayConfig::max_execs`].
     shed_execs: u64,
@@ -434,8 +430,8 @@ impl Recorder {
     }
 
     /// Index of `name` in `entry_names`, appended on first sight. Only
-    /// reached once per `(array, kind)` (and per merged shard name), so a
-    /// scan over the handful of names beats any hash table.
+    /// reached once per `(array, kind)`, so a scan over the handful of
+    /// names beats any hash table.
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(i) = self.entry_names.iter().position(|n| n == name) {
             return i as u32;
@@ -573,116 +569,16 @@ impl Recorder {
     }
 
     pub(crate) fn push_state_point(&mut self, t: SimTime, digests: Vec<(ObjId, u64)>) {
-        let seq = self.execs.len() as u64;
-        self.push_state_point_at(seq, t, digests);
-    }
-
-    /// A state-digest point with an explicit global seq — the parallel
-    /// coordinator computes `seq` from the published per-shard exec counts
-    /// (a shard-local `execs.len()` would be meaningless there).
-    pub(crate) fn push_state_point_at(&mut self, seq: u64, t: SimTime, digests: Vec<(ObjId, u64)>) {
         // Past the cap the digest would describe state the log's exec
         // prefix cannot reproduce; keep the truncated log self-consistent.
         if self.capped() {
             return;
         }
         self.state_points.push(DigestPoint {
-            seq,
+            seq: self.execs.len() as u64,
             t_ns: t.0,
             digests,
         });
-    }
-
-    /// Fold shard recorders back into this (pre-split) recorder after a
-    /// parallel run. Execs from all sources are re-sorted by scheduler
-    /// dispatch key — exactly the order the sequential engine would have
-    /// executed them in — then renumbered; entry names are re-interned,
-    /// exec indices in sends and message cells remapped, and roots/state
-    /// points appended.
-    pub(crate) fn absorb_shards(&mut self, shards: Vec<Recorder>) {
-        let mut sources: Vec<Recorder> = Vec::with_capacity(shards.len() + 1);
-        sources.push(std::mem::replace(self, Recorder::new(self.cfg.clone())));
-        sources.extend(shards);
-
-        // Global execution order: dispatch keys are unique across sources.
-        let mut order: Vec<((u64, u64), usize, usize)> = Vec::new();
-        for (si, src) in sources.iter().enumerate() {
-            debug_assert_eq!(src.execs.len(), src.dispatch_keys.len());
-            for (li, &dk) in src.dispatch_keys.iter().enumerate() {
-                order.push((dk, si, li));
-            }
-        }
-        order.sort_unstable_by_key(|&(dk, _, _)| dk);
-        assert!(order.len() <= MsgState::MAX_INDEX, "exec index overflow");
-
-        // Move execs out so they can be re-owned in sorted order.
-        let mut pools: Vec<Vec<Option<ExecRec>>> = sources
-            .iter_mut()
-            .map(|s| s.execs.drain(..).map(Some).collect())
-            .collect();
-        let mut remap: Vec<Vec<u32>> = pools.iter().map(|p| vec![u32::MAX; p.len()]).collect();
-        // Source entry index → merged index, interned at first use so the
-        // merged name order is the sequential engine's first-use order.
-        let mut entry_maps: Vec<Vec<Option<u32>>> = sources
-            .iter()
-            .map(|s| vec![None; s.entry_names.len()])
-            .collect();
-
-        for (gi, &(dk, si, li)) in order.iter().enumerate() {
-            let mut e = pools[si][li].take().expect("exec consumed twice");
-            e.seq = gi as u64;
-            let local = e.entry as usize;
-            e.entry = match entry_maps[si][local] {
-                Some(merged) => merged,
-                None => {
-                    let merged = self.intern(&sources[si].entry_names[local]);
-                    entry_maps[si][local] = Some(merged);
-                    merged
-                }
-            };
-            remap[si][li] = gi as u32;
-            self.dispatch_keys.push(dk);
-            self.execs.push(e);
-        }
-
-        for (si, src) in sources.into_iter().enumerate() {
-            // Each exec's sends were all routed on the shard that ran it,
-            // so appending source by source keeps every exec's send order.
-            self.sends.extend(src.sends);
-            self.send_exec
-                .extend(src.send_exec.into_iter().map(|li| remap[si][li as usize]));
-            let fold_base = self.fold_keys.len() as u32;
-            self.fold_keys.extend(src.fold_keys);
-            for (slot, lane) in src.msgs.lanes.into_iter().enumerate() {
-                if slot >= self.msgs.lanes.len() {
-                    self.msgs.lanes.resize_with(slot + 1, Vec::new);
-                }
-                let merged = &mut self.msgs.lanes[slot];
-                if merged.len() < lane.len() {
-                    merged.resize(lane.len(), MsgState::UNKNOWN);
-                }
-                // A message id is noted and routed by the one source that
-                // owns its slot at the time, so cells never conflict.
-                for (ctr, cell) in lane.into_iter().enumerate() {
-                    let state = match MsgState::unpack(cell) {
-                        MsgState::Unknown => continue,
-                        MsgState::Exec(li) => MsgState::Exec(remap[si][li as usize]),
-                        MsgState::Dispatch(k) => MsgState::Dispatch(fold_base + k),
-                        other => other,
-                    };
-                    merged[ctr] = state.pack();
-                }
-            }
-            self.roots.extend(src.roots);
-            self.state_points.extend(src.state_points);
-            self.shed_execs += src.shed_execs;
-            self.shed_sends += src.shed_sends;
-            // Only shard 0 folds reductions, so deferred sends arrive here
-            // already in chronological fold order — same as sequential.
-            self.deferred.extend(src.deferred);
-        }
-        self.state_points.sort_by_key(|p| (p.seq, p.t_ns));
-        self.current = None;
     }
 
     /// Consume the recorder into a finished log.

@@ -23,9 +23,9 @@ use std::collections::HashMap;
 pub const ENVELOPE_BYTES: usize = 40;
 
 /// Event keys are `(slot << KEY_SLOT_SHIFT) | counter`: the producer slot
-/// in the high bits, a per-slot monotonic counter in the low 40. Because a
-/// shard owns exactly the slots of its PEs, shards allocate keys with no
-/// coordination and the combined key space is identical to sequential.
+/// in the high bits, a per-slot monotonic counter in the low 40. A key thus
+/// depends only on who produced the event and how many it produced before —
+/// the same-timestamp tie-break the goldens are made of.
 pub(crate) const KEY_SLOT_SHIFT: u32 = 40;
 /// Key-slot offset (past `num_pes`) for host-side sends before/between runs.
 pub(crate) const SLOT_HOST: usize = 0;
@@ -53,7 +53,7 @@ pub(crate) const TOKEN_AUX: u64 = 3 << 62;
 /// A buffered reduction contribution, folded at window boundaries.
 pub(crate) struct ContribRec {
     /// Dispatch time of the entry method that contributed — the fold sorts
-    /// by `(merge_t, merge_key)` to reproduce sequential combine order.
+    /// by `(merge_t, merge_key)` so values combine in dispatch order.
     pub merge_t: u64,
     /// Dispatch key of the contributing entry (see [`Envelope::rec_id`]).
     pub merge_key: u64,
@@ -65,19 +65,9 @@ pub(crate) struct ContribRec {
     pub op: RedOp,
     pub cb: Callback,
     /// Critical-path end (ns) and chain of the contributing entry, when the
-    /// analyzer is on (always `(0, None)` in shard mode — the analyzer
-    /// forces the sequential engine).
+    /// analyzer is on (`(0, None)` otherwise).
     pub cp_end: u64,
     pub cp_node: Option<std::sync::Arc<crate::trace::CpNode>>,
-}
-
-/// A metric sample tagged with its producer's dispatch order so parallel
-/// shards can merge samples back into sequential order.
-pub(crate) struct MetricSample {
-    pub dispatch: (u64, u64),
-    pub name: String,
-    pub at_secs: f64,
-    pub value: f64,
 }
 
 /// How an array maps indices to *home PEs* — the PEs responsible for
@@ -160,18 +150,15 @@ pub(crate) struct Envelope {
     /// Runtime-wide message key, assigned at creation. Always allocated
     /// (recording on or off) so enabling the recorder cannot shift any
     /// other deterministic state. Doubles as the event-heap tie-break for
-    /// the delivery event, which is what makes the parallel engine's
-    /// cross-shard merge order identical to sequential dispatch order.
+    /// the delivery event.
     pub rec_id: u64,
     /// The chare whose entry method produced this message (`None` for host
-    /// sends and runtime-origin events). Carried on the envelope — rather
-    /// than recovered through the recorder's origin map — so a shard can
-    /// attribute a message that was produced on a different shard.
+    /// sends and runtime-origin events).
     pub src_obj: Option<ObjId>,
     /// Critical-path provenance: the dependency chain ending at the send
     /// that produced this message. Only populated when the tracer's
-    /// critical-path analyzer is on (sequential engine); `None` otherwise,
-    /// so the common path stays allocation-free.
+    /// critical-path analyzer is on; `None` otherwise, so the common path
+    /// stays allocation-free.
     pub cp: Option<Box<crate::trace::CpMsg>>,
 }
 
@@ -266,8 +253,7 @@ pub struct RunSummary {
     pub replay_shed_sends: u64,
     /// Event-queue and PE-scheduler-queue operations (pushes + pops)
     /// performed so far. Together with `events_per_sec` this separates
-    /// "fewer/cheaper queue ops" wins from everything else. Best-effort in
-    /// parallel mode (per-shard queue ops are not merged back).
+    /// "fewer/cheaper queue ops" wins from everything else.
     pub queue_ops: u64,
     /// Bytes served from the envelope/payload arena instead of the global
     /// allocator (this thread, since the runtime was built).
@@ -275,22 +261,13 @@ pub struct RunSummary {
     /// Global-allocator calls the arena absorbed (pool hits on allocation
     /// plus recycled frees).
     pub alloc_bypass: u64,
-    /// Lookahead windows committed by the engine: every time a drain
-    /// horizon advanced (sequential window jumps, parallel per-shard
-    /// horizon grants). Summed over shards in parallel mode.
+    /// α-windows committed by the engine: every time the drain horizon
+    /// advanced to the window containing the next event.
     pub windows_executed: u64,
-    /// Blocking synchronizations actually paid: condvar barrier arrivals
-    /// in the lockstep engine, parked waits in the adaptive engine.
-    /// Always 0 for a sequential run.
+    #[doc(hidden)] // always 0: kept for `benchmark/`'s 2-thread pass
     pub barriers_waited: u64,
-    /// Window edges crossed *without* blocking: horizon advances the
-    /// adaptive engine granted from peer clocks alone where the
-    /// lockstep engine would have paid a barrier. 0 sequentially.
+    #[doc(hidden)] // always 0: kept for `benchmark/`'s 2-thread pass
     pub barriers_elided: u64,
-    /// Mean committed-horizon advance in ns (total virtual time covered by
-    /// windows / `windows_executed`). The global worst case is `win_ns`
-    /// (one α cell); adaptive windows should be wider on sparse traffic.
-    pub avg_window_width: f64,
 }
 
 /// A failure (or cascade) destroyed state that no surviving checkpoint
@@ -334,7 +311,6 @@ pub struct RuntimeBuilder {
     dvfs: DvfsScheme,
     dvfs_period: SimTime,
     sched_overhead: SimTime,
-    max_events: u64,
     location_cache: bool,
     collective_arity: u64,
     track_comm: bool,
@@ -343,7 +319,6 @@ pub struct RuntimeBuilder {
     trace_sinks: Vec<Box<dyn crate::trace::TraceSink>>,
     record: Option<ReplayConfig>,
     perturb: Option<PerturbConfig>,
-    threads: usize,
     elastic: Option<crate::elastic::ElasticConfig>,
 }
 
@@ -385,12 +360,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Safety cap on processed events (default `u64::MAX`).
-    pub fn max_events(mut self, n: u64) -> Self {
-        self.max_events = n;
-        self
-    }
-
     /// Enable/disable per-PE location caching (§II-D). With caching off,
     /// every remote send pays the home-PE query round trip — the ablation
     /// that shows why the paper's protocol caches.
@@ -426,8 +395,8 @@ impl RuntimeBuilder {
     /// Install a streaming [`TraceSink`](crate::trace::TraceSink): every
     /// traced record is fanned out to it as it is produced, so full event
     /// logs flow to disk instead of accumulating in memory. Requires
-    /// [`RuntimeBuilder::tracing`]; forces the sequential engine. Call
-    /// [`Runtime::finish_trace`] after the run to flush and finalize.
+    /// [`RuntimeBuilder::tracing`]. Call [`Runtime::finish_trace`] after
+    /// the run to flush and finalize.
     pub fn trace_sink(mut self, sink: Box<dyn crate::trace::TraceSink>) -> Self {
         self.trace_sinks.push(sink);
         self
@@ -459,7 +428,7 @@ impl RuntimeBuilder {
     /// `cfg.cadence` of virtual time and let `cfg.policy` issue shrink or
     /// expand decisions through the malleability path. Decisions are pure
     /// functions of simulation state, so controlled runs replay
-    /// bit-identically. Sequential-only: runs fall back to one worker.
+    /// bit-identically.
     pub fn elastic(mut self, cfg: crate::elastic::ElasticConfig) -> Self {
         self.elastic = Some(cfg);
         self
@@ -474,16 +443,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Number of OS worker threads for the parallel execution mode
-    /// (default 1). With `n > 1`, deadline-free runs that use only
-    /// parallel-safe features shard the PEs across `n` workers; results are
-    /// byte-identical to sequential execution. Runs that use sequential-only
-    /// features (fault injection, DVFS, perturbation, …) silently fall
-    /// back to the sequential engine.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
+    #[doc(hidden)] // inert: kept for `benchmark/`'s 2-thread pass
+    pub fn threads(self, _n: usize) -> Self { self }
 
     /// Construct the runtime.
     pub fn build(self) -> Runtime {
@@ -608,7 +569,6 @@ impl RuntimeBuilder {
             wall_run: std::time::Duration::ZERO,
             action_scratch: Vec::new(),
             exit_requested: false,
-            max_events: self.max_events,
             seed: self.seed,
             location_cache: self.location_cache,
             collective_arity: self.collective_arity,
@@ -626,18 +586,10 @@ impl RuntimeBuilder {
             cur_win_end: SimTime::ZERO,
             win_ns: net_min_remote.max(1),
             last_digest_seq: 0,
-            par: None,
-            threads: self.threads,
-            metrics_buf: Vec::new(),
-            last_run_parallel: false,
             reconfig_overhead_shrink: SimTime::from_secs_f64(2.0),
             reconfig_overhead_expand: SimTime::from_secs_f64(6.5),
             arena_base: crate::arena::stats(),
-            sync_windows: 0,
-            sync_width_ns: 0,
-            sync_waits: 0,
-            sync_elided: 0,
-            cb_log: None,
+            windows_executed: 0,
         }
     }
 }
@@ -718,7 +670,6 @@ pub struct Runtime {
     /// method — saves a heap allocation per executed message.
     pub(crate) action_scratch: Vec<Action>,
     pub(crate) exit_requested: bool,
-    pub(crate) max_events: u64,
     pub(crate) seed: u64,
     /// Location caching enabled? (ablation toggle; default true)
     pub(crate) location_cache: bool,
@@ -744,36 +695,24 @@ pub struct Runtime {
     pub(crate) perturb: Option<(PerturbConfig, StdRng)>,
     /// Slot-partitioned event-key counters: index `pe` for events produced
     /// while dispatching on that PE, then [`SLOT_HOST`]/[`SLOT_RED`]/
-    /// [`SLOT_RTS`] offsets past `num_pes`. Partitioning by producer is what
-    /// lets each parallel shard allocate keys independently yet identically
-    /// to the sequential run (see [`Runtime::fresh_key`]).
+    /// [`SLOT_RTS`] offsets past `num_pes` (see [`Runtime::fresh_key`]).
     pub(crate) keys: Vec<u64>,
     /// Which key slot new events are charged to right now; maintained by
     /// [`Runtime::dispatch`], the host APIs, and the reduction fold.
     pub(crate) cur_slot: usize,
     /// `(time_ns, key)` of the event currently being dispatched — the
-    /// global total order used to tag contributions, metrics, and replay
-    /// records so shards can merge them back in sequential order.
+    /// global total order that tags contributions and replay records.
     pub(crate) cur_dispatch: (u64, u64),
     /// Reduction contributions buffered since the last window boundary;
     /// folded in deterministic `(dispatch time, dispatch key)` order at the
-    /// boundary (identically in sequential and parallel mode).
+    /// boundary.
     pub(crate) pending_contribs: Vec<ContribRec>,
-    /// End of the conservative lookahead window currently executing.
+    /// End of the α-window currently executing.
     pub(crate) cur_win_end: SimTime,
     /// Window quantum: the minimum cross-PE network latency (α) in ns.
     pub(crate) win_ns: u64,
     /// Recorder exec count at the last emitted state-digest point.
     pub(crate) last_digest_seq: u64,
-    /// Present iff this runtime is one shard of a parallel run.
-    pub(crate) par: Option<Box<crate::parallel::ParShard>>,
-    /// Worker threads requested for deadline-free runs (1 = sequential).
-    pub(crate) threads: usize,
-    /// Metric samples tagged with their dispatch order, buffered in shard
-    /// mode and merged deterministically at the end of a parallel run.
-    pub(crate) metrics_buf: Vec<MetricSample>,
-    /// Did the most recent `run_until` actually execute in parallel?
-    pub(crate) last_run_parallel: bool,
     /// Modeled process tear-down/reconnect cost on shrink (paper: 2.7 s).
     pub reconfig_overhead_shrink: SimTime,
     /// Modeled process start-up/reconnect cost on expand (paper: 7.2 s).
@@ -781,20 +720,9 @@ pub struct Runtime {
     /// This thread's arena counters when the runtime was built; `summary()`
     /// reports the delta.
     pub(crate) arena_base: crate::arena::ArenaStats,
-    /// Lookahead windows committed (drain-horizon advances) — see
+    /// α-windows committed (drain-horizon advances) — see
     /// [`RunSummary::windows_executed`].
-    pub(crate) sync_windows: u64,
-    /// Total committed-horizon advance in ns, for `avg_window_width`.
-    pub(crate) sync_width_ns: u64,
-    /// Blocking waits paid (barrier arrivals / parked waits).
-    pub(crate) sync_waits: u64,
-    /// Window edges crossed without blocking (adaptive engine only).
-    pub(crate) sync_elided: u64,
-    /// When `Some`, [`Runtime::deliver_sys_tree`] logs every scheduled
-    /// delivery time into it. The adaptive parallel folder arms this
-    /// around reduction folds to learn which α-cells hold completion
-    /// callbacks (its soft-rendezvous points); `None` everywhere else.
-    pub(crate) cb_log: Option<Vec<u64>>,
+    pub(crate) windows_executed: u64,
 }
 
 impl Runtime {
@@ -808,7 +736,6 @@ impl Runtime {
             dvfs: DvfsScheme::Off,
             dvfs_period: SimTime::from_secs(1),
             sched_overhead: SimTime::from_nanos(250),
-            max_events: u64::MAX,
             location_cache: true,
             collective_arity: 2,
             track_comm: false,
@@ -817,7 +744,6 @@ impl Runtime {
             trace_sinks: Vec::new(),
             record: None,
             perturb: None,
-            threads: 1,
             elastic: None,
         }
     }
@@ -1067,13 +993,6 @@ impl Runtime {
         self.metrics.get(name).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Names of all recorded metrics.
-    pub fn metric_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.metrics.keys().map(|s| s.as_str()).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// The run's RNG seed (replays are bit-identical for equal seeds).
     pub fn seed(&self) -> u64 {
         self.seed
@@ -1111,20 +1030,8 @@ impl Runtime {
         self.thermal.as_ref()
     }
 
-    /// Did the most recent [`Runtime::run_until`] actually execute on the
-    /// parallel sharded engine? `false` after a sequential run — including
-    /// the silent fallback taken when some feature in use (dynamic
-    /// insertion, quiescence detection, thermal/DVFS, comm tracking…)
-    /// is sequential-only.
-    pub fn last_run_parallel(&self) -> bool {
-        self.last_run_parallel
-    }
-
-    /// Worker-thread count for subsequent runs (1 = sequential). Builder
-    /// equivalent: [`RuntimeBuilder::threads`].
-    pub fn set_parallel_threads(&mut self, n: usize) {
-        self.threads = n.max(1);
-    }
+    #[doc(hidden)] // always false: kept for `benchmark/`'s 2-thread pass
+    pub fn last_run_parallel(&self) -> bool { false }
 
     /// Schedule a malleable reconfiguration (shrink or expand) at `at`.
     pub fn schedule_reconfigure(&mut self, at: SimTime, to_pes: usize) {
@@ -1135,40 +1042,23 @@ impl Runtime {
 
     // ----- the event loop ----------------------------------------------------
 
-    /// Run until the event queue drains, a chare calls `exit`, or the event
-    /// cap is hit. Returns a summary.
+    /// Run until the event queue drains or a chare calls `exit`. Returns a
+    /// summary.
     pub fn run(&mut self) -> RunSummary {
         self.run_until(SimTime::MAX)
     }
 
-    /// Run until virtual time `deadline` (events after it stay queued), a
-    /// chare calls `exit`, or the event cap is hit.
+    /// Run until virtual time `deadline` (events after it stay queued) or a
+    /// chare calls `exit`.
     ///
-    /// With [`RuntimeBuilder::threads`] > 1 and no deadline, the run is
-    /// sharded across OS worker threads when every feature in use is
-    /// parallel-safe (see [`Runtime::last_run_parallel`]); results are
-    /// byte-identical to sequential execution either way.
+    /// The engine: one event heap drained in α-windows. Events execute in
+    /// windows of width `win_ns` (the minimum cross-PE latency α); reduction
+    /// folds and state-digest points happen at window boundaries.
     pub fn run_until(&mut self, deadline: SimTime) -> RunSummary {
-        if self.threads > 1 && deadline == SimTime::MAX && self.par.is_none() {
-            if let Some(plan) = self.parallel_plan() {
-                return self.run_parallel(plan);
-            }
-        }
-        self.last_run_parallel = false;
-        self.run_seq_until(deadline)
-    }
-
-    /// The sequential engine: conservative lookahead windows over one event
-    /// heap. Events execute in windows of width `win_ns` (the minimum
-    /// cross-PE latency α); reduction folds and state-digest points happen
-    /// at window boundaries. Parallel workers run this same loop per shard
-    /// (via [`Runtime::drain_window`]) with identical window geometry —
-    /// that shared geometry is what makes parallel results byte-identical.
-    pub(crate) fn run_seq_until(&mut self, deadline: SimTime) -> RunSummary {
         self.ctrl_snapshot = self.ctrl.snapshot();
         let wall_start = std::time::Instant::now();
         let mut batch: Vec<(u64, Ev)> = Vec::new();
-        while self.events_processed < self.max_events {
+        loop {
             let Some(t) = self.events.peek_time() else {
                 // Quiet heap, but buffered contributions can still complete
                 // a reduction whose callback re-seeds the heap.
@@ -1182,9 +1072,7 @@ impl Runtime {
                 break;
             }
             if t >= self.cur_win_end {
-                // `exit` drains the current window, then stops (parallel
-                // shards can't stop mid-window, so sequential must not
-                // either).
+                // `exit` drains the current window, then stops.
                 if self.exit_requested {
                     break;
                 }
@@ -1193,24 +1081,20 @@ impl Runtime {
                 // to the one containing `t`. With α-sized windows this is
                 // the common case and keeps boundary cost off the hot path.
                 if self.pending_contribs.is_empty() && !self.digest_due() {
-                    let w = self.win_end_after(t);
-                    self.sync_windows += 1;
-                    self.sync_width_ns += w.0.saturating_sub(self.cur_win_end.0);
-                    self.cur_win_end = w;
+                    self.windows_executed += 1;
+                    self.cur_win_end = self.win_end_after(t);
                 } else {
                     self.boundary_work();
                     // The fold may have scheduled callbacks earlier than
                     // `t`; re-aim the window at the true next event.
                     if let Some(t2) = self.events.peek_time() {
-                        let w = self.win_end_after(t2);
-                        self.sync_windows += 1;
-                        self.sync_width_ns += w.0.saturating_sub(self.cur_win_end.0);
-                        self.cur_win_end = w;
+                        self.windows_executed += 1;
+                        self.cur_win_end = self.win_end_after(t2);
                     }
                     continue;
                 }
             }
-            self.drain_batch_at(t, deadline, &mut batch);
+            self.drain_batch_at(t, &mut batch);
         }
         if deadline != SimTime::MAX && !self.exit_requested {
             self.now = self.now.max(deadline);
@@ -1222,47 +1106,19 @@ impl Runtime {
     /// Pop and dispatch the whole event batch at timestamp `t`. All events
     /// sharing the head timestamp are popped in one batch (one buffer,
     /// reused across timesteps) instead of a peek+pop pair per event, in
-    /// ascending key order — the same total `(time, key)` order whether the
-    /// events were produced by one shard or by the sequential engine.
-    fn drain_batch_at(&mut self, t: SimTime, deadline: SimTime, batch: &mut Vec<(u64, Ev)>) {
+    /// ascending key order — the total `(time, key)` dispatch order.
+    fn drain_batch_at(&mut self, t: SimTime, batch: &mut Vec<(u64, Ev)>) {
         debug_assert!(t >= self.now, "time went backwards");
-        debug_assert!(t <= deadline);
         self.now = t;
         self.events.pop_batch_at_seq_into(t, batch);
-        let mut drain = batch.drain(..);
-        for (key, ev) in drain.by_ref() {
+        for (key, ev) in batch.drain(..) {
             self.events_processed += 1;
             self.cur_dispatch = (t.0, key);
             self.dispatch(ev);
             self.maybe_detect_quiescence();
-            if self.events_processed >= self.max_events {
-                break;
-            }
-        }
-        // Event-cap stop mid-batch: unprocessed ties go back under their
-        // original keys, so a later resumed run (interop's `clear_exit`)
-        // pops them in the exact pre-batch order.
-        for (key, ev) in drain {
-            self.events.restore(t, key, ev);
         }
     }
 
-    /// Process every queued event strictly before `w_end` (one conservative
-    /// window). The parallel worker loop drives this per shard.
-    pub(crate) fn drain_window(&mut self, w_end: SimTime, batch: &mut Vec<(u64, Ev)>) {
-        while let Some(t) = self.events.peek_time() {
-            if t >= w_end {
-                break;
-            }
-            self.drain_batch_at(t, SimTime::MAX, batch);
-        }
-        self.cur_win_end = w_end;
-    }
-
-    /// Window-boundary bookkeeping: fold buffered reduction contributions
-    /// and emit a state-digest point when one is due. The boundary sequence
-    /// (and thus the fold and digest points) is identical in sequential and
-    /// parallel mode.
     /// Is a periodic state-digest point due at the next window boundary?
     fn digest_due(&self) -> bool {
         self.recorder.as_ref().is_some_and(|r| {
@@ -1272,7 +1128,9 @@ impl Runtime {
         })
     }
 
-    pub(crate) fn boundary_work(&mut self) {
+    /// Window-boundary bookkeeping: fold buffered reduction contributions
+    /// and emit a state-digest point when one is due.
+    fn boundary_work(&mut self) {
         let boundary = self.cur_win_end;
         self.fold_contributions();
         let due = self.recorder.as_ref().and_then(|r| {
@@ -1289,9 +1147,9 @@ impl Runtime {
         }
     }
 
-    /// End of the lookahead window containing `t`: the next multiple of
-    /// `win_ns` strictly after it.
-    pub(crate) fn win_end_after(&self, t: SimTime) -> SimTime {
+    /// End of the α-window containing `t`: the next multiple of `win_ns`
+    /// strictly after it.
+    fn win_end_after(&self, t: SimTime) -> SimTime {
         let w = self.win_ns;
         SimTime((t.0 / w).saturating_add(1).saturating_mul(w))
     }
@@ -1367,22 +1225,15 @@ impl Runtime {
             alloc_bypass: crate::arena::stats()
                 .bypass
                 .saturating_sub(self.arena_base.bypass),
-            windows_executed: self.sync_windows,
-            barriers_waited: self.sync_waits,
-            barriers_elided: self.sync_elided,
-            avg_window_width: if self.sync_windows > 0 {
-                self.sync_width_ns as f64 / self.sync_windows as f64
-            } else {
-                0.0
-            },
+            windows_executed: self.windows_executed,
+            barriers_waited: 0,
+            barriers_elided: 0,
         }
     }
 
     fn dispatch(&mut self, ev: Ev) {
         // Events produced while handling this one are charged to the
-        // handling PE's key slot (RTS slot for runtime-system events), so a
-        // shard that owns the PE allocates exactly the keys the sequential
-        // engine would.
+        // handling PE's key slot (RTS slot for runtime-system events).
         self.cur_slot = match &ev {
             Ev::Deliver { pe, .. } | Ev::PeFree { pe } | Ev::PeRetry { pe } => *pe,
             Ev::MigrateArrive(m) => m.to_pe,
@@ -1546,18 +1397,8 @@ impl Runtime {
         self.events.push_keyed(t, k, ev);
     }
 
-    /// Schedule a message delivery under its envelope key. In shard mode,
-    /// deliveries to PEs owned by another shard are buffered in the outbox
-    /// and exchanged at the next window barrier; the ingesting shard counts
-    /// them in flight.
+    /// Schedule a message delivery under its envelope key.
     pub(crate) fn sched_deliver(&mut self, t: SimTime, pe: usize, env: Box<Envelope>) {
-        if let Some(par) = &mut self.par {
-            if pe < par.lo || pe >= par.hi {
-                let shard = par.shard_of(pe);
-                par.outbox[shard].push((t, pe, env));
-                return;
-            }
-        }
         self.inflight += 1;
         let k = env.rec_id;
         self.events.push_keyed(t, k, Ev::Deliver { pe, env });
@@ -1574,12 +1415,6 @@ impl Runtime {
         // exist yet (dynamic insertion / migration in transit).
         match store.locate(&ix) {
             None => {
-                assert!(
-                    self.par.is_none(),
-                    "message for nonexistent element {:?} in parallel mode \
-                     (dynamic insertion is sequential-only)",
-                    env.dst
-                );
                 self.limbo.entry(env.dst).or_default().push(env);
                 return false;
             }
@@ -1725,8 +1560,7 @@ impl Runtime {
             r.end_exec();
         }
         // State-digest points are taken at window boundaries (see
-        // `boundary_work`), not here: a mid-window digest would observe a
-        // state no parallel schedule can reproduce.
+        // `boundary_work`), not here.
         true
     }
 
@@ -1770,26 +1604,6 @@ impl Runtime {
         actions: &mut Vec<Action>,
     ) {
         for action in actions.drain(..) {
-            if self.par.is_some() {
-                let unsupported = match &action {
-                    Action::AtSync => Some("at_sync"),
-                    Action::MigrateMe { .. } => Some("migrate_me"),
-                    Action::Insert { .. } => Some("insert"),
-                    Action::DestroyMe => Some("destroy_me"),
-                    Action::CtrlFeedback { .. } => Some("ctrl_feedback"),
-                    Action::MemCheckpoint { .. } => Some("mem_checkpoint"),
-                    Action::RequestLb => Some("request_lb"),
-                    Action::RequestQuiescence { .. } => Some("request_quiescence"),
-                    _ => None,
-                };
-                if let Some(name) = unsupported {
-                    panic!(
-                        "`{name}` is sequential-only; run with threads = 1 \
-                         (the parallel engine shards chare locations and \
-                         cannot move or create elements mid-run)"
-                    );
-                }
-            }
             match action {
                 Action::Send {
                     dst,
@@ -1855,21 +1669,10 @@ impl Runtime {
                 }
                 Action::Exit => self.exit_requested = true,
                 Action::Metric { name, value } => {
-                    if self.par.is_some() {
-                        // Buffered with the producing dispatch order; merged
-                        // back into sequential order after the run.
-                        self.metrics_buf.push(MetricSample {
-                            dispatch: self.cur_dispatch,
-                            name,
-                            at_secs: at.as_secs_f64(),
-                            value,
-                        });
-                    } else {
-                        self.metrics
-                            .entry(name)
-                            .or_default()
-                            .push((at.as_secs_f64(), value));
-                    }
+                    self.metrics
+                        .entry(name)
+                        .or_default()
+                        .push((at.as_secs_f64(), value));
                 }
                 Action::RequestQuiescence { cb } => {
                     assert!(self.qd.is_none(), "concurrent quiescence detections");
@@ -1894,12 +1697,7 @@ impl Runtime {
     pub(crate) fn route_and_schedule(&mut self, mut env: Box<Envelope>, at: SimTime) {
         let src = env.src_pe;
         let dst = env.dst;
-        let Some((true_pe, epoch)) = self.locate_global(dst) else {
-            assert!(
-                self.par.is_none(),
-                "send to nonexistent element {dst:?} in parallel mode \
-                 (dynamic insertion is sequential-only)"
-            );
+        let Some((true_pe, epoch)) = self.stores[dst.array.0 as usize].locate(&dst.ix) else {
             self.limbo.entry(dst).or_default().push(env);
             return;
         };
@@ -2003,8 +1801,11 @@ impl Runtime {
             .net
             .delay(0, 1.min(self.live_pes - 1), bytes, self.cur_dispatch.1 ^ TOKEN_AUX);
         let tree_delay = SimTime(level_cost.0 * depth);
-        for (ix, pe) in self.broadcast_targets(array) {
+        for ix in self.stores[array.0 as usize].indices() {
             let dst = ObjId { array, ix };
+            let Some(pe) = self.stores[array.0 as usize].element_pe(&ix) else {
+                continue;
+            };
             let rec_id = self.fresh_rec_id();
             if let Some(r) = &mut self.recorder {
                 r.note_origin(rec_id);
@@ -2029,9 +1830,8 @@ impl Runtime {
         }
     }
 
-    /// Buffer a contribution; reductions fold at window boundaries (in both
-    /// engines) so contributions from different shards combine in the exact
-    /// order the sequential engine dispatched the contributing entries.
+    /// Buffer a contribution; reductions fold at window boundaries, in the
+    /// order the contributing entries were dispatched.
     fn do_contribute(
         &mut self,
         array: ArrayId,
@@ -2056,9 +1856,8 @@ impl Runtime {
     }
 
     /// Fold every buffered contribution in dispatch order. Completion
-    /// callbacks allocate keys from the reduction slot, so the callback's
-    /// delivery order is reproducible regardless of which shard folds.
-    pub(crate) fn fold_contributions(&mut self) {
+    /// callbacks allocate keys from the reduction slot.
+    fn fold_contributions(&mut self) {
         if self.pending_contribs.is_empty() {
             return;
         }
@@ -2085,7 +1884,7 @@ impl Runtime {
             cp_end,
             cp_node,
         } = rec;
-        let expected = self.array_len_global(array);
+        let expected = self.stores[array.0 as usize].len();
         let done = {
             let entry = self
                 .reductions
@@ -2123,8 +1922,8 @@ impl Runtime {
             );
             let done = at + SimTime(hop.0 * depth);
             // Attribute the callback sends to the completing contributor's
-            // exec (identified by dispatch key — shard-independent), not to
-            // whatever exec happens to surround this boundary fold.
+            // exec (identified by dispatch key), not to whatever exec
+            // happens to surround this boundary fold.
             if let Some(r) = &mut self.recorder {
                 r.origin_dispatch = Some((rec_merge_t, merge_key));
             }
@@ -2161,7 +1960,7 @@ impl Runtime {
                 self.deliver_sys_tree(ObjId { array, ix }, ev, at, tree_depth);
             }
             Callback::BroadcastTo { array } => {
-                for (ix, _pe) in self.broadcast_targets(array) {
+                for ix in self.stores[array.0 as usize].indices() {
                     self.deliver_sys_tree(ObjId { array, ix }, ev.clone(), at, tree_depth);
                 }
             }
@@ -2182,7 +1981,7 @@ impl Runtime {
         at: SimTime,
         tree_depth: u64,
     ) {
-        let Some(pe) = self.element_pe_global(dst) else {
+        let Some(pe) = self.stores[dst.array.0 as usize].element_pe(&dst.ix) else {
             return;
         };
         let rec_id = self.fresh_rec_id();
@@ -2216,50 +2015,7 @@ impl Runtime {
         if let Some(tr) = &mut self.tracer {
             tr.on_msg_latency(local);
         }
-        if let Some(log) = &mut self.cb_log {
-            log.push((at + local).0);
-        }
         self.sched_deliver(at + local, pe, env);
-    }
-
-    // ----- location views (sequential store vs. shared parallel table) -------
-
-    /// Locate an element. Sequentially this is the store's live location;
-    /// in shard mode it is the run-global location table (locations are
-    /// frozen for the duration of a parallel run).
-    pub(crate) fn locate_global(&self, obj: ObjId) -> Option<(usize, u32)> {
-        match &self.par {
-            Some(par) => par.loc.locate(obj),
-            None => self.stores[obj.array.0 as usize].locate(&obj.ix),
-        }
-    }
-
-    /// PE hosting an element (global view; see [`Runtime::locate_global`]).
-    pub(crate) fn element_pe_global(&self, obj: ObjId) -> Option<usize> {
-        self.locate_global(obj).map(|(pe, _)| pe)
-    }
-
-    /// Number of elements in an array (global view).
-    pub(crate) fn array_len_global(&self, array: ArrayId) -> usize {
-        match &self.par {
-            Some(par) => par.loc.array_len(array),
-            None => self.stores[array.0 as usize].len(),
-        }
-    }
-
-    /// Sorted `(index, pe)` pairs of an array's elements (global view).
-    pub(crate) fn broadcast_targets(&self, array: ArrayId) -> Vec<(crate::Ix, usize)> {
-        match &self.par {
-            Some(par) => par.loc.targets(array),
-            None => {
-                let store = &self.stores[array.0 as usize];
-                store
-                    .indices()
-                    .into_iter()
-                    .filter_map(|ix| store.element_pe(&ix).map(|pe| (ix, pe)))
-                    .collect()
-            }
-        }
     }
 
     fn flush_limbo(&mut self, dst: ObjId) {
@@ -2308,9 +2064,7 @@ impl Runtime {
     // ----- quiescence ---------------------------------------------------------
 
     fn maybe_detect_quiescence(&mut self) {
-        // Shard counters are shard-local, so quiescence is undetectable from
-        // inside a shard; `request_quiescence` is sequential-only anyway.
-        if self.qd.is_none() || self.par.is_some() {
+        if self.qd.is_none() {
             return;
         }
         // `pending_contribs` guard: a buffered (not-yet-folded) reduction is

@@ -84,7 +84,7 @@ pub struct TraceConfig {
     /// counted, like ring records.
     pub ledger_capacity: usize,
     /// Maintain the online critical-path analyzer. Off by default: it holds
-    /// O(longest dependency chain) nodes and forces the sequential engine.
+    /// O(longest dependency chain) nodes.
     pub critical_path: bool,
 }
 
@@ -111,7 +111,7 @@ impl TraceConfig {
         }
     }
 
-    /// Enable the online critical-path analyzer (sequential engine only).
+    /// Enable the online critical-path analyzer.
     pub fn with_critical_path(mut self) -> Self {
         self.critical_path = true;
         self
@@ -379,9 +379,6 @@ impl NameTable {
 /// The per-PE rings remain the built-in retention sink (their drops are
 /// counted separately by [`Tracer::dropped_events`]); external sinks see
 /// every record regardless of ring capacity.
-///
-/// External sinks force the sequential engine (the sharded engine cannot
-/// replay the global arrival order without buffering the run).
 pub trait TraceSink: Send {
     /// Short stable identifier used in stats and reports.
     fn name(&self) -> &'static str;
@@ -433,13 +430,6 @@ impl Ring {
 
     fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
         self.buf[self.next..].iter().chain(self.buf[..self.next].iter())
-    }
-
-    /// Consume the ring into (records oldest-first, dropped count).
-    fn into_ordered(mut self) -> (Vec<TraceRecord>, u64) {
-        let n = self.next.min(self.buf.len());
-        self.buf.rotate_left(n);
-        (self.buf, self.dropped)
     }
 }
 
@@ -524,7 +514,7 @@ impl LogHist {
         Self::bucket_lo(QH_BUCKETS - 1)
     }
 
-    /// Fold another histogram in (shard merge).
+    /// Fold another histogram in.
     pub fn merge(&mut self, o: &LogHist) {
         for (a, b) in self.counts.iter_mut().zip(o.counts.iter()) {
             *a += b;
@@ -612,18 +602,6 @@ impl EntryAgg {
         let bucket = (64 - dur.as_nanos().max(1).leading_zeros() as usize).min(63);
         self.hist[bucket] += 1;
         self.qhist.add(dur.as_nanos());
-    }
-
-    /// Fold another aggregate in (shard merge); all fields commute.
-    fn merge(&mut self, o: &EntryAgg) {
-        self.count += o.count;
-        self.total += o.total;
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
-        for (a, b) in self.hist.iter_mut().zip(o.hist.iter()) {
-            *a += b;
-        }
-        self.qhist.merge(&o.qhist);
     }
 }
 
@@ -828,28 +806,6 @@ impl UtilTimeline {
             }
             v[b] += e - s;
             s = e;
-        }
-    }
-
-    /// Fold another timeline in (shard merge): both are widened to the
-    /// coarser of the two bin widths, then bins add element-wise. Folding
-    /// distributes over addition, so the merged timeline is byte-identical
-    /// to one that saw every interval itself.
-    fn absorb(&mut self, mut o: UtilTimeline) {
-        while self.bin_ns < o.bin_ns {
-            self.fold();
-        }
-        while o.bin_ns < self.bin_ns {
-            o.fold();
-        }
-        for (pe, v) in o.per_pe.into_iter().enumerate() {
-            let dst = &mut self.per_pe[pe];
-            if dst.len() < v.len() {
-                dst.resize(v.len(), 0);
-            }
-            for (i, x) in v.into_iter().enumerate() {
-                dst[i] += x;
-            }
         }
     }
 
@@ -1088,7 +1044,7 @@ impl Tracer {
     }
 
     /// Per-track dropped-record counts (PE tracks then the RTS track) —
-    /// the per-shard breakdown behind [`Tracer::dropped_events`].
+    /// the breakdown behind [`Tracer::dropped_events`].
     pub fn dropped_by_track(&self) -> Vec<u64> {
         self.rings.iter().map(|r| r.dropped).collect()
     }
@@ -1123,10 +1079,6 @@ impl Tracer {
             "trace sinks must be installed before the first traced event"
         );
         self.sinks.push(sink);
-    }
-
-    pub(crate) fn has_sinks(&self) -> bool {
-        !self.sinks.is_empty()
     }
 
     pub(crate) fn cp_enabled(&self) -> bool {
@@ -1189,78 +1141,6 @@ impl Tracer {
             by_entry,
             by_pe,
         })
-    }
-
-    /// Fold a shard tracer back in after a parallel run. The shard only
-    /// recorded on the PE tracks it owned (`lo..hi`, plus possibly the RTS
-    /// track on the coordinator shard), in dispatch order — so appending
-    /// its records track-by-track reproduces exactly what the sequential
-    /// engine would have pushed, including ring-overflow drop counts.
-    /// (External sinks and the critical-path analyzer force the sequential
-    /// engine, so shards never carry either.)
-    pub(crate) fn absorb_shard(&mut self, shard: Tracer, lo: usize, hi: usize) {
-        let Tracer {
-            rings,
-            profiles,
-            util,
-            comm,
-            msg_latency,
-            busy_state,
-            ledger,
-            ledger_total,
-            cfg: shard_cfg,
-            ..
-        } = shard;
-        for (track, ring) in rings.into_iter().enumerate() {
-            let (records, dropped) = ring.into_ordered();
-            for mut rec in records {
-                rec.seq = self.seq;
-                self.seq += 1;
-                self.rings[track].push(rec);
-            }
-            self.rings[track].dropped += dropped;
-        }
-        for (k, agg) in profiles {
-            self.profiles
-                .entry(k)
-                .or_insert_with(EntryAgg::new)
-                .merge(&agg);
-        }
-        self.util.absorb(util);
-        // Replay tracked cells through our capped add (each source PE's
-        // traffic lives on exactly one shard, in sequential order, so the
-        // kept-pair set matches a sequential run); shed counters carry over.
-        for c in comm.cells {
-            if let Some(&i) = self.comm.idx.get(&CommMatrix::key(c.src as usize, c.dst as usize)) {
-                let cell = &mut self.comm.cells[i as usize];
-                cell.bytes += c.bytes;
-                cell.msgs += c.msgs;
-            } else if self.comm.cap == 0 || (self.comm.deg[c.src as usize] as usize) < self.comm.cap
-            {
-                self.comm
-                    .idx
-                    .insert(CommMatrix::key(c.src as usize, c.dst as usize), self.comm.cells.len() as u32);
-                self.comm.deg[c.src as usize] += 1;
-                self.comm.cells.push(c);
-            } else {
-                self.comm.shed_msgs += c.msgs;
-                self.comm.shed_bytes += c.bytes;
-            }
-        }
-        self.comm.shed_msgs += comm.shed_msgs;
-        self.comm.shed_bytes += comm.shed_bytes;
-        self.msg_latency.merge(&msg_latency);
-        let hi = hi.min(self.busy_state.len());
-        self.busy_state[lo..hi].copy_from_slice(&busy_state[lo..hi]);
-        // Only the shard's retained ledger lines replay; compacted-away
-        // lines carry over as a count.
-        let cap = shard_cfg.ledger_capacity.max(1);
-        let retained = ledger.len().min(cap);
-        let skip = ledger.len() - retained;
-        for (t, line) in ledger.into_iter().skip(skip) {
-            self.ledger_line(t, line);
-        }
-        self.ledger_total += ledger_total - retained as u64;
     }
 
     // ----- recording hooks (crate-internal) --------------------------------
@@ -1739,8 +1619,7 @@ impl Runtime {
         }
 
         // Engine-throughput footer: real time spent simulating and the
-        // resulting events/sec, so every report doubles as a perf sample
-        // (cf. BENCH_engine.json for the standing benchmark matrix).
+        // resulting events/sec, so every report doubles as a perf sample.
         let s = self.summary();
         let _ = writeln!(
             out,
@@ -1752,17 +1631,7 @@ impl Runtime {
             "-- queues: {} op(s); arena: {} B recycled, {} allocator call(s) bypassed",
             s.queue_ops, s.arena_bytes, s.alloc_bypass
         );
-        // Window-adaptivity footer: how often the sharded engine advanced,
-        // how often it actually blocked, and how many α-cell edges it
-        // crossed for free — the observable for the adaptive-lookahead work.
-        let _ = writeln!(
-            out,
-            "-- windows: {} executed, avg width {}, {} wait(s), {} barrier(s) elided",
-            s.windows_executed,
-            fmt_secs(s.avg_window_width / 1e9),
-            s.barriers_waited,
-            s.barriers_elided
-        );
+        let _ = writeln!(out, "-- windows: {} executed", s.windows_executed);
         Some(out)
     }
 }

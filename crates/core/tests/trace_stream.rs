@@ -79,16 +79,12 @@ impl Chare for Chain {
 fn hopper_runtime(
     seed: u64,
     cfg: TraceConfig,
-    threads: usize,
     sinks: Vec<Box<dyn charm_core::TraceSink>>,
 ) -> Runtime {
-    let mut b = Runtime::builder(MachineConfig::homogeneous(4))
+    let mut rt = Runtime::builder(MachineConfig::homogeneous(4))
         .seed(seed)
-        .tracing(cfg);
-    if threads > 1 {
-        b = b.threads(threads);
-    }
-    let mut rt = b.build();
+        .tracing(cfg)
+        .build();
     for s in sinks {
         rt.add_trace_sink(s);
     }
@@ -120,7 +116,6 @@ fn streamed_files_byte_equal_in_memory_arrival_exporters() {
                 log_capacity: 1 << 20,
                 ..TraceConfig::default()
             },
-            1,
             vec![
                 Box::new(ChromeStreamSink::create(&jpath).unwrap()),
                 Box::new(CsvStreamSink::create(&cpath).unwrap()),
@@ -159,7 +154,6 @@ fn failed_writes_count_every_lost_record() {
     let mut rt = hopper_runtime(
         7,
         TraceConfig::default(),
-        1,
         vec![
             Box::new(ChromeStreamSink::create(full).unwrap()),
             Box::new(CsvStreamSink::create(full).unwrap()),
@@ -188,7 +182,6 @@ fn dropping_an_unfinished_runtime_completes_the_files() {
         let mut rt = hopper_runtime(
             11,
             TraceConfig::default(),
-            1,
             vec![
                 Box::new(ChromeStreamSink::create(&jpath).unwrap()),
                 Box::new(CsvStreamSink::create(&cpath).unwrap()),
@@ -222,7 +215,6 @@ fn summary_carries_drop_counts_and_sink_stats() {
             log_capacity: 16, // force ring shedding
             ..TraceConfig::default()
         },
-        1,
         vec![Box::new(CountingSink::new())],
     );
     let summary = rt.run();
@@ -274,7 +266,7 @@ fn critical_path_equals_makespan_on_serial_chain() {
 fn critical_path_never_exceeds_makespan() {
     for seed in [1u64, 5, 23] {
         let mut rt =
-            hopper_runtime(seed, TraceConfig::default().with_critical_path(), 1, vec![]);
+            hopper_runtime(seed, TraceConfig::default().with_critical_path(), vec![]);
         let summary = rt.run();
         let cp = rt.tracer().unwrap().critical_path().unwrap();
         let cp_ns = (cp.len_s * 1e9).round() as u64;
@@ -285,29 +277,6 @@ fn critical_path_never_exceeds_makespan() {
         );
         assert!(cp.len_s > 0.0);
     }
-}
-
-#[test]
-fn sinks_and_analyzer_force_the_sequential_engine() {
-    // Sinks write files in arrival order and the analyzer chains nodes
-    // across sends — both byte-level contracts hold only on the sequential
-    // engine, so the parallel planner must decline.
-    let mut with_sink =
-        hopper_runtime(7, TraceConfig::default(), 2, vec![Box::new(CountingSink::new())]);
-    with_sink.run();
-    assert!(!with_sink.last_run_parallel());
-
-    let mut with_cp = hopper_runtime(7, TraceConfig::default().with_critical_path(), 2, vec![]);
-    with_cp.run();
-    assert!(!with_cp.last_run_parallel());
-
-    // And the declined runs still match the sequential engine byte-for-byte.
-    let mut plain = hopper_runtime(7, TraceConfig::default(), 1, vec![]);
-    plain.run();
-    assert_eq!(
-        with_sink.trace_chrome_json().unwrap(),
-        plain.trace_chrome_json().unwrap()
-    );
 }
 
 proptest! {

@@ -201,11 +201,10 @@ impl<T> EventQueue<T> {
 
     /// Schedule `payload` at `time` under a caller-supplied tie-break key.
     ///
-    /// Same-time events pop in ascending `key` order. This is how the
-    /// sharded engine keeps one global total order: keys are allocated from
-    /// per-PE counters that advance identically whether the simulation runs
-    /// on one thread or many, so `(time, key)` is mode-independent where
-    /// the implicit insertion sequence is not. Keys must be unique among
+    /// Same-time events pop in ascending `key` order. The runtime allocates
+    /// keys from per-producer counters, so `(time, key)` depends only on who
+    /// produced an event, where the implicit insertion sequence depends on
+    /// everything pushed before it. Keys must be unique among
     /// live entries; mixing `push` and `push_keyed` in one queue is allowed
     /// only if the caller keeps the two key spaces disjoint.
     pub fn push_keyed(&mut self, time: SimTime, key: u64, payload: T) {
@@ -255,8 +254,8 @@ impl<T> EventQueue<T> {
     }
 
     /// [`pop_batch_at_into`](Self::pop_batch_at_into), but each payload is
-    /// paired with its tie-break sequence number so unprocessed entries can
-    /// be [`restore`](Self::restore)d in exactly their original position.
+    /// paired with its tie-break key (the dispatch order the runtime tags
+    /// contributions and replay records with).
     pub fn pop_batch_at_seq_into(&mut self, t: SimTime, out: &mut Vec<(u64, T)>) {
         out.clear();
         if self.peek_time() != Some(t) {
@@ -269,16 +268,6 @@ impl<T> EventQueue<T> {
                 self.recycle(items);
             }
         }
-    }
-
-    /// Re-insert an entry obtained from
-    /// [`pop_batch_at_seq_into`](Self::pop_batch_at_seq_into) under its
-    /// original `(time, seq)` key, so it pops exactly where repeated
-    /// [`pop`](Self::pop) would have placed it — ahead of any same-time
-    /// event pushed since the batch was taken. The caller must only pass
-    /// keys it popped (reusing a live key would break the total order).
-    pub fn restore(&mut self, t: SimTime, seq: u64, payload: T) {
-        self.insert(t, seq, payload);
     }
 
     /// Number of pending events.
@@ -308,9 +297,9 @@ impl<T> EventQueue<T> {
     }
 
     /// Remove every pending entry with its `(time, key)` coordinates, in
-    /// pop order. Used to partition a queue across shards; re-inserting the
-    /// entries elsewhere with [`push_keyed`](Self::push_keyed) preserves the
-    /// total order.
+    /// pop order (a failure rollback filters the queue this way);
+    /// re-inserting the entries with [`push_keyed`](Self::push_keyed)
+    /// preserves the total order.
     pub fn drain_entries(&mut self) -> Vec<(SimTime, u64, T)> {
         let mut out = Vec::with_capacity(self.len);
         while let Some((t, k, p)) = self.pop_entry() {
@@ -581,25 +570,6 @@ mod tests {
         q.pop_batch_at_into(SimTime::from_nanos(9), &mut buf);
         assert!(buf.is_empty());
         assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
-    fn restore_puts_leftovers_ahead_of_newer_ties() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(4);
-        q.push(t, "a");
-        q.push(t, "b");
-        let mut batch = Vec::new();
-        q.pop_batch_at_seq_into(t, &mut batch);
-        assert_eq!(batch.len(), 2);
-        // "c" arrives at the same timestamp while the batch is out.
-        q.push(t, "c");
-        // Only "a" was processed; "b" goes back with its original seq and
-        // must pop before "c", exactly as repeated pop() would have ordered.
-        let (seq_b, b) = batch.remove(1);
-        q.restore(t, seq_b, b);
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
     }
 
     #[test]

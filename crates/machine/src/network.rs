@@ -108,8 +108,8 @@ pub struct NetCounters {
 ///
 /// Jitter is a pure function of `(seed, token)` rather than a draw from a
 /// sequential RNG stream: every delay evaluation is independent of how many
-/// evaluations preceded it, so a simulation sharded across worker threads
-/// prices each message identically to the single-threaded run.
+/// evaluations preceded it, so a message's price does not depend on what
+/// else the run priced before it.
 pub struct NetworkModel {
     params: NetworkParams,
     torus: Option<Torus>,
@@ -135,24 +135,6 @@ impl NetworkModel {
             jitter_seed: seed ^ 0x006e_6574_776f_726b_u64,
             counters: NetCounters::default(),
         }
-    }
-
-    /// A copy of this model with zeroed counters — per-shard models start
-    /// from the same pricing function but account their own traffic.
-    pub fn fresh_counters_clone(&self) -> Self {
-        NetworkModel {
-            params: self.params.clone(),
-            torus: self.torus.clone(),
-            jitter_seed: self.jitter_seed,
-            counters: NetCounters::default(),
-        }
-    }
-
-    /// Fold another model's counters into this one (shard merge).
-    pub fn absorb_counters(&mut self, other: &NetworkModel) {
-        self.counters.remote_msgs += other.counters.remote_msgs;
-        self.counters.remote_bytes += other.counters.remote_bytes;
-        self.counters.local_msgs += other.counters.local_msgs;
     }
 
     /// Static parameters.
@@ -200,8 +182,8 @@ impl NetworkModel {
     }
 
     /// Worst-case lower bound of [`delay`](Self::delay) for any remote
-    /// message: the conservative-window width of the sharded engine. Every
-    /// cross-PE delivery takes at least this long after its send.
+    /// message: the runtime's α-window width. Every cross-PE delivery takes
+    /// at least this long after its send.
     pub fn min_remote_delay(&self) -> SimTime {
         let worst = self.params.alpha * (1.0 - self.params.jitter.clamp(0.0, 1.0));
         // 2 ns guard: SimTime × f64 rounds to the nearest nanosecond, so an
@@ -212,27 +194,6 @@ impl NetworkModel {
     /// Send-side CPU overhead charged to the sender for each message.
     pub fn send_overhead(&self) -> SimTime {
         self.params.injection_overhead
-    }
-
-    /// Lower bound of [`delay`](Self::delay) for the *specific* remote pair
-    /// `(src, dst)`, over every byte count and jitter draw. On a torus this
-    /// includes the pair's hop distance, so far-apart PEs get a strictly
-    /// wider bound than [`min_remote_delay`](Self::min_remote_delay) — the
-    /// per-shard-pair lookahead the sharded engine widens its windows with.
-    /// `src == dst` reports the local-delivery cost.
-    pub fn min_pair_delay(&self, src: usize, dst: usize) -> SimTime {
-        if src == dst {
-            return self.params.local_delivery;
-        }
-        let hop_cost = match &self.torus {
-            Some(t) if src < t.size() && dst < t.size() => {
-                SimTime(self.params.per_hop.0 * t.hops(src, dst) as u64)
-            }
-            _ => SimTime::ZERO,
-        };
-        let worst = (self.params.alpha + hop_cost) * (1.0 - self.params.jitter.clamp(0.0, 1.0));
-        // Same 2 ns rounding guard as `min_remote_delay`.
-        (self.params.injection_overhead + worst).saturating_sub(SimTime::from_nanos(2))
     }
 }
 
@@ -253,38 +214,6 @@ mod tests {
     fn bigger_messages_cost_more() {
         let mut n = NetworkModel::new(NetworkParams::infiniband(), 1);
         assert!(n.delay(0, 1, 10, 0) < n.delay(0, 1, 1_000_000, 0));
-    }
-
-    #[test]
-    fn pair_delay_bounds_actual_delay() {
-        // The pairwise bound must never exceed any actual delivery delay,
-        // for every preset, pair, payload, and jitter token — it is the
-        // safety floor of the sharded engine's adaptive windows.
-        let presets = [
-            NetworkParams::infiniband(),
-            NetworkParams::bgq_torus(vec![4, 4]),
-            NetworkParams::gemini_torus(vec![4, 2, 2]),
-            NetworkParams::ethernet_1g(),
-        ];
-        for p in presets {
-            let mut n = NetworkModel::new(p, 7);
-            for src in 0..8 {
-                for dst in 0..8 {
-                    if src == dst {
-                        continue;
-                    }
-                    let floor = n.min_pair_delay(src, dst);
-                    assert!(floor >= n.min_remote_delay());
-                    for (bytes, token) in [(0usize, 0u64), (8, 1), (4096, 99), (1 << 20, 12345)] {
-                        let d = n.delay(src, dst, bytes, token);
-                        assert!(
-                            d >= floor,
-                            "delay {d:?} under pair floor {floor:?} ({src}->{dst})"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -326,7 +255,7 @@ mod tests {
         let again = b.delay(0, 1, 1000, 0);
         assert_eq!(first, again);
         // Every jittered delay respects the conservative window bound.
-        let floor = a.fresh_counters_clone().min_remote_delay();
+        let floor = a.min_remote_delay();
         for tok in 0..100u64 {
             assert!(a.delay(0, 1, 0, tok) >= floor, "delay under min_remote_delay");
         }
@@ -355,13 +284,6 @@ mod tests {
         assert_eq!(c.local_msgs, 1);
         assert_eq!(c.remote_msgs, 2);
         assert_eq!(c.remote_bytes, 150);
-        // Shard bookkeeping: fresh clones start at zero and merge back.
-        let mut shard = n.fresh_counters_clone();
-        assert_eq!(shard.counters(), NetCounters::default());
-        shard.delay(0, 1, 30, 3);
-        n.absorb_counters(&shard);
-        assert_eq!(n.counters().remote_msgs, 3);
-        assert_eq!(n.counters().remote_bytes, 180);
     }
 
     #[test]

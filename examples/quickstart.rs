@@ -1,8 +1,7 @@
 //! Quickstart: the migratable-objects model in one file.
 //!
-//! Builds a small chare array, drives message-driven execution with a
-//! reduction, and then runs the same program on two OS worker threads.
-//! Run with:
+//! Builds a small chare array and drives message-driven execution with a
+//! reduction. Run with:
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -53,13 +52,9 @@ impl Chare for Squarer {
     }
 }
 
-/// Run the program on `threads` OS worker threads; returns the per-chare state
-/// digests so the two runs can be compared.
-fn run(threads: usize) -> Vec<(charm_rs::core::ObjId, u64)> {
-    // 1) A runtime over a simulated 8-PE machine. With `threads > 1` the
-    //    PEs are sharded across that many workers; results are
-    //    byte-identical to the one-thread run.
-    let mut rt = Runtime::builder(MachineConfig::homogeneous(8)).threads(threads).build();
+fn main() {
+    // 1) A runtime over a simulated 8-PE machine.
+    let mut rt = Runtime::builder(MachineConfig::homogeneous(8)).build();
 
     // 2) Over-decomposition: 32 chares on 8 PEs.
     let arr = rt.create_array::<Squarer>("squarers");
@@ -77,18 +72,10 @@ fn run(threads: usize) -> Vec<(charm_rs::core::ObjId, u64)> {
     let sum = rt.metric("sum_of_squares").last().expect("reduced").1;
     let expect: i64 = (0..32).map(|i| i * i).sum();
     println!(
-        "{threads} thread(s): sum of squares = {sum} (expected {expect}), \
+        "sum of squares = {sum} (expected {expect}), \
          {} entry methods in {} of virtual time",
         summary.entries, summary.end_time
     );
     assert_eq!(sum as i64, expect);
-    assert_eq!(rt.last_run_parallel(), threads > 1);
-    rt.state_digest()
-}
-
-fn main() {
-    // Genuine parallelism is the same `Chare` program on the runtime's own
-    // multi-worker engine, not a second programming model.
-    assert_eq!(run(1), run(2));
     println!("quickstart OK");
 }

@@ -1,11 +1,10 @@
 #!/bin/sh
 # Single-entry CI gate: release build, tier-1 tests (the root package),
 # the full workspace suite, clippy (warnings are errors; whole workspace,
-# all targets — root package, examples and tests included), the seven
-# end-to-end smokes (tracing, record/replay, engine throughput, runtime
-# overhead/METG, the elastic controller, streaming observability at scale,
-# and the charm-kv serving workload — the last five also validate the
-# committed BENCH_engine.json / BENCH_overhead.json / BENCH_elastic.json /
+# all targets — root package, examples and tests included), the five
+# end-to-end smokes (tracing, record/replay, the elastic controller,
+# streaming observability at scale, and the charm-kv serving workload — the
+# last three also validate the committed BENCH_elastic.json /
 # BENCH_scale.json / BENCH_service.json), and the repository benchmark at
 # smoke sizes.
 # Exits non-zero on the first failure.
@@ -29,12 +28,6 @@ sh scripts/trace_smoke.sh
 
 echo "==> replay smoke"
 sh scripts/replay_smoke.sh
-
-echo "==> bench smoke"
-sh scripts/bench_smoke.sh
-
-echo "==> overhead smoke"
-sh scripts/overhead_smoke.sh
 
 echo "==> elastic smoke"
 sh scripts/elastic_smoke.sh
