@@ -125,13 +125,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Uniform integer in `[0, n)`.
-    pub fn next_below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        // Multiply-shift; bias is < 2^-53 for the ranges the apps use.
-        ((self.next_f64() * n as f64) as u64).min(n - 1)
-    }
 }
 
 impl Pup for SplitMix64 {

@@ -56,14 +56,6 @@ impl<C: Chare> ArrayProxy<C> {
     pub fn id(&self) -> ArrayId {
         self.id
     }
-
-    /// Identity of element `ix` of this array.
-    pub fn elem(&self, ix: Ix) -> ObjId {
-        ObjId {
-            array: self.id,
-            ix,
-        }
-    }
 }
 
 impl<C: Chare> Clone for ArrayProxy<C> {
@@ -130,12 +122,8 @@ pub(crate) trait AnyArray: Send {
     #[allow(dead_code)] // part of the store interface; used by tests/tools
     fn contains(&self, ix: &Ix) -> bool;
     fn element_pe(&self, ix: &Ix) -> Option<usize>;
-    #[allow(dead_code)] // part of the store interface; used by tests/tools
-    fn element_epoch(&self, ix: &Ix) -> Option<u32>;
     /// `(pe, epoch)` in one lookup — the routing hot path's accessor.
     fn locate(&self, ix: &Ix) -> Option<(usize, u32)>;
-    #[allow(dead_code)] // part of the store interface; used by tests/tools
-    fn set_element_pe(&mut self, ix: &Ix, pe: usize);
     fn indices(&self) -> Vec<Ix>;
     /// Visit every element once, in sorted index order, as `(index, pe,
     /// chare state)` — the one walk behind state digests, checkpoints and
@@ -455,22 +443,8 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
         self.get(ix).map(|e| e.pe)
     }
 
-    fn element_epoch(&self, ix: &Ix) -> Option<u32> {
-        self.get(ix).map(|e| e.epoch)
-    }
-
     fn locate(&self, ix: &Ix) -> Option<(usize, u32)> {
         self.get(ix).map(|e| (e.pe, e.epoch))
-    }
-
-    fn set_element_pe(&mut self, ix: &Ix, pe: usize) {
-        let e = self
-            .get_mut(ix)
-            .unwrap_or_else(|| panic!("set_element_pe: no element {ix}"));
-        if e.pe != pe {
-            e.pe = pe;
-            e.epoch += 1;
-        }
     }
 
     fn indices(&self) -> Vec<Ix> {
@@ -645,14 +619,17 @@ mod tests {
 
     #[test]
     fn epoch_bumps_on_pe_change() {
+        // `unpack_insert` over a live element is the path that bumps the
+        // epoch; after a remove the element is new again.
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
         s.insert(Ix::i1(0), 0, Dummy::default());
-        assert_eq!(s.element_epoch(&Ix::i1(0)), Some(0));
-        s.set_element_pe(&Ix::i1(0), 1);
-        assert_eq!(s.element_epoch(&Ix::i1(0)), Some(1));
-        // setting to the same PE is not a migration
-        s.set_element_pe(&Ix::i1(0), 1);
-        assert_eq!(s.element_epoch(&Ix::i1(0)), Some(1));
+        assert_eq!(s.locate(&Ix::i1(0)), Some((0, 0)));
+        let bytes = s.pack_element(&Ix::i1(0)).unwrap();
+        s.unpack_insert(Ix::i1(0), 1, &bytes);
+        assert_eq!(s.locate(&Ix::i1(0)), Some((1, 1)));
+        assert!(s.remove_element(&Ix::i1(0)));
+        s.unpack_insert(Ix::i1(0), 2, &bytes);
+        assert_eq!(s.locate(&Ix::i1(0)), Some((2, 0)));
     }
 
     #[test]
@@ -774,7 +751,8 @@ mod tests {
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
         s.insert(Ix::i1(2), 3, Dummy::default());
         assert_eq!(s.locate(&Ix::i1(2)), Some((3, 0)));
-        s.set_element_pe(&Ix::i1(2), 4);
+        let bytes = s.pack_element(&Ix::i1(2)).unwrap();
+        s.unpack_insert(Ix::i1(2), 4, &bytes);
         assert_eq!(s.locate(&Ix::i1(2)), Some((4, 1)));
         assert_eq!(s.locate(&Ix::i1(99)), None);
     }

@@ -1,0 +1,406 @@
+//! Collectives over the `collective_arity`-ary spanning tree: how a tree
+//! hop is priced, the spanning broadcast, reductions (buffered, then folded
+//! at α-window boundaries), callback and system-event delivery, and
+//! quiescence detection.
+
+use crate::array::{ArrayId, ObjId, Payload};
+use crate::chare::{Callback, RedOp, RedValue, SysEvent};
+use crate::runtime::{Runtime, ENVELOPE_BYTES, TOKEN_AUX};
+use crate::trace::{CpMsg, CpNode};
+use charm_machine::SimTime;
+use std::any::Any;
+use std::sync::Arc;
+
+/// A buffered reduction contribution, folded at window boundaries.
+pub(crate) struct ContribRec {
+    /// Dispatch time of the entry method that contributed — the fold sorts
+    /// by `(merge_t, merge_key)` so values combine in dispatch order.
+    merge_t: u64,
+    /// Dispatch key of the contributing entry (see `Envelope::rec_id`).
+    merge_key: u64,
+    /// When the contributing entry completed (the contribution's own time).
+    at: SimTime,
+    array: ArrayId,
+    tag: u32,
+    value: RedValue,
+    op: RedOp,
+    cb: Callback,
+    /// Critical-path end (ns) and chain of the contributing entry, when the
+    /// analyzer is on (`(0, None)` otherwise).
+    cp_end: u64,
+    cp_node: Option<Arc<CpNode>>,
+}
+
+pub(crate) struct RedState {
+    expected: usize,
+    count: usize,
+    acc: Option<RedValue>,
+    op: RedOp,
+    cb: Callback,
+    bytes: usize,
+    /// Latest-finishing contributor's critical-path `(end_ns, chain)` — the
+    /// reduction completes no earlier than its slowest contributor, so the
+    /// completion callback chains from it. `(0, None)` when the analyzer is
+    /// off.
+    cp: (u64, Option<Arc<CpNode>>),
+}
+
+impl Runtime {
+    /// Depth of a `collective_arity`-ary spanning tree over the live PEs.
+    pub(crate) fn tree_depth(&self) -> u64 {
+        let p = self.live_pes.max(2) as f64;
+        p.log(self.collective_arity.max(2) as f64).ceil().max(1.0) as u64
+    }
+
+    /// Price of one spanning-tree hop carrying `bytes`: a neighbour-to-
+    /// neighbour message (a same-PE hop on a one-PE machine).
+    pub(crate) fn tree_hop(&mut self, bytes: usize, token: u64) -> SimTime {
+        self.net.delay(0, 1.min(self.live_pes - 1), bytes, token)
+    }
+
+    /// Cost of one spanning-tree barrier over the live PEs.
+    pub(crate) fn barrier_cost(&mut self) -> SimTime {
+        let hop = self.tree_hop(ENVELOPE_BYTES, self.cur_dispatch.1 ^ TOKEN_AUX);
+        SimTime(hop.0 * self.tree_depth())
+    }
+
+    /// Spanning-tree broadcast: each level adds one message latency and
+    /// all leaves receive after `tree_depth()` hops (idealized balanced
+    /// tree). `src` names the sending chare (`None` from the host) and
+    /// `token` the jitter draw of the hop.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn spanning_broadcast(
+        &mut self,
+        array: ArrayId,
+        make: &dyn Fn() -> Box<dyn Any + Send>,
+        bytes: usize,
+        prio: i64,
+        src: Option<ObjId>,
+        src_pe: usize,
+        at: SimTime,
+        token: u64,
+    ) {
+        let depth = self.tree_depth();
+        let tree_delay = SimTime(self.tree_hop(bytes, token).0 * depth);
+        for ix in self.stores[array.0 as usize].indices() {
+            let dst = ObjId { array, ix };
+            let Some(pe) = self.stores[array.0 as usize].element_pe(&ix) else {
+                continue;
+            };
+            let cp = self.cp_msg(at);
+            let env = self.mint(dst, Payload::User(make()), bytes, prio, src_pe, src, cp);
+            if let Some(r) = &mut self.recorder {
+                r.on_routed(env.rec_id, bytes, src_pe, pe, depth, 0);
+            }
+            self.bytes_moved += bytes as u64;
+            if let Some(tr) = &mut self.tracer {
+                tr.on_send(at, src_pe, pe, dst, bytes);
+                tr.on_msg_latency(tree_delay);
+            }
+            self.sched_deliver(at + tree_delay, pe, env);
+        }
+    }
+
+    /// Buffer a contribution; reductions fold at window boundaries, in the
+    /// order the contributing entries were dispatched.
+    pub(crate) fn contribute(
+        &mut self,
+        array: ArrayId,
+        tag: u32,
+        value: RedValue,
+        op: RedOp,
+        cb: Callback,
+        at: SimTime,
+    ) {
+        self.pending_contribs.push(ContribRec {
+            merge_t: self.cur_dispatch.0,
+            merge_key: self.cur_dispatch.1,
+            at,
+            array,
+            tag,
+            value,
+            op,
+            cb,
+            cp_end: self.cur_cp.as_ref().map_or(0, |n| n.end_ns),
+            cp_node: self.cur_cp.clone(),
+        });
+    }
+
+    /// Fold every buffered contribution in dispatch order. Completion
+    /// callbacks allocate keys from the reduction slot.
+    pub(crate) fn fold_contributions(&mut self) {
+        if self.pending_contribs.is_empty() {
+            return;
+        }
+        let saved_slot = self.cur_slot;
+        self.cur_slot = self.red_slot();
+        let mut recs = std::mem::take(&mut self.pending_contribs);
+        recs.sort_by_key(|r| (r.merge_t, r.merge_key));
+        for rec in recs {
+            self.fold_one(rec);
+        }
+        self.cur_slot = saved_slot;
+    }
+
+    fn fold_one(&mut self, rec: ContribRec) {
+        let ContribRec {
+            merge_t,
+            merge_key,
+            at,
+            array,
+            tag,
+            value,
+            op,
+            cb,
+            cp_end,
+            cp_node,
+        } = rec;
+        let expected = self.stores[array.0 as usize].len();
+        let done = {
+            let entry = self
+                .reductions
+                .entry((array, tag))
+                .or_insert_with(|| RedState {
+                    expected,
+                    count: 0,
+                    acc: None,
+                    op,
+                    cb,
+                    bytes: value.wire_size(),
+                    cp: (0, None),
+                });
+            assert_eq!(entry.op, op, "mixed reduction ops for tag {tag}");
+            entry.count += 1;
+            entry.acc = Some(match entry.acc.take() {
+                None => value,
+                Some(acc) => entry.op.combine(acc, &value),
+            });
+            if cp_end >= entry.cp.0 && cp_node.is_some() {
+                entry.cp = (cp_end, cp_node);
+            }
+            entry.count >= entry.expected
+        };
+        if done {
+            let st = self.reductions.remove(&(array, tag)).expect("just there");
+            let value = st.acc.expect("at least one contribution");
+            // k-ary spanning tree: log_k(P) combine hops of the value size.
+            let depth = self.tree_depth();
+            let hop = self.tree_hop(st.bytes + ENVELOPE_BYTES, merge_key ^ TOKEN_AUX);
+            let done = at + SimTime(hop.0 * depth);
+            // Attribute the callback sends to the completing contributor's
+            // exec (identified by dispatch key), not to whatever exec
+            // happens to surround this boundary fold.
+            if let Some(r) = &mut self.recorder {
+                r.origin_dispatch = Some((merge_t, merge_key));
+            }
+            // The callback's critical path chains from the latest-finishing
+            // contributor (the reduction could not complete before it).
+            if st.cp.1.is_some() {
+                self.cp_carry = Some((st.cp.0, st.cp.1));
+            }
+            self.deliver_callback_tree(st.cb, SysEvent::Reduction { tag, value }, done, depth);
+            self.cp_carry = None;
+            if let Some(r) = &mut self.recorder {
+                r.origin_dispatch = None;
+            }
+        }
+    }
+
+    pub(crate) fn deliver_callback(&mut self, cb: Callback, ev: SysEvent, at: SimTime) {
+        self.deliver_callback_tree(cb, ev, at, 0);
+    }
+
+    /// Like [`Runtime::deliver_callback`], but tags the delivery with the
+    /// spanning-tree depth whose latency the caller folded into `at`, so a
+    /// recorded what-if replay can re-price the collective on a different
+    /// network.
+    fn deliver_callback_tree(&mut self, cb: Callback, ev: SysEvent, at: SimTime, tree_depth: u64) {
+        match cb {
+            Callback::ToChare { array, ix } => {
+                self.deliver_sys_tree(ObjId { array, ix }, ev, at, tree_depth);
+            }
+            Callback::BroadcastTo { array } => self.deliver_sys_to_all(array, &ev, at, tree_depth),
+            Callback::Ignore => {}
+        }
+    }
+
+    /// Deliver a system event to one chare at `at` (local-queue cost only;
+    /// collective costs are charged by callers).
+    pub(crate) fn deliver_sys(&mut self, dst: ObjId, ev: SysEvent, at: SimTime) {
+        self.deliver_sys_tree(dst, ev, at, 0);
+    }
+
+    /// Deliver `ev` to every current element of `array`, in index order.
+    pub(crate) fn deliver_sys_to_all(
+        &mut self,
+        array: ArrayId,
+        ev: &SysEvent,
+        at: SimTime,
+        tree_depth: u64,
+    ) {
+        for ix in self.stores[array.0 as usize].indices() {
+            self.deliver_sys_tree(ObjId { array, ix }, ev.clone(), at, tree_depth);
+        }
+    }
+
+    fn deliver_sys_tree(&mut self, dst: ObjId, ev: SysEvent, at: SimTime, tree_depth: u64) {
+        let Some(pe) = self.stores[dst.array.0 as usize].element_pe(&dst.ix) else {
+            return;
+        };
+        // Reduction-completion callbacks chain from the latest-finishing
+        // contributor (`cp_carry`); other system events root a fresh chain
+        // at their scheduled time.
+        let cp = if self.tracer.as_ref().is_some_and(|t| t.cp_enabled()) {
+            Some(Box::new(CpMsg {
+                from: self.cp_carry.as_ref().and_then(|(_, n)| n.clone()),
+                cp_end: self.cp_carry.as_ref().map_or(at.as_nanos(), |(e, _)| *e),
+                sent_at: at,
+            }))
+        } else {
+            None
+        };
+        // `i64::MIN + 1`: system events run promptly.
+        let env = self.mint(dst, Payload::Sys(ev), ENVELOPE_BYTES, i64::MIN + 1, pe, None, cp);
+        if let Some(r) = &mut self.recorder {
+            r.on_routed(env.rec_id, ENVELOPE_BYTES, pe, pe, tree_depth, 0);
+        }
+        let local = self.net.params().local_delivery;
+        if let Some(tr) = &mut self.tracer {
+            tr.on_msg_latency(local);
+        }
+        self.sched_deliver(at + local, pe, env);
+    }
+
+    // ----- quiescence ---------------------------------------------------------
+
+    pub(crate) fn maybe_detect_quiescence(&mut self) {
+        if self.qd.is_none() {
+            return;
+        }
+        // `pending_contribs` guard: a buffered (not-yet-folded) reduction is
+        // outstanding work even though no message carries it yet.
+        if self.inflight == 0
+            && self.queued == 0
+            && self.busy_pes == 0
+            && self.pending_contribs.is_empty()
+        {
+            let cb = self.qd.take().expect("checked");
+            // Two waves of a spanning-tree counting algorithm.
+            let depth = self.tree_depth() * 2;
+            let done = self.now + SimTime(self.barrier_cost().0 * 2);
+            self.deliver_callback_tree(cb, SysEvent::QuiescenceDetected, done, depth);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ArrayProxy, Callback, Chare, Ctx, Ix, RedOp, RedValue, Runtime, SysEvent};
+    use charm_pup::Puper;
+
+    /// Reduction test: N contributors sum their indices to a root chare.
+    #[derive(Default)]
+    struct Summer {
+        n: i64,
+        is_root: bool,
+        got: Option<f64>,
+    }
+    impl charm_pup::Pup for Summer {
+        fn pup(&mut self, p: &mut Puper) {
+            p.p(&mut self.n);
+            p.p(&mut self.is_root);
+        }
+    }
+    impl Chare for Summer {
+        type Msg = u8;
+        fn on_message(&mut self, _m: u8, ctx: &mut Ctx<'_>) {
+            let proxy = ArrayProxy::<Summer>::new(ctx.my_id().array);
+            ctx.contribute(
+                proxy,
+                1,
+                RedValue::F64(self.n as f64),
+                RedOp::Sum,
+                Callback::ToChare {
+                    array: ctx.my_id().array,
+                    ix: Ix::i1(0),
+                },
+            );
+        }
+        fn on_event(&mut self, ev: SysEvent, ctx: &mut Ctx<'_>) {
+            if let SysEvent::Reduction { tag, value } = ev {
+                assert_eq!(tag, 1);
+                assert!(self.is_root);
+                self.got = Some(value.as_f64());
+                ctx.log_metric("sum", value.as_f64());
+                ctx.exit();
+            }
+        }
+    }
+
+    #[test]
+    fn reduction_sums_all_contributions() {
+        let mut rt = Runtime::homogeneous(4);
+        let arr = rt.create_array::<Summer>("sum");
+        for i in 0..10 {
+            rt.insert(
+                arr,
+                Ix::i1(i),
+                Summer {
+                    n: i,
+                    is_root: i == 0,
+                    got: None,
+                },
+                None,
+            );
+        }
+        rt.broadcast(arr, 0u8);
+        rt.run();
+        let m = rt.metric("sum");
+        assert_eq!(m.len(), 1);
+        assert_eq!(m[0].1, 45.0);
+    }
+
+    #[test]
+    fn quiescence_detected_after_messages_drain() {
+        #[derive(Default)]
+        struct Q {
+            waiting: bool,
+        }
+        impl charm_pup::Pup for Q {
+            fn pup(&mut self, p: &mut Puper) {
+                p.p(&mut self.waiting);
+            }
+        }
+        impl Chare for Q {
+            type Msg = u8;
+            fn on_message(&mut self, m: u8, ctx: &mut Ctx<'_>) {
+                if m == 1 {
+                    // fan out some work, then request QD
+                    let proxy = ArrayProxy::<Q>::new(ctx.my_id().array);
+                    for i in 1..5 {
+                        ctx.send(proxy, Ix::i1(i), 0u8);
+                    }
+                    self.waiting = true;
+                    ctx.request_quiescence(ctx.cb_self());
+                } else {
+                    ctx.work(10_000.0);
+                }
+            }
+            fn on_event(&mut self, ev: SysEvent, ctx: &mut Ctx<'_>) {
+                if matches!(ev, SysEvent::QuiescenceDetected) {
+                    assert!(self.waiting);
+                    ctx.log_metric("qd", 1.0);
+                    ctx.exit();
+                }
+            }
+        }
+        let mut rt = Runtime::homogeneous(2);
+        let arr = rt.create_array::<Q>("q");
+        for i in 0..5 {
+            rt.insert(arr, Ix::i1(i), Q::default(), None);
+        }
+        rt.send(arr, Ix::i1(0), 1u8);
+        rt.run();
+        assert_eq!(rt.metric("qd").len(), 1);
+    }
+}

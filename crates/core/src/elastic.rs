@@ -316,19 +316,13 @@ impl Runtime {
     /// unrecoverable verdict takes precedence).
     pub(crate) fn note_capacity(&mut self, reason: &str) {
         let have = self.alive_pes();
-        self.metrics
-            .entry("capacity".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), have as f64));
+        self.journal("capacity", self.now, have as f64);
         let floor = self.capacity_floor();
         if have < floor && self.degraded.is_none() && self.unrecoverable.is_none() {
             if let Some(tr) = &mut self.tracer {
                 tr.rts(self.now, TraceEventKind::DegradedCapacity { have, floor });
             }
-            self.metrics
-                .entry("degraded".into())
-                .or_default()
-                .push((self.now.as_secs_f64(), have as f64));
+            self.journal("degraded", self.now, have as f64);
             self.degraded = Some(Degraded {
                 at: self.now,
                 have_pes: have,
@@ -378,10 +372,7 @@ impl Runtime {
         } else {
             0.0
         };
-        self.metrics
-            .entry("elastic_util".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), util));
+        self.journal("elastic_util", self.now, util);
 
         let obs = ElasticObs {
             now: self.now,
@@ -406,10 +397,7 @@ impl Runtime {
                         },
                     );
                 }
-                self.metrics
-                    .entry("elastic_decision".into())
-                    .or_default()
-                    .push((self.now.as_secs_f64(), target as f64));
+                self.journal("elastic_decision", self.now, target as f64);
                 self.on_reconfigure(target);
             }
         }

@@ -57,11 +57,6 @@ pub struct MemCheckpoint {
 }
 
 impl MemCheckpoint {
-    /// Total bytes across all chares.
-    pub fn total_bytes(&self) -> usize {
-        self.bytes.values().map(|b| b.len()).sum()
-    }
-
     /// Number of chares captured.
     pub fn num_chares(&self) -> usize {
         self.bytes.len()
@@ -70,13 +65,6 @@ impl MemCheckpoint {
     /// When the checkpoint was taken.
     pub fn taken_at(&self) -> SimTime {
         self.taken_at
-    }
-
-    /// The two PEs holding a chare's checkpoint copies: (owner, buddy).
-    /// Returns `None` for chares the checkpoint does not cover.
-    pub fn copy_pes(&self, obj: &ObjId) -> Option<(usize, usize)> {
-        let owner = *self.placement.get(obj)?;
-        Some((owner, buddy_pe(owner, self.num_pes)))
     }
 }
 
@@ -157,10 +145,7 @@ impl Runtime {
         });
         self.push_ev(done, Ev::CkptCommit);
         self.block_all_pes(done);
-        self.metrics
-            .entry("ckpt_time_s".into())
-            .or_default()
-            .push((at.as_secs_f64(), total.as_secs_f64()));
+        self.journal("ckpt_time_s", at, total.as_secs_f64());
     }
 
     /// Buddy replication finished: the pending snapshot becomes the
@@ -184,10 +169,7 @@ impl Runtime {
         if let Some(tr) = &mut self.tracer {
             tr.rts(self.now, TraceEventKind::CkptCommit);
         }
-        self.metrics
-            .entry("ckpt_committed".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), 1.0));
+        self.journal("ckpt_committed", self.now, 1.0);
         self.deliver_callback(p.cb, SysEvent::CheckpointDone, self.now);
     }
 
@@ -207,27 +189,6 @@ impl Runtime {
         }
         let at = self.now + interval;
         self.push_ev(at, Ev::AutoCkpt);
-    }
-
-    /// Cost of one spanning-tree barrier over the live PEs.
-    pub(crate) fn barrier_cost(&mut self) -> SimTime {
-        let depth = self.tree_depth();
-        let hop = self.net.delay(
-            0,
-            1.min(self.live_pes - 1),
-            ENVELOPE_BYTES,
-            self.cur_dispatch.1 ^ TOKEN_AUX,
-        );
-        SimTime(hop.0 * depth)
-    }
-
-    /// Block every live PE from starting new work until `until`, and make
-    /// sure idle PEs with queued work wake up then.
-    pub(crate) fn block_all_pes(&mut self, until: SimTime) {
-        for pe in 0..self.live_pes {
-            self.pes[pe].blocked_until = self.pes[pe].blocked_until.max(until);
-            self.push_ev(until, Ev::PeRetry { pe });
-        }
     }
 
     /// Handle a spot-preemption announcement: the node containing `pe` will
@@ -261,22 +222,12 @@ impl Runtime {
 
         // Evacuation cost model: each doomed PE streams its chares to the
         // survivors concurrently (max over doomed PEs), plus one barrier to
-        // agree the node is drained.
-        let mut evac: Vec<(usize, ObjId, Vec<u8>)> = Vec::new();
+        // agree the node is drained. Sized, not packed: a warning too short
+        // to use serialises nothing.
+        let evac = self.residents(|pe| doomed.contains(&pe));
         let mut per_pe_bytes = vec![0usize; self.machine.num_pes];
-        for s in self.stores.iter_mut() {
-            let array = s.id();
-            let first = evac.len();
-            s.visit_sorted(&mut |ix, pe, chare| {
-                if doomed.contains(&pe) {
-                    let b = charm_pup::to_bytes(chare);
-                    per_pe_bytes[pe] += b.len();
-                    evac.push((pe, ObjId { array, ix }, b));
-                }
-            });
-            // Drain order is per array, per doomed PE (ascending), per
-            // index: the round-robin placement below depends on it.
-            evac[first..].sort_by_key(|&(pe, ..)| pe);
+        for &(pe, _, size) in &evac {
+            per_pe_bytes[pe] += size;
         }
         let max_bytes = doomed
             .iter()
@@ -310,48 +261,22 @@ impl Runtime {
         if !proactive {
             // Warning too short (or nowhere to go): let the scheduled
             // NodeFail take the buddy-checkpoint restart path.
-            self.metrics
-                .entry("preempt_short".into())
-                .or_default()
-                .push((self.now.as_secs_f64(), doomed.len() as f64));
+            self.journal("preempt_short", self.now, doomed.len() as f64);
             return;
         }
 
-        // ---- proactive drain: migrate every chare off the node --------------
-        let n_chares = evac.len();
-        for (rr, (_, obj, bytes)) in evac.into_iter().enumerate() {
-            let target = survivors[rr % survivors.len()];
-            let store = &mut self.stores[obj.array.0 as usize];
-            store.remove_element(&obj.ix);
-            store.unpack_insert(obj.ix, target, &bytes);
-            self.bytes_moved += (bytes.len() + ENVELOPE_BYTES) as u64;
-        }
-        // Take the doomed PEs down: requeue their stranded envelopes (the
-        // evacuated chares will receive them at their new homes), release
-        // the busy accounting, and mark them dead.
-        let mut stranded = Vec::new();
-        for &p in &doomed {
-            let st = &mut self.pes[p];
-            self.queued -= st.pending.len() as u64;
-            while let Some(env) = st.pending.pop() {
-                stranded.push(env);
-            }
-            if st.busy {
-                st.busy = false;
-                st.current = None;
-                self.busy_pes -= 1;
-            }
-            st.alive = false;
-            if let Some(tr) = &mut self.tracer {
+        // ---- proactive drain: migrate every chare off the node, take the
+        // doomed PEs down, and send their stranded envelopes after the chares.
+        self.evacuate(&evac, &survivors);
+        let wire: usize = evac.iter().map(|&(.., size)| size + ENVELOPE_BYTES).sum();
+        self.bytes_moved += wire as u64;
+        self.take_down(&doomed);
+        if let Some(tr) = &mut self.tracer {
+            for &p in &doomed {
                 tr.pe_transition(self.now, p, false);
             }
         }
-        for c in self.loc_cache.iter_mut() {
-            c.clear();
-        }
-        for env in stranded {
-            self.route_and_schedule(env, self.now);
-        }
+        self.reroute_stranded(&doomed);
         let done = self.now + evac_cost;
         self.block_all_pes(done);
 
@@ -359,20 +284,14 @@ impl Runtime {
             tr.rts(
                 self.now,
                 TraceEventKind::Evacuation {
-                    chares: n_chares,
+                    chares: evac.len(),
                     first_pe: doomed[0],
                     num_pes: doomed.len(),
                 },
             );
         }
-        self.metrics
-            .entry("evacuations".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), doomed.len() as f64));
-        self.metrics
-            .entry("evacuation_cost_s".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), evac_cost.as_secs_f64()));
+        self.journal("evacuations", self.now, doomed.len() as f64);
+        self.journal("evacuation_cost_s", self.now, evac_cost.as_secs_f64());
         self.note_capacity("spot preemption evacuated the node");
     }
 
@@ -409,10 +328,7 @@ impl Runtime {
             if let Some(tr) = &mut self.tracer {
                 tr.rts(self.now, TraceEventKind::CkptAbort);
             }
-            self.metrics
-                .entry("ckpt_aborted".into())
-                .or_default()
-                .push((self.now.as_secs_f64(), pending.ckpt.taken_at.as_secs_f64()));
+            self.journal("ckpt_aborted", self.now, pending.ckpt.taken_at.as_secs_f64());
         }
         // Restart windows that have completed by now are fully rebuilt.
         let now = self.now;
@@ -450,10 +366,7 @@ impl Runtime {
             .count();
         if lost > 0 {
             self.mem_ckpt = Some(ckpt); // keep for post-mortem inspection
-            self.metrics
-                .entry("unrecoverable_failures".into())
-                .or_default()
-                .push((self.now.as_secs_f64(), lost as f64));
+            self.journal("unrecoverable_failures", self.now, lost as f64);
             self.kill_pes(&failed);
             self.mark_unrecoverable(
                 &failed,
@@ -497,9 +410,7 @@ impl Runtime {
         self.reductions.clear();
         self.qd = None;
         self.at_sync_seen = 0;
-        for c in self.loc_cache.iter_mut() {
-            c.clear();
-        }
+        self.flush_loc_caches();
 
         // ---- restore chare state from the checkpoint ------------------------
         // Chares whose checkpoint home is a retired PE are diverted: to the
@@ -567,15 +478,9 @@ impl Runtime {
             self.copy_missing.insert(p, done);
         }
 
-        self.metrics
-            .entry("restart_time_s".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), total.as_secs_f64()));
+        self.journal("restart_time_s", self.now, total.as_secs_f64());
         for &p in &failed {
-            self.metrics
-                .entry("failures_recovered".into())
-                .or_default()
-                .push((self.now.as_secs_f64(), p as f64));
+            self.journal("failures_recovered", self.now, p as f64);
         }
         self.note_capacity("node failure rolled the run back");
 
@@ -583,18 +488,9 @@ impl Runtime {
         self.mem_ckpt = Some(ckpt);
 
         // Tell everyone to resume from checkpointed state.
-        let first_failed = failed[0];
-        let arrays: Vec<_> = self.stores.iter().map(|s| s.id()).collect();
-        for array in arrays {
-            for ix in self.stores[array.0 as usize].indices() {
-                self.deliver_sys(
-                    ObjId { array, ix },
-                    SysEvent::Restarted {
-                        failed_pe: first_failed,
-                    },
-                    done,
-                );
-            }
+        let restarted = SysEvent::Restarted { failed_pe: failed[0] };
+        for array in self.stores.iter().map(|s| s.id()).collect::<Vec<_>>() {
+            self.deliver_sys_to_all(array, &restarted, done, 0);
         }
     }
 
@@ -614,23 +510,13 @@ impl Runtime {
     /// Kill PEs without recovery: drop their queues, release the busy
     /// accounting, and record the per-PE `unrecovered_failures` metric.
     fn kill_pes(&mut self, failed: &[usize]) {
+        self.take_down(failed);
         for &pe in failed {
-            let p = &mut self.pes[pe];
-            p.alive = false;
-            self.queued -= p.pending.len() as u64;
-            p.pending.clear();
-            if p.busy {
-                p.busy = false;
-                p.current = None;
-                self.busy_pes -= 1;
-            }
+            self.pes[pe].pending.clear();
             if let Some(tr) = &mut self.tracer {
                 tr.pe_transition(self.now, pe, false);
             }
-            self.metrics
-                .entry("unrecovered_failures".into())
-                .or_default()
-                .push((self.now.as_secs_f64(), pe as f64));
+            self.journal("unrecovered_failures", self.now, pe as f64);
         }
         self.note_capacity("node failure killed PEs without recovery");
     }
@@ -709,10 +595,7 @@ impl Runtime {
 
         let max_pe_bytes = per_pe.iter().copied().max().unwrap_or(0);
         let cost = self.machine.disk.write_time(self.live_pes, max_pe_bytes);
-        self.metrics
-            .entry("disk_ckpt_time_s".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), cost.as_secs_f64()));
+        self.journal("disk_ckpt_time_s", self.now, cost.as_secs_f64());
         Ok(DiskCkptInfo {
             virtual_cost: cost,
             bytes: out.len(),
@@ -769,19 +652,11 @@ impl Runtime {
         }
         let max_bytes = max_pe_bytes.iter().copied().max().unwrap_or(0);
         let cost = self.machine.disk.read_time(self.live_pes, max_bytes);
-        self.metrics
-            .entry("disk_restore_time_s".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), cost.as_secs_f64()));
+        self.journal("disk_restore_time_s", self.now, cost.as_secs_f64());
         Ok(DiskCkptInfo {
             virtual_cost: cost,
             bytes: data.len(),
         })
-    }
-
-    /// The last *committed* in-memory checkpoint, if any.
-    pub fn mem_checkpoint(&self) -> Option<&MemCheckpoint> {
-        self.mem_ckpt.as_ref()
     }
 
     /// Inject a failure of the node containing `pe` at virtual time `at`

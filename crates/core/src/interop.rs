@@ -50,12 +50,6 @@ impl CharmLib {
         (self.rt.now().saturating_sub(start), summary)
     }
 
-    /// Total virtual time of the interop program so far: host phases plus
-    /// charm-module phases.
-    pub fn total_time(&self) -> SimTime {
-        self.host_time + self.rt.now()
-    }
-
     /// Tear down and recover the runtime (CharmLibExit).
     pub fn exit(self) -> Runtime {
         self.rt

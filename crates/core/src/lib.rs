@@ -64,6 +64,7 @@
 pub mod arena;
 mod array;
 mod chare;
+mod collectives;
 pub mod ctrl;
 mod ctx;
 pub mod elastic;
@@ -72,8 +73,10 @@ mod index;
 pub mod interop;
 pub mod lbframework;
 mod malleable;
+mod placement;
 pub mod power;
 pub mod replay;
+mod routing;
 mod runtime;
 pub mod trace;
 mod tracefmt;
@@ -91,7 +94,8 @@ pub use interop::CharmLib;
 pub use lbframework::{LbRound, LbStats, LbTrigger, NullLb, ObjStat, Strategy};
 pub use power::DvfsScheme;
 pub use replay::{DigestPoint, ExecRec, PerturbConfig, ReplayConfig, ReplayLog, SendRec};
-pub use runtime::{HomeMap, RunSummary, Runtime, RuntimeBuilder, Unrecoverable, ENVELOPE_BYTES};
+pub use routing::HomeMap;
+pub use runtime::{RunSummary, Runtime, RuntimeBuilder, Unrecoverable, ENVELOPE_BYTES};
 pub use trace::{
     CriticalPath, EntryKind, EntrySlo, LogHist, NameTable, SinkStats, TraceConfig, TraceEventKind,
     TraceProfile, TraceRecord, TraceSink, Tracer,

@@ -23,10 +23,7 @@ impl Runtime {
         let requested = to;
         let to = to.clamp(floor, self.machine.num_pes);
         if to != requested {
-            self.metrics
-                .entry("reconfigure_rejected".into())
-                .or_default()
-                .push((self.now.as_secs_f64(), requested as f64));
+            self.journal("reconfigure_rejected", self.now, requested as f64);
         }
         if to == self.live_pes {
             return;
@@ -43,60 +40,19 @@ impl Runtime {
             if survivors.is_empty() {
                 // Every PE that would remain is already dead; shrinking
                 // would strand all evacuated chares. Refuse.
-                self.metrics
-                    .entry("reconfigure_rejected".into())
-                    .or_default()
-                    .push((self.now.as_secs_f64(), requested as f64));
+                self.journal("reconfigure_rejected", self.now, requested as f64);
                 return;
             }
-            let mut rr = 0usize;
-            let mut moved_bytes_max = 0usize;
-            for s in self.stores.iter_mut() {
-                let mut evac: Vec<(usize, crate::Ix)> = Vec::new();
-                s.visit_sorted(&mut |ix, pe, _chare| {
-                    if (to..old).contains(&pe) {
-                        evac.push((pe, ix));
-                    }
-                });
-                // Per retiring PE (ascending), per index: the round-robin
-                // placement depends on this order. Chares move one at a
-                // time so only one packed image is alive at once.
-                evac.sort_by_key(|&(pe, _)| pe);
-                for (_, ix) in evac {
-                    let bytes = s.pack_element(&ix).expect("listed element");
-                    moved_bytes_max = moved_bytes_max.max(bytes.len());
-                    let target = survivors[rr % survivors.len()];
-                    rr += 1;
-                    s.remove_element(&ix);
-                    s.unpack_insert(ix, target, &bytes);
-                }
-            }
-            // Requeue messages stranded on retiring PEs.
-            let mut stranded = Vec::new();
-            for pe in to..old {
-                self.queued -= self.pes[pe].pending.len() as u64;
-                while let Some(env) = self.pes[pe].pending.pop() {
-                    stranded.push(env);
-                }
-                if self.pes[pe].busy {
-                    // The process is torn down mid-entry: its PeFree event
-                    // still fires but finds the PE dead, so release the
-                    // busy accounting here or `busy_pes` leaks forever
-                    // (which would keep periodic ticks re-arming and the
-                    // run from ever draining).
-                    self.pes[pe].busy = false;
-                    self.pes[pe].current = None;
-                    self.busy_pes -= 1;
-                }
-                self.pes[pe].alive = false;
-            }
+            let retiring: Vec<usize> = (to..old).collect();
+            let evac = self.residents(|pe| (to..old).contains(&pe));
+            self.evacuate(&evac, &survivors);
+            // Requeue messages stranded on retiring PEs; the home map shrinks
+            // first, so their location queries go to surviving homes.
+            self.take_down(&retiring);
             self.live_pes = to;
-            for c in self.loc_cache.iter_mut() {
-                c.clear();
-            }
-            for env in stranded {
-                self.route_and_schedule(env, self.now);
-            }
+            self.reroute_stranded(&retiring);
+            // The transfer is priced by the largest single chare moved.
+            let moved_bytes_max = evac.iter().map(|&(.., size)| size).max().unwrap_or(0);
             let transfer = if moved_bytes_max > 0 {
                 let token = self.cur_dispatch.1 ^ crate::runtime::TOKEN_AUX;
                 self.net.delay(old - 1, 0, moved_bytes_max, token)
@@ -117,9 +73,7 @@ impl Runtime {
                 self.pes[pe].blocked_until = SimTime::ZERO;
             }
             self.live_pes = to;
-            for c in self.loc_cache.iter_mut() {
-                c.clear();
-            }
+            self.flush_loc_caches();
             let done = self.now + self.reconfig_overhead_expand;
             self.block_all_pes(done);
             self.rts_triggered_lb();
@@ -132,14 +86,8 @@ impl Runtime {
         if let Some(tr) = &mut self.tracer {
             tr.rts(self.now, TraceEventKind::Reconfigure { from, to });
         }
-        self.metrics
-            .entry("reconfigure".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), to as f64));
-        self.metrics
-            .entry("reconfigure_cost_s".into())
-            .or_default()
-            .push((self.now.as_secs_f64(), cost));
+        self.journal("reconfigure", self.now, to as f64);
+        self.journal("reconfigure_cost_s", self.now, cost);
         self.note_capacity("malleable reconfiguration");
     }
 }

@@ -1,0 +1,493 @@
+//! Placement: the one way a chare changes PE, and everything built on it —
+//! `MigrateMe` (the same move split across a network delay), draining a PE
+//! set for shrink and preemption, the global pause, the AtSync protocol and
+//! the load-balancing round.
+
+use crate::array::{ArrayId, ObjId};
+use crate::chare::SysEvent;
+use crate::lbframework::{LbRound, LbStats, LbTrigger, ObjStat};
+use crate::runtime::{Ev, MigrateArrive, Runtime, ENVELOPE_BYTES, TOKEN_AUX};
+use crate::trace::TraceEventKind;
+use charm_machine::SimTime;
+use std::collections::HashMap;
+
+/// Whether [`Runtime::collect_lb_stats`] resets the measurement windows
+/// (`Drain`, at the head of an LB round) or leaves them intact (`Peek`,
+/// for trigger logic that only inspects the imbalance).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StatsMode {
+    Peek,
+    Drain,
+}
+
+impl Runtime {
+    // ----- moving one chare ----------------------------------------------------
+
+    /// Pack `obj` and take it out of its store: the departure half of every
+    /// move.
+    fn uproot(&mut self, obj: ObjId) -> Vec<u8> {
+        let store = &mut self.stores[obj.array.0 as usize];
+        let image = store.pack_element(&obj.ix).expect("relocating an existing element");
+        store.remove_element(&obj.ix);
+        image
+    }
+
+    /// Move `obj` to PE `to` now — a real PUP round trip, which is what
+    /// migration does. Returns the packed image size; what the move costs
+    /// and which bytes it is charged are the caller's model.
+    pub(crate) fn relocate(&mut self, obj: ObjId, to: usize) -> usize {
+        let image = self.uproot(obj);
+        self.stores[obj.array.0 as usize].unpack_insert(obj.ix, to, &image);
+        image.len()
+    }
+
+    /// `MigrateMe`: the chare leaves now and arrives one network delay
+    /// later; messages that chase it meanwhile wait in limbo.
+    pub(crate) fn start_migration(&mut self, src: ObjId, to: usize, at: SimTime) {
+        let Some(from_pe) = self.stores[src.array.0 as usize].element_pe(&src.ix) else {
+            return;
+        };
+        let to = to.min(self.live_pes - 1);
+        if to == from_pe {
+            return;
+        }
+        let bytes = self.uproot(src);
+        let wire = bytes.len() + ENVELOPE_BYTES;
+        let delay = self.net.delay(from_pe, to, wire, self.cur_dispatch.1 ^ TOKEN_AUX);
+        self.bytes_moved += wire as u64;
+        self.inflight += 1;
+        if let Some(tr) = &mut self.tracer {
+            tr.rts(at, TraceEventKind::Migration { obj: src, from_pe, to_pe: to });
+        }
+        let arrive = MigrateArrive { dst: src, to_pe: to, from_pe, bytes };
+        self.push_ev(at + delay, Ev::MigrateArrive(Box::new(arrive)));
+    }
+
+    /// The arrival half of `MigrateMe`: unpack, tell the chare it moved,
+    /// then flush any messages parked while it was in transit.
+    pub(crate) fn on_migrate_arrive(&mut self, m: MigrateArrive) {
+        let MigrateArrive { dst, to_pe, from_pe, bytes } = m;
+        self.inflight -= 1;
+        self.stores[dst.array.0 as usize].unpack_insert(dst.ix, to_pe, &bytes);
+        self.deliver_sys(dst, SysEvent::Migrated { from_pe }, self.now);
+        self.flush_limbo(dst);
+    }
+
+    // ----- draining a PE set ---------------------------------------------------
+
+    /// Every chare hosted on a PE satisfying `on`, as `(pe, chare, packed
+    /// size)` in relocation order: per array, per PE ascending, per index.
+    /// Sizing is the first half of packing, so each size equals the length
+    /// of the image a later [`relocate`](Self::relocate) produces.
+    pub(crate) fn residents(&mut self, on: impl Fn(usize) -> bool) -> Vec<(usize, ObjId, usize)> {
+        let mut out = Vec::new();
+        for s in self.stores.iter_mut() {
+            let array = s.id();
+            let first = out.len();
+            s.visit_sorted(&mut |ix, pe, chare| {
+                if on(pe) {
+                    out.push((pe, ObjId { array, ix }, charm_pup::packed_size(chare)));
+                }
+            });
+            out[first..].sort_by_key(|&(pe, ..)| pe);
+        }
+        out
+    }
+
+    /// Relocate `residents` round-robin over `survivors`, one chare at a
+    /// time so only one packed image is alive at once. The counter runs
+    /// across arrays.
+    pub(crate) fn evacuate(&mut self, residents: &[(usize, ObjId, usize)], survivors: &[usize]) {
+        for (rr, &(_, obj, _)) in residents.iter().enumerate() {
+            self.relocate(obj, survivors[rr % survivors.len()]);
+        }
+    }
+
+    /// Take `pes` down: their queues stop counting as queued work, the
+    /// entry a PE was running is abandoned (its `PeFree` still fires but
+    /// finds the PE dead, so the busy accounting is released here or
+    /// `busy_pes` leaks and periodic ticks re-arm forever), and the PEs are
+    /// marked dead. The queued envelopes stay where they are for the caller
+    /// to re-route or drop.
+    pub(crate) fn take_down(&mut self, pes: &[usize]) {
+        for &pe in pes {
+            let p = &mut self.pes[pe];
+            self.queued -= p.pending.len() as u64;
+            if p.busy {
+                p.busy = false;
+                p.current = None;
+                self.busy_pes -= 1;
+            }
+            p.alive = false;
+        }
+    }
+
+    /// Send the envelopes stranded on dead `pes` after their destinations:
+    /// the chares were relocated first, so with the location caches flushed
+    /// routing finds each one's new home.
+    pub(crate) fn reroute_stranded(&mut self, pes: &[usize]) {
+        let mut stranded = Vec::new();
+        for &pe in pes {
+            while let Some(env) = self.pes[pe].pending.pop() {
+                stranded.push(env);
+            }
+        }
+        self.flush_loc_caches();
+        for env in stranded {
+            self.route_and_schedule(env, self.now);
+        }
+    }
+
+    /// Block every live PE from starting new work until `until`, and make
+    /// sure idle PEs with queued work wake up then.
+    pub(crate) fn block_all_pes(&mut self, until: SimTime) {
+        for pe in 0..self.live_pes {
+            self.pes[pe].blocked_until = self.pes[pe].blocked_until.max(until);
+            self.push_ev(until, Ev::PeRetry { pe });
+        }
+    }
+
+    // ----- AtSync load balancing ----------------------------------------------
+
+    /// One more chare reached its sync point; when all have, balance (or
+    /// skip) and resume them.
+    pub(crate) fn on_at_sync(&mut self, at: SimTime) {
+        self.at_sync_seen += 1;
+        let expected: usize = self
+            .stores
+            .iter()
+            .filter(|s| s.uses_at_sync())
+            .map(|s| s.len())
+            .sum();
+        if expected == 0 || self.at_sync_seen < expected {
+            return;
+        }
+        self.at_sync_seen = 0;
+        let skip = match self.lb_trigger {
+            LbTrigger::AtSync => false,
+            LbTrigger::Adaptive { min_imbalance } => {
+                self.collect_lb_stats(StatsMode::Peek).imbalance() < min_imbalance
+            }
+        };
+        if skip || self.lb.is_none() {
+            // Resume immediately: a barrier's worth of cost only.
+            let resume = at + self.barrier_cost();
+            // Loads must still be drained so the next window is fresh.
+            for s in self.stores.iter_mut() {
+                if s.uses_at_sync() {
+                    s.drain_loads();
+                }
+            }
+            self.resume_from_sync(resume);
+            return;
+        }
+        self.run_lb_round(at, true);
+    }
+
+    /// The single stats-collection path: both the LB-trigger peek and the
+    /// destructive collection at the head of an LB round go through here, so
+    /// instrumentation and load-accounting rules can't drift apart.
+    ///
+    /// `Peek` leaves the load windows intact and skips the communication
+    /// journal; `Drain` resets both (the round consumes the window).
+    pub(crate) fn collect_lb_stats(&mut self, mode: StatsMode) -> LbStats {
+        // Drain the communication journal (if tracked) in a deterministic
+        // order and aggregate per-sender totals.
+        let (comm, sent_by) = match mode {
+            StatsMode::Peek => (Vec::new(), HashMap::new()),
+            StatsMode::Drain => {
+                let mut comm: Vec<(ObjId, ObjId, u64)> = self
+                    .comm
+                    .drain()
+                    .map(|((a, b), v)| (a, b, v))
+                    .collect();
+                comm.sort_unstable_by(|x, y| {
+                    (x.0.array, x.0.ix, x.1.array, x.1.ix)
+                        .cmp(&(y.0.array, y.0.ix, y.1.array, y.1.ix))
+                });
+                let mut sent_by: HashMap<ObjId, u64> = HashMap::new();
+                for (a, _, v) in &comm {
+                    *sent_by.entry(*a).or_default() += v;
+                }
+                (comm, sent_by)
+            }
+        };
+
+        let mut objs = Vec::new();
+        for s in self.stores.iter_mut() {
+            if !s.uses_at_sync() {
+                continue;
+            }
+            let id = s.id();
+            let drained = s.drain_loads();
+            for (ix, pe, load, hint) in &drained {
+                let obj = ObjId { array: id, ix: *ix };
+                objs.push(ObjStat {
+                    id: obj,
+                    pe: *pe,
+                    load: if *load > 0.0 { *load } else { *hint * 1e-6 },
+                    bytes_sent: sent_by.get(&obj).copied().unwrap_or(0),
+                    msgs_sent: 0,
+                });
+            }
+            if matches!(mode, StatsMode::Peek) {
+                // Put the loads back (peek semantics).
+                for (ix, _pe, load, _h) in drained {
+                    s.add_load(&ix, load);
+                }
+            }
+        }
+        LbStats {
+            num_pes: self.live_pes,
+            pe_speed: (0..self.live_pes).map(|p| self.effective_speed(p)).collect(),
+            bg_load: vec![0.0; self.live_pes],
+            objs,
+            comm,
+        }
+    }
+
+    /// Collect stats (destructive), run the strategy, enact migrations, and
+    /// (optionally) deliver ResumeFromSync. Charges the modeled cost of the
+    /// whole round. Used by AtSync, RTS-triggered (thermal/cloud) LB, and
+    /// reconfiguration.
+    pub(crate) fn run_lb_round(&mut self, at: SimTime, resume: bool) {
+        let stats = self.collect_lb_stats(StatsMode::Drain);
+        let imbalance_before = stats.imbalance();
+
+        let Some(lb) = self.lb.as_mut() else {
+            if resume {
+                self.resume_from_sync(at);
+            }
+            return;
+        };
+        let assignment = lb.assign(&stats);
+        assert_eq!(assignment.len(), stats.objs.len());
+        let strategy_name = lb.name();
+        let distributed = lb.is_distributed();
+        let decision_work = lb.decision_cost(stats.objs.len(), self.live_pes);
+        if let Some(tr) = &mut self.tracer {
+            tr.rts(
+                at,
+                TraceEventKind::LbBegin {
+                    strategy: strategy_name,
+                    objs: stats.objs.len(),
+                },
+            );
+        }
+
+        // --- modeled cost of the LB round -----------------------------------
+        // One jitter draw prices the small hop; the gossip/scatter waves and
+        // the closing barrier all reuse it.
+        let depth = self.tree_depth();
+        let token = self.cur_dispatch.1 ^ TOKEN_AUX;
+        let small_hop = self.tree_hop(ENVELOPE_BYTES, token);
+        let collect_cost = if distributed {
+            // Gossip rounds exchange O(1)-size summaries.
+            SimTime(small_hop.0 * depth * 2)
+        } else {
+            // Centralized gather of all stats, then a scatter of decisions.
+            let gather = self.tree_hop(stats.objs.len() * 32, token);
+            SimTime(gather.0 + small_hop.0 * depth * 2)
+        };
+        let decision_cost = SimTime::from_secs_f64(decision_work / self.machine.flops_per_sec);
+
+        // --- enact migrations -------------------------------------------------
+        let mut migrations = 0usize;
+        let mut per_pe_out = vec![0usize; self.machine.num_pes];
+        let mut new_assignment: Vec<usize> = Vec::with_capacity(stats.objs.len());
+        for (obj, new_pe) in stats.objs.iter().zip(&assignment) {
+            let target = match new_pe {
+                Some(pe) => {
+                    assert!(*pe < self.live_pes, "{strategy_name} assigned dead PE {pe}");
+                    // Strategies see the live boundary, not liveness holes
+                    // left by preemptions; keep the chare put rather than
+                    // migrate it onto a dead PE.
+                    if self.pes[*pe].alive { *pe } else { obj.pe }
+                }
+                None => obj.pe,
+            };
+            new_assignment.push(target);
+            if target != obj.pe {
+                migrations += 1;
+                let image = self.relocate(obj.id, target);
+                per_pe_out[obj.pe] += image;
+                self.bytes_moved += image as u64;
+                if let Some(tr) = &mut self.tracer {
+                    tr.rts(
+                        at,
+                        TraceEventKind::Migration {
+                            obj: obj.id,
+                            from_pe: obj.pe,
+                            to_pe: target,
+                        },
+                    );
+                }
+            }
+        }
+        let max_out = per_pe_out.iter().copied().max().unwrap_or(0);
+        let migrate_cost = if max_out > 0 {
+            self.tree_hop(max_out, token)
+        } else {
+            SimTime::ZERO
+        };
+        let barrier = SimTime(small_hop.0 * depth);
+        let total = collect_cost + decision_cost + migrate_cost + barrier;
+
+        // All PEs pause for the round.
+        let resume_at = at + total;
+        self.block_all_pes(resume_at);
+
+        let imbalance_after = crate::lbframework::imbalance_of(
+            &new_assignment,
+            &stats.objs.iter().map(|o| o.load).collect::<Vec<_>>(),
+            &stats.pe_speed,
+            self.live_pes,
+        );
+        if let Some(tr) = &mut self.tracer {
+            tr.rts(
+                resume_at,
+                TraceEventKind::LbEnd {
+                    strategy: strategy_name,
+                    migrations,
+                    cost: total,
+                },
+            );
+        }
+        self.lb_rounds.push(LbRound {
+            at: resume_at.as_secs_f64(),
+            strategy: strategy_name,
+            migrations,
+            imbalance_before,
+            imbalance_after,
+            cost_s: total.as_secs_f64(),
+        });
+
+        if resume {
+            self.resume_from_sync(resume_at);
+        }
+    }
+
+    fn resume_from_sync(&mut self, at: SimTime) {
+        let arrays: Vec<ArrayId> =
+            self.stores.iter().filter(|s| s.uses_at_sync()).map(|s| s.id()).collect();
+        for array in arrays {
+            self.deliver_sys_to_all(array, &SysEvent::ResumeFromSync, at, 0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::runtime::Ev;
+    use crate::{Chare, Ctx, Ix, Runtime, SimTime, SysEvent};
+    use charm_pup::Puper;
+
+    #[derive(Default)]
+    struct Spinner;
+    impl charm_pup::Pup for Spinner {
+        fn pup(&mut self, _p: &mut Puper) {}
+    }
+    impl Chare for Spinner {
+        type Msg = u8;
+        fn on_message(&mut self, _m: u8, ctx: &mut Ctx<'_>) {
+            ctx.work(1e6);
+        }
+    }
+
+    /// What `queued`, `busy_pes` and `inflight` claim to track, counted
+    /// afresh from the PE queues and the event heap.
+    fn recount(rt: &mut Runtime) -> (u64, usize, u64) {
+        let queued = rt.pes.iter().map(|p| p.pending.len() as u64).sum();
+        let busy = rt.pes.iter().filter(|p| p.busy).count();
+        let entries = rt.events.drain_entries();
+        let inflight = entries
+            .iter()
+            .filter(|(_, _, ev)| matches!(ev, Ev::Deliver { .. } | Ev::MigrateArrive(_)))
+            .count() as u64;
+        for (t, k, ev) in entries {
+            rt.events.push_keyed(t, k, ev);
+        }
+        (queued, busy, inflight)
+    }
+
+    /// Shrink and evacuation share one take-down. Run through either, with
+    /// every PE mid-entry and holding queued envelopes, the three work
+    /// counters must still equal a fresh count — a leak in any of them
+    /// keeps periodic ticks re-arming and quiescence from ever firing.
+    #[test]
+    fn take_down_leaves_the_work_counters_exact() {
+        let half_ms = SimTime::from_micros(500);
+        for (name, alive_after) in [("shrink", 4), ("evacuation", 7)] {
+            let mut rt = Runtime::homogeneous(8);
+            rt.reconfig_overhead_shrink = SimTime::from_micros(100);
+            let arr = rt.create_array::<Spinner>("spinners");
+            for i in 0..32 {
+                rt.insert(arr, Ix::i1(i), Spinner, Some(i as usize % 8));
+            }
+            for _ in 0..3 {
+                rt.broadcast(arr, 0u8);
+            }
+            if name == "shrink" {
+                rt.schedule_reconfigure(half_ms, 4);
+            } else {
+                // Announced at 0.5 ms, 1.5 ms ahead: ample for the drain.
+                rt.schedule_preemption(SimTime::from_millis(2), 6, SimTime::from_micros(1_500));
+            }
+            rt.run_until(half_ms);
+            assert_eq!(rt.alive_pes(), alive_after, "{name}: the take-down ran");
+            assert!(rt.queued > 0 && rt.busy_pes > 0, "{name}: caught mid-flight");
+            assert_eq!((rt.queued, rt.busy_pes, rt.inflight), recount(&mut rt), "{name}");
+            let s = rt.run();
+            assert_eq!(s.entries, 96, "{name}: every stranded envelope still executes");
+            assert_eq!((rt.queued, rt.busy_pes, rt.inflight), (0, 0, 0), "{name}: drained");
+        }
+    }
+
+    /// Chare that migrates itself to PE 1 on first message and checks state
+    /// survives, then exits.
+    #[derive(Default)]
+    struct Mover {
+        payload: Vec<u64>,
+        moved: bool,
+    }
+    impl charm_pup::Pup for Mover {
+        fn pup(&mut self, p: &mut Puper) {
+            p.p(&mut self.payload);
+            p.p(&mut self.moved);
+        }
+    }
+    impl Chare for Mover {
+        type Msg = u8;
+        fn on_message(&mut self, _m: u8, ctx: &mut Ctx<'_>) {
+            assert!(!self.moved);
+            ctx.migrate_me(1);
+        }
+        fn on_event(&mut self, ev: SysEvent, ctx: &mut Ctx<'_>) {
+            if let SysEvent::Migrated { from_pe } = ev {
+                assert_eq!(from_pe, 0);
+                assert_eq!(ctx.my_pe(), 1);
+                assert_eq!(self.payload, vec![7, 8, 9], "state survives migration");
+                self.moved = true;
+                ctx.exit();
+            }
+        }
+    }
+
+    #[test]
+    fn migration_moves_state() {
+        let mut rt = Runtime::homogeneous(2);
+        let arr = rt.create_array::<Mover>("mover");
+        rt.insert(
+            arr,
+            Ix::i1(0),
+            Mover {
+                payload: vec![7, 8, 9],
+                moved: false,
+            },
+            Some(0),
+        );
+        rt.send(arr, Ix::i1(0), 0u8);
+        rt.run();
+        assert_eq!(rt.element_pe(arr.id(), &Ix::i1(0)), Some(1));
+    }
+}

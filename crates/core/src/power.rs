@@ -12,6 +12,7 @@
 //! * `MetaTemp` — DVFS plus LB triggered only when the measured imbalance
 //!   makes rebalancing worth its cost.
 
+use crate::placement::StatsMode;
 use crate::runtime::{Ev, Runtime};
 use crate::trace::TraceEventKind;
 use charm_machine::SimTime;
@@ -79,15 +80,8 @@ impl Runtime {
             .map(|c| thermal.freq_factor(c))
             .sum::<f64>()
             / thermal.num_chips().max(1) as f64;
-        let now_s = self.now.as_secs_f64();
-        self.metrics
-            .entry("max_temp_c".into())
-            .or_default()
-            .push((now_s, max_t));
-        self.metrics
-            .entry("avg_freq".into())
-            .or_default()
-            .push((now_s, avg_f));
+        self.journal("max_temp_c", self.now, max_t);
+        self.journal("avg_freq", self.now, avg_f);
 
         // Frequency-aware LB, per scheme.
         match self.dvfs {
@@ -98,7 +92,7 @@ impl Runtime {
                 }
             DvfsScheme::MetaTemp { min_imbalance }
                 if any_freq_change => {
-                    let stats = self.collect_stats_peek();
+                    let stats = self.collect_lb_stats(StatsMode::Peek);
                     if stats.imbalance() > min_imbalance {
                         self.last_rts_lb = self.now;
                         self.rts_triggered_lb();

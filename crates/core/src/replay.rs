@@ -49,15 +49,6 @@ impl ReplayConfig {
             ..Default::default()
         }
     }
-
-    /// Record at most `n` executed entries (bounded service recording).
-    pub fn with_max_execs(n: u64) -> Self {
-        assert!(n > 0, "exec cap must be positive");
-        ReplayConfig {
-            max_execs: Some(n),
-            ..Default::default()
-        }
-    }
 }
 
 /// Configuration for [`RuntimeBuilder::perturb`](crate::RuntimeBuilder::perturb):

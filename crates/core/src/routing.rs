@@ -1,0 +1,211 @@
+//! Routing and location management (§II-D): where an element lives, who
+//! is asked when the sender does not know, and what happens to messages
+//! for elements that do not exist yet.
+
+use crate::array::{ArrayId, ObjId, Payload};
+use crate::runtime::{Envelope, Runtime, ENVELOPE_BYTES, TOKEN_RTT_REQ, TOKEN_RTT_RESP};
+use charm_machine::SimTime;
+use rand::Rng;
+
+/// How an array maps indices to *home PEs* — the PEs responsible for
+/// tracking element locations (§II-D: "Several default schemes are provided
+/// … Programmers can also define their own scheme").
+#[derive(Clone, Copy)]
+pub enum HomeMap {
+    /// Stable hash of the index over the live PEs (the default).
+    Hash,
+    /// Contiguous blocks for 1-D indices: `ix · P / total`. Indices outside
+    /// `0..total` (or non-1-D indices) fall back to hashing.
+    Blocked {
+        /// Expected number of 1-D elements.
+        total: u64,
+    },
+    /// A user-defined scheme: `(index, live_pes) -> pe`.
+    Custom(fn(&crate::Ix, usize) -> usize),
+}
+
+impl std::fmt::Debug for HomeMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HomeMap::Hash => write!(f, "HomeMap::Hash"),
+            HomeMap::Blocked { total } => write!(f, "HomeMap::Blocked({total})"),
+            HomeMap::Custom(_) => write!(f, "HomeMap::Custom(..)"),
+        }
+    }
+}
+
+impl Runtime {
+    /// Resolve an envelope's destination through the location-management
+    /// protocol (§II-D) and schedule its delivery.
+    ///
+    /// Cache hit → direct send. Stale cache → the stale PE forwards (cost
+    /// modeled in `execute`, which re-routes). Miss → home-PE query round
+    /// trip precedes the send.
+    pub(crate) fn route_and_schedule(&mut self, mut env: Box<Envelope>, at: SimTime) {
+        let src = env.src_pe;
+        let dst = env.dst;
+        let Some((true_pe, epoch)) = self.stores[dst.array.0 as usize].locate(&dst.ix) else {
+            self.limbo.entry(dst).or_default().push(env);
+            return;
+        };
+        if !self.pes[true_pe].alive {
+            // Element lost with a crashed, unrecovered process.
+            return;
+        }
+
+        let (target_pe, extra) = if true_pe == src {
+            (true_pe, SimTime::ZERO)
+        } else if !self.location_cache {
+            // Ablation: no caching — every remote send queries the home PE.
+            (true_pe, self.home_query_rtt(src, &dst, env.rec_id))
+        } else {
+            match self.loc_cache[src].get(&dst) {
+                // Send to the cached PE; if stale, `execute` forwards.
+                Some((pe, _ep)) => (pe, SimTime::ZERO),
+                None => {
+                    let rtt = self.home_query_rtt(src, &dst, env.rec_id);
+                    self.loc_cache[src].insert(dst, (true_pe, epoch));
+                    (true_pe, rtt)
+                }
+            }
+        };
+        let target_pe = if self.pes[target_pe].alive {
+            target_pe
+        } else {
+            true_pe
+        };
+        let delay = self.net.delay(src, target_pe, env.bytes, env.rec_id);
+        self.bytes_moved += env.bytes as u64;
+        if env.cp.is_none() {
+            env.cp = self.cp_msg(at);
+        }
+        if let Some(tr) = &mut self.tracer {
+            tr.on_send(at, src, target_pe, dst, env.bytes);
+        }
+        if let Some(r) = &mut self.recorder {
+            // A home-PE query round trip was charged iff `extra > 0`; its
+            // control messages are envelope-sized.
+            let rtt_bytes = if extra > SimTime::ZERO { ENVELOPE_BYTES } else { 0 };
+            r.on_routed(env.rec_id, env.bytes, src, target_pe, 0, rtt_bytes);
+        }
+        // Schedule perturbation: seeded extra delay on user messages only
+        // (delays are always causally valid — the network could have been
+        // this slow). System events keep their exact timing.
+        let jitter = match &mut self.perturb {
+            Some((cfg, rng)) if matches!(env.payload, Payload::User(_)) => {
+                if rng.gen_bool(cfg.prob) {
+                    SimTime(rng.gen_range(0..=cfg.max_extra.0))
+                } else {
+                    SimTime::ZERO
+                }
+            }
+            _ => SimTime::ZERO,
+        };
+        if let Some(tr) = &mut self.tracer {
+            tr.on_msg_latency(extra + delay + jitter);
+        }
+        self.sched_deliver(at + extra + delay + jitter, target_pe, env);
+    }
+
+    /// Ask `dst`'s home PE where it lives: request + response round trip.
+    fn home_query_rtt(&mut self, src: usize, dst: &ObjId, rec_id: u64) -> SimTime {
+        let home = self.home_pe(dst.array, &dst.ix);
+        self.net.delay(src, home, ENVELOPE_BYTES, rec_id ^ TOKEN_RTT_REQ)
+            + self.net.delay(home, src, ENVELOPE_BYTES, rec_id ^ TOKEN_RTT_RESP)
+    }
+
+    /// Home PE of an index under its array's home map.
+    pub(crate) fn home_pe(&self, array: ArrayId, ix: &crate::Ix) -> usize {
+        let p = self.live_pes;
+        match self.home_maps.get(array.0 as usize).copied().unwrap_or(HomeMap::Hash) {
+            HomeMap::Hash => (ix.stable_hash() % p as u64) as usize,
+            HomeMap::Blocked { total } => match ix {
+                crate::Ix::I1(i) if *i >= 0 && (*i as u64) < total && total > 0 => {
+                    ((*i as u64) * p as u64 / total) as usize
+                }
+                _ => (ix.stable_hash() % p as u64) as usize,
+            },
+            HomeMap::Custom(f) => f(ix, p).min(p - 1),
+        }
+    }
+
+    /// Re-route every message parked for `dst` now that it exists.
+    pub(crate) fn flush_limbo(&mut self, dst: ObjId) {
+        if let Some(envs) = self.limbo.remove(&dst) {
+            for env in envs {
+                self.route_and_schedule(env, self.now);
+            }
+        }
+    }
+
+    /// Forget every cached location: after PEs come or go, the cached
+    /// `(pe, epoch)` pairs name processes that may no longer exist.
+    pub(crate) fn flush_loc_caches(&mut self) {
+        for c in self.loc_cache.iter_mut() {
+            c.clear();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::runtime::tests::{ping_setup, Ping, PingMsg};
+    use crate::{ArrayProxy, Chare, Ctx, Ix, Runtime};
+    use charm_pup::Puper;
+
+    #[test]
+    fn remote_costs_more_than_local() {
+        // Same-PE ping-pong finishes faster than cross-machine.
+        let mut local = {
+            let mut rt = Runtime::homogeneous(2);
+            let arr = rt.create_array::<Ping>("ping");
+            rt.insert(arr, Ix::i1(0), Ping { count: 0, peer: Some(1), limit: 10 }, Some(0));
+            rt.insert(arr, Ix::i1(1), Ping { count: 0, peer: Some(0), limit: 10 }, Some(0));
+            rt.send(arr, Ix::i1(0), PingMsg);
+            rt
+        };
+        let t_local = local.run().end_time;
+        let (mut remote, arr) = ping_setup(2);
+        remote.send(arr, Ix::i1(0), PingMsg);
+        let t_remote = remote.run().end_time;
+        assert!(t_remote > t_local, "remote {t_remote} local {t_local}");
+    }
+
+    #[test]
+    fn dynamic_insert_receives_parked_messages() {
+        #[derive(Default)]
+        struct Node {
+            hits: u64,
+        }
+        impl charm_pup::Pup for Node {
+            fn pup(&mut self, p: &mut Puper) {
+                p.p(&mut self.hits);
+            }
+        }
+        impl Chare for Node {
+            type Msg = i64;
+            fn on_message(&mut self, m: i64, ctx: &mut Ctx<'_>) {
+                let proxy = ArrayProxy::<Node>::new(ctx.my_id().array);
+                match m {
+                    0 => {
+                        // Send to a child that doesn't exist yet, then create it.
+                        ctx.send(proxy, Ix::i1(99), 7);
+                        ctx.insert(proxy, Ix::i1(99), Node::default(), None);
+                    }
+                    7 => {
+                        self.hits += 1;
+                        ctx.log_metric("childhit", 1.0);
+                        ctx.exit();
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut rt = Runtime::homogeneous(2);
+        let arr = rt.create_array::<Node>("nodes");
+        rt.insert(arr, Ix::i1(0), Node::default(), Some(0));
+        rt.send(arr, Ix::i1(0), 0);
+        rt.run();
+        assert_eq!(rt.metric("childhit").len(), 1);
+    }
+}

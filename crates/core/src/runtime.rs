@@ -1,23 +1,31 @@
-//! The runtime system: message-driven scheduling over the simulated
-//! machine, location management, collectives, quiescence detection, and the
-//! AtSync load-balancing protocol. Fault tolerance, power management, and
-//! malleability extend [`Runtime`] from sibling modules.
+//! The engine: one event heap drained in α-windows, event dispatch, the
+//! per-PE scheduler, entry-method execution and the application of the
+//! actions an entry method buffered, plus the key slots the deterministic
+//! tie-break is made of and the host-side API. Everything else extends
+//! [`Runtime`] from a sibling module: `routing` (location management),
+//! `collectives`, `placement` (moves, drains, AtSync, the LB round), and the
+//! services over them — [`crate::ft`], [`crate::power`], `malleable`,
+//! [`crate::elastic`].
+
+mod builder;
+
+pub use builder::RuntimeBuilder;
 
 use crate::array::{AnyArray, ArrayId, ArrayProxy, ArrayStore, ObjId, Payload};
-use crate::chare::{Callback, Chare, RedOp, RedValue, SysEvent};
+use crate::chare::{Callback, Chare, SysEvent};
+use crate::collectives::{ContribRec, RedState};
 use crate::ctrl::{ControlRegistry, ControlValues};
 use crate::ctx::{Action, Ctx};
 use crate::ft::{MemCheckpoint, PendingCkpt};
-use crate::lbframework::{LbRound, LbStats, LbTrigger, ObjStat, Strategy};
+use crate::lbframework::{LbRound, LbTrigger, Strategy};
 use crate::power::DvfsScheme;
-use crate::replay::{sys_event_digest, PerturbConfig, Recorder, ReplayConfig, ReplayLog};
-use crate::trace::{EntryKind, TraceConfig, TraceEventKind, Tracer};
+use crate::replay::{sys_event_digest, PerturbConfig, Recorder, ReplayLog};
+use crate::routing::HomeMap;
+use crate::trace::{EntryKind, Tracer};
 use charm_machine::thermal::ThermalModel;
 use charm_machine::{EventQueue, MachineConfig, NetworkModel, PrioQueue, SimTime};
 use fxhash::FxHashMap;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Fixed per-message envelope overhead added to every payload's wire size.
 pub const ENVELOPE_BYTES: usize = 40;
@@ -49,53 +57,6 @@ pub(crate) const LOC_CACHE_DENSE_MAX_PES: usize = 256;
 pub(crate) const TOKEN_RTT_REQ: u64 = 1 << 62;
 pub(crate) const TOKEN_RTT_RESP: u64 = 2 << 62;
 pub(crate) const TOKEN_AUX: u64 = 3 << 62;
-
-/// A buffered reduction contribution, folded at window boundaries.
-pub(crate) struct ContribRec {
-    /// Dispatch time of the entry method that contributed — the fold sorts
-    /// by `(merge_t, merge_key)` so values combine in dispatch order.
-    pub merge_t: u64,
-    /// Dispatch key of the contributing entry (see [`Envelope::rec_id`]).
-    pub merge_key: u64,
-    /// When the contributing entry completed (the contribution's own time).
-    pub at: SimTime,
-    pub array: ArrayId,
-    pub tag: u32,
-    pub value: RedValue,
-    pub op: RedOp,
-    pub cb: Callback,
-    /// Critical-path end (ns) and chain of the contributing entry, when the
-    /// analyzer is on (`(0, None)` otherwise).
-    pub cp_end: u64,
-    pub cp_node: Option<std::sync::Arc<crate::trace::CpNode>>,
-}
-
-/// How an array maps indices to *home PEs* — the PEs responsible for
-/// tracking element locations (§II-D: "Several default schemes are provided
-/// … Programmers can also define their own scheme").
-#[derive(Clone, Copy)]
-pub enum HomeMap {
-    /// Stable hash of the index over the live PEs (the default).
-    Hash,
-    /// Contiguous blocks for 1-D indices: `ix · P / total`. Indices outside
-    /// `0..total` (or non-1-D indices) fall back to hashing.
-    Blocked {
-        /// Expected number of 1-D elements.
-        total: u64,
-    },
-    /// A user-defined scheme: `(index, live_pes) -> pe`.
-    Custom(fn(&crate::Ix, usize) -> usize),
-}
-
-impl std::fmt::Debug for HomeMap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HomeMap::Hash => write!(f, "HomeMap::Hash"),
-            HomeMap::Blocked { total } => write!(f, "HomeMap::Blocked({total})"),
-            HomeMap::Custom(_) => write!(f, "HomeMap::Custom(..)"),
-        }
-    }
-}
 
 /// Simulator events. Bulky payloads (envelopes, migration data) are boxed
 /// so the event heap sifts pointer-sized entries, not 100-byte structs —
@@ -194,29 +155,6 @@ impl PeState {
     }
 }
 
-/// Whether [`Runtime::collect_lb_stats`] resets the measurement windows
-/// (`Drain`, at the head of an LB round) or leaves them intact (`Peek`,
-/// for trigger logic that only inspects the imbalance).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StatsMode {
-    Peek,
-    Drain,
-}
-
-pub(crate) struct RedState {
-    expected: usize,
-    count: usize,
-    acc: Option<RedValue>,
-    op: RedOp,
-    cb: Callback,
-    bytes: usize,
-    /// Latest-finishing contributor's critical-path `(end_ns, chain)` — the
-    /// reduction completes no earlier than its slowest contributor, so the
-    /// completion callback chains from it. `(0, None)` when the analyzer is
-    /// off.
-    cp: (u64, Option<std::sync::Arc<crate::trace::CpNode>>),
-}
-
 /// Summary of a completed run.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
@@ -302,298 +240,6 @@ impl std::fmt::Display for Unrecoverable {
 
 impl std::error::Error for Unrecoverable {}
 
-/// Configures and constructs a [`Runtime`].
-pub struct RuntimeBuilder {
-    machine: MachineConfig,
-    seed: u64,
-    lb: Option<Box<dyn Strategy>>,
-    lb_trigger: LbTrigger,
-    dvfs: DvfsScheme,
-    dvfs_period: SimTime,
-    sched_overhead: SimTime,
-    location_cache: bool,
-    collective_arity: u64,
-    track_comm: bool,
-    auto_ckpt: Option<SimTime>,
-    trace: Option<TraceConfig>,
-    trace_sinks: Vec<Box<dyn crate::trace::TraceSink>>,
-    record: Option<ReplayConfig>,
-    perturb: Option<PerturbConfig>,
-    elastic: Option<crate::elastic::ElasticConfig>,
-}
-
-impl RuntimeBuilder {
-    /// Set the RNG seed for the whole run (defaults to 42).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Install a load-balancing strategy (AtSync-triggered by default).
-    pub fn strategy(mut self, s: Box<dyn Strategy>) -> Self {
-        self.lb = Some(s);
-        self
-    }
-
-    /// Select when load balancing runs.
-    pub fn lb_trigger(mut self, t: LbTrigger) -> Self {
-        self.lb_trigger = t;
-        self
-    }
-
-    /// Select the DVFS/temperature scheme (requires a thermal model on the
-    /// machine to have any effect).
-    pub fn dvfs(mut self, scheme: DvfsScheme) -> Self {
-        self.dvfs = scheme;
-        self
-    }
-
-    /// Temperature sampling / DVFS control period (default 1 s).
-    pub fn dvfs_period(mut self, p: SimTime) -> Self {
-        self.dvfs_period = p;
-        self
-    }
-
-    /// Per-entry scheduling overhead (default 250 ns).
-    pub fn sched_overhead(mut self, t: SimTime) -> Self {
-        self.sched_overhead = t;
-        self
-    }
-
-    /// Enable/disable per-PE location caching (§II-D). With caching off,
-    /// every remote send pays the home-PE query round trip — the ablation
-    /// that shows why the paper's protocol caches.
-    pub fn location_cache(mut self, enabled: bool) -> Self {
-        self.location_cache = enabled;
-        self
-    }
-
-    /// Branching factor of the spanning trees used by broadcasts,
-    /// reductions, barriers, and quiescence waves (default 2).
-    pub fn collective_arity(mut self, k: u64) -> Self {
-        assert!(k >= 2, "spanning trees need arity >= 2");
-        self.collective_arity = k;
-        self
-    }
-
-    /// Record object-to-object communication volumes and hand them to the
-    /// balancer ([`LbStats::comm`]) — required by comm-aware strategies.
-    pub fn track_comm(mut self, enabled: bool) -> Self {
-        self.track_comm = enabled;
-        self
-    }
-
-    /// Enable the Projections-lite tracing subsystem (see
-    /// [`crate::trace`]): bounded per-PE event logs plus always-cheap
-    /// summary aggregates. Off by default — when off, no events are
-    /// recorded and the per-message hooks reduce to a branch on `None`.
-    pub fn tracing(mut self, cfg: TraceConfig) -> Self {
-        self.trace = Some(cfg);
-        self
-    }
-
-    /// Install a streaming [`TraceSink`](crate::trace::TraceSink): every
-    /// traced record is fanned out to it as it is produced, so full event
-    /// logs flow to disk instead of accumulating in memory. Requires
-    /// [`RuntimeBuilder::tracing`]. Call [`Runtime::finish_trace`] after
-    /// the run to flush and finalize.
-    pub fn trace_sink(mut self, sink: Box<dyn crate::trace::TraceSink>) -> Self {
-        self.trace_sinks.push(sink);
-        self
-    }
-
-    /// Record a causal replay log (see [`crate::replay`]): one record per
-    /// executed entry with its consumed-message PUP digest and produced
-    /// sends, plus periodic chare-state digest points. Retrieve the log
-    /// with [`Runtime::take_replay_log`] after the run. Off by default —
-    /// when off, the per-message hooks reduce to a branch on `None`.
-    pub fn record(mut self, cfg: ReplayConfig) -> Self {
-        self.record = Some(cfg);
-        self
-    }
-
-    /// Perturb the delivery schedule with seeded, causally-valid extra
-    /// delays (see [`PerturbConfig`]). Combine with [`RuntimeBuilder::record`]
-    /// and diff the logs to hunt message races.
-    pub fn perturb(mut self, cfg: PerturbConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&cfg.prob),
-            "perturbation probability must be in [0, 1]"
-        );
-        self.perturb = Some(cfg);
-        self
-    }
-
-    /// Install the closed-loop elastic controller: sample utilization every
-    /// `cfg.cadence` of virtual time and let `cfg.policy` issue shrink or
-    /// expand decisions through the malleability path. Decisions are pure
-    /// functions of simulation state, so controlled runs replay
-    /// bit-identically.
-    pub fn elastic(mut self, cfg: crate::elastic::ElasticConfig) -> Self {
-        self.elastic = Some(cfg);
-        self
-    }
-
-    /// Take a double in-memory checkpoint automatically every `interval`
-    /// of virtual time (§III-B). Ticks re-arm only while application work
-    /// is outstanding, so the run still terminates when the job drains.
-    pub fn auto_checkpoint(mut self, interval: SimTime) -> Self {
-        assert!(interval > SimTime::ZERO, "checkpoint interval must be positive");
-        self.auto_ckpt = Some(interval);
-        self
-    }
-
-    #[doc(hidden)] // inert: kept for `benchmark/`'s 2-thread pass
-    pub fn threads(self, _n: usize) -> Self { self }
-
-    /// Construct the runtime.
-    pub fn build(self) -> Runtime {
-        let n = self.machine.num_pes;
-        // Slot-partitioned event keys: one counter per PE plus the three
-        // runtime slots (host, reductions, RTS). See [`Runtime::fresh_key`].
-        let mut keys = vec![0u64; n + 3];
-        let rts = n + SLOT_RTS;
-        let rts_key = |keys: &mut Vec<u64>| {
-            let k = ((rts as u64) << KEY_SLOT_SHIFT) | keys[rts];
-            keys[rts] += 1;
-            k
-        };
-        // Pre-size for a few in-flight events per PE; saves the first
-        // handful of heap reallocations on every run.
-        let mut events = EventQueue::with_capacity(8 * n);
-        // Schedule injected failures and the DVFS sampler. A preemption
-        // becomes visible at its announcement time (warning before the
-        // kill); its warn key is allocated before its kill key, so a
-        // zero-warning announcement still pops before the kill on ties.
-        for f in self.machine.failures.events() {
-            if let charm_machine::FailureKind::Preemption { .. } = f.kind {
-                let k = rts_key(&mut keys);
-                events.push_keyed(
-                    f.visible_at(),
-                    k,
-                    Ev::PreemptWarn {
-                        pe: f.pe,
-                        deadline: f.time,
-                    },
-                );
-            }
-            let k = rts_key(&mut keys);
-            events.push_keyed(f.time, k, Ev::NodeFail { pe: f.pe });
-        }
-        let thermal = self
-            .machine
-            .thermal
-            .as_ref()
-            .map(|cfg| ThermalModel::new(cfg.clone(), self.machine.num_chips()));
-        if thermal.is_some() {
-            let k = rts_key(&mut keys);
-            events.push_keyed(self.dvfs_period, k, Ev::DvfsTick);
-        }
-        if let Some(interval) = self.auto_ckpt {
-            let k = rts_key(&mut keys);
-            events.push_keyed(interval, k, Ev::AutoCkpt);
-        }
-        let elastic = self.elastic.map(|cfg| {
-            let k = rts_key(&mut keys);
-            events.push_keyed(cfg.cadence, k, Ev::ElasticTick);
-            crate::elastic::ElasticCtl::new(cfg, n)
-        });
-        let net = NetworkModel::new(self.machine.network.clone(), self.seed);
-        let net_min_remote = net.min_remote_delay().0;
-        let num_chips = self.machine.num_chips();
-        let rngs = (0..n)
-            .map(|pe| StdRng::seed_from_u64(self.seed ^ (pe as u64).wrapping_mul(0x9E3779B97F4A7C15)))
-            .collect();
-        assert!(
-            self.trace_sinks.is_empty() || self.trace.is_some(),
-            "trace_sink requires tracing to be enabled"
-        );
-        let tracer = self.trace.map(|cfg| {
-            let mut tr = Tracer::new(cfg, n);
-            for sink in self.trace_sinks {
-                tr.add_sink(sink);
-            }
-            tr
-        });
-        let recorder = self.record.map(Recorder::new);
-        let perturb = self.perturb.map(|cfg| {
-            let rng = StdRng::seed_from_u64(cfg.seed ^ 0x0070_6572_7475_7262); // "perturb"
-            (cfg, rng)
-        });
-        Runtime {
-            machine: self.machine,
-            net,
-            now: SimTime::ZERO,
-            events,
-            pes: (0..n).map(|_| PeState::new()).collect(),
-            live_pes: n,
-            stores: Vec::new(),
-            home_maps: Vec::new(),
-            array_names: FxHashMap::default(),
-            rngs,
-            ctrl: ControlRegistry::new(),
-            ctrl_snapshot: ControlValues::default(),
-            loc_cache: vec![
-                crate::array::LocCache::with_dense(n <= LOC_CACHE_DENSE_MAX_PES);
-                n
-            ],
-            limbo: FxHashMap::default(),
-            reductions: FxHashMap::default(),
-            qd: None,
-            inflight: 0,
-            queued: 0,
-            busy_pes: 0,
-            lb: self.lb,
-            lb_trigger: self.lb_trigger,
-            at_sync_seen: 0,
-            lb_rounds: Vec::new(),
-            mem_ckpt: None,
-            ckpt_pending: None,
-            copy_missing: FxHashMap::default(),
-            auto_ckpt_interval: self.auto_ckpt,
-            unrecoverable: None,
-            elastic,
-            retired: vec![false; n],
-            degraded: None,
-            thermal,
-            dvfs: self.dvfs,
-            dvfs_period: self.dvfs_period,
-            last_rts_lb: SimTime::ZERO,
-            chip_busy: vec![SimTime::ZERO; num_chips],
-            sched_overhead: self.sched_overhead,
-            metrics: FxHashMap::default(),
-            entries: 0,
-            messages: 0,
-            bytes_moved: 0,
-            events_processed: 0,
-            wall_run: std::time::Duration::ZERO,
-            action_scratch: Vec::new(),
-            exit_requested: false,
-            seed: self.seed,
-            location_cache: self.location_cache,
-            collective_arity: self.collective_arity,
-            track_comm: self.track_comm,
-            comm: FxHashMap::default(),
-            tracer,
-            cur_cp: None,
-            cp_carry: None,
-            recorder,
-            perturb,
-            keys,
-            cur_slot: n + SLOT_HOST,
-            cur_dispatch: (0, 0),
-            pending_contribs: Vec::new(),
-            cur_win_end: SimTime::ZERO,
-            win_ns: net_min_remote.max(1),
-            last_digest_seq: 0,
-            reconfig_overhead_shrink: SimTime::from_secs_f64(2.0),
-            reconfig_overhead_expand: SimTime::from_secs_f64(6.5),
-            arena_base: crate::arena::stats(),
-            windows_executed: 0,
-        }
-    }
-}
-
 /// The charm-rs runtime: one instance simulates one parallel job.
 pub struct Runtime {
     pub(crate) machine: MachineConfig,
@@ -659,7 +305,8 @@ pub struct Runtime {
     /// Busy time per chip accumulated since the last DVFS tick.
     pub(crate) chip_busy: Vec<SimTime>,
     pub(crate) sched_overhead: SimTime,
-    pub(crate) metrics: FxHashMap<String, Vec<(f64, f64)>>,
+    /// The metric journal; written only through [`Runtime::journal`].
+    metrics: FxHashMap<String, Vec<(f64, f64)>>,
     pub(crate) entries: u64,
     pub(crate) messages: u64,
     pub(crate) bytes_moved: u64,
@@ -726,28 +373,6 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Start building a runtime for `machine`.
-    pub fn builder(machine: MachineConfig) -> RuntimeBuilder {
-        RuntimeBuilder {
-            machine,
-            seed: 42,
-            lb: None,
-            lb_trigger: LbTrigger::AtSync,
-            dvfs: DvfsScheme::Off,
-            dvfs_period: SimTime::from_secs(1),
-            sched_overhead: SimTime::from_nanos(250),
-            location_cache: true,
-            collective_arity: 2,
-            track_comm: false,
-            auto_ckpt: None,
-            trace: None,
-            trace_sinks: Vec::new(),
-            record: None,
-            perturb: None,
-            elastic: None,
-        }
-    }
-
     /// Shorthand: a runtime on a homogeneous machine with default settings.
     pub fn homogeneous(num_pes: usize) -> Runtime {
         Runtime::builder(MachineConfig::homogeneous(num_pes)).build()
@@ -836,23 +461,8 @@ impl Runtime {
     pub fn send<C: Chare>(&mut self, proxy: ArrayProxy<C>, ix: crate::Ix, mut msg: C::Msg) {
         let bytes = charm_pup::packed_size(&mut msg) + ENVELOPE_BYTES;
         self.cur_slot = self.host_slot();
-        let rec_id = self.fresh_rec_id();
-        if let Some(r) = &mut self.recorder {
-            r.note_origin(rec_id); // external origin: no current exec
-        }
-        let env = crate::arena::alloc_box(Envelope {
-            dst: ObjId {
-                array: proxy.id,
-                ix,
-            },
-            payload: Payload::User(Box::new(msg)),
-            bytes,
-            prio: 0,
-            src_pe: 0,
-            rec_id,
-            src_obj: None,
-            cp: None,
-        });
+        let dst = ObjId { array: proxy.id, ix };
+        let env = self.mint(dst, Payload::User(Box::new(msg)), bytes, 0, 0, None, None);
         self.route_and_schedule(env, self.now);
     }
 
@@ -871,23 +481,9 @@ impl Runtime {
         self.cur_slot = self.host_slot();
         let targets = self.stores[proxy.id.0 as usize].indices();
         for ix in targets {
-            let rec_id = self.fresh_rec_id();
-            if let Some(r) = &mut self.recorder {
-                r.note_origin(rec_id);
-            }
-            let env = crate::arena::alloc_box(Envelope {
-                dst: ObjId {
-                    array: proxy.id,
-                    ix,
-                },
-                payload: Payload::User(Box::new(msg.clone())),
-                bytes,
-                prio: 0,
-                src_pe: 0,
-                rec_id,
-                src_obj: None,
-                cp: None,
-            });
+            let dst = ObjId { array: proxy.id, ix };
+            let payload = Payload::User(Box::new(msg.clone()));
+            let env = self.mint(dst, payload, bytes, 0, 0, None, None);
             self.route_and_schedule(env, self.now);
         }
     }
@@ -903,43 +499,10 @@ impl Runtime {
         C::Msg: Clone,
     {
         let bytes = charm_pup::packed_size(&mut msg) + ENVELOPE_BYTES;
-        let array = proxy.id;
         self.cur_slot = self.host_slot();
-        // Identical tree-cost model to chare-initiated broadcasts
-        // (`do_broadcast`): each tree level adds one message latency.
-        let depth = self.tree_depth();
-        let level_cost = self
-            .net
-            .delay(0, 1.min(self.live_pes - 1), bytes, (array.0 as u64) ^ TOKEN_AUX);
-        let tree_delay = SimTime(level_cost.0 * depth);
-        let targets = self.stores[array.0 as usize].indices();
-        for ix in targets {
-            let dst = ObjId { array, ix };
-            let Some(pe) = self.stores[array.0 as usize].element_pe(&ix) else {
-                continue;
-            };
-            let rec_id = self.fresh_rec_id();
-            if let Some(r) = &mut self.recorder {
-                r.note_origin(rec_id);
-                r.on_routed(rec_id, bytes, 0, pe, depth, 0);
-            }
-            let env = crate::arena::alloc_box(Envelope {
-                dst,
-                payload: Payload::User(Box::new(msg.clone())),
-                bytes,
-                prio: 0,
-                src_pe: 0,
-                rec_id,
-                src_obj: None,
-                cp: self.cp_msg(self.now),
-            });
-            self.bytes_moved += bytes as u64;
-            if let Some(tr) = &mut self.tracer {
-                tr.on_send(self.now, 0, pe, dst, bytes);
-                tr.on_msg_latency(tree_delay);
-            }
-            self.sched_deliver(self.now + tree_delay, pe, env);
-        }
+        let make = || Box::new(msg.clone()) as Box<dyn std::any::Any + Send>;
+        let token = (proxy.id.0 as u64) ^ TOKEN_AUX;
+        self.spanning_broadcast(proxy.id, &make, bytes, 0, None, 0, self.now, token);
     }
 
     // ----- clock & introspection ---------------------------------------------
@@ -991,6 +554,18 @@ impl Runtime {
     /// A recorded metric series (`ctx.log_metric`): (seconds, value) pairs.
     pub fn metric(&self, name: &str) -> &[(f64, f64)] {
         self.metrics.get(name).map(|v| v.as_slice()).unwrap_or(&[])
+    }
+
+    /// Append `(at, v)` to the named metric series — the only way into the
+    /// journal, for `ctx.log_metric` and every runtime service alike.
+    pub(crate) fn journal(&mut self, name: &str, at: SimTime, v: f64) {
+        let sample = (at.as_secs_f64(), v);
+        match self.metrics.get_mut(name) {
+            Some(series) => series.push(sample),
+            None => {
+                self.metrics.insert(name.to_string(), vec![sample]);
+            }
+        }
     }
 
     /// The run's RNG seed (replays are bit-identical for equal seeds).
@@ -1301,20 +876,7 @@ impl Runtime {
             Ev::PeRetry { pe } => {
                 self.try_start(pe);
             }
-            Ev::MigrateArrive(m) => {
-                let MigrateArrive {
-                    dst,
-                    to_pe,
-                    from_pe,
-                    bytes,
-                } = *m;
-                self.inflight -= 1;
-                self.stores[dst.array.0 as usize].unpack_insert(dst.ix, to_pe, &bytes);
-                // Tell the chare it moved, then flush any messages parked
-                // while it was in transit.
-                self.deliver_sys(dst, SysEvent::Migrated { from_pe }, self.now);
-                self.flush_limbo(dst);
-            }
+            Ev::MigrateArrive(m) => self.on_migrate_arrive(*m),
             Ev::DvfsTick => self.on_dvfs_tick(),
             Ev::NodeFail { pe } => self.on_node_failure(pe),
             Ev::CkptCommit => self.on_ckpt_commit(),
@@ -1402,6 +964,28 @@ impl Runtime {
         self.inflight += 1;
         let k = env.rec_id;
         self.events.push_keyed(t, k, Ev::Deliver { pe, env });
+    }
+
+    /// Mint an envelope: a fresh key from the current producer slot (its
+    /// `rec_id`), the recorder told who produced it, the block taken from
+    /// the arena.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn mint(
+        &mut self,
+        dst: ObjId,
+        payload: Payload,
+        bytes: usize,
+        prio: i64,
+        src_pe: usize,
+        src_obj: Option<ObjId>,
+        cp: Option<Box<crate::trace::CpMsg>>,
+    ) -> Box<Envelope> {
+        let rec_id = self.fresh_rec_id();
+        if let Some(r) = &mut self.recorder {
+            r.note_origin(rec_id);
+        }
+        crate::arena::alloc_box(Envelope { dst, payload, bytes, prio, src_pe, rec_id, src_obj, cp })
     }
 
     /// Execute one envelope on `pe` at `self.now`. Returns false when the
@@ -1564,12 +1148,6 @@ impl Runtime {
         true
     }
 
-    /// Depth of a `collective_arity`-ary spanning tree over the live PEs.
-    pub(crate) fn tree_depth(&self) -> u64 {
-        let p = self.live_pes.max(2) as f64;
-        p.log(self.collective_arity.max(2) as f64).ceil().max(1.0) as u64
-    }
-
     /// Effective speed of a PE: static heterogeneity × interference × DVFS.
     pub(crate) fn effective_speed(&self, pe: usize) -> f64 {
         let mut s = self.machine.speed.speed_at(pe, self.now);
@@ -1615,20 +1193,8 @@ impl Runtime {
                     if self.track_comm {
                         *self.comm.entry((src, dst)).or_default() += bytes as u64;
                     }
-                    let rec_id = self.fresh_rec_id();
-                    if let Some(r) = &mut self.recorder {
-                        r.note_origin(rec_id);
-                    }
-                    let env = crate::arena::alloc_box(Envelope {
-                        dst,
-                        payload: Payload::User(payload),
-                        bytes,
-                        prio,
-                        src_pe,
-                        rec_id,
-                        src_obj: Some(src),
-                        cp: None,
-                    });
+                    let payload = Payload::User(payload);
+                    let env = self.mint(dst, payload, bytes, prio, src_pe, Some(src), None);
                     self.route_and_schedule(env, at + delay);
                 }
                 Action::Broadcast {
@@ -1637,7 +1203,8 @@ impl Runtime {
                     bytes,
                     prio,
                 } => {
-                    self.do_broadcast(array, &*make, bytes, prio, src, src_pe, at);
+                    let token = self.cur_dispatch.1 ^ TOKEN_AUX;
+                    self.spanning_broadcast(array, &*make, bytes, prio, Some(src), src_pe, at, token);
                 }
                 Action::Contribute {
                     array,
@@ -1645,11 +1212,8 @@ impl Runtime {
                     value,
                     op,
                     cb,
-                } => self.do_contribute(array, tag, value, op, cb, at),
-                Action::AtSync => {
-                    self.at_sync_seen += 1;
-                    self.check_at_sync(at);
-                }
+                } => self.contribute(array, tag, value, op, cb, at),
+                Action::AtSync => self.on_at_sync(at),
                 Action::MigrateMe { to } => self.start_migration(src, to, at),
                 Action::Insert {
                     array,
@@ -1668,12 +1232,7 @@ impl Runtime {
                     self.stores[src.array.0 as usize].remove_element(&src.ix);
                 }
                 Action::Exit => self.exit_requested = true,
-                Action::Metric { name, value } => {
-                    self.metrics
-                        .entry(name)
-                        .or_default()
-                        .push((at.as_secs_f64(), value));
-                }
+                Action::Metric { name, value } => self.journal(&name, at, value),
                 Action::RequestQuiescence { cb } => {
                     assert!(self.qd.is_none(), "concurrent quiescence detections");
                     self.qd = Some(cb);
@@ -1687,690 +1246,20 @@ impl Runtime {
             }
         }
     }
-
-    /// Resolve an envelope's destination through the location-management
-    /// protocol (§II-D) and schedule its delivery.
-    ///
-    /// Cache hit → direct send. Stale cache → the stale PE forwards (cost
-    /// modeled in `execute`, which re-routes). Miss → home-PE query round
-    /// trip precedes the send.
-    pub(crate) fn route_and_schedule(&mut self, mut env: Box<Envelope>, at: SimTime) {
-        let src = env.src_pe;
-        let dst = env.dst;
-        let Some((true_pe, epoch)) = self.stores[dst.array.0 as usize].locate(&dst.ix) else {
-            self.limbo.entry(dst).or_default().push(env);
-            return;
-        };
-        if !self.pes[true_pe].alive {
-            // Element lost with a crashed, unrecovered process.
-            return;
-        }
-
-        let (target_pe, extra) = if true_pe == src {
-            (true_pe, SimTime::ZERO)
-        } else if !self.location_cache {
-            // Ablation: no caching — every remote send queries the home PE.
-            let home = self.home_pe(dst.array, &dst.ix);
-            let rtt = self.net.delay(src, home, ENVELOPE_BYTES, env.rec_id ^ TOKEN_RTT_REQ)
-                + self.net.delay(home, src, ENVELOPE_BYTES, env.rec_id ^ TOKEN_RTT_RESP);
-            (true_pe, rtt)
-        } else {
-            match self.loc_cache[src].get(&dst) {
-                Some((pe, _ep)) => {
-                    // Send to the cached PE; if stale, `execute` forwards.
-                    (pe, SimTime::ZERO)
-                }
-                None => {
-                    // Query the home PE first: request + response round trip.
-                    let home = self.home_pe(dst.array, &dst.ix);
-                    let rtt = self.net.delay(src, home, ENVELOPE_BYTES, env.rec_id ^ TOKEN_RTT_REQ)
-                        + self.net.delay(home, src, ENVELOPE_BYTES, env.rec_id ^ TOKEN_RTT_RESP);
-                    self.loc_cache[src].insert(dst, (true_pe, epoch));
-                    (true_pe, rtt)
-                }
-            }
-        };
-        let target_pe = if self.pes[target_pe].alive {
-            target_pe
-        } else {
-            true_pe
-        };
-        let delay = self.net.delay(src, target_pe, env.bytes, env.rec_id);
-        self.bytes_moved += env.bytes as u64;
-        if env.cp.is_none() {
-            env.cp = self.cp_msg(at);
-        }
-        if let Some(tr) = &mut self.tracer {
-            tr.on_send(at, src, target_pe, dst, env.bytes);
-        }
-        if let Some(r) = &mut self.recorder {
-            // A home-PE query round trip was charged iff `extra > 0`; its
-            // control messages are envelope-sized.
-            let rtt_bytes = if extra > SimTime::ZERO { ENVELOPE_BYTES } else { 0 };
-            r.on_routed(env.rec_id, env.bytes, src, target_pe, 0, rtt_bytes);
-        }
-        // Schedule perturbation: seeded extra delay on user messages only
-        // (delays are always causally valid — the network could have been
-        // this slow). System events keep their exact timing.
-        let jitter = match &mut self.perturb {
-            Some((cfg, rng)) if matches!(env.payload, Payload::User(_)) => {
-                if rng.gen_bool(cfg.prob) {
-                    SimTime(rng.gen_range(0..=cfg.max_extra.0))
-                } else {
-                    SimTime::ZERO
-                }
-            }
-            _ => SimTime::ZERO,
-        };
-        if let Some(tr) = &mut self.tracer {
-            tr.on_msg_latency(extra + delay + jitter);
-        }
-        self.sched_deliver(at + extra + delay + jitter, target_pe, env);
-    }
-
-    /// Home PE of an index under its array's home map.
-    pub(crate) fn home_pe(&self, array: ArrayId, ix: &crate::Ix) -> usize {
-        let p = self.live_pes;
-        match self.home_maps.get(array.0 as usize).copied().unwrap_or(HomeMap::Hash) {
-            HomeMap::Hash => (ix.stable_hash() % p as u64) as usize,
-            HomeMap::Blocked { total } => match ix {
-                crate::Ix::I1(i) if *i >= 0 && (*i as u64) < total && total > 0 => {
-                    ((*i as u64) * p as u64 / total) as usize
-                }
-                _ => (ix.stable_hash() % p as u64) as usize,
-            },
-            HomeMap::Custom(f) => f(ix, p).min(p - 1),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn do_broadcast(
-        &mut self,
-        array: ArrayId,
-        make: &dyn Fn() -> Box<dyn std::any::Any + Send>,
-        bytes: usize,
-        prio: i64,
-        src: ObjId,
-        src_pe: usize,
-        at: SimTime,
-    ) {
-        // Spanning-tree cost: each level adds one small-message latency; all
-        // leaves receive after depth hops (idealized balanced tree).
-        let depth = self.tree_depth();
-        let level_cost = self
-            .net
-            .delay(0, 1.min(self.live_pes - 1), bytes, self.cur_dispatch.1 ^ TOKEN_AUX);
-        let tree_delay = SimTime(level_cost.0 * depth);
-        for ix in self.stores[array.0 as usize].indices() {
-            let dst = ObjId { array, ix };
-            let Some(pe) = self.stores[array.0 as usize].element_pe(&ix) else {
-                continue;
-            };
-            let rec_id = self.fresh_rec_id();
-            if let Some(r) = &mut self.recorder {
-                r.note_origin(rec_id);
-                r.on_routed(rec_id, bytes, src_pe, pe, depth, 0);
-            }
-            let env = crate::arena::alloc_box(Envelope {
-                dst,
-                payload: Payload::User(make()),
-                bytes,
-                prio,
-                src_pe,
-                rec_id,
-                src_obj: Some(src),
-                cp: self.cp_msg(at),
-            });
-            self.bytes_moved += bytes as u64;
-            if let Some(tr) = &mut self.tracer {
-                tr.on_send(at, src_pe, pe, dst, bytes);
-                tr.on_msg_latency(tree_delay);
-            }
-            self.sched_deliver(at + tree_delay, pe, env);
-        }
-    }
-
-    /// Buffer a contribution; reductions fold at window boundaries, in the
-    /// order the contributing entries were dispatched.
-    fn do_contribute(
-        &mut self,
-        array: ArrayId,
-        tag: u32,
-        value: RedValue,
-        op: RedOp,
-        cb: Callback,
-        at: SimTime,
-    ) {
-        self.pending_contribs.push(ContribRec {
-            merge_t: self.cur_dispatch.0,
-            merge_key: self.cur_dispatch.1,
-            at,
-            array,
-            tag,
-            value,
-            op,
-            cb,
-            cp_end: self.cur_cp.as_ref().map_or(0, |n| n.end_ns),
-            cp_node: self.cur_cp.clone(),
-        });
-    }
-
-    /// Fold every buffered contribution in dispatch order. Completion
-    /// callbacks allocate keys from the reduction slot.
-    fn fold_contributions(&mut self) {
-        if self.pending_contribs.is_empty() {
-            return;
-        }
-        let saved_slot = self.cur_slot;
-        self.cur_slot = self.red_slot();
-        let mut recs = std::mem::take(&mut self.pending_contribs);
-        recs.sort_by_key(|r| (r.merge_t, r.merge_key));
-        for rec in recs {
-            self.fold_one(rec);
-        }
-        self.cur_slot = saved_slot;
-    }
-
-    fn fold_one(&mut self, rec: ContribRec) {
-        let ContribRec {
-            merge_t: rec_merge_t,
-            merge_key,
-            at,
-            array,
-            tag,
-            value,
-            op,
-            cb,
-            cp_end,
-            cp_node,
-        } = rec;
-        let expected = self.stores[array.0 as usize].len();
-        let done = {
-            let entry = self
-                .reductions
-                .entry((array, tag))
-                .or_insert_with(|| RedState {
-                    expected,
-                    count: 0,
-                    acc: None,
-                    op,
-                    cb,
-                    bytes: value.wire_size(),
-                    cp: (0, None),
-                });
-            assert_eq!(entry.op, op, "mixed reduction ops for tag {tag}");
-            entry.count += 1;
-            entry.acc = Some(match entry.acc.take() {
-                None => value,
-                Some(acc) => entry.op.combine(acc, &value),
-            });
-            if cp_end >= entry.cp.0 && cp_node.is_some() {
-                entry.cp = (cp_end, cp_node);
-            }
-            entry.count >= entry.expected
-        };
-        if done {
-            let st = self.reductions.remove(&(array, tag)).expect("just there");
-            let value = st.acc.expect("at least one contribution");
-            // k-ary spanning tree: log_k(P) combine hops of the value size.
-            let depth = self.tree_depth();
-            let hop = self.net.delay(
-                0,
-                1.min(self.live_pes - 1),
-                st.bytes + ENVELOPE_BYTES,
-                merge_key ^ TOKEN_AUX,
-            );
-            let done = at + SimTime(hop.0 * depth);
-            // Attribute the callback sends to the completing contributor's
-            // exec (identified by dispatch key), not to whatever exec
-            // happens to surround this boundary fold.
-            if let Some(r) = &mut self.recorder {
-                r.origin_dispatch = Some((rec_merge_t, merge_key));
-            }
-            // The callback's critical path chains from the latest-finishing
-            // contributor (the reduction could not complete before it).
-            if st.cp.1.is_some() {
-                self.cp_carry = Some((st.cp.0, st.cp.1));
-            }
-            self.deliver_callback_tree(st.cb, SysEvent::Reduction { tag, value }, done, depth);
-            self.cp_carry = None;
-            if let Some(r) = &mut self.recorder {
-                r.origin_dispatch = None;
-            }
-        }
-    }
-
-    pub(crate) fn deliver_callback(&mut self, cb: Callback, ev: SysEvent, at: SimTime) {
-        self.deliver_callback_tree(cb, ev, at, 0);
-    }
-
-    /// Like [`Runtime::deliver_callback`], but tags the delivery with the
-    /// spanning-tree depth whose latency the caller folded into `at`, so a
-    /// recorded what-if replay can re-price the collective on a different
-    /// network.
-    pub(crate) fn deliver_callback_tree(
-        &mut self,
-        cb: Callback,
-        ev: SysEvent,
-        at: SimTime,
-        tree_depth: u64,
-    ) {
-        match cb {
-            Callback::ToChare { array, ix } => {
-                self.deliver_sys_tree(ObjId { array, ix }, ev, at, tree_depth);
-            }
-            Callback::BroadcastTo { array } => {
-                for ix in self.stores[array.0 as usize].indices() {
-                    self.deliver_sys_tree(ObjId { array, ix }, ev.clone(), at, tree_depth);
-                }
-            }
-            Callback::Ignore => {}
-        }
-    }
-
-    /// Deliver a system event to one chare at `at` (local-queue cost only;
-    /// collective costs are charged by callers).
-    pub(crate) fn deliver_sys(&mut self, dst: ObjId, ev: SysEvent, at: SimTime) {
-        self.deliver_sys_tree(dst, ev, at, 0);
-    }
-
-    pub(crate) fn deliver_sys_tree(
-        &mut self,
-        dst: ObjId,
-        ev: SysEvent,
-        at: SimTime,
-        tree_depth: u64,
-    ) {
-        let Some(pe) = self.stores[dst.array.0 as usize].element_pe(&dst.ix) else {
-            return;
-        };
-        let rec_id = self.fresh_rec_id();
-        if let Some(r) = &mut self.recorder {
-            r.note_origin(rec_id);
-            r.on_routed(rec_id, ENVELOPE_BYTES, pe, pe, tree_depth, 0);
-        }
-        // Reduction-completion callbacks chain from the latest-finishing
-        // contributor (`cp_carry`); other system events root a fresh chain
-        // at their scheduled time.
-        let cp = if self.tracer.as_ref().is_some_and(|t| t.cp_enabled()) {
-            Some(Box::new(crate::trace::CpMsg {
-                from: self.cp_carry.as_ref().and_then(|(_, n)| n.clone()),
-                cp_end: self.cp_carry.as_ref().map_or(at.as_nanos(), |(e, _)| *e),
-                sent_at: at,
-            }))
-        } else {
-            None
-        };
-        let env = crate::arena::alloc_box(Envelope {
-            dst,
-            payload: Payload::Sys(ev),
-            bytes: ENVELOPE_BYTES,
-            prio: i64::MIN + 1, // system events run promptly
-            src_pe: pe,
-            rec_id,
-            src_obj: None,
-            cp,
-        });
-        let local = self.net.params().local_delivery;
-        if let Some(tr) = &mut self.tracer {
-            tr.on_msg_latency(local);
-        }
-        self.sched_deliver(at + local, pe, env);
-    }
-
-    fn flush_limbo(&mut self, dst: ObjId) {
-        if let Some(envs) = self.limbo.remove(&dst) {
-            for env in envs {
-                self.route_and_schedule(env, self.now);
-            }
-        }
-    }
-
-    fn start_migration(&mut self, src: ObjId, to: usize, at: SimTime) {
-        let store = &mut self.stores[src.array.0 as usize];
-        let Some(from_pe) = store.element_pe(&src.ix) else {
-            return;
-        };
-        let to = to.min(self.live_pes - 1);
-        if to == from_pe {
-            return;
-        }
-        let bytes = store
-            .pack_element(&src.ix)
-            .expect("packing an existing element");
-        store.remove_element(&src.ix);
-        let delay = self.net.delay(
-            from_pe,
-            to,
-            bytes.len() + ENVELOPE_BYTES,
-            self.cur_dispatch.1 ^ TOKEN_AUX,
-        );
-        self.bytes_moved += (bytes.len() + ENVELOPE_BYTES) as u64;
-        self.inflight += 1;
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(at, TraceEventKind::Migration { obj: src, from_pe, to_pe: to });
-        }
-        self.push_ev(
-            at + delay,
-            Ev::MigrateArrive(Box::new(MigrateArrive {
-                dst: src,
-                to_pe: to,
-                from_pe,
-                bytes,
-            })),
-        );
-    }
-
-    // ----- quiescence ---------------------------------------------------------
-
-    fn maybe_detect_quiescence(&mut self) {
-        if self.qd.is_none() {
-            return;
-        }
-        // `pending_contribs` guard: a buffered (not-yet-folded) reduction is
-        // outstanding work even though no message carries it yet.
-        if self.inflight == 0
-            && self.queued == 0
-            && self.busy_pes == 0
-            && self.pending_contribs.is_empty()
-        {
-            let cb = self.qd.take().expect("checked");
-            // Two waves of a spanning-tree counting algorithm.
-            let depth = self.tree_depth();
-            let hop = self.net.delay(
-                0,
-                1.min(self.live_pes - 1),
-                ENVELOPE_BYTES,
-                self.cur_dispatch.1 ^ TOKEN_AUX,
-            );
-            let done = self.now + SimTime(hop.0 * depth * 2);
-            self.deliver_callback_tree(cb, SysEvent::QuiescenceDetected, done, depth * 2);
-        }
-    }
-
-    // ----- AtSync load balancing ----------------------------------------------
-
-    fn at_sync_expected(&self) -> usize {
-        self.stores
-            .iter()
-            .filter(|s| s.uses_at_sync())
-            .map(|s| s.len())
-            .sum()
-    }
-
-    fn check_at_sync(&mut self, at: SimTime) {
-        let expected = self.at_sync_expected();
-        if expected == 0 || self.at_sync_seen < expected {
-            return;
-        }
-        self.at_sync_seen = 0;
-        let skip = match self.lb_trigger {
-            LbTrigger::AtSync => false,
-            LbTrigger::Adaptive { min_imbalance } => {
-                let stats = self.collect_stats_peek();
-                stats.imbalance() < min_imbalance
-            }
-        };
-        if skip || self.lb.is_none() {
-            // Resume immediately: a barrier's worth of cost only.
-            let depth = self.tree_depth();
-            let hop = self.net.delay(
-                0,
-                1.min(self.live_pes - 1),
-                ENVELOPE_BYTES,
-                self.cur_dispatch.1 ^ TOKEN_AUX,
-            );
-            let resume = at + SimTime(hop.0 * depth);
-            // Loads must still be drained so the next window is fresh.
-            for s in self.stores.iter_mut() {
-                if s.uses_at_sync() {
-                    s.drain_loads();
-                }
-            }
-            self.resume_from_sync(resume);
-            return;
-        }
-        self.run_lb_round(at, true);
-    }
-
-    /// Non-destructive stats snapshot (loads not reset) for trigger logic.
-    pub(crate) fn collect_stats_peek(&mut self) -> LbStats {
-        self.collect_lb_stats(StatsMode::Peek)
-    }
-
-    /// The single stats-collection path: both the LB-trigger peek and the
-    /// destructive collection at the head of an LB round go through here, so
-    /// instrumentation and load-accounting rules can't drift apart.
-    ///
-    /// `Peek` leaves the load windows intact and skips the communication
-    /// journal; `Drain` resets both (the round consumes the window).
-    pub(crate) fn collect_lb_stats(&mut self, mode: StatsMode) -> LbStats {
-        // Drain the communication journal (if tracked) in a deterministic
-        // order and aggregate per-sender totals.
-        let (comm, sent_by) = match mode {
-            StatsMode::Peek => (Vec::new(), HashMap::new()),
-            StatsMode::Drain => {
-                let mut comm: Vec<(ObjId, ObjId, u64)> = self
-                    .comm
-                    .drain()
-                    .map(|((a, b), v)| (a, b, v))
-                    .collect();
-                comm.sort_unstable_by(|x, y| {
-                    (x.0.array, x.0.ix, x.1.array, x.1.ix)
-                        .cmp(&(y.0.array, y.0.ix, y.1.array, y.1.ix))
-                });
-                let mut sent_by: HashMap<ObjId, u64> = HashMap::new();
-                for (a, _, v) in &comm {
-                    *sent_by.entry(*a).or_default() += v;
-                }
-                (comm, sent_by)
-            }
-        };
-
-        let mut objs = Vec::new();
-        for s in self.stores.iter_mut() {
-            if !s.uses_at_sync() {
-                continue;
-            }
-            let id = s.id();
-            let drained = s.drain_loads();
-            for (ix, pe, load, hint) in &drained {
-                let obj = ObjId { array: id, ix: *ix };
-                objs.push(ObjStat {
-                    id: obj,
-                    pe: *pe,
-                    load: if *load > 0.0 { *load } else { *hint * 1e-6 },
-                    bytes_sent: sent_by.get(&obj).copied().unwrap_or(0),
-                    msgs_sent: 0,
-                });
-            }
-            if matches!(mode, StatsMode::Peek) {
-                // Put the loads back (peek semantics).
-                for (ix, _pe, load, _h) in drained {
-                    s.add_load(&ix, load);
-                }
-            }
-        }
-        LbStats {
-            num_pes: self.live_pes,
-            pe_speed: (0..self.live_pes).map(|p| self.effective_speed(p)).collect(),
-            bg_load: vec![0.0; self.live_pes],
-            objs,
-            comm,
-        }
-    }
-
-    /// Collect stats (destructive), run the strategy, enact migrations, and
-    /// (optionally) deliver ResumeFromSync. Charges the modeled cost of the
-    /// whole round. Used by AtSync, RTS-triggered (thermal/cloud) LB, and
-    /// reconfiguration.
-    pub(crate) fn run_lb_round(&mut self, at: SimTime, resume: bool) {
-        let stats = self.collect_lb_stats(StatsMode::Drain);
-        let imbalance_before = stats.imbalance();
-
-        let Some(lb) = self.lb.as_mut() else {
-            if resume {
-                self.resume_from_sync(at);
-            }
-            return;
-        };
-        let assignment = lb.assign(&stats);
-        assert_eq!(assignment.len(), stats.objs.len());
-        let strategy_name = lb.name();
-        let distributed = lb.is_distributed();
-        let decision_work = lb.decision_cost(stats.objs.len(), self.live_pes);
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                at,
-                TraceEventKind::LbBegin {
-                    strategy: strategy_name,
-                    objs: stats.objs.len(),
-                },
-            );
-        }
-
-        // --- modeled cost of the LB round -----------------------------------
-        let depth = self.tree_depth();
-        let small_hop = self.net.delay(
-            0,
-            1.min(self.live_pes - 1),
-            ENVELOPE_BYTES,
-            self.cur_dispatch.1 ^ TOKEN_AUX,
-        );
-        let stats_bytes = stats.objs.len() * 32;
-        let collect_cost = if distributed {
-            // Gossip rounds exchange O(1)-size summaries.
-            SimTime(small_hop.0 * depth * 2)
-        } else {
-            // Centralized gather of all stats, then a scatter of decisions.
-            let gather = self.net.delay(
-                0,
-                1.min(self.live_pes - 1),
-                stats_bytes,
-                self.cur_dispatch.1 ^ TOKEN_AUX,
-            );
-            SimTime(gather.0 + small_hop.0 * depth * 2)
-        };
-        let decision_cost = SimTime::from_secs_f64(decision_work / self.machine.flops_per_sec);
-
-        // --- enact migrations -------------------------------------------------
-        let mut migrations = 0usize;
-        let mut per_pe_out = vec![0usize; self.machine.num_pes];
-        let mut new_assignment: Vec<usize> = Vec::with_capacity(stats.objs.len());
-        for (obj, new_pe) in stats.objs.iter().zip(&assignment) {
-            let target = match new_pe {
-                Some(pe) => {
-                    assert!(*pe < self.live_pes, "{strategy_name} assigned dead PE {pe}");
-                    // Strategies see the live boundary, not liveness holes
-                    // left by preemptions; keep the chare put rather than
-                    // migrate it onto a dead PE.
-                    if self.pes[*pe].alive { *pe } else { obj.pe }
-                }
-                None => obj.pe,
-            };
-            new_assignment.push(target);
-            if target != obj.pe {
-                migrations += 1;
-                let store = &mut self.stores[obj.id.array.0 as usize];
-                let bytes = store
-                    .pack_element(&obj.id.ix)
-                    .expect("LB object exists");
-                per_pe_out[obj.pe] += bytes.len();
-                // Real state round trip: what migration actually does.
-                store.remove_element(&obj.id.ix);
-                store.unpack_insert(obj.id.ix, target, &bytes);
-                self.bytes_moved += bytes.len() as u64;
-                if let Some(tr) = &mut self.tracer {
-                    tr.rts(
-                        at,
-                        TraceEventKind::Migration {
-                            obj: obj.id,
-                            from_pe: obj.pe,
-                            to_pe: target,
-                        },
-                    );
-                }
-            }
-        }
-        let max_out = per_pe_out.iter().copied().max().unwrap_or(0);
-        let migrate_cost = if max_out > 0 {
-            self.net.delay(
-                0,
-                1.min(self.live_pes - 1),
-                max_out,
-                self.cur_dispatch.1 ^ TOKEN_AUX,
-            )
-        } else {
-            SimTime::ZERO
-        };
-        let barrier = SimTime(small_hop.0 * depth);
-        let total = collect_cost + decision_cost + migrate_cost + barrier;
-
-        // All PEs pause for the round; idle PEs with queued work must be
-        // re-examined when the block lifts.
-        let resume_at = at + total;
-        for pe in 0..self.live_pes {
-            self.pes[pe].blocked_until = self.pes[pe].blocked_until.max(resume_at);
-            self.push_ev(resume_at, Ev::PeRetry { pe });
-        }
-
-        let imbalance_after = crate::lbframework::imbalance_of(
-            &new_assignment,
-            &stats.objs.iter().map(|o| o.load).collect::<Vec<_>>(),
-            &stats.pe_speed,
-            self.live_pes,
-        );
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                resume_at,
-                TraceEventKind::LbEnd {
-                    strategy: strategy_name,
-                    migrations,
-                    cost: total,
-                },
-            );
-        }
-        self.lb_rounds.push(LbRound {
-            at: resume_at.as_secs_f64(),
-            strategy: strategy_name,
-            migrations,
-            imbalance_before,
-            imbalance_after,
-            cost_s: total.as_secs_f64(),
-        });
-
-        if resume {
-            self.resume_from_sync(resume_at);
-        }
-    }
-
-    fn resume_from_sync(&mut self, at: SimTime) {
-        let arrays: Vec<ArrayId> = self
-            .stores
-            .iter()
-            .filter(|s| s.uses_at_sync())
-            .map(|s| s.id())
-            .collect();
-        for array in arrays {
-            for ix in self.stores[array.0 as usize].indices() {
-                self.deliver_sys(ObjId { array, ix }, SysEvent::ResumeFromSync, at);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Ix;
     use charm_pup::Puper;
 
     /// A chare that counts pings and replies with pongs.
     #[derive(Default)]
-    struct Ping {
-        count: u64,
-        peer: Option<i64>,
-        limit: u64,
+    pub(crate) struct Ping {
+        pub(crate) count: u64,
+        pub(crate) peer: Option<i64>,
+        pub(crate) limit: u64,
     }
     impl charm_pup::Pup for Ping {
         fn pup(&mut self, p: &mut Puper) {
@@ -2380,7 +1269,7 @@ mod tests {
         }
     }
     #[derive(Default, Clone)]
-    struct PingMsg;
+    pub(crate) struct PingMsg;
     impl charm_pup::Pup for PingMsg {
         fn pup(&mut self, _p: &mut Puper) {}
     }
@@ -2400,7 +1289,7 @@ mod tests {
         }
     }
 
-    fn ping_setup(pes: usize) -> (Runtime, ArrayProxy<Ping>) {
+    pub(crate) fn ping_setup(pes: usize) -> (Runtime, ArrayProxy<Ping>) {
         let mut rt = Runtime::homogeneous(pes);
         let arr = rt.create_array::<Ping>("ping");
         rt.insert(
@@ -2445,134 +1334,6 @@ mod tests {
             (s.end_time, s.entries, s.messages, s.bytes)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn remote_costs_more_than_local() {
-        // Same-PE ping-pong finishes faster than cross-machine.
-        let mut local = {
-            let mut rt = Runtime::homogeneous(2);
-            let arr = rt.create_array::<Ping>("ping");
-            rt.insert(arr, Ix::i1(0), Ping { count: 0, peer: Some(1), limit: 10 }, Some(0));
-            rt.insert(arr, Ix::i1(1), Ping { count: 0, peer: Some(0), limit: 10 }, Some(0));
-            rt.send(arr, Ix::i1(0), PingMsg);
-            rt
-        };
-        let t_local = local.run().end_time;
-        let (mut remote, arr) = ping_setup(2);
-        remote.send(arr, Ix::i1(0), PingMsg);
-        let t_remote = remote.run().end_time;
-        assert!(t_remote > t_local, "remote {t_remote} local {t_local}");
-    }
-
-    /// Chare that migrates itself to PE 1 on first message and checks state
-    /// survives, then exits.
-    #[derive(Default)]
-    struct Mover {
-        payload: Vec<u64>,
-        moved: bool,
-    }
-    impl charm_pup::Pup for Mover {
-        fn pup(&mut self, p: &mut Puper) {
-            p.p(&mut self.payload);
-            p.p(&mut self.moved);
-        }
-    }
-    impl Chare for Mover {
-        type Msg = u8;
-        fn on_message(&mut self, _m: u8, ctx: &mut Ctx<'_>) {
-            assert!(!self.moved);
-            ctx.migrate_me(1);
-        }
-        fn on_event(&mut self, ev: SysEvent, ctx: &mut Ctx<'_>) {
-            if let SysEvent::Migrated { from_pe } = ev {
-                assert_eq!(from_pe, 0);
-                assert_eq!(ctx.my_pe(), 1);
-                assert_eq!(self.payload, vec![7, 8, 9], "state survives migration");
-                self.moved = true;
-                ctx.exit();
-            }
-        }
-    }
-
-    #[test]
-    fn migration_moves_state() {
-        let mut rt = Runtime::homogeneous(2);
-        let arr = rt.create_array::<Mover>("mover");
-        rt.insert(
-            arr,
-            Ix::i1(0),
-            Mover {
-                payload: vec![7, 8, 9],
-                moved: false,
-            },
-            Some(0),
-        );
-        rt.send(arr, Ix::i1(0), 0u8);
-        rt.run();
-        assert_eq!(rt.element_pe(arr.id(), &Ix::i1(0)), Some(1));
-    }
-
-    /// Reduction test: N contributors sum their indices to a root chare.
-    #[derive(Default)]
-    struct Summer {
-        n: i64,
-        is_root: bool,
-        got: Option<f64>,
-    }
-    impl charm_pup::Pup for Summer {
-        fn pup(&mut self, p: &mut Puper) {
-            p.p(&mut self.n);
-            p.p(&mut self.is_root);
-        }
-    }
-    impl Chare for Summer {
-        type Msg = u8;
-        fn on_message(&mut self, _m: u8, ctx: &mut Ctx<'_>) {
-            let proxy = ArrayProxy::<Summer>::new(ctx.my_id().array);
-            ctx.contribute(
-                proxy,
-                1,
-                RedValue::F64(self.n as f64),
-                RedOp::Sum,
-                Callback::ToChare {
-                    array: ctx.my_id().array,
-                    ix: Ix::i1(0),
-                },
-            );
-        }
-        fn on_event(&mut self, ev: SysEvent, ctx: &mut Ctx<'_>) {
-            if let SysEvent::Reduction { tag, value } = ev {
-                assert_eq!(tag, 1);
-                assert!(self.is_root);
-                self.got = Some(value.as_f64());
-                ctx.log_metric("sum", value.as_f64());
-                ctx.exit();
-            }
-        }
-    }
-
-    #[test]
-    fn reduction_sums_all_contributions() {
-        let mut rt = Runtime::homogeneous(4);
-        let arr = rt.create_array::<Summer>("sum");
-        for i in 0..10 {
-            rt.insert(
-                arr,
-                Ix::i1(i),
-                Summer {
-                    n: i,
-                    is_root: i == 0,
-                    got: None,
-                },
-                None,
-            );
-        }
-        rt.broadcast(arr, 0u8);
-        rt.run();
-        let m = rt.metric("sum");
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].1, 45.0);
     }
 
     #[test]
@@ -2628,88 +1389,6 @@ mod tests {
         rt.run();
         let seen: Vec<f64> = rt.metric("seen").iter().map(|x| x.1).collect();
         assert_eq!(seen, vec![-1.0, 2.0, 5.0]);
-    }
-
-    #[test]
-    fn quiescence_detected_after_messages_drain() {
-        #[derive(Default)]
-        struct Q {
-            waiting: bool,
-        }
-        impl charm_pup::Pup for Q {
-            fn pup(&mut self, p: &mut Puper) {
-                p.p(&mut self.waiting);
-            }
-        }
-        impl Chare for Q {
-            type Msg = u8;
-            fn on_message(&mut self, m: u8, ctx: &mut Ctx<'_>) {
-                if m == 1 {
-                    // fan out some work, then request QD
-                    let proxy = ArrayProxy::<Q>::new(ctx.my_id().array);
-                    for i in 1..5 {
-                        ctx.send(proxy, Ix::i1(i), 0u8);
-                    }
-                    self.waiting = true;
-                    ctx.request_quiescence(ctx.cb_self());
-                } else {
-                    ctx.work(10_000.0);
-                }
-            }
-            fn on_event(&mut self, ev: SysEvent, ctx: &mut Ctx<'_>) {
-                if matches!(ev, SysEvent::QuiescenceDetected) {
-                    assert!(self.waiting);
-                    ctx.log_metric("qd", 1.0);
-                    ctx.exit();
-                }
-            }
-        }
-        let mut rt = Runtime::homogeneous(2);
-        let arr = rt.create_array::<Q>("q");
-        for i in 0..5 {
-            rt.insert(arr, Ix::i1(i), Q::default(), None);
-        }
-        rt.send(arr, Ix::i1(0), 1u8);
-        rt.run();
-        assert_eq!(rt.metric("qd").len(), 1);
-    }
-
-    #[test]
-    fn dynamic_insert_receives_parked_messages() {
-        #[derive(Default)]
-        struct Node {
-            hits: u64,
-        }
-        impl charm_pup::Pup for Node {
-            fn pup(&mut self, p: &mut Puper) {
-                p.p(&mut self.hits);
-            }
-        }
-        impl Chare for Node {
-            type Msg = i64;
-            fn on_message(&mut self, m: i64, ctx: &mut Ctx<'_>) {
-                let proxy = ArrayProxy::<Node>::new(ctx.my_id().array);
-                match m {
-                    0 => {
-                        // Send to a child that doesn't exist yet, then create it.
-                        ctx.send(proxy, Ix::i1(99), 7);
-                        ctx.insert(proxy, Ix::i1(99), Node::default(), None);
-                    }
-                    7 => {
-                        self.hits += 1;
-                        ctx.log_metric("childhit", 1.0);
-                        ctx.exit();
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut rt = Runtime::homogeneous(2);
-        let arr = rt.create_array::<Node>("nodes");
-        rt.insert(arr, Ix::i1(0), Node::default(), Some(0));
-        rt.send(arr, Ix::i1(0), 0);
-        rt.run();
-        assert_eq!(rt.metric("childhit").len(), 1);
     }
 
     #[test]

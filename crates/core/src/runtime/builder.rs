@@ -1,0 +1,329 @@
+//! [`RuntimeBuilder`]: the settable points of a [`Runtime`] and its
+//! construction, including the events a machine description schedules
+//! before the run starts (failures, DVFS sampling, checkpoints, the elastic
+//! controller).
+
+use super::{Ev, PeState, Runtime, KEY_SLOT_SHIFT, LOC_CACHE_DENSE_MAX_PES, SLOT_HOST, SLOT_RTS};
+use crate::ctrl::{ControlRegistry, ControlValues};
+use crate::lbframework::{LbTrigger, Strategy};
+use crate::power::DvfsScheme;
+use crate::replay::{PerturbConfig, Recorder, ReplayConfig};
+use crate::trace::{TraceConfig, Tracer};
+use charm_machine::thermal::ThermalModel;
+use charm_machine::{EventQueue, MachineConfig, NetworkModel, SimTime};
+use fxhash::FxHashMap;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Per-entry scheduling overhead. One value has ever been in use; the
+/// [`Runtime`] field and the `.rlog` header carry it for what-if replay.
+const SCHED_OVERHEAD: SimTime = SimTime::from_nanos(250);
+
+/// Configures and constructs a [`Runtime`].
+pub struct RuntimeBuilder {
+    machine: MachineConfig,
+    seed: u64,
+    lb: Option<Box<dyn Strategy>>,
+    lb_trigger: LbTrigger,
+    dvfs: DvfsScheme,
+    dvfs_period: SimTime,
+    location_cache: bool,
+    collective_arity: u64,
+    track_comm: bool,
+    auto_ckpt: Option<SimTime>,
+    trace: Option<TraceConfig>,
+    trace_sinks: Vec<Box<dyn crate::trace::TraceSink>>,
+    record: Option<ReplayConfig>,
+    perturb: Option<PerturbConfig>,
+    elastic: Option<crate::elastic::ElasticConfig>,
+}
+
+impl RuntimeBuilder {
+    /// Set the RNG seed for the whole run (defaults to 42).
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Install a load-balancing strategy (AtSync-triggered by default).
+    pub fn strategy(mut self, s: Box<dyn Strategy>) -> Self {
+        self.lb = Some(s);
+        self
+    }
+
+    /// Select when load balancing runs.
+    pub fn lb_trigger(mut self, t: LbTrigger) -> Self {
+        self.lb_trigger = t;
+        self
+    }
+
+    /// Select the DVFS/temperature scheme (requires a thermal model on the
+    /// machine to have any effect).
+    pub fn dvfs(mut self, scheme: DvfsScheme) -> Self {
+        self.dvfs = scheme;
+        self
+    }
+
+    /// Temperature sampling / DVFS control period (default 1 s).
+    pub fn dvfs_period(mut self, p: SimTime) -> Self {
+        self.dvfs_period = p;
+        self
+    }
+
+    /// Enable/disable per-PE location caching (§II-D). With caching off,
+    /// every remote send pays the home-PE query round trip — the ablation
+    /// that shows why the paper's protocol caches.
+    pub fn location_cache(mut self, enabled: bool) -> Self {
+        self.location_cache = enabled;
+        self
+    }
+
+    /// Branching factor of the spanning trees used by broadcasts,
+    /// reductions, barriers, and quiescence waves (default 2).
+    pub fn collective_arity(mut self, k: u64) -> Self {
+        assert!(k >= 2, "spanning trees need arity >= 2");
+        self.collective_arity = k;
+        self
+    }
+
+    /// Record object-to-object communication volumes and hand them to the
+    /// balancer ([`LbStats::comm`](crate::LbStats)) — required by comm-aware
+    /// strategies.
+    pub fn track_comm(mut self, enabled: bool) -> Self {
+        self.track_comm = enabled;
+        self
+    }
+
+    /// Enable the Projections-lite tracing subsystem (see
+    /// [`crate::trace`]): bounded per-PE event logs plus always-cheap
+    /// summary aggregates. Off by default — when off, no events are
+    /// recorded and the per-message hooks reduce to a branch on `None`.
+    pub fn tracing(mut self, cfg: TraceConfig) -> Self {
+        self.trace = Some(cfg);
+        self
+    }
+
+    /// Install a streaming [`TraceSink`](crate::trace::TraceSink): every
+    /// traced record is fanned out to it as it is produced, so full event
+    /// logs flow to disk instead of accumulating in memory. Requires
+    /// [`RuntimeBuilder::tracing`]. Call [`Runtime::finish_trace`] after
+    /// the run to flush and finalize.
+    pub fn trace_sink(mut self, sink: Box<dyn crate::trace::TraceSink>) -> Self {
+        self.trace_sinks.push(sink);
+        self
+    }
+
+    /// Record a causal replay log (see [`crate::replay`]): one record per
+    /// executed entry with its consumed-message PUP digest and produced
+    /// sends, plus periodic chare-state digest points. Retrieve the log
+    /// with [`Runtime::take_replay_log`] after the run. Off by default —
+    /// when off, the per-message hooks reduce to a branch on `None`.
+    pub fn record(mut self, cfg: ReplayConfig) -> Self {
+        self.record = Some(cfg);
+        self
+    }
+
+    /// Perturb the delivery schedule with seeded, causally-valid extra
+    /// delays (see [`PerturbConfig`]). Combine with [`RuntimeBuilder::record`]
+    /// and diff the logs to hunt message races.
+    pub fn perturb(mut self, cfg: PerturbConfig) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&cfg.prob),
+            "perturbation probability must be in [0, 1]"
+        );
+        self.perturb = Some(cfg);
+        self
+    }
+
+    /// Install the closed-loop elastic controller: sample utilization every
+    /// `cfg.cadence` of virtual time and let `cfg.policy` issue shrink or
+    /// expand decisions through the malleability path. Decisions are pure
+    /// functions of simulation state, so controlled runs replay
+    /// bit-identically.
+    pub fn elastic(mut self, cfg: crate::elastic::ElasticConfig) -> Self {
+        self.elastic = Some(cfg);
+        self
+    }
+
+    /// Take a double in-memory checkpoint automatically every `interval`
+    /// of virtual time (§III-B). Ticks re-arm only while application work
+    /// is outstanding, so the run still terminates when the job drains.
+    pub fn auto_checkpoint(mut self, interval: SimTime) -> Self {
+        assert!(interval > SimTime::ZERO, "checkpoint interval must be positive");
+        self.auto_ckpt = Some(interval);
+        self
+    }
+
+    #[doc(hidden)] // inert: kept for `benchmark/`'s 2-thread pass
+    pub fn threads(self, _n: usize) -> Self { self }
+
+    /// Construct the runtime.
+    pub fn build(self) -> Runtime {
+        let n = self.machine.num_pes;
+        // Slot-partitioned event keys: one counter per PE plus the three
+        // runtime slots (host, reductions, RTS). See [`Runtime::fresh_key`].
+        let mut keys = vec![0u64; n + 3];
+        let rts = n + SLOT_RTS;
+        let rts_key = |keys: &mut Vec<u64>| {
+            let k = ((rts as u64) << KEY_SLOT_SHIFT) | keys[rts];
+            keys[rts] += 1;
+            k
+        };
+        // Pre-size for a few in-flight events per PE; saves the first
+        // handful of heap reallocations on every run.
+        let mut events = EventQueue::with_capacity(8 * n);
+        // Schedule injected failures and the DVFS sampler. A preemption
+        // becomes visible at its announcement time (warning before the
+        // kill); its warn key is allocated before its kill key, so a
+        // zero-warning announcement still pops before the kill on ties.
+        for f in self.machine.failures.events() {
+            if let charm_machine::FailureKind::Preemption { .. } = f.kind {
+                let k = rts_key(&mut keys);
+                events.push_keyed(
+                    f.visible_at(),
+                    k,
+                    Ev::PreemptWarn {
+                        pe: f.pe,
+                        deadline: f.time,
+                    },
+                );
+            }
+            let k = rts_key(&mut keys);
+            events.push_keyed(f.time, k, Ev::NodeFail { pe: f.pe });
+        }
+        let thermal = self
+            .machine
+            .thermal
+            .as_ref()
+            .map(|cfg| ThermalModel::new(cfg.clone(), self.machine.num_chips()));
+        if thermal.is_some() {
+            let k = rts_key(&mut keys);
+            events.push_keyed(self.dvfs_period, k, Ev::DvfsTick);
+        }
+        if let Some(interval) = self.auto_ckpt {
+            let k = rts_key(&mut keys);
+            events.push_keyed(interval, k, Ev::AutoCkpt);
+        }
+        let elastic = self.elastic.map(|cfg| {
+            let k = rts_key(&mut keys);
+            events.push_keyed(cfg.cadence, k, Ev::ElasticTick);
+            crate::elastic::ElasticCtl::new(cfg, n)
+        });
+        let net = NetworkModel::new(self.machine.network.clone(), self.seed);
+        let net_min_remote = net.min_remote_delay().0;
+        let num_chips = self.machine.num_chips();
+        let rngs = (0..n)
+            .map(|pe| StdRng::seed_from_u64(self.seed ^ (pe as u64).wrapping_mul(0x9E3779B97F4A7C15)))
+            .collect();
+        assert!(
+            self.trace_sinks.is_empty() || self.trace.is_some(),
+            "trace_sink requires tracing to be enabled"
+        );
+        let tracer = self.trace.map(|cfg| {
+            let mut tr = Tracer::new(cfg, n);
+            for sink in self.trace_sinks {
+                tr.add_sink(sink);
+            }
+            tr
+        });
+        let recorder = self.record.map(Recorder::new);
+        let perturb = self.perturb.map(|cfg| {
+            let rng = StdRng::seed_from_u64(cfg.seed ^ 0x0070_6572_7475_7262); // "perturb"
+            (cfg, rng)
+        });
+        Runtime {
+            machine: self.machine,
+            net,
+            now: SimTime::ZERO,
+            events,
+            pes: (0..n).map(|_| PeState::new()).collect(),
+            live_pes: n,
+            stores: Vec::new(),
+            home_maps: Vec::new(),
+            array_names: FxHashMap::default(),
+            rngs,
+            ctrl: ControlRegistry::new(),
+            ctrl_snapshot: ControlValues::default(),
+            loc_cache: vec![
+                crate::array::LocCache::with_dense(n <= LOC_CACHE_DENSE_MAX_PES);
+                n
+            ],
+            limbo: FxHashMap::default(),
+            reductions: FxHashMap::default(),
+            qd: None,
+            inflight: 0,
+            queued: 0,
+            busy_pes: 0,
+            lb: self.lb,
+            lb_trigger: self.lb_trigger,
+            at_sync_seen: 0,
+            lb_rounds: Vec::new(),
+            mem_ckpt: None,
+            ckpt_pending: None,
+            copy_missing: FxHashMap::default(),
+            auto_ckpt_interval: self.auto_ckpt,
+            unrecoverable: None,
+            elastic,
+            retired: vec![false; n],
+            degraded: None,
+            thermal,
+            dvfs: self.dvfs,
+            dvfs_period: self.dvfs_period,
+            last_rts_lb: SimTime::ZERO,
+            chip_busy: vec![SimTime::ZERO; num_chips],
+            sched_overhead: SCHED_OVERHEAD,
+            metrics: FxHashMap::default(),
+            entries: 0,
+            messages: 0,
+            bytes_moved: 0,
+            events_processed: 0,
+            wall_run: std::time::Duration::ZERO,
+            action_scratch: Vec::new(),
+            exit_requested: false,
+            seed: self.seed,
+            location_cache: self.location_cache,
+            collective_arity: self.collective_arity,
+            track_comm: self.track_comm,
+            comm: FxHashMap::default(),
+            tracer,
+            cur_cp: None,
+            cp_carry: None,
+            recorder,
+            perturb,
+            keys,
+            cur_slot: n + SLOT_HOST,
+            cur_dispatch: (0, 0),
+            pending_contribs: Vec::new(),
+            cur_win_end: SimTime::ZERO,
+            win_ns: net_min_remote.max(1),
+            last_digest_seq: 0,
+            reconfig_overhead_shrink: SimTime::from_secs_f64(2.0),
+            reconfig_overhead_expand: SimTime::from_secs_f64(6.5),
+            arena_base: crate::arena::stats(),
+            windows_executed: 0,
+        }
+    }
+}
+
+impl Runtime {
+    /// Start building a runtime for `machine`.
+    pub fn builder(machine: MachineConfig) -> RuntimeBuilder {
+        RuntimeBuilder {
+            machine,
+            seed: 42,
+            lb: None,
+            lb_trigger: LbTrigger::AtSync,
+            dvfs: DvfsScheme::Off,
+            dvfs_period: SimTime::from_secs(1),
+            location_cache: true,
+            collective_arity: 2,
+            track_comm: false,
+            auto_ckpt: None,
+            trace: None,
+            trace_sinks: Vec::new(),
+            record: None,
+            perturb: None,
+            elastic: None,
+        }
+    }
+}

@@ -993,11 +993,6 @@ impl Tracer {
         (self.comm.shed_msgs, self.comm.shed_bytes)
     }
 
-    /// Comm pairs currently tracked by the sparse matrix.
-    pub fn comm_tracked_pairs(&self) -> usize {
-        self.comm.cells.len()
-    }
-
     /// Modeled message-latency histogram (send → delivery, nanoseconds).
     pub fn msg_latency(&self) -> &LogHist {
         &self.msg_latency
@@ -1041,12 +1036,6 @@ impl Tracer {
     /// Ledger lines shed beyond the retention cap.
     pub fn ledger_shed(&self) -> u64 {
         self.ledger_total - self.ledger().len() as u64
-    }
-
-    /// Per-track dropped-record counts (PE tracks then the RTS track) —
-    /// the breakdown behind [`Tracer::dropped_events`].
-    pub fn dropped_by_track(&self) -> Vec<u64> {
-        self.rings.iter().map(|r| r.dropped).collect()
     }
 
     /// Delivery counters for every installed streaming sink.

@@ -587,3 +587,118 @@ pub fn halo_verify(rt: &Runtime) -> Result<(), String> {
 pub fn halo_spec() -> AppSpec {
     AppSpec { name: "halo1d", build: halo_build, verify: halo_verify }
 }
+
+// ---------------------------------------------------------------------------
+// Pinned service paths: a printable fingerprint of everything a finished run
+// exposes, and the one scenario shared with the root `tests/integration.rs`.
+// ---------------------------------------------------------------------------
+
+/// Passive cargo: chares that never receive a message but have state of
+/// uneven size on every PE, so take-downs and restores move more than one
+/// array and their byte accounting is not all-equal.
+#[derive(Default)]
+struct Ballast {
+    data: Vec<u64>,
+}
+
+impl Pup for Ballast {
+    fn pup(&mut self, p: &mut Puper) {
+        p.p(&mut self.data);
+    }
+}
+
+impl Chare for Ballast {
+    type Msg = Step;
+    fn on_message(&mut self, _m: Step, _ctx: &mut Ctx<'_>) {}
+}
+
+pub fn ballast_build(rt: &mut Runtime) {
+    let arr = rt.create_array::<Ballast>("ballast");
+    let pes = rt.num_pes();
+    for i in 0..12usize {
+        let data = vec![i as u64; 16 + 24 * (i % 5)];
+        rt.insert(arr, Ix::i1(i as i64), Ballast { data }, Some((i * 3) % pes));
+    }
+}
+
+/// Everything observable about a finished run, one `key=value` per line —
+/// the form `service_paths.rs` compares with committed constants. Tracing
+/// must be on (the `NetCounters` only surface through the report).
+pub fn fingerprint(rt: &mut Runtime, s: &charm_core::RunSummary) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "end_ns={} events={} entries={} messages={} bytes={}",
+        s.end_time.as_nanos(),
+        s.events,
+        s.entries,
+        s.messages,
+        s.bytes
+    );
+    let digests = rt.state_digest();
+    let state = format!("{digests:?}");
+    let _ = writeln!(out, "state={:#018x}", charm_pup::fnv1a(state.as_bytes()));
+    let placement: Vec<Option<usize>> =
+        digests.iter().map(|(obj, _)| rt.element_pe(obj.array, &obj.ix)).collect();
+    let _ = writeln!(out, "placement={placement:?}");
+    let _ = writeln!(out, "pes={} alive={}", rt.num_pes(), rt.alive_pes());
+    let lb: Vec<(usize, f64)> = rt.lb_rounds().iter().map(|r| (r.migrations, r.cost_s)).collect();
+    let _ = writeln!(out, "lb={lb:?}");
+    for name in [
+        "ckpt_time_s",
+        "evacuation_cost_s",
+        "reconfigure_cost_s",
+        "restart_time_s",
+        "capacity",
+    ] {
+        let _ = writeln!(out, "{name}={:?}", rt.metric(name));
+    }
+    let report = rt.projections_report(4).expect("tracing is on");
+    let net = report
+        .lines()
+        .find(|l| l.starts_with("-- network model:"))
+        .expect("report carries the NetCounters line");
+    let _ = writeln!(out, "{}", net.trim_start_matches("-- "));
+    let chrome = rt.trace_chrome_json().expect("tracing is on");
+    let _ = writeln!(out, "trace={:#018x}", charm_pup::fnv1a(chrome.as_bytes()));
+    out
+}
+
+/// Lockstep on the jittered 8-PE cloud machine, shrunk 8 → 4 a third of
+/// the way in and expanded back to 8 at two thirds, with `GreedyLb`
+/// installed so the expand's LB round really spreads the workers again.
+pub fn shrink_expand_run(greedy: Box<dyn charm_core::Strategy>) -> String {
+    let machine = charm_core::machine::presets::cloud(8);
+    let mut rt = Runtime::builder(machine)
+        .seed(7)
+        .strategy(greedy)
+        .tracing(charm_core::TraceConfig::default())
+        .build();
+    rt.reconfig_overhead_shrink = charm_core::SimTime::from_micros(300);
+    rt.reconfig_overhead_expand = charm_core::SimTime::from_micros(700);
+    lockstep_build_migratable(&mut rt);
+    ballast_build(&mut rt);
+    rt.schedule_reconfigure(charm_core::SimTime::from_micros(2_000), 4);
+    rt.schedule_reconfigure(charm_core::SimTime::from_micros(5_000), 8);
+    let s = rt.run();
+    lockstep_verify(&rt).expect("answer survives shrink + expand");
+    assert_eq!(rt.metric("reconfigure").len(), 2, "both reconfigurations ran");
+    fingerprint(&mut rt, &s)
+}
+
+/// [`shrink_expand_run`]'s fingerprint, measured at the parent commit.
+pub const SHRINK_EXPAND_PIN: &str = "\
+end_ns=12610418 events=535 entries=251 messages=253 bytes=11888\n\
+state=0xd293f564383040aa\n\
+placement=[Some(4), Some(5), Some(6), Some(7), Some(0), Some(1), Some(2), Some(3), Some(4), Some(5), Some(6), Some(7), Some(4), Some(5), Some(6), Some(7), Some(0), Some(1), Some(2), Some(3), Some(0), Some(1), Some(2), Some(3), Some(0), Some(0), Some(3), Some(2), Some(1), Some(0), Some(0), Some(2), Some(1), Some(0), Some(3), Some(3), Some(1)]\n\
+pes=8 alive=8\n\
+lb=[(14, 0.000489151)]\n\
+ckpt_time_s=[]\n\
+evacuation_cost_s=[]\n\
+reconfigure_cost_s=[(0.002, 0.000353003), (0.005, 0.0007)]\n\
+restart_time_s=[]\n\
+capacity=[(0.002, 4.0), (0.005, 8.0)]\n\
+network model: 26 remote msg(s), 2832 B remote, 1 local hop(s)\n\
+trace=0x3648007b66be35ee\n\
+";

@@ -115,11 +115,6 @@ impl SpeedModel {
     pub fn is_empty(&self) -> bool {
         self.static_speed.is_empty()
     }
-
-    /// The configured interference windows.
-    pub fn interference_windows(&self) -> &[InterferenceWindow] {
-        &self.interference
-    }
 }
 
 #[cfg(test)]

@@ -176,11 +176,6 @@ impl ThermalModel {
         false
     }
 
-    /// Force a chip to nominal frequency (the "Base" scheme never scales).
-    pub fn reset_freq(&mut self, chip: usize) {
-        self.chips[chip].freq_idx = 0;
-    }
-
     /// Steady-state temperature at constant utilization and current
     /// frequency — handy for tests and for the MetaTemp predictor.
     pub fn steady_state_temp(&self, chip: usize, utilization: f64) -> f64 {

@@ -305,14 +305,6 @@ pub fn pup_array<T: Pup, const N: usize>(p: &mut Puper<'_>, arr: &mut [T; N]) {
     }
 }
 
-/// Pup every element of a mutable slice (the slice length is *not* encoded;
-/// callers must know it, as with `PUParray`).
-pub fn pup_slice<T: Pup>(p: &mut Puper<'_>, s: &mut [T]) {
-    for v in s.iter_mut() {
-        v.pup(p);
-    }
-}
-
 /// Compute the packed size of `v` without serializing it.
 pub fn packed_size<T: Pup + ?Sized>(v: &mut T) -> usize {
     let mut p = Puper::sizer();

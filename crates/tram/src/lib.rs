@@ -23,7 +23,7 @@
 //! *increases* average latency (items wait in buffers), so direct sends win;
 //! at high volume TRAM wins decisively.
 
-use charm_core::{ArrayId, ArrayProxy, Chare, Ctx, Ix, Runtime, SysEvent};
+use charm_core::{ArrayProxy, Chare, Ctx, Ix, Runtime, SysEvent};
 use charm_machine::{SimTime, Torus};
 use charm_pup::{Pup, Puper};
 
@@ -424,34 +424,6 @@ where
         for pe in 0..n {
             rt.send(self.agents, Ix::i1(pe as i64), TramMsg::FlushAll);
         }
-    }
-
-    /// The underlying agent array id (for diagnostics).
-    pub fn agents_id(&self) -> ArrayId {
-        self.agents.id()
-    }
-
-    /// Total items currently parked in agent buffers (host-side diagnostic).
-    pub fn buffered_items(&self, rt: &Runtime) -> usize {
-        let mut total = 0;
-        for pe in 0..rt.num_pes() {
-            total += rt
-                .inspect(self.agents, &Ix::i1(pe as i64), |a: &TramAgent<C>| {
-                    a.buffers.values().map(|v| v.len()).sum::<usize>()
-                })
-                .unwrap_or(0);
-        }
-        total
-    }
-
-    /// Are any agent flush timers armed? (host-side diagnostic)
-    pub fn ticks_armed(&self, rt: &Runtime) -> usize {
-        (0..rt.num_pes())
-            .filter(|&pe| {
-                rt.inspect(self.agents, &Ix::i1(pe as i64), |a: &TramAgent<C>| a.tick_armed)
-                    .unwrap_or(false)
-            })
-            .count()
     }
 }
 

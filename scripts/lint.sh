@@ -1,7 +1,30 @@
 #!/bin/sh
 # Lint gate for the whole workspace — every crate, the root package, its
-# integration tests and the examples: warnings are errors.
+# integration tests and the examples: warnings are errors. Then the greps
+# that keep each shared runtime mechanism single (DESIGN §4.3) where
+# privacy cannot: a second site fails with the offending lines.
 set -eu
 cd "$(dirname "$0")/.."
 cargo clippy -q --workspace --all-targets -- -D warnings
 echo "clippy clean: workspace, all targets"
+
+src=crates/core/src
+once() {
+    hits=$(grep -rnF "$1" "$src" || true)
+    n=$(printf '%s' "$hits" | grep -c . || true)
+    if [ "$n" -ne 1 ]; then
+        echo "lint: '$1' must occur exactly once under $src, found $n:"
+        printf '%s\n' "$hits"
+        exit 1
+    fi
+}
+once 'alloc_box(Envelope'       # mint an envelope: Runtime::mint
+once '1.min(self.live_pes - 1)' # price a tree hop: Runtime::tree_hop
+once 'loc_cache.iter_mut()'     # flush location caches: Runtime::flush_loc_caches
+stray=$(grep -rnF 'pack_element(' "$src" | grep -v -e "^$src/array.rs:" -e "^$src/placement.rs:" || true)
+if [ -n "$stray" ]; then
+    echo "lint: 'pack_element(' outside array.rs and placement.rs (use Runtime::relocate):"
+    printf '%s\n' "$stray"
+    exit 1
+fi
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate"

@@ -357,3 +357,16 @@ fn streamed_traces_and_replay_logs_match_their_in_memory_forms() {
     let report = charm_replay::verify(&a, &b);
     assert!(report.ok(), "{report}");
 }
+
+#[path = "../crates/core/tests/campaign/mod.rs"]
+mod campaign;
+
+/// Tier-1 slice of `crates/core/tests/service_paths.rs`: shrink 8 → 4 then
+/// expand → 8 must reproduce the fingerprint (simulated time, counters,
+/// placement, service costs, `NetCounters`, trace hash) committed before
+/// the services were moved onto shared mechanisms.
+#[test]
+fn shrink_then_expand_matches_its_committed_fingerprint() {
+    let got = campaign::shrink_expand_run(Box::new(charm_rs::lb::GreedyLb));
+    assert_eq!(got, campaign::SHRINK_EXPAND_PIN);
+}
