@@ -9,7 +9,7 @@
 //! most for the least balancing effort.
 
 use charm_apps::stencil::{run_with_runtime, StencilConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_core::{DvfsScheme, SimTime};
 use charm_machine::presets;
 use charm_machine::thermal::ThermalConfig;
@@ -65,20 +65,19 @@ fn main() {
         "DVFS & temperature control (Stencil2D on the thermal testbed)",
         &["scheme", "exec_time", "max_temp_C", "penalty_vs_base", "lb_rounds"],
     );
-    let mut base_time = None;
-    for (name, scheme, with_lb) in schemes {
+    let runs = pool::map(&schemes, |&(_, scheme, with_lb)| {
         let (run, rt) = run_with_runtime(config(scheme, with_lb, scale));
         let max_temp = rt.thermal().map_or(f64::NAN, |t| t.max_temp_observed());
-        let t = run.total_s;
-        if base_time.is_none() {
-            base_time = Some(t);
-        }
+        (run.total_s, max_temp, run.lb_rounds)
+    });
+    let base_time = runs[0].0;
+    for ((name, ..), (t, max_temp, lb_rounds)) in schemes.iter().zip(runs) {
         fig.row(vec![
             name.to_string(),
             fmt_s(t),
             format!("{max_temp:.1}"),
-            format!("{:.2}x", t / base_time.expect("set")),
-            run.lb_rounds.to_string(),
+            format!("{:.2}x", t / base_time),
+            lb_rounds.to_string(),
         ]);
     }
     fig.note("paper: Base ~74C hot/fastest; DVFS schemes cap ~50-55C;");

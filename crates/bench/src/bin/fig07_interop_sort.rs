@@ -11,7 +11,7 @@
 //! share of the step grows (paper: 23 % at 4096 cores); the asynchronous
 //! HistSort stays a small, flat fraction (paper: 2 %).
 
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_core::{CharmLib, Runtime};
 use charm_machine::presets;
 use charm_sort::{hist_sort, mpi_multiway, skewed_keys, verify_sorted};
@@ -37,7 +37,8 @@ fn main() {
         ],
     );
 
-    for &p in &pe_list {
+    // Per PE count: compute, MPI sort and Charm HistSort seconds.
+    let times = pool::map(&pe_list, |&p| {
         let keys = skewed_keys(p, total_keys / p, 7);
         let machine = presets::stampede(p);
         let compute_s = total_compute_flops / (machine.flops_per_sec * p as f64);
@@ -55,8 +56,9 @@ fn main() {
         };
         let _ = lib.exit();
 
-        let mpi_s = mpi.time.as_secs_f64();
-        let charm_s = charm_time.as_secs_f64();
+        [compute_s, mpi.time.as_secs_f64(), charm_time.as_secs_f64()]
+    });
+    for (p, [compute_s, mpi_s, charm_s]) in pe_list.iter().zip(times) {
         fig.row(vec![
             p.to_string(),
             fmt_s(compute_s),

@@ -7,7 +7,7 @@
 //! time also falls with scale here but flattens as barrier costs grow.
 
 use charm_apps::amr3d::{run_with_runtime, AmrConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_machine::presets;
 
 fn cfg(pes: usize, lb: bool, ckpt: Option<u64>, scale: Scale) -> AmrConfig {
@@ -39,22 +39,19 @@ fn main() {
         "AMR3D strong scaling (time/step): NoLB vs DistributedLB vs ideal",
         &["pes", "no_lb", "distributed_lb", "lb_gain", "ideal"],
     );
-    let mut first: Option<f64> = None;
-    for &p in &pe_list {
-        let (no, nb_no, _) = run_with_runtime(cfg(p, false, None, scale));
-        let (lb, nb_lb, _) = run_with_runtime(cfg(p, true, None, scale));
-        let _ = (nb_no, nb_lb);
-        // Steady tail: median of the last 5 steps — robust to the regrid
-        // step's decide/share/QD spike.
-        let tail = |r: &charm_apps::AppRun| {
-            let d = r.step_durations();
-            let mut last: Vec<f64> = d[d.len().saturating_sub(5)..].to_vec();
-            last.sort_by(f64::total_cmp);
-            last[last.len() / 2]
-        };
-        let t_no = tail(&no);
-        let t_lb = tail(&lb);
-        let ideal = *first.get_or_insert(t_lb) * pe_list[0] as f64 / p as f64;
+    // Steady tail: median of the last 5 steps — robust to the regrid
+    // step's decide/share/QD spike.
+    let tail = |r: &charm_apps::AppRun| {
+        let d = r.step_durations();
+        let mut last: Vec<f64> = d[d.len().saturating_sub(5)..].to_vec();
+        last.sort_by(f64::total_cmp);
+        last[last.len() / 2]
+    };
+    let points: Vec<_> = pe_list.iter().flat_map(|&p| [(p, false), (p, true)]).collect();
+    let tails = pool::map(&points, |&(p, lb)| tail(&run_with_runtime(cfg(p, lb, None, scale)).0));
+    for (&p, t) in pe_list.iter().zip(tails.chunks(2)) {
+        let (t_no, t_lb) = (t[0], t[1]);
+        let ideal = tails[1] * pe_list[0] as f64 / p as f64;
         left.row(vec![
             p.to_string(),
             fmt_s(t_no),
@@ -72,7 +69,8 @@ fn main() {
         "AMR3D double in-memory checkpoint and restart times",
         &["pes", "checkpoint", "restart"],
     );
-    for &p in &pe_list {
+    // Each point keeps its probe → run pair together.
+    let times = pool::map(&pe_list, |&p| {
         let mut c = cfg(p, false, Some(4), scale);
         // Inject a failure after the checkpoint to measure restart.
         let probe = run_with_runtime(cfg(p, false, Some(4), scale));
@@ -99,6 +97,9 @@ fn main() {
             .first()
             .map(|&(_, v)| v)
             .unwrap_or(f64::NAN);
+        (ck, rs)
+    });
+    for (p, (ck, rs)) in pe_list.iter().zip(times) {
         right.row(vec![p.to_string(), fmt_s(ck), fmt_s(rs)]);
     }
     right.note("paper: checkpoint 394ms@2K → 29ms@32K; restart 2.24s@2K → 470ms@32K");

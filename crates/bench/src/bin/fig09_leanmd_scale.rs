@@ -6,7 +6,7 @@
 //! ideal ("improves the performance by at least 40%").
 
 use charm_apps::leanmd::{run, LeanMdConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_machine::presets;
 
 fn main() {
@@ -36,18 +36,18 @@ fn main() {
         let d = r.step_durations();
         d[d.len() - 4..].iter().sum::<f64>() / 4.0
     };
-    let mut base: Option<f64> = None;
-    for &p in &pe_list {
-        let no = tail(&run(mk(p, false)));
-        let lb = tail(&run(mk(p, true)));
-        let b = *base.get_or_insert(lb);
+    let points: Vec<_> = pe_list.iter().flat_map(|&p| [(p, false), (p, true)]).collect();
+    let times = pool::map(&points, |&(p, lb)| tail(&run(mk(p, lb))));
+    let b = times[1];
+    for (p, t) in pe_list.iter().zip(times.chunks(2)) {
+        let (no, lb) = (t[0], t[1]);
         fig.row(vec![
             p.to_string(),
             fmt_s(no),
             fmt_s(lb),
             format!("{:.0}%", 100.0 * (no - lb) / no),
             format!("{:.2}", b / lb * pe_list[0] as f64),
-            format!("{:.2}", p as f64),
+            format!("{:.2}", *p as f64),
         ]);
     }
     fig.note("paper: HybridLB improves LeanMD by >= 40%; 44 ms/step at 32K PEs");

@@ -7,7 +7,7 @@
 //! because the recovery protocol's barriers grow with log P.
 
 use charm_apps::leanmd::{run_with_runtime, LeanMdConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_core::SimTime;
 use charm_machine::presets;
 
@@ -53,9 +53,12 @@ fn main() {
         "LeanMD in-memory checkpoint/restart times, two system sizes",
         &["pes", "big_ckpt", "small_ckpt", "big_restart", "small_restart"],
     );
-    for &p in &pe_list {
-        let (cb, rb) = measure(p, big_cells, atoms);
-        let (cs, rs) = measure(p, small_cells, atoms);
+    // Each point keeps its probe → run pair together.
+    let sizes = |p| [(p, big_cells), (p, small_cells)];
+    let points: Vec<_> = pe_list.iter().flat_map(|&p| sizes(p)).collect();
+    let times = pool::map(&points, |&(p, cells)| measure(p, cells, atoms));
+    for (p, t) in pe_list.iter().zip(times.chunks(2)) {
+        let ((cb, rb), (cs, rs)) = (t[0], t[1]);
         fig.row(vec![
             p.to_string(),
             fmt_s(cb),

@@ -6,7 +6,7 @@
 //! persisting to the full-machine scale.
 
 use charm_apps::leanmd::{run, LeanMdConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_machine::presets;
 
 fn main() {
@@ -36,9 +36,12 @@ fn main() {
         let d = r.step_durations();
         d[d.len() - 3..].iter().sum::<f64>() / 3.0
     };
-    for &p in &pe_list {
-        let xk7 = tail(&run(mk(presets::xk7(p), 3)));
-        let xt5 = tail(&run(mk(presets::xt5(p), 3)));
+    let points: Vec<_> = pe_list.iter().flat_map(|&p| [(p, true), (p, false)]).collect();
+    let times = pool::map(&points, |&(p, xk7)| {
+        tail(&run(mk(if xk7 { presets::xk7(p) } else { presets::xt5(p) }, 3)))
+    });
+    for (p, t) in pe_list.iter().zip(times.chunks(2)) {
+        let (xk7, xt5) = (t[0], t[1]);
         fig.row(vec![
             p.to_string(),
             fmt_s(xk7),

@@ -7,7 +7,7 @@
 //! growing penalty at scale.
 
 use charm_apps::barneshut::{run, BarnesHutConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_machine::presets;
 
 fn main() {
@@ -28,34 +28,27 @@ fn main() {
         "Barnes-Hut time/step: overdecomp+ORB (500m) vs no LB (500m_LB-off) vs 1 piece/PE (500m_NO)",
         &["pes", "full", "no_lb", "no_overdecomp"],
     );
-    for &p in &pe_list {
-        let pieces_full = 8usize.pow(full_depth as u32);
-        let ppp_full = (total_particles as usize / pieces_full).max(1);
-        let mk = |depth: u8, lb: bool| {
-            let pieces = 8usize.pow(depth as u32);
-            BarnesHutConfig {
-                machine: presets::xe6(p),
-                depth,
-                particles_per_piece: (total_particles as usize / pieces).max(1),
-                clustering: 8.0,
-                steps: 8,
-                lb_every: if lb { 3 } else { 0 },
-                strategy: lb.then(|| Box::new(charm_lb::OrbLb) as _),
-                ..BarnesHutConfig::default()
-            }
-        };
-        let _ = ppp_full;
-        // no-overdecomp depth: 8^d == p
-        let no_depth = (p as f64).log(8.0).round() as u8;
-        let full = tail(&run(mk(full_depth, true)));
-        let no_lb = tail(&run(mk(full_depth, false)));
-        let no_od = tail(&run(mk(no_depth, true)));
-        fig.row(vec![
-            p.to_string(),
-            fmt_s(full),
-            fmt_s(no_lb),
-            fmt_s(no_od),
-        ]);
+    let mk = |p: usize, depth: u8, lb: bool| {
+        let pieces = 8usize.pow(depth as u32);
+        BarnesHutConfig {
+            machine: presets::xe6(p),
+            depth,
+            particles_per_piece: (total_particles as usize / pieces).max(1),
+            clustering: 8.0,
+            steps: 8,
+            lb_every: if lb { 3 } else { 0 },
+            strategy: lb.then(|| Box::new(charm_lb::OrbLb) as _),
+            ..BarnesHutConfig::default()
+        }
+    };
+    // Per PE count: full, no LB, and no over-decomposition (depth 8^d == p).
+    let no_depth = |p: usize| (p as f64).log(8.0).round() as u8;
+    let variants =
+        |p| [(p, full_depth, true), (p, full_depth, false), (p, no_depth(p), true)];
+    let points: Vec<_> = pe_list.iter().flat_map(|&p| variants(p)).collect();
+    let times = pool::map(&points, |&(p, depth, lb)| tail(&run(mk(p, depth, lb))));
+    for (p, t) in pe_list.iter().zip(times.chunks(3)) {
+        fig.row(vec![p.to_string(), fmt_s(t[0]), fmt_s(t[1]), fmt_s(t[2])]);
     }
     fig.note("paper: full config ~40% faster than one piece per PE; LB matters under clustering");
     fig.emit();

@@ -7,7 +7,7 @@
 //! efficiency across a 16× PE sweep (paper: 8K→128K at 80 %).
 
 use charm_apps::changa::{run, ChangaConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_machine::presets;
 
 fn main() {
@@ -21,8 +21,8 @@ fn main() {
         "ChaNGa-like phase breakdown per step",
         &["pes", "gravity", "dd", "tb", "lb", "total", "efficiency"],
     );
-    let mut base: Option<(usize, f64)> = None;
-    for &p in &pe_list {
+    // Per PE count: gravity, dd, tb, lb, total.
+    let phases = pool::map(&pe_list, |&p| {
         let pieces = p * pieces_per_pe;
         let b = run(ChangaConfig {
             machine: presets::xe6(p),
@@ -34,17 +34,15 @@ fn main() {
             strategy: Some(Box::new(charm_lb::HybridLb::default())),
             ..ChangaConfig::default()
         });
-        let (p0, t0) = *base.get_or_insert((p, b.total));
-        let eff = (t0 * p0 as f64) / (b.total * p as f64);
-        fig.row(vec![
-            p.to_string(),
-            fmt_s(b.gravity),
-            fmt_s(b.dd),
-            fmt_s(b.tb),
-            fmt_s(b.lb),
-            fmt_s(b.total),
-            format!("{:.0}%", 100.0 * eff),
-        ]);
+        [b.gravity, b.dd, b.tb, b.lb, b.total]
+    });
+    let (p0, t0) = (pe_list[0], phases[0][4]);
+    for (&p, b) in pe_list.iter().zip(phases) {
+        let eff = (t0 * p0 as f64) / (b[4] * p as f64);
+        let mut row = vec![p.to_string()];
+        row.extend(b.map(fmt_s));
+        row.push(format!("{:.0}%", 100.0 * eff));
+        fig.row(row);
     }
     fig.note("paper: gravity dominates; 2.7s total step at 128K PEs, 80% efficiency vs 8K");
     fig.emit();

@@ -8,7 +8,7 @@
 //! non-cubic PE counts where the MPI column is impossible.
 
 use charm_apps::lulesh::{run, LuleshConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_machine::presets;
 
 fn main() {
@@ -24,15 +24,22 @@ fn main() {
         &["pes", "mpi", "ampi_v1", "ampi_v8", "ampi_v8_lb"],
     );
 
+    let cubic = |pes: usize| {
+        let c = (pes as f64).cbrt().round() as usize;
+        c * c * c == pes
+    };
+    // One run per cell of the table: v=1 (`None`) where the PE count is
+    // cubic, then v=8 without and with LB.
+    let mut points: Vec<(usize, Option<bool>)> = Vec::new();
     for &pes in &pe_list {
-        let cubic = {
-            let c = (pes as f64).cbrt().round() as usize;
-            c * c * c == pes
-        };
+        points.extend(cubic(pes).then_some((pes, None)));
+        points.extend([(pes, Some(false)), (pes, Some(true))]);
+    }
+    let times = pool::map(&points, |&(pes, v8_lb)| {
         // v=1: ranks == pes (only possible at cubic counts).
-        let v1 = cubic.then(|| {
+        let Some(lb) = v8_lb else {
             let side = (pes as f64).cbrt().round() as usize;
-            run(LuleshConfig {
+            return run(LuleshConfig {
                 machine: presets::hopper(pes),
                 ranks_per_side: side,
                 elements_per_rank: elements_per_pe,
@@ -40,29 +47,30 @@ fn main() {
                 cache: Some(LuleshConfig::hopper_cache(elements_per_pe)),
                 ..LuleshConfig::default()
             })
-            .avg_iter_s
-        });
+            .avg_iter_s;
+        };
         // v=8: ranks = 8 × pes (cubic whenever 2·side is an integer — use
         // the nearest cube ≥ 8·pes and scale elements to keep work/PE).
         let v8_side = ((8 * pes) as f64).cbrt().round() as usize;
         let v8_ranks = v8_side * v8_side * v8_side;
         let elems_v8 = elements_per_pe * pes / v8_ranks;
-        let mk_v8 = |lb: bool| {
-            run(LuleshConfig {
-                machine: presets::hopper(pes),
-                ranks_per_side: v8_side,
-                elements_per_rank: elems_v8,
-                iterations: 6,
-                migrate_every: if lb { 2 } else { 0 },
-                strategy: lb.then(|| Box::new(charm_lb::GreedyLb) as _),
-                cache: Some(LuleshConfig::hopper_cache(elems_v8)),
-                skew: 0.25,
-                ..LuleshConfig::default()
-            })
-            .avg_iter_s
-        };
-        let v8 = mk_v8(false);
-        let v8_lb = mk_v8(true);
+        run(LuleshConfig {
+            machine: presets::hopper(pes),
+            ranks_per_side: v8_side,
+            elements_per_rank: elems_v8,
+            iterations: 6,
+            migrate_every: if lb { 2 } else { 0 },
+            strategy: lb.then(|| Box::new(charm_lb::GreedyLb) as _),
+            cache: Some(LuleshConfig::hopper_cache(elems_v8)),
+            skew: 0.25,
+            ..LuleshConfig::default()
+        })
+        .avg_iter_s
+    });
+    let mut times = times.into_iter();
+    for &pes in &pe_list {
+        let v1 = cubic(pes).then(|| times.next().expect("v1"));
+        let (v8, v8_lb) = (times.next().expect("v8"), times.next().expect("v8+lb"));
         fig.row(vec![
             pes.to_string(),
             v1.map(fmt_s).unwrap_or_else(|| "n/a (non-cubic)".into()),

@@ -8,7 +8,7 @@
 //! >50 M events/s).
 
 use charm_apps::pdes::{run, PdesConfig};
-use charm_bench::{Figure, Scale};
+use charm_bench::{pool, Figure, Scale};
 use charm_core::SimTime;
 use charm_machine::presets;
 use charm_tram::TramConfig;
@@ -39,13 +39,25 @@ fn main() {
         &["pes", "64_lps_pe", "128_lps_pe", "256_lps_pe"],
     );
     let lps_sweep = scale.pick(vec![16usize, 32, 64], vec![64, 128, 256]);
-    for &p in &pe_list {
+    let lpp = scale.pick(64usize, 256);
+    let (low_ev, high_ev) = scale.pick((16usize, 192usize), (64, 1024));
+    // Both panels in one sweep: (a)'s row per PE count, then (b)'s.
+    let row_a = |p| lps_sweep.iter().map(move |&l| (p, l, 32, false));
+    let cells_b = [(low_ev, false), (low_ev, true), (high_ev, false), (high_ev, true)];
+    let row_b = |p| cells_b.iter().map(move |&(events, tram)| (p, lpp, events, tram));
+    let mut points: Vec<_> = pe_list.iter().flat_map(|&p| row_a(p)).collect();
+    points.extend(pe_list.iter().flat_map(|&p| row_b(p)));
+    let rates = pool::map(&points, |&(p, lpp, events, tram)| {
+        run(base(p, lpp, events, tram)).event_rate
+    });
+    let (rates_a, rates_b) = rates.split_at(pe_list.len() * lps_sweep.len());
+    let row = |p: &usize, rates: &[f64]| {
         let mut row = vec![p.to_string()];
-        for &lpp in &lps_sweep {
-            let r = run(base(p, lpp, 32, false));
-            row.push(format!("{:.2}M", r.event_rate / 1e6));
-        }
-        a.row(row);
+        row.extend(rates.iter().map(|r| format!("{:.2}M", r / 1e6)));
+        row
+    };
+    for (p, r) in pe_list.iter().zip(rates_a.chunks(lps_sweep.len())) {
+        a.row(row(p, r));
     }
     a.note(format!(
         "columns are {:?} LPs/PE at demo scale (paper: 64/128/256)",
@@ -60,20 +72,8 @@ fn main() {
         "PHOLD event rate: direct vs TRAM at low/high events per LP (256 LPs/PE demo-scaled)",
         &["pes", "direct_64ev", "tram_64ev", "direct_1024ev", "tram_1024ev"],
     );
-    let lpp = scale.pick(64usize, 256);
-    let (low_ev, high_ev) = scale.pick((16usize, 192usize), (64, 1024));
-    for &p in &pe_list {
-        let d_low = run(base(p, lpp, low_ev, false));
-        let t_low = run(base(p, lpp, low_ev, true));
-        let d_high = run(base(p, lpp, high_ev, false));
-        let t_high = run(base(p, lpp, high_ev, true));
-        b.row(vec![
-            p.to_string(),
-            format!("{:.2}M", d_low.event_rate / 1e6),
-            format!("{:.2}M", t_low.event_rate / 1e6),
-            format!("{:.2}M", d_high.event_rate / 1e6),
-            format!("{:.2}M", t_high.event_rate / 1e6),
-        ]);
+    for (p, r) in pe_list.iter().zip(rates_b.chunks(4)) {
+        b.row(row(p, r));
     }
     b.note("paper: direct wins at 64 ev/LP on 1K PEs; TRAM wins at high volume (peak >50M ev/s)");
     b.emit();

@@ -7,7 +7,7 @@
 //! homogeneous curve.
 
 use charm_apps::leanmd::{run, LeanMdConfig};
-use charm_bench::{fmt_s, Figure, Scale};
+use charm_bench::{fmt_s, pool, Figure, Scale};
 use charm_machine::presets;
 
 fn main() {
@@ -43,16 +43,18 @@ fn main() {
         "LeanMD time/step in a heterogeneous cloud (one node at 0.7x)",
         &["pes", "hetero_no_lb", "hetero_lb", "homo_lb", "hetero_lb/homo"],
     );
-    for &p in &pe_list {
-        let hetero_nolb = tail(&run(mk(p, true, false)));
-        let hetero_lb = tail(&run(mk(p, true, true)));
-        let homo_lb = tail(&run(mk(p, false, true)));
+    // (slow node?, LB?) per column: hetero_no_lb, hetero_lb, homo_lb.
+    let columns = [(true, false), (true, true), (false, true)];
+    let row = |p| columns.map(|(slow, lb)| (p, slow, lb));
+    let points: Vec<_> = pe_list.iter().flat_map(|&p| row(p)).collect();
+    let times = pool::map(&points, |&(p, slow, lb)| tail(&run(mk(p, slow, lb))));
+    for (p, t) in pe_list.iter().zip(times.chunks(3)) {
         fig.row(vec![
             p.to_string(),
-            fmt_s(hetero_nolb),
-            fmt_s(hetero_lb),
-            fmt_s(homo_lb),
-            format!("{:.2}x", hetero_lb / homo_lb),
+            fmt_s(t[0]),
+            fmt_s(t[1]),
+            fmt_s(t[2]),
+            format!("{:.2}x", t[1] / t[2]),
         ]);
     }
     fig.note("paper: HeteroLB performance close to the homogeneous case at every PE count");

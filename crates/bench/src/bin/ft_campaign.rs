@@ -19,7 +19,7 @@
 
 use charm_apps::leanmd::{self, LeanMdConfig};
 use charm_apps::stencil::{self, StencilConfig};
-use charm_bench::{results_path, Figure};
+use charm_bench::{pool, results_path, Figure};
 use charm_core::{buddy_pe, ReplayConfig, SimTime};
 use charm_machine::presets;
 use charm_replay::ReplayLog;
@@ -196,41 +196,53 @@ fn main() {
          leanmd on bgq x{LEANMD_PES} (16 PEs/node), stencil on cloud x{STENCIL_PES}"
     ));
 
-    let mut incomplete = 0usize;
-    for app in ["leanmd", "stencil"] {
-        // Failure-free probe for the app's duration, then checkpoint every
-        // fifth of it.
-        let (pes, steps_want, probe) = match app {
-            "leanmd" => (LEANMD_PES, 8u64, run_leanmd(None, Vec::new(), false)),
-            _ => (STENCIL_PES, 10u64, run_stencil(None, Vec::new(), false)),
-        };
+    // (app, PEs, steps): first wave, a failure-free probe of each app for
+    // its duration; checkpoints are then taken every fifth of it.
+    let apps = [("leanmd", LEANMD_PES, 8u64), ("stencil", STENCIL_PES, 10u64)];
+    let run_app = |app, auto, failures, record| match app {
+        "leanmd" => run_leanmd(auto, failures, record),
+        _ => run_stencil(auto, failures, record),
+    };
+    let probes = pool::map(&apps, |&(app, _, steps_want)| {
+        let probe = run_app(app, None, Vec::new(), false);
         assert!(probe.2.is_none() && probe.0 >= steps_want as usize);
-        let t_free = probe.1;
-        let interval = t_free / 5.0;
+        probe.1
+    });
+    // Second wave: every schedule of both apps, in CSV row order.
+    let schedule = |a: usize, k: usize| {
+        let ((app, pes, _), interval) = (apps[a], probes[a] / 5.0);
+        let (kind, seed) = (KINDS[k % KINDS.len()], schedule_seed(campaign_seed, app, k as u64));
+        (kind, seed, interval, gen_schedule(kind, seed, probes[a], interval, pes))
+    };
+    let runs = |a| (0..runs_per_app).map(move |k| (a, k));
+    let points: Vec<_> = (0..apps.len()).flat_map(runs).collect();
+    let outcomes = pool::map(&points, |&(a, k)| {
+        let (app, (_, _, interval, schedule)) = (apps[a].0, schedule(a, k));
         let auto = SimTime::from_secs_f64(interval);
+        let (steps_done, _, unrec, log) = run_app(app, Some(auto), schedule, record);
+        let log_cell = match log {
+            Some(mut l) => {
+                l.app = app.to_string();
+                let name = format!("ftcamp_{app}_{k:02}.rlog");
+                match results_path(&name)
+                    .and_then(|p| charm_replay::save(&l, &p).map(|()| p))
+                {
+                    Ok(p) => p.display().to_string(),
+                    Err(e) => format!("save failed: {e}"),
+                }
+            }
+            None => "-".to_string(),
+        };
+        (steps_done, unrec, log_cell)
+    });
 
+    let mut incomplete = 0usize;
+    let mut outcomes = outcomes.into_iter();
+    for (a, &(app, pes, steps_want)) in apps.iter().enumerate() {
         let mut tally = [0usize; 3]; // correct, unrecoverable, incomplete
         for k in 0..runs_per_app {
-            let kind = KINDS[k % KINDS.len()];
-            let seed = schedule_seed(campaign_seed, app, k as u64);
-            let schedule = gen_schedule(kind, seed, t_free, interval, pes);
-            let (steps_done, _, unrec, log) = match app {
-                "leanmd" => run_leanmd(Some(auto), schedule.clone(), record),
-                _ => run_stencil(Some(auto), schedule.clone(), record),
-            };
-            let log_cell = match log {
-                Some(mut l) => {
-                    l.app = app.to_string();
-                    let name = format!("ftcamp_{app}_{k:02}.rlog");
-                    match results_path(&name)
-                        .and_then(|p| charm_replay::save(&l, &p).map(|()| p))
-                    {
-                        Ok(p) => p.display().to_string(),
-                        Err(e) => format!("save failed: {e}"),
-                    }
-                }
-                None => "-".to_string(),
-            };
+            let (kind, seed, interval, schedule) = schedule(a, k);
+            let (steps_done, unrec, log_cell) = outcomes.next().expect("one outcome per schedule");
             let o = classify(steps_done, steps_want, unrec);
             match o.label {
                 "correct" => tally[0] += 1,

@@ -2,17 +2,18 @@
 //!
 //! One binary per data figure of the paper (`src/bin/figNN_*.rs`); each
 //! prints the figure's series as an aligned table and writes
-//! `results/figNN.csv`. `all_figs` runs everything. Criterion
-//! microbenchmarks (scheduler, PUP, TRAM, sorting, LB strategies) live in
-//! `benches/`.
+//! `results/figNN.csv`. `all_figs` runs everything. The independent runs of
+//! a sweep go through [`pool::map`], one worker process per core.
 //!
 //! Scale: by default each figure runs at a *demo scale* chosen so the whole
 //! suite completes in minutes on a laptop while preserving the figure's
 //! shape (who wins, by what factor, where crossovers fall). Set
 //! `CHARM_FIG_SCALE=full` for PE counts closer to the paper's (slow).
 
+pub mod pool;
+
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Demo vs. full experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,11 +25,22 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read from `CHARM_FIG_SCALE` (`full` → Full).
+    /// Read from `CHARM_FIG_SCALE`; a value [`Scale::parse`] rejects ends
+    /// the process, so a typo never runs a demo sweep believed to be full.
     pub fn from_env() -> Scale {
-        match std::env::var("CHARM_FIG_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Demo,
+        let var = std::env::var("CHARM_FIG_SCALE").ok();
+        Scale::parse(var.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// `demo` / `full` in any case; unset or empty is `demo`.
+    pub fn parse(var: Option<&str>) -> Result<Scale, String> {
+        match var.unwrap_or("").to_ascii_lowercase().as_str() {
+            "" | "demo" => Ok(Scale::Demo),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("CHARM_FIG_SCALE={other:?}: expected `demo` or `full`")),
         }
     }
 
@@ -113,7 +125,12 @@ impl Figure {
     /// Write `results/<id>.csv` (relative to the workspace root when run
     /// via cargo, else the current directory).
     pub fn save_csv(&self) -> std::io::Result<PathBuf> {
-        let path = results_path(&format!("{}.csv", self.id))?;
+        self.save_csv_in(&results_dir())
+    }
+
+    fn save_csv_in(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{}.csv", self.id));
         let mut csv = String::new();
         let _ = writeln!(csv, "{}", self.columns.join(","));
         for r in &self.rows {
@@ -126,13 +143,27 @@ impl Figure {
         Ok(path)
     }
 
-    /// Print and save.
+    /// Print and save; a CSV that cannot be written ends the process
+    /// non-zero. In a pool worker this does nothing: the parent emits.
     pub fn emit(&self) {
-        print!("{}", self.render());
-        match self.save_csv() {
-            Ok(p) => println!("  -> {}\n", p.display()),
-            Err(e) => println!("  (csv not written: {e})\n"),
+        if pool::is_worker() {
+            return;
         }
+        if let Err(e) = self.emit_in(&results_dir()) {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+        pool::report_rss();
+    }
+
+    /// [`Figure::emit`] without the exit: the error names the CSV's path.
+    fn emit_in(&self, dir: &Path) -> Result<(), String> {
+        print!("{}", self.render());
+        let path = self.save_csv_in(dir).map_err(|e| {
+            format!("{}: cannot write {}.csv under {}: {e}", self.id, self.id, dir.display())
+        })?;
+        println!("  -> {}\n", path.display());
+        Ok(())
     }
 }
 
@@ -196,6 +227,38 @@ mod tests {
     fn scale_picks() {
         assert_eq!(Scale::Demo.pick(1, 2), 1);
         assert_eq!(Scale::Full.pick(1, 2), 2);
+    }
+
+    #[test]
+    fn scale_parses_or_refuses() {
+        for demo in [None, Some(""), Some("demo"), Some("DEMO")] {
+            assert_eq!(Scale::parse(demo), Ok(Scale::Demo), "{demo:?}");
+        }
+        for full in ["full", "FULL", "Full"] {
+            assert_eq!(Scale::parse(Some(full)), Ok(Scale::Full), "{full}");
+        }
+        for typo in ["ful", "paper", "smoke", " full"] {
+            let refused = Scale::parse(Some(typo)).expect_err(typo);
+            assert!(refused.contains("`demo` or `full`") && refused.contains(typo), "{refused}");
+        }
+    }
+
+    #[test]
+    fn a_csv_that_cannot_be_written_fails_the_emit() {
+        let tmp = std::env::temp_dir().join(format!("charm-bench-emit-{}", std::process::id()));
+        std::fs::create_dir_all(&tmp).unwrap();
+        // `results` is a regular file, so no CSV can be created under it.
+        let results = tmp.join("results");
+        std::fs::write(&results, "in the way").unwrap();
+        let mut f = Figure::new("figXX", "test", &["a"]);
+        f.row(vec!["1".into()]);
+        assert!(f.save_csv_in(&results).is_err());
+        let failure = f.emit_in(&results).expect_err("emit must report the failure");
+        assert!(failure.contains("figXX.csv") && failure.contains("results"), "{failure}");
+        std::fs::remove_file(&results).unwrap();
+        f.emit_in(&results).expect("and succeeds once the path is free");
+        assert_eq!(std::fs::read_to_string(results.join("figXX.csv")).unwrap(), "a\n1\n");
+        std::fs::remove_dir_all(&tmp).unwrap();
     }
 
     #[test]

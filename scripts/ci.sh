@@ -1,7 +1,10 @@
 #!/bin/sh
 # Single-entry CI gate: release build, tier-1 tests (the root package),
-# the full workspace suite, clippy (warnings are errors; whole workspace,
-# all targets — root package, examples and tests included), the five
+# the full workspace suite (which includes crates/bench/tests/pool.rs: the
+# process pool under fig17, fig04 and ft_campaign, one worker against two,
+# byte for byte), clippy (warnings are errors; whole workspace, all targets
+# — root package, examples and tests included) and the greps that keep the
+# library thread-free and the pool `unsafe`-free, the five
 # end-to-end smokes (tracing, record/replay, the elastic controller,
 # streaming observability at scale, and the charm-kv serving workload — the
 # last three also validate the committed BENCH_elastic.json /

@@ -28,3 +28,20 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate"
+
+# ROADMAP item 4: the library has no threads and keeps none — the second
+# core is spent one level up, on whole processes (charm_bench::pool), which
+# itself stays free of `unsafe`.
+threads=$(grep -rnE 'std::thread|std::sync::Mutex|Condvar|std::sync::atomic' \
+    crates/core/src crates/machine/src crates/pup/src crates/lb/src crates/tram/src \
+    crates/sort/src crates/ampi/src crates/apps/src crates/replay/src || true)
+if [ -n "$threads" ]; then
+    echo "lint: threads or shared-memory synchronization in the library (use charm_bench::pool):"
+    printf '%s\n' "$threads"
+    exit 1
+fi
+if grep -n 'unsafe' crates/bench/src/pool.rs; then
+    echo "lint: 'unsafe' in crates/bench/src/pool.rs"
+    exit 1
+fi
+echo "library thread-free; pool unsafe-free"
