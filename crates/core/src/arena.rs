@@ -1,19 +1,26 @@
-//! Arena allocation for the dispatch hot path.
+//! Arena allocation for the dispatch hot path: user-payload boxes only.
 //!
-//! Every message the engine moves used to cost two global-allocator round
-//! trips: one `Box<Envelope>` and one boxed user payload, allocated at the
-//! send and freed at the execute. This module recycles both through a
+//! A user message's payload is a `Box<C::Msg>`, allocated at the send and
+//! freed at the execute. This module recycles those blocks through a
 //! thread-local pool of raw blocks keyed by layout, so steady-state dispatch
 //! performs **zero** global-allocator calls (verified by the
 //! counting-allocator test in `tests/steady_state_alloc.rs`).
+//!
+//! Envelopes used to be pooled here too, one heap block each. They left
+//! for the runtime's envelope slab (DESIGN §4.4): a message is one 80-byte
+//! slot addressed by a 4-byte handle instead of a 160-byte block behind a
+//! pointer, and a slab never hands per-message blocks back to `malloc`
+//! mid-run. Shrunk but still boxed, envelopes past this pool's per-class
+//! cap land in glibc's fastbins, and the next large free consolidates them
+//! all at once — measured as a 30 ms stall.
 //!
 //! The pool hands out and takes back memory with exactly the layout `Box`
 //! itself would use, so pooled and plain boxes are fully interchangeable: a
 //! pooled box dropped normally is freed correctly by the global allocator,
 //! and a plain box consumed by [`take_box`] is recycled correctly into the
-//! pool. That property is what lets any cold path that just drops an
-//! envelope (an aborted run, a queue `clear`) skip the pool without a mode
-//! switch.
+//! pool. That property is what lets any cold path that just drops a
+//! payload (an aborted run, a discarded envelope) skip the pool without a
+//! mode switch.
 //!
 //! Thread-local by design: each thread that runs a `Runtime` warms its own
 //! pool, and no synchronization ever appears on the dispatch path.
@@ -24,7 +31,7 @@ use std::ptr::NonNull;
 
 /// Free blocks retained per layout class. Bounds worst-case retained memory
 /// while comfortably covering the in-flight high-water mark of the bench
-/// workloads (tens of thousands of envelopes).
+/// workloads (tens of thousands of payloads).
 const PER_CLASS_MAX: usize = 1 << 15;
 
 struct ClassPool {
@@ -35,8 +42,8 @@ struct ClassPool {
 #[derive(Default)]
 struct Pool {
     /// Layout classes, found by linear scan: real workloads use a handful
-    /// of distinct (size, align) pairs (envelope + a few message types), so
-    /// a scan beats hashing.
+    /// of distinct (size, align) pairs (a few message types), so a scan
+    /// beats hashing.
     classes: Vec<ClassPool>,
     /// Bytes handed out from the pool instead of the allocator.
     bytes_served: u64,

@@ -88,8 +88,8 @@ impl<C: Chare> Default for ArrayProxy<C> {
 pub enum Payload {
     /// A user message (a boxed `C::Msg` for the destination array's type).
     User(Box<dyn Any + Send>),
-    /// A runtime event.
-    Sys(SysEvent),
+    /// A runtime event — rare, so boxed to keep `Payload` two words.
+    Sys(Box<SysEvent>),
 }
 
 impl Payload {
@@ -493,7 +493,7 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
                 // then reuses it — no allocator traffic per message).
                 e.chare.on_message(crate::arena::take_box(boxed), ctx);
             }
-            Payload::Sys(ev) => e.chare.on_event(ev, ctx),
+            Payload::Sys(ev) => e.chare.on_event(*ev, ctx),
         }
         true
     }

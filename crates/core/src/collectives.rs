@@ -6,7 +6,7 @@
 use crate::array::{ArrayId, ObjId, Payload};
 use crate::chare::{Callback, RedOp, RedValue, SysEvent};
 use crate::runtime::{Runtime, ENVELOPE_BYTES, TOKEN_AUX};
-use crate::trace::{CpMsg, CpNode};
+use crate::trace::CpNode;
 use charm_machine::SimTime;
 use std::any::Any;
 use std::sync::Arc;
@@ -66,8 +66,8 @@ impl Runtime {
 
     /// Spanning-tree broadcast: each level adds one message latency and
     /// all leaves receive after `tree_depth()` hops (idealized balanced
-    /// tree). `src` names the sending chare (`None` from the host) and
-    /// `token` the jitter draw of the hop.
+    /// tree). `from_chare` marks a broadcast by the executing chare (not
+    /// the host) and `token` names the jitter draw of the hop.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spanning_broadcast(
         &mut self,
@@ -75,7 +75,7 @@ impl Runtime {
         make: &dyn Fn() -> Box<dyn Any + Send>,
         bytes: usize,
         prio: i64,
-        src: Option<ObjId>,
+        from_chare: bool,
         src_pe: usize,
         at: SimTime,
         token: u64,
@@ -87,10 +87,11 @@ impl Runtime {
             let Some(pe) = self.stores[array.0 as usize].element_pe(&ix) else {
                 continue;
             };
-            let cp = self.cp_msg(at);
-            let env = self.mint(dst, Payload::User(make()), bytes, prio, src_pe, src, cp);
+            let env = self.mint(dst, Payload::User(make()), bytes, prio, src_pe, from_chare);
+            let rec_id = self.slab[env].rec_id;
+            self.stamp_cp(rec_id, at);
             if let Some(r) = &mut self.recorder {
-                r.on_routed(env.rec_id, bytes, src_pe, pe, depth, 0);
+                r.on_routed(rec_id, bytes, src_pe, pe, depth, 0);
             }
             self.bytes_moved += bytes as u64;
             if let Some(tr) = &mut self.tracer {
@@ -247,22 +248,19 @@ impl Runtime {
         let Some(pe) = self.stores[dst.array.0 as usize].element_pe(&dst.ix) else {
             return;
         };
+        // `i64::MIN + 1`: system events run promptly.
+        let payload = Payload::Sys(Box::new(ev));
+        let env = self.mint(dst, payload, ENVELOPE_BYTES, i64::MIN + 1, pe, false);
+        let rec_id = self.slab[env].rec_id;
         // Reduction-completion callbacks chain from the latest-finishing
         // contributor (`cp_carry`); other system events root a fresh chain
         // at their scheduled time.
-        let cp = if self.tracer.as_ref().is_some_and(|t| t.cp_enabled()) {
-            Some(Box::new(CpMsg {
-                from: self.cp_carry.as_ref().and_then(|(_, n)| n.clone()),
-                cp_end: self.cp_carry.as_ref().map_or(at.as_nanos(), |(e, _)| *e),
-                sent_at: at,
-            }))
-        } else {
-            None
-        };
-        // `i64::MIN + 1`: system events run promptly.
-        let env = self.mint(dst, Payload::Sys(ev), ENVELOPE_BYTES, i64::MIN + 1, pe, None, cp);
+        if let Some(tr) = &mut self.tracer {
+            let carry = self.cp_carry.as_ref().and_then(|(_, n)| n.as_ref());
+            tr.cp_stamp(rec_id, carry, at);
+        }
         if let Some(r) = &mut self.recorder {
-            r.on_routed(env.rec_id, ENVELOPE_BYTES, pe, pe, tree_depth, 0);
+            r.on_routed(rec_id, ENVELOPE_BYTES, pe, pe, tree_depth, 0);
         }
         let local = self.net.params().local_delivery;
         if let Some(tr) = &mut self.tracer {

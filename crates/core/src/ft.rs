@@ -388,8 +388,8 @@ impl Runtime {
         }
         self.purge_volatile_events();
         for pe in 0..self.live_pes {
+            self.discard_queue(pe);
             let p = &mut self.pes[pe];
-            p.pending.clear();
             p.busy = false;
             p.current = None;
             p.blocked_until = SimTime::ZERO;
@@ -405,8 +405,9 @@ impl Runtime {
         }
         self.queued = 0;
         self.inflight = 0;
+        self.migrating = 0;
         self.busy_pes = 0;
-        self.limbo.clear();
+        self.discard_limbo();
         self.reductions.clear();
         self.qd = None;
         self.at_sync_seen = 0;
@@ -512,7 +513,7 @@ impl Runtime {
     fn kill_pes(&mut self, failed: &[usize]) {
         self.take_down(failed);
         for &pe in failed {
-            self.pes[pe].pending.clear();
+            self.discard_queue(pe);
             if let Some(tr) = &mut self.tracer {
                 tr.pe_transition(self.now, pe, false);
             }
@@ -537,18 +538,16 @@ impl Runtime {
     }
 
     /// Drop Deliver/PeFree/PeRetry/MigrateArrive/CkptCommit events (message,
-    /// execution, and in-flight checkpoint state), keeping hardware-driven
-    /// events (failures, DVFS ticks, reconfigurations, checkpoint ticks).
+    /// execution, and in-flight checkpoint state; a dropped delivery frees
+    /// its envelope's slot), keeping hardware-driven events (failures, DVFS
+    /// ticks, reconfigurations, checkpoint ticks).
     fn purge_volatile_events(&mut self) {
         // Preserve each surviving event's heap key: keys encode the
         // producer slot and feed the deterministic tie-break order.
         for (t, k, ev) in self.events.drain_entries() {
             match ev {
-                Ev::Deliver { .. }
-                | Ev::PeFree { .. }
-                | Ev::PeRetry { .. }
-                | Ev::MigrateArrive(_)
-                | Ev::CkptCommit => {}
+                Ev::Deliver { env, .. } => self.slab.discard(env, &mut self.tracer),
+                Ev::PeFree { .. } | Ev::PeRetry { .. } | Ev::MigrateArrive(_) | Ev::CkptCommit => {}
                 other => self.events.push_keyed(t, k, other),
             }
         }
@@ -663,7 +662,8 @@ impl Runtime {
     /// (on top of any failures already in the machine's `FailurePlan`).
     pub fn schedule_failure(&mut self, at: SimTime, pe: usize) {
         let k = self.fresh_key(self.host_slot());
-        self.events.push_keyed(at, k, Ev::NodeFail { pe });
+        self.events
+            .push_keyed(at, k, Ev::NodeFail { pe: pe as u32 });
     }
 
     /// Inject a spot preemption: the node containing `pe` is reclaimed at
@@ -673,10 +673,14 @@ impl Runtime {
     pub fn schedule_preemption(&mut self, at: SimTime, pe: usize, warning: SimTime) {
         let visible = at.saturating_sub(warning);
         let kw = self.fresh_key(self.host_slot());
-        self.events
-            .push_keyed(visible, kw, Ev::PreemptWarn { pe, deadline: at });
+        let warn = Ev::PreemptWarn {
+            pe: pe as u32,
+            deadline: at,
+        };
+        self.events.push_keyed(visible, kw, warn);
         let kf = self.fresh_key(self.host_slot());
-        self.events.push_keyed(at, kf, Ev::NodeFail { pe });
+        self.events
+            .push_keyed(at, kf, Ev::NodeFail { pe: pe as u32 });
     }
 }
 

@@ -56,6 +56,7 @@ impl Runtime {
         let delay = self.net.delay(from_pe, to, wire, self.cur_dispatch.1 ^ TOKEN_AUX);
         self.bytes_moved += wire as u64;
         self.inflight += 1;
+        self.migrating += 1;
         if let Some(tr) = &mut self.tracer {
             tr.rts(at, TraceEventKind::Migration { obj: src, from_pe, to_pe: to });
         }
@@ -68,6 +69,7 @@ impl Runtime {
     pub(crate) fn on_migrate_arrive(&mut self, m: MigrateArrive) {
         let MigrateArrive { dst, to_pe, from_pe, bytes } = m;
         self.inflight -= 1;
+        self.migrating -= 1;
         self.stores[dst.array.0 as usize].unpack_insert(dst.ix, to_pe, &bytes);
         self.deliver_sys(dst, SysEvent::Migrated { from_pe }, self.now);
         self.flush_limbo(dst);
@@ -143,7 +145,7 @@ impl Runtime {
     pub(crate) fn block_all_pes(&mut self, until: SimTime) {
         for pe in 0..self.live_pes {
             self.pes[pe].blocked_until = self.pes[pe].blocked_until.max(until);
-            self.push_ev(until, Ev::PeRetry { pe });
+            self.push_ev(until, Ev::PeRetry { pe: pe as u32 });
         }
     }
 

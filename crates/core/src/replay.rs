@@ -264,42 +264,51 @@ fn red_value_digest(p: &mut charm_pup::Puper, v: &RedValue) {
 
 /// What the recorder knows about one message id: nothing yet, which exec
 /// produced it (remembered from creation until its first routing), or that
-/// its routing is on the record. Packed into a `u32` lane cell.
+/// its routing is on the record — and, for a message a chare sent itself,
+/// which exec sent it, kept past routing: the consuming exec's
+/// [`ExecRec::msg_src`] is that exec's `dst`. Packed into a `u32` lane cell.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum MsgState {
     /// No origin noted.
     Unknown,
-    /// Routing already recorded: later forwards and limbo re-flushes are
-    /// extra hops of the same send.
+    /// Routing already recorded (no sending chare): later forwards and
+    /// limbo re-flushes are extra hops of the same send.
     Routed,
     /// Host send or RTS-origin event: becomes a [`ReplayLog::roots`] entry.
     External,
-    /// Produced by the exec at this local index.
+    /// Produced by the exec at this local index without being sent by its
+    /// chare (a system event the exec's actions triggered).
     Exec(u32),
     /// Produced on behalf of the exec whose scheduler dispatch key sits at
     /// this index of [`Recorder::fold_keys`] — used by the window-boundary
     /// reduction fold, which runs outside any exec. Resolved to an exec
     /// index when the log is built.
     Dispatch(u32),
+    /// Sent by the chare of the exec at this local index.
+    Sent(u32),
+    /// [`MsgState::Sent`] after its routing was recorded.
+    RoutedFrom(u32),
 }
 
 impl MsgState {
     const UNKNOWN: u32 = 0;
     const ROUTED: u32 = 1;
     const EXTERNAL: u32 = 2;
-    /// First cell value that carries an index: `BASE + 2 * i` is
-    /// `Exec(i)`, `BASE + 2 * i + 1` is `Dispatch(i)`.
+    /// First cell value that carries an index: `BASE + 4 * i + t`, with
+    /// `t` = 0 `Exec`, 1 `Dispatch`, 2 `Sent`, 3 `RoutedFrom`.
     const BASE: u32 = 3;
     /// Largest index a cell can carry.
-    const MAX_INDEX: usize = ((u32::MAX - Self::BASE - 1) / 2) as usize;
+    const MAX_INDEX: usize = ((u32::MAX - Self::BASE - 3) / 4) as usize;
 
     fn pack(self) -> u32 {
         match self {
             MsgState::Unknown => Self::UNKNOWN,
             MsgState::Routed => Self::ROUTED,
             MsgState::External => Self::EXTERNAL,
-            MsgState::Exec(i) => Self::BASE + 2 * i,
-            MsgState::Dispatch(i) => Self::BASE + 2 * i + 1,
+            MsgState::Exec(i) => Self::BASE + 4 * i,
+            MsgState::Dispatch(i) => Self::BASE + 4 * i + 1,
+            MsgState::Sent(i) => Self::BASE + 4 * i + 2,
+            MsgState::RoutedFrom(i) => Self::BASE + 4 * i + 3,
         }
     }
 
@@ -308,8 +317,15 @@ impl MsgState {
             Self::UNKNOWN => MsgState::Unknown,
             Self::ROUTED => MsgState::Routed,
             Self::EXTERNAL => MsgState::External,
-            c if (c - Self::BASE).is_multiple_of(2) => MsgState::Exec((c - Self::BASE) / 2),
-            c => MsgState::Dispatch((c - Self::BASE) / 2),
+            c => {
+                let i = (c - Self::BASE) / 4;
+                match (c - Self::BASE) % 4 {
+                    0 => MsgState::Exec(i),
+                    1 => MsgState::Dispatch(i),
+                    2 => MsgState::Sent(i),
+                    _ => MsgState::RoutedFrom(i),
+                }
+            }
         }
     }
 }
@@ -450,16 +466,19 @@ impl Recorder {
         self.execs.len() as u64
     }
 
-    /// A new message was created; remember which exec (if any) produced it.
-    pub(crate) fn note_origin(&mut self, msg_id: u64) {
+    /// A new message was created; remember which exec (if any) produced it
+    /// and whether that exec's chare sent it (`from_chare`).
+    pub(crate) fn note_origin(&mut self, msg_id: u64, from_chare: bool) {
         let origin = match (self.origin_dispatch, self.current) {
             (Some(dk), _) => {
+                debug_assert!(!from_chare, "a reduction fold sends nothing for a chare");
                 if self.fold_keys.last() != Some(&dk) {
                     assert!(self.fold_keys.len() < MsgState::MAX_INDEX, "fold-key index overflow");
                     self.fold_keys.push(dk);
                 }
                 MsgState::Dispatch(self.fold_keys.len() as u32 - 1)
             }
+            (None, Some(i)) if from_chare => MsgState::Sent(i),
             (None, Some(i)) => MsgState::Exec(i),
             // Past the exec cap nothing executes on the record, so a
             // message without a current exec has no recordable producer:
@@ -483,7 +502,13 @@ impl Recorder {
         rtt_bytes: usize,
     ) {
         let cell = self.msgs.cell(msg_id);
-        let state = MsgState::unpack(std::mem::replace(cell, MsgState::ROUTED));
+        let state = MsgState::unpack(*cell);
+        *cell = match state {
+            MsgState::Routed | MsgState::RoutedFrom(_) => return,
+            MsgState::Sent(i) => MsgState::RoutedFrom(i),
+            _ => MsgState::Routed,
+        }
+        .pack();
         let rec = SendRec {
             msg_id,
             bytes: bytes as u64,
@@ -493,8 +518,8 @@ impl Recorder {
             rtt_bytes: rtt_bytes as u64,
         };
         match state {
-            MsgState::Routed => {}
-            MsgState::Exec(i) => {
+            MsgState::Routed | MsgState::RoutedFrom(_) => unreachable!("returned above"),
+            MsgState::Exec(i) | MsgState::Sent(i) => {
                 self.sends.push(rec);
                 self.send_exec.push(i);
             }
@@ -519,7 +544,6 @@ impl Recorder {
         array_name: &str,
         kind: &'static str,
         msg_id: u64,
-        msg_src: Option<ObjId>,
         msg_digest: u64,
         msg_bytes: usize,
         work: f64,
@@ -534,6 +558,10 @@ impl Recorder {
         }
         assert!(self.execs.len() < MsgState::MAX_INDEX, "exec index overflow");
         let entry = self.entry_index(dst.array.0 as usize, array_name, kind);
+        let msg_src = match MsgState::unpack(*self.msgs.cell(msg_id)) {
+            MsgState::Sent(i) | MsgState::RoutedFrom(i) => Some(self.execs[i as usize].dst),
+            _ => None,
+        };
         let seq = self.execs.len() as u64;
         self.dispatch_keys.push(dispatch);
         self.execs.push(ExecRec {
@@ -713,6 +741,10 @@ mod tests {
             MsgState::Exec(top),
             MsgState::Dispatch(0),
             MsgState::Dispatch(top),
+            MsgState::Sent(3),
+            MsgState::Sent(top),
+            MsgState::RoutedFrom(0),
+            MsgState::RoutedFrom(top),
         ] {
             assert_eq!(MsgState::unpack(s.pack()), s);
         }
@@ -732,21 +764,22 @@ mod tests {
         };
         let mut r = Recorder::new(ReplayConfig::default());
         let begin = |r: &mut Recorder, dispatch| {
-            r.begin_exec(0, SimTime(0), SimTime(1), dst, "a", "on_message", 0, None, 0, 8, 0.0, 0, 0, dispatch)
+            let (start, dur) = (SimTime(0), SimTime(1));
+            r.begin_exec(0, start, dur, dst, "a", "on_message", 0, 0, 8, 0.0, 0, 0, dispatch)
         };
         let route = |r: &mut Recorder, msg_id| r.on_routed(msg_id, 8, 0, 1, 0, 0);
 
-        r.note_origin(id(9, 0)); // host send
+        r.note_origin(id(9, 0), false); // host send
         route(&mut r, id(9, 0));
 
         begin(&mut r, (10, 1));
-        r.note_origin(id(0, 0));
-        r.note_origin(id(0, 1)); // destination missing: parked unrouted
+        r.note_origin(id(0, 0), true);
+        r.note_origin(id(0, 1), true); // destination missing: parked unrouted
         route(&mut r, id(0, 0));
         r.end_exec();
 
         begin(&mut r, (20, 2));
-        r.note_origin(id(1, 0));
+        r.note_origin(id(1, 0), false); // a system event the exec triggered
         route(&mut r, id(1, 0));
         route(&mut r, id(0, 0)); // limbo re-flush of a routed message
         r.end_exec();
@@ -754,7 +787,7 @@ mod tests {
         route(&mut r, id(0, 1)); // the parked one, outside any exec
         for (key, msg_id) in [((10, 1), id(5, 0)), ((99, 9), id(5, 1))] {
             r.origin_dispatch = Some(key);
-            r.note_origin(msg_id);
+            r.note_origin(msg_id, false);
             route(&mut r, msg_id);
             r.origin_dispatch = None;
         }
@@ -766,6 +799,39 @@ mod tests {
         assert_eq!(ids(&log.execs[1].sends), vec![id(1, 0)]);
         // The key no exec has falls back to the roots.
         assert_eq!(ids(&log.roots), vec![id(9, 0), id(5, 1)]);
+    }
+
+    /// A consumed message's sender is the chare of the exec that sent it —
+    /// through routing, re-routing and limbo — and nobody for host sends
+    /// and for system events an exec's actions triggered.
+    #[test]
+    fn msg_src_is_the_sending_execs_chare() {
+        let id = |ctr: u64| (3 << KEY_SLOT_SHIFT) | ctr;
+        let obj = |i: i64| ObjId {
+            array: crate::ArrayId(0),
+            ix: Ix::I1(i),
+        };
+        let mut r = Recorder::new(ReplayConfig::default());
+        let begin = |r: &mut Recorder, dst, msg_id, seq: u64| {
+            let (start, dur, dispatch) = (SimTime(seq), SimTime(1), (seq, seq));
+            r.begin_exec(0, start, dur, dst, "a", "on_message", msg_id, 0, 8, 0.0, 0, 0, dispatch)
+        };
+        r.note_origin(id(0), false); // host send
+        r.on_routed(id(0), 8, 0, 0, 0, 0);
+        begin(&mut r, obj(7), id(0), 0);
+        r.note_origin(id(1), true); // obj(7) sends
+        r.note_origin(id(2), false); // obj(7)'s insert triggers a system event
+        r.on_routed(id(1), 8, 0, 1, 0, 0);
+        r.on_routed(id(1), 8, 1, 2, 0, 0); // a re-route keeps the sender
+        r.on_routed(id(2), 8, 0, 0, 0, 0);
+        r.end_exec();
+        begin(&mut r, obj(8), id(1), 1);
+        r.end_exec();
+        begin(&mut r, obj(9), id(2), 2);
+        r.end_exec();
+        let log = r.into_log("m".into(), 2, 0, SimTime(0), 2, 1e9, SimTime(3), vec![]);
+        let srcs: Vec<_> = log.execs.iter().map(|e| e.msg_src).collect();
+        assert_eq!(srcs, vec![None, Some(obj(7)), None]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! for elements that do not exist yet.
 
 use crate::array::{ArrayId, ObjId, Payload};
-use crate::runtime::{Envelope, Runtime, ENVELOPE_BYTES, TOKEN_RTT_REQ, TOKEN_RTT_RESP};
+use crate::runtime::{EnvId, Runtime, ENVELOPE_BYTES, TOKEN_RTT_REQ, TOKEN_RTT_RESP};
 use charm_machine::SimTime;
 use rand::Rng;
 
@@ -41,15 +41,16 @@ impl Runtime {
     /// Cache hit → direct send. Stale cache → the stale PE forwards (cost
     /// modeled in `execute`, which re-routes). Miss → home-PE query round
     /// trip precedes the send.
-    pub(crate) fn route_and_schedule(&mut self, mut env: Box<Envelope>, at: SimTime) {
-        let src = env.src_pe;
-        let dst = env.dst;
+    pub(crate) fn route_and_schedule(&mut self, env: EnvId, at: SimTime) {
+        let e = &self.slab[env];
+        let (src, dst, bytes, rec_id) = (e.src_pe as usize, e.dst, e.bytes as usize, e.rec_id);
         let Some((true_pe, epoch)) = self.stores[dst.array.0 as usize].locate(&dst.ix) else {
             self.limbo.entry(dst).or_default().push(env);
             return;
         };
         if !self.pes[true_pe].alive {
             // Element lost with a crashed, unrecovered process.
+            self.slab.discard(env, &mut self.tracer);
             return;
         }
 
@@ -57,13 +58,13 @@ impl Runtime {
             (true_pe, SimTime::ZERO)
         } else if !self.location_cache {
             // Ablation: no caching — every remote send queries the home PE.
-            (true_pe, self.home_query_rtt(src, &dst, env.rec_id))
+            (true_pe, self.home_query_rtt(src, &dst, rec_id))
         } else {
             match self.loc_cache[src].get(&dst) {
                 // Send to the cached PE; if stale, `execute` forwards.
                 Some((pe, _ep)) => (pe, SimTime::ZERO),
                 None => {
-                    let rtt = self.home_query_rtt(src, &dst, env.rec_id);
+                    let rtt = self.home_query_rtt(src, &dst, rec_id);
                     self.loc_cache[src].insert(dst, (true_pe, epoch));
                     (true_pe, rtt)
                 }
@@ -74,25 +75,23 @@ impl Runtime {
         } else {
             true_pe
         };
-        let delay = self.net.delay(src, target_pe, env.bytes, env.rec_id);
-        self.bytes_moved += env.bytes as u64;
-        if env.cp.is_none() {
-            env.cp = self.cp_msg(at);
-        }
+        let delay = self.net.delay(src, target_pe, bytes, rec_id);
+        self.bytes_moved += bytes as u64;
+        self.stamp_cp(rec_id, at);
         if let Some(tr) = &mut self.tracer {
-            tr.on_send(at, src, target_pe, dst, env.bytes);
+            tr.on_send(at, src, target_pe, dst, bytes);
         }
         if let Some(r) = &mut self.recorder {
             // A home-PE query round trip was charged iff `extra > 0`; its
             // control messages are envelope-sized.
             let rtt_bytes = if extra > SimTime::ZERO { ENVELOPE_BYTES } else { 0 };
-            r.on_routed(env.rec_id, env.bytes, src, target_pe, 0, rtt_bytes);
+            r.on_routed(rec_id, bytes, src, target_pe, 0, rtt_bytes);
         }
         // Schedule perturbation: seeded extra delay on user messages only
         // (delays are always causally valid — the network could have been
         // this slow). System events keep their exact timing.
         let jitter = match &mut self.perturb {
-            Some((cfg, rng)) if matches!(env.payload, Payload::User(_)) => {
+            Some((cfg, rng)) if matches!(self.slab[env].payload, Payload::User(_)) => {
                 if rng.gen_bool(cfg.prob) {
                     SimTime(rng.gen_range(0..=cfg.max_extra.0))
                 } else {

@@ -5,11 +5,14 @@
 //! [`Runtime`] from a sibling module: `routing` (location management),
 //! `collectives`, `placement` (moves, drains, AtSync, the LB round), and the
 //! services over them — [`crate::ft`], [`crate::power`], `malleable`,
-//! [`crate::elastic`].
+//! [`crate::elastic`]. Messages in flight live in the runtime's envelope
+//! slab (`slab`), addressed by handle.
 
 mod builder;
+mod slab;
 
 pub use builder::RuntimeBuilder;
+pub(crate) use slab::{EnvId, EnvSlab};
 
 use crate::array::{AnyArray, ArrayId, ArrayProxy, ArrayStore, ObjId, Payload};
 use crate::chare::{Callback, Chare, SysEvent};
@@ -58,31 +61,30 @@ pub(crate) const TOKEN_RTT_REQ: u64 = 1 << 62;
 pub(crate) const TOKEN_RTT_RESP: u64 = 2 << 62;
 pub(crate) const TOKEN_AUX: u64 = 3 << 62;
 
-/// Simulator events. Bulky payloads (envelopes, migration data) are boxed
-/// so the event heap sifts pointer-sized entries, not 100-byte structs —
-/// the allocation happens once at message creation and the box is reused
-/// through every re-route, forward, limbo park, and queue hop.
+/// Simulator events, 16 bytes each: a message travels as its slab handle
+/// (minted once, kept through every re-route, forward, limbo park and
+/// queue hop) and migration data is boxed.
 pub(crate) enum Ev {
     /// A message arrives at a PE's scheduler queue.
-    Deliver { pe: usize, env: Box<Envelope> },
+    Deliver { pe: u32, env: EnvId },
     /// The PE finishes its current entry method.
-    PeFree { pe: usize },
+    PeFree { pe: u32 },
     /// A PE blocked by a global operation re-checks its queue.
-    PeRetry { pe: usize },
+    PeRetry { pe: u32 },
     /// A migrating chare's data arrives at its new PE.
     MigrateArrive(Box<MigrateArrive>),
     /// Periodic temperature sampling / DVFS control.
     DvfsTick,
     /// A node crashes, killing every PE in its range (the `pe` names any PE
     /// on the failing node).
-    NodeFail { pe: usize },
+    NodeFail { pe: u32 },
     /// The in-flight double in-memory checkpoint finishes replicating and
     /// becomes the recovery point.
     CkptCommit,
     /// Automatic periodic checkpoint tick.
     AutoCkpt,
     /// Malleable reconfiguration to a new PE count (§III-D).
-    Reconfigure { to: usize },
+    Reconfigure { to: u32 },
     /// An RTS-scheduled load-balancing round (cloud/thermal triggers).
     RtsLb,
     /// Elastic-controller sampling/decision tick.
@@ -90,8 +92,17 @@ pub(crate) enum Ev {
     /// A spot preemption was announced: the node containing `pe` will be
     /// reclaimed at `deadline` (the matching [`Ev::NodeFail`] is already
     /// scheduled there).
-    PreemptWarn { pe: usize, deadline: SimTime },
+    PreemptWarn { pe: u32, deadline: SimTime },
 }
+
+const _: () = assert!(
+    std::mem::size_of::<Ev>() <= 16,
+    "an event must stay 16 bytes"
+);
+const _: () = assert!(
+    std::mem::size_of::<Envelope>() <= 80,
+    "an envelope must stay 80 bytes"
+);
 
 /// A migrating chare's serialized state en route to its new PE.
 pub(crate) struct MigrateArrive {
@@ -101,26 +112,22 @@ pub(crate) struct MigrateArrive {
     pub bytes: Vec<u8>,
 }
 
-/// A message (or system event) in flight or queued.
+/// A message (or system event) in flight or queued: 80 bytes, everything
+/// the engine reads per hop. Who sent it lives with the recorder (derived
+/// from the message's origin) and its critical-path stamp with the tracer
+/// (keyed by `rec_id`); both exist only while those are switched on.
 pub(crate) struct Envelope {
     pub dst: ObjId,
     pub payload: Payload,
-    pub bytes: usize,
     pub prio: i64,
-    pub src_pe: usize,
     /// Runtime-wide message key, assigned at creation. Always allocated
     /// (recording on or off) so enabling the recorder cannot shift any
     /// other deterministic state. Doubles as the event-heap tie-break for
     /// the delivery event.
     pub rec_id: u64,
-    /// The chare whose entry method produced this message (`None` for host
-    /// sends and runtime-origin events).
-    pub src_obj: Option<ObjId>,
-    /// Critical-path provenance: the dependency chain ending at the send
-    /// that produced this message. Only populated when the tracer's
-    /// critical-path analyzer is on; `None` otherwise, so the common path
-    /// stays allocation-free.
-    pub cp: Option<Box<crate::trace::CpMsg>>,
+    /// Wire size, envelope included.
+    pub bytes: u32,
+    pub src_pe: u32,
 }
 
 /// Per-PE scheduler state.
@@ -130,7 +137,7 @@ pub(crate) struct Envelope {
 /// counter), so the FIFO-within-priority [`PrioQueue`] reproduces the old
 /// `BinaryHeap<(prio, seq)>` pop order exactly, in O(1) per operation.
 pub(crate) struct PeState {
-    pub(crate) pending: PrioQueue<Box<Envelope>>,
+    pub(crate) pending: PrioQueue<EnvId>,
     pub(crate) busy: bool,
     pub(crate) alive: bool,
     /// PEs blocked by a global operation (LB, checkpoint, reconfigure)
@@ -260,15 +267,17 @@ pub struct Runtime {
     /// send on the routing hot path; dense indices bypass hashing entirely
     /// (see [`crate::array::LocCache`]).
     pub(crate) loc_cache: Vec<crate::array::LocCache>,
+    /// Every envelope in flight, queued or parked.
+    pub(crate) slab: EnvSlab,
     /// Messages for not-yet-existing elements (dynamic insertion races,
-    /// in-transit migrations). Envelopes stay boxed so parking and
-    /// re-routing move a pointer, not the ~120-byte payload.
-    #[allow(clippy::vec_box)]
-    pub(crate) limbo: FxHashMap<ObjId, Vec<Box<Envelope>>>,
+    /// in-transit migrations).
+    pub(crate) limbo: FxHashMap<ObjId, Vec<EnvId>>,
     pub(crate) reductions: FxHashMap<(ArrayId, u32), RedState>,
     pub(crate) qd: Option<Callback>,
     /// Deliver/MigrateArrive events in flight.
     pub(crate) inflight: u64,
+    /// The MigrateArrive share of `inflight`.
+    pub(crate) migrating: u64,
     /// Envelopes sitting in PE queues.
     pub(crate) queued: u64,
     pub(crate) busy_pes: usize,
@@ -316,6 +325,9 @@ pub struct Runtime {
     /// Reusable buffer for the actions a `Ctx` collects during one entry
     /// method — saves a heap allocation per executed message.
     pub(crate) action_scratch: Vec<Action>,
+    /// Reusable buffer for one timestamp's event batch — `run_until`
+    /// allocates nothing per call.
+    pub(crate) batch_scratch: Vec<(u64, Ev)>,
     pub(crate) exit_requested: bool,
     pub(crate) seed: u64,
     /// Location caching enabled? (ablation toggle; default true)
@@ -462,7 +474,7 @@ impl Runtime {
         let bytes = charm_pup::packed_size(&mut msg) + ENVELOPE_BYTES;
         self.cur_slot = self.host_slot();
         let dst = ObjId { array: proxy.id, ix };
-        let env = self.mint(dst, Payload::User(Box::new(msg)), bytes, 0, 0, None, None);
+        let env = self.mint(dst, Payload::User(Box::new(msg)), bytes, 0, 0, false);
         self.route_and_schedule(env, self.now);
     }
 
@@ -483,7 +495,7 @@ impl Runtime {
         for ix in targets {
             let dst = ObjId { array: proxy.id, ix };
             let payload = Payload::User(Box::new(msg.clone()));
-            let env = self.mint(dst, payload, bytes, 0, 0, None, None);
+            let env = self.mint(dst, payload, bytes, 0, 0, false);
             self.route_and_schedule(env, self.now);
         }
     }
@@ -502,7 +514,7 @@ impl Runtime {
         self.cur_slot = self.host_slot();
         let make = || Box::new(msg.clone()) as Box<dyn std::any::Any + Send>;
         let token = (proxy.id.0 as u64) ^ TOKEN_AUX;
-        self.spanning_broadcast(proxy.id, &make, bytes, 0, None, 0, self.now, token);
+        self.spanning_broadcast(proxy.id, &make, bytes, 0, false, 0, self.now, token);
     }
 
     // ----- clock & introspection ---------------------------------------------
@@ -612,7 +624,8 @@ impl Runtime {
     pub fn schedule_reconfigure(&mut self, at: SimTime, to_pes: usize) {
         assert!(to_pes >= 1 && to_pes <= self.machine.num_pes);
         let k = self.fresh_key(self.host_slot());
-        self.events.push_keyed(at, k, Ev::Reconfigure { to: to_pes });
+        self.events
+            .push_keyed(at, k, Ev::Reconfigure { to: to_pes as u32 });
     }
 
     // ----- the event loop ----------------------------------------------------
@@ -632,7 +645,7 @@ impl Runtime {
     pub fn run_until(&mut self, deadline: SimTime) -> RunSummary {
         self.ctrl_snapshot = self.ctrl.snapshot();
         let wall_start = std::time::Instant::now();
-        let mut batch: Vec<(u64, Ev)> = Vec::new();
+        let mut batch = std::mem::take(&mut self.batch_scratch);
         loop {
             let Some(t) = self.events.peek_time() else {
                 // Quiet heap, but buffered contributions can still complete
@@ -671,6 +684,12 @@ impl Runtime {
             }
             self.drain_batch_at(t, &mut batch);
         }
+        self.batch_scratch = batch;
+        debug_assert_eq!(
+            self.slab.live(),
+            self.envelopes_accounted(),
+            "envelope slab: live slots != in flight + queued + parked"
+        );
         if deadline != SimTime::MAX && !self.exit_requested {
             self.now = self.now.max(deadline);
         }
@@ -810,12 +829,13 @@ impl Runtime {
         // Events produced while handling this one are charged to the
         // handling PE's key slot (RTS slot for runtime-system events).
         self.cur_slot = match &ev {
-            Ev::Deliver { pe, .. } | Ev::PeFree { pe } | Ev::PeRetry { pe } => *pe,
+            Ev::Deliver { pe, .. } | Ev::PeFree { pe } | Ev::PeRetry { pe } => *pe as usize,
             Ev::MigrateArrive(m) => m.to_pe,
             _ => self.rts_slot(),
         };
         match ev {
             Ev::Deliver { pe, env } => {
+                let pe = pe as usize;
                 self.inflight -= 1;
                 if !self.pes[pe].alive {
                     // The process is gone. If its chares were evacuated
@@ -835,7 +855,8 @@ impl Runtime {
                 if !p.busy && p.pending.is_empty() && self.now >= p.blocked_until {
                     self.messages += 1;
                     if let Some(tr) = &mut self.tracer {
-                        tr.on_recv(self.now, pe, env.src_pe, env.dst, env.bytes);
+                        let e = &self.slab[env];
+                        tr.on_recv(self.now, pe, e.src_pe as usize, e.dst, e.bytes as usize);
                     }
                     // A false return means parked/forwarded; with an empty
                     // queue there is nothing further to start either way.
@@ -846,6 +867,7 @@ impl Runtime {
                 self.try_start(pe);
             }
             Ev::PeFree { pe } => {
+                let pe = pe as usize;
                 if !self.pes[pe].alive {
                     // The PE died mid-entry; the completion never happens.
                     return;
@@ -873,31 +895,30 @@ impl Runtime {
                     tr.pe_transition(self.now, pe, self.pes[pe].busy);
                 }
             }
-            Ev::PeRetry { pe } => {
-                self.try_start(pe);
-            }
+            Ev::PeRetry { pe } => self.try_start(pe as usize),
             Ev::MigrateArrive(m) => self.on_migrate_arrive(*m),
             Ev::DvfsTick => self.on_dvfs_tick(),
-            Ev::NodeFail { pe } => self.on_node_failure(pe),
+            Ev::NodeFail { pe } => self.on_node_failure(pe as usize),
             Ev::CkptCommit => self.on_ckpt_commit(),
             Ev::AutoCkpt => self.on_auto_ckpt(),
-            Ev::Reconfigure { to } => self.on_reconfigure(to),
+            Ev::Reconfigure { to } => self.on_reconfigure(to as usize),
             Ev::RtsLb => self.rts_triggered_lb(),
             Ev::ElasticTick => self.on_elastic_tick(),
-            Ev::PreemptWarn { pe, deadline } => self.on_preempt_warn(pe, deadline),
+            Ev::PreemptWarn { pe, deadline } => self.on_preempt_warn(pe as usize, deadline),
         }
     }
 
-    fn enqueue_local(&mut self, pe: usize, env: Box<Envelope>) {
+    fn enqueue_local(&mut self, pe: usize, env: EnvId) {
         // Arrival order within a priority lane is the old `seq` tiebreak:
         // `messages` is bumped once per enqueue, so FIFO-per-lane in the
         // [`PrioQueue`] reproduces the former `(prio, seq)` heap order.
         self.messages += 1;
         self.queued += 1;
+        let e = &self.slab[env];
         if let Some(tr) = &mut self.tracer {
-            tr.on_recv(self.now, pe, env.src_pe, env.dst, env.bytes);
+            tr.on_recv(self.now, pe, e.src_pe as usize, e.dst, e.bytes as usize);
         }
-        self.pes[pe].pending.push(env.prio, env);
+        self.pes[pe].pending.push(e.prio, env);
     }
 
     /// Begin executing the next queued message on `pe` if it is idle.
@@ -911,7 +932,7 @@ impl Runtime {
             }
             if self.now < p.blocked_until {
                 let when = p.blocked_until;
-                self.push_ev(when, Ev::PeRetry { pe });
+                self.push_ev(when, Ev::PeRetry { pe: pe as u32 });
                 return;
             }
             let env = p.pending.pop().expect("non-empty");
@@ -960,17 +981,17 @@ impl Runtime {
     }
 
     /// Schedule a message delivery under its envelope key.
-    pub(crate) fn sched_deliver(&mut self, t: SimTime, pe: usize, env: Box<Envelope>) {
+    pub(crate) fn sched_deliver(&mut self, t: SimTime, pe: usize, env: EnvId) {
         self.inflight += 1;
-        let k = env.rec_id;
-        self.events.push_keyed(t, k, Ev::Deliver { pe, env });
+        let k = self.slab[env].rec_id;
+        self.events
+            .push_keyed(t, k, Ev::Deliver { pe: pe as u32, env });
     }
 
-    /// Mint an envelope: a fresh key from the current producer slot (its
-    /// `rec_id`), the recorder told who produced it, the block taken from
-    /// the arena.
+    /// Mint an envelope into the slab under a fresh key from the current
+    /// producer slot (its `rec_id`), telling the recorder who produced it:
+    /// `from_chare` marks a send by the executing chare itself.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn mint(
         &mut self,
         dst: ObjId,
@@ -978,55 +999,70 @@ impl Runtime {
         bytes: usize,
         prio: i64,
         src_pe: usize,
-        src_obj: Option<ObjId>,
-        cp: Option<Box<crate::trace::CpMsg>>,
-    ) -> Box<Envelope> {
+        from_chare: bool,
+    ) -> EnvId {
         let rec_id = self.fresh_rec_id();
         if let Some(r) = &mut self.recorder {
-            r.note_origin(rec_id);
+            r.note_origin(rec_id, from_chare);
         }
-        crate::arena::alloc_box(Envelope { dst, payload, bytes, prio, src_pe, rec_id, src_obj, cp })
+        let bytes = u32::try_from(bytes).expect("message wire size fits in u32");
+        let src_pe = u32::try_from(src_pe).expect("PE index fits in u32");
+        self.slab.insert(Envelope {
+            dst,
+            payload,
+            prio,
+            rec_id,
+            bytes,
+            src_pe,
+        })
+    }
+
+    /// Stamp critical-path provenance on message `rec_id` sent at `sent_at`
+    /// (the first stamp sticks): the current execution's chain, or a fresh
+    /// root at the send time (host / RTS origin). A no-op unless the
+    /// analyzer is on — the common case.
+    pub(crate) fn stamp_cp(&mut self, rec_id: u64, sent_at: SimTime) {
+        if let Some(tr) = &mut self.tracer {
+            tr.cp_stamp(rec_id, self.cur_cp.as_ref(), sent_at);
+        }
     }
 
     /// Execute one envelope on `pe` at `self.now`. Returns false when the
     /// envelope was parked or forwarded instead of executed.
-    fn execute(&mut self, pe: usize, env: Box<Envelope>) -> bool {
-        let aid = env.dst.array;
-        let ix = env.dst.ix;
+    fn execute(&mut self, pe: usize, env: EnvId) -> bool {
+        let e = &self.slab[env];
+        let (dst, ix) = (e.dst, e.dst.ix);
+        let aid = dst.array;
         let store = &mut self.stores[aid.0 as usize];
 
         // The element may have moved (stale cache delivered here) or may not
         // exist yet (dynamic insertion / migration in transit).
         match store.locate(&ix) {
             None => {
-                self.limbo.entry(env.dst).or_default().push(env);
+                self.limbo.entry(dst).or_default().push(env);
                 return false;
             }
             Some((actual, epoch)) if actual != pe => {
                 // Forward along and update the original sender's cache.
-                let delay = self.net.delay(pe, actual, env.bytes, env.rec_id ^ TOKEN_AUX);
-                self.loc_cache[env.src_pe].insert(env.dst, (actual, epoch));
-                self.bytes_moved += env.bytes as u64;
+                let (bytes, rec_id, src_pe) = (e.bytes as usize, e.rec_id, e.src_pe as usize);
+                let delay = self.net.delay(pe, actual, bytes, rec_id ^ TOKEN_AUX);
+                self.loc_cache[src_pe].insert(dst, (actual, epoch));
+                self.bytes_moved += bytes as u64;
                 self.sched_deliver(self.now + delay, actual, env);
                 return false;
             }
             Some(_) => {}
         }
 
-        // The envelope is definitely consumed here: take it apart by value,
-        // recycling its heap block into the arena (the per-message free —
-        // and the matching alloc at the next send — bypass the global
-        // allocator entirely; see `crate::arena`).
+        // The envelope is definitely consumed here: take it out of the slab
+        // by value, freeing its slot for the next mint.
         let Envelope {
-            dst,
             mut payload,
             bytes,
-            prio: _,
-            src_pe: _,
             rec_id,
-            src_obj,
-            cp,
-        } = crate::arena::take_box(env);
+            ..
+        } = self.slab.take(env);
+        let bytes = bytes as usize;
 
         let entry_kind = match &payload {
             Payload::User(_) => EntryKind::Message,
@@ -1109,7 +1145,7 @@ impl Runtime {
         if let Some(tr) = &mut self.tracer {
             tr.pe_transition(self.now, pe, true);
         }
-        self.push_ev(end, Ev::PeFree { pe });
+        self.push_ev(end, Ev::PeFree { pe: pe as u32 });
 
         let dispatch = self.cur_dispatch;
         if let (Some((digest, kind)), Some(r)) = (rec_consumed, self.recorder.as_mut()) {
@@ -1121,7 +1157,6 @@ impl Runtime {
                 self.stores[aid.0 as usize].name(),
                 kind,
                 rec_id,
-                src_obj,
                 digest,
                 bytes,
                 work_units,
@@ -1133,7 +1168,7 @@ impl Runtime {
         // Extend the critical-path chain through this execution; outgoing
         // sends (applied below) inherit the node via `cur_cp`.
         self.cur_cp = match &mut self.tracer {
-            Some(tr) => tr.cp_on_exec(pe, dst, entry_kind, self.now, duration, cp),
+            Some(tr) => tr.cp_on_exec(pe, dst, entry_kind, self.now, duration, rec_id),
             None => None,
         };
         let mut actions = actions;
@@ -1160,20 +1195,6 @@ impl Runtime {
         s
     }
 
-    /// Critical-path stamp for a message sent at `sent_at`: the current
-    /// execution's chain, or a fresh root at the send time (host / RTS
-    /// origin). `None` whenever the analyzer is off — the common case.
-    pub(crate) fn cp_msg(&self, sent_at: SimTime) -> Option<Box<crate::trace::CpMsg>> {
-        if !self.tracer.as_ref().is_some_and(|t| t.cp_enabled()) {
-            return None;
-        }
-        Some(Box::new(crate::trace::CpMsg {
-            cp_end: self.cur_cp.as_ref().map_or(sent_at.as_nanos(), |n| n.end_ns),
-            from: self.cur_cp.clone(),
-            sent_at,
-        }))
-    }
-
     pub(crate) fn apply_actions(
         &mut self,
         src: ObjId,
@@ -1194,7 +1215,7 @@ impl Runtime {
                         *self.comm.entry((src, dst)).or_default() += bytes as u64;
                     }
                     let payload = Payload::User(payload);
-                    let env = self.mint(dst, payload, bytes, prio, src_pe, Some(src), None);
+                    let env = self.mint(dst, payload, bytes, prio, src_pe, true);
                     self.route_and_schedule(env, at + delay);
                 }
                 Action::Broadcast {
@@ -1204,7 +1225,7 @@ impl Runtime {
                     prio,
                 } => {
                     let token = self.cur_dispatch.1 ^ TOKEN_AUX;
-                    self.spanning_broadcast(array, &*make, bytes, prio, Some(src), src_pe, at, token);
+                    self.spanning_broadcast(array, &*make, bytes, prio, true, src_pe, at, token);
                 }
                 Action::Contribute {
                     array,

@@ -3,7 +3,9 @@
 //! before the run starts (failures, DVFS sampling, checkpoints, the elastic
 //! controller).
 
-use super::{Ev, PeState, Runtime, KEY_SLOT_SHIFT, LOC_CACHE_DENSE_MAX_PES, SLOT_HOST, SLOT_RTS};
+use super::{
+    EnvSlab, Ev, PeState, Runtime, KEY_SLOT_SHIFT, LOC_CACHE_DENSE_MAX_PES, SLOT_HOST, SLOT_RTS,
+};
 use crate::ctrl::{ControlRegistry, ControlValues};
 use crate::lbframework::{LbTrigger, Strategy};
 use crate::power::DvfsScheme;
@@ -183,13 +185,13 @@ impl RuntimeBuilder {
                     f.visible_at(),
                     k,
                     Ev::PreemptWarn {
-                        pe: f.pe,
+                        pe: f.pe as u32,
                         deadline: f.time,
                     },
                 );
             }
             let k = rts_key(&mut keys);
-            events.push_keyed(f.time, k, Ev::NodeFail { pe: f.pe });
+            events.push_keyed(f.time, k, Ev::NodeFail { pe: f.pe as u32 });
         }
         let thermal = self
             .machine
@@ -248,10 +250,12 @@ impl RuntimeBuilder {
                 crate::array::LocCache::with_dense(n <= LOC_CACHE_DENSE_MAX_PES);
                 n
             ],
+            slab: EnvSlab::new(),
             limbo: FxHashMap::default(),
             reductions: FxHashMap::default(),
             qd: None,
             inflight: 0,
+            migrating: 0,
             queued: 0,
             busy_pes: 0,
             lb: self.lb,
@@ -279,6 +283,7 @@ impl RuntimeBuilder {
             events_processed: 0,
             wall_run: std::time::Duration::ZERO,
             action_scratch: Vec::new(),
+            batch_scratch: Vec::new(),
             exit_requested: false,
             seed: self.seed,
             location_cache: self.location_cache,

@@ -1,0 +1,361 @@
+//! The envelope slab: every message in flight, queued on a PE or parked in
+//! limbo lives in one slab per [`Runtime`], addressed by a 4-byte
+//! [`EnvId`]. Freed slots form a LIFO list, so the next mint reuses the
+//! slot (and likely the cache line) the last consumed envelope left.
+//!
+//! Nothing here goes back to the allocator mid-run: a boxed envelope per
+//! message meant hundreds of thousands of small heap blocks whose eventual
+//! frees glibc batches into one long consolidation stall (DESIGN §4.4).
+//! The slots sit in small fixed-size chunks rather than one growing `Vec`:
+//! growth never copies, and a 5 KB chunk fits the holes that consumed
+//! messages leave in the heap, where a big buffer takes fresh pages. On the
+//! `apps` benchmark one `Vec` peaked at 62.8 MB, 320 KB chunks at 57.5 MB
+//! and 5 KB chunks at 45.2 MB (DESIGN §4.4).
+
+use super::{Envelope, Runtime};
+use crate::trace::Tracer;
+
+/// Handle of an envelope in its runtime's [`EnvSlab`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct EnvId(u32);
+
+enum Slot {
+    Live(Envelope),
+    /// Free; links to the next free slot (`NIL` ends the list).
+    Free(u32),
+}
+
+const NIL: u32 = u32::MAX;
+
+/// Slots per chunk (64 × 80 B = 5 KB): an id's high bits pick the chunk,
+/// its low bits the slot.
+const CHUNK_BITS: u32 = 6;
+const CHUNK: usize = 1 << CHUNK_BITS;
+
+const _: () = assert!(
+    std::mem::size_of::<Slot>() == std::mem::size_of::<Envelope>(),
+    "a free-list link must cost a slot nothing"
+);
+
+pub(crate) struct EnvSlab {
+    /// Every chunk but the last is full; none ever reallocates.
+    chunks: Vec<Vec<Slot>>,
+    /// Head of the free list.
+    free: u32,
+    live: usize,
+}
+
+impl EnvSlab {
+    pub(crate) fn new() -> Self {
+        EnvSlab {
+            chunks: Vec::new(),
+            free: NIL,
+            live: 0,
+        }
+    }
+
+    #[inline]
+    fn slot(&self, id: u32) -> &Slot {
+        &self.chunks[(id >> CHUNK_BITS) as usize][id as usize & (CHUNK - 1)]
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, id: u32) -> &mut Slot {
+        &mut self.chunks[(id >> CHUNK_BITS) as usize][id as usize & (CHUNK - 1)]
+    }
+
+    /// Store `env` in the most recently freed slot, or a new one.
+    pub(crate) fn insert(&mut self, env: Envelope) -> EnvId {
+        self.live += 1;
+        if self.free != NIL {
+            let id = self.free;
+            let slot = self.slot_mut(id);
+            let Slot::Free(next) = *slot else {
+                unreachable!("the free list names a live slot")
+            };
+            *slot = Slot::Live(env);
+            self.free = next;
+            return EnvId(id);
+        }
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let n = self.chunks.len() - 1;
+        let last = self.chunks.last_mut().expect("just ensured");
+        let id = u32::try_from((n << CHUNK_BITS) + last.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("envelope slab overflow");
+        last.push(Slot::Live(env));
+        EnvId(id)
+    }
+
+    /// Move the envelope out and free its slot.
+    pub(crate) fn take(&mut self, id: EnvId) -> Envelope {
+        let next = self.free;
+        let slot = std::mem::replace(self.slot_mut(id.0), Slot::Free(next));
+        let Slot::Live(env) = slot else {
+            panic!("envelope {id:?} taken twice")
+        };
+        self.free = id.0;
+        self.live -= 1;
+        env
+    }
+
+    /// Drop an envelope that will never execute, with the critical-path
+    /// stamp the tracer may hold for it.
+    pub(crate) fn discard(&mut self, id: EnvId, tracer: &mut Option<Tracer>) {
+        let env = self.take(id);
+        if let Some(tr) = tracer {
+            tr.cp_forget(env.rec_id);
+        }
+    }
+
+    /// Occupied slots.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+}
+
+impl std::ops::Index<EnvId> for EnvSlab {
+    type Output = Envelope;
+
+    #[inline]
+    fn index(&self, id: EnvId) -> &Envelope {
+        match self.slot(id.0) {
+            Slot::Live(env) => env,
+            Slot::Free(_) => panic!("envelope {id:?} used after free"),
+        }
+    }
+}
+
+impl Runtime {
+    /// Envelopes the engine's counters account for: deliveries in flight,
+    /// envelopes queued on a PE, and those parked in limbo. Between events
+    /// this equals the slab's live count; a mismatch is a leaked or
+    /// double-freed slot.
+    pub(crate) fn envelopes_accounted(&self) -> usize {
+        let parked: usize = self.limbo.values().map(Vec::len).sum();
+        (self.inflight - self.migrating + self.queued) as usize + parked
+    }
+
+    /// Drop everything queued on `pe`.
+    pub(crate) fn discard_queue(&mut self, pe: usize) {
+        self.pes[pe]
+            .pending
+            .clear_with(|id| self.slab.discard(id, &mut self.tracer));
+    }
+
+    /// Drop every message parked in limbo.
+    pub(crate) fn discard_limbo(&mut self) {
+        for (_, ids) in self.limbo.drain() {
+            for id in ids {
+                self.slab.discard(id, &mut self.tracer);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::array::{ArrayId, ObjId, Payload};
+    use crate::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, SimTime};
+    use charm_pup::Puper;
+
+    fn env(rec_id: u64) -> Envelope {
+        Envelope {
+            dst: ObjId {
+                array: ArrayId(0),
+                ix: Ix::i1(0),
+            },
+            payload: Payload::User(Box::new(())),
+            prio: 0,
+            rec_id,
+            bytes: 40,
+            src_pe: 0,
+        }
+    }
+
+    #[test]
+    fn freed_slots_are_reused_last_in_first_out() {
+        let mut slab = EnvSlab::new();
+        let (a, b, c) = (
+            slab.insert(env(1)),
+            slab.insert(env(2)),
+            slab.insert(env(3)),
+        );
+        assert_eq!(slab.live(), 3);
+        assert_eq!(slab.take(a).rec_id, 1);
+        assert_eq!(slab.take(c).rec_id, 3);
+        assert_eq!(slab.insert(env(4)), c, "last freed, first reused");
+        assert_eq!(slab.insert(env(5)), a);
+        assert_eq!(slab.chunks[0].len(), 3, "no growth while slots are free");
+        assert_eq!((slab[b].rec_id, slab[c].rec_id, slab[a].rec_id), (2, 4, 5));
+        assert_eq!(slab.live(), 3);
+    }
+
+    #[test]
+    fn ids_span_chunks() {
+        let mut slab = EnvSlab::new();
+        let ids: Vec<EnvId> = (0..CHUNK as u64 + 3).map(|i| slab.insert(env(i))).collect();
+        assert_eq!(slab.chunks.len(), 2);
+        assert!(
+            slab.chunks.iter().all(|c| c.capacity() == CHUNK),
+            "chunks never reallocate"
+        );
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(slab[id].rec_id, i as u64);
+        }
+        assert_eq!(slab.take(ids[CHUNK + 1]).rec_id, CHUNK as u64 + 1);
+        assert_eq!(slab.insert(env(7)), ids[CHUNK + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "used after free")]
+    fn a_freed_handle_does_not_read() {
+        let mut slab = EnvSlab::new();
+        let a = slab.insert(env(1));
+        slab.take(a);
+        let _ = slab[a].rec_id;
+    }
+
+    // ----- conservation: every path that drops an envelope frees its slot
+
+    /// Works 1 ms per message; message 1 also exits, message 2 fans out.
+    #[derive(Default)]
+    struct Spinner;
+    impl charm_pup::Pup for Spinner {
+        fn pup(&mut self, _p: &mut Puper) {}
+    }
+    impl Chare for Spinner {
+        type Msg = u8;
+        fn on_message(&mut self, m: u8, ctx: &mut Ctx<'_>) {
+            ctx.work(1e6);
+            let me = ArrayProxy::<Spinner>::from_id(ctx.my_id().array);
+            match m {
+                1 => ctx.exit(),
+                2 => (0..8).for_each(|i| ctx.send(me, Ix::i1(i), 0)),
+                _ => {}
+            }
+        }
+    }
+
+    /// 32 spinners over `pes` PEs with three messages queued for each.
+    fn spinners(rt: &mut Runtime, pes: usize) -> ArrayProxy<Spinner> {
+        let arr = rt.create_array::<Spinner>("spinners");
+        for i in 0..32 {
+            rt.insert(arr, Ix::i1(i), Spinner, Some(i as usize % pes));
+        }
+        for _ in 0..3 {
+            rt.broadcast(arr, 0);
+        }
+        arr
+    }
+
+    fn conserved(rt: &Runtime) -> usize {
+        assert_eq!(
+            rt.slab.live(),
+            rt.envelopes_accounted(),
+            "slab slots leaked"
+        );
+        rt.slab.live()
+    }
+
+    #[test]
+    fn failure_rollback_frees_queued_inflight_and_parked_envelopes() {
+        let mut rt = Runtime::builder(MachineConfig::homogeneous(8))
+            .auto_checkpoint(SimTime::from_micros(200))
+            .build();
+        let arr = spinners(&mut rt, 8);
+        rt.send(arr, Ix::i1(99), 0); // parked: no element 99
+        let fail = SimTime::from_millis(3);
+        rt.schedule_failure(fail, 5);
+        rt.run_until(fail.saturating_sub(SimTime(100)));
+        rt.send(arr, Ix::i1(1), 0); // still on the wire at the failure
+        assert!(
+            rt.queued > 0 && !rt.limbo.is_empty(),
+            "caught with work queued and parked"
+        );
+        let before = conserved(&rt);
+        rt.run_until(fail);
+        assert_eq!(rt.metric("failures_recovered").len(), 1, "the rollback ran");
+        assert!(conserved(&rt) < before && rt.limbo.is_empty());
+        rt.run();
+        assert_eq!(conserved(&rt), 0);
+    }
+
+    #[test]
+    fn shrink_evacuation_reroutes_every_stranded_envelope() {
+        let half_ms = SimTime::from_micros(500);
+        let mut rt = Runtime::homogeneous(8);
+        rt.reconfig_overhead_shrink = SimTime::from_micros(100);
+        spinners(&mut rt, 8);
+        rt.schedule_reconfigure(half_ms, 4);
+        rt.run_until(half_ms);
+        assert!(rt.queued > 0 && conserved(&rt) > 0, "caught mid-flight");
+        let s = rt.run();
+        assert_eq!(s.entries, 96, "every stranded envelope still executes");
+        assert_eq!(conserved(&rt), 0);
+    }
+
+    #[test]
+    fn limbo_park_then_insert_flushes_the_slot() {
+        #[derive(Default)]
+        struct Node;
+        impl charm_pup::Pup for Node {
+            fn pup(&mut self, _p: &mut Puper) {}
+        }
+        impl Chare for Node {
+            type Msg = i64;
+            fn on_message(&mut self, m: i64, ctx: &mut Ctx<'_>) {
+                if m == 0 {
+                    let me = ArrayProxy::<Node>::from_id(ctx.my_id().array);
+                    ctx.insert(me, Ix::i1(99), Node, Some(1));
+                } else {
+                    ctx.log_metric("child", m as f64);
+                }
+            }
+        }
+        let mut rt = Runtime::homogeneous(2);
+        let arr = rt.create_array::<Node>("nodes");
+        rt.insert(arr, Ix::i1(0), Node, Some(0));
+        rt.send(arr, Ix::i1(99), 7);
+        rt.run();
+        assert_eq!(
+            (conserved(&rt), rt.limbo_messages().len()),
+            (1, 1),
+            "parked, not lost"
+        );
+        rt.send(arr, Ix::i1(0), 0);
+        rt.run();
+        assert_eq!(rt.metric("child").len(), 1, "the parked message ran");
+        assert_eq!(conserved(&rt), 0);
+    }
+
+    #[test]
+    fn delivery_to_a_dead_pe_frees_the_slot() {
+        let fail = SimTime::from_millis(2);
+        let mut rt = Runtime::homogeneous(4);
+        let arr = spinners(&mut rt, 4);
+        rt.schedule_failure(fail, 1); // no checkpoint: PE 1 and its chares are lost
+        rt.run_until(fail.saturating_sub(SimTime(100)));
+        rt.send(arr, Ix::i1(1), 0); // lands on PE 1 after it died
+        rt.run_until(fail);
+        assert!(rt.unrecoverable().is_some() && rt.inflight > 0);
+        conserved(&rt);
+        rt.run();
+        assert_eq!(conserved(&rt), 0);
+    }
+
+    #[test]
+    fn exit_mid_window_leaves_the_rest_accounted() {
+        let mut rt = Runtime::homogeneous(4);
+        let arr = spinners(&mut rt, 4);
+        rt.send(arr, Ix::i1(3), 2);
+        rt.send(arr, Ix::i1(5), 1);
+        rt.run();
+        assert!(conserved(&rt) > 0, "exit left messages behind");
+        drop(rt); // the slab frees them with the runtime
+    }
+}

@@ -856,12 +856,12 @@ impl Drop for CpNode {
     }
 }
 
-/// Critical-path provenance riding on a message: the sender's chain, its
+/// Critical-path provenance of a message in flight: the sender's chain, its
 /// completion time, and when the message left (so latency = recv − sent).
-pub(crate) struct CpMsg {
-    pub(crate) from: Option<Arc<CpNode>>,
-    pub(crate) cp_end: u64,
-    pub(crate) sent_at: SimTime,
+struct CpMsg {
+    from: Option<Arc<CpNode>>,
+    cp_end: u64,
+    sent_at: SimTime,
 }
 
 struct CpState {
@@ -869,6 +869,10 @@ struct CpState {
     heads: Vec<Option<Arc<CpNode>>>,
     /// Node with the largest completion time seen so far.
     best: Option<Arc<CpNode>>,
+    /// Provenance of every stamped message not yet executed, by message id
+    /// (`rec_id`) — kept here, not in the envelope, so a message costs
+    /// nothing for it while the analyzer is off.
+    msgs: FxHashMap<u64, CpMsg>,
 }
 
 /// The resolved longest entry-execution + message-latency chain
@@ -928,6 +932,7 @@ impl Tracer {
             cp: cfg.critical_path.then(|| CpState {
                 heads: vec![None; num_pes],
                 best: None,
+                msgs: FxHashMap::default(),
             }),
             cfg,
             num_pes,
@@ -1070,8 +1075,24 @@ impl Tracer {
         self.sinks.push(sink);
     }
 
-    pub(crate) fn cp_enabled(&self) -> bool {
-        self.cp.is_some()
+    /// Stamp message `msg_id`, sent at `sent_at` by the execution ending
+    /// chain `from` (a fresh root when `None`), unless it already carries a
+    /// stamp. A no-op while the critical-path analyzer is off.
+    pub(crate) fn cp_stamp(&mut self, msg_id: u64, from: Option<&Arc<CpNode>>, sent_at: SimTime) {
+        if let Some(cp) = &mut self.cp {
+            cp.msgs.entry(msg_id).or_insert_with(|| CpMsg {
+                cp_end: from.map_or(sent_at.as_nanos(), |n| n.end_ns),
+                from: from.cloned(),
+                sent_at,
+            });
+        }
+    }
+
+    /// Message `msg_id` will never execute: drop its stamp.
+    pub(crate) fn cp_forget(&mut self, msg_id: u64) {
+        if let Some(cp) = &mut self.cp {
+            cp.msgs.remove(&msg_id);
+        }
     }
 
     pub(crate) fn register_array(&mut self, id: ArrayId, name: &str) {
@@ -1197,10 +1218,11 @@ impl Tracer {
         self.msg_latency.add(lat.as_nanos());
     }
 
-    /// An entry method is about to run: extend the dependency chain ending
-    /// here and return the new node (to stamp onto outgoing sends). The
-    /// binding dependency is whichever finished later — the triggering
-    /// message's chain (+ its latency) or the previous entry on this PE.
+    /// An entry method consuming message `msg_id` is about to run: extend
+    /// the dependency chain ending here and return the new node (to stamp
+    /// onto outgoing sends). The binding dependency is whichever finished
+    /// later — the triggering message's chain (+ its latency) or the
+    /// previous entry on this PE.
     pub(crate) fn cp_on_exec(
         &mut self,
         pe: usize,
@@ -1208,11 +1230,11 @@ impl Tracer {
         entry: EntryKind,
         now: SimTime,
         dur: SimTime,
-        msg: Option<Box<CpMsg>>,
+        msg_id: u64,
     ) -> Option<Arc<CpNode>> {
         let cp = self.cp.as_mut()?;
         let (mut parent, mut msg_wait, mut start) = (None, 0u64, 0u64);
-        if let Some(m) = msg {
+        if let Some(m) = cp.msgs.remove(&msg_id) {
             let wait = now.as_nanos().saturating_sub(m.sent_at.as_nanos());
             start = m.cp_end + wait;
             msg_wait = wait;
@@ -1838,18 +1860,15 @@ mod tests {
         };
         // A 3-hop serial chain across PEs: each exec starts when the prior
         // one's message lands.
-        let mut msg: Option<Box<CpMsg>> = None;
         let mut t = SimTime(0);
         for hop in 0..3u32 {
             let pe = hop as usize;
             let dur = SimTime(100);
-            let node = tr.cp_on_exec(pe, obj(hop), EntryKind::Message, t, dur, msg).unwrap();
+            let node = tr
+                .cp_on_exec(pe, obj(hop), EntryKind::Message, t, dur, hop as u64)
+                .unwrap();
             let send_at = t + dur;
-            msg = Some(Box::new(CpMsg {
-                cp_end: node.end_ns,
-                from: Some(node),
-                sent_at: send_at,
-            }));
+            tr.cp_stamp(hop as u64 + 1, Some(&node), send_at);
             t = send_at + SimTime(50); // 50 ns wire latency per hop
         }
         let cp = tr.critical_path().unwrap();
@@ -1869,7 +1888,7 @@ mod tests {
             ix: Ix::i1(0),
         };
         for i in 0..200_000u64 {
-            tr.cp_on_exec(0, obj, EntryKind::Message, SimTime(i * 10), SimTime(5), None);
+            tr.cp_on_exec(0, obj, EntryKind::Message, SimTime(i * 10), SimTime(5), i);
         }
         let cp = tr.critical_path().unwrap();
         assert_eq!(cp.segments, 200_000);

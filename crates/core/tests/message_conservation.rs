@@ -2,6 +2,11 @@
 //! self-sends, random priorities, random placements, migrations), the
 //! runtime never loses or duplicates a message — every send is eventually
 //! executed exactly once — and runs remain deterministic.
+//!
+//! Under debug assertions (the default test profile) every `run` also
+//! checks that the runtime's envelope slab holds exactly the envelopes in
+//! flight, queued and parked, so a leaked or double-freed slot fails here
+//! too — migrations included.
 
 use charm_core::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, Runtime, SysEvent};
 use charm_pup::{Pup, Puper};

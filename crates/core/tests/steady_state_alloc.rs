@@ -5,13 +5,17 @@
 //! identical simulations differing only in *length* must then differ by at
 //! most a trickle of allocations:
 //!
-//! * **bare** — every per-message envelope and payload box is served from
-//!   recycled pools, and every queue push reuses retained capacity;
+//! * **bare** — every envelope reuses a freed slot of the runtime's slab,
+//!   every payload box is served from the arena's recycled pool, and every
+//!   queue push reuses retained capacity;
 //! * **streaming sinks** — every record formatted into a Chrome and a CSV
 //!   file goes straight into each sink's fixed buffer: no allocator call
 //!   per record;
 //! * **replay recorder** — allocator calls grow only with the logarithm of
 //!   the run's length (flat buffers doubling), not per exec or per message.
+//!
+//! A run driven in `run_for` slices is held to the stricter bar: once warm,
+//! a slice makes no allocator call at all.
 //!
 //! The counts are exact under a seed, so they serve as a deterministic cost
 //! proxy next to the noisy wall-clock numbers of `benchmark/`.
@@ -22,7 +26,7 @@
 
 use charm_core::{
     ArrayProxy, Chare, ChromeStreamSink, CsvStreamSink, Ctx, Ix, MachineConfig, ReplayConfig,
-    Runtime, TraceConfig,
+    Runtime, SimTime, TraceConfig,
 };
 use charm_pup::{Pup, Puper};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,10 +96,11 @@ fn sink_path(ext: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("charm_{}_steady_state.{ext}", std::process::id()))
 }
 
-/// One full simulation: `tokens` concurrent ring walkers, each making
-/// `hops` hops across 4 PEs. Returns total deliveries (sanity).
-fn run_ring(hops: u64, observe: Observe) -> u64 {
-    const N: i64 = 16;
+const N: i64 = 16;
+
+/// `TOKENS` concurrent ring walkers, each about to make `hops` hops across
+/// 4 PEs.
+fn ring(hops: u64, observe: Observe) -> (Runtime, ArrayProxy<Relay>) {
     const TOKENS: i64 = 8;
     let mut b = Runtime::builder(MachineConfig::homogeneous(4));
     match observe {
@@ -116,6 +121,12 @@ fn run_ring(hops: u64, observe: Observe) -> u64 {
     for t in 0..TOKENS {
         rt.send(arr, Ix::i1(t * 2), hops);
     }
+    (rt, arr)
+}
+
+/// One full simulation of the ring. Returns total deliveries (sanity).
+fn run_ring(hops: u64, observe: Observe) -> u64 {
+    let (mut rt, arr) = ring(hops, observe);
     rt.run();
     // Dropping the runtime finishes the sinks; the recorder's log is never
     // built (that deals out one exact-size `Vec` per exec with sends).
@@ -143,6 +154,18 @@ fn extra_allocs(observe: Observe) -> (u64, u64) {
     let extra_msgs = long_seen - short_seen;
     assert!(extra_msgs >= 30_000, "expected a real workload, got {extra_msgs}");
     (long_allocs.saturating_sub(short_allocs), extra_msgs)
+}
+
+/// Allocator calls made by 200 `run_for` slices of an endless ring after
+/// 20 warm-up slices, and the events those slices processed.
+fn sliced_allocs() -> (u64, u64) {
+    let (mut rt, _) = ring(u64::MAX, Observe::Nothing);
+    let slice = SimTime::from_micros(50);
+    let mut slices = |n| (0..n).map(|_| rt.run_for(slice).events).last();
+    let warm = slices(20).expect("slices");
+    let snap = ALLOCS.load(Ordering::Relaxed);
+    let done = slices(200).expect("slices");
+    (ALLOCS.load(Ordering::Relaxed) - snap, done - warm)
 }
 
 #[test]
@@ -175,4 +198,10 @@ fn steady_state_paths_bypass_the_global_allocator() {
         extra < 64,
         "recording made {extra} global allocations for {msgs} extra execs"
     );
+
+    // `run_until` used to allocate its dispatch batch on every call and
+    // free it on return: one allocator call per slice.
+    let (allocs, events) = sliced_allocs();
+    assert!(events >= 30_000, "expected a real workload, got {events}");
+    assert_eq!(allocs, 0, "{allocs} allocator calls in 200 warm slices");
 }

@@ -446,8 +446,15 @@ impl<T> PrioQueue<T> {
 
     /// Drop everything (lane storage is retained for reuse).
     pub fn clear(&mut self) {
+        self.clear_with(drop);
+    }
+
+    /// [`clear`](Self::clear), handing each item to `f` on the way out —
+    /// for items that own something elsewhere. Like `clear`, not counted
+    /// in [`ops`](Self::ops).
+    pub fn clear_with(&mut self, mut f: impl FnMut(T)) {
         for mut lane in self.lanes.drain(..) {
-            lane.clear();
+            lane.drain(..).for_each(&mut f);
             if self.pool.len() < LANE_POOL_MAX {
                 self.pool.push(lane);
             }
@@ -692,5 +699,20 @@ mod tests {
         q.push(2, 8);
         assert_eq!(q.pop(), Some(8));
         assert_eq!(q.pop(), Some(9));
+    }
+
+    #[test]
+    fn prio_queue_clear_with_hands_over_every_item() {
+        let mut q = PrioQueue::new();
+        for (prio, v) in [(3, 1), (-1, 2), (3, 3)] {
+            q.push(prio, v);
+        }
+        let ops = q.ops();
+        let mut out = Vec::new();
+        q.clear_with(|v| out.push(v));
+        out.sort_unstable();
+        assert_eq!(out, vec![1, 2, 3]);
+        assert!(q.is_empty());
+        assert_eq!(q.ops(), ops, "uncounted, like clear");
     }
 }

@@ -6,10 +6,10 @@
 //! The golden logs under `tests/golden/` were recorded **before** the PR 4
 //! scheduler optimizations (SipHash maps, no dense-index store, per-event
 //! heap pops, binary-heap event queue, plain boxing). Today's engine —
-//! calendar queue, arena recycling — replays them exactly, which is the
-//! proof that the perf work changed nothing observable: the recording made
-//! on the old hot path is the oracle, so no second hot path is kept to
-//! compare against.
+//! calendar queue, arena-recycled payloads, envelopes in a slab — replays
+//! them exactly, which is the proof that the perf work changed nothing
+//! observable: the recording made on the old hot path is the oracle, so no
+//! second hot path is kept to compare against.
 //!
 //! To re-bless after an *intentional* semantic change (new message, changed
 //! cost model, …):
@@ -108,4 +108,47 @@ fn pdes_matches_pre_optimization_golden() {
     };
     let (_run, mut rt) = pdes::run_with_runtime(cfg);
     check_against_golden("pdes", rt.take_replay_log().expect("recording on"));
+}
+
+/// The recorder derives each consumed message's sender from its own
+/// per-message bookkeeping rather than from the envelope, so switching it
+/// on must leave the run itself untouched: same final chare states, same
+/// event count, same virtual end time.
+#[test]
+fn recording_on_and_off_reach_identical_states() {
+    fn observe(mut rt: charm_core::Runtime) -> (Vec<(charm_core::ObjId, u64)>, u64, u64) {
+        let s = rt.summary();
+        (rt.state_digest(), s.events, s.end_time.as_nanos())
+    }
+    let stencil = |record| {
+        let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(8), 2);
+        cfg.steps = 5;
+        cfg.record = record;
+        observe(stencil::run_with_runtime(cfg).1)
+    };
+    let leanmd = |record| {
+        let cfg = leanmd::LeanMdConfig {
+            cells_per_dim: 3,
+            atoms_per_cell: 20,
+            steps: 3,
+            record,
+            ..Default::default()
+        };
+        observe(leanmd::run_with_runtime(cfg).1)
+    };
+    let pdes = |record| {
+        let cfg = pdes::PdesConfig {
+            machine: charm_core::MachineConfig::homogeneous(8),
+            lps_per_pe: 8,
+            initial_events_per_lp: 8,
+            windows: 4,
+            record,
+            ..Default::default()
+        };
+        observe(pdes::run_with_runtime(cfg).1)
+    };
+    let on = || Some(ReplayConfig::with_digest_every(64));
+    assert_eq!(stencil(None), stencil(on()), "stencil");
+    assert_eq!(leanmd(None), leanmd(on()), "leanmd");
+    assert_eq!(pdes(None), pdes(on()), "pdes");
 }

@@ -18,7 +18,7 @@ once() {
         exit 1
     fi
 }
-once 'alloc_box(Envelope'       # mint an envelope: Runtime::mint
+once 'slab.insert(Envelope'      # mint an envelope: Runtime::mint
 once '1.min(self.live_pes - 1)' # price a tree hop: Runtime::tree_hop
 once 'loc_cache.iter_mut()'     # flush location caches: Runtime::flush_loc_caches
 stray=$(grep -rnF 'pack_element(' "$src" | grep -v -e "^$src/array.rs:" -e "^$src/placement.rs:" || true)
@@ -27,7 +27,13 @@ if [ -n "$stray" ]; then
     printf '%s\n' "$stray"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate"
+boxed=$(grep -rnF 'Box<Envelope>' "$src" || true)
+if [ -n "$boxed" ]; then
+    echo "lint: 'Box<Envelope>' under $src (envelopes live in the runtime's slab):"
+    printf '%s\n' "$boxed"
+    exit 1
+fi
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate; no boxed envelope"
 
 # ROADMAP item 4: the library has no threads and keeps none — the second
 # core is spent one level up, on whole processes (charm_bench::pool), which
