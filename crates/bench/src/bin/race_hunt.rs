@@ -6,11 +6,29 @@
 //! Hunts two targets:
 //!  * the deliberately racy demo chare (must be flagged, with witness),
 //!  * its commutative control and a LeanMD run (must stay clean).
+//!
+//! The racy baseline is saved to `results/race_hunt_baseline.rlog` and read
+//! back through the validating loader (magic, version, length, checksum);
+//! the process exits non-zero unless the reloaded log packs to the same
+//! bytes as the one in memory.
 
 use charm_bench::{results_path, Figure};
 use charm_core::ReplayConfig;
 use charm_replay::demo::{run_commute, run_racy};
-use charm_replay::{hunt, save, HuntOutcome, ReplayLog};
+use charm_replay::{hunt, load, save, HuntOutcome, ReplayLog};
+use std::path::PathBuf;
+
+/// Save `log` to `results/<name>`, reload it, and check the round trip.
+fn persist(log: &ReplayLog, name: &str) -> Result<PathBuf, String> {
+    let path = results_path(name).map_err(|e| format!("results directory: {e}"))?;
+    save(log, &path).map_err(|e| format!("save {}: {e}", path.display()))?;
+    let back = load(&path).map_err(|e| format!("reload {}: {e}", path.display()))?;
+    let bytes = |l: &ReplayLog| charm_pup::to_bytes(&mut l.clone());
+    if bytes(&back) != bytes(log) {
+        return Err(format!("{} does not reload to the baseline", path.display()));
+    }
+    Ok(path)
+}
 
 fn hunt_leanmd(k: u64) -> (ReplayLog, HuntOutcome) {
     let record = |perturb| {
@@ -53,10 +71,9 @@ fn main() {
             .map(|w| w.to_string())
             .unwrap_or_else(|| "-".into()),
     ]);
-    if let Ok(p) = results_path("race_hunt_baseline.rlog") {
-        if save(&baseline, &p).is_ok() {
-            fig.note(format!("baseline log: {}", p.display()));
-        }
+    let saved = persist(&baseline, "race_hunt_baseline.rlog");
+    if let Ok(p) = &saved {
+        fig.note(format!("baseline log: {}", p.display()));
     }
 
     let commute_base = run_commute(7, None);
@@ -87,7 +104,12 @@ fn main() {
     fig.emit();
     let _ = fig.save_csv();
 
-    // Self-check: the seeded bug must be caught, the controls must be clean.
+    // Self-check: the baseline must persist, the seeded bug must be caught,
+    // the controls must be clean.
+    if let Err(e) = saved {
+        eprintln!("FAIL: baseline log: {e}");
+        std::process::exit(1);
+    }
     if racy.flagging_seed.is_none() || racy.report.witness.is_none() {
         eprintln!("FAIL: seeded racy chare was not flagged with a witness");
         std::process::exit(1);

@@ -102,226 +102,174 @@ impl Payload {
     }
 }
 
+/// Handle of an element's location record within its array — Charm++'s
+/// compact ID, which `ckGetID()` reads from the element's location record
+/// instead of re-resolving its index. A record is created the first time an
+/// index is inserted *or addressed*, and it is never reused for another
+/// index while the runtime lives: index ↔ handle is a bijection for the run,
+/// across removal, migration, rollback and re-insertion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ElemId(pub(crate) u32);
+
+/// A chare as the engine addresses it: 8 bytes where an [`ObjId`] is 40.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ElemRef {
+    pub array: ArrayId,
+    pub elem: ElemId,
+}
+
+impl ElemRef {
+    /// The public identity, rebuilt from the location record — for the
+    /// tracer, the recorder and diagnostics, which speak `ObjId`.
+    pub(crate) fn obj(self, stores: &[Box<dyn AnyArray>]) -> ObjId {
+        ObjId {
+            array: self.array,
+            ix: stores[self.array.0 as usize].ix(self.elem),
+        }
+    }
+}
+
 /// Per-element bookkeeping the runtime and the LB framework need.
 struct Element<C> {
     chare: C,
     pe: usize,
     /// Work-seconds accumulated since the last LB stats collection.
     load: f64,
-    /// Bumped on every migration; stale location caches are detected by
-    /// comparing epochs.
+    /// Bumped when an element is unpacked over its live self; stale
+    /// location caches are detected by comparing epochs.
     epoch: u32,
 }
 
 /// Object-safe view of a typed array store; the runtime holds
-/// `Box<dyn AnyArray>` and dispatches through this.
+/// `Box<dyn AnyArray>` and dispatches through this. The engine addresses
+/// elements by [`ElemId`]; the by-index calls serve the host API and the
+/// placement and checkpoint services.
 pub(crate) trait AnyArray: Send {
     fn id(&self) -> ArrayId;
     fn name(&self) -> &str;
     fn len(&self) -> usize;
-    #[allow(dead_code)] // part of the store interface; used by tests/tools
-    fn contains(&self, ix: &Ix) -> bool;
     fn element_pe(&self, ix: &Ix) -> Option<usize>;
-    /// `(pe, epoch)` in one lookup — the routing hot path's accessor.
-    fn locate(&self, ix: &Ix) -> Option<(usize, u32)>;
     fn indices(&self) -> Vec<Ix>;
+    /// The handle of `ix`'s record, creating the record on first sight —
+    /// the one index-map probe a send pays.
+    fn intern(&mut self, ix: &Ix) -> ElemId;
+    /// The index a record stands for.
+    fn ix(&self, id: ElemId) -> Ix;
+    /// `(pe, epoch)` of the element behind `id`, if it exists right now.
+    fn locate(&self, id: ElemId) -> Option<(usize, u32)>;
+    /// Number of records, after bringing the index-order walk up to date.
+    fn sorted_len(&mut self) -> usize;
+    /// The `k`-th record in index order: its handle and, if the element
+    /// exists, its PE. Valid for `k < sorted_len()`.
+    fn sorted_nth(&self, k: usize) -> (ElemId, Option<usize>);
     /// Visit every element once, in sorted index order, as `(index, pe,
     /// chare state)` — the one walk behind state digests, checkpoints and
-    /// evacuation. The dense tier is already in index order, so only the
-    /// spill tier is sorted, and no element is looked up by key.
+    /// evacuation.
     fn visit_sorted(&mut self, f: &mut dyn FnMut(Ix, usize, &mut dyn charm_pup::Pup));
-    /// Run the entry method / event handler for one delivered payload.
-    /// Returns false if the element does not exist (message buffered or
-    /// dropped by the caller's policy).
-    fn execute(&mut self, ix: &Ix, payload: Payload, ctx: &mut Ctx<'_>) -> bool;
+    /// Run the entry method / event handler for one delivered payload and
+    /// charge the element `ctx`'s work at `flops_per_sec` (reference-speed
+    /// seconds, so the LB can divide by PE speed itself). Returns false if
+    /// the element does not exist.
+    fn execute(
+        &mut self,
+        id: ElemId,
+        payload: Payload,
+        ctx: &mut Ctx<'_>,
+        flops_per_sec: f64,
+    ) -> bool;
     /// PUP digest of a user message destined for this array (0 on a type
     /// mismatch — `execute` will panic with context anyway).
     fn user_msg_digest(&self, msg: &mut Box<dyn Any + Send>) -> u64;
     /// Serialize one element (for a single migration).
     fn pack_element(&mut self, ix: &Ix) -> Option<Vec<u8>>;
     /// Deserialize and (re-)insert an element at `pe`.
-    fn unpack_insert(&mut self, ix: Ix, pe: usize, bytes: &[u8]);
+    fn unpack_insert(&mut self, ix: Ix, pe: usize, bytes: &[u8]) -> ElemId;
     fn remove_element(&mut self, ix: &Ix) -> bool;
     /// Insert a type-erased chare (from `Ctx::insert` buffering).
-    fn insert_boxed(&mut self, ix: Ix, pe: usize, chare: Box<dyn Any + Send>);
-    fn add_load(&mut self, ix: &Ix, load: f64);
-    /// Snapshot (index, pe, measured load, hint) for all elements and reset
-    /// the measured loads — called at LB time.
-    fn drain_loads(&mut self) -> Vec<(Ix, usize, f64, f64)>;
+    fn insert_boxed(&mut self, ix: Ix, pe: usize, chare: Box<dyn Any + Send>) -> ElemId;
+    /// Snapshot (index, pe, measured load, hint) for all elements in index
+    /// order, resetting the measured loads when `reset` — called at LB time.
+    fn drain_loads(&mut self, reset: bool) -> Vec<(Ix, usize, f64, f64)>;
     /// Is this array participating in AtSync load balancing?
     fn uses_at_sync(&self) -> bool;
     fn set_uses_at_sync(&mut self, v: bool);
     /// Remove every element (used by failure rollback before restoring the
-    /// checkpointed population).
+    /// checkpointed population). Records, and so handles, survive.
     fn clear(&mut self);
     /// Downcast support for typed host-side inspection.
     fn as_any(&self) -> &dyn Any;
-    #[allow(dead_code)] // mutable counterpart of as_any, for tooling
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// Which `Ix` variant owns an array's dense window (see [`dense_slot`]).
-const DENSE_NONE: u8 = 0;
-const DENSE_I1: u8 = 1;
-const DENSE_I2: u8 = 2;
-
-/// Dense-slot ceiling for 1-D indices: `Ix::I1(i)` with `0 <= i < 65536`.
-const DENSE_1D_MAX: i64 = 1 << 16;
-/// Per-axis bound of the row-major dense 2-D window (`256 × 256`).
-const DENSE_2D_SIDE: i32 = 1 << 8;
-
-/// Dense kind an index is eligible for (`DENSE_NONE` if it must hash).
-#[inline]
-fn dense_kind_of(ix: &Ix) -> u8 {
-    match *ix {
-        Ix::I1(i) if (0..DENSE_1D_MAX).contains(&i) => DENSE_I1,
-        Ix::I2([a, b])
-            if (0..DENSE_2D_SIDE).contains(&a) && (0..DENSE_2D_SIDE).contains(&b) =>
-        {
-            DENSE_I2
-        }
-        _ => DENSE_NONE,
-    }
-}
-
-/// Flat slot of `ix` under dense kind `kind`, if it belongs there.
-#[inline]
-fn dense_slot(kind: u8, ix: &Ix) -> Option<usize> {
-    match (kind, *ix) {
-        (DENSE_I1, Ix::I1(i)) if (0..DENSE_1D_MAX).contains(&i) => Some(i as usize),
-        (DENSE_I2, Ix::I2([a, b]))
-            if (0..DENSE_2D_SIDE).contains(&a) && (0..DENSE_2D_SIDE).contains(&b) =>
-        {
-            Some(((a as usize) << 8) | b as usize)
-        }
-        _ => None,
-    }
-}
-
-/// Inverse of [`dense_slot`]: reconstruct the index a slot encodes.
-#[inline]
-fn slot_ix(kind: u8, slot: usize) -> Ix {
-    match kind {
-        DENSE_I1 => Ix::I1(slot as i64),
-        DENSE_I2 => Ix::I2([(slot >> 8) as i32, (slot & 0xff) as i32]),
-        k => unreachable!("slot_ix on dense kind {k}"),
-    }
 }
 
 /// One source PE's location cache: the last-known PE (and epoch) of every
-/// remote element this PE has sent to.
-///
-/// Probed once per remote send, so it mirrors [`ArrayStore`]'s two-tier
-/// layout: dense 1-D/2-D indices — the overwhelmingly common case — hit a
-/// flat per-array lane with a single indexed load and **no hashing**;
-/// everything else spills to a hash map. Entries pack as
-/// `((pe + 1) << 32) | epoch`, with `0` meaning "not cached".
+/// remote element this PE has sent to, keyed by `(array << 32) | handle` —
+/// no index is hashed, and memory follows the entries.
 #[derive(Clone, Default)]
-pub(crate) struct LocCache {
-    /// Whether dense lanes are in use at all. A lane's length is the
-    /// highest cached *slot*, not the entry count — ~512 KB fully grown —
-    /// which is a fine trade per source PE on bench-sized machines but
-    /// O(PEs × 512 KB) on huge ones. Above
-    /// [`crate::runtime::LOC_CACHE_DENSE_MAX_PES`] simulated PEs every
-    /// entry goes to the (entry-proportional) spill map instead.
-    dense_enabled: bool,
-    /// Per-array dense kind (`DENSE_NONE` until the first dense-eligible
-    /// insert fixes it, exactly like the store's own tier selection).
-    kinds: Vec<u8>,
-    /// Per-array flat lane, indexed by [`dense_slot`]; grown on demand.
-    dense: Vec<Vec<u64>>,
-    /// Everything that doesn't fit a dense lane.
-    spill: FxHashMap<ObjId, (usize, u32)>,
-}
+pub(crate) struct LocCache(FxHashMap<u64, (u32, u32)>);
 
 impl LocCache {
-    pub(crate) fn with_dense(dense_enabled: bool) -> Self {
-        Self { dense_enabled, ..Self::default() }
-    }
-
-    /// Cached `(pe, epoch)` of `obj`, if any.
+    /// Cached `(pe, epoch)` of `dst`, if any.
     #[inline]
-    pub(crate) fn get(&self, obj: &ObjId) -> Option<(usize, u32)> {
-        let a = obj.array.0 as usize;
-        if let Some(&kind) = self.kinds.get(a) {
-            if let Some(slot) = dense_slot(kind, &obj.ix) {
-                let v = self.dense[a].get(slot).copied().unwrap_or(0);
-                if v == 0 {
-                    return None;
-                }
-                return Some((((v >> 32) - 1) as usize, v as u32));
-            }
-        }
-        self.spill.get(obj).copied()
+    pub(crate) fn get(&self, dst: ElemRef) -> Option<(usize, u32)> {
+        self.0.get(&Self::key(dst)).map(|&(pe, epoch)| (pe as usize, epoch))
     }
 
-    /// Record `obj` as last seen on `pe` at `epoch`.
-    pub(crate) fn insert(&mut self, obj: ObjId, (pe, epoch): (usize, u32)) {
-        if !self.dense_enabled {
-            self.spill.insert(obj, (pe, epoch));
-            return;
-        }
-        let a = obj.array.0 as usize;
-        if a >= self.kinds.len() {
-            self.kinds.resize(a + 1, DENSE_NONE);
-            self.dense.resize_with(a + 1, Vec::new);
-        }
-        if self.kinds[a] == DENSE_NONE {
-            self.kinds[a] = dense_kind_of(&obj.ix);
-        }
-        if let Some(slot) = dense_slot(self.kinds[a], &obj.ix) {
-            let lane = &mut self.dense[a];
-            if slot >= lane.len() {
-                lane.resize(slot + 1, 0);
-            }
-            lane[slot] = ((pe as u64 + 1) << 32) | epoch as u64;
-        } else {
-            self.spill.insert(obj, (pe, epoch));
-        }
+    /// Record `dst` as last seen on `pe` at `epoch`.
+    pub(crate) fn insert(&mut self, dst: ElemRef, (pe, epoch): (usize, u32)) {
+        self.0.insert(Self::key(dst), (pe as u32, epoch));
     }
 
-    /// Drop every entry (lane kinds persist: array index shapes don't
-    /// change over a run).
+    fn key(dst: ElemRef) -> u64 {
+        ((dst.array.0 as u64) << 32) | dst.elem.0 as u64
+    }
+
+    /// Drop every entry.
     pub(crate) fn clear(&mut self) {
-        for lane in &mut self.dense {
-            lane.clear();
-        }
-        self.spill.clear();
+        self.0.clear();
     }
 }
 
-/// Typed storage for all elements of one chare array.
+#[cfg(test)]
+thread_local! {
+    /// Index-map probes made on this thread: the cost the handles remove
+    /// from the message path.
+    pub(crate) static PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// One index's location record: the index it stands for and, while the
+/// element exists, the element itself.
+struct Record<C> {
+    ix: Ix,
+    elem: Option<Element<C>>,
+}
+
+/// Typed storage for all elements of one chare array: location records
+/// indexed by [`ElemId`], with elements inline, and one index map. An index
+/// is hashed once, when it is inserted or addressed; everything the engine
+/// does with an element afterwards indexes its record by handle.
 ///
-/// Layout is a two-tier hybrid tuned for the scheduler hot path, which
-/// looks an element up by index several times per delivered message:
+/// The index map holds 4-byte handles, not keys: open addressing whose
+/// slots store `handle + 1` (0 = empty) and compare against the record's own
+/// index. Records are never removed, so neither are slots — no tombstones,
+/// and a probe ends at the first empty slot. A bucket of an
+/// `FxHashMap<Ix, ElemId>` would repeat the 32-byte index the record holds,
+/// ten times the bytes of a slot, and inserting a large array paid for them
+/// in page faults and rehashing (EXPERIMENTS.md, "Elements by handle").
 ///
-/// * **dense tier** — small nonnegative 1-D indices (`0..65536`) or 2-D
-///   indices inside a `256×256` window live in a flat `Vec` indexed
-///   directly by the (row-major) index value: one bounds check and one
-///   pointer chase, no hashing. The first dense-eligible insert fixes
-///   which variant owns the window. Boxed slots keep empty entries at one
-///   pointer each, so sparse populations don't bloat.
-/// * **spill tier** — everything else (negative/huge 1-D, 3-D/4-D/6-D,
-///   bit-vector, named) hashes into an [`FxHashMap`] — deterministic,
-///   seed-free, and ~an order of magnitude cheaper than the std SipHash
-///   map on these small fixed-shape keys.
-///
-/// Iteration-order caveats are unchanged from the old single-map layout:
-/// every enumeration below sorts (or is wrapped by a caller that sorts),
-/// so replacing the map cannot perturb observable behavior — the replay
-/// golden-log regression tests pin this.
+/// Enumerations are in index order (the determinism every digest, LB round
+/// and broadcast relies on) through a sorted handle list, brought up to date
+/// — one merge of the new records — only after a record was created.
 pub(crate) struct ArrayStore<C: Chare> {
     id: ArrayId,
     name: String,
-    /// Dense tier, indexed by [`dense_slot`]; grown on demand.
-    dense: Vec<Option<Box<Element<C>>>>,
-    /// Which `Ix` variant owns the dense tier (`DENSE_NONE` until the
-    /// first dense-eligible insert).
-    dense_kind: u8,
-    /// Live elements in the dense tier.
-    dense_len: usize,
-    /// Spill tier for indices outside the dense window.
-    spill: FxHashMap<Ix, Element<C>>,
+    /// Append-only: a record outlives its element as a tombstone.
+    recs: Vec<Record<C>>,
+    /// The index map: a power-of-two number of slots, at most half full.
+    by_ix: Vec<u32>,
+    /// Records holding an element.
+    live: usize,
+    /// Every handle in index order, as of the last `sort`; shorter than
+    /// `recs` once a record has been created since.
+    sorted: Vec<ElemId>,
     at_sync: bool,
 }
 
@@ -335,82 +283,71 @@ impl<C: Chare> ArrayStore<C> {
         ArrayStore {
             id,
             name: name.to_string(),
-            dense: Vec::new(),
-            dense_kind: DENSE_NONE,
-            dense_len: 0,
-            spill: FxHashMap::default(),
+            recs: Vec::new(),
+            by_ix: Vec::new(),
+            live: 0,
+            sorted: Vec::new(),
             at_sync: false,
         }
     }
 
+    /// `ix`'s slot in the index map if it has a record, else the empty
+    /// slot it would take: the one way into the map. Fx hashing ends in a
+    /// multiply, so the slot comes from the hash's well-mixed high bits.
+    #[inline]
+    fn probe(&self, ix: &Ix) -> Result<ElemId, usize> {
+        #[cfg(test)]
+        PROBES.with(|p| p.set(p.get() + 1));
+        if self.by_ix.is_empty() {
+            return Err(0);
+        }
+        let mask = self.by_ix.len() - 1;
+        let mut h = fxhash::FxHasher::default();
+        std::hash::Hash::hash(ix, &mut h);
+        let mut at = (std::hash::Hasher::finish(&h) >> (64 - mask.count_ones())) as usize;
+        loop {
+            match self.by_ix[at] {
+                0 => return Err(at),
+                s if self.recs[s as usize - 1].ix == *ix => return Ok(ElemId(s - 1)),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    #[inline]
+    fn find(&self, ix: &Ix) -> Option<ElemId> {
+        self.probe(ix).ok()
+    }
+
     #[inline]
     fn get(&self, ix: &Ix) -> Option<&Element<C>> {
-        if let Some(slot) = dense_slot(self.dense_kind, ix) {
-            return self.dense.get(slot).and_then(|o| o.as_deref());
+        self.find(ix).and_then(|id| self.recs[id.0 as usize].elem.as_ref())
+    }
+
+    /// Put `e` in record `id`, returning the displaced element (if any).
+    fn put(&mut self, id: ElemId, e: Element<C>) -> Option<Element<C>> {
+        let prev = self.recs[id.0 as usize].elem.replace(e);
+        if prev.is_none() {
+            self.live += 1;
         }
-        self.spill.get(ix)
+        prev
     }
 
-    #[inline]
-    fn get_mut(&mut self, ix: &Ix) -> Option<&mut Element<C>> {
-        if let Some(slot) = dense_slot(self.dense_kind, ix) {
-            return self.dense.get_mut(slot).and_then(|o| o.as_deref_mut());
+    /// Bring `sorted` up to date: append the new handles and merge them in
+    /// (a stable sort over two runs).
+    fn sort(&mut self) {
+        if self.sorted.len() == self.recs.len() {
+            return;
         }
-        self.spill.get_mut(ix)
+        let recs = &self.recs;
+        self.sorted.extend((self.sorted.len()..recs.len()).map(|h| ElemId(h as u32)));
+        self.sorted.sort_by_key(|id| recs[id.0 as usize].ix);
     }
 
-    /// Insert, returning the displaced element (if any).
-    fn put(&mut self, ix: Ix, e: Element<C>) -> Option<Element<C>> {
-        if self.dense_kind == DENSE_NONE {
-            self.dense_kind = dense_kind_of(&ix);
-        }
-        if let Some(slot) = dense_slot(self.dense_kind, &ix) {
-            if slot >= self.dense.len() {
-                self.dense.resize_with(slot + 1, || None);
-            }
-            let prev = self.dense[slot].replace(Box::new(e)).map(|b| *b);
-            if prev.is_none() {
-                self.dense_len += 1;
-            }
-            return prev;
-        }
-        self.spill.insert(ix, e)
-    }
-
-    fn take(&mut self, ix: &Ix) -> Option<Element<C>> {
-        if let Some(slot) = dense_slot(self.dense_kind, ix) {
-            let prev = self.dense.get_mut(slot).and_then(|o| o.take()).map(|b| *b);
-            if prev.is_some() {
-                self.dense_len -= 1;
-            }
-            return prev;
-        }
-        self.spill.remove(ix)
-    }
-
-    /// Iterate every `(index, element)` pair, dense tier first. Arbitrary
-    /// order within each tier — callers that expose order must sort.
-    fn iter(&self) -> impl Iterator<Item = (Ix, &Element<C>)> {
-        let kind = self.dense_kind;
-        self.dense
-            .iter()
-            .enumerate()
-            .filter_map(move |(slot, o)| o.as_deref().map(|e| (slot_ix(kind, slot), e)))
-            .chain(self.spill.iter().map(|(ix, e)| (*ix, e)))
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = (Ix, &mut Element<C>)> {
-        let kind = self.dense_kind;
-        self.dense
-            .iter_mut()
-            .enumerate()
-            .filter_map(move |(slot, o)| o.as_deref_mut().map(|e| (slot_ix(kind, slot), e)))
-            .chain(self.spill.iter_mut().map(|(ix, e)| (*ix, e)))
-    }
-
-    pub(crate) fn insert(&mut self, ix: Ix, pe: usize, chare: C) {
+    pub(crate) fn insert(&mut self, ix: Ix, pe: usize, chare: C) -> ElemId {
+        let id = self.intern(&ix);
         let prev = self.put(
-            ix,
+            id,
             Element {
                 chare,
                 pe,
@@ -419,6 +356,7 @@ impl<C: Chare> ArrayStore<C> {
             },
         );
         assert!(prev.is_none(), "duplicate insertion of element {ix}");
+        id
     }
 }
 
@@ -432,60 +370,96 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
     }
 
     fn len(&self) -> usize {
-        self.dense_len + self.spill.len()
-    }
-
-    fn contains(&self, ix: &Ix) -> bool {
-        self.get(ix).is_some()
+        self.live
     }
 
     fn element_pe(&self, ix: &Ix) -> Option<usize> {
         self.get(ix).map(|e| e.pe)
     }
 
-    fn locate(&self, ix: &Ix) -> Option<(usize, u32)> {
-        self.get(ix).map(|e| (e.pe, e.epoch))
-    }
-
     fn indices(&self) -> Vec<Ix> {
-        let mut v: Vec<Ix> = self.iter().map(|(ix, _)| ix).collect();
-        // Deterministic order regardless of storage-tier iteration.
+        let mut v: Vec<Ix> = self
+            .recs
+            .iter()
+            .filter(|r| r.elem.is_some())
+            .map(|r| r.ix)
+            .collect();
         v.sort_unstable();
         v
     }
 
-    fn visit_sorted(&mut self, f: &mut dyn FnMut(Ix, usize, &mut dyn charm_pup::Pup)) {
-        // Slot order is index order within the dense window, so a store
-        // with nothing spilled needs no sort at all.
-        let spilled = !self.spill.is_empty();
-        let mut elems: Vec<(Ix, &mut Element<C>)> = self.iter_mut().collect();
-        if spilled {
-            elems.sort_unstable_by_key(|(ix, _)| *ix);
+    fn intern(&mut self, ix: &Ix) -> ElemId {
+        let slot = match self.probe(ix) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let n = u32::try_from(self.recs.len()).ok().filter(|&n| n < u32::MAX);
+        let id = ElemId(n.expect("element handles fit in u32"));
+        self.recs.push(Record { ix: *ix, elem: None });
+        if 2 * self.recs.len() > self.by_ix.len() {
+            // Double (at least 16 slots) and re-place every record in
+            // handle order.
+            let len = (2 * self.by_ix.len()).max(16);
+            self.by_ix = vec![0; len];
+            for h in 0..self.recs.len() as u32 {
+                let Err(at) = self.probe(&self.recs[h as usize].ix) else {
+                    unreachable!("an index has one record")
+                };
+                self.by_ix[at] = h + 1;
+            }
+        } else {
+            self.by_ix[slot] = id.0 + 1;
         }
-        for (ix, e) in elems {
-            f(ix, e.pe, &mut e.chare);
+        id
+    }
+
+    fn ix(&self, id: ElemId) -> Ix {
+        self.recs[id.0 as usize].ix
+    }
+
+    #[inline]
+    fn locate(&self, id: ElemId) -> Option<(usize, u32)> {
+        self.recs[id.0 as usize].elem.as_ref().map(|e| (e.pe, e.epoch))
+    }
+
+    fn sorted_len(&mut self) -> usize {
+        self.sort();
+        self.sorted.len()
+    }
+
+    fn sorted_nth(&self, k: usize) -> (ElemId, Option<usize>) {
+        let id = self.sorted[k];
+        (id, self.recs[id.0 as usize].elem.as_ref().map(|e| e.pe))
+    }
+
+    fn visit_sorted(&mut self, f: &mut dyn FnMut(Ix, usize, &mut dyn charm_pup::Pup)) {
+        self.sort();
+        for id in &self.sorted {
+            let rec = &mut self.recs[id.0 as usize];
+            if let Some(e) = &mut rec.elem {
+                f(rec.ix, e.pe, &mut e.chare);
+            }
         }
     }
 
-    fn execute(&mut self, ix: &Ix, payload: Payload, ctx: &mut Ctx<'_>) -> bool {
-        // Split borrows: name is needed inside the panic message while the
-        // element is mutably borrowed from the same struct.
-        let (name, e) = if let Some(slot) = dense_slot(self.dense_kind, ix) {
-            match self.dense.get_mut(slot).and_then(|o| o.as_deref_mut()) {
-                Some(e) => (&self.name, e),
-                None => return false,
-            }
-        } else {
-            match self.spill.get_mut(ix) {
-                Some(e) => (&self.name, e),
-                None => return false,
-            }
+    fn execute(
+        &mut self,
+        id: ElemId,
+        payload: Payload,
+        ctx: &mut Ctx<'_>,
+        flops_per_sec: f64,
+    ) -> bool {
+        let rec = &mut self.recs[id.0 as usize];
+        let Some(e) = &mut rec.elem else {
+            return false;
         };
         match payload {
             Payload::User(boxed) => {
                 let boxed = boxed.downcast::<C::Msg>().unwrap_or_else(|_| {
                     panic!(
-                        "array '{name}' element {ix}: message type mismatch (expected {})",
+                        "array '{}' element {}: message type mismatch (expected {})",
+                        self.name,
+                        rec.ix,
                         std::any::type_name::<C::Msg>()
                     )
                 });
@@ -495,6 +469,7 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
             }
             Payload::Sys(ev) => e.chare.on_event(*ev, ctx),
         }
+        e.load += ctx.work_units / flops_per_sec;
         true
     }
 
@@ -505,14 +480,17 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
     }
 
     fn pack_element(&mut self, ix: &Ix) -> Option<Vec<u8>> {
-        self.get_mut(ix).map(|e| charm_pup::to_bytes(&mut e.chare))
+        let id = self.find(ix)?;
+        let e = self.recs[id.0 as usize].elem.as_mut()?;
+        Some(charm_pup::to_bytes(&mut e.chare))
     }
 
-    fn unpack_insert(&mut self, ix: Ix, pe: usize, bytes: &[u8]) {
+    fn unpack_insert(&mut self, ix: Ix, pe: usize, bytes: &[u8]) -> ElemId {
         let chare: C = charm_pup::from_bytes(bytes);
-        let epoch = self.get(&ix).map(|e| e.epoch + 1).unwrap_or_default();
+        let id = self.intern(&ix);
+        let epoch = self.locate(id).map_or(0, |(_, ep)| ep + 1);
         self.put(
-            ix,
+            id,
             Element {
                 chare,
                 pe,
@@ -520,13 +498,21 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
                 epoch,
             },
         );
+        id
     }
 
     fn remove_element(&mut self, ix: &Ix) -> bool {
-        self.take(ix).is_some()
+        let Some(id) = self.find(ix) else {
+            return false;
+        };
+        let gone = self.recs[id.0 as usize].elem.take().is_some();
+        if gone {
+            self.live -= 1;
+        }
+        gone
     }
 
-    fn insert_boxed(&mut self, ix: Ix, pe: usize, chare: Box<dyn Any + Send>) {
+    fn insert_boxed(&mut self, ix: Ix, pe: usize, chare: Box<dyn Any + Send>) -> ElemId {
         let chare = *chare.downcast::<C>().unwrap_or_else(|_| {
             panic!(
                 "array '{}': insert of wrong chare type (expected {})",
@@ -534,25 +520,21 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
                 std::any::type_name::<C>()
             )
         });
-        self.insert(ix, pe, chare);
+        self.insert(ix, pe, chare)
     }
 
-    fn add_load(&mut self, ix: &Ix, load: f64) {
-        if let Some(e) = self.get_mut(ix) {
-            e.load += load;
+    fn drain_loads(&mut self, reset: bool) -> Vec<(Ix, usize, f64, f64)> {
+        self.sort();
+        let mut v = Vec::with_capacity(self.live);
+        for id in &self.sorted {
+            let rec = &mut self.recs[id.0 as usize];
+            if let Some(e) = &mut rec.elem {
+                v.push((rec.ix, e.pe, e.load, e.chare.load_hint()));
+                if reset {
+                    e.load = 0.0;
+                }
+            }
         }
-    }
-
-    fn drain_loads(&mut self) -> Vec<(Ix, usize, f64, f64)> {
-        let mut v: Vec<(Ix, usize, f64, f64)> = self
-            .iter_mut()
-            .map(|(ix, e)| {
-                let l = e.load;
-                e.load = 0.0;
-                (ix, e.pe, l, e.chare.load_hint())
-            })
-            .collect();
-        v.sort_unstable_by_key(|a| a.0);
         v
     }
 
@@ -565,20 +547,13 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
     }
 
     fn clear(&mut self) {
-        // Keep the dense window's kind and capacity: a rollback repopulates
-        // the same index space, so the allocation is reused.
-        for slot in &mut self.dense {
-            *slot = None;
+        for rec in &mut self.recs {
+            rec.elem = None;
         }
-        self.dense_len = 0;
-        self.spill.clear();
+        self.live = 0;
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -587,6 +562,7 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
 mod tests {
     use super::*;
     use charm_pup::Puper;
+    use std::collections::BTreeMap;
 
     #[derive(Default)]
     struct Dummy {
@@ -604,17 +580,23 @@ mod tests {
         }
     }
 
+    fn located(s: &mut ArrayStore<Dummy>, ix: Ix) -> Option<(usize, u32)> {
+        let id = s.intern(&ix);
+        s.locate(id)
+    }
+
     #[test]
     fn insert_pack_unpack_cycle() {
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
-        s.insert(Ix::i1(3), 2, Dummy { v: 40 });
+        let id = s.insert(Ix::i1(3), 2, Dummy { v: 40 });
         assert_eq!(s.len(), 1);
         assert_eq!(s.element_pe(&Ix::i1(3)), Some(2));
         let bytes = s.pack_element(&Ix::i1(3)).unwrap();
         assert!(s.remove_element(&Ix::i1(3)));
-        assert!(!s.contains(&Ix::i1(3)));
-        s.unpack_insert(Ix::i1(3), 5, &bytes);
+        assert_eq!(s.element_pe(&Ix::i1(3)), None);
+        assert_eq!(s.unpack_insert(Ix::i1(3), 5, &bytes), id, "the handle outlives removal");
         assert_eq!(s.element_pe(&Ix::i1(3)), Some(5));
+        assert_eq!(s.peek(&Ix::i1(3)).unwrap().v, 40);
     }
 
     #[test]
@@ -623,77 +605,69 @@ mod tests {
         // epoch; after a remove the element is new again.
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
         s.insert(Ix::i1(0), 0, Dummy::default());
-        assert_eq!(s.locate(&Ix::i1(0)), Some((0, 0)));
+        assert_eq!(located(&mut s, Ix::i1(0)), Some((0, 0)));
         let bytes = s.pack_element(&Ix::i1(0)).unwrap();
         s.unpack_insert(Ix::i1(0), 1, &bytes);
-        assert_eq!(s.locate(&Ix::i1(0)), Some((1, 1)));
+        assert_eq!(located(&mut s, Ix::i1(0)), Some((1, 1)));
         assert!(s.remove_element(&Ix::i1(0)));
         s.unpack_insert(Ix::i1(0), 2, &bytes);
-        assert_eq!(s.locate(&Ix::i1(0)), Some((2, 0)));
+        assert_eq!(located(&mut s, Ix::i1(0)), Some((2, 0)));
     }
 
     #[test]
     fn drain_loads_resets() {
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
-        s.insert(Ix::i1(0), 0, Dummy::default());
         s.insert(Ix::i1(1), 1, Dummy::default());
-        s.add_load(&Ix::i1(0), 0.5);
-        s.add_load(&Ix::i1(0), 0.25);
-        let loads = s.drain_loads();
-        assert_eq!(loads.len(), 2);
-        assert_eq!(loads[0], (Ix::i1(0), 0, 0.75, 1.0));
-        assert_eq!(loads[1], (Ix::i1(1), 1, 0.0, 1.0));
-        let again = s.drain_loads();
+        let a = s.insert(Ix::i1(0), 0, Dummy::default());
+        s.recs[a.0 as usize].elem.as_mut().unwrap().load = 0.75;
+        let peeked = s.drain_loads(false);
+        assert_eq!(peeked, s.drain_loads(true), "a peek leaves the loads");
+        assert_eq!(peeked.len(), 2);
+        assert_eq!(peeked[0], (Ix::i1(0), 0, 0.75, 1.0));
+        assert_eq!(peeked[1], (Ix::i1(1), 1, 0.0, 1.0));
+        let again = s.drain_loads(true);
         assert_eq!(again[0].2, 0.0, "loads reset after drain");
-    }
-
-    #[test]
-    fn indices_sorted_and_per_pe() {
-        let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
-        for i in (0..10).rev() {
-            s.insert(Ix::i1(i), (i % 3) as usize, Dummy::default());
-        }
-        let all = s.indices();
-        assert_eq!(all.len(), 10);
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn visit_sorted_equals_indices_then_lookup() {
         // One visit must see exactly what the sorted key list plus a
-        // per-key pack/digest sees — on a purely dense population (the
-        // no-sort path) and on one that adds spilled negative/huge 1-D,
-        // 2-D and 3-D indices, inserted out of order.
-        let dense = [Ix::i1(900), Ix::i1(3), Ix::i1(0), Ix::i1(41)];
-        let spilled = [
+        // per-key pack/digest sees — over every index shape, inserted out
+        // of order, with tombstones and addressed-only records in between.
+        let ixs = [
+            Ix::i1(900),
             Ix::i3(1, 2, 3),
+            Ix::i1(3),
             Ix::i1(-4),
             Ix::i2(7, 7),
-            Ix::i1(DENSE_1D_MAX + 9),
+            Ix::i1(0),
+            Ix::i1((1 << 16) + 9),
+            Ix::i6([1, 2, 3], [4, 5, 6]),
+            Ix::named("x"),
             Ix::i3(0, 9, 9),
         ];
-        for ixs in [dense.to_vec(), [&dense[..], &spilled[..]].concat()] {
-            let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
-            for (k, ix) in ixs.iter().enumerate() {
-                s.insert(*ix, k % 3, Dummy { v: 100 + k as i64 });
-            }
-            let by_key: Vec<(Ix, usize, Vec<u8>, u64)> = s
-                .indices()
-                .into_iter()
-                .map(|ix| {
-                    let pe = s.element_pe(&ix).unwrap();
-                    let bytes = s.pack_element(&ix).unwrap();
-                    let digest = charm_pup::fnv1a(&bytes);
-                    (ix, pe, bytes, digest)
-                })
-                .collect();
-            let mut visited = Vec::new();
-            s.visit_sorted(&mut |ix, pe, c| {
-                visited.push((ix, pe, charm_pup::to_bytes(c), charm_pup::digest_of(c)));
-            });
-            assert_eq!(visited.len(), ixs.len());
-            assert_eq!(visited, by_key);
+        let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
+        for (k, ix) in ixs.iter().enumerate() {
+            s.insert(*ix, k % 3, Dummy { v: 100 + k as i64 });
+            s.intern(&Ix::i2(-1, k as i32));
         }
+        assert!(s.remove_element(&Ix::i1(3)));
+        let by_key: Vec<(Ix, usize, Vec<u8>, u64)> = s
+            .indices()
+            .into_iter()
+            .map(|ix| {
+                let pe = s.element_pe(&ix).unwrap();
+                let bytes = s.pack_element(&ix).unwrap();
+                let digest = charm_pup::fnv1a(&bytes);
+                (ix, pe, bytes, digest)
+            })
+            .collect();
+        let mut visited = Vec::new();
+        s.visit_sorted(&mut |ix, pe, c| {
+            visited.push((ix, pe, charm_pup::to_bytes(c), charm_pup::digest_of(c)));
+        });
+        assert_eq!(visited.len(), ixs.len() - 1);
+        assert_eq!(visited, by_key);
     }
 
     #[test]
@@ -705,68 +679,130 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_spill_tiers_coexist() {
+    fn shapes_never_share_a_record() {
+        // `I2([0, 5])`, `I1(5)` and `I1(-5)` are three indices: three
+        // records, three handles.
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
-        // First insert claims the dense window for I1…
-        s.insert(Ix::i1(7), 0, Dummy { v: 7 });
-        // …negative and huge 1-D indices spill, as do other variants.
-        s.insert(Ix::i1(-4), 1, Dummy { v: -4 });
-        s.insert(Ix::i1(DENSE_1D_MAX + 9), 2, Dummy { v: 99 });
-        s.insert(Ix::i2(0, 3), 0, Dummy { v: 3 });
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.peek(&Ix::i1(7)).unwrap().v, 7);
-        assert_eq!(s.peek(&Ix::i1(-4)).unwrap().v, -4);
-        assert_eq!(s.peek(&Ix::i1(DENSE_1D_MAX + 9)).unwrap().v, 99);
-        assert_eq!(s.peek(&Ix::i2(0, 3)).unwrap().v, 3);
-        // indices() is sorted across both tiers.
-        let all = s.indices();
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(all.len(), 4);
-        // Removal from both tiers keeps len() honest.
-        assert!(s.remove_element(&Ix::i1(7)));
-        assert!(s.remove_element(&Ix::i1(-4)));
-        assert_eq!(s.len(), 2);
-        assert!(!s.contains(&Ix::i1(7)));
-    }
-
-    #[test]
-    fn dense_2d_window_no_slot_collisions() {
-        let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
-        // 2-D first insert claims the 256×256 window; I1 then spills, so
-        // I2([0, 5]) and I1(5) never share storage.
-        s.insert(Ix::i2(0, 5), 0, Dummy { v: 25 });
-        s.insert(Ix::i1(5), 1, Dummy { v: 15 });
+        let a = s.insert(Ix::i2(0, 5), 0, Dummy { v: 25 });
+        let b = s.insert(Ix::i1(5), 1, Dummy { v: 15 });
+        let c = s.insert(Ix::i1(-5), 2, Dummy { v: -5 });
+        assert!(a != b && b != c && a != c);
         assert_eq!(s.peek(&Ix::i2(0, 5)).unwrap().v, 25);
         assert_eq!(s.peek(&Ix::i1(5)).unwrap().v, 15);
-        assert_eq!(s.element_pe(&Ix::i2(0, 5)), Some(0));
-        assert_eq!(s.element_pe(&Ix::i1(5)), Some(1));
-        // Outside the window spills too.
-        s.insert(Ix::i2(300, 1), 2, Dummy { v: 301 });
-        assert_eq!(s.locate(&Ix::i2(300, 1)), Some((2, 0)));
+        assert_eq!((s.locate(b), s.ix(c)), (Some((1, 0)), Ix::i1(-5)));
         assert_eq!(s.len(), 3);
     }
 
     #[test]
-    fn locate_matches_pe_and_epoch() {
+    fn an_addressed_index_has_a_record_but_no_element() {
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
-        s.insert(Ix::i1(2), 3, Dummy::default());
-        assert_eq!(s.locate(&Ix::i1(2)), Some((3, 0)));
-        let bytes = s.pack_element(&Ix::i1(2)).unwrap();
-        s.unpack_insert(Ix::i1(2), 4, &bytes);
-        assert_eq!(s.locate(&Ix::i1(2)), Some((4, 1)));
-        assert_eq!(s.locate(&Ix::i1(99)), None);
+        let id = s.intern(&Ix::i1(99));
+        assert_eq!((s.locate(id), s.len()), (None, 0));
+        assert!(s.indices().is_empty());
+        assert_eq!(s.insert(Ix::i1(99), 1, Dummy::default()), id, "insert fills it");
+        assert_eq!(s.locate(id), Some((1, 0)));
     }
 
-    #[test]
-    fn clear_empties_both_tiers() {
-        let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
-        s.insert(Ix::i1(1), 0, Dummy::default());
-        s.insert(Ix::i1(-1), 0, Dummy::default());
-        s.clear();
-        assert_eq!(s.len(), 0);
-        assert!(s.indices().is_empty());
-        // Dense window stays claimed for I1 — reinsertion works.
-        s.insert(Ix::i1(1), 0, Dummy::default());
-        assert_eq!(s.len(), 1);
+    /// The index shapes the property test draws from.
+    fn universe(k: u8) -> Ix {
+        match k % 12 {
+            0..=3 => Ix::i1(k as i64),
+            4 => Ix::i1(-1),
+            5 => Ix::i1(1 << 20),
+            6 => Ix::i2(0, 4),
+            7 => Ix::i2(300, 1),
+            8 => Ix::i3(1, 2, 3),
+            9 => Ix::i6([0, 0, 1], [1, 0, 0]),
+            10 => Ix::ROOT.tree_child(5, 3),
+            _ => Ix::named("cells"),
+        }
+    }
+
+    proptest::proptest! {
+        // Random insert / remove / migration / unpack-over / address /
+        // checkpoint + rollback sequences against a `BTreeMap` model: the
+        // store agrees with the model by index, by handle and in order, an
+        // index's handle never changes, and no two indices share one.
+        #[test]
+        fn handles_are_stable_and_the_store_matches_its_model(
+            ops in proptest::collection::vec((0u8..7, 0u8..12, 0usize..4), 0..120)
+        ) {
+            let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
+            let mut model: BTreeMap<Ix, (usize, u32)> = BTreeMap::new();
+            let mut handles: BTreeMap<Ix, ElemId> = BTreeMap::new();
+            let mut ckpt: Option<Vec<(Ix, usize, Vec<u8>)>> = None;
+            let image = charm_pup::to_bytes(&mut Dummy { v: 7 });
+            for (op, k, pe) in ops {
+                let ix = universe(k);
+                let id = match op {
+                    0 => {
+                        if model.contains_key(&ix) {
+                            continue;
+                        }
+                        model.insert(ix, (pe, 0));
+                        s.insert(ix, pe, Dummy::default())
+                    }
+                    1 => {
+                        proptest::prop_assert_eq!(s.remove_element(&ix), model.remove(&ix).is_some());
+                        continue;
+                    }
+                    2 => {
+                        // Migration: pack, remove, unpack elsewhere.
+                        let Some(bytes) = s.pack_element(&ix) else {
+                            continue;
+                        };
+                        s.remove_element(&ix);
+                        model.insert(ix, (pe, 0));
+                        s.unpack_insert(ix, pe, &bytes)
+                    }
+                    3 => {
+                        let epoch = model.get(&ix).map_or(0, |&(_, ep)| ep + 1);
+                        model.insert(ix, (pe, epoch));
+                        s.unpack_insert(ix, pe, &image)
+                    }
+                    4 => s.intern(&ix),
+                    5 => {
+                        let mut taken = Vec::new();
+                        s.visit_sorted(&mut |ix, pe, c| taken.push((ix, pe, charm_pup::to_bytes(c))));
+                        ckpt = Some(taken);
+                        continue;
+                    }
+                    _ => {
+                        let Some(taken) = &ckpt else {
+                            continue;
+                        };
+                        s.clear();
+                        model.clear();
+                        for (ix, pe, bytes) in taken {
+                            let id = s.unpack_insert(*ix, *pe, bytes);
+                            proptest::prop_assert_eq!(handles.get(ix), Some(&id));
+                            model.insert(*ix, (*pe, 0));
+                        }
+                        continue;
+                    }
+                };
+                proptest::prop_assert_eq!(*handles.entry(ix).or_insert(id), id, "handle of {} moved", ix);
+                proptest::prop_assert_eq!(s.ix(id), ix);
+            }
+            let distinct: std::collections::BTreeSet<u32> = handles.values().map(|h| h.0).collect();
+            proptest::prop_assert_eq!(distinct.len(), handles.len(), "two indices share a handle");
+            for (ix, id) in &handles {
+                proptest::prop_assert_eq!(s.locate(*id), model.get(ix).copied());
+                proptest::prop_assert_eq!(s.element_pe(ix), model.get(ix).map(|&(pe, _)| pe));
+            }
+            proptest::prop_assert_eq!(s.len(), model.len());
+            proptest::prop_assert_eq!(s.indices(), model.keys().copied().collect::<Vec<_>>());
+            let mut visited = Vec::new();
+            s.visit_sorted(&mut |ix, pe, _| visited.push((ix, pe)));
+            let expect: Vec<(Ix, usize)> = model.iter().map(|(ix, &(pe, _))| (*ix, pe)).collect();
+            proptest::prop_assert_eq!(&visited, &expect);
+            let walked: Vec<(Ix, usize)> = (0..s.sorted_len())
+                .filter_map(|k| match s.sorted_nth(k) {
+                    (id, Some(pe)) => Some((s.ix(id), pe)),
+                    (_, None) => None,
+                })
+                .collect();
+            proptest::prop_assert_eq!(walked, expect);
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! at α-window boundaries), callback and system-event delivery, and
 //! quiescence detection.
 
-use crate::array::{ArrayId, ObjId, Payload};
+use crate::array::{ArrayId, ElemRef, Payload};
 use crate::chare::{Callback, RedOp, RedValue, SysEvent};
 use crate::runtime::{Runtime, ENVELOPE_BYTES, TOKEN_AUX};
 use crate::trace::CpNode;
@@ -67,7 +67,9 @@ impl Runtime {
     /// Spanning-tree broadcast: each level adds one message latency and
     /// all leaves receive after `tree_depth()` hops (idealized balanced
     /// tree). `from_chare` marks a broadcast by the executing chare (not
-    /// the host) and `token` names the jitter draw of the hop.
+    /// the host) and `token` names the jitter draw of the hop. Elements are
+    /// reached in index order by walking the array's records: no index is
+    /// hashed and no list is built.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spanning_broadcast(
         &mut self,
@@ -82,11 +84,11 @@ impl Runtime {
     ) {
         let depth = self.tree_depth();
         let tree_delay = SimTime(self.tree_hop(bytes, token).0 * depth);
-        for ix in self.stores[array.0 as usize].indices() {
-            let dst = ObjId { array, ix };
-            let Some(pe) = self.stores[array.0 as usize].element_pe(&ix) else {
+        for k in 0..self.stores[array.0 as usize].sorted_len() {
+            let (elem, Some(pe)) = self.stores[array.0 as usize].sorted_nth(k) else {
                 continue;
             };
+            let dst = ElemRef { array, elem };
             let env = self.mint(dst, Payload::User(make()), bytes, prio, src_pe, from_chare);
             let rec_id = self.slab[env].rec_id;
             self.stamp_cp(rec_id, at);
@@ -95,7 +97,7 @@ impl Runtime {
             }
             self.bytes_moved += bytes as u64;
             if let Some(tr) = &mut self.tracer {
-                tr.on_send(at, src_pe, pe, dst, bytes);
+                tr.on_send(at, src_pe, pe, dst.obj(&self.stores), bytes);
                 tr.on_msg_latency(tree_delay);
             }
             self.sched_deliver(at + tree_delay, pe, env);
@@ -218,7 +220,8 @@ impl Runtime {
     fn deliver_callback_tree(&mut self, cb: Callback, ev: SysEvent, at: SimTime, tree_depth: u64) {
         match cb {
             Callback::ToChare { array, ix } => {
-                self.deliver_sys_tree(ObjId { array, ix }, ev, at, tree_depth);
+                let elem = self.stores[array.0 as usize].intern(&ix);
+                self.deliver_sys_tree(ElemRef { array, elem }, ev, at, tree_depth);
             }
             Callback::BroadcastTo { array } => self.deliver_sys_to_all(array, &ev, at, tree_depth),
             Callback::Ignore => {}
@@ -227,11 +230,12 @@ impl Runtime {
 
     /// Deliver a system event to one chare at `at` (local-queue cost only;
     /// collective costs are charged by callers).
-    pub(crate) fn deliver_sys(&mut self, dst: ObjId, ev: SysEvent, at: SimTime) {
+    pub(crate) fn deliver_sys(&mut self, dst: ElemRef, ev: SysEvent, at: SimTime) {
         self.deliver_sys_tree(dst, ev, at, 0);
     }
 
-    /// Deliver `ev` to every current element of `array`, in index order.
+    /// Deliver `ev` to every current element of `array`, in index order
+    /// (the record walk `spanning_broadcast` uses).
     pub(crate) fn deliver_sys_to_all(
         &mut self,
         array: ArrayId,
@@ -239,13 +243,15 @@ impl Runtime {
         at: SimTime,
         tree_depth: u64,
     ) {
-        for ix in self.stores[array.0 as usize].indices() {
-            self.deliver_sys_tree(ObjId { array, ix }, ev.clone(), at, tree_depth);
+        for k in 0..self.stores[array.0 as usize].sorted_len() {
+            if let (elem, Some(_)) = self.stores[array.0 as usize].sorted_nth(k) {
+                self.deliver_sys_tree(ElemRef { array, elem }, ev.clone(), at, tree_depth);
+            }
         }
     }
 
-    fn deliver_sys_tree(&mut self, dst: ObjId, ev: SysEvent, at: SimTime, tree_depth: u64) {
-        let Some(pe) = self.stores[dst.array.0 as usize].element_pe(&dst.ix) else {
+    fn deliver_sys_tree(&mut self, dst: ElemRef, ev: SysEvent, at: SimTime, tree_depth: u64) {
+        let Some((pe, _)) = self.stores[dst.array.0 as usize].locate(dst.elem) else {
             return;
         };
         // `i64::MIN + 1`: system events run promptly.

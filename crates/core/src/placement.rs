@@ -3,7 +3,7 @@
 //! set for shrink and preemption, the global pause, the AtSync protocol and
 //! the load-balancing round.
 
-use crate::array::{ArrayId, ObjId};
+use crate::array::{ArrayId, ElemRef, ObjId};
 use crate::chare::SysEvent;
 use crate::lbframework::{LbRound, LbStats, LbTrigger, ObjStat};
 use crate::runtime::{Ev, MigrateArrive, Runtime, ENVELOPE_BYTES, TOKEN_AUX};
@@ -42,7 +42,8 @@ impl Runtime {
     }
 
     /// `MigrateMe`: the chare leaves now and arrives one network delay
-    /// later; messages that chase it meanwhile wait in limbo.
+    /// later; messages that chase it meanwhile wait in limbo. Its record,
+    /// and so its handle, stays.
     pub(crate) fn start_migration(&mut self, src: ObjId, to: usize, at: SimTime) {
         let Some(from_pe) = self.stores[src.array.0 as usize].element_pe(&src.ix) else {
             return;
@@ -70,7 +71,8 @@ impl Runtime {
         let MigrateArrive { dst, to_pe, from_pe, bytes } = m;
         self.inflight -= 1;
         self.migrating -= 1;
-        self.stores[dst.array.0 as usize].unpack_insert(dst.ix, to_pe, &bytes);
+        let elem = self.stores[dst.array.0 as usize].unpack_insert(dst.ix, to_pe, &bytes);
+        let dst = ElemRef { array: dst.array, elem };
         self.deliver_sys(dst, SysEvent::Migrated { from_pe }, self.now);
         self.flush_limbo(dst);
     }
@@ -177,7 +179,7 @@ impl Runtime {
             // Loads must still be drained so the next window is fresh.
             for s in self.stores.iter_mut() {
                 if s.uses_at_sync() {
-                    s.drain_loads();
+                    s.drain_loads(true);
                 }
             }
             self.resume_from_sync(resume);
@@ -221,7 +223,7 @@ impl Runtime {
                 continue;
             }
             let id = s.id();
-            let drained = s.drain_loads();
+            let drained = s.drain_loads(mode == StatsMode::Drain);
             for (ix, pe, load, hint) in &drained {
                 let obj = ObjId { array: id, ix: *ix };
                 objs.push(ObjStat {
@@ -231,12 +233,6 @@ impl Runtime {
                     bytes_sent: sent_by.get(&obj).copied().unwrap_or(0),
                     msgs_sent: 0,
                 });
-            }
-            if matches!(mode, StatsMode::Peek) {
-                // Put the loads back (peek semantics).
-                for (ix, _pe, load, _h) in drained {
-                    s.add_load(&ix, load);
-                }
             }
         }
         LbStats {

@@ -333,9 +333,8 @@ impl MsgState {
 /// Per-message state in dense lanes: message ids are
 /// `slot << KEY_SLOT_SHIFT | counter` with one monotone counter per
 /// producer slot, so `lanes[slot][counter]` reaches a message's cell with
-/// two indexed loads and no hashing, and a lane grows by appending (the
-/// [`LocCache`](crate::array) two-tier shape). One `u32` per id the slot
-/// ever allocated.
+/// two indexed loads and no hashing, and a lane grows by appending. One
+/// `u32` per id the slot ever allocated.
 #[derive(Default)]
 struct MsgLanes {
     lanes: Vec<Vec<u32>>,

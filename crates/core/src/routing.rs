@@ -2,7 +2,7 @@
 //! is asked when the sender does not know, and what happens to messages
 //! for elements that do not exist yet.
 
-use crate::array::{ArrayId, ObjId, Payload};
+use crate::array::{ArrayId, ElemRef, Payload};
 use crate::runtime::{EnvId, Runtime, ENVELOPE_BYTES, TOKEN_RTT_REQ, TOKEN_RTT_RESP};
 use charm_machine::SimTime;
 use rand::Rng;
@@ -43,8 +43,10 @@ impl Runtime {
     /// trip precedes the send.
     pub(crate) fn route_and_schedule(&mut self, env: EnvId, at: SimTime) {
         let e = &self.slab[env];
-        let (src, dst, bytes, rec_id) = (e.src_pe as usize, e.dst, e.bytes as usize, e.rec_id);
-        let Some((true_pe, epoch)) = self.stores[dst.array.0 as usize].locate(&dst.ix) else {
+        let (src, dst, bytes, rec_id) = (e.src_pe as usize, e.dst, e.bytes.get() as usize, e.rec_id);
+        // Read at route time, so an `Insert`, `MigrateMe` or LB move applied
+        // earlier in the same action batch is seen.
+        let Some((true_pe, epoch)) = self.stores[dst.array.0 as usize].locate(dst.elem) else {
             self.limbo.entry(dst).or_default().push(env);
             return;
         };
@@ -58,13 +60,13 @@ impl Runtime {
             (true_pe, SimTime::ZERO)
         } else if !self.location_cache {
             // Ablation: no caching — every remote send queries the home PE.
-            (true_pe, self.home_query_rtt(src, &dst, rec_id))
+            (true_pe, self.home_query_rtt(src, dst, rec_id))
         } else {
-            match self.loc_cache[src].get(&dst) {
+            match self.loc_cache[src].get(dst) {
                 // Send to the cached PE; if stale, `execute` forwards.
                 Some((pe, _ep)) => (pe, SimTime::ZERO),
                 None => {
-                    let rtt = self.home_query_rtt(src, &dst, rec_id);
+                    let rtt = self.home_query_rtt(src, dst, rec_id);
                     self.loc_cache[src].insert(dst, (true_pe, epoch));
                     (true_pe, rtt)
                 }
@@ -79,7 +81,7 @@ impl Runtime {
         self.bytes_moved += bytes as u64;
         self.stamp_cp(rec_id, at);
         if let Some(tr) = &mut self.tracer {
-            tr.on_send(at, src, target_pe, dst, bytes);
+            tr.on_send(at, src, target_pe, dst.obj(&self.stores), bytes);
         }
         if let Some(r) = &mut self.recorder {
             // A home-PE query round trip was charged iff `extra > 0`; its
@@ -107,8 +109,9 @@ impl Runtime {
     }
 
     /// Ask `dst`'s home PE where it lives: request + response round trip.
-    fn home_query_rtt(&mut self, src: usize, dst: &ObjId, rec_id: u64) -> SimTime {
-        let home = self.home_pe(dst.array, &dst.ix);
+    fn home_query_rtt(&mut self, src: usize, dst: ElemRef, rec_id: u64) -> SimTime {
+        let ix = self.stores[dst.array.0 as usize].ix(dst.elem);
+        let home = self.home_pe(dst.array, &ix);
         self.net.delay(src, home, ENVELOPE_BYTES, rec_id ^ TOKEN_RTT_REQ)
             + self.net.delay(home, src, ENVELOPE_BYTES, rec_id ^ TOKEN_RTT_RESP)
     }
@@ -129,7 +132,7 @@ impl Runtime {
     }
 
     /// Re-route every message parked for `dst` now that it exists.
-    pub(crate) fn flush_limbo(&mut self, dst: ObjId) {
+    pub(crate) fn flush_limbo(&mut self, dst: ElemRef) {
         if let Some(envs) = self.limbo.remove(&dst) {
             for env in envs {
                 self.route_and_schedule(env, self.now);
@@ -148,6 +151,7 @@ impl Runtime {
 
 #[cfg(test)]
 mod tests {
+    use crate::array::PROBES;
     use crate::runtime::tests::{ping_setup, Ping, PingMsg};
     use crate::{ArrayProxy, Chare, Ctx, Ix, Runtime};
     use charm_pup::Puper;
@@ -168,6 +172,43 @@ mod tests {
         remote.send(arr, Ix::i1(0), PingMsg);
         let t_remote = remote.run().end_time;
         assert!(t_remote > t_local, "remote {t_remote} local {t_local}");
+    }
+
+    /// N sends — the host's kick-off and every hop of a token around a
+    /// ring of 6-D elements on two PEs — make exactly N index-map probes:
+    /// the one intern per send. Locating at route time, executing,
+    /// charging load and the location cache all go by handle.
+    #[test]
+    fn a_send_hashes_its_index_once() {
+        const RING: i32 = 8;
+        let at = |k: i32| Ix::i6([k % RING, 1, 2], [3, 4, 5]);
+        #[derive(Default)]
+        struct Hop;
+        impl charm_pup::Pup for Hop {
+            fn pup(&mut self, _p: &mut Puper) {}
+        }
+        impl Chare for Hop {
+            type Msg = u32;
+            fn on_message(&mut self, left: u32, ctx: &mut Ctx<'_>) {
+                let Ix::I6(v) = ctx.my_index() else {
+                    unreachable!("a ring of 6-D indices")
+                };
+                if left > 0 {
+                    let me = ArrayProxy::<Hop>::from_id(ctx.my_id().array);
+                    ctx.send(me, Ix::i6([(v[0] + 1) % RING, 1, 2], [3, 4, 5]), left - 1);
+                }
+            }
+        }
+        let mut rt = Runtime::homogeneous(2);
+        let arr = rt.create_array::<Hop>("ring");
+        for k in 0..RING {
+            rt.insert(arr, at(k), Hop, Some(k as usize % 2));
+        }
+        PROBES.with(|p| p.set(0));
+        rt.send(arr, at(0), 99);
+        let s = rt.run();
+        assert_eq!(s.entries, 100);
+        assert_eq!(PROBES.with(|p| p.get()), 100, "one probe per send");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! `collectives`, `placement` (moves, drains, AtSync, the LB round), and the
 //! services over them — [`crate::ft`], [`crate::power`], `malleable`,
 //! [`crate::elastic`]. Messages in flight live in the runtime's envelope
-//! slab (`slab`), addressed by handle.
+//! slab (`slab`), addressed by handle, and name their destination by its
+//! location record's handle ([`ElemRef`]).
 
 mod builder;
 mod slab;
@@ -14,7 +15,7 @@ mod slab;
 pub use builder::RuntimeBuilder;
 pub(crate) use slab::{EnvId, EnvSlab};
 
-use crate::array::{AnyArray, ArrayId, ArrayProxy, ArrayStore, ObjId, Payload};
+use crate::array::{AnyArray, ArrayId, ArrayProxy, ArrayStore, ElemId, ElemRef, ObjId, Payload};
 use crate::chare::{Callback, Chare, SysEvent};
 use crate::collectives::{ContribRec, RedState};
 use crate::ctrl::{ControlRegistry, ControlValues};
@@ -29,6 +30,7 @@ use charm_machine::thermal::ThermalModel;
 use charm_machine::{EventQueue, MachineConfig, NetworkModel, PrioQueue, SimTime};
 use fxhash::FxHashMap;
 use rand::rngs::StdRng;
+use std::num::NonZeroU32;
 
 /// Fixed per-message envelope overhead added to every payload's wire size.
 pub const ENVELOPE_BYTES: usize = 40;
@@ -44,15 +46,6 @@ pub(crate) const SLOT_HOST: usize = 0;
 pub(crate) const SLOT_RED: usize = 1;
 /// Key-slot offset for runtime-system events (failures, DVFS, checkpoints…).
 pub(crate) const SLOT_RTS: usize = 2;
-
-/// Largest machine (simulated PEs) that gets dense location-cache lanes.
-/// A dense lane costs memory proportional to the highest cached slot
-/// (up to ~512 KB per source PE per array) — a clear win on bench-sized
-/// machines, but at 128K–1M PEs it would dominate the engine's otherwise
-/// O(PE) footprint, so bigger machines keep the entry-proportional spill
-/// map for every cached location. Representation-only: lookups return
-/// identical results either way.
-pub(crate) const LOC_CACHE_DENSE_MAX_PES: usize = 256;
 
 /// Jitter-token salts distinguishing the several delay draws one event can
 /// make (location-query round trips, tree hops, forwards). Same convention
@@ -100,8 +93,8 @@ const _: () = assert!(
     "an event must stay 16 bytes"
 );
 const _: () = assert!(
-    std::mem::size_of::<Envelope>() <= 80,
-    "an envelope must stay 80 bytes"
+    std::mem::size_of::<Envelope>() <= 48,
+    "an envelope must stay 48 bytes"
 );
 
 /// A migrating chare's serialized state en route to its new PE.
@@ -112,12 +105,14 @@ pub(crate) struct MigrateArrive {
     pub bytes: Vec<u8>,
 }
 
-/// A message (or system event) in flight or queued: 80 bytes, everything
-/// the engine reads per hop. Who sent it lives with the recorder (derived
+/// A message (or system event) in flight or queued: 48 bytes, everything
+/// the engine reads per hop. Its destination is a location-record handle;
+/// the index behind it is read from the record only while the tracer or the
+/// recorder needs an [`ObjId`]. Who sent it lives with the recorder (derived
 /// from the message's origin) and its critical-path stamp with the tracer
 /// (keyed by `rec_id`); both exist only while those are switched on.
 pub(crate) struct Envelope {
-    pub dst: ObjId,
+    pub dst: ElemRef,
     pub payload: Payload,
     pub prio: i64,
     /// Runtime-wide message key, assigned at creation. Always allocated
@@ -125,8 +120,9 @@ pub(crate) struct Envelope {
     /// other deterministic state. Doubles as the event-heap tie-break for
     /// the delivery event.
     pub rec_id: u64,
-    /// Wire size, envelope included.
-    pub bytes: u32,
+    /// Wire size, envelope included — so never zero, which is the niche
+    /// the slab's free link hides in.
+    pub bytes: NonZeroU32,
     pub src_pe: u32,
 }
 
@@ -263,15 +259,15 @@ pub struct Runtime {
     pub(crate) rngs: Vec<StdRng>,
     pub(crate) ctrl: ControlRegistry,
     pub(crate) ctrl_snapshot: ControlValues,
-    /// Per-PE location caches: ObjId → (pe, epoch). Looked up once per
-    /// send on the routing hot path; dense indices bypass hashing entirely
-    /// (see [`crate::array::LocCache`]).
+    /// Per-PE location caches: handle → (pe, epoch). Looked up once per
+    /// remote send on the routing hot path, without hashing an index (see
+    /// [`crate::array::LocCache`]).
     pub(crate) loc_cache: Vec<crate::array::LocCache>,
     /// Every envelope in flight, queued or parked.
     pub(crate) slab: EnvSlab,
     /// Messages for not-yet-existing elements (dynamic insertion races,
     /// in-transit migrations).
-    pub(crate) limbo: FxHashMap<ObjId, Vec<EnvId>>,
+    pub(crate) limbo: FxHashMap<ElemRef, Vec<EnvId>>,
     pub(crate) reductions: FxHashMap<(ArrayId, u32), RedState>,
     pub(crate) qd: Option<Callback>,
     /// Deliver/MigrateArrive events in flight.
@@ -325,6 +321,9 @@ pub struct Runtime {
     /// Reusable buffer for the actions a `Ctx` collects during one entry
     /// method — saves a heap allocation per executed message.
     pub(crate) action_scratch: Vec<Action>,
+    /// Reusable buffer for the handles `execute` interns for one entry
+    /// method's sends, consumed in order by `apply_actions`.
+    pub(crate) send_scratch: Vec<ElemId>,
     /// Reusable buffer for one timestamp's event batch — `run_until`
     /// allocates nothing per call.
     pub(crate) batch_scratch: Vec<(u64, Ev)>,
@@ -473,7 +472,8 @@ impl Runtime {
     pub fn send<C: Chare>(&mut self, proxy: ArrayProxy<C>, ix: crate::Ix, mut msg: C::Msg) {
         let bytes = charm_pup::packed_size(&mut msg) + ENVELOPE_BYTES;
         self.cur_slot = self.host_slot();
-        let dst = ObjId { array: proxy.id, ix };
+        let elem = self.stores[proxy.id.0 as usize].intern(&ix);
+        let dst = ElemRef { array: proxy.id, elem };
         let env = self.mint(dst, Payload::User(Box::new(msg)), bytes, 0, 0, false);
         self.route_and_schedule(env, self.now);
     }
@@ -491,9 +491,12 @@ impl Runtime {
     {
         let bytes = charm_pup::packed_size(&mut msg) + ENVELOPE_BYTES;
         self.cur_slot = self.host_slot();
-        let targets = self.stores[proxy.id.0 as usize].indices();
-        for ix in targets {
-            let dst = ObjId { array: proxy.id, ix };
+        let array = proxy.id;
+        for k in 0..self.stores[array.0 as usize].sorted_len() {
+            let (elem, Some(_)) = self.stores[array.0 as usize].sorted_nth(k) else {
+                continue;
+            };
+            let dst = ElemRef { array, elem };
             let payload = Payload::User(Box::new(msg.clone()));
             let env = self.mint(dst, payload, bytes, 0, 0, false);
             self.route_and_schedule(env, self.now);
@@ -591,9 +594,9 @@ impl Runtime {
         let mut v: Vec<(ObjId, usize)> = self
             .limbo
             .iter()
-            .map(|(k, q)| (*k, q.len()))
+            .map(|(k, q)| (k.obj(&self.stores), q.len()))
             .collect();
-        v.sort_by_key(|(k, _)| (k.array, k.ix));
+        v.sort_unstable();
         v
     }
 
@@ -856,7 +859,8 @@ impl Runtime {
                     self.messages += 1;
                     if let Some(tr) = &mut self.tracer {
                         let e = &self.slab[env];
-                        tr.on_recv(self.now, pe, e.src_pe as usize, e.dst, e.bytes as usize);
+                        let dst = e.dst.obj(&self.stores);
+                        tr.on_recv(self.now, pe, e.src_pe as usize, dst, e.bytes.get() as usize);
                     }
                     // A false return means parked/forwarded; with an empty
                     // queue there is nothing further to start either way.
@@ -916,7 +920,8 @@ impl Runtime {
         self.queued += 1;
         let e = &self.slab[env];
         if let Some(tr) = &mut self.tracer {
-            tr.on_recv(self.now, pe, e.src_pe as usize, e.dst, e.bytes as usize);
+            let dst = e.dst.obj(&self.stores);
+            tr.on_recv(self.now, pe, e.src_pe as usize, dst, e.bytes.get() as usize);
         }
         self.pes[pe].pending.push(e.prio, env);
     }
@@ -994,7 +999,7 @@ impl Runtime {
     #[inline]
     pub(crate) fn mint(
         &mut self,
-        dst: ObjId,
+        dst: ElemRef,
         payload: Payload,
         bytes: usize,
         prio: i64,
@@ -1005,7 +1010,10 @@ impl Runtime {
         if let Some(r) = &mut self.recorder {
             r.note_origin(rec_id, from_chare);
         }
-        let bytes = u32::try_from(bytes).expect("message wire size fits in u32");
+        let bytes = u32::try_from(bytes)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect("message wire size is nonzero and fits in u32");
         let src_pe = u32::try_from(src_pe).expect("PE index fits in u32");
         self.slab.insert(Envelope {
             dst,
@@ -1031,20 +1039,20 @@ impl Runtime {
     /// envelope was parked or forwarded instead of executed.
     fn execute(&mut self, pe: usize, env: EnvId) -> bool {
         let e = &self.slab[env];
-        let (dst, ix) = (e.dst, e.dst.ix);
+        let dst = e.dst;
         let aid = dst.array;
         let store = &mut self.stores[aid.0 as usize];
 
         // The element may have moved (stale cache delivered here) or may not
         // exist yet (dynamic insertion / migration in transit).
-        match store.locate(&ix) {
+        match store.locate(dst.elem) {
             None => {
                 self.limbo.entry(dst).or_default().push(env);
                 return false;
             }
             Some((actual, epoch)) if actual != pe => {
                 // Forward along and update the original sender's cache.
-                let (bytes, rec_id, src_pe) = (e.bytes as usize, e.rec_id, e.src_pe as usize);
+                let (bytes, rec_id, src_pe) = (e.bytes.get() as usize, e.rec_id, e.src_pe as usize);
                 let delay = self.net.delay(pe, actual, bytes, rec_id ^ TOKEN_AUX);
                 self.loc_cache[src_pe].insert(dst, (actual, epoch));
                 self.bytes_moved += bytes as u64;
@@ -1062,7 +1070,8 @@ impl Runtime {
             rec_id,
             ..
         } = self.slab.take(env);
-        let bytes = bytes as usize;
+        let bytes = bytes.get() as usize;
+        let obj = ObjId { array: aid, ix: store.ix(dst.elem) };
 
         let entry_kind = match &payload {
             Payload::User(_) => EntryKind::Message,
@@ -1083,7 +1092,7 @@ impl Runtime {
             now: self.now,
             pe,
             num_pes: self.live_pes,
-            self_id: dst,
+            self_id: obj,
             work_units: 0.0,
             // Reuse one buffer across entry executions (allocation-free
             // steady state); returned to the scratch slot below.
@@ -1091,7 +1100,8 @@ impl Runtime {
             rng: &mut self.rngs[pe],
             ctrl: &self.ctrl_snapshot,
         };
-        let ok = store.execute(&ix, payload, &mut ctx);
+        // Runs the chare and charges its load in the one record borrow.
+        let ok = store.execute(dst.elem, payload, &mut ctx, self.machine.flops_per_sec);
         debug_assert!(ok, "element existed a moment ago");
         self.entries += 1;
 
@@ -1105,16 +1115,19 @@ impl Runtime {
         let work_time = SimTime::from_secs_f64(work_units / (self.machine.flops_per_sec * speed));
         // Send-side software overhead: a remote send costs the full
         // injection overhead; a same-PE send is a queue push (~an order of
-        // magnitude cheaper) — the asymmetry TRAM exploits (§III-F).
+        // magnitude cheaper) — the asymmetry TRAM exploits (§III-F). Each
+        // destination index is hashed here, once: `apply_actions` mints
+        // with the handles.
         let mut send_cost = SimTime::ZERO;
         let (mut n_remote, mut n_local) = (0u32, 0u32);
+        let mut sends = std::mem::take(&mut self.send_scratch);
         for a in &actions {
             match a {
                 Action::Send { dst, .. } => {
-                    let local = self.stores[dst.array.0 as usize]
-                        .element_pe(&dst.ix)
-                        .map(|p| p == pe)
-                        .unwrap_or(false);
+                    let store = &mut self.stores[dst.array.0 as usize];
+                    let elem = store.intern(&dst.ix);
+                    sends.push(elem);
+                    let local = store.locate(elem).is_some_and(|(p, _)| p == pe);
                     send_cost += if local {
                         n_local += 1;
                         self.net.params().local_delivery
@@ -1132,16 +1145,11 @@ impl Runtime {
         }
         let duration = work_time + self.sched_overhead + send_cost;
 
-        // Instrument the chare's load (reference-speed seconds, so the LB
-        // can divide by PE speed itself).
-        let ref_load = work_units / self.machine.flops_per_sec;
-        self.stores[aid.0 as usize].add_load(&ix, ref_load);
-
         let end = self.now + duration;
         self.pes[pe].busy = true;
         self.busy_pes += 1;
         self.pes[pe].msgs_executed += 1;
-        self.pes[pe].current = Some((dst, duration, entry_kind));
+        self.pes[pe].current = Some((obj, duration, entry_kind));
         if let Some(tr) = &mut self.tracer {
             tr.pe_transition(self.now, pe, true);
         }
@@ -1153,7 +1161,7 @@ impl Runtime {
                 pe,
                 self.now,
                 duration,
-                dst,
+                obj,
                 self.stores[aid.0 as usize].name(),
                 kind,
                 rec_id,
@@ -1168,12 +1176,14 @@ impl Runtime {
         // Extend the critical-path chain through this execution; outgoing
         // sends (applied below) inherit the node via `cur_cp`.
         self.cur_cp = match &mut self.tracer {
-            Some(tr) => tr.cp_on_exec(pe, dst, entry_kind, self.now, duration, rec_id),
+            Some(tr) => tr.cp_on_exec(pe, obj, entry_kind, self.now, duration, rec_id),
             None => None,
         };
         let mut actions = actions;
-        self.apply_actions(dst, pe, end, &mut actions);
+        self.apply_actions(obj, pe, end, &mut actions, &sends);
         self.action_scratch = actions;
+        sends.clear();
+        self.send_scratch = sends;
         self.cur_cp = None;
         if let Some(r) = &mut self.recorder {
             r.end_exec();
@@ -1195,13 +1205,17 @@ impl Runtime {
         s
     }
 
-    pub(crate) fn apply_actions(
+    /// Apply one entry method's buffered actions; `sends` holds the
+    /// handles `execute` interned for its `Send`s, in order.
+    fn apply_actions(
         &mut self,
         src: ObjId,
         src_pe: usize,
         at: SimTime,
         actions: &mut Vec<Action>,
+        sends: &[ElemId],
     ) {
+        let mut sends = sends.iter();
         for action in actions.drain(..) {
             match action {
                 Action::Send {
@@ -1214,8 +1228,9 @@ impl Runtime {
                     if self.track_comm {
                         *self.comm.entry((src, dst)).or_default() += bytes as u64;
                     }
-                    let payload = Payload::User(payload);
-                    let env = self.mint(dst, payload, bytes, prio, src_pe, true);
+                    let elem = *sends.next().expect("a handle per send");
+                    let dst = ElemRef { array: dst.array, elem };
+                    let env = self.mint(dst, Payload::User(payload), bytes, prio, src_pe, true);
                     self.route_and_schedule(env, at + delay);
                 }
                 Action::Broadcast {
@@ -1244,8 +1259,8 @@ impl Runtime {
                 } => {
                     let pe = pe.unwrap_or_else(|| self.home_pe(array, &ix));
                     let pe = pe.min(self.live_pes - 1);
-                    self.stores[array.0 as usize].insert_boxed(ix, pe, chare);
-                    let dst = ObjId { array, ix };
+                    let elem = self.stores[array.0 as usize].insert_boxed(ix, pe, chare);
+                    let dst = ElemRef { array, elem };
                     self.deliver_sys(dst, SysEvent::Inserted, at);
                     self.flush_limbo(dst);
                 }

@@ -3,9 +3,7 @@
 //! before the run starts (failures, DVFS sampling, checkpoints, the elastic
 //! controller).
 
-use super::{
-    EnvSlab, Ev, PeState, Runtime, KEY_SLOT_SHIFT, LOC_CACHE_DENSE_MAX_PES, SLOT_HOST, SLOT_RTS,
-};
+use super::{EnvSlab, Ev, PeState, Runtime, KEY_SLOT_SHIFT, SLOT_HOST, SLOT_RTS};
 use crate::ctrl::{ControlRegistry, ControlValues};
 use crate::lbframework::{LbTrigger, Strategy};
 use crate::power::DvfsScheme;
@@ -246,10 +244,7 @@ impl RuntimeBuilder {
             rngs,
             ctrl: ControlRegistry::new(),
             ctrl_snapshot: ControlValues::default(),
-            loc_cache: vec![
-                crate::array::LocCache::with_dense(n <= LOC_CACHE_DENSE_MAX_PES);
-                n
-            ],
+            loc_cache: vec![crate::array::LocCache::default(); n],
             slab: EnvSlab::new(),
             limbo: FxHashMap::default(),
             reductions: FxHashMap::default(),
@@ -283,6 +278,7 @@ impl RuntimeBuilder {
             events_processed: 0,
             wall_run: std::time::Duration::ZERO,
             action_scratch: Vec::new(),
+            send_scratch: Vec::new(),
             batch_scratch: Vec::new(),
             exit_requested: false,
             seed: self.seed,

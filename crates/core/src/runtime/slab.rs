@@ -27,7 +27,7 @@ enum Slot {
 
 const NIL: u32 = u32::MAX;
 
-/// Slots per chunk (64 × 80 B = 5 KB): an id's high bits pick the chunk,
+/// Slots per chunk (64 × 48 B = 3 KB): an id's high bits pick the chunk,
 /// its low bits the slot.
 const CHUNK_BITS: u32 = 6;
 const CHUNK: usize = 1 << CHUNK_BITS;
@@ -159,20 +159,20 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::{ArrayId, ObjId, Payload};
+    use crate::array::{ArrayId, ElemId, ElemRef, Payload};
     use crate::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, SimTime};
     use charm_pup::Puper;
 
     fn env(rec_id: u64) -> Envelope {
         Envelope {
-            dst: ObjId {
+            dst: ElemRef {
                 array: ArrayId(0),
-                ix: Ix::i1(0),
+                elem: ElemId(0),
             },
             payload: Payload::User(Box::new(())),
             prio: 0,
             rec_id,
-            bytes: 40,
+            bytes: std::num::NonZeroU32::new(40).unwrap(),
             src_pe: 0,
         }
     }

@@ -15,7 +15,9 @@
 //!   the run's length (flat buffers doubling), not per exec or per message.
 //!
 //! A run driven in `run_for` slices is held to the stricter bar: once warm,
-//! a slice makes no allocator call at all.
+//! a slice makes no allocator call at all. A chare `broadcast` may make one
+//! call, the box of its message-making closure: the walk over the array's
+//! elements builds no index list.
 //!
 //! The counts are exact under a seed, so they serve as a deterministic cost
 //! proxy next to the noisy wall-clock numbers of `benchmark/`.
@@ -156,6 +158,40 @@ fn extra_allocs(observe: Observe) -> (u64, u64) {
     (long_allocs.saturating_sub(short_allocs), extra_msgs)
 }
 
+/// On each tick, element 0 broadcasts a no-op to all `N` elements and
+/// sends itself the next tick.
+#[derive(Default)]
+struct Caster;
+
+impl Pup for Caster {
+    fn pup(&mut self, _p: &mut Puper) {}
+}
+
+impl Chare for Caster {
+    type Msg = u64; // ticks remaining; 0 is the broadcast itself
+    fn on_message(&mut self, ticks: u64, ctx: &mut Ctx<'_>) {
+        if ticks > 0 {
+            let all = ArrayProxy::<Caster>::from_id(ctx.my_id().array);
+            ctx.broadcast(all, 0);
+            ctx.send(all, Ix::i1(0), ticks - 1);
+        }
+    }
+}
+
+/// Allocator calls `ticks` chare broadcasts make, counted over a whole run.
+fn broadcast_allocs(ticks: u64) -> u64 {
+    let mut rt = Runtime::homogeneous(4);
+    let arr = rt.create_array::<Caster>("casters");
+    for i in 0..N {
+        rt.insert(arr, Ix::i1(i), Caster, Some(i as usize % 4));
+    }
+    rt.send(arr, Ix::i1(0), ticks);
+    let snap = ALLOCS.load(Ordering::Relaxed);
+    let s = rt.run();
+    assert_eq!(s.entries, 1 + ticks * (N as u64 + 1));
+    ALLOCS.load(Ordering::Relaxed) - snap
+}
+
 /// Allocator calls made by 200 `run_for` slices of an endless ring after
 /// 20 warm-up slices, and the events those slices processed.
 fn sliced_allocs() -> (u64, u64) {
@@ -204,4 +240,15 @@ fn steady_state_paths_bypass_the_global_allocator() {
     let (allocs, events) = sliced_allocs();
     assert!(events >= 30_000, "expected a real workload, got {events}");
     assert_eq!(allocs, 0, "{allocs} allocator calls in 200 warm slices");
+
+    // The one call a chare `broadcast` needs is the box of its
+    // message-making closure; collecting a sorted index list per broadcast
+    // made four at 16 elements (the list and its regrowths). The first run
+    // warms the arena and the slab.
+    broadcast_allocs(200);
+    let extra = broadcast_allocs(400) - broadcast_allocs(200);
+    assert!(
+        extra <= 200,
+        "200 extra chare broadcasts made {extra} allocator calls (at most one each)"
+    );
 }

@@ -21,6 +21,7 @@ once() {
 once 'slab.insert(Envelope'      # mint an envelope: Runtime::mint
 once '1.min(self.live_pes - 1)' # price a tree hop: Runtime::tree_hop
 once 'loc_cache.iter_mut()'     # flush location caches: Runtime::flush_loc_caches
+once 'Hash::hash(ix,'           # hash an index: ArrayStore::probe (DESIGN §4.3)
 stray=$(grep -rnF 'pack_element(' "$src" | grep -v -e "^$src/array.rs:" -e "^$src/placement.rs:" || true)
 if [ -n "$stray" ]; then
     echo "lint: 'pack_element(' outside array.rs and placement.rs (use Runtime::relocate):"
@@ -33,7 +34,16 @@ if [ -n "$boxed" ]; then
     printf '%s\n' "$boxed"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate; no boxed envelope"
+# The engine addresses elements by handle: an index is hashed once, when a
+# message is minted. Host lookups, placement.rs and ft.rs stay by index.
+byix=$(grep -nE 'locate\(&|element_pe\(&|add_load\(&' \
+    "$src/runtime.rs" "$src/routing.rs" "$src/collectives.rs" | grep -vF '(&self' || true)
+if [ -n "$byix" ]; then
+    echo "lint: by-index store call on the message path (intern once, then go by ElemId):"
+    printf '%s\n' "$byix"
+    exit 1
+fi
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe; no boxed envelope; message path by handle"
 
 # ROADMAP item 4: the library has no threads and keeps none — the second
 # core is spent one level up, on whole processes (charm_bench::pool), which
