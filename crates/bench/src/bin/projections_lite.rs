@@ -1,20 +1,24 @@
 //! Trace demo driver: run leanmd with full tracing *streamed* — Chrome-trace
 //! JSON + CSV flow through file sinks to `results/` while the run executes —
-//! plus the online critical-path analyzer, print the projections-lite
-//! report, and self-check the core accounting invariants:
+//! and recorded, print the projections-lite report and the exact critical
+//! path of the recorded DAG (`charm_replay::critical_path`), and self-check
+//! the core accounting invariants:
 //!
 //! * traced per-entry busy time must equal the scheduler's per-PE busy time,
 //! * the streamed files must be byte-identical to the in-memory
 //!   arrival-order exporters (the rings retained every record),
-//! * the critical-path length must not exceed the makespan.
+//! * the critical path telescopes (`Σ dur + Σ wait` is its length to the
+//!   nanosecond), ends no later than the makespan plus the longest entry,
+//!   and has more than one segment.
 //!
 //! Open `results/trace_leanmd.json` at <https://ui.perfetto.dev> — one track
 //! per PE plus an RTS track with LB/FT/DVFS instants.
 
 use charm_apps::leanmd::{run_with_runtime, LeanMdConfig};
-use charm_bench::results_path;
-use charm_core::{ChromeStreamSink, CsvStreamSink, SimTime, TraceConfig};
+use charm_bench::{fmt_s, results_path};
+use charm_core::{ChromeStreamSink, CsvStreamSink, ReplayConfig, SimTime, TraceConfig};
 use charm_lb::GreedyLb;
+use std::collections::BTreeMap;
 
 fn main() {
     let stream_json = results_path("trace_leanmd_stream.json").expect("results dir");
@@ -26,20 +30,53 @@ fn main() {
         lb_every: 3,
         strategy: Some(Box::new(GreedyLb)),
         ckpt_at: Some(4),
-        trace: Some(TraceConfig::default().with_critical_path()),
+        trace: Some(TraceConfig::default()),
         trace_sinks: vec![
             Box::new(ChromeStreamSink::create(&stream_json).expect("stream sink")),
             Box::new(CsvStreamSink::create(&stream_csv).expect("stream sink")),
         ],
+        record: Some(ReplayConfig::default()),
         ..LeanMdConfig::default()
     });
     assert!(run.unrecoverable.is_none(), "demo run must complete");
     let sink_stats = rt.finish_trace();
 
     // Projections "summary mode": always-on aggregates, printed as a report
-    // (includes the critical-path attribution and per-sink delivery stats).
+    // (includes per-sink delivery stats).
     let report = rt.projections_report(8).expect("tracing was enabled");
     print!("{report}");
+
+    // The exact critical path of the recorded DAG, attributed to entry
+    // methods and, folded from its segments, to PEs.
+    let log = rt.take_replay_log().expect("recording was enabled");
+    let cp = charm_replay::critical_path(&log).expect("entries executed");
+    let dur_ns: u64 = cp.segments.iter().map(|s| s.dur_ns).sum();
+    let wait_ns: u64 = cp.segments.iter().map(|s| s.wait_ns).sum();
+    let secs = |ns: u64| fmt_s(ns as f64 / 1e9);
+    let pct = 100.0 * cp.len_ns as f64 / log.end_ns.max(1) as f64;
+    println!(
+        "-- critical path (recorded DAG): {} ({pct:.1}% of makespan), {} segment(s), {} msg wait",
+        secs(cp.len_ns),
+        cp.segments.len(),
+        secs(wait_ns)
+    );
+    println!(
+        "  {} ns = {dur_ns} ns compute + {wait_ns} ns msg wait; makespan {} ns",
+        cp.len_ns, log.end_ns
+    );
+    for (entry, ns) in cp.by_entry.iter().take(8) {
+        let execs = cp.segments.iter().filter(|s| &s.entry == entry).count();
+        println!("  {entry:<36} {:>10} {execs:>8} exec(s) on path", secs(*ns));
+    }
+    let mut by_pe: BTreeMap<u32, u64> = BTreeMap::new();
+    for s in &cp.segments {
+        *by_pe.entry(s.pe).or_default() += s.dur_ns;
+    }
+    let mut by_pe: Vec<(u32, u64)> = by_pe.into_iter().collect();
+    by_pe.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    for (pe, ns) in by_pe.iter().take(8) {
+        println!("  pe {pe:>3} {:>10} busy on path", secs(*ns));
+    }
 
     // Projections "log mode": full event logs, exported for external tools.
     let json = rt.trace_chrome_json().expect("tracing was enabled");
@@ -95,29 +132,33 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Critical path: a lower bound on (and attribution of) the makespan.
-    // The driver exits from the final reduction, so entries already under
-    // way when the clock stopped may overhang end_time by at most one
-    // entry duration (see Tracer::critical_path).
-    let cp = rt
-        .tracer()
-        .expect("tracing was enabled")
-        .critical_path()
-        .expect("entries executed");
-    let end_s = rt.summary().end_time.as_secs_f64();
-    let max_entry_s = rt.trace_profiles().iter().map(|p| p.max_s).fold(0.0, f64::max);
-    if cp.len_s <= 0.0 || cp.len_s > end_s + max_entry_s {
+    // Critical-path self-check. The driver exits from the final reduction,
+    // so entries already under way when the clock stopped may overhang the
+    // makespan by at most one entry duration.
+    if dur_ns + wait_ns != cp.len_ns {
         eprintln!(
-            "CRITICAL PATH {} outside (0, makespan {end_s} + max entry {max_entry_s}]",
-            cp.len_s
+            "CRITICAL PATH does not telescope: {dur_ns} + {wait_ns} != {}",
+            cp.len_ns
         );
+        std::process::exit(1);
+    }
+    let max_entry_ns = log.execs.iter().map(|e| e.dur_ns).max().unwrap_or(0);
+    if cp.len_ns > log.end_ns + max_entry_ns {
+        eprintln!(
+            "CRITICAL PATH {} ns past makespan {} ns + longest entry {max_entry_ns} ns",
+            cp.len_ns, log.end_ns
+        );
+        std::process::exit(1);
+    }
+    if cp.segments.len() < 2 {
+        eprintln!("CRITICAL PATH degenerate: {} segment(s)", cp.segments.len());
         std::process::exit(1);
     }
 
     println!(
         "  self-check ok: traced busy time {traced} == scheduler busy time ({} entries); \
-         streamed files byte-equal; critical path {:.1}% of makespan",
+         streamed files byte-equal; critical path telescopes, {} segments, {pct:.1}% of makespan",
         run.entries,
-        100.0 * cp.len_s / end_s
+        cp.segments.len()
     );
 }

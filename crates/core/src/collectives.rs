@@ -6,10 +6,8 @@
 use crate::array::{ArrayId, ElemRef, Payload};
 use crate::chare::{Callback, RedOp, RedValue, SysEvent};
 use crate::runtime::{Runtime, ENVELOPE_BYTES, TOKEN_AUX};
-use crate::trace::CpNode;
 use charm_machine::SimTime;
 use std::any::Any;
-use std::sync::Arc;
 
 /// A buffered reduction contribution, folded at window boundaries.
 pub(crate) struct ContribRec {
@@ -25,10 +23,6 @@ pub(crate) struct ContribRec {
     value: RedValue,
     op: RedOp,
     cb: Callback,
-    /// Critical-path end (ns) and chain of the contributing entry, when the
-    /// analyzer is on (`(0, None)` otherwise).
-    cp_end: u64,
-    cp_node: Option<Arc<CpNode>>,
 }
 
 pub(crate) struct RedState {
@@ -38,11 +32,6 @@ pub(crate) struct RedState {
     op: RedOp,
     cb: Callback,
     bytes: usize,
-    /// Latest-finishing contributor's critical-path `(end_ns, chain)` — the
-    /// reduction completes no earlier than its slowest contributor, so the
-    /// completion callback chains from it. `(0, None)` when the analyzer is
-    /// off.
-    cp: (u64, Option<Arc<CpNode>>),
 }
 
 impl Runtime {
@@ -91,7 +80,6 @@ impl Runtime {
             let dst = ElemRef { array, elem };
             let env = self.mint(dst, Payload::User(make()), bytes, prio, src_pe, from_chare);
             let rec_id = self.slab[env].rec_id;
-            self.stamp_cp(rec_id, at);
             if let Some(r) = &mut self.recorder {
                 r.on_routed(rec_id, bytes, src_pe, pe, depth, 0);
             }
@@ -124,8 +112,6 @@ impl Runtime {
             value,
             op,
             cb,
-            cp_end: self.cur_cp.as_ref().map_or(0, |n| n.end_ns),
-            cp_node: self.cur_cp.clone(),
         });
     }
 
@@ -155,8 +141,6 @@ impl Runtime {
             value,
             op,
             cb,
-            cp_end,
-            cp_node,
         } = rec;
         let expected = self.stores[array.0 as usize].len();
         let done = {
@@ -170,7 +154,6 @@ impl Runtime {
                     op,
                     cb,
                     bytes: value.wire_size(),
-                    cp: (0, None),
                 });
             assert_eq!(entry.op, op, "mixed reduction ops for tag {tag}");
             entry.count += 1;
@@ -178,9 +161,6 @@ impl Runtime {
                 None => value,
                 Some(acc) => entry.op.combine(acc, &value),
             });
-            if cp_end >= entry.cp.0 && cp_node.is_some() {
-                entry.cp = (cp_end, cp_node);
-            }
             entry.count >= entry.expected
         };
         if done {
@@ -196,13 +176,7 @@ impl Runtime {
             if let Some(r) = &mut self.recorder {
                 r.origin_dispatch = Some((merge_t, merge_key));
             }
-            // The callback's critical path chains from the latest-finishing
-            // contributor (the reduction could not complete before it).
-            if st.cp.1.is_some() {
-                self.cp_carry = Some((st.cp.0, st.cp.1));
-            }
             self.deliver_callback_tree(st.cb, SysEvent::Reduction { tag, value }, done, depth);
-            self.cp_carry = None;
             if let Some(r) = &mut self.recorder {
                 r.origin_dispatch = None;
             }
@@ -258,13 +232,6 @@ impl Runtime {
         let payload = Payload::Sys(Box::new(ev));
         let env = self.mint(dst, payload, ENVELOPE_BYTES, i64::MIN + 1, pe, false);
         let rec_id = self.slab[env].rec_id;
-        // Reduction-completion callbacks chain from the latest-finishing
-        // contributor (`cp_carry`); other system events root a fresh chain
-        // at their scheduled time.
-        if let Some(tr) = &mut self.tracer {
-            let carry = self.cp_carry.as_ref().and_then(|(_, n)| n.as_ref());
-            tr.cp_stamp(rec_id, carry, at);
-        }
         if let Some(r) = &mut self.recorder {
             r.on_routed(rec_id, ENVELOPE_BYTES, pe, pe, tree_depth, 0);
         }

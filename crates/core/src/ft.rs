@@ -546,7 +546,7 @@ impl Runtime {
         // producer slot and feed the deterministic tie-break order.
         for (t, k, ev) in self.events.drain_entries() {
             match ev {
-                Ev::Deliver { env, .. } => self.slab.discard(env, &mut self.tracer),
+                Ev::Deliver { env, .. } => self.slab.discard(env),
                 Ev::PeFree { .. } | Ev::PeRetry { .. } | Ev::MigrateArrive(_) | Ev::CkptCommit => {}
                 other => self.events.push_keyed(t, k, other),
             }

@@ -97,8 +97,8 @@ pub use replay::{DigestPoint, ExecRec, PerturbConfig, ReplayConfig, ReplayLog, S
 pub use routing::HomeMap;
 pub use runtime::{RunSummary, Runtime, RuntimeBuilder, Unrecoverable, ENVELOPE_BYTES};
 pub use trace::{
-    CriticalPath, EntryKind, EntrySlo, LogHist, NameTable, SinkStats, TraceConfig, TraceEventKind,
-    TraceProfile, TraceRecord, TraceSink, Tracer,
+    EntryKind, EntrySlo, LogHist, NameTable, SinkStats, TraceConfig, TraceEventKind, TraceProfile,
+    TraceRecord, TraceSink, Tracer,
 };
 pub use tsink::{ChromeStreamSink, CountingSink, CsvStreamSink};
 

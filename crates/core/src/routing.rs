@@ -52,7 +52,7 @@ impl Runtime {
         };
         if !self.pes[true_pe].alive {
             // Element lost with a crashed, unrecovered process.
-            self.slab.discard(env, &mut self.tracer);
+            self.slab.discard(env);
             return;
         }
 
@@ -79,7 +79,6 @@ impl Runtime {
         };
         let delay = self.net.delay(src, target_pe, bytes, rec_id);
         self.bytes_moved += bytes as u64;
-        self.stamp_cp(rec_id, at);
         if let Some(tr) = &mut self.tracer {
             tr.on_send(at, src, target_pe, dst.obj(&self.stores), bytes);
         }

@@ -109,8 +109,7 @@ pub(crate) struct MigrateArrive {
 /// the engine reads per hop. Its destination is a location-record handle;
 /// the index behind it is read from the record only while the tracer or the
 /// recorder needs an [`ObjId`]. Who sent it lives with the recorder (derived
-/// from the message's origin) and its critical-path stamp with the tracer
-/// (keyed by `rec_id`); both exist only while those are switched on.
+/// from the message's origin), and only while recording is on.
 pub(crate) struct Envelope {
     pub dst: ElemRef,
     pub payload: Payload,
@@ -339,14 +338,6 @@ pub struct Runtime {
     pub(crate) comm: FxHashMap<(ObjId, ObjId), u64>,
     /// Projections-lite tracing, when enabled ([`RuntimeBuilder::tracing`]).
     pub(crate) tracer: Option<Tracer>,
-    /// Critical-path node of the entry method currently executing (set for
-    /// the span of `apply_actions`, so its sends inherit the chain). Only
-    /// ever `Some` when the tracer's critical-path analyzer is on.
-    pub(crate) cur_cp: Option<std::sync::Arc<crate::trace::CpNode>>,
-    /// `(end_ns, chain)` of the latest-finishing contributor of a completed
-    /// reduction, set around the completion-callback delivery so the
-    /// callback's critical path chains through the reduction.
-    pub(crate) cp_carry: Option<(u64, Option<std::sync::Arc<crate::trace::CpNode>>)>,
     /// Replay recording, when enabled ([`RuntimeBuilder::record`]).
     pub(crate) recorder: Option<Recorder>,
     /// Schedule perturbation, when enabled ([`RuntimeBuilder::perturb`]).
@@ -1025,16 +1016,6 @@ impl Runtime {
         })
     }
 
-    /// Stamp critical-path provenance on message `rec_id` sent at `sent_at`
-    /// (the first stamp sticks): the current execution's chain, or a fresh
-    /// root at the send time (host / RTS origin). A no-op unless the
-    /// analyzer is on — the common case.
-    pub(crate) fn stamp_cp(&mut self, rec_id: u64, sent_at: SimTime) {
-        if let Some(tr) = &mut self.tracer {
-            tr.cp_stamp(rec_id, self.cur_cp.as_ref(), sent_at);
-        }
-    }
-
     /// Execute one envelope on `pe` at `self.now`. Returns false when the
     /// envelope was parked or forwarded instead of executed.
     fn execute(&mut self, pe: usize, env: EnvId) -> bool {
@@ -1173,18 +1154,11 @@ impl Runtime {
                 dispatch,
             );
         }
-        // Extend the critical-path chain through this execution; outgoing
-        // sends (applied below) inherit the node via `cur_cp`.
-        self.cur_cp = match &mut self.tracer {
-            Some(tr) => tr.cp_on_exec(pe, obj, entry_kind, self.now, duration, rec_id),
-            None => None,
-        };
         let mut actions = actions;
         self.apply_actions(obj, pe, end, &mut actions, &sends);
         self.action_scratch = actions;
         sends.clear();
         self.send_scratch = sends;
-        self.cur_cp = None;
         if let Some(r) = &mut self.recorder {
             r.end_exec();
         }

@@ -287,8 +287,6 @@ impl RuntimeBuilder {
             track_comm: self.track_comm,
             comm: FxHashMap::default(),
             tracer,
-            cur_cp: None,
-            cp_carry: None,
             recorder,
             perturb,
             keys,

@@ -13,7 +13,6 @@
 //! and 5 KB chunks at 45.2 MB (DESIGN §4.4).
 
 use super::{Envelope, Runtime};
-use crate::trace::Tracer;
 
 /// Handle of an envelope in its runtime's [`EnvSlab`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,13 +101,9 @@ impl EnvSlab {
         env
     }
 
-    /// Drop an envelope that will never execute, with the critical-path
-    /// stamp the tracer may hold for it.
-    pub(crate) fn discard(&mut self, id: EnvId, tracer: &mut Option<Tracer>) {
-        let env = self.take(id);
-        if let Some(tr) = tracer {
-            tr.cp_forget(env.rec_id);
-        }
+    /// Drop an envelope that will never execute.
+    pub(crate) fn discard(&mut self, id: EnvId) {
+        self.take(id);
     }
 
     /// Occupied slots.
@@ -143,14 +138,14 @@ impl Runtime {
     pub(crate) fn discard_queue(&mut self, pe: usize) {
         self.pes[pe]
             .pending
-            .clear_with(|id| self.slab.discard(id, &mut self.tracer));
+            .clear_with(|id| self.slab.discard(id));
     }
 
     /// Drop every message parked in limbo.
     pub(crate) fn discard_limbo(&mut self) {
         for (_, ids) in self.limbo.drain() {
             for id in ids {
-                self.slab.discard(id, &mut self.tracer);
+                self.slab.discard(id);
             }
         }
     }

@@ -33,12 +33,10 @@
 //!   no dense PE×PE array), and a bounded LB/FT ledger.
 //!   [`Runtime::projections_report`] renders them as a text report.
 //!
-//! On top of the event flow an optional **critical-path analyzer**
-//! ([`TraceConfig::with_critical_path`]) maintains, online and without
-//! storing events, the longest entry-execution + message-latency chain that
-//! ends at each PE; [`Tracer::critical_path`] attributes the makespan to
-//! entry methods and PEs. The path length is ≤ the makespan by construction
-//! and equals it on serial dependency chains (tested).
+//! The tracer keeps no dependency edges: a run's critical path is
+//! extracted exactly from its recording
+//! ([`RuntimeBuilder::record`](crate::RuntimeBuilder::record)) by
+//! `charm_replay::critical_path`.
 //!
 //! Tracing is off unless [`RuntimeBuilder::tracing`](crate::RuntimeBuilder::tracing)
 //! installs a [`TraceConfig`]; when off, every hook is a skipped `if let`
@@ -59,7 +57,6 @@ use crate::tracefmt::{
 use charm_machine::SimTime;
 use fxhash::FxHashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Configures the tracing subsystem (see module docs).
 #[derive(Debug, Clone)]
@@ -83,9 +80,6 @@ pub struct TraceConfig {
     /// Ledger lines retained (newest kept); older lines are shed and
     /// counted, like ring records.
     pub ledger_capacity: usize,
-    /// Maintain the online critical-path analyzer. Off by default: it holds
-    /// O(longest dependency chain) nodes.
-    pub critical_path: bool,
 }
 
 impl Default for TraceConfig {
@@ -97,7 +91,6 @@ impl Default for TraceConfig {
             util_pe_cap: 4096,
             comm_fanout_cap: 64,
             ledger_capacity: 4096,
-            critical_path: false,
         }
     }
 }
@@ -109,12 +102,6 @@ impl TraceConfig {
             log_capacity: 0,
             ..TraceConfig::default()
         }
-    }
-
-    /// Enable the online critical-path analyzer.
-    pub fn with_critical_path(mut self) -> Self {
-        self.critical_path = true;
-        self
     }
 }
 
@@ -365,7 +352,8 @@ impl NameTable {
         self.arrays.get(id.0 as usize).map_or("?", |a| &a.json)
     }
 
-    /// `<array>::<entry>` — identical to the runtime-side resolution.
+    /// `<array>::<entry>`: the name profiles, SLO rows, the report and
+    /// every export give an entry method.
     pub fn entry_name(&self, array: ArrayId, entry: EntryKind) -> String {
         format!("{}::{}", self.array_name(array), entry.label())
     }
@@ -825,75 +813,6 @@ impl UtilTimeline {
 }
 
 // ---------------------------------------------------------------------------
-// Online critical path.
-
-/// One executed entry on a dependency chain. Chains share structure via
-/// `Arc`; `Drop` is iterative so arbitrarily long chains cannot overflow
-/// the stack.
-pub(crate) struct CpNode {
-    parent: Option<Arc<CpNode>>,
-    pe: u32,
-    array: ArrayId,
-    entry: EntryKind,
-    dur_ns: u64,
-    /// Message latency charged to the edge into this node (0 when the
-    /// binding dependency was the PE being busy).
-    msg_wait_ns: u64,
-    pub(crate) end_ns: u64,
-}
-
-impl Drop for CpNode {
-    fn drop(&mut self) {
-        // Unlink ancestors iteratively: only while we hold the last
-        // reference, so shared suffixes stay alive for their other chains.
-        let mut p = self.parent.take();
-        while let Some(arc) = p {
-            match Arc::into_inner(arc) {
-                Some(mut node) => p = node.parent.take(),
-                None => break,
-            }
-        }
-    }
-}
-
-/// Critical-path provenance of a message in flight: the sender's chain, its
-/// completion time, and when the message left (so latency = recv − sent).
-struct CpMsg {
-    from: Option<Arc<CpNode>>,
-    cp_end: u64,
-    sent_at: SimTime,
-}
-
-struct CpState {
-    /// Last node executed on each PE (the "PE busy" dependency).
-    heads: Vec<Option<Arc<CpNode>>>,
-    /// Node with the largest completion time seen so far.
-    best: Option<Arc<CpNode>>,
-    /// Provenance of every stamped message not yet executed, by message id
-    /// (`rec_id`) — kept here, not in the envelope, so a message costs
-    /// nothing for it while the analyzer is off.
-    msgs: FxHashMap<u64, CpMsg>,
-}
-
-/// The resolved longest entry-execution + message-latency chain
-/// ([`Tracer::critical_path`]). `len_s ≤` the makespan by construction;
-/// equality holds on serial dependency chains.
-#[derive(Debug, Clone)]
-pub struct CriticalPath {
-    /// End-to-end path length, seconds.
-    pub len_s: f64,
-    /// Portion of the path spent waiting on message latency, seconds.
-    pub msg_wait_s: f64,
-    /// Entry executions on the path.
-    pub segments: usize,
-    /// Busy seconds and execution count on the path, per entry method
-    /// (largest first).
-    pub by_entry: Vec<(ArrayId, EntryKind, f64, u64)>,
-    /// Busy seconds on the path, per PE (largest first).
-    pub by_pe: Vec<(usize, f64)>,
-}
-
-// ---------------------------------------------------------------------------
 // The tracer.
 
 /// The tracing subsystem: bounded per-PE event logs, streaming sinks, and
@@ -920,7 +839,6 @@ pub struct Tracer {
     /// `ledger_capacity` lines; compacted at 2× cap).
     ledger: Vec<(SimTime, String)>,
     ledger_total: u64,
-    cp: Option<CpState>,
 }
 
 impl Tracer {
@@ -929,11 +847,6 @@ impl Tracer {
         Tracer {
             util: UtilTimeline::new(cfg.util_bin, cfg.max_util_bins, num_pes, cfg.util_pe_cap),
             comm: CommMatrix::new(num_pes, cfg.comm_fanout_cap),
-            cp: cfg.critical_path.then(|| CpState {
-                heads: vec![None; num_pes],
-                best: None,
-                msgs: FxHashMap::default(),
-            }),
             cfg,
             num_pes,
             rings,
@@ -1075,82 +988,8 @@ impl Tracer {
         self.sinks.push(sink);
     }
 
-    /// Stamp message `msg_id`, sent at `sent_at` by the execution ending
-    /// chain `from` (a fresh root when `None`), unless it already carries a
-    /// stamp. A no-op while the critical-path analyzer is off.
-    pub(crate) fn cp_stamp(&mut self, msg_id: u64, from: Option<&Arc<CpNode>>, sent_at: SimTime) {
-        if let Some(cp) = &mut self.cp {
-            cp.msgs.entry(msg_id).or_insert_with(|| CpMsg {
-                cp_end: from.map_or(sent_at.as_nanos(), |n| n.end_ns),
-                from: from.cloned(),
-                sent_at,
-            });
-        }
-    }
-
-    /// Message `msg_id` will never execute: drop its stamp.
-    pub(crate) fn cp_forget(&mut self, msg_id: u64) {
-        if let Some(cp) = &mut self.cp {
-            cp.msgs.remove(&msg_id);
-        }
-    }
-
     pub(crate) fn register_array(&mut self, id: ArrayId, name: &str) {
         self.names.register(id, name);
-    }
-
-    /// The resolved critical path, when the analyzer was enabled and at
-    /// least one entry executed.
-    ///
-    /// The length never exceeds the makespan of a run that drains
-    /// naturally (and equals it on a serial chain). When
-    /// [`Ctx::exit`](crate::Ctx::exit) truncates a run, entries already
-    /// under way still complete in the trace but the virtual clock stops
-    /// at the exit event, so the path may overhang
-    /// [`RunSummary::end_time`](crate::RunSummary::end_time) by at most
-    /// one entry duration.
-    pub fn critical_path(&self) -> Option<CriticalPath> {
-        let best = self.cp.as_ref()?.best.as_ref()?;
-        let mut by_entry: std::collections::BTreeMap<(ArrayId, EntryKind), (u64, u64)> =
-            std::collections::BTreeMap::new();
-        let mut by_pe: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        let mut segments = 0usize;
-        let mut wait_ns = 0u64;
-        let mut cur = Some(best);
-        while let Some(node) = cur {
-            segments += 1;
-            wait_ns += node.msg_wait_ns;
-            let e = by_entry.entry((node.array, node.entry)).or_insert((0, 0));
-            e.0 += node.dur_ns;
-            e.1 += 1;
-            *by_pe.entry(node.pe).or_insert(0) += node.dur_ns;
-            cur = node.parent.as_ref();
-        }
-        let mut by_entry: Vec<(ArrayId, EntryKind, f64, u64)> = by_entry
-            .into_iter()
-            .map(|((a, e), (ns, c))| (a, e, ns as f64 / 1e9, c))
-            .collect();
-        by_entry.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
-        });
-        let mut by_pe: Vec<(usize, f64)> = by_pe
-            .into_iter()
-            .map(|(pe, ns)| (pe as usize, ns as f64 / 1e9))
-            .collect();
-        by_pe.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        Some(CriticalPath {
-            len_s: best.end_ns as f64 / 1e9,
-            msg_wait_s: wait_ns as f64 / 1e9,
-            segments,
-            by_entry,
-            by_pe,
-        })
     }
 
     // ----- recording hooks (crate-internal) --------------------------------
@@ -1216,53 +1055,6 @@ impl Tracer {
     /// Modeled end-to-end latency of one delivered message.
     pub(crate) fn on_msg_latency(&mut self, lat: SimTime) {
         self.msg_latency.add(lat.as_nanos());
-    }
-
-    /// An entry method consuming message `msg_id` is about to run: extend
-    /// the dependency chain ending here and return the new node (to stamp
-    /// onto outgoing sends). The binding dependency is whichever finished
-    /// later — the triggering message's chain (+ its latency) or the
-    /// previous entry on this PE.
-    pub(crate) fn cp_on_exec(
-        &mut self,
-        pe: usize,
-        obj: ObjId,
-        entry: EntryKind,
-        now: SimTime,
-        dur: SimTime,
-        msg_id: u64,
-    ) -> Option<Arc<CpNode>> {
-        let cp = self.cp.as_mut()?;
-        let (mut parent, mut msg_wait, mut start) = (None, 0u64, 0u64);
-        if let Some(m) = cp.msgs.remove(&msg_id) {
-            let wait = now.as_nanos().saturating_sub(m.sent_at.as_nanos());
-            start = m.cp_end + wait;
-            msg_wait = wait;
-            parent = m.from;
-        }
-        if let Some(head) = cp.heads.get(pe).and_then(|h| h.as_ref()) {
-            if head.end_ns > start {
-                start = head.end_ns;
-                msg_wait = 0;
-                parent = Some(head.clone());
-            }
-        }
-        let node = Arc::new(CpNode {
-            parent,
-            pe: pe as u32,
-            array: obj.array,
-            entry,
-            dur_ns: dur.as_nanos(),
-            msg_wait_ns: msg_wait,
-            end_ns: start + dur.as_nanos(),
-        });
-        if pe < cp.heads.len() {
-            cp.heads[pe] = Some(node.clone());
-        }
-        if cp.best.as_ref().is_none_or(|b| node.end_ns > b.end_ns) {
-            cp.best = Some(node.clone());
-        }
-        Some(node)
     }
 
     /// Record a busy/idle transition if the PE's state actually changed.
@@ -1365,55 +1157,51 @@ impl Runtime {
         }
     }
 
-    fn entry_name(&self, array: ArrayId, entry: EntryKind) -> String {
-        let name = self
-            .stores
-            .get(array.0 as usize)
-            .map(|s| s.name())
-            .unwrap_or("?");
-        format!("{name}::{}", entry.label())
+    /// Every entry method's aggregate under its export name, sorted by
+    /// total time (descending, then name, then id): the one walk profiles
+    /// and SLO rows are built from. Empty when tracing is off.
+    fn sorted_entries(&self) -> Vec<(String, ArrayId, EntryKind, &EntryAgg)> {
+        let Some(tr) = &self.tracer else {
+            return Vec::new();
+        };
+        let mut rows: Vec<_> = tr
+            .profiles
+            .iter()
+            .map(|(&(array, entry), a)| (tr.names.entry_name(array, entry), array, entry, a))
+            .collect();
+        rows.sort_by(|a, b| {
+            b.3.total
+                .cmp(&a.3.total)
+                .then_with(|| (&a.0, a.1, a.2).cmp(&(&b.0, b.1, b.2)))
+        });
+        rows
     }
 
     /// Per-entry-method profiles, sorted by total time (descending, then
     /// name). Empty when tracing is off.
     pub fn trace_profiles(&self) -> Vec<TraceProfile> {
-        let Some(tr) = &self.tracer else {
-            return Vec::new();
-        };
-        let mut keys: Vec<_> = tr.profiles.keys().copied().collect();
-        keys.sort_unstable();
-        let mut out: Vec<TraceProfile> = keys
+        self.sorted_entries()
             .into_iter()
-            .map(|(array, entry)| {
-                let a = &tr.profiles[&(array, entry)];
-                TraceProfile {
-                    name: self.entry_name(array, entry),
-                    array,
-                    entry,
-                    count: a.count,
-                    total_s: a.total.as_secs_f64(),
-                    min_s: a.min.min(a.max).as_secs_f64(),
-                    max_s: a.max.as_secs_f64(),
-                    p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
-                    p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
-                    p999_s: a.qhist.quantile(0.999) as f64 / 1e9,
-                    hist: a
-                        .hist
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c > 0)
-                        .map(|(i, &c)| (1u64 << i, c))
-                        .collect(),
-                }
+            .map(|(name, array, entry, a)| TraceProfile {
+                name,
+                array,
+                entry,
+                count: a.count,
+                total_s: a.total.as_secs_f64(),
+                min_s: a.min.min(a.max).as_secs_f64(),
+                max_s: a.max.as_secs_f64(),
+                p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
+                p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
+                p999_s: a.qhist.quantile(0.999) as f64 / 1e9,
+                hist: a
+                    .hist
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(i, &c)| (1u64 << i, c))
+                    .collect(),
             })
-            .collect();
-        out.sort_by(|a, b| {
-            b.total_s
-                .partial_cmp(&a.total_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        out
+            .collect()
     }
 
     /// Structured per-entry p50/p99/p999 rows — the machine-readable form
@@ -1421,32 +1209,17 @@ impl Runtime {
     /// [`RunSummary`](crate::RunSummary). Sorted by total busy time
     /// (descending, then name). Empty when tracing is off.
     pub fn entry_slos(&self) -> Vec<EntrySlo> {
-        let Some(tr) = &self.tracer else {
-            return Vec::new();
-        };
-        let mut keys: Vec<_> = tr.profiles.keys().copied().collect();
-        keys.sort_unstable();
-        let mut out: Vec<EntrySlo> = keys
+        self.sorted_entries()
             .into_iter()
-            .map(|(array, entry)| {
-                let a = &tr.profiles[&(array, entry)];
-                EntrySlo {
-                    name: self.entry_name(array, entry),
-                    count: a.count,
-                    total_s: a.total.as_secs_f64(),
-                    p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
-                    p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
-                    p999_s: a.qhist.quantile(0.999) as f64 / 1e9,
-                }
+            .map(|(name, _, _, a)| EntrySlo {
+                name,
+                count: a.count,
+                total_s: a.total.as_secs_f64(),
+                p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
+                p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
+                p999_s: a.qhist.quantile(0.999) as f64 / 1e9,
             })
-            .collect();
-        out.sort_by(|a, b| {
-            b.total_s
-                .partial_cmp(&a.total_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        out
+            .collect()
     }
 
     /// Export the retained event log as Chrome trace-event JSON (open in
@@ -1484,8 +1257,7 @@ impl Runtime {
     /// Render the projections-lite text report: top-`top_k` entry methods
     /// by total busy time (with p50/p99/p999 grainsize), the per-PE
     /// utilization profile, communication hotspots, message-latency
-    /// percentiles, the critical path (when enabled), network-model
-    /// totals, the LB/FT event ledger, and the trace/sink footer. `None`
+    /// percentiles, network-model totals, the LB/FT event ledger, and the trace/sink footer. `None`
     /// when tracing is off.
     pub fn projections_report(&self, top_k: usize) -> Option<String> {
         let tr = self.tracer.as_ref()?;
@@ -1579,30 +1351,6 @@ impl Runtime {
             "-- network model: {} remote msg(s), {} B remote, {} local hop(s)",
             c.remote_msgs, c.remote_bytes, c.local_msgs
         );
-
-        if let Some(cp) = tr.critical_path() {
-            let makespan = self.now().as_secs_f64();
-            let pct = if makespan > 0.0 { 100.0 * cp.len_s / makespan } else { 0.0 };
-            let _ = writeln!(
-                out,
-                "-- critical path: {} ({pct:.1}% of makespan), {} segment(s), {} msg wait",
-                fmt_secs(cp.len_s),
-                cp.segments,
-                fmt_secs(cp.msg_wait_s)
-            );
-            for (array, entry, secs, count) in cp.by_entry.iter().take(top_k) {
-                let _ = writeln!(
-                    out,
-                    "  {:<36} {:>10} {:>8} exec(s) on path",
-                    self.entry_name(*array, *entry),
-                    fmt_secs(*secs),
-                    count
-                );
-            }
-            for (pe, secs) in cp.by_pe.iter().take(top_k) {
-                let _ = writeln!(out, "  pe {pe:>3} {:>10} busy on path", fmt_secs(*secs));
-            }
-        }
 
         let _ = writeln!(out, "-- LB/FT event ledger ({} entries)", tr.ledger().len());
         for (t, line) in tr.ledger() {
@@ -1848,50 +1596,5 @@ mod tests {
         assert_eq!(kept[3].1, "line 19");
         assert_eq!(tr.ledger_shed(), 16);
         assert!(tr.ledger.len() < 8, "buffer stays within 2x cap");
-    }
-
-    #[test]
-    fn critical_path_tracks_a_serial_chain() {
-        use crate::index::Ix;
-        let mut tr = Tracer::new(TraceConfig::default().with_critical_path(), 4);
-        let obj = |pe: u32| ObjId {
-            array: ArrayId(0),
-            ix: Ix::i1(pe as i64),
-        };
-        // A 3-hop serial chain across PEs: each exec starts when the prior
-        // one's message lands.
-        let mut t = SimTime(0);
-        for hop in 0..3u32 {
-            let pe = hop as usize;
-            let dur = SimTime(100);
-            let node = tr
-                .cp_on_exec(pe, obj(hop), EntryKind::Message, t, dur, hop as u64)
-                .unwrap();
-            let send_at = t + dur;
-            tr.cp_stamp(hop as u64 + 1, Some(&node), send_at);
-            t = send_at + SimTime(50); // 50 ns wire latency per hop
-        }
-        let cp = tr.critical_path().unwrap();
-        // 3 execs of 100 ns + 2 hops of 50 ns latency = 400 ns.
-        assert_eq!(cp.segments, 3);
-        assert!((cp.len_s - 400e-9).abs() < 1e-15, "len {}", cp.len_s);
-        assert!((cp.msg_wait_s - 100e-9).abs() < 1e-15);
-        assert_eq!(cp.by_pe.len(), 3);
-    }
-
-    #[test]
-    fn critical_path_long_chain_drop_does_not_overflow() {
-        use crate::index::Ix;
-        let mut tr = Tracer::new(TraceConfig::default().with_critical_path(), 1);
-        let obj = ObjId {
-            array: ArrayId(0),
-            ix: Ix::i1(0),
-        };
-        for i in 0..200_000u64 {
-            tr.cp_on_exec(0, obj, EntryKind::Message, SimTime(i * 10), SimTime(5), i);
-        }
-        let cp = tr.critical_path().unwrap();
-        assert_eq!(cp.segments, 200_000);
-        drop(tr); // iterative Drop must not blow the stack
     }
 }

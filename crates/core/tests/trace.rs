@@ -8,6 +8,8 @@
 //! * **Exact accounting** — per-entry-method total busy time equals
 //!   `Σ pe_busy_time` to the nanosecond, and equals it even across LB
 //!   rounds, migrations, and checkpoints.
+//! * **One entry name** — profiles, SLO rows and exports name an entry
+//!   method alike, even for an array created without a name.
 //! * **Off by default** — without `RuntimeBuilder::tracing` there is no
 //!   tracer and no export.
 
@@ -185,6 +187,29 @@ fn entry_profile_totals_equal_pe_busy_time_exactly() {
         busy,
         "traced entry time must equal scheduler busy time to the nanosecond"
     );
+}
+
+#[test]
+fn profiles_and_exports_name_an_unnamed_array_alike() {
+    let mut rt = Runtime::builder(MachineConfig::homogeneous(2))
+        .tracing(TraceConfig::default())
+        .build();
+    let arr = rt.create_array::<Hopper>("");
+    for i in 0..2i64 {
+        rt.insert(arr, Ix::i1(i), Hopper { hops: 0, limit: 3, n: 2, arr }, None);
+    }
+    rt.send(arr, Ix::i1(0), 0);
+    rt.run();
+    let csv = rt.trace_csv().unwrap();
+    let exported = csv
+        .lines()
+        .map(|l| l.split(',').collect::<Vec<_>>())
+        .find(|f| f[2] == "entry")
+        .expect("one entry row")[3]
+        .to_string();
+    assert_eq!(exported, "?::entry");
+    assert_eq!(rt.trace_profiles()[0].name, exported);
+    assert_eq!(rt.entry_slos()[0].name, exported);
 }
 
 #[test]

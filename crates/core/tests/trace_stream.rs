@@ -10,10 +10,6 @@
 //!   delivery stats; the report footer prints them. A file sink whose
 //!   writes fail counts every record it lost, and one that is dropped
 //!   unfinished still leaves a complete file.
-//! * **Critical path** — the analyzer's path length equals the makespan
-//!   exactly on a serial-chain micro-app and never exceeds it elsewhere.
-//! * **Engine gating** — sinks and the analyzer force the sequential
-//!   engine (their results must not depend on thread count).
 
 use charm_core::{
     ArrayProxy, Chare, ChromeStreamSink, CsvStreamSink, CountingSink, Ctx, Ix, LogHist,
@@ -46,32 +42,6 @@ impl Chare for Hopper {
             return;
         }
         ctx.send(self.arr, Ix::i1((me + 1) % self.n), me);
-    }
-    fn on_event(&mut self, _ev: SysEvent, _ctx: &mut Ctx<'_>) {}
-}
-
-/// A strict pipeline: element i runs once, then messages element i+1.
-/// Exactly one message is ever in flight, so *every* execution and every
-/// message latency lies on the critical path.
-#[derive(Default)]
-struct Chain {
-    n: i64,
-    arr: ArrayProxy<Chain>,
-}
-
-impl Pup for Chain {
-    fn pup(&mut self, p: &mut Puper) {
-        charm_pup::pup_all!(p; self.n, self.arr);
-    }
-}
-
-impl Chare for Chain {
-    type Msg = i64;
-    fn on_message(&mut self, me: i64, ctx: &mut Ctx<'_>) {
-        ctx.work(20_000.0 * (1.0 + (me % 5) as f64));
-        if me + 1 < self.n {
-            ctx.send(self.arr, Ix::i1(me + 1), me + 1);
-        }
     }
     fn on_event(&mut self, _ev: SysEvent, _ctx: &mut Ctx<'_>) {}
 }
@@ -229,54 +199,6 @@ fn summary_carries_drop_counts_and_sink_stats() {
     let report = rt.projections_report(5).unwrap();
     assert!(report.contains("dropped from rings"), "{report}");
     assert!(report.contains("sink counting:"), "{report}");
-}
-
-#[test]
-fn critical_path_equals_makespan_on_serial_chain() {
-    let mut rt = Runtime::builder(MachineConfig::homogeneous(4))
-        .seed(9)
-        .tracing(TraceConfig::default().with_critical_path())
-        .build();
-    let arr = rt.create_array::<Chain>("chain");
-    let n = 24i64;
-    for i in 0..n {
-        rt.insert(arr, Ix::i1(i), Chain { n, arr }, Some(i as usize % 4));
-    }
-    rt.send(arr, Ix::i1(0), 0);
-    let summary = rt.run();
-    let cp = rt.tracer().unwrap().critical_path().unwrap();
-    assert_eq!(cp.segments as u64, n as u64, "every hop is on the path");
-    let cp_ns = (cp.len_s * 1e9).round() as u64;
-    assert_eq!(
-        cp_ns,
-        summary.end_time.as_nanos(),
-        "a serial chain's critical path IS the makespan"
-    );
-    assert!(cp.msg_wait_s > 0.0, "hop latency must be attributed");
-    // Attribution covers every PE the chain touched and sums to the path.
-    let by_pe_total: f64 = cp.by_pe.iter().map(|(_, s)| s).sum();
-    let by_entry_total: f64 = cp.by_entry.iter().map(|(_, _, s, _)| s).sum();
-    assert!((by_pe_total - by_entry_total).abs() < 1e-12);
-    assert!((by_pe_total + cp.msg_wait_s - cp.len_s).abs() < 1e-9);
-    let report = rt.projections_report(5).unwrap();
-    assert!(report.contains("-- critical path:"), "{report}");
-}
-
-#[test]
-fn critical_path_never_exceeds_makespan() {
-    for seed in [1u64, 5, 23] {
-        let mut rt =
-            hopper_runtime(seed, TraceConfig::default().with_critical_path(), vec![]);
-        let summary = rt.run();
-        let cp = rt.tracer().unwrap().critical_path().unwrap();
-        let cp_ns = (cp.len_s * 1e9).round() as u64;
-        assert!(
-            cp_ns <= summary.end_time.as_nanos(),
-            "seed {seed}: cp {cp_ns} > makespan {}",
-            summary.end_time.as_nanos()
-        );
-        assert!(cp.len_s > 0.0);
-    }
 }
 
 proptest! {

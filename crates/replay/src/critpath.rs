@@ -1,8 +1,7 @@
-//! Offline critical-path extraction from a recorded [`ReplayLog`].
+//! Critical-path extraction from a recorded [`ReplayLog`] — the
+//! repository's one critical-path implementation.
 //!
-//! The tracer's online analyzer (`charm_core::trace`) approximates the
-//! critical path while the run executes, never looking backwards; a
-//! recorded log has every actual start/end time, so the chain can be
+//! A recorded log has every actual start/end time, so the chain can be
 //! recovered *exactly*. Walking back from the latest-finishing execution,
 //! each hop's binding dependency is whichever held the start time:
 //!
@@ -12,10 +11,12 @@
 //!   bottleneck; the gap is attributed to message wait).
 //!
 //! The decomposition telescopes: `Σ dur + Σ wait` along the chain equals
-//! the final execution's end time to the nanosecond, which makes this the
-//! ground truth the online analyzer is tested against (its estimate may
-//! only fall short — it chains through sends it saw, never through
-//! PE-queue contention it didn't).
+//! the final execution's end time to the nanosecond.
+//!
+//! A message injected from outside any execution — a host send, or an
+//! event the runtime raises itself, such as a checkpoint commit — is a root
+//! of the recorded DAG: the chain stops there and charges the whole wait
+//! back to t = 0 (DESIGN §7).
 
 use crate::{ExecRec, ReplayLog};
 use std::collections::HashMap;

@@ -43,7 +43,15 @@ if [ -n "$byix" ]; then
     printf '%s\n' "$byix"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe; no boxed envelope; message path by handle"
+# The critical path lives in charm-replay, extracted from a recording; the
+# engine carries no critical-path state (DESIGN §4.3).
+cp=$(grep -rnE 'CpNode|cp_stamp|cur_cp|cp_carry|with_critical_path|fn critical_path' "$src" || true)
+if [ -n "$cp" ]; then
+    echo "lint: critical-path state under $src (use charm_replay::critical_path on a recording):"
+    printf '%s\n' "$cp"
+    exit 1
+fi
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe; no boxed envelope; message path by handle; critical path only in charm-replay"
 
 # ROADMAP item 4: the library has no threads and keeps none — the second
 # core is spent one level up, on whole processes (charm_bench::pool), which

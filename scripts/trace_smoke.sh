@@ -1,7 +1,9 @@
 #!/bin/sh
 # Tracing smoke test: run the projections-lite demo driver (which already
 # self-checks busy-time agreement, streamed-vs-in-memory byte equality,
-# and the critical-path bound, exiting non-zero on mismatch), then
+# and the exact critical path of its recording — it telescopes, stays
+# within the makespan plus one entry, and has more than one segment —
+# exiting non-zero on mismatch), then
 # validate that the exported Chrome trace is well-formed JSON with the
 # expected event phases and one track per PE plus the RTS track, and that
 # the *streamed* Chrome/CSV files — written incrementally by file sinks
