@@ -23,8 +23,7 @@ fn persist(log: &ReplayLog, name: &str) -> Result<PathBuf, String> {
     let path = results_path(name).map_err(|e| format!("results directory: {e}"))?;
     save(log, &path).map_err(|e| format!("save {}: {e}", path.display()))?;
     let back = load(&path).map_err(|e| format!("reload {}: {e}", path.display()))?;
-    let bytes = |l: &ReplayLog| charm_pup::to_bytes(&mut l.clone());
-    if bytes(&back) != bytes(log) {
+    if back.to_bytes() != log.to_bytes() {
         return Err(format!("{} does not reload to the baseline", path.display()));
     }
     Ok(path)

@@ -96,6 +96,14 @@ const _: () = assert!(
     std::mem::size_of::<Envelope>() <= 48,
     "an envelope must stay 48 bytes"
 );
+const _: () = assert!(
+    std::mem::size_of::<crate::replay::ExecRec>() <= 80,
+    "a recorded exec must stay within 80 bytes"
+);
+const _: () = assert!(
+    std::mem::size_of::<crate::replay::SendRec>() <= 32,
+    "a recorded send must stay within 32 bytes"
+);
 
 /// A migrating chare's serialized state en route to its new PE.
 pub(crate) struct MigrateArrive {
@@ -1142,6 +1150,7 @@ impl Runtime {
                 pe,
                 self.now,
                 duration,
+                dst,
                 obj,
                 self.stores[aid.0 as usize].name(),
                 kind,

@@ -12,7 +12,8 @@
 //!   file goes straight into each sink's fixed buffer: no allocator call
 //!   per record;
 //! * **replay recorder** — allocator calls grow only with the logarithm of
-//!   the run's length (flat buffers doubling), not per exec or per message.
+//!   the run's length (flat buffers doubling), not per exec or per message,
+//!   and building the log at the end moves those buffers.
 //!
 //! A run driven in `run_for` slices is held to the stricter bar: once warm,
 //! a slice makes no allocator call at all. A chare `broadcast` may make one
@@ -130,8 +131,12 @@ fn ring(hops: u64, observe: Observe) -> (Runtime, ArrayProxy<Relay>) {
 fn run_ring(hops: u64, observe: Observe) -> u64 {
     let (mut rt, arr) = ring(hops, observe);
     rt.run();
-    // Dropping the runtime finishes the sinks; the recorder's log is never
-    // built (that deals out one exact-size `Vec` per exec with sends).
+    // Dropping the runtime finishes the sinks. The recorder's log is built:
+    // it takes over the recorder's flat arrays.
+    if let Observe::Recorder = observe {
+        let log = rt.take_replay_log().expect("recording was on");
+        assert_eq!(log.sends.len(), log.execs.len() - 8, "one send per hop");
+    }
     (0..N)
         .map(|i| rt.inspect(arr, &Ix::i1(i), |r| r.seen).unwrap())
         .sum()
@@ -226,9 +231,10 @@ fn steady_state_paths_bypass_the_global_allocator() {
         "streaming to file sinks leaked {extra} global allocations for {msgs} extra messages"
     );
 
-    // One exec and one send per message. With a `Vec` of sends per exec the
-    // recorder made 36 014 calls here, one per exec; its flat buffers
-    // doubling make 33.
+    // One exec and one send per message, and the log built at the end. With
+    // a `Vec` of sends per exec the recorder made 36 014 calls here, one per
+    // exec, and so did building the log; its flat buffers doubling make 33,
+    // and the log moves them.
     let (extra, msgs) = extra_allocs(Observe::Recorder);
     assert!(
         extra < 64,

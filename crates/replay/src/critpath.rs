@@ -21,6 +21,9 @@
 use crate::{ExecRec, ReplayLog};
 use std::collections::HashMap;
 
+/// No predecessor: the exec is the first on its PE.
+const NONE: u32 = u32::MAX;
+
 /// One hop of the exact critical path, latest first.
 #[derive(Debug, Clone)]
 pub struct CritSeg {
@@ -57,22 +60,25 @@ pub fn critical_path(log: &ReplayLog) -> Option<CritPath> {
     let execs = &log.execs;
     let last = (0..execs.len()).max_by_key(|&i| end(&execs[i]))?;
 
-    // msg_id -> producing exec.
-    let mut producer: HashMap<u64, usize> = HashMap::new();
-    for (i, e) in execs.iter().enumerate() {
-        for s in &e.sends {
+    // msg_id -> producing exec, in one pass over the flat sends.
+    let mut producer: HashMap<u64, usize> = HashMap::with_capacity(log.sends.len());
+    for i in 0..execs.len() {
+        for s in log.sends_of(i) {
             producer.insert(s.msg_id, i);
         }
     }
-    // pe -> execution indices in start order (execs are already recorded in
-    // the global execution order, which is start-ordered per PE).
-    let mut prev_on_pe: HashMap<u64, usize> = HashMap::new(); // keyed by exec: predecessor
-    let mut head: HashMap<u32, usize> = HashMap::new();
+    // Each exec's predecessor on its PE, through the latest exec seen per
+    // PE: execs are recorded in the global execution order, which is
+    // start-ordered per PE.
+    let mut prev_on_pe = vec![NONE; execs.len()];
+    let mut head: Vec<u32> = Vec::new();
     for (i, e) in execs.iter().enumerate() {
-        if let Some(&p) = head.get(&e.pe) {
-            prev_on_pe.insert(i as u64, p);
+        let pe = e.pe as usize;
+        if pe >= head.len() {
+            head.resize(pe + 1, NONE);
         }
-        head.insert(e.pe, i);
+        prev_on_pe[i] = head[pe];
+        head[pe] = i as u32;
     }
 
     let mut segments = Vec::new();
@@ -82,10 +88,8 @@ pub fn critical_path(log: &ReplayLog) -> Option<CritPath> {
         let e = &execs[i];
         // Binding dependency: same-PE predecessor that ran right up to this
         // start beats the message edge (the PE, not the network, held us).
-        let pe_pred = prev_on_pe
-            .get(&(i as u64))
-            .copied()
-            .filter(|&p| end(&execs[p]) == e.start_ns);
+        let p = prev_on_pe[i] as usize;
+        let pe_pred = (prev_on_pe[i] != NONE && end(&execs[p]) == e.start_ns).then_some(p);
         let (next, wait) = match pe_pred {
             Some(p) => (Some(p), 0),
             None => match producer.get(&e.msg_id) {
@@ -135,39 +139,42 @@ fn entry_name(log: &ReplayLog, e: &ExecRec) -> String {
 mod tests {
     use super::*;
 
-    fn exec(seq: u64, pe: u32, start: u64, dur: u64, msg_id: u64, sends: Vec<u64>) -> ExecRec {
-        ExecRec {
-            seq,
+    /// An exec on `pe` over `[start, start + dur)` that consumed `msg_id`
+    /// and sent `sends`.
+    fn exec(pe: u32, start: u64, dur: u64, msg_id: u64, sends: Vec<u64>) -> (ExecRec, Vec<u64>) {
+        let e = ExecRec {
             pe,
             start_ns: start,
             dur_ns: dur,
             msg_id,
-            sends: sends
-                .into_iter()
-                .map(|id| crate::SendRec {
-                    msg_id: id,
-                    ..Default::default()
-                })
-                .collect(),
             ..Default::default()
-        }
+        };
+        (e, sends)
     }
 
-    fn log(execs: Vec<ExecRec>) -> ReplayLog {
-        ReplayLog {
+    fn log(execs: Vec<(ExecRec, Vec<u64>)>) -> ReplayLog {
+        let mut l = ReplayLog {
             entry_names: vec!["a::m".into()],
-            end_ns: execs.iter().map(|e| e.start_ns + e.dur_ns).max().unwrap_or(0),
-            execs,
             ..Default::default()
+        };
+        for (mut e, sends) in execs {
+            e.first_send = l.sends.len() as u32;
+            l.end_ns = l.end_ns.max(end(&e));
+            l.execs.push(e);
+            l.sends.extend(sends.into_iter().map(|msg_id| crate::SendRec {
+                msg_id,
+                ..Default::default()
+            }));
         }
+        l
     }
 
     #[test]
     fn serial_chain_telescopes_to_makespan() {
         // 0 --10ns--> (20..120) sends 1 --30ns--> (150..250) on another PE.
         let l = log(vec![
-            exec(0, 0, 20, 100, 0, vec![1]),
-            exec(1, 1, 150, 100, 1, vec![]),
+            exec(0, 20, 100, 0, vec![1]),
+            exec(1, 150, 100, 1, vec![]),
         ]);
         let cp = critical_path(&l).unwrap();
         assert_eq!(cp.len_ns, 250);
@@ -185,9 +192,9 @@ mod tests {
         // PE 0 runs two back-to-back entries; the second's message was sent
         // early (by exec 0's send at its end), so the PE is the bottleneck.
         let l = log(vec![
-            exec(0, 0, 0, 100, 0, vec![1, 2]),
-            exec(1, 0, 100, 50, 1, vec![]),
-            exec(2, 0, 150, 80, 2, vec![]),
+            exec(0, 0, 100, 0, vec![1, 2]),
+            exec(0, 100, 50, 1, vec![]),
+            exec(0, 150, 80, 2, vec![]),
         ]);
         let cp = critical_path(&l).unwrap();
         assert_eq!(cp.len_ns, 230);

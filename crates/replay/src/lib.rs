@@ -24,7 +24,9 @@
 //!   [`charm_machine::simulate_dag`], predicting makespan and per-PE
 //!   utilization without re-running application logic (BigSim-lite).
 
-pub use charm_core::replay::{DigestPoint, ExecRec, PerturbConfig, ReplayConfig, ReplayLog, SendRec};
+pub use charm_core::replay::{
+    DigestPoint, ExecRec, PerturbConfig, ReplayConfig, ReplayLog, SendRec, NO_CHARE,
+};
 
 pub mod demo;
 mod critpath;

@@ -44,9 +44,10 @@ impl From<std::io::Error> for LogError {
     }
 }
 
-/// Serialize `log` to `path` (atomic: write to `.tmp`, then rename).
+/// Serialize `log` to `path` (atomic: write to `.tmp`, then rename). Packs
+/// from the borrowed log: no second copy is held while writing.
 pub fn save(log: &ReplayLog, path: &Path) -> std::io::Result<()> {
-    let body = charm_pup::to_bytes(&mut log.clone());
+    let body = log.to_bytes();
     let sum = charm_pup::fnv1a(&body);
     let tmp = path.with_extension("tmp");
     {
@@ -62,6 +63,7 @@ pub fn save(log: &ReplayLog, path: &Path) -> std::io::Result<()> {
 }
 
 /// Load a log written by [`save`], validating magic, version, and checksum.
+/// The body unpacks straight into the flat in-memory form.
 pub fn load(path: &Path) -> Result<ReplayLog, LogError> {
     let mut f = std::fs::File::open(path)?;
     let mut data = Vec::new();
@@ -89,7 +91,10 @@ pub fn load(path: &Path) -> Result<ReplayLog, LogError> {
     if charm_pup::fnv1a(body) != sum {
         return Err(LogError::Corrupt("checksum mismatch".into()));
     }
-    charm_pup::from_bytes_exact::<ReplayLog>(body)
+    // A checksummed body can still be malformed (written by something else):
+    // the unpacker panics on it, and the panic becomes an error here.
+    std::panic::catch_unwind(|| charm_pup::from_bytes_exact::<ReplayLog>(body))
+        .unwrap_or_else(|_| Err("the unpacker rejected it".into()))
         .map_err(|e| LogError::Corrupt(format!("body does not unpack: {e}")))
 }
 
@@ -136,5 +141,33 @@ mod tests {
 
         std::fs::write(&path, b"NOTALOG!xxxxxxxxxxxxxxxxxxxxxxx").unwrap();
         assert!(matches!(load(&path), Err(LogError::BadMagic)));
+    }
+
+    /// A body with a valid checksum that this build cannot hold — an exec
+    /// whose `seq` is not its index — is reported, not a panic.
+    #[test]
+    fn malformed_body_with_valid_checksum_is_corrupt() {
+        let mut log = sample();
+        log.chares = vec![charm_core::ObjId::default()];
+        log.execs = vec![crate::ExecRec {
+            pe: 0xABCD_EF01,
+            ..Default::default()
+        }];
+        let mut body = log.to_bytes();
+        let pe = body
+            .windows(4)
+            .position(|w| w == 0xABCD_EF01u32.to_le_bytes())
+            .expect("the exec's PE is in the body");
+        body[pe - 8..pe].copy_from_slice(&5u64.to_le_bytes());
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&VERSION.to_le_bytes());
+        file.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        file.extend_from_slice(&body);
+        file.extend_from_slice(&charm_pup::fnv1a(&body).to_le_bytes());
+        let dir = std::env::temp_dir().join("charm_replay_logfile_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seq.rlog");
+        std::fs::write(&path, &file).unwrap();
+        assert!(matches!(load(&path), Err(LogError::Corrupt(_))));
     }
 }

@@ -87,18 +87,18 @@ impl RaceReport {
 /// each consumption (for earliest-divergence ranking).
 fn consumed_seqs(log: &ReplayLog) -> BTreeMap<ObjId, Vec<(u64, MsgDesc)>> {
     let mut out: BTreeMap<ObjId, Vec<(u64, MsgDesc)>> = BTreeMap::new();
-    for e in &log.execs {
+    for (seq, e) in log.execs.iter().enumerate() {
         let entry = log
             .entry_names
             .get(e.entry as usize)
             .cloned()
             .unwrap_or_else(|| "?".into());
-        out.entry(e.dst).or_default().push((
-            e.seq,
+        out.entry(log.chare(e.dst)).or_default().push((
+            seq as u64,
             MsgDesc {
                 entry,
                 digest: e.msg_digest,
-                src: e.msg_src,
+                src: log.msg_src(e),
             },
         ));
     }

@@ -68,7 +68,8 @@ fn entry_name(log: &ReplayLog, ix: u32) -> &str {
 /// Compare `recorded` against `replayed`: the executed-entry stream
 /// (chare, entry, PE, consumed digest, virtual start/duration), every
 /// periodic state-digest point, and the final state digest. Reports the
-/// *first* divergence — everything after it is downstream noise.
+/// *first* divergence — everything after it is downstream noise. Chares
+/// are compared by identity, never by their index in either log.
 pub fn verify(recorded: &ReplayLog, replayed: &ReplayLog) -> VerifyReport {
     let mut report = VerifyReport {
         execs_recorded: recorded.execs.len(),
@@ -78,15 +79,16 @@ pub fn verify(recorded: &ReplayLog, replayed: &ReplayLog) -> VerifyReport {
         first_divergence: None,
     };
 
-    for (a, b) in recorded.execs.iter().zip(&replayed.execs) {
+    for (seq, (a, b)) in recorded.execs.iter().zip(&replayed.execs).enumerate() {
         let mismatch = |what: &str, x: String, y: String| Divergence {
-            seq: a.seq,
+            seq: seq as u64,
             what: what.to_string(),
             recorded: x,
             replayed: y,
         };
-        let d = if a.dst != b.dst {
-            Some(mismatch("exec.dst", format!("{:?}", a.dst), format!("{:?}", b.dst)))
+        let (a_dst, b_dst) = (recorded.chare(a.dst), replayed.chare(b.dst));
+        let d = if a_dst != b_dst {
+            Some(mismatch("exec.dst", format!("{a_dst:?}"), format!("{b_dst:?}")))
         } else if entry_name(recorded, a.entry) != entry_name(replayed, b.entry) {
             Some(mismatch(
                 "exec.entry",
@@ -146,4 +148,48 @@ pub fn verify(recorded: &ReplayLog, replayed: &ReplayLog) -> VerifyReport {
         });
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ExecRec;
+    use charm_core::{ArrayId, Ix, ObjId};
+
+    fn chare(i: i64) -> ObjId {
+        ObjId {
+            array: ArrayId(0),
+            ix: Ix::i1(i),
+        }
+    }
+
+    /// One run executes chare 1 then chare 2, the other chare 2 then
+    /// chare 1: both logs read `dst` 0 then 1, so only resolved identities
+    /// show where they part.
+    #[test]
+    fn divergence_is_found_by_identity_not_by_index() {
+        let log = |order: [i64; 2]| ReplayLog {
+            entry_names: vec!["a::on_message".into()],
+            chares: order.iter().map(|&i| chare(i)).collect(),
+            execs: (0..2)
+                .map(|dst| ExecRec {
+                    dst,
+                    ..Default::default()
+                })
+                .collect(),
+            ..Default::default()
+        };
+        let (a, b) = (log([1, 2]), log([2, 1]));
+        assert_eq!(verify(&a, &a).first_divergence.map(|d| d.what), None);
+        let d = verify(&a, &b).first_divergence.expect("the runs diverge");
+        assert_eq!((d.seq, d.what.as_str()), (0, "exec.dst"));
+        assert_eq!(d.recorded, format!("{:?}", chare(1)));
+        assert_eq!(d.replayed, format!("{:?}", chare(2)));
+
+        // The same executions interned in another order verify clean.
+        let mut c = log([2, 1]);
+        c.execs[0].dst = 1;
+        c.execs[1].dst = 0;
+        assert!(verify(&a, &c).ok());
+    }
 }

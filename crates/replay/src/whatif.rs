@@ -68,13 +68,15 @@ pub fn whatif(log: &ReplayLog, machine: &MachineConfig) -> WhatIfReport {
     let p_new = machine.num_pes.max(1);
     let map_pe = |pe: u32| -> usize { ((pe as usize) * p_new / p_old).min(p_new - 1) };
 
-    // msg_id → (producing node, how it was sent).
-    let mut producers: HashMap<u64, (Option<usize>, &crate::SendRec)> = HashMap::new();
+    // msg_id → (producing node, how it was sent): the roots, then one pass
+    // over the flat sends.
+    let mut producers: HashMap<u64, (Option<usize>, &crate::SendRec)> =
+        HashMap::with_capacity(log.roots.len() + log.sends.len());
     for s in &log.roots {
         producers.insert(s.msg_id, (None, s));
     }
-    for (i, e) in log.execs.iter().enumerate() {
-        for s in &e.sends {
+    for i in 0..log.execs.len() {
+        for s in log.sends_of(i) {
             producers.insert(s.msg_id, (Some(i), s));
         }
     }

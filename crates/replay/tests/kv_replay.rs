@@ -87,13 +87,13 @@ fn capped_kv_recording_is_a_prefix_with_visible_shed() {
     assert!(summary.replay_shed_sends > 0, "root sends past the cap shed too");
     assert_eq!(run.unrecoverable, None);
 
-    // What was kept is byte-for-byte the prefix of the unbounded recording.
+    // What was kept is exactly the prefix of the unbounded recording: the
+    // same records, chares and sends.
     for (i, (c, f)) in capped.execs.iter().zip(full.execs.iter()).enumerate() {
-        assert_eq!(
-            charm_pup::to_bytes(&mut c.clone()),
-            charm_pup::to_bytes(&mut f.clone()),
-            "exec {i} diverges between capped and full logs"
-        );
+        assert_eq!(c, f, "exec {i} diverges between capped and full logs");
+        assert_eq!(capped.chare(c.dst), full.chare(f.dst), "exec {i} ran elsewhere");
+        assert_eq!(capped.msg_src(c), full.msg_src(f), "exec {i} consumed another send");
+        assert_eq!(capped.sends_of(i), full.sends_of(i), "exec {i} sent otherwise");
     }
 }
 
