@@ -103,6 +103,9 @@ impl Runtime {
         cb: Callback,
         at: SimTime,
     ) {
+        if let Some(r) = &mut self.recorder {
+            r.on_contribute(self.cur_dispatch);
+        }
         self.pending_contribs.push(ContribRec {
             merge_t: self.cur_dispatch.0,
             merge_key: self.cur_dispatch.1,
@@ -174,11 +177,11 @@ impl Runtime {
             // exec (identified by dispatch key), not to whatever exec
             // happens to surround this boundary fold.
             if let Some(r) = &mut self.recorder {
-                r.origin_dispatch = Some((merge_t, merge_key));
+                r.begin_fold((merge_t, merge_key));
             }
             self.deliver_callback_tree(st.cb, SysEvent::Reduction { tag, value }, done, depth);
             if let Some(r) = &mut self.recorder {
-                r.origin_dispatch = None;
+                r.end_fold();
             }
         }
     }

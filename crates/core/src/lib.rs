@@ -64,6 +64,7 @@
 pub mod arena;
 mod array;
 mod chare;
+pub mod chunked;
 mod collectives;
 pub mod ctrl;
 mod ctx;
@@ -84,6 +85,7 @@ pub mod tsink;
 
 pub use array::{ArrayId, ArrayProxy, ObjId, Payload};
 pub use chare::{Callback, Chare, RedOp, RedValue, SysEvent};
+pub use chunked::ChunkVec;
 pub use ctx::Ctx;
 pub use elastic::{
     Degraded, ElasticConfig, ElasticObs, ElasticPolicy, HysteresisPolicy, NoopPolicy, RunOutcome,

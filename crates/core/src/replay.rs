@@ -19,12 +19,14 @@
 //! In memory a log is flat arrays addressed by small indices, the way the
 //! engine holds envelopes and elements (DESIGN §4.4): an exec names its chare
 //! by an index into [`ReplayLog::chares`] and its sends by an offset into
-//! [`ReplayLog::sends`]. The `.rlog` wire layout is the nested one — an
-//! `ObjId` per exec and a send list per exec — written and read by a
-//! hand-written [`Pup`] for [`ReplayLog`].
+//! [`ReplayLog::sends`]. Execs and sends sit in [`ChunkVec`]s, which grow by
+//! fixed-size chunks and never copy. The `.rlog` wire layout is the nested
+//! one — an `ObjId` per exec and a send list per exec — written and read by
+//! a hand-written [`Pup`] for [`ReplayLog`].
 
 use crate::array::{ElemRef, ObjId};
 use crate::chare::{RedValue, SysEvent};
+use crate::chunked::{self, ChunkVec};
 use crate::runtime::KEY_SLOT_SHIFT;
 use charm_machine::SimTime;
 use charm_pup::{Pup, Puper};
@@ -233,11 +235,11 @@ pub struct ReplayLog {
     /// (`ExecRec::dst` and `ExecRec::msg_src` index this).
     pub chares: Vec<ObjId>,
     /// Every executed entry, in execution order.
-    pub execs: Vec<ExecRec>,
+    pub execs: ChunkVec<ExecRec>,
     /// Every message an execution produced, grouped by execution in
     /// execution order; within one execution, routed sends in routing
     /// order, then reduction-fold sends in fold order.
-    pub sends: Vec<SendRec>,
+    pub sends: ChunkVec<SendRec>,
     /// Messages injected from outside any execution (host sends, RTS).
     pub roots: Vec<SendRec>,
     /// Periodic state-digest points (when configured).
@@ -260,13 +262,14 @@ impl ReplayLog {
         (e.msg_src != NO_CHARE).then(|| self.chare(e.msg_src))
     }
 
-    /// The messages execution `i` produced, in recorded order.
-    pub fn sends_of(&self, i: usize) -> &[SendRec] {
+    /// The messages execution `i` produced, in recorded order (they may
+    /// straddle two chunks of [`ReplayLog::sends`]).
+    pub fn sends_of(&self, i: usize) -> chunked::Iter<'_, SendRec> {
         let end = self
             .execs
             .get(i + 1)
             .map_or(self.sends.len(), |e| e.first_send as usize);
-        &self.sends[self.execs[i].first_send as usize..end]
+        self.sends.range(self.execs[i].first_send as usize..end)
     }
 
     /// The packed `.rlog` body, from a shared borrow (no copy of the log).
@@ -311,7 +314,7 @@ impl ReplayLog {
             p.p(&mut { e.n_local });
             pack_sends(p, self.sends_of(i));
         }
-        pack_sends(p, &self.roots);
+        pack_sends(p, self.roots.iter());
         p.p(&mut (self.state_points.len() as u64));
         for d in &self.state_points {
             pack_point(p, d);
@@ -333,8 +336,6 @@ impl ReplayLog {
         p.p(&mut self.flops_per_sec);
         p.p(&mut self.entry_names);
         let n = unpack_len(p);
-        // The prefix is untrusted: reserve no more than the bytes left.
-        self.execs.reserve_exact(n.min(p.remaining()));
         let mut ids: FxHashMap<ObjId, u32> = FxHashMap::default();
         let chares = &mut self.chares;
         let mut intern = |o: ObjId| {
@@ -403,7 +404,7 @@ fn unpack_len(p: &mut Puper) -> usize {
     usize::try_from(n).expect("length overflows usize while unpacking")
 }
 
-fn pack_sends(p: &mut Puper, sends: &[SendRec]) {
+fn pack_sends<'a>(p: &mut Puper, sends: impl ExactSizeIterator<Item = &'a SendRec>) {
     p.p(&mut (sends.len() as u64));
     for s in sends {
         p.p(&mut { *s });
@@ -465,14 +466,15 @@ enum MsgState {
     Routed,
     /// Host send or RTS-origin event: becomes a [`ReplayLog::roots`] entry.
     External,
+    /// Sent by a reduction fold whose contributor is not on the record
+    /// (shed past the cap): a root, listed after every other root.
+    Orphan,
     /// Produced by the exec at this local index without being sent by its
     /// chare (a system event the exec's actions triggered).
     Exec(u32),
-    /// Produced on behalf of the exec whose scheduler dispatch key sits at
-    /// this index of [`Recorder::fold_keys`] — used by the window-boundary
-    /// reduction fold, which runs outside any exec. Resolved to an exec
-    /// index when the log is built.
-    Dispatch(u32),
+    /// Produced by the window-boundary reduction fold, which runs outside
+    /// any exec, on behalf of the contributing exec at this local index.
+    Fold(u32),
     /// Sent by the chare of the exec at this local index.
     Sent(u32),
     /// [`MsgState::Sent`] after its routing was recorded.
@@ -483,9 +485,10 @@ impl MsgState {
     const UNKNOWN: u32 = 0;
     const ROUTED: u32 = 1;
     const EXTERNAL: u32 = 2;
+    const ORPHAN: u32 = 3;
     /// First cell value that carries an index: `BASE + 4 * i + t`, with
-    /// `t` = 0 `Exec`, 1 `Dispatch`, 2 `Sent`, 3 `RoutedFrom`.
-    const BASE: u32 = 3;
+    /// `t` = 0 `Exec`, 1 `Fold`, 2 `Sent`, 3 `RoutedFrom`.
+    const BASE: u32 = 4;
     /// Largest index a cell can carry.
     const MAX_INDEX: usize = ((u32::MAX - Self::BASE - 3) / 4) as usize;
 
@@ -494,8 +497,9 @@ impl MsgState {
             MsgState::Unknown => Self::UNKNOWN,
             MsgState::Routed => Self::ROUTED,
             MsgState::External => Self::EXTERNAL,
+            MsgState::Orphan => Self::ORPHAN,
             MsgState::Exec(i) => Self::BASE + 4 * i,
-            MsgState::Dispatch(i) => Self::BASE + 4 * i + 1,
+            MsgState::Fold(i) => Self::BASE + 4 * i + 1,
             MsgState::Sent(i) => Self::BASE + 4 * i + 2,
             MsgState::RoutedFrom(i) => Self::BASE + 4 * i + 3,
         }
@@ -506,11 +510,12 @@ impl MsgState {
             Self::UNKNOWN => MsgState::Unknown,
             Self::ROUTED => MsgState::Routed,
             Self::EXTERNAL => MsgState::External,
+            Self::ORPHAN => MsgState::Orphan,
             c => {
                 let i = (c - Self::BASE) / 4;
                 match (c - Self::BASE) % 4 {
                     0 => MsgState::Exec(i),
-                    1 => MsgState::Dispatch(i),
+                    1 => MsgState::Fold(i),
                     2 => MsgState::Sent(i),
                     _ => MsgState::RoutedFrom(i),
                 }
@@ -526,7 +531,7 @@ impl MsgState {
 /// `u32` per id the slot ever allocated.
 #[derive(Default)]
 struct MsgLanes {
-    lanes: Vec<Vec<u32>>,
+    lanes: Vec<ChunkVec<u32>>,
 }
 
 impl MsgLanes {
@@ -535,19 +540,19 @@ impl MsgLanes {
         let slot = (msg_id >> KEY_SLOT_SHIFT) as usize;
         let ctr = (msg_id & ((1 << KEY_SLOT_SHIFT) - 1)) as usize;
         if slot >= self.lanes.len() {
-            self.lanes.resize_with(slot + 1, Vec::new);
+            self.lanes.resize_with(slot + 1, ChunkVec::new);
         }
         let lane = &mut self.lanes[slot];
-        if ctr >= lane.len() {
-            lane.resize(ctr + 1, MsgState::UNKNOWN);
+        while lane.len() <= ctr {
+            lane.push(MsgState::UNKNOWN);
         }
         &mut lane[ctr]
     }
 }
 
 /// The in-flight recording state. Lives inside the [`Runtime`](crate::Runtime)
-/// behind an `Option`, tracer-style. It fills the log's own flat arrays as
-/// the run goes, so building the log moves them.
+/// behind an `Option`, tracer-style. It fills the log's own arrays as the
+/// run goes, so building the log moves them.
 pub(crate) struct Recorder {
     pub(crate) cfg: ReplayConfig,
     entry_names: Vec<String>,
@@ -561,30 +566,33 @@ pub(crate) struct Recorder {
     /// executed yet): a handle names one index for the whole run, so an
     /// exec finds its chare with two indexed loads and no hashing.
     chare_lanes: Vec<Vec<u32>>,
-    /// Every exec so far; `first_send` is set when the log is built.
-    execs: Vec<ExecRec>,
-    /// Scheduler dispatch key `(t_ns, heap_key)` of each exec, parallel to
-    /// `execs`, ascending: the total order the engine executes in.
-    dispatch_keys: Vec<(u64, u64)>,
-    /// Recorded sends in routing order, and (parallel to it) the exec
-    /// that produced each; grouped by exec when the log is built.
-    sends: Vec<SendRec>,
-    send_exec: Vec<u32>,
+    /// Every exec so far. `first_send` counts the sends in `sends` before
+    /// it; building the log adds those that routed late.
+    execs: ChunkVec<ExecRec>,
+    /// Sends routed while their exec was current — in exec order, so
+    /// already grouped by exec.
+    sends: ChunkVec<SendRec>,
+    /// Sends routed after their exec ended, in routing order, keyed
+    /// `2 × exec` (a limbo flush) or `2 × exec + 1` (a reduction-fold
+    /// send): building the log merges them in behind the exec's own.
+    late: ChunkVec<(u32, SendRec)>,
     roots: Vec<SendRec>,
+    /// Fold sends whose contributor is not on the record; they follow
+    /// `roots`.
+    orphans: Vec<SendRec>,
     state_points: Vec<DigestPoint>,
     /// msg id → origin until routed, then the routed mark (re-routes after
     /// limbo flushes and stale-cache forwards must not duplicate the send).
     msgs: MsgLanes,
     /// Index of the exec currently applying its actions.
     current: Option<u32>,
-    /// While set, new messages are attributed to the exec with this
-    /// dispatch key instead of `current` (reduction-fold callbacks).
-    pub(crate) origin_dispatch: Option<(u64, u64)>,
-    /// Dispatch keys that [`MsgState::Dispatch`] cells index.
-    fold_keys: Vec<(u64, u64)>,
-    /// Sends whose producing exec is identified by dispatch key; attached
-    /// to that exec when the log is finalized.
-    deferred: Vec<((u64, u64), SendRec)>,
+    /// `(scheduler dispatch key, exec index)` of every exec that
+    /// contributed to a reduction, ascending in both: how a fold finds the
+    /// exec it sends for.
+    contribs: ChunkVec<((u64, u64), u32)>,
+    /// While set, new messages are attributed to this fold origin instead
+    /// of `current` (reduction-fold callbacks).
+    fold: Option<MsgState>,
     /// Entry executions dropped past [`ReplayConfig::max_execs`].
     shed_execs: u64,
     /// Sends dropped because their producing exec was shed.
@@ -599,17 +607,16 @@ impl Recorder {
             entry_memo: Vec::new(),
             chares: Vec::new(),
             chare_lanes: Vec::new(),
-            execs: Vec::new(),
-            dispatch_keys: Vec::new(),
-            sends: Vec::new(),
-            send_exec: Vec::new(),
+            execs: ChunkVec::new(),
+            sends: ChunkVec::new(),
+            late: ChunkVec::new(),
             roots: Vec::new(),
+            orphans: Vec::new(),
             state_points: Vec::new(),
             msgs: MsgLanes::default(),
             current: None,
-            origin_dispatch: None,
-            fold_keys: Vec::new(),
-            deferred: Vec::new(),
+            contribs: ChunkVec::new(),
+            fold: None,
             shed_execs: 0,
             shed_sends: 0,
         }
@@ -681,17 +688,47 @@ impl Recorder {
         self.execs.len() as u64
     }
 
+    /// The current exec contributed to a reduction under scheduler
+    /// dispatch key `dispatch`. Execs run in key order, so the list stays
+    /// sorted; an exec that contributes twice is listed once.
+    pub(crate) fn on_contribute(&mut self, dispatch: (u64, u64)) {
+        let Some(i) = self.current else {
+            return; // shed past the cap
+        };
+        match self.contribs.last() {
+            Some(&(_, j)) if j == i => {}
+            last => {
+                debug_assert!(
+                    last.is_none_or(|&(k, _)| k < dispatch),
+                    "execs run in key order"
+                );
+                self.contribs.push((dispatch, i));
+            }
+        }
+    }
+
+    /// A reduction fold is about to send on behalf of the contribution made
+    /// under `dispatch`: until [`Recorder::end_fold`], new messages belong
+    /// to that contributor's exec.
+    pub(crate) fn begin_fold(&mut self, dispatch: (u64, u64)) {
+        let k = self.contribs.partition_point(|&(key, _)| key < dispatch);
+        self.fold = Some(match self.contribs.get(k) {
+            Some(&(key, i)) if key == dispatch => MsgState::Fold(i),
+            _ => MsgState::Orphan,
+        });
+    }
+
+    pub(crate) fn end_fold(&mut self) {
+        self.fold = None;
+    }
+
     /// A new message was created; remember which exec (if any) produced it
     /// and whether that exec's chare sent it (`from_chare`).
     pub(crate) fn note_origin(&mut self, msg_id: u64, from_chare: bool) {
-        let origin = match (self.origin_dispatch, self.current) {
-            (Some(dk), _) => {
+        let origin = match (self.fold, self.current) {
+            (Some(fold), _) => {
                 debug_assert!(!from_chare, "a reduction fold sends nothing for a chare");
-                if self.fold_keys.last() != Some(&dk) {
-                    assert!(self.fold_keys.len() < MsgState::MAX_INDEX, "fold-key index overflow");
-                    self.fold_keys.push(dk);
-                }
-                MsgState::Dispatch(self.fold_keys.len() as u32 - 1)
+                fold
             }
             (None, Some(i)) if from_chare => MsgState::Sent(i),
             (None, Some(i)) => MsgState::Exec(i),
@@ -735,11 +772,12 @@ impl Recorder {
         };
         match state {
             MsgState::Routed | MsgState::RoutedFrom(_) => unreachable!("returned above"),
-            MsgState::Exec(i) | MsgState::Sent(i) => {
-                self.sends.push(rec);
-                self.send_exec.push(i);
+            MsgState::Exec(i) | MsgState::Sent(i) if self.current == Some(i) => {
+                self.sends.push(rec)
             }
-            MsgState::Dispatch(k) => self.deferred.push((self.fold_keys[k as usize], rec)),
+            MsgState::Exec(i) | MsgState::Sent(i) => self.late.push((2 * i, rec)),
+            MsgState::Fold(i) => self.late.push((2 * i + 1, rec)),
+            MsgState::Orphan => self.orphans.push(rec),
             // An untracked message under a capped recording was produced
             // past the cap: shed it (visibly) instead of growing `roots`.
             MsgState::Unknown if self.capped() => self.shed_sends += 1,
@@ -767,7 +805,6 @@ impl Recorder {
         work: f64,
         n_remote: u32,
         n_local: u32,
-        dispatch: (u64, u64),
     ) {
         if self.capped() {
             self.shed_execs += 1;
@@ -782,7 +819,6 @@ impl Recorder {
         };
         let dst = self.chare_index(dst, obj);
         self.current = Some(self.execs.len() as u32);
-        self.dispatch_keys.push(dispatch);
         self.execs.push(ExecRec {
             pe: pe as u32,
             start_ns: start.0,
@@ -796,7 +832,7 @@ impl Recorder {
             work,
             n_remote,
             n_local,
-            first_send: 0,
+            first_send: self.sends.len() as u32,
         });
     }
 
@@ -817,7 +853,8 @@ impl Recorder {
         });
     }
 
-    /// Consume the recorder into a finished log.
+    /// Consume the recorder into a finished log. When nothing routed late
+    /// the arrays move into it as they are.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn into_log(
         mut self,
@@ -830,21 +867,17 @@ impl Recorder {
         end: SimTime,
         final_digests: Vec<(ObjId, u64)>,
     ) -> ReplayLog {
-        // Dispatch-keyed sends (reduction-fold callbacks) come after their
-        // exec's routed sends, in fold order: appended past every routed
-        // send, the stable grouping below keeps them there. They find their
-        // exec by its key; execs run in key order, so the keys are sorted.
-        debug_assert!(self.dispatch_keys.is_sorted());
-        for (dk, rec) in std::mem::take(&mut self.deferred) {
-            match self.dispatch_keys.binary_search(&dk) {
-                Ok(i) => {
-                    self.sends.push(rec);
-                    self.send_exec.push(i as u32);
-                }
-                Err(_) => self.roots.push(rec),
-            }
-        }
-        let sends = group_by_exec(&mut self.execs, self.sends, &self.send_exec);
+        let sends = if self.late.is_empty() {
+            self.sends
+        } else if self.late.iter().map(|&(k, _)| k).is_sorted() {
+            merge_late(&mut self.execs, self.sends, self.late)
+        } else {
+            let mut late: Vec<_> = self.late.into_iter().collect();
+            late.sort_by_key(|&(k, _)| k);
+            merge_late(&mut self.execs, self.sends, late)
+        };
+        u32::try_from(sends.len()).expect("send offsets fit in u32");
+        self.roots.append(&mut self.orphans);
         let final_state = DigestPoint {
             seq: self.execs.len() as u64,
             t_ns: end.0,
@@ -870,37 +903,31 @@ impl Recorder {
     }
 }
 
-/// Group `sends` by producing exec (`send_exec`, parallel to it), keeping
-/// each exec's sends in their order, and set every exec's `first_send`.
-/// An exec routes its sends back to back, so the list is usually grouped
-/// already and is moved, not copied; a send that routed late (parked in
-/// limbo) or a fold send costs one stable scatter into a new array.
-fn group_by_exec(execs: &mut [ExecRec], sends: Vec<SendRec>, send_exec: &[u32]) -> Vec<SendRec> {
-    u32::try_from(sends.len()).expect("send offsets fit in u32");
-    // Count each exec's sends, then turn the counts into offsets.
-    for &x in send_exec {
-        execs[x as usize].first_send += 1;
+/// One streaming pass that puts each exec's late sends (sorted by key)
+/// behind the sends it routed while it ran — limbo flushes in routing
+/// order, then fold sends in fold order — and moves every exec's
+/// `first_send` to match. Each input chunk is freed once it is read, so the
+/// sends are never held twice.
+fn merge_late(
+    execs: &mut ChunkVec<ExecRec>,
+    sends: ChunkVec<SendRec>,
+    late: impl IntoIterator<Item = (u32, SendRec)>,
+) -> ChunkVec<SendRec> {
+    let total = sends.len();
+    let mut sends = sends.into_iter();
+    let mut late = late.into_iter().peekable();
+    let mut out = ChunkVec::new();
+    for i in 0..execs.len() {
+        let end = execs.get(i + 1).map_or(total, |e| e.first_send as usize);
+        let e = &mut execs[i];
+        let own = end - e.first_send as usize;
+        e.first_send = out.len() as u32;
+        out.extend(sends.by_ref().take(own));
+        while let Some((_, s)) = late.next_if(|&(k, _)| (k >> 1) as usize == i) {
+            out.push(s);
+        }
     }
-    let mut start = 0;
-    for e in execs.iter_mut() {
-        let n = e.first_send;
-        e.first_send = start;
-        start += n;
-    }
-    if send_exec.is_sorted() {
-        return sends;
-    }
-    let mut out = vec![SendRec::default(); sends.len()];
-    for (s, &x) in sends.iter().zip(send_exec) {
-        let at = &mut execs[x as usize].first_send;
-        out[*at as usize] = *s;
-        *at += 1;
-    }
-    // Each cursor now sits where the next exec's sends begin.
-    let mut start = 0;
-    for e in execs.iter_mut() {
-        std::mem::swap(&mut e.first_send, &mut start);
-    }
+    debug_assert!(late.next().is_none(), "every late send has a recorded exec");
     out
 }
 
@@ -938,7 +965,7 @@ mod tests {
             flops_per_sec: 1e9,
             entry_names: vec!["A::on_message".into()],
             chares: vec![chare],
-            execs: vec![ExecRec {
+            execs: [ExecRec {
                 pe: 1,
                 start_ns: 10,
                 dur_ns: 20,
@@ -948,15 +975,19 @@ mod tests {
                 work: 1000.0,
                 n_remote: 1,
                 ..Default::default()
-            }],
-            sends: vec![SendRec {
+            }]
+            .into_iter()
+            .collect(),
+            sends: [SendRec {
                 msg_id: 2,
                 bytes: 48,
                 src_pe: 1,
                 dst_pe: 2,
                 tree_depth: 0,
                 rtt_bytes: 40,
-            }],
+            }]
+            .into_iter()
+            .collect(),
             roots: vec![SendRec::default()],
             state_points: vec![],
             final_state: DigestPoint {
@@ -970,7 +1001,7 @@ mod tests {
         assert_eq!(bytes, log.to_bytes(), "the shared-borrow packer is the Pup");
         let back: ReplayLog = charm_pup::from_bytes_exact(&bytes).unwrap();
         assert_eq!(back, log);
-        assert_eq!(back.sends_of(0), &log.sends[..]);
+        assert!(back.sends_of(0).eq(log.sends.iter()));
         assert_eq!(back.msg_src(&back.execs[0]), None);
     }
 
@@ -981,11 +1012,12 @@ mod tests {
             MsgState::Unknown,
             MsgState::Routed,
             MsgState::External,
+            MsgState::Orphan,
             MsgState::Exec(0),
             MsgState::Exec(7),
             MsgState::Exec(top),
-            MsgState::Dispatch(0),
-            MsgState::Dispatch(top),
+            MsgState::Fold(0),
+            MsgState::Fold(top),
             MsgState::Sent(3),
             MsgState::Sent(top),
             MsgState::RoutedFrom(0),
@@ -998,49 +1030,58 @@ mod tests {
 
     /// The recorder's bookkeeping end to end: origins survive until the
     /// first routing (however late), re-routes are not recorded twice, fold
-    /// callbacks find their exec by dispatch key, and every exec's sends
-    /// come out in routing order.
+    /// callbacks find the exec that contributed under their dispatch key,
+    /// and every exec's sends come out in routing order.
     #[test]
     fn sends_attach_to_their_producing_exec_in_routing_order() {
         let id = |slot: u64, ctr: u64| (slot << KEY_SLOT_SHIFT) | ctr;
         let mut r = Recorder::new(ReplayConfig::default());
-        let begin = |r: &mut Recorder, dispatch| {
+        let begin = |r: &mut Recorder| {
             let (start, dur, o) = (SimTime(0), SimTime(1), obj(0, Ix::I1(0)));
-            r.begin_exec(0, start, dur, elem(0, 0), o, "a", "on_message", 0, 0, 8, 0.0, 0, 0, dispatch)
+            r.begin_exec(0, start, dur, elem(0, 0), o, "a", "on_message", 0, 0, 8, 0.0, 0, 0)
         };
         let route = |r: &mut Recorder, msg_id| r.on_routed(msg_id, 8, 0, 1, 0, 0);
 
         r.note_origin(id(9, 0), false); // host send
         route(&mut r, id(9, 0));
 
-        begin(&mut r, (10, 1));
+        begin(&mut r);
+        r.on_contribute((10, 1));
+        r.on_contribute((10, 1)); // a second contribution lists the exec once
         r.note_origin(id(0, 0), true);
         r.note_origin(id(0, 1), true); // destination missing: parked unrouted
         route(&mut r, id(0, 0));
         r.end_exec();
 
-        begin(&mut r, (20, 2));
+        begin(&mut r);
+        r.on_contribute((20, 2));
         r.note_origin(id(1, 0), false); // a system event the exec triggered
         route(&mut r, id(1, 0));
         route(&mut r, id(0, 0)); // limbo re-flush of a routed message
         r.end_exec();
 
-        route(&mut r, id(0, 1)); // the parked one, outside any exec
-        for (key, msg_id) in [((10, 1), id(5, 0)), ((99, 9), id(5, 1))] {
-            r.origin_dispatch = Some(key);
+        // A fold for the second exec, then the first exec's parked send,
+        // then a fold for the first exec and one whose contributor is not
+        // on the record — all outside any exec.
+        let fold = |r: &mut Recorder, key, msg_id| {
+            r.begin_fold(key);
             r.note_origin(msg_id, false);
-            route(&mut r, msg_id);
-            r.origin_dispatch = None;
-        }
+            route(r, msg_id);
+            r.end_fold();
+        };
+        fold(&mut r, (20, 2), id(5, 0));
+        route(&mut r, id(0, 1));
+        fold(&mut r, (10, 1), id(5, 1));
+        fold(&mut r, (99, 9), id(5, 2));
 
         let log = r.into_log("m".into(), 2, 0, SimTime(0), 2, 1e9, SimTime(30), vec![]);
-        let ids = |sends: &[SendRec]| sends.iter().map(|s| s.msg_id).collect::<Vec<_>>();
+        let ids = |sends: &mut dyn Iterator<Item = &SendRec>| sends.map(|s| s.msg_id).collect::<Vec<_>>();
         assert_eq!(log.entry_names, vec!["a::on_message".to_string()]);
-        assert_eq!(ids(log.sends_of(0)), vec![id(0, 0), id(0, 1), id(5, 0)]);
-        assert_eq!(ids(log.sends_of(1)), vec![id(1, 0)]);
-        assert_eq!(log.sends.len(), 4, "the sends are one flat array");
-        // The key no exec has falls back to the roots.
-        assert_eq!(ids(&log.roots), vec![id(9, 0), id(5, 1)]);
+        assert_eq!(ids(&mut log.sends_of(0)), vec![id(0, 0), id(0, 1), id(5, 1)]);
+        assert_eq!(ids(&mut log.sends_of(1)), vec![id(1, 0), id(5, 0)]);
+        assert_eq!(log.sends.len(), 5, "the sends are one array");
+        // The key no contributor has falls back to the roots, after them.
+        assert_eq!(ids(&mut log.roots.iter()), vec![id(9, 0), id(5, 2)]);
     }
 
     /// A consumed message's sender is the chare of the exec that sent it —
@@ -1053,9 +1094,8 @@ mod tests {
         let o = |i: i64| obj(0, Ix::I1(i));
         let mut r = Recorder::new(ReplayConfig::default());
         let begin = |r: &mut Recorder, i: i64, msg_id, seq: u64| {
-            let (start, dur, dispatch) = (SimTime(seq), SimTime(1), (seq, seq));
-            let dst = elem(0, i as u32);
-            r.begin_exec(0, start, dur, dst, o(i), "a", "on_message", msg_id, 0, 8, 0.0, 0, 0, dispatch)
+            let (start, dur, dst) = (SimTime(seq), SimTime(1), elem(0, i as u32));
+            r.begin_exec(0, start, dur, dst, o(i), "a", "on_message", msg_id, 0, 8, 0.0, 0, 0)
         };
         r.note_origin(id(0), false); // host send
         r.on_routed(id(0), 8, 0, 0, 0, 0);
@@ -1340,10 +1380,11 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
         // Random recordings — host sends, chare sends and the system events
         // an exec triggers, routed at once, re-routed or late out of limbo,
-        // reduction-fold sends keyed to an exec or to no exec, state points,
-        // chares of every index shape in two arrays, capped or not — fed to
-        // the recorder and to the reference one: the flat log packs to the
-        // reference's bytes and unpacks to itself.
+        // execs contributing to reductions none, one or two times,
+        // reduction-fold sends keyed to a contributor or to no exec, state
+        // points, chares of every index shape in two arrays, capped or not —
+        // fed to the recorder and to the reference one: the flat log packs
+        // to the reference's bytes and unpacks to itself.
         #[test]
         fn flat_log_packs_to_the_nested_reference(
             ops in proptest::collection::vec((0u8..8, proptest::prelude::any::<u8>()), 0..160),
@@ -1354,6 +1395,7 @@ mod tests {
             let mut m = v1::Recorder::new(cap);
             let mut msgs: Vec<u64> = Vec::new();
             let mut ctr = [0u64; 4];
+            // Dispatch keys of the execs that contributed to a reduction.
             let mut keys: Vec<(u64, u64)> = Vec::new();
             let mut t = 0u64;
             let mut in_exec = false;
@@ -1367,7 +1409,6 @@ mod tests {
                         }
                         t += 1 + a as u64 % 3;
                         let key = (t, a as u64);
-                        keys.push(key);
                         let unseen = 5 << KEY_SLOT_SHIFT;
                         let msg_id = msgs.get(a as usize % (msgs.len() + 1)).copied().unwrap_or(unseen);
                         let (array, k) = (a as u32 % 2, a / 2 % 12);
@@ -1388,10 +1429,16 @@ mod tests {
                             m.log.execs.len() as f64 * 0.5,
                             pe % 2,
                             pe % 3,
-                            key,
                         );
                         m.begin_exec(pe, dst, format!("arr{array}::{kind}"), msg_id, key);
                         in_exec = true;
+                        let contributions = a / 24 % 3;
+                        for _ in 0..contributions {
+                            r.on_contribute(key);
+                        }
+                        if contributions > 0 {
+                            keys.push(key);
+                        }
                     }
                     // Create a message: from the current exec's chare, from
                     // its actions, or from the host when no exec runs.
@@ -1435,13 +1482,13 @@ mod tests {
                         let slot = a as u64 % 4;
                         let id = (slot << KEY_SLOT_SHIFT) | ctr[slot as usize];
                         ctr[slot as usize] += 1;
-                        r.origin_dispatch = Some(key);
+                        r.begin_fold(key);
                         m.dispatch = Some(key);
                         r.note_origin(id, false);
                         m.note_origin(id, false);
                         r.on_routed(id, 40, 0, 1, 0, 40);
                         m.on_routed(id, 40, 0, 1);
-                        r.origin_dispatch = None;
+                        r.end_fold();
                         m.dispatch = None;
                     }
                 }

@@ -1144,7 +1144,6 @@ impl Runtime {
         }
         self.push_ev(end, Ev::PeFree { pe: pe as u32 });
 
-        let dispatch = self.cur_dispatch;
         if let (Some((digest, kind)), Some(r)) = (rec_consumed, self.recorder.as_mut()) {
             r.begin_exec(
                 pe,
@@ -1160,7 +1159,6 @@ impl Runtime {
                 work_units,
                 n_remote,
                 n_local,
-                dispatch,
             );
         }
         let mut actions = actions;

@@ -6,13 +6,14 @@
 //! Nothing here goes back to the allocator mid-run: a boxed envelope per
 //! message meant hundreds of thousands of small heap blocks whose eventual
 //! frees glibc batches into one long consolidation stall (DESIGN §4.4).
-//! The slots sit in small fixed-size chunks rather than one growing `Vec`:
-//! growth never copies, and a 5 KB chunk fits the holes that consumed
-//! messages leave in the heap, where a big buffer takes fresh pages. On the
-//! `apps` benchmark one `Vec` peaked at 62.8 MB, 320 KB chunks at 57.5 MB
-//! and 5 KB chunks at 45.2 MB (DESIGN §4.4).
+//! The slots sit in a [`ChunkVec`] of small fixed-size chunks rather than
+//! one growing `Vec`: growth never copies, and a 3 KB chunk fits the holes
+//! that consumed messages leave in the heap, where a big buffer takes fresh
+//! pages. On the `apps` benchmark one `Vec` peaked at 62.8 MB, 320 KB
+//! chunks at 57.5 MB and 5 KB chunks at 45.2 MB (DESIGN §4.4).
 
 use super::{Envelope, Runtime};
+use crate::chunked::ChunkVec;
 
 /// Handle of an envelope in its runtime's [`EnvSlab`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,10 +27,8 @@ enum Slot {
 
 const NIL: u32 = u32::MAX;
 
-/// Slots per chunk (64 × 48 B = 3 KB): an id's high bits pick the chunk,
-/// its low bits the slot.
+/// Slots per chunk: 64 × 48 B = 3 KB.
 const CHUNK_BITS: u32 = 6;
-const CHUNK: usize = 1 << CHUNK_BITS;
 
 const _: () = assert!(
     std::mem::size_of::<Slot>() == std::mem::size_of::<Envelope>(),
@@ -37,8 +36,7 @@ const _: () = assert!(
 );
 
 pub(crate) struct EnvSlab {
-    /// Every chunk but the last is full; none ever reallocates.
-    chunks: Vec<Vec<Slot>>,
+    slots: ChunkVec<Slot, CHUNK_BITS>,
     /// Head of the free list.
     free: u32,
     live: usize,
@@ -47,20 +45,10 @@ pub(crate) struct EnvSlab {
 impl EnvSlab {
     pub(crate) fn new() -> Self {
         EnvSlab {
-            chunks: Vec::new(),
+            slots: ChunkVec::new(),
             free: NIL,
             live: 0,
         }
-    }
-
-    #[inline]
-    fn slot(&self, id: u32) -> &Slot {
-        &self.chunks[(id >> CHUNK_BITS) as usize][id as usize & (CHUNK - 1)]
-    }
-
-    #[inline]
-    fn slot_mut(&mut self, id: u32) -> &mut Slot {
-        &mut self.chunks[(id >> CHUNK_BITS) as usize][id as usize & (CHUNK - 1)]
     }
 
     /// Store `env` in the most recently freed slot, or a new one.
@@ -68,7 +56,7 @@ impl EnvSlab {
         self.live += 1;
         if self.free != NIL {
             let id = self.free;
-            let slot = self.slot_mut(id);
+            let slot = &mut self.slots[id as usize];
             let Slot::Free(next) = *slot else {
                 unreachable!("the free list names a live slot")
             };
@@ -76,23 +64,18 @@ impl EnvSlab {
             self.free = next;
             return EnvId(id);
         }
-        if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
-            self.chunks.push(Vec::with_capacity(CHUNK));
-        }
-        let n = self.chunks.len() - 1;
-        let last = self.chunks.last_mut().expect("just ensured");
-        let id = u32::try_from((n << CHUNK_BITS) + last.len())
+        let id = u32::try_from(self.slots.len())
             .ok()
             .filter(|&i| i != NIL)
             .expect("envelope slab overflow");
-        last.push(Slot::Live(env));
+        self.slots.push(Slot::Live(env));
         EnvId(id)
     }
 
     /// Move the envelope out and free its slot.
     pub(crate) fn take(&mut self, id: EnvId) -> Envelope {
         let next = self.free;
-        let slot = std::mem::replace(self.slot_mut(id.0), Slot::Free(next));
+        let slot = std::mem::replace(&mut self.slots[id.0 as usize], Slot::Free(next));
         let Slot::Live(env) = slot else {
             panic!("envelope {id:?} taken twice")
         };
@@ -117,7 +100,7 @@ impl std::ops::Index<EnvId> for EnvSlab {
 
     #[inline]
     fn index(&self, id: EnvId) -> &Envelope {
-        match self.slot(id.0) {
+        match &self.slots[id.0 as usize] {
             Slot::Live(env) => env,
             Slot::Free(_) => panic!("envelope {id:?} used after free"),
         }
@@ -185,7 +168,7 @@ mod tests {
         assert_eq!(slab.take(c).rec_id, 3);
         assert_eq!(slab.insert(env(4)), c, "last freed, first reused");
         assert_eq!(slab.insert(env(5)), a);
-        assert_eq!(slab.chunks[0].len(), 3, "no growth while slots are free");
+        assert_eq!(slab.slots.len(), 3, "no growth while slots are free");
         assert_eq!((slab[b].rec_id, slab[c].rec_id, slab[a].rec_id), (2, 4, 5));
         assert_eq!(slab.live(), 3);
     }
@@ -193,17 +176,14 @@ mod tests {
     #[test]
     fn ids_span_chunks() {
         let mut slab = EnvSlab::new();
-        let ids: Vec<EnvId> = (0..CHUNK as u64 + 3).map(|i| slab.insert(env(i))).collect();
-        assert_eq!(slab.chunks.len(), 2);
-        assert!(
-            slab.chunks.iter().all(|c| c.capacity() == CHUNK),
-            "chunks never reallocate"
-        );
+        let chunk = ChunkVec::<Slot, CHUNK_BITS>::CHUNK;
+        let ids: Vec<EnvId> = (0..chunk as u64 + 3).map(|i| slab.insert(env(i))).collect();
+        assert_eq!(slab.slots.len(), chunk + 3);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(slab[id].rec_id, i as u64);
         }
-        assert_eq!(slab.take(ids[CHUNK + 1]).rec_id, CHUNK as u64 + 1);
-        assert_eq!(slab.insert(env(7)), ids[CHUNK + 1]);
+        assert_eq!(slab.take(ids[chunk + 1]).rec_id, chunk as u64 + 1);
+        assert_eq!(slab.insert(env(7)), ids[chunk + 1]);
     }
 
     #[test]

@@ -149,10 +149,12 @@ mod tests {
     fn malformed_body_with_valid_checksum_is_corrupt() {
         let mut log = sample();
         log.chares = vec![charm_core::ObjId::default()];
-        log.execs = vec![crate::ExecRec {
+        log.execs = [crate::ExecRec {
             pe: 0xABCD_EF01,
             ..Default::default()
-        }];
+        }]
+        .into_iter()
+        .collect();
         let mut body = log.to_bytes();
         let pe = body
             .windows(4)

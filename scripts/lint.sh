@@ -22,6 +22,7 @@ once 'slab.insert(Envelope'      # mint an envelope: Runtime::mint
 once '1.min(self.live_pes - 1)' # price a tree hop: Runtime::tree_hop
 once 'loc_cache.iter_mut()'     # flush location caches: Runtime::flush_loc_caches
 once 'Hash::hash(ix,'           # hash an index: ArrayStore::probe (DESIGN §4.3)
+once '(i >> BITS, i & ((1 << BITS) - 1))' # chunk an index: ChunkVec, under the slab and the log (DESIGN §4.4)
 stray=$(grep -rnF 'pack_element(' "$src" | grep -v -e "^$src/array.rs:" -e "^$src/placement.rs:" || true)
 if [ -n "$stray" ]; then
     echo "lint: 'pack_element(' outside array.rs and placement.rs (use Runtime::relocate):"
@@ -51,7 +52,7 @@ if [ -n "$cp" ]; then
     printf '%s\n' "$cp"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe; no boxed envelope; message path by handle; critical path only in charm-replay"
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe, chunk indexing; no boxed envelope; message path by handle; critical path only in charm-replay"
 
 # ROADMAP item 4: the library has no threads and keeps none — the second
 # core is spent one level up, on whole processes (charm_bench::pool), which

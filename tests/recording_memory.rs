@@ -1,0 +1,173 @@
+//! Recording memory that never copies. The replay recorder and the log it
+//! builds keep their records in fixed-size chunks, so a recording costs the
+//! same in every run of a process — no block grows by copying itself — and
+//! building the log never holds the sends twice.
+//!
+//! A counting allocator wraps `System`. This file is its own test binary so
+//! the `#[global_allocator]` cannot leak into any other test, and it holds a
+//! single `#[test]` because the counters are process-wide.
+
+use charm_rs::apps::stencil;
+use charm_rs::core::replay::{ExecRec, SendRec};
+use charm_rs::core::{ChunkVec, ReplayConfig};
+use charm_rs::machine::presets;
+use charm_rs::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, Pup, Puper, Runtime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+/// Allocator calls (`alloc` and `realloc`).
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+/// Largest size a `realloc` grew a block to.
+static MAX_GROWN: AtomicUsize = AtomicUsize::new(0);
+/// Bytes live now, and the most live since the last reset.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        if new_size > layout.size() {
+            MAX_GROWN.fetch_max(new_size, Ordering::Relaxed);
+            grew(new_size - layout.size());
+        } else {
+            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTER: Counting = Counting;
+
+/// Passes a token around a ring until its hop budget runs out.
+#[derive(Default)]
+struct Relay {
+    n: i64,
+}
+
+impl Pup for Relay {
+    fn pup(&mut self, p: &mut Puper) {
+        p.p(&mut self.n);
+    }
+}
+
+impl Chare for Relay {
+    type Msg = u64; // hops remaining
+    fn on_message(&mut self, hops: u64, ctx: &mut Ctx<'_>) {
+        if hops > 0 {
+            let Ix::I1(me) = ctx.my_index() else {
+                panic!("a ring is one-dimensional")
+            };
+            let proxy = ArrayProxy::<Relay>::from_id(ctx.my_id().array);
+            ctx.send(proxy, Ix::i1((me + 1) % self.n), hops - 1);
+        }
+    }
+}
+
+const RING: i64 = 16;
+const TOKENS: i64 = 8;
+const HOPS: u64 = 2_500;
+
+/// Run the ring, recorded or not, and return the execs its log holds.
+fn ring(record: bool) -> usize {
+    let mut b = Runtime::builder(MachineConfig::homogeneous(4));
+    if record {
+        b = b.record(ReplayConfig::default());
+    }
+    let mut rt = b.build();
+    let arr = rt.create_array::<Relay>("relay");
+    for i in 0..RING {
+        rt.insert(arr, Ix::i1(i), Relay { n: RING }, Some(i as usize % 4));
+    }
+    for t in 0..TOKENS {
+        rt.send(arr, Ix::i1(t * 2), HOPS);
+    }
+    rt.run();
+    rt.take_replay_log().map_or(0, |log| log.execs.len())
+}
+
+/// Allocator calls and the largest `realloc` growth of one recorded ring,
+/// from building the runtime to dropping the log.
+fn record_ring() -> (usize, usize) {
+    MAX_GROWN.store(0, Ordering::Relaxed);
+    let before = CALLS.load(Ordering::Relaxed);
+    let execs = ring(true);
+    assert_eq!(execs, (TOKENS as usize) * (HOPS as usize + 1));
+    (
+        CALLS.load(Ordering::Relaxed) - before,
+        MAX_GROWN.load(Ordering::Relaxed),
+    )
+}
+
+/// Allocator calls `take_replay_log` makes on a recorded `stencil2d` run,
+/// the most bytes it holds beyond what was live before it, and the sends
+/// of the log it builds.
+fn build_stencil_log() -> (usize, usize, usize) {
+    let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(8), 8);
+    cfg.steps = 240;
+    cfg.record = Some(ReplayConfig::default());
+    let (_run, mut rt) = stencil::run_with_runtime(cfg);
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    let before = CALLS.load(Ordering::Relaxed);
+    let log = rt.take_replay_log().expect("recording was on");
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    let held = PEAK.load(Ordering::Relaxed) - live;
+    (calls, held, log.sends.len())
+}
+
+#[test]
+fn recording_grows_by_chunks_and_never_copies() {
+    // Warm the arena's pools, so both recordings below start alike.
+    ring(false);
+    let (first, first_grown) = record_ring();
+    let (second, second_grown) = record_ring();
+    assert_eq!(
+        first, second,
+        "the second recording made {second} allocator calls, the first {first}"
+    );
+    // The largest chunk is one of execs. A doubling `Vec` of 20 008 execs
+    // reallocated itself up to 32 768 × 72 bytes.
+    let chunk_bytes = ChunkVec::<ExecRec>::CHUNK * std::mem::size_of::<ExecRec>();
+    let grown = first_grown.max(second_grown);
+    assert!(
+        grown <= chunk_bytes,
+        "a realloc grew a block to {grown} bytes, past one {chunk_bytes}-byte chunk"
+    );
+
+    // Each reduction's fold sends route after the run's other sends, so the
+    // log merges them in: one pass that writes a chunk of sends for each it
+    // reads and frees. It holds the chunk being read and at most one chunk
+    // written ahead of it (≈ 263 KB here), where a second array of every
+    // send held 2.46 MB. Its allocator calls are one per output chunk, 4
+    // for the chunk table and 4 for the final state digest.
+    let (calls, held, sends) = build_stencil_log();
+    let send_chunk = ChunkVec::<SendRec>::CHUNK;
+    let send_chunks = sends.div_ceil(send_chunk);
+    assert!(send_chunks >= 16, "a real log: {sends} sends");
+    assert!(
+        calls <= send_chunks + 8,
+        "take_replay_log made {calls} allocator calls for {send_chunks} chunks of sends"
+    );
+    let chunk_bytes = send_chunk * std::mem::size_of::<SendRec>();
+    assert!(
+        held < 3 * chunk_bytes,
+        "take_replay_log held {held} more bytes, against {chunk_bytes}-byte chunks of sends"
+    );
+}
