@@ -26,11 +26,19 @@
 //! node's cache size. [`CacheModel`] reproduces that mechanism: compute
 //! charged through [`Mpi::work`] is scaled by a miss penalty when the
 //! per-rank working set exceeds its share of node cache.
+//!
+//! ## Modeled payloads
+//!
+//! A point-to-point [`Payload`] is either bytes the receiver reads or a
+//! modeled run ([`SyntheticBlob`]) that only its size matters for, such as
+//! LULESH's halo faces. Both pack as a `u64` length and the bytes, so the
+//! network, checkpoints and digests see the same thing, and the modeled one
+//! is never allocated.
 
 use charm_core::{
     ArrayId, ArrayProxy, Callback, Chare, Ctx, Ix, RedOp, RedValue, Runtime, SysEvent,
 };
-use charm_pup::{Pup, Puper};
+use charm_pup::{Pup, Puper, SyntheticBlob};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A rank's user program, written as a resumable state machine.
@@ -71,6 +79,86 @@ impl CacheModel {
     }
 }
 
+/// A point-to-point payload: `len` bytes, held as a length when they are
+/// all zero (modeled data, or real bytes that happen to be zero) and as the
+/// bytes otherwise. Either way it packs as a `u64` length followed by the
+/// bytes — exactly [`Puper::raw`] — and unpacks without materialising a
+/// zero run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Payload(Repr);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Repr {
+    Bytes(Vec<u8>),
+    Modeled(SyntheticBlob),
+}
+
+impl Payload {
+    /// `run` as a length, if it is all zero.
+    fn zeros(run: &[u8]) -> Option<Payload> {
+        let zero = run.iter().all(|&b| b == 0);
+        zero.then(|| SyntheticBlob::new(run.len() as u64).into())
+    }
+
+    /// Bytes this payload stands for.
+    pub fn len(&self) -> u64 {
+        match &self.0 {
+            Repr::Bytes(b) => b.len() as u64,
+            Repr::Modeled(m) => m.len(),
+        }
+    }
+
+    /// True for a zero-length payload.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes; a modeled run is materialised as zeros here, and only here.
+    pub fn into_bytes(self) -> Vec<u8> {
+        match self.0 {
+            Repr::Bytes(b) => b,
+            Repr::Modeled(m) => {
+                vec![0; usize::try_from(m.len()).expect("payload overflows usize")]
+            }
+        }
+    }
+}
+
+impl Default for Payload {
+    fn default() -> Self {
+        Payload(Repr::Modeled(SyntheticBlob::default()))
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Payload::zeros(&bytes).unwrap_or(Payload(Repr::Bytes(bytes)))
+    }
+}
+
+impl From<SyntheticBlob> for Payload {
+    fn from(blob: SyntheticBlob) -> Self {
+        Payload(Repr::Modeled(blob))
+    }
+}
+
+impl Pup for Payload {
+    fn pup(&mut self, p: &mut Puper) {
+        if p.is_unpacking() {
+            // The stream does not say which kind was packed; the run does.
+            let mut len = 0u64;
+            p.p(&mut len);
+            let run = p.take_bytes(len);
+            *self = Payload::zeros(run).unwrap_or_else(|| Payload(Repr::Bytes(run.to_vec())));
+            return;
+        }
+        match &mut self.0 {
+            Repr::Bytes(b) => p.raw(b),
+            Repr::Modeled(m) => m.pup(p),
+        }
+    }
+}
+
 /// Messages between ranks.
 #[derive(Default)]
 pub enum AmpiMsg {
@@ -80,8 +168,8 @@ pub enum AmpiMsg {
         src: u64,
         /// MPI-style tag.
         tag: i64,
-        /// Serialized payload.
-        data: Vec<u8>,
+        /// The payload.
+        data: Payload,
     },
     /// Start the program (delivered once per rank at world start).
     #[default]
@@ -100,7 +188,7 @@ impl Pup for AmpiMsg {
                 0 => AmpiMsg::Pt2Pt {
                     src: 0,
                     tag: 0,
-                    data: Vec::new(),
+                    data: Payload::default(),
                 },
                 1 => AmpiMsg::Kick,
                 x => panic!("invalid AmpiMsg tag {x}"),
@@ -109,13 +197,12 @@ impl Pup for AmpiMsg {
         if let AmpiMsg::Pt2Pt { src, tag, data } = self {
             p.p(src);
             p.p(tag);
-            p.raw(data);
+            p.p(data);
         }
     }
 }
 
-
-type Mailbox = BTreeMap<(u64, i64), VecDeque<Vec<u8>>>;
+type Mailbox = BTreeMap<(u64, i64), VecDeque<Payload>>;
 
 /// The chare wrapping one virtual rank.
 pub struct VRank<P: RankProgram> {
@@ -149,64 +236,10 @@ impl<P: RankProgram> Pup for VRank<P> {
         p.p(&mut self.rank);
         p.p(&mut self.size);
         p.p(&mut self.program);
-        // Mailbox: may hold in-flight data across a migration/checkpoint.
-        let mut n = self.mailbox.len() as u64;
-        p.p(&mut n);
-        if p.is_unpacking() {
-            self.mailbox.clear();
-            for _ in 0..n {
-                let mut key = (0u64, 0i64);
-                let mut count = 0u64;
-                p.p(&mut key.0);
-                p.p(&mut key.1);
-                p.p(&mut count);
-                let mut q = VecDeque::new();
-                for _ in 0..count {
-                    let mut d = Vec::new();
-                    p.raw(&mut d);
-                    q.push_back(d);
-                }
-                self.mailbox.insert(key, q);
-            }
-        } else {
-            let keys: Vec<(u64, i64)> = self.mailbox.keys().copied().collect();
-            for key in keys {
-                let mut k = key;
-                p.p(&mut k.0);
-                p.p(&mut k.1);
-                let q = self.mailbox.get_mut(&key).expect("listed");
-                let mut count = q.len() as u64;
-                p.p(&mut count);
-                for d in q.iter_mut() {
-                    p.raw(d);
-                }
-            }
-        }
-        // Completed-but-unconsumed collectives: only scalar kinds persist.
-        let mut m = self.collectives.len() as u64;
-        p.p(&mut m);
-        if p.is_unpacking() {
-            self.collectives.clear();
-            for _ in 0..m {
-                let mut tag = 0u32;
-                let mut v = 0.0f64;
-                p.p(&mut tag);
-                p.p(&mut v);
-                self.collectives.insert(tag, RedValue::F64(v));
-            }
-        } else {
-            let tags: Vec<u32> = self.collectives.keys().copied().collect();
-            for tag in tags {
-                let mut t = tag;
-                p.p(&mut t);
-                let mut v = match &self.collectives[&tag] {
-                    RedValue::F64(v) => *v,
-                    RedValue::I64(v) => *v as f64,
-                    other => panic!("only scalar collectives survive pup: {other:?}"),
-                };
-                p.p(&mut v);
-            }
-        }
+        // Messages and collective results that arrived but were not yet
+        // consumed: a migration or checkpoint may catch a rank waiting.
+        p.p(&mut self.mailbox);
+        p.p(&mut self.collectives);
         p.p(&mut self.finished);
         p.p(&mut self.work_factor);
         p.p(&mut self.migrate_requested);
@@ -291,8 +324,9 @@ impl<'a, 'rt> Mpi<'a, 'rt> {
         self.ctx.work(flops * self.work_factor);
     }
 
-    /// Non-blocking send (MPI_Isend with buffered semantics).
-    pub fn isend(&mut self, dst: u64, tag: i64, data: Vec<u8>) {
+    /// Non-blocking send (MPI_Isend with buffered semantics). `data` is
+    /// bytes (`Vec<u8>`) or a modeled run ([`SyntheticBlob`]).
+    pub fn isend(&mut self, dst: u64, tag: i64, data: impl Into<Payload>) {
         let arr = self.ctx.my_id().array;
         self.ctx.send(
             ArrayProxy::<VRankErased>::from_id(arr),
@@ -300,7 +334,7 @@ impl<'a, 'rt> Mpi<'a, 'rt> {
             AmpiMsg::Pt2Pt {
                 src: self.rank,
                 tag,
-                data,
+                data: data.into(),
             },
         );
     }
@@ -308,7 +342,7 @@ impl<'a, 'rt> Mpi<'a, 'rt> {
     /// Non-blocking receive: takes a matching message if one has arrived
     /// (MPI_Irecv + MPI_Test). `None` means "not yet — return from `step`
     /// and you will be stepped again when something arrives".
-    pub fn try_recv(&mut self, src: u64, tag: i64) -> Option<Vec<u8>> {
+    pub fn try_recv(&mut self, src: u64, tag: i64) -> Option<Payload> {
         let q = self.mailbox.get_mut(&(src, tag))?;
         let d = q.pop_front();
         if q.is_empty() {
@@ -374,7 +408,7 @@ impl<'a, 'rt> Mpi<'a, 'rt> {
         tag: i64,
     ) -> Option<T> {
         self.try_recv(src, tag)
-            .map(|bytes| charm_pup::from_bytes(&bytes))
+            .map(|data| charm_pup::from_bytes(&data.into_bytes()))
     }
 
     /// Begin an allgather: every rank's `value` is concatenated (in the
@@ -541,7 +575,8 @@ mod tests {
                         let src = (mpi.rank() + mpi.size() - 1) % mpi.size();
                         match mpi.try_recv(src, 7) {
                             Some(d) => {
-                                self.got = u64::from_le_bytes(d.try_into().expect("8 bytes"));
+                                let d = d.into_bytes().try_into().expect("8 bytes");
+                                self.got = u64::from_le_bytes(d);
                                 self.phase = 2;
                             }
                             None => return, // blocked
@@ -658,14 +693,64 @@ mod tests {
             size: 8,
             ..VRank::default()
         };
-        v.mailbox
-            .entry((1, 7))
-            .or_default()
-            .push_back(vec![1, 2, 3]);
+        let q = v.mailbox.entry((1, 7)).or_default();
+        q.push_back(vec![1, 2, 3].into());
+        q.push_back(SyntheticBlob::new(5400).into());
         v.collectives.insert(9, RedValue::F64(2.5));
         let r: VRank<Ring> = charm_pup::roundtrip(&mut v);
         assert_eq!(r.rank, 3);
-        assert_eq!(r.mailbox[&(1, 7)][0], vec![1, 2, 3]);
+        assert_eq!(r.mailbox[&(1, 7)][0], Payload::from(vec![1, 2, 3]));
+        // Unpacked as a length, without a buffer.
+        let face = &r.mailbox[&(1, 7)][1].0;
+        assert_eq!(*face, Repr::Modeled(SyntheticBlob::new(5400)));
         assert_eq!(r.collectives[&9], RedValue::F64(2.5));
+    }
+
+    #[test]
+    fn pending_collectives_keep_their_kind_through_pup() {
+        let mut v: VRank<Ring> = VRank::default();
+        let gathered = RedValue::Bytes(vec![0, 1, 2, 3]);
+        v.collectives.insert(1, RedValue::I64(0)); // Mpi::barrier's result
+        v.collectives.insert(2, gathered.clone()); // Mpi::allgather_bytes's
+        v.collectives.insert(3, RedValue::VecF64(vec![0.5, -1.0]));
+        v.collectives.insert(4, RedValue::VecI64(vec![7, -7]));
+        let r: VRank<Ring> = charm_pup::roundtrip(&mut v);
+        assert_eq!(r.collectives[&1].as_i64(), 0);
+        assert_eq!(r.collectives[&2], gathered);
+        assert_eq!(r.collectives[&3].as_vec_f64(), [0.5, -1.0]);
+        assert_eq!(r.collectives[&4].as_vec_i64(), [7, -7]);
+    }
+
+    /// A modeled payload and the same count of real zero bytes are one
+    /// thing to every `Puper` mode, so wire sizes, digests and images
+    /// cannot tell which a sender used.
+    #[test]
+    fn modeled_payload_pups_like_zero_bytes() {
+        for n in [0u64, 1, 3 << 20] {
+            let modeled = || Payload::from(SyntheticBlob::new(n));
+            let real = || Payload(Repr::Bytes(vec![0; n as usize]));
+            let mut raw = Puper::packer(0);
+            raw.raw(&mut vec![0; n as usize]);
+            let image = raw.into_bytes();
+            assert_eq!(charm_pup::packed_size(&mut modeled()), 8 + n as usize);
+            assert_eq!(charm_pup::packed_size(&mut real()), 8 + n as usize);
+            assert_eq!(charm_pup::to_bytes(&mut modeled()), image, "n {n}");
+            assert_eq!(charm_pup::to_bytes(&mut real()), image, "n {n}");
+            let digest = charm_pup::fnv1a(&image);
+            assert_eq!(charm_pup::digest_of(&mut modeled()), digest);
+            assert_eq!(charm_pup::digest_of(&mut real()), digest);
+            // Unpacking consumes the same span and yields the modeled form.
+            let mut stream = image.clone();
+            stream.push(0xAB);
+            let mut u = Puper::unpacker(&stream);
+            let mut back = Payload::from(vec![9]);
+            u.p(&mut back);
+            assert_eq!(u.remaining(), 1);
+            assert_eq!(back, modeled());
+            assert_eq!(back.len(), n);
+            assert_eq!(back.into_bytes(), vec![0; n as usize]);
+        }
+        let zeros = Payload::from(vec![0; 4]);
+        assert_eq!(zeros, Payload::from(SyntheticBlob::new(4)));
     }
 }

@@ -16,14 +16,15 @@
 
 use charm_ampi::{AmpiWorld, CacheModel, Mpi, RankProgram};
 use charm_core::{MachineConfig, RedOp, RedValue, Runtime, Strategy};
-use charm_pup::{Pup, Puper};
+use charm_pup::{Pup, Puper, SyntheticBlob};
 
 /// Bytes of state per element (the paper: 27000 elements/PE ≈ 283 MB/node
 /// on 24-core Hopper nodes → ~437 bytes/element).
 pub const BYTES_PER_ELEMENT: f64 = 440.0;
 /// Flops charged per element per iteration (several hydro kernels).
 const FLOPS_PER_ELEMENT: f64 = 180.0;
-/// Wire bytes per face element exchanged.
+/// Wire bytes per face element exchanged. Faces are modeled: a rank only
+/// counts the ones it receives, so they travel as [`SyntheticBlob`]s.
 const FACE_BYTES_PER_ELEMENT: u64 = 24;
 
 /// LULESH configuration.
@@ -167,11 +168,8 @@ impl RankProgram for LuleshRank {
                     self.faces_seen = 0;
                     let face_elems = (self.elements as f64).powf(2.0 / 3.0) as u64;
                     for nb in nbs {
-                        mpi.isend(
-                            nb,
-                            self.iter as i64,
-                            vec![0u8; (face_elems * FACE_BYTES_PER_ELEMENT) as usize],
-                        );
+                        let face = SyntheticBlob::new(face_elems * FACE_BYTES_PER_ELEMENT);
+                        mpi.isend(nb, self.iter as i64, face);
                     }
                     self.phase = 1;
                 }

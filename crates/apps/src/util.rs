@@ -2,45 +2,7 @@
 
 use charm_pup::{Pup, Puper};
 
-/// A synthetic payload of `len` bytes that serializes to its full size
-/// without keeping the bytes in memory — gives chares (cells full of atoms,
-/// mesh blocks, hydro domains) *realistic checkpoint and migration volume*
-/// at simulation scale.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct SyntheticBlob {
-    len: u64,
-}
-
-impl SyntheticBlob {
-    /// A blob standing in for `len` bytes of application data.
-    pub fn new(len: u64) -> Self {
-        SyntheticBlob { len }
-    }
-
-    /// Size the blob represents.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True for a zero-sized blob.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Resize (e.g. when atoms move between cells).
-    pub fn set_len(&mut self, len: u64) {
-        self.len = len;
-    }
-}
-
-impl Pup for SyntheticBlob {
-    fn pup(&mut self, p: &mut Puper) {
-        p.p(&mut self.len);
-        // Modeled bytes: counted, skipped or folded in closed form; only a
-        // packing pass ever materialises them.
-        p.zeros(self.len);
-    }
-}
+pub use charm_pup::SyntheticBlob;
 
 /// Deterministic spatial density: a Gaussian blob centered at `center`
 /// (fractions of the domain), producing per-cell multipliers in
@@ -277,39 +239,7 @@ fn helper2(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charm_pup::{digest_of, fnv1a, packed_size, roundtrip, to_bytes};
-
-    #[test]
-    fn blob_serializes_to_full_size() {
-        let mut b = SyntheticBlob::new(10_000);
-        assert_eq!(packed_size(&mut b), 8 + 10_000);
-        assert_eq!(to_bytes(&mut b).len(), 8 + 10_000);
-        assert_eq!(roundtrip(&mut b), b);
-    }
-
-    #[test]
-    fn blob_digest_is_the_fnv_of_its_packed_bytes() {
-        for len in [0u64, 1, 4095, 4096, 4097, 100_000] {
-            let mut b = SyntheticBlob::new(len);
-            assert_eq!(digest_of(&mut b), fnv1a(&to_bytes(&mut b)), "len {len}");
-        }
-    }
-
-    #[test]
-    fn terabyte_blob_sizes_and_digests_without_walking_it() {
-        // An O(len) implementation would take ~20 minutes here.
-        let mut b = SyntheticBlob::new(1 << 40);
-        assert_eq!(packed_size(&mut b), 8 + (1 << 40));
-        let d = digest_of(&mut b);
-        assert_ne!(d, digest_of(&mut SyntheticBlob::new((1 << 40) + 1)));
-    }
-
-    #[test]
-    fn empty_blob() {
-        let mut b = SyntheticBlob::new(0);
-        assert_eq!(packed_size(&mut b), 8);
-        assert!(b.is_empty());
-    }
+    use charm_pup::roundtrip;
 
     #[test]
     fn density_peaks_at_center() {

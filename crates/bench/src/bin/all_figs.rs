@@ -24,7 +24,7 @@ const FIGS: [(&str, [f64; 2], [f64; 2]); 14] = [
     ("fig11_namd", [30.7, 0.0], [107.0, 0.0]),
     ("fig12_barneshut", [14.6, 0.0], [35.0, 0.0]),
     ("fig13_changa", [0.1, 135.0], [10.0, 1536.0]),
-    ("fig14_lulesh", [0.12, 35.0], [20.0, 0.0]),
+    ("fig14_lulesh", [0.05, 8.3], [5.0, 85.0]),
     ("fig15_pdes", [21.6, 0.0], [95.0, 0.0]),
     ("fig16_cloud_stencil", [0.1, 0.0], [7.0, 0.0]),
     ("fig17_cloud_leanmd", [2.2, 0.0], [17.0, 0.0]),

@@ -145,6 +145,45 @@ impl RedValue {
     }
 }
 
+/// The unpacking placeholder; the kind byte in the stream overwrites it.
+impl Default for RedValue {
+    fn default() -> Self {
+        RedValue::F64(0.0)
+    }
+}
+
+/// A kind byte, then the value: a result held across a migration or a
+/// checkpoint comes back as the same kind.
+impl Pup for RedValue {
+    fn pup(&mut self, p: &mut Puper) {
+        let mut kind: u8 = match self {
+            RedValue::F64(_) => 0,
+            RedValue::I64(_) => 1,
+            RedValue::VecF64(_) => 2,
+            RedValue::VecI64(_) => 3,
+            RedValue::Bytes(_) => 4,
+        };
+        p.p(&mut kind);
+        if p.is_unpacking() {
+            *self = match kind {
+                0 => RedValue::F64(0.0),
+                1 => RedValue::I64(0),
+                2 => RedValue::VecF64(Vec::new()),
+                3 => RedValue::VecI64(Vec::new()),
+                4 => RedValue::Bytes(Vec::new()),
+                x => panic!("invalid RedValue kind {x}"),
+            };
+        }
+        match self {
+            RedValue::F64(v) => p.p(v),
+            RedValue::I64(v) => p.p(v),
+            RedValue::VecF64(v) => p.p(v),
+            RedValue::VecI64(v) => p.p(v),
+            RedValue::Bytes(b) => p.raw(b),
+        }
+    }
+}
+
 /// How two reduction contributions combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedOp {

@@ -14,7 +14,8 @@
 //!
 //! State that is only *modeled* — a run of bytes standing in for data the
 //! simulation never reads — goes through [`Puper::zeros`], which no mode
-//! except packing ever touches byte by byte.
+//! except packing ever touches byte by byte; [`SyntheticBlob`] is such a run
+//! with its length prefix.
 //!
 //! ```
 //! use charm_pup::{Pup, Puper};
@@ -41,6 +42,9 @@
 mod impls;
 #[macro_use]
 mod macros;
+mod synthetic;
+
+pub use synthetic::SyntheticBlob;
 
 /// The mode a [`Puper`] is operating in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,6 +250,18 @@ impl<'a> Puper<'a> {
             Inner::Unpacking { data, pos } => {
                 take(data, pos, n);
             }
+        }
+    }
+
+    /// Unpacking only: consume the next `n` bytes of the stream and borrow
+    /// them in place, without copying.
+    ///
+    /// # Panics
+    /// Panics on underflow, like [`Puper::bytes`], and in any other mode.
+    pub fn take_bytes(&mut self, n: u64) -> &'a [u8] {
+        match &mut self.inner {
+            Inner::Unpacking { data, pos } => take(data, pos, n),
+            _ => panic!("Puper::take_bytes called on a non-unpacking puper"),
         }
     }
 

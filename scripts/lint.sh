@@ -54,6 +54,18 @@ if [ -n "$cp" ]; then
 fi
 echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe, chunk indexing; no boxed envelope; message path by handle; critical path only in charm-replay"
 
+# Modeled data is a length (charm_pup::SyntheticBlob, DESIGN §4.2): the
+# mini-apps and AMPI build no zero buffer outside their tests.
+zeros=$(for f in crates/apps/src/*.rs crates/ampi/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } /vec!\[0u8;/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$zeros" ]; then
+    echo "lint: 'vec![0u8;' in non-test code (send or hold modeled bytes as a SyntheticBlob):"
+    printf '%s\n' "$zeros"
+    exit 1
+fi
+echo "modeled bytes never materialised: no zero buffers in apps or AMPI"
+
 # ROADMAP item 4: the library has no threads and keeps none — the second
 # core is spent one level up, on whole processes (charm_bench::pool), which
 # itself stays free of `unsafe`.
