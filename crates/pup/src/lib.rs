@@ -67,15 +67,16 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 enum Inner<'a> {
     Sizing { size: usize },
     Packing { buf: Vec<u8> },
+    Appending { buf: &'a mut Vec<u8>, start: usize },
     Unpacking { data: &'a [u8], pos: usize },
     Digesting { hash: u64 },
 }
 
 /// The serialization driver, equivalent to Charm++'s `PUP::er`.
 ///
-/// Construct one of the four modes with [`Puper::sizer`], [`Puper::packer`],
-/// [`Puper::unpacker`] or [`Puper::digester`], then hand it to [`Pup::pup`]
-/// implementations. `'a` is the lifetime of the stream an unpacker reads;
+/// Construct one of the four modes with [`Puper::sizer`], [`Puper::packer`]
+/// (or [`Puper::appender`]), [`Puper::unpacker`] or [`Puper::digester`], then
+/// hand it to [`Pup::pup`] implementations. `'a` is the lifetime of the stream an unpacker reads;
 /// the other modes borrow nothing.
 pub struct Puper<'a> {
     inner: Inner<'a>,
@@ -114,6 +115,19 @@ impl<'a> Puper<'a> {
         }
     }
 
+    /// A packing puper that appends to `buf`, so many values can be packed
+    /// back to back into one caller-owned buffer without a copy. It behaves
+    /// exactly like [`Puper::packer`] except that [`Puper::size`] counts
+    /// only the bytes it appended and [`Puper::into_bytes`] is unavailable:
+    /// the bytes are already in `buf`.
+    #[inline]
+    pub fn appender(buf: &'a mut Vec<u8>) -> Self {
+        let start = buf.len();
+        Puper {
+            inner: Inner::Appending { buf, start },
+        }
+    }
+
     /// An unpacking puper reading from `data` in place (no copy).
     pub fn unpacker(data: &'a [u8]) -> Self {
         Puper {
@@ -135,7 +149,7 @@ impl<'a> Puper<'a> {
     pub fn mode(&self) -> PupMode {
         match self.inner {
             Inner::Sizing { .. } => PupMode::Sizing,
-            Inner::Packing { .. } => PupMode::Packing,
+            Inner::Packing { .. } | Inner::Appending { .. } => PupMode::Packing,
             Inner::Unpacking { .. } => PupMode::Unpacking,
             Inner::Digesting { .. } => PupMode::Digesting,
         }
@@ -143,18 +157,21 @@ impl<'a> Puper<'a> {
 
     /// True when deserializing (Charm++'s `p.isUnpacking()`); lets a `pup`
     /// body allocate or rebuild caches only on the restore path.
+    #[inline]
     pub fn is_unpacking(&self) -> bool {
         matches!(self.inner, Inner::Unpacking { .. })
     }
 
     /// True when computing sizes.
+    #[inline]
     pub fn is_sizing(&self) -> bool {
         matches!(self.inner, Inner::Sizing { .. })
     }
 
     /// True when serializing.
+    #[inline]
     pub fn is_packing(&self) -> bool {
-        matches!(self.inner, Inner::Packing { .. })
+        matches!(self.inner, Inner::Packing { .. } | Inner::Appending { .. })
     }
 
     /// The byte count accumulated so far (sizing mode), written (packing
@@ -164,6 +181,7 @@ impl<'a> Puper<'a> {
         match &self.inner {
             Inner::Sizing { size } => *size,
             Inner::Packing { buf } => buf.len(),
+            Inner::Appending { buf, start } => buf.len() - *start,
             Inner::Unpacking { pos, .. } => *pos,
             Inner::Digesting { .. } => 0,
         }
@@ -188,14 +206,14 @@ impl<'a> Puper<'a> {
         }
     }
 
-    /// Consume the puper, returning the packed bytes (packing mode only).
+    /// Consume the puper, returning the packed bytes.
     ///
     /// # Panics
-    /// Panics if the puper is not in packing mode.
+    /// Panics if the puper was not made by [`Puper::packer`].
     pub fn into_bytes(self) -> Vec<u8> {
         match self.inner {
             Inner::Packing { buf } => buf,
-            _ => panic!("Puper::into_bytes called on a non-packing puper"),
+            _ => panic!("Puper::into_bytes called on a puper not made by Puper::packer"),
         }
     }
 
@@ -206,10 +224,12 @@ impl<'a> Puper<'a> {
     ///
     /// # Panics
     /// Panics on unpacking underflow (malformed/truncated stream).
+    #[inline]
     pub fn bytes(&mut self, bytes: &mut [u8]) {
         match &mut self.inner {
             Inner::Sizing { size } => *size += bytes.len(),
             Inner::Packing { buf } => buf.extend_from_slice(bytes),
+            Inner::Appending { buf, .. } => buf.extend_from_slice(bytes),
             Inner::Digesting { hash } => {
                 for &b in bytes.iter() {
                     *hash = (*hash ^ b as u64).wrapping_mul(FNV_PRIME);
@@ -243,6 +263,10 @@ impl<'a> Puper<'a> {
                     .expect("PUP size overflows usize");
             }
             Inner::Packing { buf } => {
+                let n = usize::try_from(n).expect("PUP run overflows usize");
+                buf.resize(buf.len() + n, 0);
+            }
+            Inner::Appending { buf, .. } => {
                 let n = usize::try_from(n).expect("PUP run overflows usize");
                 buf.resize(buf.len() + n, 0);
             }
@@ -496,6 +520,25 @@ mod tests {
         let mut u = Puper::unpacker(&bytes);
         u.raw(&mut out);
         assert_eq!(out, v);
+    }
+
+    #[test]
+    fn appender_packs_back_to_back_into_the_callers_buffer() {
+        let mut a = (7u64, "x".to_string());
+        let mut b = vec![1.5f64, -2.0];
+        let mut buf = vec![0xAB];
+        let mut p = Puper::appender(&mut buf);
+        assert!(p.is_packing() && p.mode() == PupMode::Packing);
+        p.p(&mut a);
+        assert_eq!(p.size(), packed_size(&mut a));
+        p.zeros(3);
+        let mut q = Puper::appender(&mut buf);
+        q.p(&mut b);
+        let mut want = vec![0xAB];
+        want.extend(to_bytes(&mut a));
+        want.extend([0; 3]);
+        want.extend(to_bytes(&mut b));
+        assert_eq!(buf, want);
     }
 
     #[test]

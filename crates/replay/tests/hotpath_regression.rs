@@ -1,4 +1,5 @@
-//! Hot-path regression net: same-seed stencil / LeanMD / PDES runs must
+//! Hot-path regression net: same-seed stencil / LeanMD / PDES (direct and
+//! through TRAM) runs must
 //! reproduce the committed golden replay logs *byte for byte* — every
 //! executed entry, every consumed-message digest, every periodic state
 //! point, the final chare-state digests, and the virtual end time.
@@ -19,7 +20,7 @@
 //! ```
 
 use charm_apps::{leanmd, pdes, stencil};
-use charm_core::ReplayConfig;
+use charm_core::{ReplayConfig, SimTime};
 use charm_machine::presets;
 use charm_replay::{load, save, verify, ReplayLog};
 use std::path::PathBuf;
@@ -108,6 +109,26 @@ fn pdes_matches_pre_optimization_golden() {
     };
     let (_run, mut rt) = pdes::run_with_runtime(cfg);
     check_against_golden("pdes", rt.take_replay_log().expect("recording on"));
+}
+
+/// PDES with its events routed and aggregated by TRAM: every batch's
+/// packed size and payload digest is in the log, so this pins TRAM's wire
+/// bytes as well as its schedule.
+#[test]
+fn pdes_tram_matches_pre_optimization_golden() {
+    let mut cfg = pdes::PdesConfig {
+        machine: charm_core::MachineConfig::homogeneous(8),
+        lps_per_pe: 4,
+        initial_events_per_lp: 8,
+        windows: 3,
+        tram: Some(Default::default()),
+        record: Some(ReplayConfig::with_digest_every(256)),
+        ..Default::default()
+    };
+    // Flush often, or the protocol's re-polls wait out each 500 µs tick.
+    cfg.tram.as_mut().expect("set above").flush_interval = Some(SimTime::from_micros(30));
+    let (_run, mut rt) = pdes::run_with_runtime(cfg);
+    check_against_golden("pdes_tram", rt.take_replay_log().expect("recording on"));
 }
 
 /// The recorder derives each consumed message's sender from its own

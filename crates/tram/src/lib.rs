@@ -22,6 +22,28 @@
 //! Trade-off reproduced from Fig. 15b: at low message volume aggregation
 //! *increases* average latency (items wait in buffers), so direct sends win;
 //! at high volume TRAM wins decisively.
+//!
+//! ## Buffers in wire form
+//!
+//! As in Charm++, where items wait in the message buffer that will carry
+//! them, every buffer — an agent's per-peer buffer and a sender's
+//! [`TramBuf`] alike — is a [`TramBatch`]: the bytes its items pack to, not
+//! typed `(u64, Ix, M)` tuples. An item with an `Ix::I1` index and a `u64`
+//! payload is 25 bytes there plus a 4-byte end offset, where the tuple took
+//! 48.
+//! A batch is sized in O(1) when sent, an agent forwards an item as a byte
+//! copy after reading its destination PE, and only the last hop decodes the
+//! index and the item. Batch sizes and digests are those of the typed
+//! vector, so simulated time is unchanged.
+//!
+//! One limit follows: an item's *modeled* bytes ([`Puper::zeros`], e.g. a
+//! [`charm_pup::SyntheticBlob`]) are materialised as zeros in the buffer.
+//! TRAM items are fine-grained by definition, and no in-tree item carries
+//! modeled bytes; send a bulk payload with `Ctx::send` instead.
+
+mod wire;
+
+pub use wire::TramBatch;
 
 use charm_core::{ArrayProxy, Chare, Ctx, Ix, Runtime, SysEvent};
 use charm_machine::{SimTime, Torus};
@@ -61,17 +83,15 @@ pub enum TramMsg<M> {
         /// The payload.
         item: M,
     },
-    /// A combined message of routed items from a peer.
-    Batch(Vec<RoutedItemTuple<M>>),
+    /// A combined message of routed items, from a peer or a local
+    /// [`TramBuf`].
+    Batch(TramBatch<M>),
     /// Flush all buffers now.
     #[default]
     FlushAll,
     /// Idle-aware periodic flush tick.
     FlushTick,
 }
-
-/// Public alias so `TramMsg` can be named in signatures.
-pub type RoutedItemTuple<M> = (u64, Ix, M);
 
 impl<M: Pup + Default> Pup for TramMsg<M> {
     fn pup(&mut self, p: &mut Puper) {
@@ -89,7 +109,7 @@ impl<M: Pup + Default> Pup for TramMsg<M> {
                     ix: Ix::default(),
                     item: M::default(),
                 },
-                1 => TramMsg::Batch(Vec::new()),
+                1 => TramMsg::Batch(TramBatch::default()),
                 2 => TramMsg::FlushAll,
                 3 => TramMsg::FlushTick,
                 t => panic!("invalid TramMsg tag {t}"),
@@ -101,7 +121,7 @@ impl<M: Pup + Default> Pup for TramMsg<M> {
                 p.p(ix);
                 p.p(item);
             }
-            TramMsg::Batch(items) => p.p(items),
+            TramMsg::Batch(batch) => p.p(batch),
             TramMsg::FlushAll | TramMsg::FlushTick => {}
         }
     }
@@ -123,7 +143,7 @@ where
     target: ArrayProxy<C>,
     self_array: ArrayProxy<TramAgent<C>>,
     /// Buffers keyed by next-hop PE.
-    buffers: std::collections::BTreeMap<u64, Vec<RoutedItemTuple<C::Msg>>>,
+    buffers: std::collections::BTreeMap<u64, TramBatch<C::Msg>>,
     /// Items buffered since the last tick (idle detection for the timer).
     activity: u64,
     tick_armed: bool,
@@ -176,7 +196,7 @@ where
             self.buffers.clear();
             for _ in 0..n {
                 let mut k = 0u64;
-                let mut v: Vec<RoutedItemTuple<C::Msg>> = Vec::new();
+                let mut v = TramBatch::default();
                 p.p(&mut k);
                 p.p(&mut v);
                 self.buffers.insert(k, v);
@@ -200,23 +220,52 @@ impl<C: Chare> TramAgent<C>
 where
     C::Msg: Default,
 {
-    /// Route one item a step: deliver locally or buffer toward the next hop.
+    /// The next hop toward `dst_pe`, which is not this PE.
+    fn next_hop(&self, dst_pe: u64) -> u64 {
+        self.torus
+            .as_ref()
+            .expect("routing agent was attached to a grid")
+            .route_next(self.my_pe as usize, dst_pe as usize)
+            .expect("dst != self") as u64
+    }
+
+    /// Route a submitted item a step: deliver locally or pack it into the
+    /// buffer toward the next hop.
     fn route(&mut self, dst_pe: u64, ix: Ix, item: C::Msg, ctx: &mut Ctx<'_>) {
         self.items_routed += 1;
         if dst_pe == self.my_pe {
             ctx.send(self.target, ix, item);
             return;
         }
-        let next = self
-            .torus
-            .as_ref()
-            .expect("routing agent was attached to a grid")
-            .route_next(self.my_pe as usize, dst_pe as usize)
-            .expect("dst != self") as u64;
-        self.buffers.entry(next).or_default().push((dst_pe, ix, item));
+        let next = self.next_hop(dst_pe);
+        let buf = self.buffers.entry(next).or_default();
+        buf.push(dst_pe, ix, item);
+        let len = buf.len();
+        self.buffered(next, len, ctx);
+    }
+
+    /// Route a batched item a step: decode and deliver it here, or copy its
+    /// bytes into the buffer toward the next hop.
+    fn route_span(&mut self, span: &[u8], ctx: &mut Ctx<'_>) {
+        self.items_routed += 1;
+        let dst_pe = wire::dst_pe(span);
+        if dst_pe == self.my_pe {
+            let (ix, item) = wire::decode(span);
+            ctx.send(self.target, ix, item);
+            return;
+        }
+        let next = self.next_hop(dst_pe);
+        let buf = self.buffers.entry(next).or_default();
+        buf.push_span(span);
+        let len = buf.len();
+        self.buffered(next, len, ctx);
+    }
+
+    /// An item joined `next`'s buffer, which now holds `len`: flush it at
+    /// the threshold, else make sure the idle-aware timer is armed.
+    fn buffered(&mut self, next: u64, len: usize, ctx: &mut Ctx<'_>) {
         self.activity += 1;
-        let len = self.buffers[&next].len() as u64;
-        if len >= self.threshold {
+        if len as u64 >= self.threshold {
             self.flush_peer(next, ctx);
         } else if self.flush_interval_ns > 0 && !self.tick_armed {
             self.tick_armed = true;
@@ -260,9 +309,9 @@ where
     fn on_message(&mut self, msg: TramMsg<C::Msg>, ctx: &mut Ctx<'_>) {
         match msg {
             TramMsg::Submit { dst_pe, ix, item } => self.route(dst_pe, ix, item, ctx),
-            TramMsg::Batch(items) => {
-                for (dst_pe, ix, item) in items {
-                    self.route(dst_pe, ix, item, ctx);
+            TramMsg::Batch(batch) => {
+                for span in batch.spans() {
+                    self.route_span(span, ctx);
                 }
             }
             TramMsg::FlushAll => self.flush_everything(ctx),
@@ -370,7 +419,11 @@ where
     /// when a single entry method emits many items, prefer
     /// [`Tram::send_via`] with a [`TramBuf`], which batches the local
     /// hand-off as well.
+    ///
+    /// # Panics
+    /// Panics if `dst_pe` is not a PE of the machine.
     pub fn send(&self, ctx: &mut Ctx<'_>, dst_pe: usize, ix: Ix, item: C::Msg) {
+        check_dst(ctx, dst_pe);
         ctx.send(
             self.agents,
             Ix::i1(ctx.my_pe() as i64),
@@ -386,6 +439,9 @@ where
     /// the local agent as one message when it reaches its local threshold.
     /// Call [`Tram::flush_via`] before the entry method returns (or at a
     /// phase boundary) to push out the remainder.
+    ///
+    /// # Panics
+    /// Panics if `dst_pe` is not a PE of the machine.
     pub fn send_via(
         &self,
         ctx: &mut Ctx<'_>,
@@ -394,7 +450,8 @@ where
         ix: Ix,
         item: C::Msg,
     ) {
-        buf.items.push((dst_pe as u64, ix, item));
+        check_dst(ctx, dst_pe);
+        buf.items.push(dst_pe as u64, ix, item);
         if buf.items.len() as u64 >= buf.local_threshold {
             self.flush_via(ctx, buf);
         }
@@ -427,14 +484,25 @@ where
     }
 }
 
+/// Reject a destination outside the machine at submission: routing would
+/// peel it to a real grid coordinate and fail hops away from the caller.
+fn check_dst(ctx: &Ctx<'_>, dst_pe: usize) {
+    let n = ctx.num_pes();
+    assert!(
+        dst_pe < n,
+        "TRAM destination PE {dst_pe} is outside the {n}-PE grid"
+    );
+}
+
 /// A caller-side staging buffer for [`Tram::send_via`]: lives in the
 /// sending chare's state (it is `Pup`, so it migrates/checkpoints with its
-/// owner) and coalesces the local hand-off to the aggregation agent.
+/// owner) and coalesces the local hand-off to the aggregation agent. Its
+/// items are staged in wire form, as the [`TramBatch`] the agent receives.
 pub struct TramBuf<C: Chare>
 where
     C::Msg: Default,
 {
-    items: Vec<RoutedItemTuple<C::Msg>>,
+    items: TramBatch<C::Msg>,
     /// Items staged before the buffer is handed to the local agent.
     pub local_threshold: u64,
 }
@@ -445,7 +513,7 @@ where
 {
     fn default() -> Self {
         TramBuf {
-            items: Vec::new(),
+            items: TramBatch::default(),
             local_threshold: 64,
         }
     }
@@ -458,7 +526,7 @@ where
     /// A buffer with an explicit local threshold.
     pub fn with_threshold(local_threshold: u64) -> Self {
         TramBuf {
-            items: Vec::new(),
+            items: TramBatch::default(),
             local_threshold: local_threshold.max(1),
         }
     }
@@ -501,5 +569,77 @@ impl CtxFlushExt for Ctx<'_> {
         for pe in 0..self.num_pes() {
             self.send(agents, Ix::i1(pe as i64), TramMsg::FlushAll);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use charm_core::ArrayId;
+    use charm_pup::{roundtrip, to_bytes};
+
+    #[derive(Default)]
+    struct Sink;
+
+    impl Pup for Sink {
+        fn pup(&mut self, _p: &mut Puper) {}
+    }
+
+    impl Chare for Sink {
+        type Msg = Vec<u8>;
+        fn on_message(&mut self, _m: Vec<u8>, _ctx: &mut Ctx<'_>) {}
+    }
+
+    fn items(batch: &TramBatch<Vec<u8>>) -> Vec<(u64, Ix, Vec<u8>)> {
+        batch
+            .spans()
+            .map(|span| {
+                let (ix, item) = wire::decode(span);
+                (wire::dst_pe(span), ix, item)
+            })
+            .collect()
+    }
+
+    fn batch_of(dst_pes: &[u64]) -> TramBatch<Vec<u8>> {
+        let mut b = TramBatch::default();
+        for (k, &pe) in dst_pes.iter().enumerate() {
+            b.push(pe, Ix::I2([k as i32, -1]), vec![k as u8; k]);
+        }
+        b
+    }
+
+    #[test]
+    fn a_checkpoint_taken_mid_phase_is_lossless() {
+        let torus = Torus::factored(6, 2);
+        let mut agent = TramAgent::<Sink> {
+            my_pe: 4,
+            dims: torus.dims().iter().map(|&d| d as u64).collect(),
+            torus: Some(torus),
+            flush_interval_ns: 500,
+            target: ArrayProxy::from_id(ArrayId(0)),
+            self_array: ArrayProxy::from_id(ArrayId(1)),
+            activity: 3,
+            tick_armed: true,
+            items_routed: 11,
+            batches_sent: 2,
+            ..TramAgent::default()
+        };
+        agent.buffers.insert(1, batch_of(&[1, 0]));
+        agent.buffers.insert(5, batch_of(&[5, 5, 5]));
+        let mut back = roundtrip(&mut agent);
+        assert_eq!(to_bytes(&mut back), to_bytes(&mut agent));
+        assert_eq!(back.buffers.len(), 2);
+        for (peer, batch) in &agent.buffers {
+            assert_eq!(items(&back.buffers[peer]), items(batch), "peer {peer}");
+        }
+        assert_eq!(back.torus.map(|t| t.dims().to_vec()), Some(vec![3, 2]));
+        assert_eq!((back.my_pe, back.items_routed), (4, 11));
+
+        let mut buf = TramBuf::<Sink>::with_threshold(8);
+        buf.items = batch_of(&[0, 3, 2, 2]);
+        let mut back = roundtrip(&mut buf);
+        assert_eq!((back.len(), back.local_threshold), (4, 8));
+        assert_eq!(items(&back.items), items(&buf.items));
+        assert_eq!(to_bytes(&mut back), to_bytes(&mut buf));
     }
 }

@@ -307,3 +307,61 @@ fn tram_runs_are_deterministic() {
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.checksum, b.checksum);
 }
+
+/// Submits one item to PE `num_pes`, one past the last, through
+/// `Tram::send_via` or `Tram::send`.
+#[derive(Default)]
+struct Stray {
+    tram: Tram<Sink>,
+    buf: TramBuf<Sink>,
+    via: bool,
+}
+
+impl Pup for Stray {
+    fn pup(&mut self, p: &mut Puper) {
+        p.p(&mut self.tram);
+        p.p(&mut self.buf);
+        p.p(&mut self.via);
+    }
+}
+
+impl Chare for Stray {
+    type Msg = u8;
+    fn on_message(&mut self, _m: u8, ctx: &mut Ctx<'_>) {
+        let dst_pe = ctx.num_pes();
+        if self.via {
+            self.tram.send_via(ctx, &mut self.buf, dst_pe, Ix::i1(0), Item(1));
+            self.tram.flush_via(ctx, &mut self.buf);
+        } else {
+            self.tram.send(ctx, dst_pe, Ix::i1(0), Item(1));
+        }
+    }
+}
+
+fn submit_out_of_range(via: bool) {
+    let mut rt = Runtime::homogeneous(8);
+    let sinks = rt.create_array::<Sink>("sinks");
+    rt.insert(sinks, Ix::i1(0), Sink::default(), Some(0));
+    let tram = Tram::attach(&mut rt, "tram", sinks, TramConfig::default());
+    let strays = rt.create_array::<Stray>("strays");
+    let stray = Stray {
+        tram,
+        buf: TramBuf::default(),
+        via,
+    };
+    rt.insert(strays, Ix::i1(0), stray, Some(3));
+    rt.send(strays, Ix::i1(0), 0u8);
+    rt.run();
+}
+
+#[test]
+#[should_panic(expected = "TRAM destination PE 8 is outside the 8-PE grid")]
+fn send_via_rejects_a_destination_outside_the_grid() {
+    submit_out_of_range(true);
+}
+
+#[test]
+#[should_panic(expected = "TRAM destination PE 8 is outside the 8-PE grid")]
+fn send_rejects_a_destination_outside_the_grid() {
+    submit_out_of_range(false);
+}

@@ -66,6 +66,19 @@ if [ -n "$zeros" ]; then
 fi
 echo "modeled bytes never materialised: no zero buffers in apps or AMPI"
 
+# TRAM buffers hold routed items in wire form (charm_tram::TramBatch,
+# DESIGN §4.4): no typed tuple vector outside comments and the crate's tests.
+typed=$(for f in crates/tram/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } /^ *\/\// { next }
+         /Vec<RoutedItemTuple|Vec<\(u64, Ix/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$typed" ]; then
+    echo "lint: typed item vector in crates/tram/src (buffer routed items as a TramBatch):"
+    printf '%s\n' "$typed"
+    exit 1
+fi
+echo "TRAM buffers in wire form: no typed item vectors"
+
 # ROADMAP item 4: the library has no threads and keeps none — the second
 # core is spent one level up, on whole processes (charm_bench::pool), which
 # itself stays free of `unsafe`.
