@@ -351,15 +351,6 @@ impl<'a, 'rt> Mpi<'a, 'rt> {
         d
     }
 
-    /// How many messages with `tag` (from anyone) are waiting.
-    pub fn pending_with_tag(&self, tag: i64) -> usize {
-        self.mailbox
-            .iter()
-            .filter(|((_, t), q)| *t == tag && !q.is_empty())
-            .map(|(_, q)| q.len())
-            .sum()
-    }
-
     /// Begin an allreduce over the whole world (MPI_Iallreduce). The result
     /// becomes available to **every** rank via [`Mpi::try_collective`] under
     /// the same tag. Each rank must contribute exactly once per tag.

@@ -34,7 +34,7 @@
 use crate::util::{oct_bits, oct_coords, SyntheticBlob};
 use crate::AppRun;
 use charm_core::{
-    ArrayProxy, Callback, Chare, Ctx, Ix, LbTrigger, MachineConfig, RedOp, RedValue, Runtime,
+    ArrayProxy, Callback, Chare, Ctx, Ix, MachineConfig, RedOp, RedValue, Runtime,
     Strategy, SysEvent,
 };
 use charm_pup::{Pup, Puper};
@@ -44,11 +44,6 @@ const GHOST_BYTES_PER_FACE_CELL: u64 = 8;
 
 /// Faces in axis/direction order: −x, +x, −y, +y, −z, +z.
 const FACES: [(usize, i64); 6] = [(0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)];
-
-#[allow(dead_code)] // geometry helper kept for symmetry with FACES
-fn opposite(face: usize) -> usize {
-    face ^ 1
-}
 
 /// AMR3D configuration.
 pub struct AmrConfig {
@@ -632,8 +627,7 @@ pub fn run_with_runtime(mut config: AmrConfig) -> (AppRun, usize, Runtime) {
         &mut config.machine,
         MachineConfig::homogeneous(1),
     ))
-    .seed(config.seed)
-    .lb_trigger(LbTrigger::AtSync);
+    .seed(config.seed);
     let has_strategy = config.strategy.is_some();
     if let Some(s) = config.strategy.take() {
         b = b.strategy(s);

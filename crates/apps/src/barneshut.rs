@@ -11,7 +11,7 @@
 use crate::util::{gaussian_density, SyntheticBlob};
 use crate::AppRun;
 use charm_core::{
-    ArrayProxy, Callback, Chare, Ctx, Ix, LbTrigger, MachineConfig, RedOp, RedValue, Runtime,
+    ArrayProxy, Callback, Chare, Ctx, Ix, MachineConfig, RedOp, RedValue, Runtime,
     Strategy, SysEvent,
 };
 use charm_pup::{Pup, Puper};
@@ -408,8 +408,7 @@ pub fn run(mut config: BarnesHutConfig) -> AppRun {
         &mut config.machine,
         MachineConfig::homogeneous(1),
     ))
-    .seed(config.seed)
-    .lb_trigger(LbTrigger::AtSync);
+    .seed(config.seed);
     if let Some(s) = config.strategy.take() {
         b = b.strategy(s);
     }

@@ -29,7 +29,7 @@
 
 use crate::util::{PoissonArrivals, SplitMix64, ZipfSampler};
 use charm_core::{
-    ArrayProxy, Callback, Chare, Ctx, Ix, LbTrigger, LogHist, MachineConfig, RedOp, RedValue,
+    ArrayProxy, Callback, Chare, Ctx, Ix, LogHist, MachineConfig, RedOp, RedValue,
     Runtime, SimTime, Strategy, SysEvent,
 };
 use charm_pup::{Pup, Puper};
@@ -95,8 +95,8 @@ pub struct KvConfig {
     /// Record a replay log (bound it with `ReplayConfig::max_execs` for
     /// long-running service recordings).
     pub record: Option<charm_core::ReplayConfig>,
-    /// Schedule perturbation for race hunting (None = off).
-    pub perturb: Option<charm_core::PerturbConfig>,
+    /// Schedule-perturbation seed for race hunting (None = off).
+    pub perturb: Option<u64>,
     /// Projections-lite tracing (None = off).
     pub trace: Option<charm_core::TraceConfig>,
     /// Streaming trace sinks (require `trace`).
@@ -753,8 +753,7 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
         &mut config.machine,
         MachineConfig::homogeneous(1),
     ))
-    .seed(config.seed)
-    .lb_trigger(LbTrigger::AtSync);
+    .seed(config.seed);
     if let Some(s) = config.strategy.take() {
         b = b.strategy(s);
     }
@@ -764,8 +763,8 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
     }
-    if let Some(pc) = config.perturb.take() {
-        b = b.perturb(pc);
+    if let Some(seed) = config.perturb {
+        b = b.perturb(seed);
     }
     if let Some(tc) = config.trace.take() {
         b = b.tracing(tc);

@@ -21,7 +21,7 @@
 use crate::util::{gaussian_density, SyntheticBlob};
 use crate::AppRun;
 use charm_core::{
-    ArrayProxy, Callback, Chare, Ctx, Ix, LbTrigger, MachineConfig, RedOp, RedValue, Runtime,
+    ArrayProxy, Callback, Chare, Ctx, Ix, MachineConfig, RedOp, RedValue, Runtime,
     SimTime, Strategy, SysEvent,
 };
 use charm_pup::{Pup, Puper};
@@ -55,10 +55,8 @@ pub struct LeanMdConfig {
     pub ckpt_at: Option<u64>,
     /// Automatic periodic in-memory checkpointing (None = off).
     pub auto_ckpt: Option<SimTime>,
-    /// Inject a PE failure at this virtual time (requires a checkpoint to
-    /// recover; kept for single-failure callers — see `failures`).
-    pub fail_at: Option<(SimTime, usize)>,
-    /// Additional node failures: (virtual time, any PE on the node).
+    /// Node failures to inject: (virtual time, any PE on the node). Needs
+    /// a checkpoint to recover from.
     pub failures: Vec<(SimTime, usize)>,
     /// Spot preemptions: (kill time, any PE on the node, warning lead).
     pub preemptions: Vec<(SimTime, usize, SimTime)>,
@@ -78,8 +76,8 @@ pub struct LeanMdConfig {
     pub trace_sinks: Vec<Box<dyn charm_core::TraceSink>>,
     /// Record a replay log (None = off; see `charm_core::replay`).
     pub record: Option<charm_core::ReplayConfig>,
-    /// Schedule perturbation for race hunting (None = off).
-    pub perturb: Option<charm_core::PerturbConfig>,
+    /// Schedule-perturbation seed for race hunting (None = off).
+    pub perturb: Option<u64>,
     #[doc(hidden)] // no longer read: kept for `benchmark/`'s 2-thread pass
     pub threads: usize,
 }
@@ -97,7 +95,6 @@ impl Default for LeanMdConfig {
             lb_every: 0,
             ckpt_at: None,
             auto_ckpt: None,
-            fail_at: None,
             failures: Vec::new(),
             preemptions: Vec::new(),
             reconfigure: Vec::new(),
@@ -555,8 +552,7 @@ pub fn run_with_runtime(mut config: LeanMdConfig) -> (AppRun, Runtime) {
         &mut config.machine,
         MachineConfig::homogeneous(1),
     ))
-    .seed(config.seed)
-    .lb_trigger(LbTrigger::AtSync);
+    .seed(config.seed);
     if let Some(interval) = config.auto_ckpt {
         b = b.auto_checkpoint(interval);
     }
@@ -566,8 +562,8 @@ pub fn run_with_runtime(mut config: LeanMdConfig) -> (AppRun, Runtime) {
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
     }
-    if let Some(pc) = config.perturb.take() {
-        b = b.perturb(pc);
+    if let Some(seed) = config.perturb {
+        b = b.perturb(seed);
     }
     if let Some(ec) = config.elastic.take() {
         b = b.elastic(ec);
@@ -681,9 +677,6 @@ pub fn run_with_runtime(mut config: LeanMdConfig) -> (AppRun, Runtime) {
         Some(0),
     );
 
-    if let Some((t, pe)) = config.fail_at {
-        rt.schedule_failure(t, pe);
-    }
     for (t, pe) in &config.failures {
         rt.schedule_failure(*t, *pe);
     }
@@ -786,7 +779,7 @@ mod tests {
         let (run, rt) = run_with_runtime(LeanMdConfig {
             steps: 8,
             ckpt_at: Some(2),
-            fail_at: Some((fail_t, 5)),
+            failures: vec![(fail_t, 5)],
             ..LeanMdConfig::default()
         });
         assert_eq!(rt.metric("ckpt_time_s").len(), 1);

@@ -50,8 +50,8 @@ pub struct PdesConfig {
     pub seed: u64,
     /// Record a replay log (None = off; see `charm_core::replay`).
     pub record: Option<charm_core::ReplayConfig>,
-    /// Schedule perturbation for race hunting (None = off).
-    pub perturb: Option<charm_core::PerturbConfig>,
+    /// Schedule-perturbation seed for race hunting (None = off).
+    pub perturb: Option<u64>,
     /// Projections-lite tracing (None = off; see `charm_core::trace`).
     pub trace: Option<charm_core::TraceConfig>,
     #[doc(hidden)] // no longer read: kept for `benchmark/`'s 2-thread pass
@@ -376,8 +376,8 @@ pub fn run_with_runtime(mut config: PdesConfig) -> (PdesRun, Runtime) {
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
     }
-    if let Some(pc) = config.perturb.take() {
-        b = b.perturb(pc);
+    if let Some(seed) = config.perturb {
+        b = b.perturb(seed);
     }
     if let Some(tc) = config.trace.take() {
         b = b.tracing(tc);

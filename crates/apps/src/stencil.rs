@@ -9,7 +9,7 @@
 use crate::util::SyntheticBlob;
 use crate::AppRun;
 use charm_core::{
-    ArrayProxy, Callback, Chare, Ctx, DvfsScheme, Ix, LbTrigger, MachineConfig, RedOp, RedValue,
+    ArrayProxy, Callback, Chare, Ctx, DvfsScheme, Ix, MachineConfig, RedOp, RedValue,
     Runtime, SimTime, Strategy, SysEvent,
 };
 use charm_pup::{Pup, Puper};
@@ -46,8 +46,8 @@ pub struct StencilConfig {
     pub seed: u64,
     /// Record a replay log (None = off; see `charm_core::replay`).
     pub record: Option<charm_core::ReplayConfig>,
-    /// Schedule perturbation for race hunting (None = off).
-    pub perturb: Option<charm_core::PerturbConfig>,
+    /// Schedule-perturbation seed for race hunting (None = off).
+    pub perturb: Option<u64>,
     /// Projections-lite tracing (None = off; see `charm_core::trace`).
     pub trace: Option<charm_core::TraceConfig>,
     /// Streaming trace sinks, installed right after the runtime is built —
@@ -291,8 +291,7 @@ pub fn run_with_runtime(mut config: StencilConfig) -> (AppRun, Runtime) {
     ))
     .seed(config.seed)
     .dvfs(config.dvfs)
-    .dvfs_period(config.dvfs_period)
-    .lb_trigger(LbTrigger::AtSync);
+    .dvfs_period(config.dvfs_period);
     if let Some(s) = config.strategy.take() {
         b = b.strategy(s);
     }
@@ -302,8 +301,8 @@ pub fn run_with_runtime(mut config: StencilConfig) -> (AppRun, Runtime) {
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
     }
-    if let Some(pc) = config.perturb.take() {
-        b = b.perturb(pc);
+    if let Some(seed) = config.perturb {
+        b = b.perturb(seed);
     }
     if let Some(tc) = config.trace.take() {
         b = b.tracing(tc);

@@ -31,7 +31,7 @@ fn measure(pes: usize, cells: usize, atoms: usize) -> (f64, f64) {
         atoms_per_cell: atoms,
         steps: 8,
         ckpt_at: Some(3),
-        fail_at: Some((fail_t, pes / 3)),
+        failures: vec![(fail_t, pes / 3)],
         ..LeanMdConfig::default()
     });
     (

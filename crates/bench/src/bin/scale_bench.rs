@@ -243,7 +243,6 @@ fn run_one(rest: &[String]) {
             cfg.trace = Some(TraceConfig {
                 log_capacity: 0,
                 comm_fanout_cap: 8,
-                ..TraceConfig::default()
             });
             cfg.trace_sinks = vec![
                 Box::new(ChromeStreamSink::create(&jpath).expect("chrome sink")),

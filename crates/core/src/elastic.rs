@@ -267,9 +267,15 @@ impl RunOutcome {
 impl Runtime {
     /// Like [`run`](Runtime::run), but with the full typed ending: clean
     /// completion, completion below the capacity floor ([`Degraded`]), or
-    /// fatal state loss ([`Unrecoverable`]).
+    /// fatal state loss ([`Unrecoverable`]) — never a summary that silently
+    /// omits lost work.
     pub fn run_outcome(&mut self) -> RunOutcome {
-        let summary = self.run();
+        self.run_until_outcome(SimTime::MAX)
+    }
+
+    /// [`run_outcome`](Runtime::run_outcome) with a virtual-time budget.
+    pub fn run_until_outcome(&mut self, deadline: SimTime) -> RunOutcome {
+        let summary = self.run_until(deadline);
         if let Some(u) = &self.unrecoverable {
             return RunOutcome::Unrecoverable(u.clone());
         }

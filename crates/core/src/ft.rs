@@ -28,7 +28,27 @@ use crate::trace::TraceEventKind;
 use charm_machine::SimTime;
 use std::collections::{BTreeMap, HashSet};
 
+use std::io::Write;
 use std::path::Path;
+
+/// Write the file at `path` so that a crash leaves either its old contents
+/// or the complete new ones: `write` fills `<path>.tmp` (the full name plus
+/// `.tmp`, in the same directory), which is synced to disk and then renamed
+/// over `path`.
+pub fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        write(&mut f)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)
+}
 
 /// Number of barrier phases in the restart protocol. The paper observes
 /// restart time *growing* with PE count "due to the effect of barriers";
@@ -410,7 +430,7 @@ impl Runtime {
         self.discard_limbo();
         self.reductions.clear();
         self.qd = None;
-        self.at_sync_seen = 0;
+        self.at_sync_waiting.clear();
         self.flush_loc_caches();
 
         // ---- restore chare state from the checkpoint ------------------------
@@ -559,9 +579,9 @@ impl Runtime {
     /// modeled virtual-time cost of the parallel write and the byte volume.
     ///
     /// The image carries a version magic, the payload length, and a CRC32
-    /// over the payload, and is written to a temp file in the same
-    /// directory then renamed into place — a torn write can at worst leave
-    /// a stale temp file, never a half-written checkpoint under `path`.
+    /// over the payload, and is written through [`write_atomic`] — a torn
+    /// write can at worst leave a stale temp file, never a half-written
+    /// checkpoint under `path`.
     ///
     /// Chare-based checkpointing means the restart PE count is independent of
     /// this run's PE count (§III-B).
@@ -586,11 +606,7 @@ impl Runtime {
         out.extend_from_slice(&crc32(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
 
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, &out)?;
-        std::fs::rename(&tmp, path)?;
+        write_atomic(path, |f| f.write_all(&out))?;
 
         let max_pe_bytes = per_pe.iter().copied().max().unwrap_or(0);
         let cost = self.machine.disk.write_time(self.live_pes, max_pe_bytes);

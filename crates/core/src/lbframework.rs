@@ -20,10 +20,9 @@ pub struct ObjStat {
     /// collection; falls back to the chare's `load_hint` scaled into the
     /// average when nothing was measured yet.
     pub load: f64,
-    /// Bytes sent by this object since the last collection.
+    /// Bytes sent by this object since the last collection (0 unless the
+    /// installed strategy [`wants_comm`](Strategy::wants_comm)).
     pub bytes_sent: u64,
-    /// Messages sent by this object since the last collection.
-    pub msgs_sent: u64,
 }
 
 /// Aggregate statistics handed to a [`Strategy`].
@@ -35,11 +34,10 @@ pub struct LbStats {
     /// current interference). The paper's thermal scheme scales loads by
     /// frequency exactly this way (§III-C).
     pub pe_speed: Vec<f64>,
-    /// Non-migratable background load per PE, in seconds.
-    pub bg_load: Vec<f64>,
     /// Per-object measurements, in a deterministic order.
     pub objs: Vec<ObjStat>,
-    /// Object-to-object communication volumes (bytes), when recorded.
+    /// Object-to-object communication volumes (bytes); recorded only when
+    /// the installed strategy [`wants_comm`](Strategy::wants_comm).
     pub comm: Vec<(ObjId, ObjId, u64)>,
 }
 
@@ -50,10 +48,9 @@ impl LbStats {
     }
 
     /// Current load per PE implied by the object placement (obj loads ÷ PE
-    /// speed + background).
+    /// speed).
     pub fn pe_loads(&self) -> Vec<f64> {
-        let mut loads = self.bg_load.clone();
-        loads.resize(self.num_pes, 0.0);
+        let mut loads = vec![0.0; self.num_pes];
         for o in &self.objs {
             if o.pe < self.num_pes {
                 loads[o.pe] += o.load / self.pe_speed[o.pe].max(1e-12);
@@ -84,6 +81,13 @@ pub trait Strategy: Send {
 
     /// Compute the new assignment. `out[i]` corresponds to `stats.objs[i]`.
     fn assign(&mut self, stats: &LbStats) -> Vec<Option<usize>>;
+
+    /// Does this strategy read [`LbStats::comm`]? The runtime records
+    /// object-to-object traffic on every send only when the installed
+    /// strategy says yes; otherwise `comm` is empty and `bytes_sent` is 0.
+    fn wants_comm(&self) -> bool {
+        false
+    }
 
     /// Is this a fully distributed strategy (affects the modeled cost of
     /// stats collection: centralized strategies pay a gather/scatter,
@@ -178,13 +182,11 @@ pub fn synthetic_stats(num_pes: usize, loads: &[f64]) -> LbStats {
             pe: i % num_pes,
             load,
             bytes_sent: 0,
-            msgs_sent: 0,
         })
         .collect();
     LbStats {
         num_pes,
         pe_speed: vec![1.0; num_pes],
-        bg_load: vec![0.0; num_pes],
         objs,
         comm: Vec::new(),
     }

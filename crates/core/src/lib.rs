@@ -90,12 +90,12 @@ pub use ctx::Ctx;
 pub use elastic::{
     Degraded, ElasticConfig, ElasticObs, ElasticPolicy, HysteresisPolicy, NoopPolicy, RunOutcome,
 };
-pub use ft::{buddy_pe, DiskCkptInfo, MemCheckpoint, RestoreError};
+pub use ft::{buddy_pe, write_atomic, DiskCkptInfo, MemCheckpoint, RestoreError};
 pub use index::Ix;
 pub use interop::CharmLib;
 pub use lbframework::{LbRound, LbStats, LbTrigger, NullLb, ObjStat, Strategy};
 pub use power::DvfsScheme;
-pub use replay::{DigestPoint, ExecRec, PerturbConfig, ReplayConfig, ReplayLog, SendRec};
+pub use replay::{DigestPoint, ExecRec, ReplayConfig, ReplayLog, SendRec};
 pub use routing::HomeMap;
 pub use runtime::{RunSummary, Runtime, RuntimeBuilder, Unrecoverable, ENVELOPE_BYTES};
 pub use trace::{

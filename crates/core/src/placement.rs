@@ -153,20 +153,28 @@ impl Runtime {
 
     // ----- AtSync load balancing ----------------------------------------------
 
-    /// One more chare reached its sync point; when all have, balance (or
-    /// skip) and resume them.
-    pub(crate) fn on_at_sync(&mut self, at: SimTime) {
-        self.at_sync_seen += 1;
+    /// Chare `from` reached its sync point (a repeat call before the round
+    /// is a no-op); when every element of every AtSync array has, balance
+    /// (or skip) and resume them.
+    pub(crate) fn on_at_sync(&mut self, from: ElemRef, at: SimTime) {
+        let store = &self.stores[from.array.0 as usize];
+        assert!(
+            store.uses_at_sync(),
+            "at_sync called by an element of array '{}', which does not use AtSync \
+             (enable it with Runtime::set_at_sync)",
+            store.name()
+        );
+        self.at_sync_waiting.insert(from);
         let expected: usize = self
             .stores
             .iter()
             .filter(|s| s.uses_at_sync())
             .map(|s| s.len())
             .sum();
-        if expected == 0 || self.at_sync_seen < expected {
+        if self.at_sync_waiting.len() < expected {
             return;
         }
-        self.at_sync_seen = 0;
+        self.at_sync_waiting.clear();
         let skip = match self.lb_trigger {
             LbTrigger::AtSync => false,
             LbTrigger::Adaptive { min_imbalance } => {
@@ -231,14 +239,12 @@ impl Runtime {
                     pe: *pe,
                     load: if *load > 0.0 { *load } else { *hint * 1e-6 },
                     bytes_sent: sent_by.get(&obj).copied().unwrap_or(0),
-                    msgs_sent: 0,
                 });
             }
         }
         LbStats {
             num_pes: self.live_pes,
             pe_speed: (0..self.live_pes).map(|p| self.effective_speed(p)).collect(),
-            bg_load: vec![0.0; self.live_pes],
             objs,
             comm,
         }
@@ -439,6 +445,68 @@ mod tests {
             assert_eq!(s.entries, 96, "{name}: every stranded envelope still executes");
             assert_eq!((rt.queued, rt.busy_pes, rt.inflight), (0, 0, 0), "{name}: drained");
         }
+    }
+
+    /// Calls `at_sync` as many times as its message says, and counts the
+    /// resumes it gets.
+    #[derive(Default)]
+    struct Waiter {
+        asked: bool,
+        resumes: u32,
+    }
+    impl charm_pup::Pup for Waiter {
+        fn pup(&mut self, p: &mut Puper) {
+            p.p(&mut self.asked);
+            p.p(&mut self.resumes);
+        }
+    }
+    impl Chare for Waiter {
+        type Msg = u8;
+        fn on_message(&mut self, calls: u8, ctx: &mut Ctx<'_>) {
+            for _ in 0..calls {
+                ctx.at_sync();
+            }
+            self.asked = true;
+        }
+        fn on_event(&mut self, ev: SysEvent, _ctx: &mut Ctx<'_>) {
+            if matches!(ev, SysEvent::ResumeFromSync) {
+                assert!(self.asked, "resumed without having called at_sync");
+                self.resumes += 1;
+            }
+        }
+    }
+
+    /// The barrier counts elements, not calls: one element calling twice
+    /// does not stand in for another that has not arrived.
+    #[test]
+    fn repeated_at_sync_does_not_start_the_round_early() {
+        let mut rt = Runtime::builder(charm_machine::MachineConfig::homogeneous(2))
+            .strategy(Box::new(crate::NullLb))
+            .build();
+        let arr = rt.create_array::<Waiter>("waiters");
+        rt.set_at_sync(arr, true);
+        for i in 0..2 {
+            rt.insert(arr, Ix::i1(i), Waiter::default(), Some(i as usize));
+        }
+        rt.send(arr, Ix::i1(0), 2u8);
+        rt.run();
+        assert!(rt.lb_rounds().is_empty(), "element 1 has not arrived yet");
+        rt.send(arr, Ix::i1(1), 1u8);
+        rt.run();
+        assert_eq!(rt.lb_rounds().len(), 1);
+        for i in 0..2 {
+            assert_eq!(rt.inspect(arr, &Ix::i1(i), |w| w.resumes), Some(1), "element {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Runtime::set_at_sync")]
+    fn at_sync_from_an_array_without_at_sync_panics() {
+        let mut rt = Runtime::homogeneous(2);
+        let arr = rt.create_array::<Waiter>("plain");
+        rt.insert(arr, Ix::i1(0), Waiter::default(), Some(0));
+        rt.send(arr, Ix::i1(0), 1u8);
+        rt.run();
     }
 
     /// Chare that migrates itself to PE 1 on first message and checks state

@@ -62,41 +62,6 @@ impl ReplayConfig {
     }
 }
 
-/// Configuration for [`RuntimeBuilder::perturb`](crate::RuntimeBuilder::perturb):
-/// seeded, causally-valid schedule perturbation. Only *extra delays* are
-/// injected (never early deliveries), so every perturbed schedule is one the
-/// real network could have produced; same-destination messages whose delays
-/// overlap get reordered, which is exactly the race surface.
-#[derive(Debug, Clone)]
-pub struct PerturbConfig {
-    /// Seed of the perturbation RNG (independent of the run seed).
-    pub seed: u64,
-    /// Probability that any one user-message delivery is delayed.
-    pub prob: f64,
-    /// Upper bound on the injected extra delay.
-    pub max_extra: SimTime,
-}
-
-impl Default for PerturbConfig {
-    fn default() -> Self {
-        PerturbConfig {
-            seed: 1,
-            prob: 0.25,
-            max_extra: SimTime::from_micros(100),
-        }
-    }
-}
-
-impl PerturbConfig {
-    /// A perturbation with the default intensity and the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        PerturbConfig {
-            seed,
-            ..Default::default()
-        }
-    }
-}
-
 /// [`ExecRec::msg_src`] of a message no chare sent: a host send or an
 /// RTS-origin event.
 pub const NO_CHARE: u32 = u32::MAX;

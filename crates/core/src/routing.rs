@@ -7,6 +7,15 @@ use crate::runtime::{EnvId, Runtime, ENVELOPE_BYTES, TOKEN_RTT_REQ, TOKEN_RTT_RE
 use charm_machine::SimTime;
 use rand::Rng;
 
+/// Schedule perturbation ([`RuntimeBuilder::perturb`](crate::RuntimeBuilder::perturb))
+/// delays a user-message delivery with this probability, by up to
+/// [`PERTURB_MAX_EXTRA`]. Only *extra* delays are injected, so every
+/// perturbed schedule is one the real network could have produced;
+/// same-destination messages whose delays overlap get reordered, which is
+/// exactly the race surface.
+const PERTURB_PROB: f64 = 0.25;
+const PERTURB_MAX_EXTRA: SimTime = SimTime::from_micros(100);
+
 /// How an array maps indices to *home PEs* — the PEs responsible for
 /// tracking element locations (§II-D: "Several default schemes are provided
 /// … Programmers can also define their own scheme").
@@ -92,9 +101,9 @@ impl Runtime {
         // (delays are always causally valid — the network could have been
         // this slow). System events keep their exact timing.
         let jitter = match &mut self.perturb {
-            Some((cfg, rng)) if matches!(self.slab[env].payload, Payload::User(_)) => {
-                if rng.gen_bool(cfg.prob) {
-                    SimTime(rng.gen_range(0..=cfg.max_extra.0))
+            Some(rng) if matches!(self.slab[env].payload, Payload::User(_)) => {
+                if rng.gen_bool(PERTURB_PROB) {
+                    SimTime(rng.gen_range(0..=PERTURB_MAX_EXTRA.0))
                 } else {
                     SimTime::ZERO
                 }

@@ -23,12 +23,12 @@ use crate::ctx::{Action, Ctx};
 use crate::ft::{MemCheckpoint, PendingCkpt};
 use crate::lbframework::{LbRound, LbTrigger, Strategy};
 use crate::power::DvfsScheme;
-use crate::replay::{sys_event_digest, PerturbConfig, Recorder, ReplayLog};
+use crate::replay::{sys_event_digest, Recorder, ReplayLog};
 use crate::routing::HomeMap;
 use crate::trace::{EntryKind, Tracer};
 use charm_machine::thermal::ThermalModel;
 use charm_machine::{EventQueue, MachineConfig, NetworkModel, PrioQueue, SimTime};
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use rand::rngs::StdRng;
 use std::num::NonZeroU32;
 
@@ -221,8 +221,10 @@ pub struct RunSummary {
 /// A failure (or cascade) destroyed state that no surviving checkpoint
 /// copy covers: the run cannot be rolled back to a consistent snapshot.
 ///
-/// Returned by [`Runtime::run_checked`]; surviving PEs keep draining their
-/// work, but lost chares are gone and the result is not trustworthy.
+/// Reported by [`Runtime::run_outcome`] as
+/// [`RunOutcome::Unrecoverable`](crate::elastic::RunOutcome::Unrecoverable);
+/// surviving PEs keep draining their work, but lost chares are gone and the
+/// result is not trustworthy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unrecoverable {
     /// Virtual time of the fatal failure.
@@ -286,7 +288,8 @@ pub struct Runtime {
     pub(crate) busy_pes: usize,
     pub(crate) lb: Option<Box<dyn Strategy>>,
     pub(crate) lb_trigger: LbTrigger,
-    pub(crate) at_sync_seen: usize,
+    /// Elements waiting at the AtSync barrier; a repeat call is a no-op.
+    pub(crate) at_sync_waiting: FxHashSet<ElemRef>,
     pub(crate) lb_rounds: Vec<LbRound>,
     pub(crate) mem_ckpt: Option<MemCheckpoint>,
     /// A checkpoint whose buddy replication is still in flight; it becomes
@@ -340,7 +343,8 @@ pub struct Runtime {
     pub(crate) location_cache: bool,
     /// Spanning-tree branching factor for collectives.
     pub(crate) collective_arity: u64,
-    /// Record obj→obj communication for the LB?
+    /// Record obj→obj communication for the LB? Set once at build time from
+    /// [`Strategy::wants_comm`](crate::Strategy::wants_comm).
     pub(crate) track_comm: bool,
     /// Aggregated obj→obj bytes since the last LB round (when tracked).
     pub(crate) comm: FxHashMap<(ObjId, ObjId), u64>,
@@ -349,7 +353,7 @@ pub struct Runtime {
     /// Replay recording, when enabled ([`RuntimeBuilder::record`]).
     pub(crate) recorder: Option<Recorder>,
     /// Schedule perturbation, when enabled ([`RuntimeBuilder::perturb`]).
-    pub(crate) perturb: Option<(PerturbConfig, StdRng)>,
+    pub(crate) perturb: Option<StdRng>,
     /// Slot-partitioned event-key counters: index `pe` for events produced
     /// while dispatching on that PE, then [`SLOT_HOST`]/[`SLOT_RED`]/
     /// [`SLOT_RTS`] offsets past `num_pes` (see [`Runtime::fresh_key`]).
@@ -756,23 +760,6 @@ impl Runtime {
         self.run_until(deadline)
     }
 
-    /// Like [`run`](Self::run), but surfaces fatal state loss: if any
-    /// failure (or cascade) destroyed chare state that no surviving
-    /// checkpoint copy covered, the run outcome is [`Unrecoverable`]
-    /// instead of a summary that silently omits the lost work.
-    pub fn run_checked(&mut self) -> Result<RunSummary, Unrecoverable> {
-        self.run_until_checked(SimTime::MAX)
-    }
-
-    /// [`run_checked`](Self::run_checked) with a virtual-time budget.
-    pub fn run_until_checked(&mut self, deadline: SimTime) -> Result<RunSummary, Unrecoverable> {
-        let summary = self.run_until(deadline);
-        match &self.unrecoverable {
-            Some(u) => Err(u.clone()),
-            None => Ok(summary),
-        }
-    }
-
     /// The fatal-failure record, if a failure destroyed unrecoverable state.
     pub fn unrecoverable(&self) -> Option<&Unrecoverable> {
         self.unrecoverable.as_ref()
@@ -1162,7 +1149,7 @@ impl Runtime {
             );
         }
         let mut actions = actions;
-        self.apply_actions(obj, pe, end, &mut actions, &sends);
+        self.apply_actions(obj, dst, pe, end, &mut actions, &sends);
         self.action_scratch = actions;
         sends.clear();
         self.send_scratch = sends;
@@ -1186,11 +1173,13 @@ impl Runtime {
         s
     }
 
-    /// Apply one entry method's buffered actions; `sends` holds the
-    /// handles `execute` interned for its `Send`s, in order.
+    /// Apply one entry method's buffered actions; `src` and `src_ref` name
+    /// the chare that ran, and `sends` holds the handles `execute` interned
+    /// for its `Send`s, in order.
     fn apply_actions(
         &mut self,
         src: ObjId,
+        src_ref: ElemRef,
         src_pe: usize,
         at: SimTime,
         actions: &mut Vec<Action>,
@@ -1230,7 +1219,7 @@ impl Runtime {
                     op,
                     cb,
                 } => self.contribute(array, tag, value, op, cb, at),
-                Action::AtSync => self.on_at_sync(at),
+                Action::AtSync => self.on_at_sync(src_ref, at),
                 Action::MigrateMe { to } => self.start_migration(src, to, at),
                 Action::Insert {
                     array,

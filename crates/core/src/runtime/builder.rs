@@ -7,11 +7,11 @@ use super::{EnvSlab, Ev, PeState, Runtime, KEY_SLOT_SHIFT, SLOT_HOST, SLOT_RTS};
 use crate::ctrl::{ControlRegistry, ControlValues};
 use crate::lbframework::{LbTrigger, Strategy};
 use crate::power::DvfsScheme;
-use crate::replay::{PerturbConfig, Recorder, ReplayConfig};
+use crate::replay::{Recorder, ReplayConfig};
 use crate::trace::{TraceConfig, Tracer};
 use charm_machine::thermal::ThermalModel;
 use charm_machine::{EventQueue, MachineConfig, NetworkModel, SimTime};
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,12 +29,11 @@ pub struct RuntimeBuilder {
     dvfs_period: SimTime,
     location_cache: bool,
     collective_arity: u64,
-    track_comm: bool,
     auto_ckpt: Option<SimTime>,
     trace: Option<TraceConfig>,
     trace_sinks: Vec<Box<dyn crate::trace::TraceSink>>,
     record: Option<ReplayConfig>,
-    perturb: Option<PerturbConfig>,
+    perturb: Option<u64>,
     elastic: Option<crate::elastic::ElasticConfig>,
 }
 
@@ -46,6 +45,8 @@ impl RuntimeBuilder {
     }
 
     /// Install a load-balancing strategy (AtSync-triggered by default).
+    /// Object-to-object traffic is recorded for it iff it
+    /// [`wants_comm`](Strategy::wants_comm).
     pub fn strategy(mut self, s: Box<dyn Strategy>) -> Self {
         self.lb = Some(s);
         self
@@ -86,14 +87,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Record object-to-object communication volumes and hand them to the
-    /// balancer ([`LbStats::comm`](crate::LbStats)) — required by comm-aware
-    /// strategies.
-    pub fn track_comm(mut self, enabled: bool) -> Self {
-        self.track_comm = enabled;
-        self
-    }
-
     /// Enable the Projections-lite tracing subsystem (see
     /// [`crate::trace`]): bounded per-PE event logs plus always-cheap
     /// summary aggregates. Off by default — when off, no events are
@@ -123,15 +116,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Perturb the delivery schedule with seeded, causally-valid extra
-    /// delays (see [`PerturbConfig`]). Combine with [`RuntimeBuilder::record`]
-    /// and diff the logs to hunt message races.
-    pub fn perturb(mut self, cfg: PerturbConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&cfg.prob),
-            "perturbation probability must be in [0, 1]"
-        );
-        self.perturb = Some(cfg);
+    /// Perturb the delivery schedule with causally-valid extra delays drawn
+    /// from `seed` (independent of the run seed): each user message is held
+    /// back by up to 100 µs with probability 1/4. Combine with
+    /// [`RuntimeBuilder::record`] and diff the logs to hunt message races.
+    pub fn perturb(mut self, seed: u64) -> Self {
+        self.perturb = Some(seed);
         self
     }
 
@@ -227,10 +217,10 @@ impl RuntimeBuilder {
             tr
         });
         let recorder = self.record.map(Recorder::new);
-        let perturb = self.perturb.map(|cfg| {
-            let rng = StdRng::seed_from_u64(cfg.seed ^ 0x0070_6572_7475_7262); // "perturb"
-            (cfg, rng)
-        });
+        let perturb = self
+            .perturb
+            .map(|seed| StdRng::seed_from_u64(seed ^ 0x0070_6572_7475_7262)); // "perturb"
+        let track_comm = self.lb.as_ref().is_some_and(|s| s.wants_comm());
         Runtime {
             machine: self.machine,
             net,
@@ -255,7 +245,7 @@ impl RuntimeBuilder {
             busy_pes: 0,
             lb: self.lb,
             lb_trigger: self.lb_trigger,
-            at_sync_seen: 0,
+            at_sync_waiting: FxHashSet::default(),
             lb_rounds: Vec::new(),
             mem_ckpt: None,
             ckpt_pending: None,
@@ -284,7 +274,7 @@ impl RuntimeBuilder {
             seed: self.seed,
             location_cache: self.location_cache,
             collective_arity: self.collective_arity,
-            track_comm: self.track_comm,
+            track_comm,
             comm: FxHashMap::default(),
             tracer,
             recorder,
@@ -316,7 +306,6 @@ impl Runtime {
             dvfs_period: SimTime::from_secs(1),
             location_cache: true,
             collective_arity: 2,
-            track_comm: false,
             auto_ckpt: None,
             trace: None,
             trace_sinks: Vec::new(),

@@ -23,14 +23,15 @@
 //!   [`SinkStats`] (records, bytes, write errors) surfaced in
 //!   [`RunSummary`](crate::RunSummary) and the report footer.
 //! * **Summary** — always-cheap streaming aggregates that never depend on
-//!   ring capacity: per-entry-method time profiles (count/total/min/max, a
-//!   log₂ duration histogram, *and* an HDR-style sub-bucketed [`LogHist`]
-//!   giving p50/p99/p999 without storing samples), a modeled message-latency
-//!   histogram, a binned per-PE utilization timeline that coarsens itself to
-//!   stay within a bin budget (and collapses to one aggregate row above
-//!   [`TraceConfig::util_pe_cap`] PEs), a *sparse* top-K communication
-//!   matrix (per-source fanout capped by [`TraceConfig::comm_fanout_cap`] —
-//!   no dense PE×PE array), and a bounded LB/FT ledger.
+//!   ring capacity: per-entry-method time profiles (total/min/max and an
+//!   HDR-style sub-bucketed [`LogHist`] giving the count, p50/p99/p999 and
+//!   a log₂ duration histogram without storing samples), a modeled
+//!   message-latency histogram, a binned per-PE utilization timeline that
+//!   coarsens itself to stay within 1024 bins of initially 1 ms (and
+//!   collapses to one aggregate row above 4096 PEs), a *sparse* top-K
+//!   communication matrix (per-source fanout capped by
+//!   [`TraceConfig::comm_fanout_cap`] — no dense PE×PE array), and an
+//!   LB/FT ledger holding its newest 4096 lines.
 //!   [`Runtime::projections_report`] renders them as a text report.
 //!
 //! The tracer keeps no dependency edges: a run's critical path is
@@ -65,32 +66,29 @@ pub struct TraceConfig {
     /// `0` keeps only the summary aggregates; every log record then counts
     /// as dropped (streaming sinks still see everything).
     pub log_capacity: usize,
-    /// Initial utilization-timeline bin width.
-    pub util_bin: SimTime,
-    /// Bin budget for the utilization timeline; when the run outgrows it
-    /// the bin width doubles and adjacent bins fold together.
-    pub max_util_bins: usize,
-    /// Above this many PEs the utilization timeline keeps a single
-    /// machine-wide row instead of one per PE (O(PE × bins) → O(bins)).
-    pub util_pe_cap: usize,
     /// Per-source cap on tracked communication partners (sparse top-K comm
     /// matrix); traffic to further destinations is counted as shed.
     /// `0` = unlimited.
     pub comm_fanout_cap: usize,
-    /// Ledger lines retained (newest kept); older lines are shed and
-    /// counted, like ring records.
-    pub ledger_capacity: usize,
 }
+
+/// Initial utilization-timeline bin width.
+const UTIL_BIN: SimTime = SimTime::from_millis(1);
+/// Bin budget for the utilization timeline; when the run outgrows it the
+/// bin width doubles and adjacent bins fold together.
+const MAX_UTIL_BINS: usize = 1024;
+/// Above this many PEs the utilization timeline keeps a single machine-wide
+/// row instead of one per PE (O(PE × bins) → O(bins)).
+const UTIL_PE_CAP: usize = 4096;
+/// Ledger lines retained (newest kept); older lines are shed and counted,
+/// like ring records.
+const LEDGER_CAPACITY: usize = 4096;
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             log_capacity: 1 << 16,
-            util_bin: SimTime::from_millis(1),
-            max_util_bins: 1024,
-            util_pe_cap: 4096,
             comm_fanout_cap: 64,
-            ledger_capacity: 4096,
         }
     }
 }
@@ -560,37 +558,44 @@ impl std::fmt::Debug for LogHist {
 /// Streaming per-entry-method aggregate.
 #[derive(Debug, Clone)]
 struct EntryAgg {
-    count: u64,
     total: SimTime,
     min: SimTime,
     max: SimTime,
-    /// Counts by ⌈log₂(duration in ns)⌉ bucket.
-    hist: [u64; 64],
-    /// Sub-bucketed histogram for p50/p99/p999.
+    /// Durations in ns: the count, p50/p99/p999 and the log₂ histogram.
     qhist: LogHist,
 }
 
 impl EntryAgg {
     fn new() -> Self {
         EntryAgg {
-            count: 0,
             total: SimTime::ZERO,
             min: SimTime::MAX,
             max: SimTime::ZERO,
-            hist: [0; 64],
             qhist: LogHist::new(),
         }
     }
 
     fn add(&mut self, dur: SimTime) {
-        self.count += 1;
         self.total += dur;
         self.min = self.min.min(dur);
         self.max = self.max.max(dur);
-        let bucket = (64 - dur.as_nanos().max(1).leading_zeros() as usize).min(63);
-        self.hist[bucket] += 1;
         self.qhist.add(dur.as_nanos());
     }
+}
+
+/// `h`'s non-empty log₂ buckets as `(2^octave, count)`, where a sample `v`
+/// falls in octave `bit_length(max(v, 1))`, capped at 63. Every [`LogHist`]
+/// bucket lies inside one octave, so this is exact.
+fn log2_hist(h: &LogHist) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for (i, &c) in h.counts().iter().enumerate().filter(|(_, &c)| c > 0) {
+        let octave = (64 - LogHist::bucket_lo(i).max(1).leading_zeros()).min(63);
+        match out.last_mut() {
+            Some((hi, n)) if *hi == 1u64 << octave => *n += c,
+            _ => out.push((1u64 << octave, c)),
+        }
+    }
+    out
 }
 
 /// Machine-readable per-entry-method latency SLO row, carried on
@@ -753,7 +758,7 @@ impl CommMatrix {
 }
 
 /// Self-coarsening binned busy-time timeline (bounded memory). Above
-/// `util_pe_cap` PEs it keeps a single machine-wide row (`agg_over` > 0)
+/// `pe_cap` PEs it keeps a single machine-wide row (`agg_over` > 0)
 /// instead of one per PE.
 struct UtilTimeline {
     bin_ns: u64,
@@ -836,7 +841,7 @@ pub struct Tracer {
     msg_latency: LogHist,
     busy_state: Vec<bool>,
     /// Human-readable LB/FT/DVFS/malleability ledger (newest
-    /// `ledger_capacity` lines; compacted at 2× cap).
+    /// [`LEDGER_CAPACITY`] lines; compacted at 2× cap).
     ledger: Vec<(SimTime, String)>,
     ledger_total: u64,
 }
@@ -845,7 +850,7 @@ impl Tracer {
     pub(crate) fn new(cfg: TraceConfig, num_pes: usize) -> Self {
         let rings = (0..=num_pes).map(|_| Ring::new(cfg.log_capacity)).collect();
         Tracer {
-            util: UtilTimeline::new(cfg.util_bin, cfg.max_util_bins, num_pes, cfg.util_pe_cap),
+            util: UtilTimeline::new(UTIL_BIN, MAX_UTIL_BINS, num_pes, UTIL_PE_CAP),
             comm: CommMatrix::new(num_pes, cfg.comm_fanout_cap),
             cfg,
             num_pes,
@@ -917,8 +922,8 @@ impl Tracer {
     }
 
     /// Utilization timeline: bin width in seconds and, per PE, the busy
-    /// fraction of each bin. Above [`TraceConfig::util_pe_cap`] PEs there
-    /// is a single machine-wide row (see [`Tracer::util_aggregated`]).
+    /// fraction of each bin. Above 4096 PEs there is a single machine-wide
+    /// row (see [`Tracer::util_aggregated`]).
     pub fn util_timeline(&self) -> (f64, Vec<Vec<f64>>) {
         let bin_s = self.util.bin_ns as f64 / 1e9;
         let denom = self.util.bin_ns as f64 * self.util.agg_over.max(1) as f64;
@@ -944,11 +949,10 @@ impl Tracer {
     }
 
     /// LB/FT/DVFS/malleability ledger lines (time, text), oldest first —
-    /// the newest [`TraceConfig::ledger_capacity`] survive.
+    /// the newest 4096 survive.
     pub fn ledger(&self) -> &[(SimTime, String)] {
-        let cap = self.cfg.ledger_capacity.max(1);
         let n = self.ledger.len();
-        &self.ledger[n - n.min(cap)..]
+        &self.ledger[n - n.min(LEDGER_CAPACITY)..]
     }
 
     /// Ledger lines shed beyond the retention cap.
@@ -1020,9 +1024,8 @@ impl Tracer {
     fn ledger_line(&mut self, t: SimTime, line: String) {
         self.ledger_total += 1;
         self.ledger.push((t, line));
-        let cap = self.cfg.ledger_capacity.max(1);
-        if self.ledger.len() >= 2 * cap {
-            let n = self.ledger.len() - cap;
+        if self.ledger.len() >= 2 * LEDGER_CAPACITY {
+            let n = self.ledger.len() - LEDGER_CAPACITY;
             self.ledger.drain(..n);
         }
     }
@@ -1186,20 +1189,14 @@ impl Runtime {
                 name,
                 array,
                 entry,
-                count: a.count,
+                count: a.qhist.count(),
                 total_s: a.total.as_secs_f64(),
                 min_s: a.min.min(a.max).as_secs_f64(),
                 max_s: a.max.as_secs_f64(),
                 p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
                 p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
                 p999_s: a.qhist.quantile(0.999) as f64 / 1e9,
-                hist: a
-                    .hist
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| (1u64 << i, c))
-                    .collect(),
+                hist: log2_hist(&a.qhist),
             })
             .collect()
     }
@@ -1213,7 +1210,7 @@ impl Runtime {
             .into_iter()
             .map(|(name, _, _, a)| EntrySlo {
                 name,
-                count: a.count,
+                count: a.qhist.count(),
                 total_s: a.total.as_secs_f64(),
                 p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
                 p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
@@ -1510,13 +1507,40 @@ mod tests {
         a.add(SimTime(100));
         a.add(SimTime(1000));
         a.add(SimTime(1));
-        assert_eq!(a.count, 3);
         assert_eq!(a.total, SimTime(1101));
         assert_eq!(a.min, SimTime(1));
         assert_eq!(a.max, SimTime(1000));
-        assert_eq!(a.hist.iter().sum::<u64>(), 3);
+        assert_eq!(log2_hist(&a.qhist), vec![(2, 1), (128, 1), (1024, 1)]);
         assert_eq!(a.qhist.count(), 3);
         assert_eq!(a.qhist.quantile(0.5), LogHist::bucket_lo(LogHist::bucket_of(100)));
+    }
+
+    proptest::proptest! {
+        /// The profile's log₂ histogram, derived from the HDR buckets,
+        /// equals the per-sample rule `(64 − lz(max(v, 1))).min(63)` at
+        /// every magnitude.
+        #[test]
+        fn log2_hist_derived_from_loghist_matches_per_sample_rule(
+            samples in proptest::collection::vec(
+                (0u32..64, proptest::prelude::any::<u64>()),
+                0..200,
+            )
+        ) {
+            let mut h = LogHist::new();
+            let mut reference = [0u64; 64];
+            for (shift, raw) in samples {
+                let v = raw >> shift;
+                h.add(v);
+                reference[(64 - v.max(1).leading_zeros() as usize).min(63)] += 1;
+            }
+            let want: Vec<(u64, u64)> = reference
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| (1u64 << i, c))
+                .collect();
+            proptest::prop_assert_eq!(log2_hist(&h), want);
+        }
     }
 
     #[test]
@@ -1580,21 +1604,16 @@ mod tests {
 
     #[test]
     fn ledger_compaction_keeps_newest_and_counts_shed() {
-        let mut tr = Tracer::new(
-            TraceConfig {
-                ledger_capacity: 4,
-                ..TraceConfig::default()
-            },
-            1,
-        );
-        for i in 0..20u64 {
+        let mut tr = Tracer::new(TraceConfig::default(), 1);
+        let (cap, n) = (LEDGER_CAPACITY, 5 * LEDGER_CAPACITY as u64);
+        for i in 0..n {
             tr.ledger_line(SimTime(i), format!("line {i}"));
         }
         let kept = tr.ledger();
-        assert_eq!(kept.len(), 4);
-        assert_eq!(kept[0].1, "line 16");
-        assert_eq!(kept[3].1, "line 19");
-        assert_eq!(tr.ledger_shed(), 16);
-        assert!(tr.ledger.len() < 8, "buffer stays within 2x cap");
+        assert_eq!(kept.len(), cap);
+        assert_eq!(kept[0].1, format!("line {}", n - cap as u64));
+        assert_eq!(kept[cap - 1].1, format!("line {}", n - 1));
+        assert_eq!(tr.ledger_shed(), n - cap as u64);
+        assert!(tr.ledger.len() < 2 * cap, "buffer stays within 2x cap");
     }
 }

@@ -173,6 +173,9 @@ fn tracked_comm_reaches_the_strategy() {
         fn name(&self) -> &'static str {
             "Spy"
         }
+        fn wants_comm(&self) -> bool {
+            true
+        }
         fn assign(&mut self, stats: &LbStats) -> Vec<Option<usize>> {
             self.saw_comm.store(stats.comm.len(), Ordering::SeqCst);
             assert!(
@@ -184,7 +187,6 @@ fn tracked_comm_reaches_the_strategy() {
     }
     let saw = Arc::new(AtomicUsize::new(0));
     let mut rt = Runtime::builder(MachineConfig::homogeneous(4))
-        .track_comm(true)
         .strategy(Box::new(Spy {
             saw_comm: Arc::clone(&saw),
         }))

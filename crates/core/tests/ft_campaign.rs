@@ -16,7 +16,7 @@ mod campaign;
 use campaign::{
     halo_spec, lockstep_spec, ring_spec, schedule_seed, AppSpec, Rng,
 };
-use charm_core::{buddy_pe, MachineConfig, Runtime, SimTime, Unrecoverable};
+use charm_core::{buddy_pe, MachineConfig, RunOutcome, Runtime, SimTime, Unrecoverable};
 
 const PES: usize = 8;
 const SCHEDULES_PER_APP: usize = 20;
@@ -131,8 +131,13 @@ fn run_campaign(spec: &AppSpec) {
         for &(t, pe) in &schedule {
             rt.schedule_failure(t, pe);
         }
-        match rt.run_until_checked(budget) {
-            Ok(summary) => {
+        match rt.run_until_outcome(budget) {
+            RunOutcome::Unrecoverable(u) => {
+                let _: &Unrecoverable = &u;
+                unrecoverable += 1;
+            }
+            outcome => {
+                let summary = outcome.summary().expect("a recoverable run has a summary");
                 assert!(
                     summary.end_time < budget,
                     "{} {kind:?} seed {seed:#x} {schedule:?}: sim-time budget exhausted (hang)",
@@ -145,10 +150,6 @@ fn run_campaign(spec: &AppSpec) {
                     );
                 }
                 correct += 1;
-            }
-            Err(u) => {
-                let _: &Unrecoverable = &u;
-                unrecoverable += 1;
             }
         }
     }

@@ -16,7 +16,7 @@
 mod campaign;
 
 use campaign::{halo_spec, lockstep_spec, ring_spec, schedule_seed, AppSpec, Rng};
-use charm_core::{MachineConfig, Runtime, SimTime, TraceConfig};
+use charm_core::{MachineConfig, RunOutcome, Runtime, SimTime, TraceConfig};
 
 const PES: usize = 8;
 const LONG_SCHEDULES_PER_APP: usize = 10;
@@ -96,12 +96,13 @@ fn long_warnings_evacuate_with_zero_rollbacks() {
             for &(t, pe, warning) in &schedule {
                 rt.schedule_preemption(t, pe, warning);
             }
-            let summary = rt.run_until_checked(budget).unwrap_or_else(|u| {
-                panic!(
+            let summary = match rt.run_until_outcome(budget) {
+                RunOutcome::Unrecoverable(u) => panic!(
                     "{} seed {seed:#x} {schedule:?}: unrecoverable under long warning: {u}",
                     spec.name
-                )
-            });
+                ),
+                outcome => outcome.summary().cloned().expect("a recoverable run has a summary"),
+            };
             assert!(
                 summary.end_time < budget,
                 "{} seed {seed:#x} {schedule:?}: sim-time budget exhausted (hang)",
@@ -164,12 +165,13 @@ fn zero_warnings_fall_back_to_checkpoint_restart() {
             (spec.build)(&mut rt);
             rt.schedule_preemption(SimTime::from_secs_f64(t), pe, SimTime::ZERO);
 
-            let summary = rt.run_until_checked(budget).unwrap_or_else(|u| {
-                panic!(
+            let summary = match rt.run_until_outcome(budget) {
+                RunOutcome::Unrecoverable(u) => panic!(
                     "{} seed {seed:#x} (kill {t:.6}s pe {pe}): unrecoverable: {u}",
                     spec.name
-                )
-            });
+                ),
+                outcome => outcome.summary().cloned().expect("a recoverable run has a summary"),
+            };
             assert!(summary.end_time < budget, "{} seed {seed:#x}: hang", spec.name);
             (spec.verify)(&rt).unwrap_or_else(|e| {
                 panic!("{} seed {seed:#x} (kill {t:.6}s pe {pe}): wrong answer: {e}", spec.name)

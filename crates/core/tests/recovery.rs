@@ -3,7 +3,8 @@
 //! different PE count, and malleable shrink/expand.
 
 use charm_core::{
-    Callback, Chare, Ctx, Ix, MachineConfig, RedOp, RedValue, Runtime, SimTime, SysEvent,
+    Callback, Chare, Ctx, Ix, MachineConfig, RedOp, RedValue, RunOutcome, Runtime, SimTime,
+    SysEvent,
 };
 use charm_pup::{Pup, Puper};
 
@@ -271,7 +272,7 @@ fn recovers_from_multi_pe_node_failure() {
     let machine = MachineConfig::homogeneous(8).with_pes_per_node(2);
     let mut rt = build_rt(Runtime::builder(machine).build());
     rt.schedule_failure(SimTime::from_millis(40), 5);
-    rt.run_checked().expect("whole-node failure is recoverable");
+    rt.run_outcome().summary().expect("whole-node failure is recoverable");
     let steps: Vec<f64> = rt.metric("step_done").iter().map(|s| s.1).collect();
     assert_eq!(*steps.last().unwrap(), TARGET_STEPS as f64);
     let recovered: Vec<f64> = rt.metric("failures_recovered").iter().map(|m| m.1).collect();
@@ -290,7 +291,9 @@ fn survivors_keep_running_after_unrecovered_failure() {
     rt.send(pingers, Ix::i1(0), Step(0));
     rt.send(pingers, Ix::i1(1), Step(0));
     rt.schedule_failure(SimTime::from_nanos(10), 2);
-    let err = rt.run_checked().unwrap_err();
+    let RunOutcome::Unrecoverable(err) = rt.run_outcome() else {
+        panic!("the run must end unrecoverable");
+    };
     assert_eq!(err.failed_pes, vec![2]);
     assert_eq!(err.lost_chares, 1);
     assert!(err.reason.contains("no committed checkpoint"), "got: {}", err.reason);
@@ -305,13 +308,13 @@ fn survivors_keep_running_after_unrecovered_failure() {
 #[test]
 fn failure_of_empty_pe_without_checkpoint_is_survivable() {
     // The dead PE hosted no chares: nothing is lost, so the run completes
-    // and `run_checked` succeeds (the PE death is still recorded).
+    // and `run_outcome` has a summary (the PE death is still recorded).
     let mut rt = Runtime::homogeneous(4);
     let pingers = rt.create_array::<Pinger>("pingers");
     rt.insert(pingers, Ix::i1(0), Pinger::default(), Some(0));
     rt.send(pingers, Ix::i1(0), Step(0));
     rt.schedule_failure(SimTime::from_nanos(10), 3);
-    rt.run_checked().expect("no state was lost");
+    rt.run_outcome().summary().expect("no state was lost");
     assert_eq!(rt.metric("unrecovered_failures").len(), 1);
     assert_eq!(rt.inspect(pingers, &Ix::i1(0), |p| p.count), Some(5));
 }
@@ -325,7 +328,9 @@ fn buddy_pair_failure_is_unrecoverable() {
     let mut rt = build(8);
     rt.schedule_failure(SimTime::from_millis(40), pe);
     rt.schedule_failure(SimTime::from_millis(40), buddy);
-    let err = rt.run_checked().unwrap_err();
+    let RunOutcome::Unrecoverable(err) = rt.run_outcome() else {
+        panic!("the run must end unrecoverable");
+    };
     assert!(err.lost_chares > 0);
     assert!(err.reason.contains("both checkpoint copies"), "got: {}", err.reason);
     assert_eq!(rt.metric("unrecoverable_failures").len(), 1);
@@ -339,7 +344,7 @@ fn non_buddy_simultaneous_failures_recover() {
     let mut rt = build(8);
     rt.schedule_failure(SimTime::from_millis(40), 1);
     rt.schedule_failure(SimTime::from_millis(40), 2);
-    rt.run_checked().expect("non-overlapping copies survive");
+    rt.run_outcome().summary().expect("non-overlapping copies survive");
     let steps: Vec<f64> = rt.metric("step_done").iter().map(|s| s.1).collect();
     assert_eq!(*steps.last().unwrap(), TARGET_STEPS as f64);
     assert!(rt.metric("restart_time_s").len() >= 2);
@@ -360,7 +365,9 @@ fn cascade_into_restart_window_can_be_unrecoverable() {
     let mut rt = build(8);
     rt.schedule_failure(SimTime::from_millis(40), 1);
     rt.schedule_failure(mid, charm_core::buddy_pe(1, 8));
-    let err = rt.run_checked().unwrap_err();
+    let RunOutcome::Unrecoverable(err) = rt.run_outcome() else {
+        panic!("the run must end unrecoverable");
+    };
     assert!(err.reason.contains("both checkpoint copies"), "got: {}", err.reason);
 
     // The same second failure after the window closes is recoverable.
@@ -368,7 +375,7 @@ fn cascade_into_restart_window_can_be_unrecoverable() {
     let mut rt = build(8);
     rt.schedule_failure(SimTime::from_millis(40), 1);
     rt.schedule_failure(after, charm_core::buddy_pe(1, 8));
-    rt.run_checked().expect("sequential buddy failures with rebuilt copies recover");
+    rt.run_outcome().summary().expect("sequential buddy failures with rebuilt copies recover");
 }
 
 #[test]
@@ -385,7 +392,9 @@ fn failure_during_checkpoint_window_aborts_pending() {
     // half-replicated snapshot must never be restored.
     let mut rt = build(8);
     rt.schedule_failure(mid, 2);
-    let err = rt.run_checked().unwrap_err();
+    let RunOutcome::Unrecoverable(err) = rt.run_outcome() else {
+        panic!("the run must end unrecoverable");
+    };
     assert_eq!(rt.metric("ckpt_aborted").len(), 1);
     assert_eq!(rt.metric("ckpt_committed").len(), 0);
     assert!(err.reason.contains("no committed checkpoint"), "got: {}", err.reason);
@@ -413,7 +422,7 @@ fn failure_during_later_checkpoint_rolls_back_to_previous() {
 
     let mut rt = build_auto();
     rt.schedule_failure(mid, 3);
-    rt.run_checked().expect("previous committed checkpoint still valid");
+    rt.run_outcome().summary().expect("previous committed checkpoint still valid");
     assert_eq!(rt.metric("ckpt_aborted").len(), 1);
     assert!(!rt.metric("restart_time_s").is_empty());
     let steps: Vec<f64> = rt.metric("step_done").iter().map(|s| s.1).collect();

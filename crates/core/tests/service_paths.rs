@@ -166,12 +166,13 @@ fn long_warning_evacuates_and_zero_warning_rolls_back() {
     ballast_build(&mut rt);
     rt.schedule_preemption(SimTime::from_micros(3_000), 5, SimTime::from_micros(1_200));
     rt.schedule_preemption(SimTime::from_micros(5_500), 2, SimTime::ZERO);
-    let s = rt.run_checked().expect("both preemptions are survivable");
+    let outcome = rt.run_outcome();
+    let s = outcome.summary().expect("both preemptions are survivable");
     lockstep_verify(&rt).expect("answer survives evacuation + rollback");
     assert_eq!(rt.metric("evacuations").len(), 1, "the long warning evacuates");
     assert_eq!(rt.metric("preempt_short").len(), 1, "the zero warning cannot");
     assert_eq!(rt.metric("restart_time_s").len(), 1, "and rolls back instead");
-    assert_eq!(fingerprint(&mut rt, &s), PREEMPT_PIN);
+    assert_eq!(fingerprint(&mut rt, s), PREEMPT_PIN);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,13 +212,14 @@ fn rollback_diverts_chares_homed_on_retired_pes() {
     rt.schedule_preemption(SimTime::from_micros(3_300), 1, SimTime::from_micros(700));
     rt.schedule_reconfigure(SimTime::from_micros(3_000), 4);
     rt.schedule_failure(SimTime::from_micros(3_600), 2);
-    let s = rt.run_checked().expect("one copy of every chare survives");
+    let outcome = rt.run_outcome();
+    let s = outcome.summary().expect("one copy of every chare survives");
     lockstep_verify(&rt).expect("answer survives the diverted restore");
     assert_eq!(rt.metric("ckpt_committed").first().map(|c| c.0 < 2.6e-3), Some(true));
     assert_eq!(rt.metric("evacuations").len(), 1);
     assert_eq!(rt.metric("restart_time_s").len(), 1);
     assert!(ledger_has(&rt, "rollback to checkpoint"));
-    assert_eq!(fingerprint(&mut rt, &s), DIVERSION_PIN);
+    assert_eq!(fingerprint(&mut rt, s), DIVERSION_PIN);
 }
 
 // ---------------------------------------------------------------------------

@@ -56,12 +56,8 @@ impl Strategy for GreedyLb {
 
         if uniform_speed {
             // Homogeneous: min-heap on accumulated load, O(n log P).
-            let mut heap: BinaryHeap<PeEntry> = (0..stats.num_pes)
-                .map(|pe| PeEntry {
-                    load: stats.bg_load.get(pe).copied().unwrap_or(0.0),
-                    pe,
-                })
-                .collect();
+            let mut heap: BinaryHeap<PeEntry> =
+                (0..stats.num_pes).map(|pe| PeEntry { load: 0.0, pe }).collect();
             for i in order {
                 let mut top = heap.pop().expect("num_pes >= 1");
                 let obj = &stats.objs[i];
@@ -75,9 +71,7 @@ impl Strategy for GreedyLb {
             // Heterogeneous: the PE finishing soonest depends on its speed,
             // so minimize load-after-placement exactly (O(n·P); the paper's
             // heterogeneous scenarios are all small machines).
-            let mut pe_load: Vec<f64> = (0..stats.num_pes)
-                .map(|pe| stats.bg_load.get(pe).copied().unwrap_or(0.0))
-                .collect();
+            let mut pe_load = vec![0.0; stats.num_pes];
             for i in order {
                 let obj = &stats.objs[i];
                 let best = (0..stats.num_pes)
@@ -120,6 +114,10 @@ impl Strategy for GreedyCommLb {
         "GreedyCommLB"
     }
 
+    fn wants_comm(&self) -> bool {
+        true
+    }
+
     fn assign(&mut self, stats: &LbStats) -> Vec<Option<usize>> {
         // Build the per-object neighbor lists once.
         let index_of: HashMap<ObjId, usize> = stats
@@ -136,9 +134,7 @@ impl Strategy for GreedyCommLb {
             }
         }
 
-        let mut pe_load: Vec<f64> = (0..stats.num_pes)
-            .map(|pe| stats.bg_load.get(pe).copied().unwrap_or(0.0))
-            .collect();
+        let mut pe_load = vec![0.0; stats.num_pes];
         let mut placement: Vec<Option<usize>> = vec![None; stats.objs.len()];
 
         let mut order: Vec<usize> = (0..stats.objs.len()).collect();

@@ -96,10 +96,7 @@ impl Strategy for HybridLb {
                 continue;
             }
             let members: Vec<usize> = (0..n).filter(|&i| obj_group[i] == g).collect();
-            let mut pe_load: Vec<f64> = pes
-                .iter()
-                .map(|&pe| stats.bg_load.get(pe).copied().unwrap_or(0.0))
-                .collect();
+            let mut pe_load = vec![0.0f64; pes.len()];
             let mut morder = members.clone();
             morder.sort_by(|&a, &b| {
                 stats.objs[b]

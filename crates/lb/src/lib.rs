@@ -40,8 +40,7 @@ pub(crate) fn scaled(load: f64, speed: f64) -> f64 {
     load / speed.max(1e-12)
 }
 
-/// Current per-PE scaled loads (objects + background) under `stats`' present
-/// placement.
+/// Current per-PE scaled loads under `stats`' present placement.
 pub(crate) fn current_pe_loads(stats: &LbStats) -> Vec<f64> {
     stats.pe_loads()
 }
@@ -57,8 +56,7 @@ pub fn validate_assignment(stats: &LbStats, assignment: &[Option<usize>]) {
 
 /// Makespan (max scaled PE load, seconds) after applying `assignment`.
 pub fn post_makespan(stats: &LbStats, assignment: &[Option<usize>]) -> f64 {
-    let mut pe_load = stats.bg_load.clone();
-    pe_load.resize(stats.num_pes, 0.0);
+    let mut pe_load = vec![0.0; stats.num_pes];
     for (o, a) in stats.objs.iter().zip(assignment) {
         let pe = a.unwrap_or(o.pe);
         pe_load[pe] += scaled(o.load, stats.pe_speed[pe]);

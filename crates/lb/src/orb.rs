@@ -161,7 +161,6 @@ mod tests {
                         pe: ((x * side * side + y * side + z) as usize) % num_pes,
                         load: 1.0 / (1.0 + d),
                         bytes_sent: 0,
-                        msgs_sent: 0,
                     });
                 }
             }
@@ -169,7 +168,6 @@ mod tests {
         LbStats {
             num_pes,
             pe_speed: vec![1.0; num_pes],
-            bg_load: vec![0.0; num_pes],
             objs,
             comm: Vec::new(),
         }

@@ -5,8 +5,8 @@
 use charm_core::{
     Callback, Chare, Ctx, Ix, LbTrigger, RedOp, RedValue, Runtime, Strategy, SysEvent,
 };
-use charm_lb::{DistributedLb, GreedyLb, HybridLb, RefineLb};
-use charm_pup::{Pup, Puper};
+use charm_lb::{DistributedLb, GreedyCommLb, GreedyLb, HybridLb, RefineLb};
+use charm_pup::{Pup, Puper, SyntheticBlob};
 
 const STEPS: u64 = 12;
 const LB_EVERY: u64 = 3;
@@ -190,4 +190,49 @@ fn adaptive_trigger_skips_balanced_phases() {
     rt.broadcast(workers, Go);
     rt.run();
     assert_eq!(rt.lb_rounds().len(), 0, "balanced app must skip LB");
+}
+
+/// One of a pair that trades a heavy message and then waits at AtSync.
+#[derive(Default)]
+struct Chatter {
+    peer: i64,
+}
+
+impl Pup for Chatter {
+    fn pup(&mut self, p: &mut Puper) {
+        p.p(&mut self.peer);
+    }
+}
+
+impl Chare for Chatter {
+    /// Empty: the kick that starts the exchange; otherwise the peer's data.
+    type Msg = SyntheticBlob;
+    fn on_message(&mut self, m: SyntheticBlob, ctx: &mut Ctx<'_>) {
+        ctx.work(1e3);
+        if m.is_empty() {
+            let me = charm_core::ArrayProxy::<Chatter>::from_id(ctx.my_id().array);
+            ctx.send(me, Ix::i1(self.peer), SyntheticBlob::new(1 << 16));
+            ctx.at_sync();
+        }
+    }
+}
+
+/// Installing `GreedyCommLb` is the whole setup: the runtime records the
+/// pair's traffic because the strategy asks for it, and the balancer puts
+/// the two equally loaded chares on one PE after one round.
+#[test]
+fn greedy_comm_lb_colocates_a_chatty_pair() {
+    let mut rt = Runtime::builder(charm_core::MachineConfig::homogeneous(2))
+        .strategy(Box::new(GreedyCommLb::default()))
+        .build();
+    let pair = rt.create_array::<Chatter>("pair");
+    rt.set_at_sync(pair, true);
+    for i in 0..2 {
+        rt.insert(pair, Ix::i1(i), Chatter { peer: 1 - i }, Some(i as usize));
+    }
+    rt.broadcast(pair, SyntheticBlob::new(0));
+    rt.run();
+    assert_eq!(rt.lb_rounds().len(), 1, "one AtSync round ran");
+    let pes: Vec<_> = (0..2).map(|i| rt.element_pe(pair.id(), &Ix::i1(i))).collect();
+    assert_eq!(pes[0], pes[1], "the chatty pair shares a PE: {pes:?}");
 }

@@ -23,13 +23,11 @@ fn stats_strategy() -> impl proptest::strategy::Strategy<Value = LbStats> {
                     pe: (i * 7 + 3) % num_pes,
                     load,
                     bytes_sent: 0,
-                    msgs_sent: 0,
                 })
                 .collect();
             LbStats {
                 num_pes,
                 pe_speed: speeds[..num_pes].to_vec(),
-                bg_load: vec![0.0; num_pes],
                 objs,
                 comm: Vec::new(),
             }

@@ -8,7 +8,7 @@
 //! [`Commute`] is the control: identical traffic shape, adds only, so no
 //! perturbation can change its final state.
 
-use crate::{PerturbConfig, ReplayConfig, ReplayLog};
+use crate::{ReplayConfig, ReplayLog};
 use charm_core::{Chare, Ctx, Ix, Runtime};
 use charm_machine::MachineConfig;
 use charm_pup::{Pup, Puper};
@@ -105,7 +105,7 @@ fn run<C: Chare<Msg = OpMsg>>(
     init: C,
     ops: impl Iterator<Item = OpMsg>,
     seed: u64,
-    perturb: Option<PerturbConfig>,
+    perturb: Option<u64>,
 ) -> ReplayLog {
     let mut b = Runtime::builder(MachineConfig::homogeneous(4))
         .seed(seed)
@@ -132,11 +132,11 @@ fn demo_ops() -> impl Iterator<Item = OpMsg> {
 }
 
 /// Record a [`Racy`] run (optionally perturbed) and return its log.
-pub fn run_racy(seed: u64, perturb: Option<PerturbConfig>) -> ReplayLog {
+pub fn run_racy(seed: u64, perturb: Option<u64>) -> ReplayLog {
     run("racy-demo", Racy { value: 1 }, demo_ops(), seed, perturb)
 }
 
 /// Record a [`Commute`] run (optionally perturbed) and return its log.
-pub fn run_commute(seed: u64, perturb: Option<PerturbConfig>) -> ReplayLog {
+pub fn run_commute(seed: u64, perturb: Option<u64>) -> ReplayLog {
     run("commute-demo", Commute { value: 1 }, demo_ops(), seed, perturb)
 }

@@ -14,7 +14,8 @@
 //!   must match exactly (the scheduler is deterministic, so they do —
 //!   including across injected failures and restarts).
 //! * **Perturb & hunt** — re-run with seeded, causally-valid delivery
-//!   delays ([`PerturbConfig`]); [`diff_runs`] flags order-sensitive chares
+//!   delays ([`RuntimeBuilder::perturb`](charm_core::RuntimeBuilder::perturb)
+//!   takes the seed); [`diff_runs`] flags order-sensitive chares
 //!   by final-state digest and minimizes a witness: the first position in a
 //!   chare's consumed-message sequence where the two runs disagree — i.e.
 //!   the two messages whose delivery order swapped. [`hunt`] drives K
@@ -24,9 +25,7 @@
 //!   [`charm_machine::simulate_dag`], predicting makespan and per-PE
 //!   utilization without re-running application logic (BigSim-lite).
 
-pub use charm_core::replay::{
-    DigestPoint, ExecRec, PerturbConfig, ReplayConfig, ReplayLog, SendRec, NO_CHARE,
-};
+pub use charm_core::replay::{DigestPoint, ExecRec, ReplayConfig, ReplayLog, SendRec, NO_CHARE};
 
 pub mod demo;
 mod critpath;

@@ -44,22 +44,19 @@ impl From<std::io::Error> for LogError {
     }
 }
 
-/// Serialize `log` to `path` (atomic: write to `.tmp`, then rename). Packs
-/// from the borrowed log: no second copy is held while writing.
+/// Serialize `log` to `path` through [`charm_core::write_atomic`] (a crash
+/// leaves the old file or the whole new one). Packs from the borrowed log:
+/// no second copy is held while writing.
 pub fn save(log: &ReplayLog, path: &Path) -> std::io::Result<()> {
     let body = log.to_bytes();
     let sum = charm_pup::fnv1a(&body);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
+    charm_core::write_atomic(path, |f| {
         f.write_all(MAGIC)?;
         f.write_all(&VERSION.to_le_bytes())?;
         f.write_all(&(body.len() as u64).to_le_bytes())?;
         f.write_all(&body)?;
-        f.write_all(&sum.to_le_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+        f.write_all(&sum.to_le_bytes())
+    })
 }
 
 /// Load a log written by [`save`], validating magic, version, and checksum.
@@ -141,6 +138,21 @@ mod tests {
 
         std::fs::write(&path, b"NOTALOG!xxxxxxxxxxxxxxxxxxxxxxx").unwrap();
         assert!(matches!(load(&path), Err(LogError::BadMagic)));
+    }
+
+    /// The temp file is `<name>.tmp`, not the name with its extension
+    /// swapped: saving `x.rlog` leaves an unrelated `x.tmp` alone.
+    #[test]
+    fn save_leaves_a_neighbouring_tmp_file_intact() {
+        let dir = std::env::temp_dir().join("charm_replay_logfile_tmp_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let other = dir.join("x.tmp");
+        std::fs::write(&other, b"not ours").unwrap();
+        let path = dir.join("x.rlog");
+        save(&sample(), &path).unwrap();
+        assert_eq!(std::fs::read(&other).unwrap(), b"not ours");
+        assert!(!dir.join("x.rlog.tmp").exists(), "the temp file was renamed away");
+        assert_eq!(load(&path).unwrap().app, "sample");
     }
 
     /// A body with a valid checksum that this build cannot hold — an exec

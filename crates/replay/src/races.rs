@@ -9,7 +9,7 @@
 //! two messages reported there are a pair whose delivery order swapped
 //! (everything later is downstream noise of that swap).
 
-use crate::{PerturbConfig, ReplayLog};
+use crate::ReplayLog;
 use charm_core::ObjId;
 use std::collections::BTreeMap;
 
@@ -174,16 +174,16 @@ pub struct HuntOutcome {
 /// Run up to `k` perturbed re-executions (seeds `base_seed..base_seed+k`)
 /// and stop at the first one whose final state diverges from `baseline`.
 /// `run_perturbed` re-executes the recorded program with the given
-/// perturbation and returns its log.
+/// perturbation seed and returns its log.
 pub fn hunt(
     baseline: &ReplayLog,
     k: u64,
     base_seed: u64,
-    mut run_perturbed: impl FnMut(PerturbConfig) -> ReplayLog,
+    mut run_perturbed: impl FnMut(u64) -> ReplayLog,
 ) -> HuntOutcome {
     for i in 0..k {
         let seed = base_seed + i;
-        let log = run_perturbed(PerturbConfig::with_seed(seed));
+        let log = run_perturbed(seed);
         let report = diff_runs(baseline, &log);
         if report.flagged() {
             return HuntOutcome {

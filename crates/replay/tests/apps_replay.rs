@@ -35,7 +35,7 @@ fn record_leanmd(fail: bool) -> (ReplayLog, bool) {
         });
         let ckpt_t = probe_rt.metric("ckpt_time_s")[0].0;
         let end_t = probe_rt.metric("leanmd_step").last().unwrap().0;
-        cfg.fail_at = Some((SimTime::from_secs_f64((ckpt_t + end_t) / 2.0), 5));
+        cfg.failures = vec![(SimTime::from_secs_f64((ckpt_t + end_t) / 2.0), 5)];
     }
     let (_run, mut rt) = leanmd::run_with_runtime(cfg);
     let restarted = !rt.metric("restart_time_s").is_empty();

@@ -79,6 +79,22 @@ if [ -n "$typed" ]; then
 fi
 echo "TRAM buffers in wire form: no typed item vectors"
 
+# Dead code is deleted, not kept alive on purpose: no `allow(dead_code)` in
+# the crates' sources outside `#[cfg(test)]` modules (test directories are
+# exempt).
+dead=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+    awk 'pending { if ($0 ~ /^(pub(\([a-z]+\))? )?mod /) t = 1; pending = 0 }
+         /^#\[cfg\(test\)\]/ { pending = 1; next }
+         t { if ($0 ~ /^}/) t = 0; next }
+         /allow\([^)]*dead_code/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$dead" ]; then
+    echo "lint: allow(dead_code) outside test modules (delete the unused item):"
+    printf '%s\n' "$dead"
+    exit 1
+fi
+echo "no dead code kept alive: no allow(dead_code) outside test modules"
+
 # ROADMAP item 4: the library has no threads and keeps none — the second
 # core is spent one level up, on whole processes (charm_bench::pool), which
 # itself stays free of `unsafe`.
