@@ -1,6 +1,7 @@
 //! Chare arrays: typed element storage, proxies, and the object-safe
 //! interface the runtime drives them through.
 
+use crate::arena::UserMsg;
 use crate::chare::{Chare, SysEvent};
 use crate::index::Ix;
 use crate::Ctx;
@@ -85,21 +86,12 @@ impl<C: Chare> Default for ArrayProxy<C> {
 }
 
 /// A message or event on its way to a chare.
-pub enum Payload {
-    /// A user message (a boxed `C::Msg` for the destination array's type).
-    User(Box<dyn Any + Send>),
-    /// A runtime event — rare, so boxed to keep `Payload` two words.
+pub(crate) enum Payload {
+    /// A user message: a `C::Msg` for the destination array's type, inline
+    /// when it fits in 16 bytes.
+    User(UserMsg),
+    /// A runtime event — rare, so boxed to keep `Payload` three words.
     Sys(Box<SysEvent>),
-}
-
-impl Payload {
-    /// Short description for diagnostics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Payload::User(_) => "user",
-            Payload::Sys(_) => "sys",
-        }
-    }
 }
 
 /// Handle of an element's location record within its array — Charm++'s
@@ -179,7 +171,7 @@ pub(crate) trait AnyArray: Send {
     ) -> bool;
     /// PUP digest of a user message destined for this array (0 on a type
     /// mismatch — `execute` will panic with context anyway).
-    fn user_msg_digest(&self, msg: &mut Box<dyn Any + Send>) -> u64;
+    fn user_msg_digest(&self, msg: &mut UserMsg) -> u64;
     /// Serialize one element (for a single migration).
     fn pack_element(&mut self, ix: &Ix) -> Option<Vec<u8>>;
     /// Deserialize and (re-)insert an element at `pe`.
@@ -454,8 +446,10 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
             return false;
         };
         match payload {
-            Payload::User(boxed) => {
-                let boxed = boxed.downcast::<C::Msg>().unwrap_or_else(|_| {
+            Payload::User(msg) => {
+                // A boxed message's block goes back to the arena pool,
+                // where the next send of its type finds it.
+                let msg = msg.take::<C::Msg>().unwrap_or_else(|_| {
                     panic!(
                         "array '{}' element {}: message type mismatch (expected {})",
                         self.name,
@@ -463,9 +457,7 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
                         std::any::type_name::<C::Msg>()
                     )
                 });
-                // Recycle the payload block (the send side's `alloc_box`
-                // then reuses it — no allocator traffic per message).
-                e.chare.on_message(crate::arena::take_box(boxed), ctx);
+                e.chare.on_message(msg, ctx);
             }
             Payload::Sys(ev) => e.chare.on_event(*ev, ctx),
         }
@@ -473,7 +465,7 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
         true
     }
 
-    fn user_msg_digest(&self, msg: &mut Box<dyn Any + Send>) -> u64 {
+    fn user_msg_digest(&self, msg: &mut UserMsg) -> u64 {
         msg.downcast_mut::<C::Msg>()
             .map(charm_pup::digest_of)
             .unwrap_or(0)

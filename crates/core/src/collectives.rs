@@ -3,11 +3,11 @@
 //! at α-window boundaries), callback and system-event delivery, and
 //! quiescence detection.
 
+use crate::arena::UserMsg;
 use crate::array::{ArrayId, ElemRef, Payload};
 use crate::chare::{Callback, RedOp, RedValue, SysEvent};
 use crate::runtime::{Runtime, ENVELOPE_BYTES, TOKEN_AUX};
 use charm_machine::SimTime;
-use std::any::Any;
 
 /// A buffered reduction contribution, folded at window boundaries.
 pub(crate) struct ContribRec {
@@ -63,7 +63,7 @@ impl Runtime {
     pub(crate) fn spanning_broadcast(
         &mut self,
         array: ArrayId,
-        make: &dyn Fn() -> Box<dyn Any + Send>,
+        make: &dyn Fn() -> UserMsg,
         bytes: usize,
         prio: i64,
         from_chare: bool,

@@ -7,6 +7,7 @@
 //! structure simple: the chare is borrowed from its store, the `Ctx` from
 //! the runtime's scratch state, and never both from the same place.
 
+use crate::arena::UserMsg;
 use crate::array::{ArrayId, ArrayProxy, ObjId};
 use crate::chare::{Callback, Chare, RedOp, RedValue};
 use crate::ctrl::ControlValues;
@@ -19,14 +20,14 @@ use std::any::Any;
 pub(crate) enum Action {
     Send {
         dst: ObjId,
-        payload: Box<dyn Any + Send>,
+        payload: UserMsg,
         bytes: usize,
         prio: i64,
         delay: SimTime,
     },
     Broadcast {
         array: ArrayId,
-        make: Box<dyn Fn() -> Box<dyn Any + Send> + Send>,
+        make: Box<dyn Fn() -> UserMsg + Send>,
         bytes: usize,
         prio: i64,
     },
@@ -129,7 +130,7 @@ impl<'rt> Ctx<'rt> {
     /// remote data requests).
     pub fn send_prio<C: Chare>(&mut self, array: ArrayProxy<C>, ix: Ix, mut msg: C::Msg, prio: i64) {
         let bytes = charm_pup::packed_size(&mut msg) + crate::ENVELOPE_BYTES;
-        let payload = crate::arena::alloc_box(msg);
+        let payload = UserMsg::new(msg);
         self.actions.push(Action::Send {
             dst: ObjId {
                 array: array.id,
@@ -146,7 +147,7 @@ impl<'rt> Ctx<'rt> {
     /// idiomatic way to implement periodic chare-driven behaviour.
     pub fn send_after<C: Chare>(&mut self, delay: SimTime, array: ArrayProxy<C>, ix: Ix, mut msg: C::Msg) {
         let bytes = charm_pup::packed_size(&mut msg) + crate::ENVELOPE_BYTES;
-        let payload = crate::arena::alloc_box(msg);
+        let payload = UserMsg::new(msg);
         self.actions.push(Action::Send {
             dst: ObjId {
                 array: array.id,
@@ -168,7 +169,7 @@ impl<'rt> Ctx<'rt> {
         let bytes = charm_pup::packed_size(&mut probe) + crate::ENVELOPE_BYTES;
         self.actions.push(Action::Broadcast {
             array: array.id,
-            make: Box::new(move || crate::arena::alloc_box(msg.clone()) as Box<dyn Any + Send>),
+            make: Box::new(move || UserMsg::new(msg.clone())),
             bytes,
             prio: 0,
         });

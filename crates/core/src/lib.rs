@@ -83,7 +83,7 @@ pub mod trace;
 mod tracefmt;
 pub mod tsink;
 
-pub use array::{ArrayId, ArrayProxy, ObjId, Payload};
+pub use array::{ArrayId, ArrayProxy, ObjId};
 pub use chare::{Callback, Chare, RedOp, RedValue, SysEvent};
 pub use chunked::ChunkVec;
 pub use ctx::Ctx;

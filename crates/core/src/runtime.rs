@@ -15,6 +15,7 @@ mod slab;
 pub use builder::RuntimeBuilder;
 pub(crate) use slab::{EnvId, EnvSlab};
 
+use crate::arena::UserMsg;
 use crate::array::{AnyArray, ArrayId, ArrayProxy, ArrayStore, ElemId, ElemRef, ObjId, Payload};
 use crate::chare::{Callback, Chare, SysEvent};
 use crate::collectives::{ContribRec, RedState};
@@ -93,8 +94,12 @@ const _: () = assert!(
     "an event must stay 16 bytes"
 );
 const _: () = assert!(
-    std::mem::size_of::<Envelope>() <= 48,
-    "an envelope must stay 48 bytes"
+    std::mem::size_of::<Payload>() == 24,
+    "a payload is a type table and two words of message"
+);
+const _: () = assert!(
+    std::mem::size_of::<Envelope>() == 56,
+    "an envelope must stay 56 bytes"
 );
 const _: () = assert!(
     std::mem::size_of::<crate::replay::ExecRec>() <= 80,
@@ -113,11 +118,12 @@ pub(crate) struct MigrateArrive {
     pub bytes: Vec<u8>,
 }
 
-/// A message (or system event) in flight or queued: 48 bytes, everything
-/// the engine reads per hop. Its destination is a location-record handle;
-/// the index behind it is read from the record only while the tracer or the
-/// recorder needs an [`ObjId`]. Who sent it lives with the recorder (derived
-/// from the message's origin), and only while recording is on.
+/// A message (or system event) in flight or queued: 56 bytes, everything
+/// the engine reads per hop, a user message of up to 16 bytes included.
+/// Its destination is a location-record handle; the index behind it is read
+/// from the record only while the tracer or the recorder needs an
+/// [`ObjId`]. Who sent it lives with the recorder (derived from the
+/// message's origin), and only while recording is on.
 pub(crate) struct Envelope {
     pub dst: ElemRef,
     pub payload: Payload,
@@ -477,7 +483,7 @@ impl Runtime {
         self.cur_slot = self.host_slot();
         let elem = self.stores[proxy.id.0 as usize].intern(&ix);
         let dst = ElemRef { array: proxy.id, elem };
-        let env = self.mint(dst, Payload::User(Box::new(msg)), bytes, 0, 0, false);
+        let env = self.mint(dst, Payload::User(UserMsg::new(msg)), bytes, 0, 0, false);
         self.route_and_schedule(env, self.now);
     }
 
@@ -500,7 +506,7 @@ impl Runtime {
                 continue;
             };
             let dst = ElemRef { array, elem };
-            let payload = Payload::User(Box::new(msg.clone()));
+            let payload = Payload::User(UserMsg::new(msg.clone()));
             let env = self.mint(dst, payload, bytes, 0, 0, false);
             self.route_and_schedule(env, self.now);
         }
@@ -518,7 +524,7 @@ impl Runtime {
     {
         let bytes = charm_pup::packed_size(&mut msg) + ENVELOPE_BYTES;
         self.cur_slot = self.host_slot();
-        let make = || Box::new(msg.clone()) as Box<dyn std::any::Any + Send>;
+        let make = || UserMsg::new(msg.clone());
         let token = (proxy.id.0 as u64) ^ TOKEN_AUX;
         self.spanning_broadcast(proxy.id, &make, bytes, 0, false, 0, self.now, token);
     }
@@ -1058,7 +1064,7 @@ impl Runtime {
         // the entry name (`array::kind`) once per pair.
         let rec_consumed = if self.recorder.is_some() {
             Some(match &mut payload {
-                Payload::User(boxed) => (store.user_msg_digest(boxed), "on_message"),
+                Payload::User(msg) => (store.user_msg_digest(msg), "on_message"),
                 Payload::Sys(ev) => (sys_event_digest(ev), ev.kind_name()),
             })
         } else {

@@ -27,7 +27,7 @@ enum Slot {
 
 const NIL: u32 = u32::MAX;
 
-/// Slots per chunk: 64 × 48 B = 3 KB.
+/// Slots per chunk: 64 × 56 B = 3.5 KB.
 const CHUNK_BITS: u32 = 6;
 
 const _: () = assert!(
@@ -137,6 +137,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::UserMsg;
     use crate::array::{ArrayId, ElemId, ElemRef, Payload};
     use crate::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, SimTime};
     use charm_pup::Puper;
@@ -147,7 +148,7 @@ mod tests {
                 array: ArrayId(0),
                 elem: ElemId(0),
             },
-            payload: Payload::User(Box::new(())),
+            payload: Payload::User(UserMsg::new(())),
             prio: 0,
             rec_id,
             bytes: std::num::NonZeroU32::new(40).unwrap(),

@@ -6,8 +6,9 @@
 //! most a trickle of allocations:
 //!
 //! * **bare** — every envelope reuses a freed slot of the runtime's slab,
-//!   every payload box is served from the arena's recycled pool, and every
-//!   queue push reuses retained capacity;
+//!   a message of up to 16 bytes rides inside it, a larger one's box is
+//!   served from the arena's recycled pool, and every queue push reuses
+//!   retained capacity;
 //! * **streaming sinks** — every record formatted into a Chrome and a CSV
 //!   file goes straight into each sink's fixed buffer: no allocator call
 //!   per record;

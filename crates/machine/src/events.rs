@@ -22,8 +22,9 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// A deterministic event queue.
 ///
-/// Events with equal timestamps pop in insertion order, which — together
-/// with seeded RNGs everywhere else — makes whole simulations replayable.
+/// Events with equal timestamps pop in key order — insertion order, or the
+/// caller's keys under [`push_keyed`](Self::push_keyed) — which, together
+/// with seeded RNGs everywhere else, makes whole simulations replayable.
 pub struct EventQueue<T> {
     seq: u64,
     ops: u64,
@@ -223,13 +224,14 @@ impl<T> EventQueue<T> {
         self.times.peek().map(|&Reverse(t)| SimTime(t))
     }
 
-    /// Pop every event scheduled exactly at `t`, in insertion order.
+    /// Pop every event scheduled exactly at `t`, in key order: insertion
+    /// order for [`push`](Self::push), the caller's keys for
+    /// [`push_keyed`](Self::push_keyed).
     ///
     /// Equivalent to (and ordered identically to) repeated `pop` while the
     /// head's timestamp equals `t` — callers batch a whole timestep in one
     /// pass instead of re-peeking the heap per event. Events pushed at `t`
-    /// *after* this call get later sequence numbers and surface in the next
-    /// batch, exactly as they would have popped after the existing ties.
+    /// *after* this call surface in the next batch.
     pub fn pop_batch_at(&mut self, t: SimTime) -> Vec<T> {
         let mut out = Vec::new();
         self.pop_batch_at_into(t, &mut out);

@@ -35,6 +35,14 @@ if [ -n "$boxed" ]; then
     printf '%s\n' "$boxed"
     exit 1
 fi
+# A user payload is built in one place, UserMsg::new (DESIGN §4.4): small
+# messages ride in the envelope, and only it draws a box from the pool.
+userbox=$( (grep -rnF 'Payload::User(Box' "$src"; grep -rnF 'alloc_box(' "$src" | grep -v "^$src/arena.rs:") || true)
+if [ -n "$userbox" ]; then
+    echo "lint: user payload built outside UserMsg::new (wrap the message with UserMsg::new):"
+    printf '%s\n' "$userbox"
+    exit 1
+fi
 # The engine addresses elements by handle: an index is hashed once, when a
 # message is minted. Host lookups, placement.rs and ft.rs stay by index.
 byix=$(grep -nE 'locate\(&|element_pe\(&|add_load\(&' \
@@ -52,7 +60,7 @@ if [ -n "$cp" ]; then
     printf '%s\n' "$cp"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe, chunk indexing; no boxed envelope; message path by handle; critical path only in charm-replay"
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe, chunk indexing, the user payload; no boxed envelope; message path by handle; critical path only in charm-replay"
 
 # Modeled data is a length (charm_pup::SyntheticBlob, DESIGN §4.2): the
 # mini-apps and AMPI build no zero buffer outside their tests.
