@@ -228,7 +228,7 @@ impl Runtime {
     }
 
     fn deliver_sys_tree(&mut self, dst: ElemRef, ev: SysEvent, at: SimTime, tree_depth: u64) {
-        let Some((pe, _)) = self.stores[dst.array.0 as usize].locate(dst.elem) else {
+        let Some(pe) = self.stores[dst.array.0 as usize].locate(dst.elem) else {
             return;
         };
         // `i64::MIN + 1`: system events run promptly.

@@ -1,7 +1,8 @@
-//! Placement: the one way a chare changes PE, and everything built on it —
-//! `MigrateMe` (the same move split across a network delay), draining a PE
-//! set for shrink and preemption, the global pause, the AtSync protocol and
-//! the load-balancing round.
+//! Placement: how a chare changes PE, and everything built on it — the
+//! in-process move (`AnyArray::move_element`) behind the load-balancing
+//! round and the draining of a PE set for shrink and preemption,
+//! `MigrateMe` (a real PUP round trip split across a network delay), the
+//! global pause and the AtSync protocol.
 
 use crate::array::{ArrayId, ElemRef, ObjId};
 use crate::chare::SysEvent;
@@ -23,27 +24,9 @@ pub(crate) enum StatsMode {
 impl Runtime {
     // ----- moving one chare ----------------------------------------------------
 
-    /// Pack `obj` and take it out of its store: the departure half of every
-    /// move.
-    fn uproot(&mut self, obj: ObjId) -> Vec<u8> {
-        let store = &mut self.stores[obj.array.0 as usize];
-        let image = store.pack_element(&obj.ix).expect("relocating an existing element");
-        store.remove_element(&obj.ix);
-        image
-    }
-
-    /// Move `obj` to PE `to` now — a real PUP round trip, which is what
-    /// migration does. Returns the packed image size; what the move costs
-    /// and which bytes it is charged are the caller's model.
-    pub(crate) fn relocate(&mut self, obj: ObjId, to: usize) -> usize {
-        let image = self.uproot(obj);
-        self.stores[obj.array.0 as usize].unpack_insert(obj.ix, to, &image);
-        image.len()
-    }
-
-    /// `MigrateMe`: the chare leaves now and arrives one network delay
-    /// later; messages that chase it meanwhile wait in limbo. Its record,
-    /// and so its handle, stays.
+    /// `MigrateMe`: the chare is packed and leaves now, and arrives one
+    /// network delay later; messages that chase it meanwhile wait in limbo.
+    /// Its record, and so its handle, stays.
     pub(crate) fn start_migration(&mut self, src: ObjId, to: usize, at: SimTime) {
         let Some(from_pe) = self.stores[src.array.0 as usize].element_pe(&src.ix) else {
             return;
@@ -52,7 +35,9 @@ impl Runtime {
         if to == from_pe {
             return;
         }
-        let bytes = self.uproot(src);
+        let store = &mut self.stores[src.array.0 as usize];
+        let bytes = store.pack_element(&src.ix).expect("migrating an existing element");
+        store.remove_element(&src.ix);
         let wire = bytes.len() + ENVELOPE_BYTES;
         let delay = self.net.delay(from_pe, to, wire, self.cur_dispatch.1 ^ TOKEN_AUX);
         self.bytes_moved += wire as u64;
@@ -80,9 +65,8 @@ impl Runtime {
     // ----- draining a PE set ---------------------------------------------------
 
     /// Every chare hosted on a PE satisfying `on`, as `(pe, chare, packed
-    /// size)` in relocation order: per array, per PE ascending, per index.
-    /// Sizing is the first half of packing, so each size equals the length
-    /// of the image a later [`relocate`](Self::relocate) produces.
+    /// size)` in evacuation order: per array, per PE ascending, per index.
+    /// Each size is the one [`evacuate`](Self::evacuate) charges the move.
     pub(crate) fn residents(&mut self, on: impl Fn(usize) -> bool) -> Vec<(usize, ObjId, usize)> {
         let mut out = Vec::new();
         for s in self.stores.iter_mut() {
@@ -98,12 +82,11 @@ impl Runtime {
         out
     }
 
-    /// Relocate `residents` round-robin over `survivors`, one chare at a
-    /// time so only one packed image is alive at once. The counter runs
-    /// across arrays.
+    /// Move `residents` round-robin over `survivors`, in process. The
+    /// counter runs across arrays.
     pub(crate) fn evacuate(&mut self, residents: &[(usize, ObjId, usize)], survivors: &[usize]) {
         for (rr, &(_, obj, _)) in residents.iter().enumerate() {
-            self.relocate(obj, survivors[rr % survivors.len()]);
+            self.stores[obj.array.0 as usize].move_element(&obj.ix, survivors[rr % survivors.len()]);
         }
     }
 
@@ -127,7 +110,7 @@ impl Runtime {
     }
 
     /// Send the envelopes stranded on dead `pes` after their destinations:
-    /// the chares were relocated first, so with the location caches flushed
+    /// the chares were moved first, so with the location caches flushed
     /// routing finds each one's new home.
     pub(crate) fn reroute_stranded(&mut self, pes: &[usize]) {
         let mut stranded = Vec::new();
@@ -313,7 +296,7 @@ impl Runtime {
             new_assignment.push(target);
             if target != obj.pe {
                 migrations += 1;
-                let image = self.relocate(obj.id, target);
+                let image = self.stores[obj.id.array.0 as usize].move_element(&obj.id.ix, target);
                 per_pe_out[obj.pe] += image;
                 self.bytes_moved += image as u64;
                 if let Some(tr) = &mut self.tracer {
@@ -382,7 +365,7 @@ impl Runtime {
 
 #[cfg(test)]
 mod tests {
-    use crate::runtime::Ev;
+    use crate::runtime::{Ev, ENVELOPE_BYTES};
     use crate::{Chare, Ctx, Ix, Runtime, SimTime, SysEvent};
     use charm_pup::Puper;
 
@@ -507,6 +490,92 @@ mod tests {
         rt.insert(arr, Ix::i1(0), Waiter::default(), Some(0));
         rt.send(arr, Ix::i1(0), 1u8);
         rt.run();
+    }
+
+    thread_local! {
+        /// `Counted` images unpacked on this thread.
+        static UNPACKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A chare that counts how often it is unpacked.
+    #[derive(Default)]
+    struct Counted {
+        data: Vec<u64>,
+    }
+    impl charm_pup::Pup for Counted {
+        fn pup(&mut self, p: &mut Puper) {
+            if p.is_unpacking() {
+                UNPACKS.with(|u| u.set(u.get() + 1));
+            }
+            p.p(&mut self.data);
+        }
+    }
+    impl Chare for Counted {
+        type Msg = u8;
+        fn on_message(&mut self, _m: u8, _ctx: &mut Ctx<'_>) {}
+    }
+
+    /// Moves everything on PE 0 to PE 1.
+    struct EmptyPe0;
+    impl crate::Strategy for EmptyPe0 {
+        fn name(&self) -> &'static str {
+            "EmptyPe0"
+        }
+        fn assign(&mut self, stats: &crate::LbStats) -> Vec<Option<usize>> {
+            stats.objs.iter().map(|o| (o.pe == 0).then_some(1)).collect()
+        }
+        fn decision_cost(&self, _num_objs: usize, _num_pes: usize) -> f64 {
+            0.0
+        }
+    }
+
+    /// An LB round and an evacuation move chares in process: nothing is
+    /// unpacked, state stays, and the bytes moved and the round's cost are
+    /// the ones the chares' PUP sizes give.
+    #[test]
+    fn lb_and_evacuation_moves_unpack_nothing() {
+        let mut machine = charm_machine::MachineConfig::homogeneous(4);
+        machine.network.jitter = 0.0;
+        let mut rt = Runtime::builder(machine).strategy(Box::new(EmptyPe0)).build();
+        let arr = rt.create_array::<Counted>("counted");
+        rt.set_at_sync(arr, true);
+        let (on_pe0, objs) = (6, 8);
+        let mut image = 0;
+        for i in 0..objs {
+            let mut c = Counted { data: (0..=i as u64).collect() };
+            if i < on_pe0 {
+                image += charm_pup::packed_size(&mut c);
+            }
+            rt.insert(arr, Ix::i1(i), c, Some(if i < on_pe0 { 0 } else { 1 }));
+        }
+        let bytes_before = rt.bytes_moved;
+        UNPACKS.with(|u| u.set(0));
+        rt.run_lb_round(SimTime::ZERO, false);
+
+        let round = rt.lb_rounds()[0].clone();
+        assert_eq!(round.migrations, on_pe0 as usize);
+        assert_eq!(UNPACKS.with(|u| u.get()), 0, "an LB move unpacks nothing");
+        assert_eq!(rt.bytes_moved - bytes_before, image as u64);
+        // The round's model (`run_lb_round`): gather the stats, scatter the
+        // decisions, move PE 0's images in one hop, close with a barrier.
+        let (depth, small) = (rt.tree_depth(), rt.tree_hop(ENVELOPE_BYTES, 0));
+        let gather = rt.tree_hop(objs as usize * 32, 0);
+        let migrate = rt.tree_hop(image, 0);
+        let cost = SimTime(gather.0 + small.0 * depth * 2) + migrate + SimTime(small.0 * depth);
+        assert_eq!(round.cost_s, cost.as_secs_f64());
+        for i in 0..objs {
+            let want: Vec<u64> = (0..=i as u64).collect();
+            assert_eq!(rt.element_pe(arr.id(), &Ix::i1(i)), Some(1));
+            assert_eq!(rt.inspect(arr, &Ix::i1(i), |c| c.data.clone()), Some(want));
+        }
+
+        let residents = rt.residents(|pe| pe == 1);
+        assert_eq!(residents.len(), objs as usize);
+        rt.evacuate(&residents, &[2, 3]);
+        assert_eq!(UNPACKS.with(|u| u.get()), 0, "an evacuation unpacks nothing");
+        for i in 0..objs {
+            assert_eq!(rt.element_pe(arr.id(), &Ix::i1(i)), Some(2 + i as usize % 2));
+        }
     }
 
     /// Chare that migrates itself to PE 1 on first message and checks state

@@ -55,7 +55,7 @@ impl Runtime {
         let (src, dst, bytes, rec_id) = (e.src_pe as usize, e.dst, e.bytes.get() as usize, e.rec_id);
         // Read at route time, so an `Insert`, `MigrateMe` or LB move applied
         // earlier in the same action batch is seen.
-        let Some((true_pe, epoch)) = self.stores[dst.array.0 as usize].locate(dst.elem) else {
+        let Some(true_pe) = self.stores[dst.array.0 as usize].locate(dst.elem) else {
             self.limbo.entry(dst).or_default().push(env);
             return;
         };
@@ -73,10 +73,10 @@ impl Runtime {
         } else {
             match self.loc_cache[src].get(dst) {
                 // Send to the cached PE; if stale, `execute` forwards.
-                Some((pe, _ep)) => (pe, SimTime::ZERO),
+                Some(pe) => (pe, SimTime::ZERO),
                 None => {
                     let rtt = self.home_query_rtt(src, dst, rec_id);
-                    self.loc_cache[src].insert(dst, (true_pe, epoch));
+                    self.loc_cache[src].insert(dst, true_pe);
                     (true_pe, rtt)
                 }
             }
@@ -148,8 +148,8 @@ impl Runtime {
         }
     }
 
-    /// Forget every cached location: after PEs come or go, the cached
-    /// `(pe, epoch)` pairs name processes that may no longer exist.
+    /// Forget every cached location: after PEs come or go, the cached PEs
+    /// may name processes that no longer exist.
     pub(crate) fn flush_loc_caches(&mut self) {
         for c in self.loc_cache.iter_mut() {
             c.clear();

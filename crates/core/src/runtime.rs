@@ -79,8 +79,10 @@ pub(crate) enum Ev {
     AutoCkpt,
     /// Malleable reconfiguration to a new PE count (§III-D).
     Reconfigure { to: u32 },
-    /// An RTS-scheduled load-balancing round (cloud/thermal triggers).
-    RtsLb,
+    /// An RTS-scheduled load-balancing round (cloud/thermal triggers): the
+    /// head of a periodic chain that re-arms itself `period` later, under
+    /// the next reserved key, while `left` ticks remain.
+    RtsLb { left: u32, period: SimTime },
     /// Elastic-controller sampling/decision tick.
     ElasticTick,
     /// A spot preemption was announced: the node containing `pe` will be
@@ -274,7 +276,7 @@ pub struct Runtime {
     pub(crate) rngs: Vec<StdRng>,
     pub(crate) ctrl: ControlRegistry,
     pub(crate) ctrl_snapshot: ControlValues,
-    /// Per-PE location caches: handle → (pe, epoch). Looked up once per
+    /// Per-PE location caches: handle → PE. Looked up once per
     /// remote send on the routing hot path, without hashing an index (see
     /// [`crate::array::LocCache`]).
     pub(crate) loc_cache: Vec<crate::array::LocCache>,
@@ -898,7 +900,7 @@ impl Runtime {
             Ev::CkptCommit => self.on_ckpt_commit(),
             Ev::AutoCkpt => self.on_auto_ckpt(),
             Ev::Reconfigure { to } => self.on_reconfigure(to as usize),
-            Ev::RtsLb => self.rts_triggered_lb(),
+            Ev::RtsLb { left, period } => self.on_rts_lb_tick(left, period),
             Ev::ElasticTick => self.on_elastic_tick(),
             Ev::PreemptWarn { pe, deadline } => self.on_preempt_warn(pe as usize, deadline),
         }
@@ -957,8 +959,13 @@ impl Runtime {
 
     /// Allocate the next event key in `slot`.
     pub(crate) fn fresh_key(&mut self, slot: usize) -> u64 {
+        self.reserve_keys(slot, 1)
+    }
+
+    /// Allocate `n` consecutive event keys in `slot` and return the first.
+    pub(crate) fn reserve_keys(&mut self, slot: usize, n: u64) -> u64 {
         let k = ((slot as u64) << KEY_SLOT_SHIFT) | self.keys[slot];
-        self.keys[slot] += 1;
+        self.keys[slot] += n;
         debug_assert!(self.keys[slot] < 1 << KEY_SLOT_SHIFT, "key slot overflow");
         k
     }
@@ -1032,11 +1039,11 @@ impl Runtime {
                 self.limbo.entry(dst).or_default().push(env);
                 return false;
             }
-            Some((actual, epoch)) if actual != pe => {
+            Some(actual) if actual != pe => {
                 // Forward along and update the original sender's cache.
                 let (bytes, rec_id, src_pe) = (e.bytes.get() as usize, e.rec_id, e.src_pe as usize);
                 let delay = self.net.delay(pe, actual, bytes, rec_id ^ TOKEN_AUX);
-                self.loc_cache[src_pe].insert(dst, (actual, epoch));
+                self.loc_cache[src_pe].insert(dst, actual);
                 self.bytes_moved += bytes as u64;
                 self.sched_deliver(self.now + delay, actual, env);
                 return false;
@@ -1109,7 +1116,7 @@ impl Runtime {
                     let store = &mut self.stores[dst.array.0 as usize];
                     let elem = store.intern(&dst.ix);
                     sends.push(elem);
-                    let local = store.locate(elem).is_some_and(|(p, _)| p == pe);
+                    let local = store.locate(elem) == Some(pe);
                     send_cost += if local {
                         n_local += 1;
                         self.net.params().local_delivery

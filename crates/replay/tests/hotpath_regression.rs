@@ -1,5 +1,5 @@
 //! Hot-path regression net: same-seed stencil / LeanMD / PDES (direct and
-//! through TRAM) runs must
+//! through TRAM) / charm-kv (periodic load balancing) runs must
 //! reproduce the committed golden replay logs *byte for byte* — every
 //! executed entry, every consumed-message digest, every periodic state
 //! point, the final chare-state digests, and the virtual end time.
@@ -19,7 +19,8 @@
 //! CHARM_BLESS_GOLDEN=1 cargo test -p charm-replay --test hotpath_regression
 //! ```
 
-use charm_apps::{leanmd, pdes, stencil};
+use charm_apps::kv::{self, KvConfig};
+use charm_apps::{leanmd, pdes, stencil, strategy_by_name};
 use charm_core::{ReplayConfig, SimTime};
 use charm_machine::presets;
 use charm_replay::{load, save, verify, ReplayLog};
@@ -129,6 +130,24 @@ fn pdes_tram_matches_pre_optimization_golden() {
     cfg.tram.as_mut().expect("set above").flush_interval = Some(SimTime::from_micros(30));
     let (_run, mut rt) = pdes::run_with_runtime(cfg);
     check_against_golden("pdes_tram", rt.take_replay_log().expect("recording on"));
+}
+
+/// The charm-kv service under RTS-triggered periodic load balancing
+/// (`kv_replay.rs`'s service config): every periodic tick's `(time, key)`
+/// and every balancer decision and element move sit in this log, so it pins
+/// the tick chain and the LB enactment path.
+#[test]
+fn kv_lb_matches_pre_optimization_golden() {
+    let mut cfg = KvConfig::service(presets::cloud(4), 80);
+    cfg.clients = 4;
+    cfg.offered_load = 0.7;
+    cfg.zipf_s = 1.1;
+    cfg.strategy = strategy_by_name("greedy");
+    cfg.lb_period = Some(SimTime::from_millis(10));
+    cfg.seed = 13;
+    cfg.record = Some(ReplayConfig::with_digest_every(200));
+    let (_run, mut rt) = kv::run_with_runtime(cfg);
+    check_against_golden("kv_lb", rt.take_replay_log().expect("recording on"));
 }
 
 /// The recorder derives each consumed message's sender from its own

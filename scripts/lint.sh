@@ -25,8 +25,17 @@ once 'Hash::hash(ix,'           # hash an index: ArrayStore::probe (DESIGN §4.3
 once '(i >> BITS, i & ((1 << BITS) - 1))' # chunk an index: ChunkVec, under the slab and the log (DESIGN §4.4)
 stray=$(grep -rnF 'pack_element(' "$src" | grep -v -e "^$src/array.rs:" -e "^$src/placement.rs:" || true)
 if [ -n "$stray" ]; then
-    echo "lint: 'pack_element(' outside array.rs and placement.rs (use Runtime::relocate):"
+    echo "lint: 'pack_element(' outside array.rs and placement.rs (an LB or evacuation move is AnyArray::move_element; MigrateMe packs in Runtime::start_migration):"
     printf '%s\n' "$stray"
+    exit 1
+fi
+# An LB or evacuation move is in process (AnyArray::move_element, DESIGN
+# §4.3): in placement.rs only the arrival of a MigrateMe unpacks a chare.
+unpacked=$(awk '/^ *(pub(\([a-z]+\))? )?fn [a-z_]+/ { f = $0; sub(/^.*fn /, "", f); sub(/[^a-z_].*$/, "", f) }
+    /unpack_insert\(/ && f != "on_migrate_arrive" { print FILENAME ":" FNR ": " $0 }' "$src/placement.rs")
+if [ -n "$unpacked" ]; then
+    echo "lint: 'unpack_insert(' in placement.rs outside on_migrate_arrive (move in process with AnyArray::move_element):"
+    printf '%s\n' "$unpacked"
     exit 1
 fi
 boxed=$(grep -rnF 'Box<Envelope>' "$src" || true)
@@ -60,7 +69,7 @@ if [ -n "$cp" ]; then
     printf '%s\n' "$cp"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, relocate, the index probe, chunk indexing, the user payload; no boxed envelope; message path by handle; critical path only in charm-replay"
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, the in-process move (move_element; only MigrateMe unpacks), the index probe, chunk indexing, the user payload; no boxed envelope; message path by handle; critical path only in charm-replay"
 
 # Modeled data is a length (charm_pup::SyntheticBlob, DESIGN §4.2): the
 # mini-apps and AMPI build no zero buffer outside their tests.
