@@ -35,9 +35,7 @@
 //! network, checkpoints and digests see the same thing, and the modeled one
 //! is never allocated.
 
-use charm_core::{
-    ArrayId, ArrayProxy, Callback, Chare, Ctx, Ix, RedOp, RedValue, Runtime, SysEvent,
-};
+use charm_core::{ArrayProxy, Callback, Chare, Ctx, Ix, RedOp, RedValue, Runtime, SysEvent};
 use charm_pup::{Pup, Puper, SyntheticBlob};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -68,7 +66,7 @@ impl CacheModel {
     /// Multiplier applied to every `work()` charge: 1.0 when the working
     /// set fits in this rank's cache share, up to `miss_penalty` when it
     /// doesn't at all, linear in the uncovered fraction between.
-    pub fn work_factor(&self) -> f64 {
+    pub(crate) fn work_factor(&self) -> f64 {
         let share = self.cache_per_node / self.ranks_per_node.max(1.0);
         if self.working_set_per_rank <= share {
             1.0
@@ -98,29 +96,6 @@ impl Payload {
     fn zeros(run: &[u8]) -> Option<Payload> {
         let zero = run.iter().all(|&b| b == 0);
         zero.then(|| SyntheticBlob::new(run.len() as u64).into())
-    }
-
-    /// Bytes this payload stands for.
-    pub fn len(&self) -> u64 {
-        match &self.0 {
-            Repr::Bytes(b) => b.len() as u64,
-            Repr::Modeled(m) => m.len(),
-        }
-    }
-
-    /// True for a zero-length payload.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The bytes; a modeled run is materialised as zeros here, and only here.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self.0 {
-            Repr::Bytes(b) => b,
-            Repr::Modeled(m) => {
-                vec![0; usize::try_from(m.len()).expect("payload overflows usize")]
-            }
-        }
     }
 }
 
@@ -161,7 +136,7 @@ impl Pup for Payload {
 
 /// Messages between ranks.
 #[derive(Default)]
-pub enum AmpiMsg {
+pub(crate) enum AmpiMsg {
     /// Point-to-point payload.
     Pt2Pt {
         /// Sending rank.
@@ -205,7 +180,7 @@ impl Pup for AmpiMsg {
 type Mailbox = BTreeMap<(u64, i64), VecDeque<Payload>>;
 
 /// The chare wrapping one virtual rank.
-pub struct VRank<P: RankProgram> {
+pub(crate) struct VRank<P: RankProgram> {
     rank: u64,
     size: u64,
     program: P,
@@ -254,7 +229,6 @@ impl<P: RankProgram> VRank<P> {
         let mut mpi = Mpi {
             ctx,
             rank: self.rank,
-            size: self.size,
             mailbox: &mut self.mailbox,
             collectives: &mut self.collectives,
             finished: &mut self.finished,
@@ -300,7 +274,6 @@ impl<P: RankProgram> Chare for VRank<P> {
 pub struct Mpi<'a, 'rt> {
     ctx: &'a mut Ctx<'rt>,
     rank: u64,
-    size: u64,
     mailbox: &'a mut Mailbox,
     collectives: &'a mut BTreeMap<u32, RedValue>,
     finished: &'a mut bool,
@@ -312,11 +285,6 @@ impl<'a, 'rt> Mpi<'a, 'rt> {
     /// This rank's id (MPI_Comm_rank).
     pub fn rank(&self) -> u64 {
         self.rank
-    }
-
-    /// World size (MPI_Comm_size).
-    pub fn size(&self) -> u64 {
-        self.size
     }
 
     /// Charge compute, scaled by the cache model's work factor.
@@ -365,11 +333,6 @@ impl<'a, 'rt> Mpi<'a, 'rt> {
         );
     }
 
-    /// Begin a barrier (MPI_Ibarrier): an allreduce of nothing.
-    pub fn barrier(&mut self, tag: u32) {
-        self.allreduce(tag, RedValue::I64(0), RedOp::Sum);
-    }
-
     /// Take a completed collective's result, if available.
     pub fn try_collective(&mut self, tag: u32) -> Option<RedValue> {
         self.collectives.remove(&tag)
@@ -385,29 +348,6 @@ impl<'a, 'rt> Mpi<'a, 'rt> {
     /// being stepped.
     pub fn finish(&mut self) {
         *self.finished = true;
-    }
-
-    /// Non-blocking typed send: serializes `value` through PUP.
-    pub fn isend_typed<T: charm_pup::Pup>(&mut self, dst: u64, tag: i64, value: &mut T) {
-        self.isend(dst, tag, charm_pup::to_bytes(value));
-    }
-
-    /// Typed receive: deserializes a matching message, if one has arrived.
-    pub fn try_recv_typed<T: charm_pup::Pup + Default>(
-        &mut self,
-        src: u64,
-        tag: i64,
-    ) -> Option<T> {
-        self.try_recv(src, tag)
-            .map(|data| charm_pup::from_bytes(&data.into_bytes()))
-    }
-
-    /// Begin an allgather: every rank's `value` is concatenated (in the
-    /// runtime's deterministic combine order) and delivered to all ranks
-    /// under `tag`. Retrieve with [`Mpi::try_collective`] as
-    /// [`RedValue::Bytes`]; split on the per-rank payload size.
-    pub fn allgather_bytes(&mut self, tag: u32, bytes: Vec<u8>) {
-        self.allreduce(tag, RedValue::Bytes(bytes), RedOp::Concat);
     }
 
     /// Record a journal metric (rank 0 typically logs step times).
@@ -488,21 +428,6 @@ impl<P: RankProgram> AmpiWorld<P> {
             rt.send(self.proxy, Ix::i1(r as i64), AmpiMsg::Kick);
         }
     }
-
-    /// The underlying chare array.
-    pub fn proxy(&self) -> ArrayProxy<VRank<P>> {
-        self.proxy
-    }
-
-    /// The array id.
-    pub fn id(&self) -> ArrayId {
-        self.proxy.id()
-    }
-
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.num_ranks
-    }
 }
 
 #[cfg(test)]
@@ -544,11 +469,13 @@ mod tests {
     /// rank 0's send-only role... all ranks both send and receive in a ring).
     #[derive(Default)]
     struct Ring {
+        size: u64,
         phase: u32,
         got: u64,
     }
     impl Pup for Ring {
         fn pup(&mut self, p: &mut Puper) {
+            p.p(&mut self.size);
             p.p(&mut self.phase);
             p.p(&mut self.got);
         }
@@ -558,16 +485,16 @@ mod tests {
             loop {
                 match self.phase {
                     0 => {
-                        let dst = (mpi.rank() + 1) % mpi.size();
+                        let dst = (mpi.rank() + 1) % self.size;
                         mpi.isend(dst, 7, mpi.rank().to_le_bytes().to_vec());
                         self.phase = 1;
                     }
                     1 => {
-                        let src = (mpi.rank() + mpi.size() - 1) % mpi.size();
+                        let src = (mpi.rank() + self.size - 1) % self.size;
                         match mpi.try_recv(src, 7) {
                             Some(d) => {
-                                let d = d.into_bytes().try_into().expect("8 bytes");
-                                self.got = u64::from_le_bytes(d);
+                                assert_eq!(d, Payload::from(src.to_le_bytes().to_vec()));
+                                self.got = src;
                                 self.phase = 2;
                             }
                             None => return, // blocked
@@ -604,77 +531,16 @@ mod tests {
     fn ring_program_runs_over_virtual_ranks() {
         for (pes, ranks) in [(4usize, 4usize), (4, 16), (3, 8)] {
             let mut rt = Runtime::homogeneous(pes);
-            let world = AmpiWorld::<Ring>::create(&mut rt, "ring", ranks, None, |_| Ring::default());
+            let world = AmpiWorld::<Ring>::create(&mut rt, "ring", ranks, None, |_| Ring {
+                size: ranks as u64,
+                ..Ring::default()
+            });
             world.kick(&mut rt);
             rt.run();
             let sum = rt.metric("ring_sum").last().expect("completed").1;
             let expect = (ranks * (ranks - 1) / 2) as f64;
             assert_eq!(sum, expect, "pes={pes} ranks={ranks}");
         }
-    }
-
-    /// Exercises the typed send/recv helpers and allgather.
-    #[derive(Default)]
-    struct Typed {
-        phase: u32,
-    }
-    impl Pup for Typed {
-        fn pup(&mut self, p: &mut Puper) {
-            p.p(&mut self.phase);
-        }
-    }
-    impl RankProgram for Typed {
-        fn step(&mut self, mpi: &mut Mpi<'_, '_>) {
-            loop {
-                match self.phase {
-                    0 => {
-                        let dst = (mpi.rank() + 1) % mpi.size();
-                        let mut payload = (mpi.rank() as i64, vec![mpi.rank() as f64; 3]);
-                        mpi.isend_typed(dst, 1, &mut payload);
-                        self.phase = 1;
-                    }
-                    1 => {
-                        let src = (mpi.rank() + mpi.size() - 1) % mpi.size();
-                        match mpi.try_recv_typed::<(i64, Vec<f64>)>(src, 1) {
-                            Some((r, v)) => {
-                                assert_eq!(r as u64, src);
-                                assert_eq!(v, vec![src as f64; 3]);
-                                mpi.allgather_bytes(9, vec![mpi.rank() as u8]);
-                                self.phase = 2;
-                            }
-                            None => return,
-                        }
-                    }
-                    2 => match mpi.try_collective(9) {
-                        Some(RedValue::Bytes(all)) => {
-                            assert_eq!(all.len() as u64, mpi.size());
-                            let mut sorted = all.clone();
-                            sorted.sort_unstable();
-                            let expect: Vec<u8> = (0..mpi.size() as u8).collect();
-                            assert_eq!(sorted, expect, "every rank present once");
-                            mpi.finish();
-                            if mpi.rank() == 0 {
-                                mpi.log_metric("typed_ok", 1.0);
-                                mpi.exit_all();
-                            }
-                            return;
-                        }
-                        Some(other) => panic!("expected bytes, got {other:?}"),
-                        None => return,
-                    },
-                    _ => return,
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn typed_helpers_and_allgather() {
-        let mut rt = Runtime::homogeneous(3);
-        let world = AmpiWorld::<Typed>::create(&mut rt, "typed", 6, None, |_| Typed::default());
-        world.kick(&mut rt);
-        rt.run();
-        assert_eq!(rt.metric("typed_ok").len(), 1);
     }
 
     #[test]
@@ -701,8 +567,8 @@ mod tests {
     fn pending_collectives_keep_their_kind_through_pup() {
         let mut v: VRank<Ring> = VRank::default();
         let gathered = RedValue::Bytes(vec![0, 1, 2, 3]);
-        v.collectives.insert(1, RedValue::I64(0)); // Mpi::barrier's result
-        v.collectives.insert(2, gathered.clone()); // Mpi::allgather_bytes's
+        v.collectives.insert(1, RedValue::I64(0));
+        v.collectives.insert(2, gathered.clone()); // an allreduce with RedOp::Concat
         v.collectives.insert(3, RedValue::VecF64(vec![0.5, -1.0]));
         v.collectives.insert(4, RedValue::VecI64(vec![7, -7]));
         let r: VRank<Ring> = charm_pup::roundtrip(&mut v);
@@ -738,8 +604,6 @@ mod tests {
             u.p(&mut back);
             assert_eq!(u.remaining(), 1);
             assert_eq!(back, modeled());
-            assert_eq!(back.len(), n);
-            assert_eq!(back.into_bytes(), vec![0; n as usize]);
         }
         let zeros = Payload::from(vec![0; 4]);
         assert_eq!(zeros, Payload::from(SyntheticBlob::new(4)));

@@ -711,11 +711,6 @@ pub fn run_with_runtime(mut config: AmrConfig) -> (AppRun, usize, Runtime) {
     (run, nblocks, rt)
 }
 
-/// Run AMR3D (convenience).
-pub fn run(config: AmrConfig) -> AppRun {
-    run_with_runtime(config).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,8 +831,8 @@ mod tests {
             }),
             ..AmrConfig::default()
         };
-        let nolb = run(mk(false));
-        let lb = run(mk(true));
+        let nolb = run_with_runtime(mk(false)).0;
+        let lb = run_with_runtime(mk(true)).0;
         let tail = |r: &AppRun| {
             let d = r.step_durations();
             d[d.len() - 3..].iter().sum::<f64>() / 3.0
@@ -861,8 +856,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(AmrConfig::default());
-        let b = run(AmrConfig::default());
+        let a = run_with_runtime(AmrConfig::default()).0;
+        let b = run_with_runtime(AmrConfig::default()).0;
         assert_eq!(a.step_times, b.step_times);
     }
 }

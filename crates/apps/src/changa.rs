@@ -23,7 +23,7 @@ const BYTES_PER_PARTICLE: u64 = 36;
 
 /// Phases of one ChaNGa step, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Domain decomposition: particle exchange toward spatial owners.
     DD,
     /// Tree build: local construction + boundary merge with neighbors.

@@ -11,9 +11,9 @@
 //!   same PE — so a hot key region concentrates on one or two PEs and only
 //!   measurement-based LB can spread it.
 //! * **Clients** generate an open-loop request stream: seeded Poisson
-//!   arrivals ([`crate::util::PoissonArrivals`]) with Zipf-skewed keys
-//!   ([`crate::util::ZipfSampler`]) whose hotspot *drifts*: the hot key
-//!   region advances every [`KvConfig::drift_period`], so a balancer that
+//!   arrivals (`util::PoissonArrivals`) with Zipf-skewed keys
+//!   (`util::ZipfSampler`) whose hotspot *drifts*: the hot key
+//!   region advances every `KvConfig::drift_period`, so a balancer that
 //!   measured yesterday's load keeps chasing today's.
 //! * **SLOs**: every request's end-to-end latency (virtual arrival →
 //!   acknowledged) lands in a per-client [`LogHist`]; the run reports
@@ -39,11 +39,11 @@ use std::collections::BTreeMap;
 /// Configuration for a charm-kv service run.
 pub struct KvConfig {
     /// The machine to run on.
-    pub machine: MachineConfig,
+    pub(crate) machine: MachineConfig,
     /// Shards per PE (over-decomposition factor).
-    pub shards_per_pe: usize,
+    pub(crate) shards_per_pe: usize,
     /// Contiguous keys owned by each shard.
-    pub keys_per_shard: u64,
+    pub(crate) keys_per_shard: u64,
     /// Traffic-generating client chares (spread round-robin over PEs).
     pub clients: usize,
     /// Requests each client issues (the run serves until all are acked).
@@ -57,16 +57,16 @@ pub struct KvConfig {
     /// the region (one per shard round-robin), so the *region* is hot while
     /// no single shard exceeds one PE's capacity — the imbalance is
     /// fixable by migration, which is the point.
-    pub hot_shards: usize,
+    pub(crate) hot_shards: usize,
     /// The hot region's center advances every this much virtual time.
-    pub drift_period: SimTime,
+    pub(crate) drift_period: SimTime,
     /// ... by this many shards' worth of keys.
-    pub drift_step_shards: usize,
+    pub(crate) drift_step_shards: usize,
     /// Fraction of requests that are PUTs (rest are GETs).
     pub put_fraction: f64,
     /// Service work charged per GET / per PUT (flops).
-    pub flops_per_get: f64,
-    pub flops_per_put: f64,
+    pub(crate) flops_per_get: f64,
+    pub(crate) flops_per_put: f64,
     /// Optional LB strategy (with `lb_period`, chases the hotspot).
     pub strategy: Option<Box<dyn Strategy>>,
     /// Period of RTS-triggered LB rounds (None = never balance).
@@ -83,20 +83,20 @@ pub struct KvConfig {
     pub tram: Option<TramConfig>,
     /// Resend an un-acked request after this long (purged in-flight
     /// requests after a rollback are re-driven this way).
-    pub retry_timeout: SimTime,
+    pub(crate) retry_timeout: SimTime,
     /// Driver poll cadence: completion detection, retry scans, and the
     /// p99-over-time series all run on this clock.
-    pub poll_period: SimTime,
+    pub(crate) poll_period: SimTime,
     /// Safety valve: abandon the run after this many polls (a stuck run
     /// logs `kv_stuck` instead of spinning forever).
-    pub max_polls: u64,
+    pub(crate) max_polls: u64,
     /// RNG seed.
     pub seed: u64,
     /// Record a replay log (bound it with `ReplayConfig::max_execs` for
     /// long-running service recordings).
     pub record: Option<charm_core::ReplayConfig>,
     /// Schedule-perturbation seed for race hunting (None = off).
-    pub perturb: Option<u64>,
+    pub(crate) perturb: Option<u64>,
     /// Projections-lite tracing (None = off).
     pub trace: Option<charm_core::TraceConfig>,
     /// Streaming trace sinks (require `trace`).
@@ -152,12 +152,8 @@ pub struct KvRun {
     pub offered_rps: f64,
     /// Requests acknowledged end-to-end.
     pub acked: u64,
-    /// PUTs among them.
-    pub acked_puts: u64,
     /// Request retransmissions (timeouts and post-rollback re-drives).
     pub retries: u64,
-    /// PUT applications the version order rejected (duplicates/supersessions).
-    pub stale_puts: u64,
     /// Virtual seconds from start to the last ack.
     pub duration_s: f64,
     /// Acked requests per virtual second.
@@ -182,8 +178,7 @@ pub struct KvRun {
     pub rollbacks: usize,
     /// Mean PE utilization over the run.
     pub avg_utilization: f64,
-    /// Entry methods executed / messages delivered.
-    pub entries: u64,
+    /// Messages delivered.
     pub messages: u64,
     /// Order-independent digest of the final store contents (all shards).
     pub store_digest: u64,
@@ -198,14 +193,20 @@ pub struct KvRun {
 // ---------------------------------------------------------------------------
 
 /// Center key of the hot region at virtual time `t_ns`.
-pub fn hot_center(t_ns: u64, period: SimTime, step_keys: u64, keys: u64) -> u64 {
+pub(crate) fn hot_center(t_ns: u64, period: SimTime, step_keys: u64, keys: u64) -> u64 {
     ((t_ns / period.0.max(1)).wrapping_mul(step_keys)) % keys.max(1)
 }
 
 /// Key serving Zipf rank `rank` (1-based) when the hot region starts at
 /// `center`: ranks interleave round-robin across the `hot_shards`-wide
 /// region, one hot key per shard, then wrap deeper into the region.
-pub fn zipf_key(rank: u64, center: u64, keys: u64, hot_shards: u64, keys_per_shard: u64) -> u64 {
+pub(crate) fn zipf_key(
+    rank: u64,
+    center: u64,
+    keys: u64,
+    hot_shards: u64,
+    keys_per_shard: u64,
+) -> u64 {
     let r = rank - 1;
     let w = hot_shards.max(1);
     let off = (r % w) * keys_per_shard + r / w;
@@ -219,7 +220,7 @@ pub fn zipf_key(rank: u64, center: u64, keys: u64, hot_shards: u64, keys_per_sha
 /// A GET/PUT request (PUT version = the client's request id, so versions
 /// are unique and retries are idempotent under last-write-wins order).
 #[derive(Debug, Clone, PartialEq)]
-pub enum KvMsg {
+pub(crate) enum KvMsg {
     Get { client: u64, rid: u64, key: u64 },
     Put { client: u64, rid: u64, key: u64 },
 }
@@ -864,18 +865,16 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
     // ---- host-side collection ------------------------------------------
     let mut lat = LogHist::new();
     let mut lat_sum = 0u64;
-    let (mut acked, mut acked_puts, mut retries) = (0u64, 0u64, 0u64);
+    let (mut acked, mut retries) = (0u64, 0u64);
     for c in 0..n_clients {
         rt.inspect(clients, &Ix::i1(c as i64), |cl: &Client| {
             lat.merge(&cl.lat);
             lat_sum += cl.lat_sum_ns;
             acked += cl.acked;
-            acked_puts += cl.acked_puts;
             retries += cl.retries;
         });
     }
     let mut store_digest = 0u64;
-    let mut stale_puts = 0u64;
     for s in 0..num_shards {
         rt.inspect(shards, &Ix::i1(s as i64), |sh: &Shard| {
             let mut d = 0xcbf2_9ce4_8422_2325u64;
@@ -885,7 +884,6 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
             // Wrapping add keeps the combined digest independent of shard
             // visit order (and of which PE each shard ended up on).
             store_digest = store_digest.wrapping_add(d);
-            stale_puts += sh.stale_puts;
         });
     }
     let state_digest = rt
@@ -898,9 +896,7 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
     let run = KvRun {
         offered_rps: total_rps,
         acked,
-        acked_puts,
         retries,
-        stale_puts,
         duration_s,
         throughput_rps: if duration_s > 0.0 {
             acked as f64 / duration_s
@@ -922,7 +918,6 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
         reconfigures: rt.metric("reconfigure").len(),
         rollbacks: rt.metric("restart_time_s").len(),
         avg_utilization: summary.avg_utilization,
-        entries: summary.entries,
         messages: summary.messages,
         store_digest,
         state_digest,
@@ -1012,7 +1007,6 @@ mod tests {
         };
         let a = run(mk());
         assert_eq!(a.acked, 4 * 40);
-        assert!(a.acked_puts > 0);
         assert!(a.p50_s > 0.0 && a.p50_s <= a.p99_s && a.p99_s <= a.p999_s);
         assert!(a.throughput_rps > 0.0);
         assert!(a.unrecoverable.is_none());
@@ -1047,8 +1041,7 @@ mod tests {
         let mut c = KvConfig::service(presets::cloud(4), 50);
         c.clients = 6;
         c.put_fraction = 0.5;
-        let (r, rt) = run_with_runtime(c);
-        assert!(r.acked_puts > 0);
+        let (_, rt) = run_with_runtime(c);
         let checked = verify_acked_puts(&rt).expect("invariant");
         assert!(checked > 0);
     }

@@ -13,7 +13,6 @@
 //! | [`lulesh`] | §IV-D, Fig 14 | AMPI virtual ranks over a hex mesh | virtualization, cache model, rank migration LB |
 //! | [`stencil`] | §IV-F, Figs 4/16 | 2-D Jacobi blocks | overlap via over-decomposition, RTS-triggered LB, DVFS schemes |
 //! | [`pingpipe`] | §III-E, Fig 6 | two endpoints, pipelined transfers | control points + introspective tuner |
-//! | [`netbench`] | §IV-F | two endpoints | latency/bandwidth probes (cloud vs HPC fabrics) |
 //! | [`changa`] | §IV-C, Fig 13 | phase-structured N-body step | interop-grade composition of phases |
 
 pub mod amr3d;
@@ -22,7 +21,6 @@ pub mod changa;
 pub mod kv;
 pub mod leanmd;
 pub mod lulesh;
-pub mod netbench;
 pub mod pdes;
 pub mod pingpipe;
 pub mod stencil;

@@ -20,7 +20,7 @@ use charm_pup::{Pup, Puper, SyntheticBlob};
 
 /// Bytes of state per element (the paper: 27000 elements/PE ≈ 283 MB/node
 /// on 24-core Hopper nodes → ~437 bytes/element).
-pub const BYTES_PER_ELEMENT: f64 = 440.0;
+pub(crate) const BYTES_PER_ELEMENT: f64 = 440.0;
 /// Flops charged per element per iteration (several hydro kernels).
 const FLOPS_PER_ELEMENT: f64 = 180.0;
 /// Wire bytes per face element exchanged. Faces are modeled: a rank only
@@ -230,10 +230,6 @@ pub struct LuleshRun {
     pub iter_times: Vec<f64>,
     /// Average steady-state iteration time.
     pub avg_iter_s: f64,
-    /// Total run time.
-    pub total_s: f64,
-    /// LB rounds (migration events).
-    pub lb_rounds: usize,
 }
 
 /// Run LULESH over AMPI.
@@ -274,8 +270,6 @@ pub fn run(mut config: LuleshConfig) -> LuleshRun {
     LuleshRun {
         iter_times,
         avg_iter_s: avg,
-        total_s: summary.end_time.as_secs_f64(),
-        lb_rounds: rt.lb_rounds().len(),
     }
 }
 
@@ -329,7 +323,6 @@ mod tests {
         };
         let nolb = run(base(false));
         let lb = run(base(true));
-        assert!(lb.lb_rounds >= 1);
         let tail = |r: &LuleshRun| {
             let n = r.iter_times.len();
             (r.iter_times[n - 1] - r.iter_times[n - 4]) / 3.0

@@ -83,14 +83,10 @@ impl Default for PdesConfig {
 pub struct PdesRun {
     /// Total events executed.
     pub events_executed: u64,
-    /// Virtual wall time of the run, seconds.
-    pub time_s: f64,
     /// Events per second of virtual wall time — the Fig. 15 y-axis.
     pub event_rate: f64,
     /// Windows completed.
     pub windows: u64,
-    /// sent≠recv re-polls (in-flight stragglers caught by the protocol).
-    pub repolls: u64,
 }
 
 enum LpMsg {
@@ -445,18 +441,11 @@ pub fn run_with_runtime(mut config: PdesConfig) -> (PdesRun, Runtime) {
         .last()
         .map(|&(_, v)| v as u64)
         .unwrap_or(0);
-    let repolls = rt
-        .metric("pdes_repolls")
-        .last()
-        .map(|&(_, v)| v as u64)
-        .unwrap_or(0);
     let time_s = summary.end_time.as_secs_f64();
     let run = PdesRun {
         events_executed: executed,
-        time_s,
         event_rate: executed as f64 / time_s.max(1e-12),
         windows,
-        repolls,
     };
     (run, rt)
 }
@@ -548,6 +537,6 @@ mod tests {
         let a = run(small(16, 8, true));
         let b = run(small(16, 8, true));
         assert_eq!(a.events_executed, b.events_executed);
-        assert_eq!(a.time_s, b.time_s);
+        assert_eq!(a.event_rate, b.event_rate);
     }
 }

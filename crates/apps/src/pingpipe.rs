@@ -12,7 +12,7 @@ use charm_core::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, Runtime, SysEvent};
 use charm_pup::{Pup, Puper};
 
 /// Name of the registered control point (as in the paper's ping benchmark).
-pub const PIPELINE_CP: &str = "pipeline_messages";
+pub(crate) const PIPELINE_CP: &str = "pipeline_messages";
 
 /// Configuration for a pipelined-ping run.
 pub struct PingConfig {

@@ -7,7 +7,7 @@ pub use charm_pup::SyntheticBlob;
 /// Deterministic spatial density: a Gaussian blob centered at `center`
 /// (fractions of the domain), producing per-cell multipliers in
 /// `[floor, floor + peak]`. Drives the load imbalance in LeanMD/Barnes-Hut.
-pub fn gaussian_density(
+pub(crate) fn gaussian_density(
     pos: [f64; 3],
     center: [f64; 3],
     sigma: f64,
@@ -44,7 +44,7 @@ pub fn oct_coords(bits: u64, d: u8) -> [u32; 3] {
 }
 
 /// Lattice coordinates at depth `d` → bit-vector tree index bits.
-pub fn oct_bits(c: [u32; 3], d: u8) -> u64 {
+pub(crate) fn oct_bits(c: [u32; 3], d: u8) -> u64 {
     let mut bits = 0u64;
     for level in 0..d {
         let shift = (d - 1 - level) as u32;
@@ -64,18 +64,18 @@ pub fn oct_bits(c: [u32; 3], d: u8) -> u64 {
 /// resumes the *exact same* stream (the KV service's replay-after-restart
 /// correctness leans on this).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// A generator seeded with `seed` (every seed is a valid stream).
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -84,7 +84,7 @@ impl SplitMix64 {
     }
 
     /// Uniform double in `[0, 1)` (53-bit mantissa).
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
@@ -100,7 +100,7 @@ impl Pup for SplitMix64 {
 /// are a function of (seed, draw count) only — client completions never
 /// push back, which is what makes the offered load "open loop".
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct PoissonArrivals {
+pub(crate) struct PoissonArrivals {
     rng: SplitMix64,
     mean_ns: f64,
     /// Virtual time of the last arrival produced (ns).
@@ -109,7 +109,7 @@ pub struct PoissonArrivals {
 
 impl PoissonArrivals {
     /// A stream with mean inter-arrival `mean_ns` nanoseconds.
-    pub fn new(seed: u64, mean_ns: f64) -> Self {
+    pub(crate) fn new(seed: u64, mean_ns: f64) -> Self {
         assert!(mean_ns > 0.0);
         PoissonArrivals {
             rng: SplitMix64::new(seed),
@@ -119,7 +119,7 @@ impl PoissonArrivals {
     }
 
     /// Virtual time (ns) of the next arrival. Monotone non-decreasing.
-    pub fn next_arrival_ns(&mut self) -> u64 {
+    pub(crate) fn next_arrival_ns(&mut self) -> u64 {
         // Inverse-CDF: −ln(1−u)·mean, u ∈ [0,1). Clamp to ≥1 ns so two
         // arrivals never collapse onto the same instant.
         let u = self.rng.next_f64();
@@ -141,7 +141,7 @@ impl Pup for PoissonArrivals {
 /// tables, any exponent `s > 0`, and fully deterministic given the caller's
 /// [`SplitMix64`].
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     n: u64,
     s: f64,
     h_x1: f64,
@@ -151,7 +151,7 @@ pub struct ZipfSampler {
 
 impl ZipfSampler {
     /// A sampler over ranks `1..=n` with exponent `s` (P(rank=k) ∝ k^−s).
-    pub fn new(n: u64, s: f64) -> Self {
+    pub(crate) fn new(n: u64, s: f64) -> Self {
         assert!(n >= 1 && s > 0.0);
         let mut z = ZipfSampler {
             n,
@@ -164,17 +164,6 @@ impl ZipfSampler {
         z.h_n = z.h_integral(n as f64 + 0.5);
         z.threshold = 2.0 - z.h_integral_inverse(z.h_integral(2.5) - z.h(2.0));
         z
-    }
-
-    /// Rank count the sampler draws from.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Exact probability of rank `k` (for tests and reporting).
-    pub fn prob(&self, k: u64) -> f64 {
-        let h: f64 = (1..=self.n).map(|i| (i as f64).powf(-self.s)).sum();
-        (k as f64).powf(-self.s) / h
     }
 
     fn h(&self, x: f64) -> f64 {
@@ -196,7 +185,7 @@ impl ZipfSampler {
     }
 
     /// Draw one rank in `1..=n`.
-    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> u64 {
         loop {
             let u = self.h_n + rng.next_f64() * (self.h_x1 - self.h_n);
             let x = self.h_integral_inverse(u);
@@ -366,6 +355,12 @@ mod tests {
         assert_ne!(take(21), take(22));
     }
 
+    /// Exact probability of rank `k` under Zipf(`n`, `s`): k^-s / H_n.
+    fn zipf_prob(n: u64, s: f64, k: u64) -> f64 {
+        let h: f64 = (1..=n).map(|i| (i as f64).powf(-s)).sum();
+        (k as f64).powf(-s) / h
+    }
+
     #[test]
     fn zipf_matches_analytic_distribution() {
         // Property: empirical rank frequencies track k^-s / H_n within
@@ -383,23 +378,13 @@ mod tests {
                 counts[k as usize] += 1;
             }
             for k in [1u64, 2, 3, 5, 10, 25, 50] {
-                let expect = z.prob(k);
+                let expect = zipf_prob(n, s, k);
                 let got = counts[k as usize] as f64 / draws as f64;
                 assert!(
                     (got - expect).abs() < 0.01 && (got / expect - 1.0).abs() < 0.08,
                     "s={s} rank {k}: empirical {got:.5} vs analytic {expect:.5}"
                 );
             }
-            // Heavier exponent ⇒ more mass on rank 1.
         }
-        let light = {
-            let z = ZipfSampler::new(100, 0.6);
-            z.prob(1)
-        };
-        let heavy = {
-            let z = ZipfSampler::new(100, 1.4);
-            z.prob(1)
-        };
-        assert!(heavy > light * 2.0);
     }
 }

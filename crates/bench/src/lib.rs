@@ -25,7 +25,7 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read from `CHARM_FIG_SCALE`; a value [`Scale::parse`] rejects ends
+    /// Read from `CHARM_FIG_SCALE`; a value `Scale::parse` rejects ends
     /// the process, so a typo never runs a demo sweep believed to be full.
     pub fn from_env() -> Scale {
         let var = std::env::var("CHARM_FIG_SCALE").ok();
@@ -36,7 +36,7 @@ impl Scale {
     }
 
     /// `demo` / `full` in any case; unset or empty is `demo`.
-    pub fn parse(var: Option<&str>) -> Result<Scale, String> {
+    pub(crate) fn parse(var: Option<&str>) -> Result<Scale, String> {
         match var.unwrap_or("").to_ascii_lowercase().as_str() {
             "" | "demo" => Ok(Scale::Demo),
             "full" => Ok(Scale::Full),
@@ -57,15 +57,15 @@ impl Scale {
 /// saved as CSV.
 pub struct Figure {
     /// e.g. "fig09".
-    pub id: &'static str,
+    pub(crate) id: &'static str,
     /// Short description printed above the table.
-    pub title: &'static str,
+    pub(crate) title: &'static str,
     /// Column headers.
-    pub columns: Vec<String>,
+    pub(crate) columns: Vec<String>,
     /// Data rows (stringified).
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
     /// Free-form notes printed under the table (paper comparison).
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl Figure {
@@ -195,11 +195,6 @@ pub fn fmt_s(v: f64) -> String {
     }
 }
 
-/// Format a dimensionless ratio.
-pub fn fmt_x(v: f64) -> String {
-    format!("{v:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +261,5 @@ mod tests {
         assert_eq!(fmt_s(2.5), "2.500s");
         assert_eq!(fmt_s(0.0025), "2.500ms");
         assert_eq!(fmt_s(2.5e-6), "2.5us");
-        assert_eq!(fmt_x(2.4), "2.40x");
     }
 }

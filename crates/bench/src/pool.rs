@@ -36,13 +36,13 @@ pub struct Done {
     /// "exit status: 1", "signal: 9 (SIGKILL)", or why it never started.
     pub ended: String,
     /// The last 2 KiB of the child's stderr.
-    pub stderr_tail: String,
+    pub(crate) stderr_tail: String,
     /// Seconds from the start of the call to the child's start.
     pub started_s: f64,
     pub wall_s: f64,
     /// Which of the pool's workers (`0..workers`) ran the child.
     pub worker: usize,
-    /// The child's own `VmHWM`, if it called [`report_rss`].
+    /// The child's own `VmHWM`, if it called `report_rss`.
     pub peak_rss: Option<u64>,
 }
 
@@ -92,12 +92,12 @@ fn die(msg: &str) -> ! {
 }
 
 /// True in a `map` worker: the parent prints tables and writes CSVs.
-pub fn is_worker() -> bool {
+pub(crate) fn is_worker() -> bool {
     STATE.with(|s| s.borrow().worker.is_some())
 }
 
 /// In a pool child, leave this process's peak RSS where the parent reads it.
-pub fn report_rss() {
+pub(crate) fn report_rss() {
     let Some(file) = STATE.with(|s| s.borrow().rss_file.clone()) else { return };
     if let Some(bytes) = charm_machine::rss::peak_rss_bytes() {
         let _ = fs::write(file, bytes.to_string());

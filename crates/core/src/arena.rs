@@ -86,15 +86,15 @@ thread_local! {
 
 /// Cumulative arena counters for the current thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArenaStats {
+pub(crate) struct ArenaStats {
     /// Bytes served from the pool instead of the global allocator.
-    pub bytes_served: u64,
+    pub(crate) bytes_served: u64,
     /// Global-allocator calls avoided (pool hits + absorbed frees).
-    pub bypass: u64,
+    pub(crate) bypass: u64,
 }
 
 /// Snapshot this thread's cumulative arena counters.
-pub fn stats() -> ArenaStats {
+pub(crate) fn stats() -> ArenaStats {
     POOL.with(|p| {
         let p = p.borrow();
         ArenaStats {

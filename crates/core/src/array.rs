@@ -106,8 +106,8 @@ pub(crate) struct ElemId(pub(crate) u32);
 /// A chare as the engine addresses it: 8 bytes where an [`ObjId`] is 40.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ElemRef {
-    pub array: ArrayId,
-    pub elem: ElemId,
+    pub(crate) array: ArrayId,
+    pub(crate) elem: ElemId,
 }
 
 impl ElemRef {
@@ -616,7 +616,7 @@ mod tests {
             Ix::i1(0),
             Ix::i1((1 << 16) + 9),
             Ix::i6([1, 2, 3], [4, 5, 6]),
-            Ix::named("x"),
+            Ix::Named(0x78),
             Ix::i3(0, 9, 9),
         ];
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
@@ -687,7 +687,7 @@ mod tests {
             8 => Ix::i3(1, 2, 3),
             9 => Ix::i6([0, 0, 1], [1, 0, 0]),
             10 => Ix::ROOT.tree_child(5, 3),
-            _ => Ix::named("cells"),
+            _ => Ix::Named(0xCE11),
         }
     }
 

@@ -73,7 +73,7 @@ pub enum SysEvent {
 impl SysEvent {
     /// Stable variant name — the entry-method label tracing uses to
     /// distinguish `on_event` invocations in profiles and timelines.
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             SysEvent::Reduction { .. } => "Reduction",
             SysEvent::ResumeFromSync => "ResumeFromSync",
@@ -135,7 +135,7 @@ impl RedValue {
     }
 
     /// Approximate wire size in bytes, for network cost accounting.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         match self {
             RedValue::F64(_) | RedValue::I64(_) => 8,
             RedValue::VecF64(v) => 8 + v.len() * 8,
@@ -204,7 +204,7 @@ impl RedOp {
     /// # Panics
     /// Panics when the two values' shapes are incompatible (mixing scalar
     /// and vector contributions in one reduction is a program error).
-    pub fn combine(self, a: RedValue, b: &RedValue) -> RedValue {
+    pub(crate) fn combine(self, a: RedValue, b: &RedValue) -> RedValue {
         use RedValue::*;
         match (self, a, b) {
             (RedOp::Sum, F64(x), F64(y)) => F64(x + y),

@@ -13,7 +13,7 @@ use std::ops::{Index, IndexMut, Range};
 
 /// `BITS` of a replay-log array: 4 096 records a chunk (DESIGN §4.4,
 /// "Recording memory").
-pub const LOG_CHUNK_BITS: u32 = 12;
+pub(crate) const LOG_CHUNK_BITS: u32 = 12;
 
 /// A `Vec`-like array of fixed-capacity chunks. Every chunk but the last is
 /// full, and no chunk ever reallocates.
@@ -26,7 +26,7 @@ impl<T, const BITS: u32> ChunkVec<T, BITS> {
     pub const CHUNK: usize = 1 << BITS;
 
     /// An empty array; allocates nothing until the first push.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         ChunkVec { chunks: Vec::new() }
     }
 
@@ -62,12 +62,12 @@ impl<T, const BITS: u32> ChunkVec<T, BITS> {
     }
 
     #[inline]
-    pub fn get(&self, i: usize) -> Option<&T> {
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
         let (c, o) = Self::split(i);
         self.chunks.get(c)?.get(o)
     }
 
-    pub fn last(&self) -> Option<&T> {
+    pub(crate) fn last(&self) -> Option<&T> {
         self.chunks.last()?.last()
     }
 
@@ -77,7 +77,7 @@ impl<T, const BITS: u32> ChunkVec<T, BITS> {
     }
 
     /// The elements of `r`, in order; the range may straddle chunks.
-    pub fn range(&self, r: Range<usize>) -> Iter<'_, T> {
+    pub(crate) fn range(&self, r: Range<usize>) -> Iter<'_, T> {
         assert!(
             r.start <= r.end && r.end <= self.len(),
             "range {r:?} out of bounds for length {}",
@@ -95,7 +95,7 @@ impl<T, const BITS: u32> ChunkVec<T, BITS> {
 
     /// The index of the first element for which `pred` is false, when
     /// `pred` holds for a prefix of the array (as `slice::partition_point`).
-    pub fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
+    pub(crate) fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
         let c = self
             .chunks
             .partition_point(|ch| ch.last().is_some_and(&mut pred));

@@ -11,26 +11,26 @@ use std::collections::HashMap;
 
 /// A registered tunable parameter.
 #[derive(Debug, Clone)]
-pub struct ControlPoint {
+pub(crate) struct ControlPoint {
     /// Unique name, e.g. `"pipeline_messages"` or `"stencil_block"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Smallest admissible value.
-    pub min: i64,
+    pub(crate) min: i64,
     /// Largest admissible value.
-    pub max: i64,
+    pub(crate) max: i64,
     /// Current value.
-    pub value: i64,
+    pub(crate) value: i64,
 }
 
 /// Read-only snapshot of control-point values, visible to entry methods.
 #[derive(Debug, Clone, Default)]
-pub struct ControlValues {
+pub(crate) struct ControlValues {
     values: HashMap<String, i64>,
 }
 
 impl ControlValues {
     /// Value of a control point, if registered.
-    pub fn get(&self, name: &str) -> Option<i64> {
+    pub(crate) fn get(&self, name: &str) -> Option<i64> {
         self.values.get(name).copied()
     }
 }
@@ -61,18 +61,16 @@ pub struct ControlRegistry {
     active: usize,
     /// Relative improvement required to accept a new best (noise guard).
     epsilon: f64,
-    history: Vec<(f64, Vec<i64>)>,
 }
 
 impl ControlRegistry {
     /// An empty registry with a 2 % improvement threshold.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ControlRegistry {
             points: Vec::new(),
             states: Vec::new(),
             active: 0,
             epsilon: 0.02,
-            history: Vec::new(),
         }
     }
 
@@ -100,7 +98,7 @@ impl ControlRegistry {
     }
 
     /// Current values as a snapshot for `Ctx`.
-    pub fn snapshot(&self) -> ControlValues {
+    pub(crate) fn snapshot(&self) -> ControlValues {
         ControlValues {
             values: self
                 .points
@@ -110,28 +108,8 @@ impl ControlRegistry {
         }
     }
 
-    /// Current value of one point.
-    pub fn value(&self, name: &str) -> Option<i64> {
-        self.points.iter().find(|p| p.name == name).map(|p| p.value)
-    }
-
-    /// Number of registered points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The (objective, values) observations so far.
-    pub fn history(&self) -> &[(f64, Vec<i64>)] {
-        &self.history
-    }
-
     /// True when every control point's search has converged.
-    pub fn all_settled(&self) -> bool {
+    pub(crate) fn all_settled(&self) -> bool {
         !self.points.is_empty()
             && self
                 .states
@@ -142,9 +120,7 @@ impl ControlRegistry {
     /// Feed one objective observation (smaller is better) taken with the
     /// *current* values; the tuner may adjust one control point for the
     /// next observation period.
-    pub fn observe(&mut self, objective: f64) {
-        self.history
-            .push((objective, self.points.iter().map(|p| p.value).collect()));
+    pub(crate) fn observe(&mut self, objective: f64) {
         if self.points.is_empty() {
             return;
         }
@@ -246,18 +222,14 @@ mod tests {
         let mut reg = ControlRegistry::new();
         reg.register("pipeline", 1, 64, 2);
         for _ in 0..60 {
-            let v = reg.value("pipeline").unwrap();
+            let v = reg.snapshot().get("pipeline").unwrap();
             reg.observe(objective(v));
             if reg.all_settled() {
                 break;
             }
         }
-        let v = reg.value("pipeline").unwrap();
-        assert!(
-            (8..=34).contains(&v),
-            "settled far from optimum 20: {v} (history: {:?})",
-            reg.history().len()
-        );
+        let v = reg.snapshot().get("pipeline").unwrap();
+        assert!((8..=34).contains(&v), "settled far from optimum 20: {v}");
         // The settled objective must beat the starting objective decisively.
         assert!(objective(v) < objective(2) * 0.5);
     }
@@ -267,7 +239,7 @@ mod tests {
         let mut reg = ControlRegistry::new();
         reg.register("k", 1, 100, 50);
         for _ in 0..200 {
-            let v = reg.value("k").unwrap();
+            let v = reg.snapshot().get("k").unwrap();
             reg.observe(objective(v));
         }
         assert!(reg.all_settled());
@@ -278,11 +250,11 @@ mod tests {
         let mut reg = ControlRegistry::new();
         reg.register("k", 4, 8, 6);
         for _ in 0..50 {
-            let v = reg.value("k").unwrap();
+            let v = reg.snapshot().get("k").unwrap();
             assert!((4..=8).contains(&v));
             reg.observe(1.0 / v as f64); // favors larger v
         }
-        assert_eq!(reg.value("k").unwrap(), 8);
+        assert_eq!(reg.snapshot().get("k").unwrap(), 8);
     }
 
     #[test]
@@ -307,15 +279,5 @@ mod tests {
     fn out_of_range_initial_panics() {
         let mut reg = ControlRegistry::new();
         reg.register("a", 0, 1, 5);
-    }
-
-    #[test]
-    fn history_records_observations() {
-        let mut reg = ControlRegistry::new();
-        reg.register("a", 1, 4, 1);
-        reg.observe(5.0);
-        reg.observe(4.0);
-        assert_eq!(reg.history().len(), 2);
-        assert_eq!(reg.history()[0].0, 5.0);
     }
 }

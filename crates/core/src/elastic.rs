@@ -23,20 +23,14 @@ use charm_machine::SimTime;
 #[derive(Debug, Clone, Copy)]
 pub struct ElasticObs {
     /// Virtual time of the tick.
-    pub now: SimTime,
+    pub(crate) now: SimTime,
     /// Current live-PE boundary (the malleable `live_pes`).
-    pub live_pes: usize,
-    /// PEs actually alive (≤ `live_pes`; preempted PEs stay dead).
-    pub alive_pes: usize,
+    pub(crate) live_pes: usize,
     /// Hard ceiling: the machine's total PE count.
-    pub max_pes: usize,
+    pub(crate) max_pes: usize,
     /// Mean utilization of alive PEs over the last cadence window, in
     /// [0, 1].
-    pub utilization: f64,
-    /// Envelopes sitting in PE queues right now.
-    pub queued: u64,
-    /// Deliveries in flight right now.
-    pub inflight: u64,
+    pub(crate) utilization: f64,
 }
 
 /// An autoscaling policy: maps an observation to a target PE count.
@@ -62,7 +56,7 @@ pub trait ElasticPolicy: Send {
 /// The do-nothing baseline: observes, never acts. Useful for measuring
 /// controller overhead and as the static arm of policy sweeps.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoopPolicy;
+pub(crate) struct NoopPolicy;
 
 impl ElasticPolicy for NoopPolicy {
     fn name(&self) -> &'static str {
@@ -79,17 +73,17 @@ impl ElasticPolicy for NoopPolicy {
 #[derive(Debug, Clone)]
 pub struct HysteresisPolicy {
     /// Expand when mean utilization exceeds this.
-    pub expand_util: f64,
+    pub(crate) expand_util: f64,
     /// Shrink when mean utilization falls below this.
-    pub shrink_util: f64,
+    pub(crate) shrink_util: f64,
     /// PEs added/removed per action.
-    pub step: usize,
+    pub(crate) step: usize,
     /// Minimum virtual time between actions.
-    pub cooldown: SimTime,
+    pub(crate) cooldown: SimTime,
     /// Never shrink below this many PEs.
-    pub min_pes: usize,
+    pub(crate) min_pes: usize,
     /// Never expand past this many PEs.
-    pub max_pes: usize,
+    pub(crate) max_pes: usize,
     last_action: Option<SimTime>,
 }
 
@@ -114,16 +108,6 @@ impl HysteresisPolicy {
             max_pes,
             last_action: None,
         }
-    }
-
-    /// Wide dead band, long cooldown: acts rarely, never thrashes.
-    pub fn conservative(min_pes: usize, max_pes: usize) -> Self {
-        HysteresisPolicy::new(0.92, 0.55, 2, SimTime::from_secs(30), min_pes, max_pes)
-    }
-
-    /// Narrow dead band, short cooldown, bigger steps: chases the load.
-    pub fn aggressive(min_pes: usize, max_pes: usize) -> Self {
-        HysteresisPolicy::new(0.85, 0.70, 4, SimTime::from_secs(10), min_pes, max_pes)
     }
 }
 
@@ -165,9 +149,9 @@ impl ElasticPolicy for HysteresisPolicy {
 /// [`RuntimeBuilder::elastic`]: crate::RuntimeBuilder::elastic
 pub struct ElasticConfig {
     /// Sampling / decision cadence in virtual time.
-    pub cadence: SimTime,
+    pub(crate) cadence: SimTime,
     /// The autoscaling policy.
-    pub policy: Box<dyn ElasticPolicy>,
+    pub(crate) policy: Box<dyn ElasticPolicy>,
 }
 
 impl ElasticConfig {
@@ -215,7 +199,7 @@ pub struct Degraded {
     /// The floor that was violated.
     pub floor: usize,
     /// Human-readable cause.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl std::fmt::Display for Degraded {
@@ -266,7 +250,7 @@ impl RunOutcome {
 
 impl Runtime {
     /// Like [`run`](Runtime::run), but with the full typed ending: clean
-    /// completion, completion below the capacity floor ([`Degraded`]), or
+    /// completion, completion below the capacity floor (`Degraded`), or
     /// fatal state loss ([`Unrecoverable`]) — never a summary that silently
     /// omits lost work.
     pub fn run_outcome(&mut self) -> RunOutcome {
@@ -383,11 +367,8 @@ impl Runtime {
         let obs = ElasticObs {
             now: self.now,
             live_pes: self.live_pes,
-            alive_pes: n_alive,
             max_pes: self.machine.num_pes,
             utilization: util,
-            queued: self.queued,
-            inflight: self.inflight,
         };
         if let Some(target) = ctl.policy.decide(&obs) {
             let floor = ctl.policy.min_pes().max(1);
@@ -422,11 +403,8 @@ mod tests {
         ElasticObs {
             now: SimTime::from_secs(now_s),
             live_pes: live,
-            alive_pes: live,
             max_pes: 64,
             utilization: util,
-            queued: 1,
-            inflight: 1,
         }
     }
 

@@ -60,7 +60,7 @@ const RESTART_BARRIERS: u64 = 6;
 const DISK_MAGIC: &[u8; 8] = b"CHMCKPT2";
 
 /// An in-memory snapshot of the entire application.
-pub struct MemCheckpoint {
+pub(crate) struct MemCheckpoint {
     /// Packed state of every chare, keyed by identity. Ordered map: restore
     /// iterates it, and record/replay requires that order to be
     /// deterministic across runs.
@@ -78,13 +78,8 @@ pub struct MemCheckpoint {
 
 impl MemCheckpoint {
     /// Number of chares captured.
-    pub fn num_chares(&self) -> usize {
+    pub(crate) fn num_chares(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// When the checkpoint was taken.
-    pub fn taken_at(&self) -> SimTime {
-        self.taken_at
     }
 }
 
@@ -646,9 +641,11 @@ impl Runtime {
             });
         }
 
+        // Parse and validate the whole payload before touching any state, so
+        // an error leaves the runtime as it was.
         let mut r = Reader { data: payload, pos: 0 };
         let n_arrays = r.u64()?;
-        let mut max_pe_bytes = vec![0usize; self.live_pes];
+        let mut elems = Vec::new();
         for _ in 0..n_arrays {
             let name = String::from_utf8(r.bytes()?.to_vec())
                 .map_err(|_| RestoreError::Malformed("invalid array name".into()))?;
@@ -657,13 +654,16 @@ impl Runtime {
                 .ok_or(RestoreError::MissingArray { name })?;
             let n_elems = r.u64()?;
             for _ in 0..n_elems {
-                let ix_bytes = r.bytes()?;
-                let ix: crate::Ix = charm_pup::from_bytes(ix_bytes);
-                let body = r.bytes()?;
-                let pe = self.home_pe(id, &ix);
-                max_pe_bytes[pe] += body.len();
-                self.stores[id.0 as usize].unpack_insert(ix, pe, body);
+                let ix: crate::Ix = charm_pup::from_bytes_exact(r.bytes()?)
+                    .map_err(|e| RestoreError::Malformed(format!("element index: {e}")))?;
+                elems.push((id, ix, r.bytes()?));
             }
+        }
+        let mut max_pe_bytes = vec![0usize; self.live_pes];
+        for (id, ix, body) in elems {
+            let pe = self.home_pe(id, &ix);
+            max_pe_bytes[pe] += body.len();
+            self.stores[id.0 as usize].unpack_insert(ix, pe, body);
         }
         let max_bytes = max_pe_bytes.iter().copied().max().unwrap_or(0);
         let cost = self.machine.disk.read_time(self.live_pes, max_bytes);
@@ -846,7 +846,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], RestoreError> {
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(RestoreError::Truncated {
                 offset: self.pos,
                 need: n,

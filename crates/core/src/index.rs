@@ -62,17 +62,6 @@ impl Ix {
         Ix::I6([a[0], a[1], a[2], b[0], b[1], b[2]])
     }
 
-    /// Tree depth of a bit-vector index (levels of `bits_per_level` bits).
-    ///
-    /// # Panics
-    /// Panics when called on a non-bitvector index.
-    pub fn tree_depth(&self, bits_per_level: u8) -> u8 {
-        match self {
-            Ix::Bits { len, .. } => len / bits_per_level,
-            other => panic!("tree_depth on non-bitvector index {other:?}"),
-        }
-    }
-
     /// Child `c` of a bit-vector index (appends `bits_per_level` bits).
     ///
     /// This is the "simple local operation on its own index" the paper uses
@@ -88,39 +77,6 @@ impl Ix {
                 }
             }
             other => panic!("tree_child on non-bitvector index {other:?}"),
-        }
-    }
-
-    /// Parent of a bit-vector index; `None` at the root.
-    pub fn tree_parent(&self, bits_per_level: u8) -> Option<Ix> {
-        match self {
-            Ix::Bits { bits, len } => {
-                if *len < bits_per_level {
-                    None
-                } else {
-                    let nl = len - bits_per_level;
-                    Some(Ix::Bits {
-                        bits: bits & ((1u64 << nl) - 1),
-                        len: nl,
-                    })
-                }
-            }
-            other => panic!("tree_parent on non-bitvector index {other:?}"),
-        }
-    }
-
-    /// The child slot (0..2^bits_per_level) this index occupies under its
-    /// parent; `None` at the root.
-    pub fn tree_child_slot(&self, bits_per_level: u8) -> Option<u64> {
-        match self {
-            Ix::Bits { bits, len } => {
-                if *len < bits_per_level {
-                    None
-                } else {
-                    Some((bits >> (len - bits_per_level)) & ((1 << bits_per_level) - 1))
-                }
-            }
-            other => panic!("tree_child_slot on non-bitvector index {other:?}"),
         }
     }
 
@@ -169,15 +125,6 @@ impl Ix {
             }
         }
         h.finish()
-    }
-
-    /// Hash a string into a [`Ix::Named`] index.
-    pub fn named(s: &str) -> Ix {
-        let mut h = Fnv::new();
-        for b in s.bytes() {
-            h.byte(b);
-        }
-        Ix::Named(h.finish())
     }
 }
 
@@ -273,25 +220,22 @@ mod tests {
                 bits: 0b101_110,
                 len: 6,
             },
-            Ix::named("cells"),
+            Ix::Named(0xC0FFEE),
         ] {
             assert_eq!(roundtrip(&mut ix), ix);
         }
     }
 
     #[test]
-    fn tree_navigation() {
-        let root = Ix::ROOT;
-        assert_eq!(root.tree_depth(3), 0);
-        assert_eq!(root.tree_parent(3), None);
-        let c5 = root.tree_child(5, 3);
-        assert_eq!(c5.tree_depth(3), 1);
-        assert_eq!(c5.tree_parent(3), Some(root));
-        assert_eq!(c5.tree_child_slot(3), Some(5));
+    fn tree_child_appends_its_slot() {
+        let c5 = Ix::ROOT.tree_child(5, 3);
+        assert_eq!(c5, Ix::Bits { bits: 5, len: 3 });
         let gc2 = c5.tree_child(2, 3);
-        assert_eq!(gc2.tree_depth(3), 2);
-        assert_eq!(gc2.tree_parent(3), Some(c5));
-        assert_eq!(gc2.tree_child_slot(3), Some(2));
+        let want = Ix::Bits {
+            bits: 5 | 2 << 3,
+            len: 6,
+        };
+        assert_eq!(gc2, want);
     }
 
     #[test]
@@ -324,12 +268,6 @@ mod tests {
         for b in buckets {
             assert!(b > 40, "home hashing badly skewed: {buckets:?}");
         }
-    }
-
-    #[test]
-    fn named_indices_differ() {
-        assert_ne!(Ix::named("a"), Ix::named("b"));
-        assert_eq!(Ix::named("cells"), Ix::named("cells"));
     }
 
     #[test]

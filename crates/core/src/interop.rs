@@ -6,7 +6,7 @@
 //! loop until the module signals completion (a chare calls `exit` or the
 //! system quiesces), and control returns to the host with the results.
 
-use crate::runtime::{RunSummary, Runtime};
+use crate::runtime::Runtime;
 use charm_machine::SimTime;
 
 /// Handle the host program keeps while a charm module is loaded —
@@ -38,16 +38,6 @@ impl CharmLib {
     /// portions of an interop program).
     pub fn host_compute(&mut self, seconds_per_pe: f64) {
         self.host_time += SimTime::from_secs_f64(seconds_per_pe);
-    }
-
-    /// Transfer control to the charm module: runs the event loop until the
-    /// module finishes. Returns the module's virtual-time cost for this
-    /// invocation.
-    pub fn invoke(&mut self) -> (SimTime, RunSummary) {
-        let start = self.rt.now();
-        let summary = self.rt.run();
-        self.rt.clear_exit();
-        (self.rt.now().saturating_sub(start), summary)
     }
 
     /// Tear down and recover the runtime (CharmLibExit).

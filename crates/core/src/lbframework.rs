@@ -42,11 +42,6 @@ pub struct LbStats {
 }
 
 impl LbStats {
-    /// Total measured object load, seconds.
-    pub fn total_load(&self) -> f64 {
-        self.objs.iter().map(|o| o.load).sum()
-    }
-
     /// Current load per PE implied by the object placement (obj loads ÷ PE
     /// speed).
     pub fn pe_loads(&self) -> Vec<f64> {
@@ -125,8 +120,6 @@ impl Strategy for NullLb {
 /// The result of enacting one LB round (reported in the journal).
 #[derive(Debug, Clone)]
 pub struct LbRound {
-    /// When the round completed (virtual time, seconds).
-    pub at: f64,
     /// Strategy that ran.
     pub strategy: &'static str,
     /// Number of objects that migrated.
@@ -229,11 +222,5 @@ mod tests {
         assert!((v - 1.0).abs() < 1e-12);
         let v = imbalance_of(&[0, 0, 0, 1], &[1.0, 1.0, 1.0, 1.0], &[1.0, 1.0], 2);
         assert!((v - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_load_sums() {
-        let stats = synthetic_stats(2, &[1.0, 2.0, 3.0]);
-        assert!((stats.total_load() - 6.0).abs() < 1e-12);
     }
 }

@@ -16,12 +16,12 @@
 //!
 //! On top of these the runtime provides the paper's §III feature set:
 //! measurement-based load balancing with pluggable strategies
-//! ([`lbframework`]), double in-memory and disk checkpoint/restart ([`ft`]),
-//! temperature-aware DVFS control ([`power`]), malleable shrink/expand
+//! ([`lbframework`]), double in-memory and disk checkpoint/restart (`ft`),
+//! temperature-aware DVFS control (`power`), malleable shrink/expand
 //! (`malleable`, via [`Runtime::schedule_reconfigure`]), an introspective
-//! control-point tuner ([`ctrl`]), host-program interoperation
-//! ([`interop`]), and a Projections-lite tracing & metrics subsystem
-//! ([`trace`]) with Chrome-trace export and per-entry-method profiles.
+//! control-point tuner (`ctrl`), host-program interoperation
+//! (`interop`), and a Projections-lite tracing & metrics subsystem
+//! (`trace`) with Chrome-trace export and per-entry-method profiles.
 //!
 //! Execution happens on the deterministic machine simulator from
 //! `charm-machine`; see that crate and DESIGN.md for the
@@ -61,47 +61,43 @@
 //! assert!(summary.end_time.as_secs_f64() > 0.0);
 //! ```
 
-pub mod arena;
+pub(crate) mod arena;
 mod array;
 mod chare;
-pub mod chunked;
+pub(crate) mod chunked;
 mod collectives;
-pub mod ctrl;
+pub(crate) mod ctrl;
 mod ctx;
-pub mod elastic;
-pub mod ft;
+pub(crate) mod elastic;
+pub(crate) mod ft;
 mod index;
-pub mod interop;
+pub(crate) mod interop;
 pub mod lbframework;
 mod malleable;
 mod placement;
-pub mod power;
+pub(crate) mod power;
 pub mod replay;
 mod routing;
 mod runtime;
-pub mod trace;
+pub(crate) mod trace;
 mod tracefmt;
-pub mod tsink;
+pub(crate) mod tsink;
 
 pub use array::{ArrayId, ArrayProxy, ObjId};
 pub use chare::{Callback, Chare, RedOp, RedValue, SysEvent};
 pub use chunked::ChunkVec;
 pub use ctx::Ctx;
-pub use elastic::{
-    Degraded, ElasticConfig, ElasticObs, ElasticPolicy, HysteresisPolicy, NoopPolicy, RunOutcome,
-};
-pub use ft::{buddy_pe, write_atomic, DiskCkptInfo, MemCheckpoint, RestoreError};
+pub use elastic::{ElasticConfig, HysteresisPolicy, RunOutcome};
+pub use ft::{buddy_pe, write_atomic, RestoreError};
 pub use index::Ix;
 pub use interop::CharmLib;
-pub use lbframework::{LbRound, LbStats, LbTrigger, NullLb, ObjStat, Strategy};
+pub use lbframework::{LbStats, LbTrigger, NullLb, ObjStat, Strategy};
 pub use power::DvfsScheme;
-pub use replay::{DigestPoint, ExecRec, ReplayConfig, ReplayLog, SendRec};
+pub use replay::{ReplayConfig, ReplayLog};
 pub use routing::HomeMap;
-pub use runtime::{RunSummary, Runtime, RuntimeBuilder, Unrecoverable, ENVELOPE_BYTES};
-pub use trace::{
-    EntryKind, EntrySlo, LogHist, NameTable, SinkStats, TraceConfig, TraceEventKind, TraceProfile,
-    TraceRecord, TraceSink, Tracer,
-};
+pub use runtime::{RunSummary, Runtime, RuntimeBuilder, Unrecoverable};
+pub(crate) use runtime::ENVELOPE_BYTES;
+pub use trace::{LogHist, SinkStats, TraceConfig, TraceEventKind, TraceSink};
 pub use tsink::{ChromeStreamSink, CountingSink, CsvStreamSink};
 
 // Re-exported so applications depending on charm-core alone can name the

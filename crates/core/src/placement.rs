@@ -341,7 +341,6 @@ impl Runtime {
             );
         }
         self.lb_rounds.push(LbRound {
-            at: resume_at.as_secs_f64(),
             strategy: strategy_name,
             migrations,
             imbalance_before,

@@ -202,13 +202,16 @@ mod tests {
         rt.schedule_periodic_lb(p, 7);
         rt.run_for(SimTime(p.0 * 5));
         assert_eq!(rt.lb_rounds().len(), 5);
+        let mut rt = with_null_lb();
+        rt.schedule_periodic_lb(p, 7);
+        for k in 1..=7 {
+            rt.run_until(SimTime(p.0 * k - 1));
+            assert_eq!(rt.lb_rounds().len(), k as usize - 1, "round {k} ran early");
+            rt.run_until(SimTime(p.0 * k));
+            assert_eq!(rt.lb_rounds().len(), k as usize, "round {k} did not run at {k}p");
+        }
         rt.run();
         assert_eq!(rt.lb_rounds().len(), 7, "the chain ends with its last round");
-        for (k, round) in rt.lb_rounds().iter().enumerate() {
-            let tick = round.at - round.cost_s;
-            let want = p.as_secs_f64() * (k + 1) as f64;
-            assert!((tick - want).abs() < 1e-12, "round {k} ran at {tick}, not {want}");
-        }
     }
 
     /// A tick whose successor would pass `SimTime::MAX` is the last one.

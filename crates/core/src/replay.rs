@@ -1337,7 +1337,7 @@ mod tests {
             8 => Ix::i3(1, 2, 3),
             9 => Ix::i6([0, 0, 1], [1, 0, 0]),
             10 => Ix::ROOT.tree_child(5, 3),
-            _ => Ix::named("cells"),
+            _ => Ix::Named(0xCE11),
         }
     }
 

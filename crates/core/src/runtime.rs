@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use std::num::NonZeroU32;
 
 /// Fixed per-message envelope overhead added to every payload's wire size.
-pub const ENVELOPE_BYTES: usize = 40;
+pub(crate) const ENVELOPE_BYTES: usize = 40;
 
 /// Event keys are `(slot << KEY_SLOT_SHIFT) | counter`: the producer slot
 /// in the high bits, a per-slot monotonic counter in the low 40. A key thus
@@ -114,10 +114,10 @@ const _: () = assert!(
 
 /// A migrating chare's serialized state en route to its new PE.
 pub(crate) struct MigrateArrive {
-    pub dst: ObjId,
-    pub to_pe: usize,
-    pub from_pe: usize,
-    pub bytes: Vec<u8>,
+    pub(crate) dst: ObjId,
+    pub(crate) to_pe: usize,
+    pub(crate) from_pe: usize,
+    pub(crate) bytes: Vec<u8>,
 }
 
 /// A message (or system event) in flight or queued: 56 bytes, everything
@@ -127,18 +127,18 @@ pub(crate) struct MigrateArrive {
 /// [`ObjId`]. Who sent it lives with the recorder (derived from the
 /// message's origin), and only while recording is on.
 pub(crate) struct Envelope {
-    pub dst: ElemRef,
-    pub payload: Payload,
-    pub prio: i64,
+    pub(crate) dst: ElemRef,
+    pub(crate) payload: Payload,
+    pub(crate) prio: i64,
     /// Runtime-wide message key, assigned at creation. Always allocated
     /// (recording on or off) so enabling the recorder cannot shift any
     /// other deterministic state. Doubles as the event-heap tie-break for
     /// the delivery event.
-    pub rec_id: u64,
+    pub(crate) rec_id: u64,
     /// Wire size, envelope included — so never zero, which is the niche
     /// the slab's free link hides in.
-    pub bytes: NonZeroU32,
-    pub src_pe: u32,
+    pub(crate) bytes: NonZeroU32,
+    pub(crate) src_pe: u32,
 }
 
 /// Per-PE scheduler state.
@@ -198,9 +198,6 @@ pub struct RunSummary {
     pub trace_dropped: u64,
     /// Delivery stats for every installed streaming trace sink.
     pub trace_sinks: Vec<crate::trace::SinkStats>,
-    /// Per-entry-method latency SLOs (p50/p99/p999), sorted by total busy
-    /// time. Empty when tracing is off.
-    pub entry_slos: Vec<crate::trace::EntrySlo>,
     /// Entry executions shed from a capped replay recording
     /// ([`ReplayConfig::max_execs`](crate::ReplayConfig)); 0 when recording
     /// is off or unbounded.
@@ -236,7 +233,7 @@ pub struct RunSummary {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unrecoverable {
     /// Virtual time of the fatal failure.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// PEs that died in the fatal event (the whole node range).
     pub failed_pes: Vec<usize>,
     /// Chares whose state was lost outright.
@@ -594,11 +591,6 @@ impl Runtime {
         }
     }
 
-    /// The run's RNG seed (replays are bit-identical for equal seeds).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Messages parked for not-yet-existing elements (diagnostic). A
     /// steady-state nonzero value usually means a send to a wrong index.
     pub fn limbo_messages(&self) -> Vec<(ObjId, usize)> {
@@ -805,7 +797,6 @@ impl Runtime {
                 .tracer
                 .as_ref()
                 .map_or_else(Vec::new, |t| t.sink_stats()),
-            entry_slos: self.entry_slos(),
             replay_shed_execs: self.recorder.as_ref().map_or(0, |r| r.shed_execs()),
             replay_shed_sends: self.recorder.as_ref().map_or(0, |r| r.shed_sends()),
             queue_ops: self.events.ops()

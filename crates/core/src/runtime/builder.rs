@@ -87,10 +87,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enable the Projections-lite tracing subsystem (see
-    /// [`crate::trace`]): bounded per-PE event logs plus always-cheap
-    /// summary aggregates. Off by default — when off, no events are
-    /// recorded and the per-message hooks reduce to a branch on `None`.
+    /// Enable the Projections-lite tracing subsystem (`trace`): bounded
+    /// per-PE event logs plus always-cheap summary aggregates. Off by
+    /// default — when off, no events are recorded and the per-message hooks
+    /// reduce to a branch on `None`.
     pub fn tracing(mut self, cfg: TraceConfig) -> Self {
         self.trace = Some(cfg);
         self

@@ -115,7 +115,7 @@ pub enum EntryKind {
 
 impl EntryKind {
     /// Short label used in exports ("entry" or the event name).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             EntryKind::Message => "entry",
             EntryKind::Event(name) => name,
@@ -276,12 +276,12 @@ pub enum TraceEventKind {
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
     /// Virtual time of the event (for `Entry`, the span's start).
-    pub t: SimTime,
+    pub(crate) t: SimTime,
     /// Owning track.
-    pub track: usize,
+    pub(crate) track: usize,
     /// Arrival order: position in the tracer's global record stream (the
     /// order streaming sinks observed).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// What happened.
     pub kind: TraceEventKind,
 }
@@ -341,7 +341,7 @@ impl NameTable {
     }
 
     /// The array's registered name (`"?"` if unknown).
-    pub fn array_name(&self, id: ArrayId) -> &str {
+    pub(crate) fn array_name(&self, id: ArrayId) -> &str {
         self.arrays.get(id.0 as usize).map_or("?", |a| &a.plain)
     }
 
@@ -352,7 +352,7 @@ impl NameTable {
 
     /// `<array>::<entry>`: the name profiles, SLO rows, the report and
     /// every export give an entry method.
-    pub fn entry_name(&self, array: ArrayId, entry: EntryKind) -> String {
+    pub(crate) fn entry_name(&self, array: ArrayId, entry: EntryKind) -> String {
         format!("{}::{}", self.array_name(array), entry.label())
     }
 }
@@ -363,7 +363,7 @@ impl NameTable {
 /// [`RuntimeBuilder::trace_sink`](crate::RuntimeBuilder::trace_sink).
 ///
 /// The per-PE rings remain the built-in retention sink (their drops are
-/// counted separately by [`Tracer::dropped_events`]); external sinks see
+/// counted separately by `Tracer::dropped_events`); external sinks see
 /// every record regardless of ring capacity.
 pub trait TraceSink: Send {
     /// Short stable identifier used in stats and reports.
@@ -462,7 +462,7 @@ impl LogHist {
     }
 
     /// Smallest value mapping to bucket `i` (the quantile estimate).
-    pub fn bucket_lo(i: usize) -> u64 {
+    pub(crate) fn bucket_lo(i: usize) -> u64 {
         if i < QH_EXACT {
             i as u64
         } else {
@@ -479,7 +479,7 @@ impl LogHist {
     }
 
     /// Samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.total
     }
 
@@ -583,21 +583,6 @@ impl EntryAgg {
     }
 }
 
-/// `h`'s non-empty log₂ buckets as `(2^octave, count)`, where a sample `v`
-/// falls in octave `bit_length(max(v, 1))`, capped at 63. Every [`LogHist`]
-/// bucket lies inside one octave, so this is exact.
-fn log2_hist(h: &LogHist) -> Vec<(u64, u64)> {
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    for (i, &c) in h.counts().iter().enumerate().filter(|(_, &c)| c > 0) {
-        let octave = (64 - LogHist::bucket_lo(i).max(1).leading_zeros()).min(63);
-        match out.last_mut() {
-            Some((hi, n)) if *hi == 1u64 << octave => *n += c,
-            _ => out.push((1u64 << octave, c)),
-        }
-    }
-    out
-}
-
 /// Machine-readable per-entry-method latency SLO row, carried on
 /// [`RunSummary`](crate::RunSummary) so bench drivers and service monitors
 /// read p50/p99/p999 directly instead of parsing the projections report
@@ -607,15 +592,15 @@ pub struct EntrySlo {
     /// `<array>::<entry>` (same naming as [`TraceProfile::name`]).
     pub name: String,
     /// Executions observed.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Total busy seconds across executions.
-    pub total_s: f64,
+    pub(crate) total_s: f64,
     /// Median execution time, seconds (log-bucket estimate).
-    pub p50_s: f64,
+    pub(crate) p50_s: f64,
     /// 99th-percentile execution time, seconds (log-bucket estimate).
-    pub p99_s: f64,
+    pub(crate) p99_s: f64,
     /// 99.9th-percentile execution time, seconds (log-bucket estimate).
-    pub p999_s: f64,
+    pub(crate) p999_s: f64,
 }
 
 /// Resolved per-entry-method profile, ready for reports and tuners.
@@ -624,31 +609,25 @@ pub struct TraceProfile {
     /// `<array>::<entry>` (e.g. `leanmd_cells::entry`,
     /// `leanmd_cells::ResumeFromSync`).
     pub name: String,
-    /// Array the entry method belongs to.
-    pub array: ArrayId,
-    /// Which entry method.
-    pub entry: EntryKind,
     /// Executions.
     pub count: u64,
     /// Total busy seconds across executions.
     pub total_s: f64,
     /// Shortest execution, seconds.
-    pub min_s: f64,
+    pub(crate) min_s: f64,
     /// Longest execution, seconds.
-    pub max_s: f64,
+    pub(crate) max_s: f64,
     /// Median execution time, seconds (log-bucket estimate).
-    pub p50_s: f64,
+    pub(crate) p50_s: f64,
     /// 99th-percentile execution time, seconds (log-bucket estimate).
-    pub p99_s: f64,
+    pub(crate) p99_s: f64,
     /// 99.9th-percentile execution time, seconds (log-bucket estimate).
-    pub p999_s: f64,
-    /// Non-empty log₂ histogram buckets: (upper bound in ns, count).
-    pub hist: Vec<(u64, u64)>,
+    pub(crate) p999_s: f64,
 }
 
 impl TraceProfile {
     /// Mean execution time, seconds.
-    pub fn avg_s(&self) -> f64 {
+    pub(crate) fn avg_s(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -730,16 +709,6 @@ impl CommMatrix {
         } else {
             self.shed_msgs += 1;
             self.shed_bytes += bytes;
-        }
-    }
-
-    fn get(&self, src: usize, dst: usize) -> (u64, u64) {
-        match self.idx.get(&Self::key(src, dst)) {
-            Some(&i) => {
-                let c = &self.cells[i as usize];
-                (c.bytes, c.msgs)
-            }
-            None => (0, 0),
         }
     }
 
@@ -869,7 +838,7 @@ impl Tracer {
     }
 
     /// The configuration this tracer was built with.
-    pub fn config(&self) -> &TraceConfig {
+    pub(crate) fn config(&self) -> &TraceConfig {
         &self.cfg
     }
 
@@ -900,31 +869,25 @@ impl Tracer {
         self.rings.iter().map(|r| r.dropped).sum()
     }
 
-    /// PE×PE communication volume: `(bytes, messages)` routed `src → dst`.
-    /// `(0, 0)` for pairs beyond the per-source fanout cap.
-    pub fn comm(&self, src: usize, dst: usize) -> (u64, u64) {
-        self.comm.get(src, dst)
-    }
-
     /// Tracked remote comm pairs `(src, dst, bytes, msgs)`, hottest first.
-    pub fn comm_top(&self) -> Vec<(usize, usize, u64, u64)> {
+    pub(crate) fn comm_top(&self) -> Vec<(usize, usize, u64, u64)> {
         self.comm.top()
     }
 
     /// Traffic shed beyond the per-source fanout cap: `(messages, bytes)`.
-    pub fn comm_shed(&self) -> (u64, u64) {
+    pub(crate) fn comm_shed(&self) -> (u64, u64) {
         (self.comm.shed_msgs, self.comm.shed_bytes)
     }
 
     /// Modeled message-latency histogram (send → delivery, nanoseconds).
-    pub fn msg_latency(&self) -> &LogHist {
+    pub(crate) fn msg_latency(&self) -> &LogHist {
         &self.msg_latency
     }
 
     /// Utilization timeline: bin width in seconds and, per PE, the busy
     /// fraction of each bin. Above 4096 PEs there is a single machine-wide
     /// row (see [`Tracer::util_aggregated`]).
-    pub fn util_timeline(&self) -> (f64, Vec<Vec<f64>>) {
+    pub(crate) fn util_timeline(&self) -> (f64, Vec<Vec<f64>>) {
         let bin_s = self.util.bin_ns as f64 / 1e9;
         let denom = self.util.bin_ns as f64 * self.util.agg_over.max(1) as f64;
         let rows = self
@@ -938,7 +901,7 @@ impl Tracer {
 
     /// `Some(num_pes)` when the utilization timeline is one machine-wide
     /// aggregate row instead of per-PE rows.
-    pub fn util_aggregated(&self) -> Option<usize> {
+    pub(crate) fn util_aggregated(&self) -> Option<usize> {
         (self.util.agg_over > 0).then_some(self.util.agg_over)
     }
 
@@ -956,18 +919,18 @@ impl Tracer {
     }
 
     /// Ledger lines shed beyond the retention cap.
-    pub fn ledger_shed(&self) -> u64 {
+    pub(crate) fn ledger_shed(&self) -> u64 {
         self.ledger_total - self.ledger().len() as u64
     }
 
     /// Delivery counters for every installed streaming sink.
-    pub fn sink_stats(&self) -> Vec<SinkStats> {
+    pub(crate) fn sink_stats(&self) -> Vec<SinkStats> {
         self.sinks.iter().map(|s| s.stats()).collect()
     }
 
     /// Flush and finalize all streaming sinks; returns their final stats.
     /// Idempotent.
-    pub fn finish_sinks(&mut self) -> Vec<SinkStats> {
+    pub(crate) fn finish_sinks(&mut self) -> Vec<SinkStats> {
         if !self.sinks_finished {
             self.sinks_finished = true;
             for s in &mut self.sinks {
@@ -975,11 +938,6 @@ impl Tracer {
             }
         }
         self.sink_stats()
-    }
-
-    /// The array-name table sinks format events with.
-    pub fn names(&self) -> &NameTable {
-        &self.names
     }
 
     pub(crate) fn add_sink(&mut self, sink: Box<dyn TraceSink>) {
@@ -1185,10 +1143,8 @@ impl Runtime {
     pub fn trace_profiles(&self) -> Vec<TraceProfile> {
         self.sorted_entries()
             .into_iter()
-            .map(|(name, array, entry, a)| TraceProfile {
+            .map(|(name, _, _, a)| TraceProfile {
                 name,
-                array,
-                entry,
                 count: a.qhist.count(),
                 total_s: a.total.as_secs_f64(),
                 min_s: a.min.min(a.max).as_secs_f64(),
@@ -1196,14 +1152,12 @@ impl Runtime {
                 p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
                 p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
                 p999_s: a.qhist.quantile(0.999) as f64 / 1e9,
-                hist: log2_hist(&a.qhist),
             })
             .collect()
     }
 
     /// Structured per-entry p50/p99/p999 rows — the machine-readable form
-    /// of the projections report's SLO columns, also carried on every
-    /// [`RunSummary`](crate::RunSummary). Sorted by total busy time
+    /// of the projections report's SLO columns. Sorted by total busy time
     /// (descending, then name). Empty when tracing is off.
     pub fn entry_slos(&self) -> Vec<EntrySlo> {
         self.sorted_entries()
@@ -1510,37 +1464,8 @@ mod tests {
         assert_eq!(a.total, SimTime(1101));
         assert_eq!(a.min, SimTime(1));
         assert_eq!(a.max, SimTime(1000));
-        assert_eq!(log2_hist(&a.qhist), vec![(2, 1), (128, 1), (1024, 1)]);
         assert_eq!(a.qhist.count(), 3);
         assert_eq!(a.qhist.quantile(0.5), LogHist::bucket_lo(LogHist::bucket_of(100)));
-    }
-
-    proptest::proptest! {
-        /// The profile's log₂ histogram, derived from the HDR buckets,
-        /// equals the per-sample rule `(64 − lz(max(v, 1))).min(63)` at
-        /// every magnitude.
-        #[test]
-        fn log2_hist_derived_from_loghist_matches_per_sample_rule(
-            samples in proptest::collection::vec(
-                (0u32..64, proptest::prelude::any::<u64>()),
-                0..200,
-            )
-        ) {
-            let mut h = LogHist::new();
-            let mut reference = [0u64; 64];
-            for (shift, raw) in samples {
-                let v = raw >> shift;
-                h.add(v);
-                reference[(64 - v.max(1).leading_zeros() as usize).min(63)] += 1;
-            }
-            let want: Vec<(u64, u64)> = reference
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| (1u64 << i, c))
-                .collect();
-            proptest::prop_assert_eq!(log2_hist(&h), want);
-        }
     }
 
     #[test]
@@ -1594,12 +1519,8 @@ mod tests {
         m.add(0, 3, 999); // beyond cap → shed
         m.add(0, 1, 25); // existing pair still accumulates
         m.add(1, 3, 10); // different source has its own budget
-        assert_eq!(m.get(0, 1), (125, 2));
-        assert_eq!(m.get(0, 3), (0, 0));
-        assert_eq!(m.get(1, 3), (10, 1));
         assert_eq!((m.shed_msgs, m.shed_bytes), (1, 999));
-        let top = m.top();
-        assert_eq!(top[0], (0, 1, 125, 2));
+        assert_eq!(m.top(), vec![(0, 1, 125, 2), (0, 2, 50, 1), (1, 3, 10, 1)]);
     }
 
     #[test]

@@ -218,6 +218,17 @@ fn restore_requires_registered_arrays() {
         "got: {err:?}"
     );
     assert!(err.to_string().contains("not registered"), "got: {err}");
+
+    // The image holds "workers" then "main". With only the first registered,
+    // restore fails on the second without having inserted any of the first.
+    let mut rt3 = Runtime::homogeneous(2);
+    let workers = rt3.create_array::<Worker>("workers");
+    let err = rt3.restore_from_disk(&path).unwrap_err();
+    assert!(
+        matches!(&err, charm_core::RestoreError::MissingArray { name } if name == "main"),
+        "got: {err:?}"
+    );
+    assert_eq!(rt3.array_len(workers.id()), 0, "failed restore inserted");
     std::fs::remove_file(&path).ok();
 }
 

@@ -18,13 +18,13 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct DistributedLb {
     /// Random probes an overloaded PE sends per round.
-    pub probes: usize,
+    pub(crate) probes: usize,
     /// Transfer rounds.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// PEs above `trigger` × average participate as donors.
-    pub trigger: f64,
+    pub(crate) trigger: f64,
     /// Deterministic seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for DistributedLb {

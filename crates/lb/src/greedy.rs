@@ -97,7 +97,7 @@ impl Strategy for GreedyLb {
 #[derive(Debug, Clone, Copy)]
 pub struct GreedyCommLb {
     /// Seconds of load discounted per byte of co-located communication.
-    pub affinity_per_byte: f64,
+    pub(crate) affinity_per_byte: f64,
 }
 
 impl Default for GreedyCommLb {

@@ -12,7 +12,7 @@ use charm_core::{LbStats, ObjStat, Strategy};
 #[derive(Default)]
 pub struct HybridLb {
     /// PEs per first-level group (0 = pick √P automatically).
-    pub group_size: usize,
+    pub(crate) group_size: usize,
 }
 
 

@@ -9,9 +9,9 @@ use charm_core::{LbStats, Strategy};
 #[derive(Debug, Clone, Copy)]
 pub struct RefineLb {
     /// Target ceiling as a multiple of the average load (default 1.05).
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Safety cap on moves per invocation.
-    pub max_moves: usize,
+    pub(crate) max_moves: usize,
 }
 
 impl Default for RefineLb {

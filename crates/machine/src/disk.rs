@@ -10,11 +10,11 @@ use crate::SimTime;
 #[derive(Debug, Clone)]
 pub struct DiskModel {
     /// Aggregate filesystem bandwidth, bytes/second.
-    pub aggregate_bw: f64,
+    pub(crate) aggregate_bw: f64,
     /// Cap on one PE's streaming bandwidth, bytes/second.
-    pub per_pe_bw: f64,
+    pub(crate) per_pe_bw: f64,
     /// Fixed open/metadata latency per file operation.
-    pub op_latency: SimTime,
+    pub(crate) op_latency: SimTime,
 }
 
 impl Default for DiskModel {

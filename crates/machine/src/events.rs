@@ -224,23 +224,15 @@ impl<T> EventQueue<T> {
         self.times.peek().map(|&Reverse(t)| SimTime(t))
     }
 
-    /// Pop every event scheduled exactly at `t`, in key order: insertion
-    /// order for [`push`](Self::push), the caller's keys for
-    /// [`push_keyed`](Self::push_keyed).
+    /// Pop every event scheduled exactly at `t` into `out`, in key order:
+    /// insertion order for [`push`](Self::push), the caller's keys for
+    /// [`push_keyed`](Self::push_keyed). Clears `out` first.
     ///
     /// Equivalent to (and ordered identically to) repeated `pop` while the
     /// head's timestamp equals `t` — callers batch a whole timestep in one
-    /// pass instead of re-peeking the heap per event. Events pushed at `t`
-    /// *after* this call surface in the next batch.
-    pub fn pop_batch_at(&mut self, t: SimTime) -> Vec<T> {
-        let mut out = Vec::new();
-        self.pop_batch_at_into(t, &mut out);
-        out
-    }
-
-    /// [`pop_batch_at`](Self::pop_batch_at) into a caller-owned buffer —
-    /// the hot loop reuses one allocation across timesteps. Clears `out`
-    /// first.
+    /// pass instead of re-peeking the heap per event, and reuse one buffer
+    /// across timesteps. Events pushed at `t` *after* this call surface in
+    /// the next batch.
     pub fn pop_batch_at_into(&mut self, t: SimTime, out: &mut Vec<T>) {
         out.clear();
         if self.peek_time() != Some(t) {
@@ -446,14 +438,9 @@ impl<T> PrioQueue<T> {
         self.ops
     }
 
-    /// Drop everything (lane storage is retained for reuse).
-    pub fn clear(&mut self) {
-        self.clear_with(drop);
-    }
-
-    /// [`clear`](Self::clear), handing each item to `f` on the way out —
-    /// for items that own something elsewhere. Like `clear`, not counted
-    /// in [`ops`](Self::ops).
+    /// Drop everything, handing each item to `f` on the way out — for
+    /// items that own something elsewhere. Lane storage is retained for
+    /// reuse. Not counted in [`ops`](Self::ops).
     pub fn clear_with(&mut self, mut f: impl FnMut(T)) {
         for mut lane in self.lanes.drain(..) {
             lane.drain(..).for_each(&mut f);
@@ -553,7 +540,8 @@ mod tests {
         }
         let head = q.peek_time().unwrap();
         assert_eq!(head, t1);
-        let batch = q.pop_batch_at(head);
+        let mut batch = Vec::new();
+        q.pop_batch_at_into(head, &mut batch);
         let mut expected = Vec::new();
         while q2.peek_time() == Some(head) {
             expected.push(q2.pop().unwrap().1);
@@ -668,7 +656,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(1), 1);
         q.push(SimTime::from_nanos(1), 2);
-        let _ = q.pop_batch_at(SimTime::from_nanos(1));
+        q.pop_batch_at_into(SimTime::from_nanos(1), &mut Vec::new());
         assert_eq!(q.ops(), 4);
     }
 
@@ -695,7 +683,7 @@ mod tests {
         let mut q = PrioQueue::new();
         q.push(3, 1);
         q.push(-1, 2);
-        q.clear();
+        q.clear_with(drop);
         assert!(q.is_empty());
         q.push(7, 9);
         q.push(2, 8);

@@ -35,7 +35,7 @@ pub struct Failure {
 
 impl Failure {
     /// An unannounced crash at `time`.
-    pub fn crash(time: SimTime, pe: usize) -> Self {
+    pub(crate) fn crash(time: SimTime, pe: usize) -> Self {
         Failure {
             time,
             pe,
@@ -44,7 +44,7 @@ impl Failure {
     }
 
     /// A preemption landing at `time`, announced `warning` earlier.
-    pub fn preemption(time: SimTime, pe: usize, warning: SimTime) -> Self {
+    pub(crate) fn preemption(time: SimTime, pe: usize, warning: SimTime) -> Self {
         Failure {
             time,
             pe,
@@ -75,13 +75,6 @@ impl FailurePlan {
         FailurePlan { events: Vec::new() }
     }
 
-    /// Build from a list of failures; sorts by kill time (stable, so
-    /// same-time entries keep their listed order).
-    pub fn at(mut events: Vec<Failure>) -> Self {
-        events.sort_by_key(|f| f.time);
-        FailurePlan { events }
-    }
-
     /// Add one crash at its sorted position (stable: a failure inserted
     /// at an already-occupied time lands after the existing ones).
     pub fn push(&mut self, time: SimTime, pe: usize) {
@@ -97,7 +90,7 @@ impl FailurePlan {
     }
 
     /// Add an arbitrary failure at its sorted position (stable).
-    pub fn push_failure(&mut self, f: Failure) {
+    pub(crate) fn push_failure(&mut self, f: Failure) {
         let at = self.events.partition_point(|e| e.time <= f.time);
         self.events.insert(at, f);
     }
@@ -128,11 +121,6 @@ impl FailurePlan {
     pub fn events(&self) -> &[Failure] {
         &self.events
     }
-
-    /// True when no failures are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -140,23 +128,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_sorts_by_time() {
-        let p = FailurePlan::at(vec![
-            Failure::crash(SimTime::from_secs(9), 1),
-            Failure::crash(SimTime::from_secs(3), 2),
-        ]);
-        assert_eq!(p.events()[0].pe, 2);
-        assert_eq!(p.events()[1].pe, 1);
-    }
-
-    #[test]
     fn push_keeps_order() {
         let mut p = FailurePlan::none();
-        assert!(p.is_empty());
+        assert!(p.events().is_empty());
         p.push(SimTime::from_secs(5), 0);
         p.push(SimTime::from_secs(1), 7);
         assert_eq!(p.events()[0].pe, 7);
-        assert!(!p.is_empty());
+        assert_eq!(p.events().len(), 2);
     }
 
     #[test]
@@ -185,7 +163,7 @@ mod tests {
         assert_eq!(pes, vec![10, 20, 11, 21, 22]);
         let mut empty = FailurePlan::none();
         empty.merge(&FailurePlan::none());
-        assert!(empty.is_empty());
+        assert!(empty.events().is_empty());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * [`NetworkModel`] — α + size·β (+ hops·γ) message cost with optional
 //!   N-dimensional torus topologies and seeded jitter,
 //! * [`thermal`] — a lumped-RC chip temperature model with a DVFS ladder,
-//! * [`SpeedModel`] — static per-PE heterogeneity plus timed interference
+//! * `SpeedModel` — static per-PE heterogeneity plus timed interference
 //!   windows (cloud multi-tenancy),
 //! * [`FailurePlan`] — scheduled node crashes,
-//! * [`DiskModel`] — checkpoint I/O cost,
+//! * `DiskModel` — checkpoint I/O cost,
 //! * [`presets`] — parameterizations approximating each machine the paper
 //!   used.
 //!
@@ -21,7 +21,7 @@
 //! stochastic elements draw from seeded RNGs, so entire runs replay
 //! bit-identically.
 
-pub mod dagsim;
+pub(crate) mod dagsim;
 mod disk;
 mod events;
 mod failure;
@@ -31,15 +31,17 @@ pub mod rss;
 mod speed;
 pub mod thermal;
 mod time;
-pub mod topology;
+pub(crate) mod topology;
 
-pub use dagsim::{simulate_dag, DagEdge, DagNode, DagSimResult};
-pub use disk::{DiskFault, DiskModel};
+pub use dagsim::{simulate_dag, DagEdge, DagNode};
+pub use disk::DiskFault;
+pub(crate) use disk::DiskModel;
 pub use events::{EventQueue, PrioQueue};
 pub use failure::{Failure, FailureKind, FailurePlan};
-pub use network::{NetCounters, NetworkModel, NetworkParams};
-pub use rss::{current_rss_bytes, peak_rss_bytes};
-pub use speed::{InterferenceWindow, SpeedModel};
+pub use network::{NetworkModel, NetworkParams};
+pub use rss::peak_rss_bytes;
+pub use speed::InterferenceWindow;
+pub(crate) use speed::SpeedModel;
 pub use time::SimTime;
 pub use topology::Torus;
 
@@ -61,7 +63,7 @@ pub struct MachineConfig {
     pub cores_per_chip: usize,
     /// PEs sharing one physical node — the granularity of failures: when a
     /// node dies, every PE in its range dies with it.
-    pub pes_per_node: usize,
+    pub(crate) pes_per_node: usize,
     /// Reference compute throughput of one PE, in work-units per second.
     /// Entry methods declare their cost in work-units; a PE at speed 1.0
     /// executes `flops_per_sec` of them per virtual second.
@@ -96,14 +98,6 @@ impl MachineConfig {
         }
     }
 
-    /// Change the PE count, keeping all cost models (used by strong-scaling
-    /// sweeps and by malleable shrink/expand).
-    pub fn with_pes(mut self, num_pes: usize) -> Self {
-        self.num_pes = num_pes;
-        self.speed.resize(num_pes);
-        self
-    }
-
     /// Number of chips implied by `num_pes` / `cores_per_chip`.
     pub fn num_chips(&self) -> usize {
         self.num_pes.div_ceil(self.cores_per_chip)
@@ -119,11 +113,6 @@ impl MachineConfig {
         assert!(pes_per_node >= 1, "a node holds at least one PE");
         self.pes_per_node = pes_per_node;
         self
-    }
-
-    /// Number of physical nodes implied by `num_pes` / `pes_per_node`.
-    pub fn num_nodes(&self) -> usize {
-        self.num_pes.div_ceil(self.pes_per_node.max(1))
     }
 
     /// Node that hosts a PE.
@@ -156,24 +145,12 @@ mod tests {
     #[test]
     fn node_geometry() {
         let m = MachineConfig::homogeneous(64).with_pes_per_node(16);
-        assert_eq!(m.num_nodes(), 4);
         assert_eq!(m.node_of(0), 0);
         assert_eq!(m.node_of(15), 0);
         assert_eq!(m.node_of(16), 1);
         assert_eq!(m.node_pe_range(1), 16..32);
         // Partial trailing node.
         let m = MachineConfig::homogeneous(20).with_pes_per_node(16);
-        assert_eq!(m.num_nodes(), 2);
         assert_eq!(m.node_pe_range(1), 16..20);
-    }
-
-    #[test]
-    fn with_pes_resizes_speed_model() {
-        let m = MachineConfig::homogeneous(8).with_pes(32);
-        assert_eq!(m.num_pes, 32);
-        // every PE must have a defined speed
-        for pe in 0..32 {
-            assert!(m.speed.static_speed(pe) > 0.0);
-        }
     }
 }

@@ -7,17 +7,17 @@ use crate::{SimTime, Torus};
 #[derive(Debug, Clone)]
 pub struct NetworkParams {
     /// Per-message latency (the α term), one-way.
-    pub alpha: SimTime,
+    pub(crate) alpha: SimTime,
     /// Seconds per byte (1 / bandwidth), the β term.
-    pub beta_sec_per_byte: f64,
+    pub(crate) beta_sec_per_byte: f64,
     /// Extra latency per torus hop (γ); ignored without a topology.
-    pub per_hop: SimTime,
+    pub(crate) per_hop: SimTime,
     /// Physical topology for hop counts; `None` = flat full crossbar.
-    pub torus_dims: Option<Vec<usize>>,
+    pub(crate) torus_dims: Option<Vec<usize>>,
     /// Relative jitter amplitude (0.0 = deterministic delays; 0.1 = ±10 %).
     pub jitter: f64,
     /// Fixed cost of injecting any message (send-side software overhead).
-    pub injection_overhead: SimTime,
+    pub(crate) injection_overhead: SimTime,
     /// Cost of a local (same-PE) delivery — scheduler queue hop only.
     pub local_delivery: SimTime,
 }
@@ -37,7 +37,7 @@ impl NetworkParams {
     }
 
     /// BG/Q-like 5-D torus: ~2.5 µs latency, 1.8 GB/s per link.
-    pub fn bgq_torus(dims: Vec<usize>) -> Self {
+    pub(crate) fn bgq_torus(dims: Vec<usize>) -> Self {
         NetworkParams {
             alpha: SimTime::from_nanos(2_500),
             beta_sec_per_byte: 1.0 / 1.8e9,
@@ -50,7 +50,7 @@ impl NetworkParams {
     }
 
     /// Cray Gemini-like (XE6/XK7) 3-D torus: ~1.8 µs, ~3 GB/s.
-    pub fn gemini_torus(dims: Vec<usize>) -> Self {
+    pub(crate) fn gemini_torus(dims: Vec<usize>) -> Self {
         NetworkParams {
             alpha: SimTime::from_nanos(1_800),
             beta_sec_per_byte: 1.0 / 3e9,
@@ -63,7 +63,7 @@ impl NetworkParams {
     }
 
     /// Cray SeaStar-like (XT5) 3-D torus: slower than Gemini.
-    pub fn seastar_torus(dims: Vec<usize>) -> Self {
+    pub(crate) fn seastar_torus(dims: Vec<usize>) -> Self {
         NetworkParams {
             alpha: SimTime::from_nanos(4_500),
             beta_sec_per_byte: 1.0 / 1.6e9,
@@ -77,7 +77,7 @@ impl NetworkParams {
 
     /// Commodity gigabit Ethernet as found in the paper's cloud testbeds:
     /// an order of magnitude worse latency than HPC fabrics (§IV-F).
-    pub fn ethernet_1g() -> Self {
+    pub(crate) fn ethernet_1g() -> Self {
         NetworkParams {
             alpha: SimTime::from_micros(45),
             beta_sec_per_byte: 1.0 / 110e6,

@@ -160,7 +160,6 @@ mod tests {
             thermal_testbed(16),
         ] {
             assert!(m.num_pes > 0);
-            assert_eq!(m.speed.len(), m.num_pes);
             assert!(m.flops_per_sec > 0.0);
         }
     }
@@ -172,6 +171,47 @@ mod tests {
         let b = xt5(64).network;
         assert!(a.alpha < b.alpha);
         assert!(a.beta_sec_per_byte < b.beta_sec_per_byte);
+    }
+
+    /// One-way latency of an empty message and streaming bandwidth of a
+    /// 1 MiB message between two PEs, as the network model prices them.
+    fn latency_and_bandwidth(m: MachineConfig) -> (f64, f64) {
+        let mut net = crate::NetworkModel::new(m.network, 1);
+        let latency = net.delay(0, 1, 0, 0).as_secs_f64();
+        let big = 1 << 20;
+        let t_big = net.delay(0, 1, big, 0).as_secs_f64();
+        (latency, big as f64 / (t_big - latency))
+    }
+
+    #[test]
+    fn cloud_network_is_an_order_of_magnitude_worse() {
+        // §IV-F: "the underlying network in most clouds performs an order
+        // of magnitude worse compared to typical HPC interconnects".
+        let mut cloud_cfg = cloud(2);
+        cloud_cfg.network.jitter = 0.0;
+        let (cloud_lat, cloud_bw) = latency_and_bandwidth(cloud_cfg);
+        let (hpc_lat, hpc_bw) = latency_and_bandwidth(stampede(2));
+        assert!(
+            cloud_lat > hpc_lat * 10.0,
+            "cloud latency {:.2}us vs HPC {:.2}us",
+            cloud_lat * 1e6,
+            hpc_lat * 1e6
+        );
+        assert!(
+            hpc_bw > cloud_bw * 10.0,
+            "HPC bw {:.1}MB/s vs cloud {:.1}MB/s",
+            hpc_bw / 1e6,
+            cloud_bw / 1e6
+        );
+    }
+
+    #[test]
+    fn infiniband_latency_and_bandwidth_are_sane() {
+        let (lat, bw) = latency_and_bandwidth(stampede(2));
+        // α = 1.5 µs plus injection overhead: a few microseconds one-way.
+        assert!(lat > 1e-6 && lat < 10e-6, "latency {:.2}us", lat * 1e6);
+        // The IB preset is 5 GB/s; within 2x.
+        assert!(bw > 2.5e9 && bw < 10e9, "bandwidth {:.2} GB/s", bw / 1e9);
     }
 
     #[test]

@@ -1,25 +1,19 @@
-//! Host-process memory counters, read from `/proc/self/status`.
+//! Host-process peak memory, read from `/proc/self/status`.
 //!
 //! The scale benchmark (`scale_bench`) proves that streaming observability
 //! holds peak memory bounded as simulated PE counts grow into the
-//! 128 K–1 M range; these helpers are how it measures that. `VmHWM` is the
+//! 128 K–1 M range; this is how it measures that. `VmHWM` is the
 //! kernel's high-water mark for resident set size — monotonic over the
 //! process lifetime, which is why `scale_bench` runs each measurement
 //! point in a fresh subprocess.
 //!
-//! On platforms without procfs both functions return `None`; callers
+//! On platforms without procfs it returns `None`; callers
 //! should degrade to reporting the metric as unavailable rather than fail.
 
 /// Peak (high-water-mark) resident set size of this process in bytes
 /// (`VmHWM`), or `None` when procfs is unavailable.
 pub fn peak_rss_bytes() -> Option<u64> {
     proc_status_kib("VmHWM:").map(|kib| kib * 1024)
-}
-
-/// Current resident set size of this process in bytes (`VmRSS`), or `None`
-/// when procfs is unavailable.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_kib("VmRSS:").map(|kib| kib * 1024)
 }
 
 /// Parse one `kB` field out of `/proc/self/status`.
@@ -52,10 +46,10 @@ mod tests {
 
     #[test]
     fn live_counters_are_sane_on_linux() {
-        // On Linux procfs both counters exist and peak >= current > 0.
-        if let (Some(peak), Some(cur)) = (peak_rss_bytes(), current_rss_bytes()) {
-            assert!(cur > 0);
-            assert!(peak >= cur / 2, "peak {peak} implausibly below current {cur}");
+        // On Linux procfs the counter exists and a running process has
+        // touched memory.
+        if let Some(peak) = peak_rss_bytes() {
+            assert!(peak > 0);
         }
     }
 }

@@ -41,18 +41,9 @@ pub struct SpeedModel {
 
 impl SpeedModel {
     /// All PEs at speed 1.0.
-    pub fn uniform(num_pes: usize) -> Self {
+    pub(crate) fn uniform(num_pes: usize) -> Self {
         SpeedModel {
             static_speed: vec![1.0; num_pes],
-            interference: Vec::new(),
-        }
-    }
-
-    /// Explicit static speeds (one per PE).
-    pub fn heterogeneous(speeds: Vec<f64>) -> Self {
-        assert!(speeds.iter().all(|&s| s > 0.0), "speeds must be positive");
-        SpeedModel {
-            static_speed: speeds,
             interference: Vec::new(),
         }
     }
@@ -73,7 +64,7 @@ impl SpeedModel {
     }
 
     /// Static (time-independent) speed of a PE.
-    pub fn static_speed(&self, pe: usize) -> f64 {
+    pub(crate) fn static_speed(&self, pe: usize) -> f64 {
         self.static_speed.get(pe).copied().unwrap_or(1.0)
     }
 
@@ -87,33 +78,6 @@ impl SpeedModel {
             }
         }
         s
-    }
-
-    /// Earliest time strictly after `now` at which some window affecting
-    /// `pe` starts or ends (so the runtime can split executions spanning a
-    /// speed change). `None` if the speed never changes again.
-    pub fn next_change_after(&self, pe: usize, now: SimTime) -> Option<SimTime> {
-        self.interference
-            .iter()
-            .filter(|w| pe >= w.first_pe && pe < w.first_pe + w.num_pes)
-            .flat_map(|w| [w.start, w.end])
-            .filter(|&t| t > now && t != SimTime::MAX)
-            .min()
-    }
-
-    /// Grow or shrink to `num_pes` (new PEs get speed 1.0).
-    pub fn resize(&mut self, num_pes: usize) {
-        self.static_speed.resize(num_pes, 1.0);
-    }
-
-    /// Number of PEs described.
-    pub fn len(&self) -> usize {
-        self.static_speed.len()
-    }
-
-    /// True when no PEs are described.
-    pub fn is_empty(&self) -> bool {
-        self.static_speed.is_empty()
     }
 }
 
@@ -165,35 +129,5 @@ mod tests {
             .with_interference(w(0.5))
             .with_interference(w(0.5));
         assert!((m.speed_at(0, SimTime::from_secs(1)) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn next_change_after_finds_boundaries() {
-        let m = SpeedModel::uniform(2).with_interference(InterferenceWindow {
-            first_pe: 0,
-            num_pes: 1,
-            start: SimTime::from_secs(5),
-            end: SimTime::from_secs(8),
-            speed_factor: 0.5,
-        });
-        assert_eq!(
-            m.next_change_after(0, SimTime::ZERO),
-            Some(SimTime::from_secs(5))
-        );
-        assert_eq!(
-            m.next_change_after(0, SimTime::from_secs(5)),
-            Some(SimTime::from_secs(8))
-        );
-        assert_eq!(m.next_change_after(0, SimTime::from_secs(8)), None);
-        assert_eq!(m.next_change_after(1, SimTime::ZERO), None);
-    }
-
-    #[test]
-    fn resize_preserves_and_extends() {
-        let mut m = SpeedModel::heterogeneous(vec![0.5, 2.0]);
-        m.resize(4);
-        assert_eq!(m.static_speed(0), 0.5);
-        assert_eq!(m.static_speed(3), 1.0);
-        assert_eq!(m.len(), 4);
     }
 }

@@ -10,26 +10,26 @@
 pub struct ThermalConfig {
     /// Ambient (CRAC-controlled) air temperature, °C. The paper's Fig. 4
     /// sets the CRAC to 74 °F ≈ 23.3 °C.
-    pub ambient_c: f64,
+    pub(crate) ambient_c: f64,
     /// Starting chip temperature, °C.
     pub initial_c: f64,
     /// Heating coefficient: °C per second per watt of dissipated power.
-    pub heat_per_watt: f64,
+    pub(crate) heat_per_watt: f64,
     /// Cooling coefficient: fraction of the (T − ambient) gap shed per second.
-    pub cool_rate: f64,
+    pub(crate) cool_rate: f64,
     /// Dynamic power at full utilization and nominal frequency, watts.
-    pub dyn_power_w: f64,
+    pub(crate) dyn_power_w: f64,
     /// Static (leakage) power, watts.
-    pub static_power_w: f64,
+    pub(crate) static_power_w: f64,
     /// Available frequencies as fractions of nominal, descending
     /// (e.g. `[1.0, 0.9, 0.8, 0.7, 0.6, 0.5]`).
-    pub freq_ladder: Vec<f64>,
+    pub(crate) freq_ladder: Vec<f64>,
     /// Temperature threshold the DVFS controller enforces, °C (Fig. 4: 50).
     pub threshold_c: f64,
     /// Per-chip cooling variation (0.0 = identical chips; 0.3 = ±30 %):
     /// models rack position / airflow differences, the source of the
     /// heterogeneity the paper's frequency-aware LB corrects.
-    pub cool_variation: f64,
+    pub(crate) cool_variation: f64,
 }
 
 impl ThermalConfig {
@@ -61,20 +61,18 @@ impl ThermalConfig {
 
 /// Dynamic state of one chip.
 #[derive(Debug, Clone)]
-pub struct ChipState {
+pub(crate) struct ChipState {
     /// Current temperature, °C.
-    pub temp_c: f64,
+    pub(crate) temp_c: f64,
     /// Index into the frequency ladder.
-    pub freq_idx: usize,
+    pub(crate) freq_idx: usize,
     /// Highest temperature ever observed, °C.
-    pub max_temp_c: f64,
-    /// Joules consumed so far (integral of power).
-    pub energy_j: f64,
+    pub(crate) max_temp_c: f64,
     /// This chip's cooling coefficient (config base × its variation).
-    pub cool_rate: f64,
+    pub(crate) cool_rate: f64,
 }
 
-/// The thermal model for a whole machine: one [`ChipState`] per chip.
+/// The thermal model for a whole machine: one `ChipState` per chip.
 #[derive(Debug, Clone)]
 pub struct ThermalModel {
     cfg: ThermalConfig,
@@ -98,7 +96,6 @@ impl ThermalModel {
                     temp_c: cfg.initial_c,
                     freq_idx: 0,
                     max_temp_c: cfg.initial_c,
-                    energy_j: 0.0,
                     cool_rate: cfg.cool_rate * (1.0 + cfg.cool_variation * u),
                 }
             })
@@ -134,11 +131,6 @@ impl ThermalModel {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Total energy consumed across chips, joules.
-    pub fn total_energy_j(&self) -> f64 {
-        self.chips.iter().map(|c| c.energy_j).sum()
-    }
-
     /// Advance chip `chip` by `dt_s` seconds at the given utilization
     /// (0..=1). Returns the new temperature.
     ///
@@ -149,7 +141,6 @@ impl ThermalModel {
         let power = self.cfg.dyn_power_w * util * f * f * f + self.cfg.static_power_w;
         let c = &mut self.chips[chip];
         let dt = dt_s.max(0.0);
-        c.energy_j += power * dt;
         let heating = self.cfg.heat_per_watt * power * dt;
         let cooling = c.cool_rate * (c.temp_c - self.cfg.ambient_c) * dt;
         c.temp_c += heating - cooling;
@@ -249,18 +240,6 @@ mod tests {
         m.chips[0].freq_idx = m.cfg.freq_ladder.len() - 1;
         let cool = m.steady_state_temp(0, 1.0);
         assert!(cool < hot);
-    }
-
-    #[test]
-    fn energy_accumulates_with_utilization() {
-        let mut busy = model(1);
-        let mut idle = model(1);
-        for _ in 0..10 {
-            busy.advance(0, 1.0, 1.0);
-            idle.advance(0, 1.0, 0.0);
-        }
-        assert!(busy.total_energy_j() > idle.total_energy_j());
-        assert!(idle.total_energy_j() > 0.0, "leakage power still burns");
     }
 
     #[test]

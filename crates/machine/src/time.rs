@@ -51,12 +51,12 @@ impl SimTime {
     }
 
     /// As fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// As fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
@@ -68,24 +68,6 @@ impl SimTime {
     /// Saturating subtraction (spans never go negative).
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The later of two times.
-    pub fn max(self, rhs: SimTime) -> SimTime {
-        if self >= rhs {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// The earlier of two times.
-    pub fn min(self, rhs: SimTime) -> SimTime {
-        if self <= rhs {
-            self
-        } else {
-            rhs
-        }
     }
 }
 

@@ -29,7 +29,7 @@ impl Torus {
     /// The product of the returned extents is ≥ `n` (the grid may have
     /// unused slots when `n` has awkward factors); extents differ by at
     /// most one multiplicative rounding step.
-    pub fn balanced(n: usize, ndims: usize) -> Self {
+    pub(crate) fn balanced(n: usize, ndims: usize) -> Self {
         assert!(n > 0 && ndims > 0);
         let mut dims = vec![1usize; ndims];
         // Repeatedly multiply the smallest extent until the grid covers n.
@@ -171,23 +171,6 @@ impl Torus {
         }
         None
     }
-
-    /// All peers of `rank`: every slot reachable by changing exactly one
-    /// coordinate (TRAM's peer set, §III-F).
-    pub fn peers(&self, rank: usize) -> Vec<usize> {
-        let c = self.coords(rank);
-        let mut out = Vec::new();
-        for (i, &extent) in self.dims.iter().enumerate() {
-            for v in 0..extent {
-                if v != c[i] {
-                    let mut c2 = c.clone();
-                    c2[i] = v;
-                    out.push(self.rank(&c2));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -274,29 +257,6 @@ mod tests {
                 });
                 assert_eq!(t.route_next(from, to), want, "{from} -> {to}");
             }
-        }
-    }
-
-    #[test]
-    fn peers_count() {
-        let t = Torus::new(vec![4, 3]);
-        // peers = (4-1) + (3-1) = 5 for every rank
-        for r in 0..t.size() {
-            assert_eq!(t.peers(r).len(), 5);
-        }
-    }
-
-    #[test]
-    fn peers_are_one_axis_away() {
-        let t = Torus::new(vec![4, 3, 2]);
-        for p in t.peers(7) {
-            let diff: usize = t
-                .coords(7)
-                .iter()
-                .zip(t.coords(p).iter())
-                .filter(|(a, b)| a != b)
-                .count();
-            assert_eq!(diff, 1);
         }
     }
 

@@ -162,18 +162,6 @@ impl<'a> Puper<'a> {
         matches!(self.inner, Inner::Unpacking { .. })
     }
 
-    /// True when computing sizes.
-    #[inline]
-    pub fn is_sizing(&self) -> bool {
-        matches!(self.inner, Inner::Sizing { .. })
-    }
-
-    /// True when serializing.
-    #[inline]
-    pub fn is_packing(&self) -> bool {
-        matches!(self.inner, Inner::Packing { .. } | Inner::Appending { .. })
-    }
-
     /// The byte count accumulated so far (sizing mode), written (packing
     /// mode), or consumed (unpacking mode). Digesting mode does not count
     /// bytes and reports 0.
@@ -528,7 +516,7 @@ mod tests {
         let mut b = vec![1.5f64, -2.0];
         let mut buf = vec![0xAB];
         let mut p = Puper::appender(&mut buf);
-        assert!(p.is_packing() && p.mode() == PupMode::Packing);
+        assert_eq!(p.mode(), PupMode::Packing);
         p.p(&mut a);
         assert_eq!(p.size(), packed_size(&mut a));
         p.zeros(3);
@@ -629,7 +617,7 @@ mod tests {
     fn digester_reports_mode() {
         let p = Puper::digester();
         assert_eq!(p.mode(), PupMode::Digesting);
-        assert!(!p.is_packing() && !p.is_unpacking() && !p.is_sizing());
+        assert!(!p.is_unpacking());
         assert_eq!(p.size(), 0);
     }
 

@@ -27,8 +27,6 @@ const NONE: u32 = u32::MAX;
 /// One hop of the exact critical path, latest first.
 #[derive(Debug, Clone)]
 pub struct CritSeg {
-    /// Index into [`ReplayLog::execs`].
-    pub exec: usize,
     /// PE the hop ran on.
     pub pe: u32,
     /// Entry-method name (resolved through [`ReplayLog::entry_names`]).
@@ -100,7 +98,6 @@ pub fn critical_path(log: &ReplayLog) -> Option<CritPath> {
         };
         wait_total += wait;
         segments.push(CritSeg {
-            exec: i,
             pe: e.pe,
             entry: entry_name(log, e),
             dur_ns: e.dur_ns,

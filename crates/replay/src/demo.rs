@@ -1,11 +1,11 @@
 //! Deliberately order-sensitive demo chares for race-hunt tests and the
 //! `race_hunt` bench driver.
 //!
-//! [`Racy`] folds a stream of `Add`/`Mul` messages into one integer — a
+//! `Racy` folds a stream of `Add`/`Mul` messages into one integer — a
 //! non-commutative reduction, so its final value depends on delivery order.
 //! The two same-shape messages whose order flips under perturbation are
 //! exactly the minimized witness [`diff_runs`](crate::diff_runs) reports.
-//! [`Commute`] is the control: identical traffic shape, adds only, so no
+//! `Commute` is the control: identical traffic shape, adds only, so no
 //! perturbation can change its final state.
 
 use crate::{ReplayConfig, ReplayLog};
@@ -14,11 +14,11 @@ use charm_machine::MachineConfig;
 use charm_pup::{Pup, Puper};
 
 /// Alternating `Add`/`Mul` pairs injected by the demo drivers.
-pub const DEMO_OPS: usize = 16;
+pub(crate) const DEMO_OPS: usize = 16;
 
 /// Operations accepted by [`Racy`] and [`Commute`].
 #[derive(Clone)]
-pub enum OpMsg {
+pub(crate) enum OpMsg {
     /// `value += k`.
     Add(i64),
     /// `value *= k` (the non-commuting half).
@@ -53,9 +53,9 @@ impl Pup for OpMsg {
 /// `v × m + a`. Any delivery reordering of an adjacent Add/Mul pair changes
 /// the final state — the seeded order-sensitivity bug the hunt must catch.
 #[derive(Default)]
-pub struct Racy {
+pub(crate) struct Racy {
     /// The folded value.
-    pub value: i64,
+    pub(crate) value: i64,
 }
 
 impl Pup for Racy {
@@ -79,9 +79,9 @@ impl Chare for Racy {
 /// [`Racy`], but every operation is an addition — no reordering can change
 /// the final state, so a correct hunter must *not* flag it.
 #[derive(Default)]
-pub struct Commute {
+pub(crate) struct Commute {
     /// The folded value.
-    pub value: i64,
+    pub(crate) value: i64,
 }
 
 impl Pup for Commute {
@@ -131,12 +131,12 @@ fn demo_ops() -> impl Iterator<Item = OpMsg> {
     (0..DEMO_OPS).map(|i| if i % 2 == 0 { OpMsg::Add(3) } else { OpMsg::Mul(2) })
 }
 
-/// Record a [`Racy`] run (optionally perturbed) and return its log.
+/// Record a `Racy` run (optionally perturbed) and return its log.
 pub fn run_racy(seed: u64, perturb: Option<u64>) -> ReplayLog {
     run("racy-demo", Racy { value: 1 }, demo_ops(), seed, perturb)
 }
 
-/// Record a [`Commute`] run (optionally perturbed) and return its log.
+/// Record a `Commute` run (optionally perturbed) and return its log.
 pub fn run_commute(seed: u64, perturb: Option<u64>) -> ReplayLog {
     run("commute-demo", Commute { value: 1 }, demo_ops(), seed, perturb)
 }

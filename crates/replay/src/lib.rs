@@ -34,8 +34,8 @@ mod races;
 mod verify;
 mod whatif;
 
-pub use critpath::{critical_path, CritPath, CritSeg};
-pub use logfile::{load, save, LogError};
-pub use races::{diff_runs, hunt, HuntOutcome, MsgDesc, RaceFinding, RaceReport, Witness};
-pub use verify::{verify, Divergence, VerifyReport};
-pub use whatif::{whatif, WhatIfReport};
+pub use critpath::{critical_path, CritPath};
+pub use logfile::{load, save};
+pub use races::{diff_runs, hunt, HuntOutcome};
+pub use verify::verify;
+pub use whatif::whatif;

@@ -13,26 +13,15 @@ use crate::ReplayLog;
 use charm_core::ObjId;
 use std::collections::BTreeMap;
 
-/// A chare whose final state depended on delivery order.
-#[derive(Debug, Clone)]
-pub struct RaceFinding {
-    /// The order-sensitive chare.
-    pub chare: ObjId,
-    /// Its final state digest in the baseline run.
-    pub base_digest: u64,
-    /// Its final state digest in the perturbed run (`None` = chare missing).
-    pub perturbed_digest: Option<u64>,
-}
-
 /// One consumed message, as seen by the destination chare.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MsgDesc {
     /// Entry method it triggered.
     pub entry: String,
     /// PUP digest of the payload.
-    pub digest: u64,
+    pub(crate) digest: u64,
     /// Producing chare (`None` = host/RTS origin).
-    pub src: Option<ObjId>,
+    pub(crate) src: Option<ObjId>,
 }
 
 impl std::fmt::Display for MsgDesc {
@@ -48,9 +37,9 @@ impl std::fmt::Display for MsgDesc {
 #[derive(Debug, Clone)]
 pub struct Witness {
     /// The chare whose consumed sequence first diverged.
-    pub chare: ObjId,
+    pub(crate) chare: ObjId,
     /// Position in that chare's consumed-message sequence.
-    pub position: usize,
+    pub(crate) position: usize,
     /// What the baseline run consumed at `position`.
     pub first: MsgDesc,
     /// What the perturbed run consumed there instead.
@@ -70,8 +59,9 @@ impl std::fmt::Display for Witness {
 /// Outcome of diffing one perturbed run against the baseline.
 #[derive(Debug, Clone, Default)]
 pub struct RaceReport {
-    /// Chares whose final state digests differ, sorted by id.
-    pub order_sensitive: Vec<RaceFinding>,
+    /// Chares whose final state digests differ (or that are missing from
+    /// the perturbed run), sorted by id.
+    pub order_sensitive: Vec<ObjId>,
     /// Minimized witness (present whenever any consumed sequence diverged).
     pub witness: Option<Witness>,
 }
@@ -114,13 +104,8 @@ pub fn diff_runs(base: &ReplayLog, perturbed: &ReplayLog) -> RaceReport {
 
     let mut order_sensitive = Vec::new();
     for (&chare, &d) in &base_fin {
-        match pert_fin.get(&chare) {
-            Some(&pd) if pd == d => {}
-            other => order_sensitive.push(RaceFinding {
-                chare,
-                base_digest: d,
-                perturbed_digest: other.copied(),
-            }),
+        if pert_fin.get(&chare) != Some(&d) {
+            order_sensitive.push(chare);
         }
     }
 

@@ -5,15 +5,15 @@ use crate::ReplayLog;
 
 /// The first point where two logs disagree.
 #[derive(Debug, Clone)]
-pub struct Divergence {
+pub(crate) struct Divergence {
     /// Execution index (or digest-point seq) of the disagreement.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// What disagreed (e.g. `"exec.msg_digest"`, `"state_point"`).
-    pub what: String,
+    pub(crate) what: String,
     /// Rendering of the recorded side.
-    pub recorded: String,
+    pub(crate) recorded: String,
     /// Rendering of the replayed side.
-    pub replayed: String,
+    pub(crate) replayed: String,
 }
 
 /// Outcome of [`verify`].
@@ -24,11 +24,11 @@ pub struct VerifyReport {
     /// Entries in the replayed log.
     pub execs_replayed: usize,
     /// Matching periodic state-digest points.
-    pub state_points_ok: usize,
+    pub(crate) state_points_ok: usize,
     /// Did the final chare-state digests match exactly?
-    pub final_state_ok: bool,
+    pub(crate) final_state_ok: bool,
     /// First disagreement, if any.
-    pub first_divergence: Option<Divergence>,
+    pub(crate) first_divergence: Option<Divergence>,
 }
 
 impl VerifyReport {

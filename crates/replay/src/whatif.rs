@@ -12,15 +12,13 @@ pub struct WhatIfReport {
     /// Preset name of the what-if machine.
     pub machine: String,
     /// PE count of the what-if machine.
-    pub num_pes: usize,
+    pub(crate) num_pes: usize,
     /// Predicted end-to-end time on the what-if machine (seconds).
     pub predicted_makespan_s: f64,
     /// Actual end-to-end time of the recording run (seconds).
     pub recorded_makespan_s: f64,
     /// Predicted mean PE utilization on the what-if machine.
     pub utilization: f64,
-    /// Predicted busy seconds per what-if PE.
-    pub pe_busy_s: Vec<f64>,
     /// DAG nodes replayed (= entries recorded).
     pub nodes: usize,
 }
@@ -147,7 +145,6 @@ pub fn whatif(log: &ReplayLog, machine: &MachineConfig) -> WhatIfReport {
         predicted_makespan_s: r.makespan.as_secs_f64(),
         recorded_makespan_s: SimTime(log.end_ns).as_secs_f64(),
         utilization: r.utilization,
-        pe_busy_s: r.pe_busy.iter().map(|b| b.as_secs_f64()).collect(),
         nodes: r.executed,
     }
 }

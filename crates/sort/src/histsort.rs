@@ -20,10 +20,6 @@ pub struct HistSortResult {
     pub buckets: Vec<Vec<u64>>,
     /// Virtual time the sort took.
     pub time: SimTime,
-    /// Histogramming rounds until all splitters converged.
-    pub rounds: u64,
-    /// Largest bucket / ideal bucket size (load balance of the output).
-    pub bucket_imbalance: f64,
 }
 
 /// Flop-cost constants (per key comparison-ish unit).
@@ -481,28 +477,23 @@ pub fn hist_sort(rt: &mut Runtime, keys: Vec<Vec<u64>>, tolerance: f64) -> HistS
             .expect("sorter exists");
         buckets.push(b);
     }
-    let rounds = rt
-        .metric("histsort_rounds")
-        .last()
-        .map(|x| x.1 as u64)
-        .unwrap_or(0);
-    let ideal = total as f64 / p as f64;
-    let imbalance = buckets
-        .iter()
-        .map(|b| b.len() as f64 / ideal.max(1.0))
-        .fold(0.0, f64::max);
-    HistSortResult {
-        buckets,
-        time,
-        rounds,
-        bucket_imbalance: imbalance,
-    }
+    HistSortResult { buckets, time }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{skewed_keys, verify_sorted};
+
+    /// Largest bucket / ideal bucket size (load balance of the output).
+    fn bucket_imbalance(buckets: &[Vec<u64>]) -> f64 {
+        let total: usize = buckets.iter().map(Vec::len).sum();
+        let ideal = (total as f64 / buckets.len() as f64).max(1.0);
+        buckets
+            .iter()
+            .map(|b| b.len() as f64 / ideal)
+            .fold(0.0, f64::max)
+    }
 
     #[test]
     fn sorts_uniform_keys() {
@@ -517,12 +508,14 @@ mod tests {
         let orig = keys.clone();
         let r = hist_sort(&mut rt, keys, 0.05);
         verify_sorted(&orig, &r.buckets).expect("valid sort");
-        assert!(r.rounds > 0);
-        assert!(
-            r.bucket_imbalance < 1.2,
-            "buckets near-equal: {}",
-            r.bucket_imbalance
-        );
+        let rounds = rt
+            .metric("histsort_rounds")
+            .last()
+            .expect("rounds logged")
+            .1;
+        assert!(rounds > 0.0);
+        let imbalance = bucket_imbalance(&r.buckets);
+        assert!(imbalance < 1.2, "buckets near-equal: {imbalance}");
     }
 
     #[test]
@@ -532,11 +525,8 @@ mod tests {
         let orig = keys.clone();
         let r = hist_sort(&mut rt, keys, 0.05);
         verify_sorted(&orig, &r.buckets).expect("valid sort");
-        assert!(
-            r.bucket_imbalance < 1.25,
-            "skewed input still balances: {}",
-            r.bucket_imbalance
-        );
+        let imbalance = bucket_imbalance(&r.buckets);
+        assert!(imbalance < 1.25, "skewed input still balances: {imbalance}");
     }
 
     #[test]

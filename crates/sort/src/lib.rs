@@ -19,8 +19,8 @@
 mod histsort;
 mod multiway;
 
-pub use histsort::{hist_sort, HistSortResult};
-pub use multiway::{mpi_multiway, MultiwayResult};
+pub use histsort::hist_sort;
+pub use multiway::mpi_multiway;
 
 /// Check that `buckets` form a globally sorted, complete permutation of
 /// `original` (each bucket sorted; bucket boundaries ordered).

@@ -23,8 +23,6 @@ pub struct MultiwayResult {
     pub buckets: Vec<Vec<u64>>,
     /// Modeled time of the bulk-synchronous execution.
     pub time: SimTime,
-    /// Time attributable to the root's sample-sort bottleneck.
-    pub root_time: SimTime,
 }
 
 /// Samples taken per rank for the splitter phase.
@@ -94,8 +92,7 @@ pub fn mpi_multiway(machine: &MachineConfig, keys: Vec<Vec<u64>>) -> MultiwayRes
         let hop = net.delay(0, 1.min(p - 1), (p - 1) * 8, 1);
         SimTime(hop.0 * depth)
     };
-    let root_time = gather + root_sort;
-    time += root_time + bcast + barrier;
+    time += gather + root_sort + bcast + barrier;
 
     // Phase 3: synchronous all-to-all — every rank serializes P−1 sends.
     let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); p];
@@ -141,11 +138,7 @@ pub fn mpi_multiway(machine: &MachineConfig, keys: Vec<Vec<u64>>) -> MultiwayRes
     }
     time += max_merge + barrier;
 
-    MultiwayResult {
-        buckets,
-        time,
-        root_time,
-    }
+    MultiwayResult { buckets, time }
 }
 
 #[cfg(test)]

@@ -14,10 +14,11 @@
 //!   common sub-paths share messages.
 //! * A buffer is **flushed** (sent as one combined message) when it reaches
 //!   the configured threshold, when the application calls
-//!   [`Tram::flush_all`], or on an optional idle-aware periodic timer.
+//!   [`Tram::flush_all_from_host`], or on an optional idle-aware periodic
+//!   timer.
 //!
 //! The per-PE aggregation points are implemented as a group-like chare array
-//! (one [`TramAgent`] per PE, pinned), exactly as a Charm++ library would.
+//! (one `TramAgent` per PE, pinned), exactly as a Charm++ library would.
 //!
 //! Trade-off reproduced from Fig. 15b: at low message volume aggregation
 //! *increases* average latency (items wait in buffers), so direct sends win;
@@ -27,7 +28,7 @@
 //!
 //! As in Charm++, where items wait in the message buffer that will carry
 //! them, every buffer — an agent's per-peer buffer and a sender's
-//! [`TramBuf`] alike — is a [`TramBatch`]: the bytes its items pack to, not
+//! [`TramBuf`] alike — is a `TramBatch`: the bytes its items pack to, not
 //! typed `(u64, Ix, M)` tuples. An item with an `Ix::I1` index and a `u64`
 //! payload is 25 bytes there plus a 4-byte end offset, where the tuple took
 //! 48.
@@ -43,7 +44,7 @@
 
 mod wire;
 
-pub use wire::TramBatch;
+pub(crate) use wire::TramBatch;
 
 use charm_core::{ArrayProxy, Chare, Ctx, Ix, Runtime, SysEvent};
 use charm_machine::{SimTime, Torus};
@@ -57,7 +58,7 @@ pub struct TramConfig {
     /// Items buffered per peer before an automatic flush.
     pub flush_threshold: usize,
     /// Optional idle-aware periodic flush interval; `None` = flush only on
-    /// threshold or explicit `flush_all`.
+    /// threshold or explicit `flush_all_from_host`.
     pub flush_interval: Option<SimTime>,
 }
 
@@ -73,7 +74,7 @@ impl Default for TramConfig {
 
 /// Messages handled by a [`TramAgent`].
 #[derive(Default)]
-pub enum TramMsg<M> {
+pub(crate) enum TramMsg<M> {
     /// A locally submitted item (from a chare on this agent's PE).
     Submit {
         /// Final destination PE of the item.
@@ -129,7 +130,7 @@ impl<M: Pup + Default> Pup for TramMsg<M> {
 
 
 /// The per-PE aggregation agent. One element per PE, never migrated.
-pub struct TramAgent<C: Chare>
+pub(crate) struct TramAgent<C: Chare>
 where
     C::Msg: Default,
 {
@@ -470,12 +471,7 @@ where
         );
     }
 
-    /// Flush every buffer on every PE (e.g. at a PDES window boundary).
-    pub fn flush_all(&self, ctx: &mut Ctx<'_>) {
-        ctx.broadcast_flush(self.agents);
-    }
-
-    /// Flush from the host side.
+    /// Flush every buffer on every PE, from the host side.
     pub fn flush_all_from_host(&self, rt: &mut Runtime) {
         let n = rt.num_pes();
         for pe in 0..n {
@@ -497,14 +493,14 @@ fn check_dst(ctx: &Ctx<'_>, dst_pe: usize) {
 /// A caller-side staging buffer for [`Tram::send_via`]: lives in the
 /// sending chare's state (it is `Pup`, so it migrates/checkpoints with its
 /// owner) and coalesces the local hand-off to the aggregation agent. Its
-/// items are staged in wire form, as the [`TramBatch`] the agent receives.
+/// items are staged in wire form, as the `TramBatch` the agent receives.
 pub struct TramBuf<C: Chare>
 where
     C::Msg: Default,
 {
     items: TramBatch<C::Msg>,
     /// Items staged before the buffer is handed to the local agent.
-    pub local_threshold: u64,
+    pub(crate) local_threshold: u64,
 }
 
 impl<C: Chare> Default for TramBuf<C>
@@ -530,16 +526,6 @@ where
             local_threshold: local_threshold.max(1),
         }
     }
-
-    /// Items currently staged.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
 impl<C: Chare> Pup for TramBuf<C>
@@ -549,26 +535,6 @@ where
     fn pup(&mut self, p: &mut Puper) {
         p.p(&mut self.items);
         p.p(&mut self.local_threshold);
-    }
-}
-
-/// Extension trait so `flush_all` can broadcast without requiring
-/// `TramMsg<C::Msg>: Clone` (broadcast requires `Clone`; `FlushAll` is
-/// cloneable by construction, so we send per-element instead).
-trait CtxFlushExt {
-    fn broadcast_flush<C: Chare>(&mut self, agents: ArrayProxy<TramAgent<C>>)
-    where
-        C::Msg: Default;
-}
-
-impl CtxFlushExt for Ctx<'_> {
-    fn broadcast_flush<C: Chare>(&mut self, agents: ArrayProxy<TramAgent<C>>)
-    where
-        C::Msg: Default,
-    {
-        for pe in 0..self.num_pes() {
-            self.send(agents, Ix::i1(pe as i64), TramMsg::FlushAll);
-        }
     }
 }
 
@@ -638,7 +604,7 @@ mod tests {
         let mut buf = TramBuf::<Sink>::with_threshold(8);
         buf.items = batch_of(&[0, 3, 2, 2]);
         let mut back = roundtrip(&mut buf);
-        assert_eq!((back.len(), back.local_threshold), (4, 8));
+        assert_eq!((back.items.len(), back.local_threshold), (4, 8));
         assert_eq!(items(&back.items), items(&buf.items));
         assert_eq!(to_bytes(&mut back), to_bytes(&mut buf));
     }

@@ -12,7 +12,7 @@ use std::marker::PhantomData;
 /// bytes and digests equal the typed vector's. An agent forwards an item as
 /// a byte span after reading its 8-byte PE header; only the last hop
 /// decodes the index and the item.
-pub struct TramBatch<M> {
+pub(crate) struct TramBatch<M> {
     /// The items back to back, each as `(u64, Ix, M)` packs.
     bytes: Vec<u8>,
     /// Where each item ends in `bytes`.
@@ -32,12 +32,12 @@ impl<M> Default for TramBatch<M> {
 
 impl<M> TramBatch<M> {
     /// Items in the batch.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ends.len()
     }
 
     /// True when the batch holds no item.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ends.is_empty()
     }
 
