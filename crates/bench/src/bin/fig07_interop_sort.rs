@@ -47,7 +47,6 @@ fn main() {
         verify_sorted(&keys, &mpi.buckets).expect("mpi sort correct");
 
         let mut lib = CharmLib::init(Runtime::builder(presets::stampede(p)).build());
-        lib.host_compute(compute_s);
         let charm_time = {
             let rt = lib.runtime();
             let r = hist_sort(rt, keys.clone(), 0.03);

@@ -235,31 +235,16 @@ impl Runtime {
             .filter(|&p| self.pes[p].alive && !doomed.contains(&p))
             .collect();
 
-        // Evacuation cost model: each doomed PE streams its chares to the
-        // survivors concurrently (max over doomed PEs), plus one barrier to
-        // agree the node is drained. Sized, not packed: a warning too short
-        // to use serialises nothing.
-        let evac = self.residents(|pe| doomed.contains(&pe));
-        let mut per_pe_bytes = vec![0usize; self.machine.num_pes];
-        for &(pe, _, size) in &evac {
-            per_pe_bytes[pe] += size;
+        // Evacuation cost model: the doomed PEs' chares move as one batch,
+        // plus one barrier to agree the node is drained. Priced once, before
+        // anything moves: a warning too short to use moves and serialises
+        // nothing.
+        let moves = self.drain_plan(|pe| doomed.contains(&pe), &survivors);
+        let mut cost = self.move_batch();
+        for m in &moves {
+            cost.add(&mut self.net, m);
         }
-        let max_bytes = doomed
-            .iter()
-            .map(|&p| per_pe_bytes[p])
-            .max()
-            .unwrap_or(0);
-        let transfer = if !survivors.is_empty() && max_bytes > 0 {
-            self.net.delay(
-                doomed[0],
-                survivors[0],
-                max_bytes + ENVELOPE_BYTES,
-                self.cur_dispatch.1 ^ TOKEN_AUX,
-            )
-        } else {
-            SimTime::ZERO
-        };
-        let evac_cost = transfer + self.barrier_cost();
+        let evac_cost = cost.total + self.barrier_cost();
         let proactive = !survivors.is_empty() && self.now + evac_cost <= deadline;
 
         if let Some(tr) = &mut self.tracer {
@@ -282,15 +267,11 @@ impl Runtime {
 
         // ---- proactive drain: migrate every chare off the node, take the
         // doomed PEs down, and send their stranded envelopes after the chares.
-        self.evacuate(&evac, &survivors);
-        let wire: usize = evac.iter().map(|&(.., size)| size + ENVELOPE_BYTES).sum();
-        self.bytes_moved += wire as u64;
-        self.take_down(&doomed);
-        if let Some(tr) = &mut self.tracer {
-            for &p in &doomed {
-                tr.pe_transition(self.now, p, false);
-            }
+        let chares = moves.len();
+        for mut m in moves {
+            self.move_chare(&mut m, self.now);
         }
+        self.take_down(&doomed);
         self.reroute_stranded(&doomed);
         let done = self.now + evac_cost;
         self.block_all_pes(done);
@@ -299,7 +280,7 @@ impl Runtime {
             tr.rts(
                 self.now,
                 TraceEventKind::Evacuation {
-                    chares: evac.len(),
+                    chares,
                     first_pe: doomed[0],
                     num_pes: doomed.len(),
                 },
@@ -529,9 +510,6 @@ impl Runtime {
         self.take_down(failed);
         for &pe in failed {
             self.discard_queue(pe);
-            if let Some(tr) = &mut self.tracer {
-                tr.pe_transition(self.now, pe, false);
-            }
             self.journal("unrecovered_failures", self.now, pe as f64);
         }
         self.note_capacity("node failure killed PEs without recovery");

@@ -7,37 +7,23 @@
 //! system quiesces), and control returns to the host with the results.
 
 use crate::runtime::Runtime;
-use charm_machine::SimTime;
 
 /// Handle the host program keeps while a charm module is loaded —
 /// the `CharmLibInit`/`CharmLibExit` bracket.
 pub struct CharmLib {
     rt: Runtime,
-    /// Virtual time consumed by host (non-charm) phases, charged via
-    /// [`CharmLib::host_compute`].
-    host_time: SimTime,
 }
 
 impl CharmLib {
     /// Initialize the library runtime (CharmLibInit).
     pub fn init(rt: Runtime) -> Self {
-        CharmLib {
-            rt,
-            host_time: SimTime::ZERO,
-        }
+        CharmLib { rt }
     }
 
     /// Mutable access to the runtime between invocations (to create arrays,
     /// insert chares, send kick-off messages).
     pub fn runtime(&mut self) -> &mut Runtime {
         &mut self.rt
-    }
-
-    /// Charge a bulk-synchronous host phase: every PE computes for
-    /// `seconds_per_pe` of virtual time (the "useful computation" / MPI
-    /// portions of an interop program).
-    pub fn host_compute(&mut self, seconds_per_pe: f64) {
-        self.host_time += SimTime::from_secs_f64(seconds_per_pe);
     }
 
     /// Tear down and recover the runtime (CharmLibExit).

@@ -44,22 +44,17 @@ impl Runtime {
                 return;
             }
             let retiring: Vec<usize> = (to..old).collect();
-            let evac = self.residents(|pe| (to..old).contains(&pe));
-            self.evacuate(&evac, &survivors);
+            let mut cost = self.move_batch();
+            for mut m in self.drain_plan(|pe| (to..old).contains(&pe), &survivors) {
+                self.move_chare(&mut m, self.now);
+                cost.add(&mut self.net, &m);
+            }
             // Requeue messages stranded on retiring PEs; the home map shrinks
             // first, so their location queries go to surviving homes.
             self.take_down(&retiring);
             self.live_pes = to;
             self.reroute_stranded(&retiring);
-            // The transfer is priced by the largest single chare moved.
-            let moved_bytes_max = evac.iter().map(|&(.., size)| size).max().unwrap_or(0);
-            let transfer = if moved_bytes_max > 0 {
-                let token = self.cur_dispatch.1 ^ crate::runtime::TOKEN_AUX;
-                self.net.delay(old - 1, 0, moved_bytes_max, token)
-            } else {
-                SimTime::ZERO
-            };
-            let done = self.now + self.reconfig_overhead_shrink + transfer;
+            let done = self.now + self.reconfig_overhead_shrink + cost.total;
             self.block_all_pes(done);
             self.journal_reconfig(old, to, done);
         } else {

@@ -1,15 +1,15 @@
 //! Placement: how a chare changes PE, and everything built on it — the
-//! in-process move (`AnyArray::move_element`) behind the load-balancing
-//! round and the draining of a PE set for shrink and preemption,
-//! `MigrateMe` (a real PUP round trip split across a network delay), the
-//! global pause and the AtSync protocol.
+//! one move and its one price (`move_chare`, `MoveCost`) behind the
+//! load-balancing round, the draining of a PE set for shrink and
+//! preemption, and `MigrateMe` (a real PUP round trip split across a
+//! network delay); the global pause and the AtSync protocol.
 
 use crate::array::{ArrayId, ElemRef, ObjId};
 use crate::chare::SysEvent;
 use crate::lbframework::{LbRound, LbStats, LbTrigger, ObjStat};
 use crate::runtime::{Ev, MigrateArrive, Runtime, ENVELOPE_BYTES, TOKEN_AUX};
 use crate::trace::TraceEventKind;
-use charm_machine::SimTime;
+use charm_machine::{NetworkModel, SimTime};
 use std::collections::HashMap;
 
 /// Whether [`Runtime::collect_lb_stats`] resets the measurement windows
@@ -21,32 +21,89 @@ pub(crate) enum StatsMode {
     Drain,
 }
 
+/// One chare changing PE, and the size of its PUP image.
+#[derive(Clone, Copy)]
+pub(crate) struct Move {
+    obj: ObjId,
+    from: usize,
+    to: usize,
+    image: usize,
+}
+
+/// The price of a batch of chare moves, whoever makes them (DESIGN §7):
+/// each image plus an envelope goes point to point, a source PE sends its
+/// chares one after another and the sources send at once. Built move by
+/// move, so no batch is held as a list.
+pub(crate) struct MoveCost {
+    token: u64,
+    per_source: HashMap<usize, SimTime>,
+    /// The busiest source's total so far: the batch's transfer time.
+    pub(crate) total: SimTime,
+}
+
+impl MoveCost {
+    /// Price `m` into the batch; move `i` draws its jitter from token + `i`.
+    pub(crate) fn add(&mut self, net: &mut NetworkModel, m: &Move) -> &mut Self {
+        let sent = self.per_source.entry(m.from).or_default();
+        *sent += net.delay(m.from, m.to, m.image + ENVELOPE_BYTES, self.token);
+        self.total = self.total.max(*sent);
+        self.token = self.token.wrapping_add(1);
+        self
+    }
+}
+
 impl Runtime {
-    // ----- moving one chare ----------------------------------------------------
+    // ----- moving chares: one move, one price ---------------------------------
+
+    /// The move of `obj` from `from` onto `to`, if there is one: none when
+    /// the chare is there already or `to` is dead (a hole that a preemption
+    /// or crash left inside the live boundary, where the chare would be lost).
+    fn plan_move(&self, obj: ObjId, from: usize, to: usize) -> Option<Move> {
+        (to != from && self.pes[to].alive).then_some(Move { obj, from, to, image: 0 })
+    }
+
+    /// An empty batch. Its first move draws the dispatch's auxiliary jitter
+    /// token, so a lone `MigrateMe` is priced as the one message it is.
+    pub(crate) fn move_batch(&self) -> MoveCost {
+        let token = self.cur_dispatch.1 ^ TOKEN_AUX;
+        MoveCost { token, per_source: HashMap::new(), total: SimTime::ZERO }
+    }
+
+    /// Account one move made at `at`: its image and an envelope are added
+    /// to `bytes_moved`, and it leaves one `Migration` record.
+    fn account_move(&mut self, m: &Move, at: SimTime) {
+        self.bytes_moved += (m.image + ENVELOPE_BYTES) as u64;
+        if let Some(tr) = &mut self.tracer {
+            tr.rts(at, TraceEventKind::Migration { obj: m.obj, from_pe: m.from, to_pe: m.to });
+        }
+    }
+
+    /// Make `m` now, in process (`AnyArray::move_element`: the record
+    /// changes PE, the image is sized but never built), and account it.
+    pub(crate) fn move_chare(&mut self, m: &mut Move, at: SimTime) {
+        m.image = self.stores[m.obj.array.0 as usize].move_element(&m.obj.ix, m.to);
+        self.account_move(m, at);
+    }
 
     /// `MigrateMe`: the chare is packed and leaves now, and arrives one
-    /// network delay later; messages that chase it meanwhile wait in limbo.
+    /// move's price later; messages that chase it meanwhile wait in limbo.
     /// Its record, and so its handle, stays.
     pub(crate) fn start_migration(&mut self, src: ObjId, to: usize, at: SimTime) {
-        let Some(from_pe) = self.stores[src.array.0 as usize].element_pe(&src.ix) else {
+        let Some(from) = self.stores[src.array.0 as usize].element_pe(&src.ix) else {
             return;
         };
-        let to = to.min(self.live_pes - 1);
-        if to == from_pe {
+        let Some(mut m) = self.plan_move(src, from, to.min(self.live_pes - 1)) else {
             return;
-        }
+        };
         let store = &mut self.stores[src.array.0 as usize];
         let bytes = store.pack_element(&src.ix).expect("migrating an existing element");
         store.remove_element(&src.ix);
-        let wire = bytes.len() + ENVELOPE_BYTES;
-        let delay = self.net.delay(from_pe, to, wire, self.cur_dispatch.1 ^ TOKEN_AUX);
-        self.bytes_moved += wire as u64;
+        m.image = bytes.len();
+        self.account_move(&m, at);
+        let delay = self.move_batch().add(&mut self.net, &m).total;
         self.inflight += 1;
         self.migrating += 1;
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(at, TraceEventKind::Migration { obj: src, from_pe, to_pe: to });
-        }
-        let arrive = MigrateArrive { dst: src, to_pe: to, from_pe, bytes };
+        let arrive = MigrateArrive { dst: src, to_pe: m.to, from_pe: from, bytes };
         self.push_ev(at + delay, Ev::MigrateArrive(Box::new(arrive)));
     }
 
@@ -64,38 +121,39 @@ impl Runtime {
 
     // ----- draining a PE set ---------------------------------------------------
 
-    /// Every chare hosted on a PE satisfying `on`, as `(pe, chare, packed
-    /// size)` in evacuation order: per array, per PE ascending, per index.
-    /// Each size is the one [`evacuate`](Self::evacuate) charges the move.
-    pub(crate) fn residents(&mut self, on: impl Fn(usize) -> bool) -> Vec<(usize, ObjId, usize)> {
+    /// The moves that drain every PE satisfying `on`: its chares in
+    /// evacuation order (per array, per PE ascending, per index), dealt
+    /// round-robin over the alive PEs `onto` (the counter runs across
+    /// arrays; none if `onto` is empty), each sized as
+    /// [`move_chare`](Self::move_chare) will size it.
+    pub(crate) fn drain_plan(&mut self, on: impl Fn(usize) -> bool, onto: &[usize]) -> Vec<Move> {
         let mut out = Vec::new();
         for s in self.stores.iter_mut() {
             let array = s.id();
             let first = out.len();
             s.visit_sorted(&mut |ix, pe, chare| {
                 if on(pe) {
-                    out.push((pe, ObjId { array, ix }, charm_pup::packed_size(chare)));
+                    let image = charm_pup::packed_size(chare);
+                    out.push(Move { obj: ObjId { array, ix }, from: pe, to: pe, image });
                 }
             });
-            out[first..].sort_by_key(|&(pe, ..)| pe);
+            out[first..].sort_by_key(|m| m.from);
         }
-        out
-    }
-
-    /// Move `residents` round-robin over `survivors`, in process. The
-    /// counter runs across arrays.
-    pub(crate) fn evacuate(&mut self, residents: &[(usize, ObjId, usize)], survivors: &[usize]) {
-        for (rr, &(_, obj, _)) in residents.iter().enumerate() {
-            self.stores[obj.array.0 as usize].move_element(&obj.ix, survivors[rr % survivors.len()]);
-        }
+        out.into_iter()
+            .enumerate()
+            .filter_map(|(rr, m)| {
+                let to = *onto.get(rr % onto.len().max(1))?;
+                Some(Move { image: m.image, ..self.plan_move(m.obj, m.from, to)? })
+            })
+            .collect()
     }
 
     /// Take `pes` down: their queues stop counting as queued work, the
     /// entry a PE was running is abandoned (its `PeFree` still fires but
     /// finds the PE dead, so the busy accounting is released here or
-    /// `busy_pes` leaks and periodic ticks re-arm forever), and the PEs are
-    /// marked dead. The queued envelopes stay where they are for the caller
-    /// to re-route or drop.
+    /// `busy_pes` leaks and periodic ticks re-arm forever), the PEs are
+    /// marked dead and each leaves a PE-idle trace record. The queued
+    /// envelopes stay where they are for the caller to re-route or drop.
     pub(crate) fn take_down(&mut self, pes: &[usize]) {
         for &pe in pes {
             let p = &mut self.pes[pe];
@@ -106,6 +164,9 @@ impl Runtime {
                 self.busy_pes -= 1;
             }
             p.alive = false;
+            if let Some(tr) = &mut self.tracer {
+                tr.pe_transition(self.now, pe, false);
+            }
         }
     }
 
@@ -279,46 +340,23 @@ impl Runtime {
         let decision_cost = SimTime::from_secs_f64(decision_work / self.machine.flops_per_sec);
 
         // --- enact migrations -------------------------------------------------
+        let mut cost = self.move_batch();
         let mut migrations = 0usize;
-        let mut per_pe_out = vec![0usize; self.machine.num_pes];
         let mut new_assignment: Vec<usize> = Vec::with_capacity(stats.objs.len());
         for (obj, new_pe) in stats.objs.iter().zip(&assignment) {
-            let target = match new_pe {
-                Some(pe) => {
-                    assert!(*pe < self.live_pes, "{strategy_name} assigned dead PE {pe}");
-                    // Strategies see the live boundary, not liveness holes
-                    // left by preemptions; keep the chare put rather than
-                    // migrate it onto a dead PE.
-                    if self.pes[*pe].alive { *pe } else { obj.pe }
-                }
-                None => obj.pe,
-            };
-            new_assignment.push(target);
-            if target != obj.pe {
+            let planned = new_pe.and_then(|pe| {
+                assert!(pe < self.live_pes, "{strategy_name} assigned dead PE {pe}");
+                self.plan_move(obj.id, obj.pe, pe)
+            });
+            new_assignment.push(planned.map_or(obj.pe, |m| m.to));
+            if let Some(mut m) = planned {
+                self.move_chare(&mut m, at);
+                cost.add(&mut self.net, &m);
                 migrations += 1;
-                let image = self.stores[obj.id.array.0 as usize].move_element(&obj.id.ix, target);
-                per_pe_out[obj.pe] += image;
-                self.bytes_moved += image as u64;
-                if let Some(tr) = &mut self.tracer {
-                    tr.rts(
-                        at,
-                        TraceEventKind::Migration {
-                            obj: obj.id,
-                            from_pe: obj.pe,
-                            to_pe: target,
-                        },
-                    );
-                }
             }
         }
-        let max_out = per_pe_out.iter().copied().max().unwrap_or(0);
-        let migrate_cost = if max_out > 0 {
-            self.tree_hop(max_out, token)
-        } else {
-            SimTime::ZERO
-        };
         let barrier = SimTime(small_hop.0 * depth);
-        let total = collect_cost + decision_cost + migrate_cost + barrier;
+        let total = collect_cost + decision_cost + cost.total + barrier;
 
         // All PEs pause for the round.
         let resume_at = at + total;
@@ -539,11 +577,11 @@ mod tests {
         let arr = rt.create_array::<Counted>("counted");
         rt.set_at_sync(arr, true);
         let (on_pe0, objs) = (6, 8);
-        let mut image = 0;
+        let mut images = Vec::new();
         for i in 0..objs {
             let mut c = Counted { data: (0..=i as u64).collect() };
             if i < on_pe0 {
-                image += charm_pup::packed_size(&mut c);
+                images.push(charm_pup::packed_size(&mut c));
             }
             rt.insert(arr, Ix::i1(i), c, Some(if i < on_pe0 { 0 } else { 1 }));
         }
@@ -554,12 +592,14 @@ mod tests {
         let round = rt.lb_rounds()[0].clone();
         assert_eq!(round.migrations, on_pe0 as usize);
         assert_eq!(UNPACKS.with(|u| u.get()), 0, "an LB move unpacks nothing");
-        assert_eq!(rt.bytes_moved - bytes_before, image as u64);
+        let wire: Vec<usize> = images.iter().map(|image| image + ENVELOPE_BYTES).collect();
+        assert_eq!(rt.bytes_moved - bytes_before, wire.iter().sum::<usize>() as u64);
         // The round's model (`run_lb_round`): gather the stats, scatter the
-        // decisions, move PE 0's images in one hop, close with a barrier.
+        // decisions, send PE 0's chares to PE 1 one after another, close
+        // with a barrier.
         let (depth, small) = (rt.tree_depth(), rt.tree_hop(ENVELOPE_BYTES, 0));
         let gather = rt.tree_hop(objs as usize * 32, 0);
-        let migrate = rt.tree_hop(image, 0);
+        let migrate = wire.iter().fold(SimTime::ZERO, |t, &w| t + rt.net.delay(0, 1, w, 0));
         let cost = SimTime(gather.0 + small.0 * depth * 2) + migrate + SimTime(small.0 * depth);
         assert_eq!(round.cost_s, cost.as_secs_f64());
         for i in 0..objs {
@@ -568,9 +608,9 @@ mod tests {
             assert_eq!(rt.inspect(arr, &Ix::i1(i), |c| c.data.clone()), Some(want));
         }
 
-        let residents = rt.residents(|pe| pe == 1);
-        assert_eq!(residents.len(), objs as usize);
-        rt.evacuate(&residents, &[2, 3]);
+        let moves = rt.drain_plan(|pe| pe == 1, &[2, 3]);
+        assert_eq!(moves.len(), objs as usize);
+        moves.into_iter().for_each(|mut m| rt.move_chare(&mut m, SimTime::ZERO));
         assert_eq!(UNPACKS.with(|u| u.get()), 0, "an evacuation unpacks nothing");
         for i in 0..objs {
             assert_eq!(rt.element_pe(arr.id(), &Ix::i1(i)), Some(2 + i as usize % 2));

@@ -687,18 +687,19 @@ pub fn shrink_expand_run(greedy: Box<dyn charm_core::Strategy>) -> String {
     fingerprint(&mut rt, &s)
 }
 
-/// [`shrink_expand_run`]'s fingerprint, measured at the parent commit.
+/// [`shrink_expand_run`]'s fingerprint, with the shrink's moves priced by
+/// the one chare-move rule (DESIGN §7).
 pub const SHRINK_EXPAND_PIN: &str = "\
-end_ns=12610418 events=535 entries=251 messages=253 bytes=11888\n\
+end_ns=12925370 events=545 entries=251 messages=263 bytes=16240\n\
 state=0xd293f564383040aa\n\
-placement=[Some(4), Some(5), Some(6), Some(7), Some(0), Some(1), Some(2), Some(3), Some(4), Some(5), Some(6), Some(7), Some(4), Some(5), Some(6), Some(7), Some(0), Some(1), Some(2), Some(3), Some(0), Some(1), Some(2), Some(3), Some(0), Some(0), Some(3), Some(2), Some(1), Some(0), Some(0), Some(2), Some(1), Some(0), Some(3), Some(3), Some(1)]\n\
+placement=[Some(0), Some(1), Some(2), Some(3), Some(0), Some(1), Some(2), Some(3), Some(0), Some(1), Some(2), Some(3), Some(4), Some(5), Some(6), Some(7), Some(4), Some(5), Some(6), Some(7), Some(4), Some(5), Some(6), Some(7), Some(0), Some(0), Some(3), Some(2), Some(1), Some(0), Some(0), Some(2), Some(1), Some(0), Some(3), Some(3), Some(1)]\n\
 pes=8 alive=8\n\
-lb=[(14, 0.000489151)]\n\
+lb=[(18, 0.000694698)]\n\
 ckpt_time_s=[]\n\
 evacuation_cost_s=[]\n\
-reconfigure_cost_s=[(0.002, 0.000353003), (0.005, 0.0007)]\n\
+reconfigure_cost_s=[(0.002, 0.000563724), (0.005, 0.0007)]\n\
 restart_time_s=[]\n\
 capacity=[(0.002, 4.0), (0.005, 8.0)]\n\
-network model: 26 remote msg(s), 2832 B remote, 1 local hop(s)\n\
-trace=0x3648007b66be35ee\n\
+network model: 69 remote msg(s), 6440 B remote, 1 local hop(s)\n\
+trace=0x6ec1fc4a8e22e313\n\
 ";

@@ -3,9 +3,11 @@
 //! `MigrateMe`, each pinned to a committed fingerprint: simulated end time,
 //! event/message/byte counts, folded state digest, LB rounds, the
 //! journalled service costs, the `NetCounters`, and an FNV of the Chrome
-//! trace. The constants were measured at the commit *before* the services
-//! were moved onto shared mechanisms, so any drift in a `NetworkModel`
-//! call, a key allocation or a relocation order shows up here.
+//! trace, so any drift in a `NetworkModel` call, a key allocation or a
+//! relocation order shows up here. `MIGRATE_ME_PIN` was measured before
+//! the services were moved onto shared mechanisms; the other four were
+//! re-pinned when LB, shrink and evacuation took `MigrateMe`'s price for a
+//! chare move (DESIGN §7), which a lone `MigrateMe` keeps exactly.
 
 mod campaign;
 
@@ -87,18 +89,18 @@ impl Chare for SyncWorker {
 }
 
 const AT_SYNC_PIN: &str = "\
-end_ns=4423295 events=248 entries=112 messages=112 bytes=5952\n\
+end_ns=4534517 events=248 entries=112 messages=112 bytes=6432\n\
 state=0x0aeb9924c7f1ac6b\n\
 placement=[Some(5), Some(7), Some(6), Some(3), Some(0), Some(0), Some(3), Some(7), Some(4), Some(1), Some(1), Some(4), Some(6), Some(5), Some(2), Some(2)]\n\
 pes=8 alive=8\n\
-lb=[(12, 0.000501879), (0, 0.000560655), (0, 0.000559677)]\n\
+lb=[(12, 0.000613101), (0, 0.000560655), (0, 0.000559677)]\n\
 ckpt_time_s=[]\n\
 evacuation_cost_s=[]\n\
 reconfigure_cost_s=[]\n\
 restart_time_s=[]\n\
 capacity=[]\n\
-network model: 9 remote msg(s), 3077 B remote, 32 local hop(s)\n\
-trace=0x504450455b4bf3de\n\
+network model: 20 remote msg(s), 6209 B remote, 32 local hop(s)\n\
+trace=0xb11c059ef12ea5b9\n\
 ";
 
 #[test]
@@ -141,18 +143,18 @@ fn shrink_then_expand() {
 // ---------------------------------------------------------------------------
 
 const PREEMPT_PIN: &str = "\
-end_ns=23844436 events=906 entries=325 messages=337 bytes=15712\n\
+end_ns=23844436 events=907 entries=325 messages=337 bytes=15712\n\
 state=0xd293f564383040aa\n\
 placement=[Some(0), Some(7), Some(6), Some(7), Some(0), Some(1), Some(6), Some(7), Some(1), Some(6), Some(6), Some(7), Some(0), Some(1), Some(6), Some(7), Some(6), Some(7), Some(6), Some(7), Some(0), Some(1), Some(6), Some(7), Some(0), Some(0), Some(7), Some(6), Some(1), Some(0), Some(7), Some(6), Some(1), Some(0), Some(7), Some(6), Some(1)]\n\
 pes=8 alive=4\n\
 lb=[]\n\
 ckpt_time_s=[(0.0015, 0.000226892), (0.003, 0.000211426), (0.0045, 0.000190832), (0.006, 0.000211548), (0.0075, 0.000223857), (0.009, 0.00019267), (0.0105, 0.000219952), (0.012, 0.000205122), (0.0135, 0.00021309), (0.015, 0.000217977), (0.0165, 0.000190848), (0.018, 0.000202371), (0.0195, 0.000206372), (0.021, 0.000189053), (0.0225, 0.000212146)]\n\
-evacuation_cost_s=[(0.0018, 0.000191052)]\n\
+evacuation_cost_s=[(0.0018, 0.000350719)]\n\
 reconfigure_cost_s=[]\n\
 restart_time_s=[(0.0055, 0.00094155)]\n\
 capacity=[(0.0018, 6.0), (0.0055, 4.0)]\n\
-network model: 60 remote msg(s), 33504 B remote, 1 local hop(s)\n\
-trace=0xd2ea0ac15b338c15\n\
+network model: 77 remote msg(s), 35144 B remote, 1 local hop(s)\n\
+trace=0xa04425ef0ef15574\n\
 ";
 
 #[test]
@@ -182,18 +184,18 @@ fn long_warning_evacuates_and_zero_warning_rolls_back() {
 // ---------------------------------------------------------------------------
 
 const DIVERSION_PIN: &str = "\
-end_ns=24545532 events=808 entries=333 messages=343 bytes=15448\n\
+end_ns=24551758 events=802 entries=331 messages=343 bytes=19656\n\
 state=0xd293f564383040aa\n\
 placement=[Some(0), Some(0), Some(2), Some(3), Some(0), Some(2), Some(2), Some(3), Some(0), Some(3), Some(2), Some(3), Some(0), Some(0), Some(2), Some(3), Some(0), Some(2), Some(2), Some(3), Some(0), Some(3), Some(2), Some(3), Some(0), Some(0), Some(3), Some(2), Some(0), Some(0), Some(3), Some(2), Some(2), Some(0), Some(3), Some(2), Some(3)]\n\
 pes=4 alive=3\n\
 lb=[]\n\
 ckpt_time_s=[(0.002, 0.000226892), (0.004, 0.000169642), (0.006, 0.00019407), (0.008, 0.000159671), (0.01, 0.000150858), (0.012, 0.000194408), (0.014, 0.00017967), (0.016, 0.000160787), (0.018, 0.000159054), (0.02, 0.000151884), (0.022, 0.000159234), (0.024, 0.000164557)]\n\
-evacuation_cost_s=[(0.0026, 0.000192191)]\n\
-reconfigure_cost_s=[(0.003, 0.000149545)]\n\
+evacuation_cost_s=[(0.0026, 0.000377845)]\n\
+reconfigure_cost_s=[(0.003, 0.000358385)]\n\
 restart_time_s=[(0.0036, 0.000639619)]\n\
 capacity=[(0.0026, 7.0), (0.003, 3.0), (0.0036, 3.0)]\n\
-network model: 68 remote msg(s), 35292 B remote, 3 local hop(s)\n\
-trace=0xade58b475d6b6bb0\n\
+network model: 90 remote msg(s), 38756 B remote, 3 local hop(s)\n\
+trace=0xcc12604ad2f2cfd5\n\
 ";
 
 #[test]

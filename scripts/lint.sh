@@ -23,6 +23,23 @@ once '1.min(self.live_pes - 1)' # price a tree hop: Runtime::tree_hop
 once 'loc_cache.iter_mut()'     # flush location caches: Runtime::flush_loc_caches
 once 'Hash::hash(ix,'           # hash an index: ArrayStore::probe (DESIGN §4.3)
 once '(i >> BITS, i & ((1 << BITS) - 1))' # chunk an index: ChunkVec, under the slab and the log (DESIGN §4.4)
+once 'bytes_moved += (m.image + ENVELOPE_BYTES)' # charge a chare move: Runtime::account_move (DESIGN §7)
+once 'net.delay(m.from, m.to'  # price a chare move: MoveCost::add (DESIGN §7)
+# A chare moves in process in one place (Runtime::move_chare), a move is
+# priced in one place (MoveCost::add), and the services that move chares
+# never charge a move themselves (DESIGN §7).
+moved=$(grep -rnF '.move_element(' "$src" | grep -v "^$src/array.rs:" || true)
+if [ "$(printf '%s' "$moved" | grep -c . || true)" -ne 1 ]; then
+    echo "lint: '.move_element(' must be called exactly once outside array.rs (Runtime::move_chare):"
+    printf '%s\n' "$moved"
+    exit 1
+fi
+priced=$(grep -nF 'bytes_moved' "$src/ft.rs" "$src/malleable.rs" || true)
+if [ -n "$priced" ]; then
+    echo "lint: 'bytes_moved' in ft.rs or malleable.rs (move chares with move_chare, price them with MoveCost::add):"
+    printf '%s\n' "$priced"
+    exit 1
+fi
 stray=$(grep -rnF 'pack_element(' "$src" | grep -v -e "^$src/array.rs:" -e "^$src/placement.rs:" || true)
 if [ -n "$stray" ]; then
     echo "lint: 'pack_element(' outside array.rs and placement.rs (an LB or evacuation move is AnyArray::move_element; MigrateMe packs in Runtime::start_migration):"
@@ -69,7 +86,7 @@ if [ -n "$cp" ]; then
     printf '%s\n' "$cp"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, the in-process move (move_element; only MigrateMe unpacks), the index probe, chunk indexing, the user payload; no boxed envelope; message path by handle; critical path only in charm-replay"
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, the in-process move (move_element; only MigrateMe unpacks), its one charge and its one price, the index probe, chunk indexing, the user payload; no boxed envelope; message path by handle; critical path only in charm-replay"
 
 # Modeled data is a length (charm_pup::SyntheticBlob, DESIGN §4.2): the
 # mini-apps and AMPI build no zero buffer outside their tests.

@@ -55,12 +55,12 @@ fn kv_service_lb_matches_its_pins() {
     let (run, mut rt) = kv::run_with_runtime(c);
     let got = pin_of(&mut rt);
     assert_eq!(got, Pin {
-        events: 1_765,
-        end_ns: 25_339_472,
-        state_digest: 15_085_903_030_978_993_090,
+        events: 1_764,
+        end_ns: 25_849_548,
+        state_digest: 14_336_536_107_895_030_805,
         lb_rounds: 2,
         migrations: 41,
-        bytes: 53_270,
+        bytes: 54_926,
     });
     assert_eq!(run.store_digest, 0xcf03_1bd1_3766_5043);
 }
@@ -90,6 +90,6 @@ fn stencil_periodic_lb_matches_its_pins() {
         state_digest: 530_485_756_114_341_960,
         lb_rounds: 24,
         migrations: 3,
-        bytes: 25_283_936,
+        bytes: 25_284_056,
     });
 }
