@@ -224,9 +224,12 @@ impl Cell {
         }
     }
 
+    /// Force messages per step: one per distinct neighbor. An axis of
+    /// `dim` cells has `min(dim, 3)` distinct coordinates around any cell,
+    /// so the count is the same for every cell.
     fn expected_forces(&self) -> u8 {
-        let d = self.dim as i32;
-        self.c.iter().map(|&v| axis_neighbors(v, d).1 as u8).product()
+        let per_axis = self.dim.min(3) as u8;
+        per_axis.pow(3)
     }
 
     fn finish_step(&mut self, ctx: &mut Ctx<'_>) {

@@ -142,7 +142,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let max_entry_ns = log.execs.iter().map(|e| e.dur_ns).max().unwrap_or(0);
+    let max_entry_ns = log.execs.iter().map(|(e, _)| e.dur_ns).max().unwrap_or(0);
     if cp.len_ns > log.end_ns + max_entry_ns {
         eprintln!(
             "CRITICAL PATH {} ns past makespan {} ns + longest entry {max_entry_ns} ns",

@@ -7,10 +7,10 @@
 //!  * the deliberately racy demo chare (must be flagged, with witness),
 //!  * its commutative control and a LeanMD run (must stay clean).
 //!
-//! The racy baseline is saved to `results/race_hunt_baseline.rlog` and read
-//! back through the validating loader (magic, version, length, checksum);
-//! the process exits non-zero unless the reloaded log packs to the same
-//! bytes as the one in memory.
+//! The racy baseline is saved to `results/race_hunt_baseline.rlog` as
+//! `.rlog` v2 and read back through the validating loader (magic, version,
+//! every frame's CRC); the process exits non-zero unless the reloaded log
+//! holds the same chunk bytes and tables as the one in memory.
 
 use charm_bench::{results_path, Figure};
 use charm_core::ReplayConfig;
@@ -23,7 +23,7 @@ fn persist(log: &ReplayLog, name: &str) -> Result<PathBuf, String> {
     let path = results_path(name).map_err(|e| format!("results directory: {e}"))?;
     save(log, &path).map_err(|e| format!("save {}: {e}", path.display()))?;
     let back = load(&path).map_err(|e| format!("reload {}: {e}", path.display()))?;
-    if back.to_bytes() != log.to_bytes() {
+    if back != *log {
         return Err(format!("{} does not reload to the baseline", path.display()));
     }
     Ok(path)

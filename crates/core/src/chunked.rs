@@ -1,7 +1,8 @@
 //! An append-only array that never reallocates: elements live in
 //! fixed-capacity chunks of `1 << BITS`, so growing appends a chunk and
 //! never copies what is already stored. The envelope slab (64-element
-//! chunks) and the replay log hold their records this way (DESIGN §4.4).
+//! chunks) and the replay recorder's per-message and per-exec tables hold
+//! their records this way (DESIGN §4.4).
 //!
 //! A doubling `Vec` copies itself on every growth once glibc's dynamic mmap
 //! threshold has risen past its size — which a process that has freed one
@@ -9,21 +10,21 @@
 //! `ChunkVec` holds what it stores plus less than one chunk, in the first
 //! run of a process and in every later one.
 
-use std::ops::{Index, IndexMut, Range};
+use std::ops::{Index, IndexMut};
 
-/// `BITS` of a replay-log array: 4 096 records a chunk (DESIGN §4.4,
+/// `BITS` of a recorder table: 4 096 entries a chunk (DESIGN §4.4,
 /// "Recording memory").
 pub(crate) const LOG_CHUNK_BITS: u32 = 12;
 
 /// A `Vec`-like array of fixed-capacity chunks. Every chunk but the last is
 /// full, and no chunk ever reallocates.
-pub struct ChunkVec<T, const BITS: u32 = LOG_CHUNK_BITS> {
+pub(crate) struct ChunkVec<T, const BITS: u32 = LOG_CHUNK_BITS> {
     chunks: Vec<Vec<T>>,
 }
 
 impl<T, const BITS: u32> ChunkVec<T, BITS> {
     /// Elements per chunk.
-    pub const CHUNK: usize = 1 << BITS;
+    pub(crate) const CHUNK: usize = 1 << BITS;
 
     /// An empty array; allocates nothing until the first push.
     pub(crate) const fn new() -> Self {
@@ -37,20 +38,15 @@ impl<T, const BITS: u32> ChunkVec<T, BITS> {
     }
 
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.chunks
             .last()
             .map_or(0, |c| ((self.chunks.len() - 1) << BITS) + c.len())
     }
 
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
     /// Append `v`, starting a new chunk when the last one is full.
     #[inline]
-    pub fn push(&mut self, v: T) {
+    pub(crate) fn push(&mut self, v: T) {
         match self.chunks.last_mut() {
             Some(c) if c.len() < Self::CHUNK => c.push(v),
             _ => {
@@ -71,28 +67,6 @@ impl<T, const BITS: u32> ChunkVec<T, BITS> {
         self.chunks.last()?.last()
     }
 
-    /// Every element, in order.
-    pub fn iter(&self) -> Iter<'_, T> {
-        self.range(0..self.len())
-    }
-
-    /// The elements of `r`, in order; the range may straddle chunks.
-    pub(crate) fn range(&self, r: Range<usize>) -> Iter<'_, T> {
-        assert!(
-            r.start <= r.end && r.end <= self.len(),
-            "range {r:?} out of bounds for length {}",
-            self.len()
-        );
-        let (c, o) = Self::split(r.start);
-        let cur = self.chunks.get(c).map_or(&[][..], |ch| &ch[o..]);
-        let rest = self.chunks.get(c + 1..).unwrap_or(&[]);
-        Iter {
-            rest: rest.iter(),
-            cur: cur.iter(),
-            left: r.end - r.start,
-        }
-    }
-
     /// The index of the first element for which `pred` is false, when
     /// `pred` holds for a prefix of the array (as `slice::partition_point`).
     pub(crate) fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
@@ -103,42 +77,6 @@ impl<T, const BITS: u32> ChunkVec<T, BITS> {
             Some(ch) => (c << BITS) + ch.partition_point(pred),
             None => self.len(),
         }
-    }
-}
-
-impl<T, const BITS: u32> Default for ChunkVec<T, BITS> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A clone keeps the last chunk's full capacity, so it too grows without
-/// copying.
-impl<T: Clone, const BITS: u32> Clone for ChunkVec<T, BITS> {
-    fn clone(&self) -> Self {
-        let chunks = self
-            .chunks
-            .iter()
-            .map(|c| {
-                let mut copy = Vec::with_capacity(Self::CHUNK);
-                copy.extend_from_slice(c);
-                copy
-            })
-            .collect();
-        ChunkVec { chunks }
-    }
-}
-
-/// Equal lengths mean equal chunk boundaries, so chunks compare pairwise.
-impl<T: PartialEq, const BITS: u32> PartialEq for ChunkVec<T, BITS> {
-    fn eq(&self, other: &Self) -> bool {
-        self.chunks == other.chunks
-    }
-}
-
-impl<T: std::fmt::Debug, const BITS: u32> std::fmt::Debug for ChunkVec<T, BITS> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -160,95 +98,6 @@ impl<T, const BITS: u32> IndexMut<usize> for ChunkVec<T, BITS> {
     }
 }
 
-impl<T, const BITS: u32> Extend<T> for ChunkVec<T, BITS> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl<T, const BITS: u32> FromIterator<T> for ChunkVec<T, BITS> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut v = ChunkVec::new();
-        v.extend(iter);
-        v
-    }
-}
-
-impl<'a, T, const BITS: u32> IntoIterator for &'a ChunkVec<T, BITS> {
-    type Item = &'a T;
-    type IntoIter = Iter<'a, T>;
-
-    fn into_iter(self) -> Iter<'a, T> {
-        self.iter()
-    }
-}
-
-/// Consumes the array front to back, freeing each chunk once it is read.
-impl<T, const BITS: u32> IntoIterator for ChunkVec<T, BITS> {
-    type Item = T;
-    type IntoIter = IntoIter<T>;
-
-    fn into_iter(self) -> IntoIter<T> {
-        IntoIter {
-            rest: self.chunks.into_iter(),
-            cur: Vec::new().into_iter(),
-        }
-    }
-}
-
-/// Borrowing iterator of [`ChunkVec::iter`] and [`ChunkVec::range`].
-pub struct Iter<'a, T> {
-    rest: std::slice::Iter<'a, Vec<T>>,
-    cur: std::slice::Iter<'a, T>,
-    left: usize,
-}
-
-impl<'a, T> Iterator for Iter<'a, T> {
-    type Item = &'a T;
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a T> {
-        if self.left == 0 {
-            return None;
-        }
-        loop {
-            if let Some(x) = self.cur.next() {
-                self.left -= 1;
-                return Some(x);
-            }
-            self.cur = self.rest.next()?.iter();
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl<T> ExactSizeIterator for Iter<'_, T> {}
-
-/// Owning iterator of a [`ChunkVec`].
-pub struct IntoIter<T> {
-    rest: std::vec::IntoIter<Vec<T>>,
-    cur: std::vec::IntoIter<T>,
-}
-
-impl<T> Iterator for IntoIter<T> {
-    type Item = T;
-
-    #[inline]
-    fn next(&mut self) -> Option<T> {
-        loop {
-            if let Some(x) = self.cur.next() {
-                return Some(x);
-            }
-            self.cur = self.rest.next()?.into_iter();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,21 +110,20 @@ mod tests {
         let model: Vec<u32> = (0..n as u32)
             .map(|i| i.wrapping_mul(2_654_435_761))
             .collect();
-        (model.iter().copied().collect(), model)
+        let mut v = Small::new();
+        for &x in &model {
+            v.push(x);
+        }
+        (v, model)
     }
 
     fn agrees(v: &Small, model: &[u32]) {
         assert_eq!(v.len(), model.len());
-        assert_eq!(v.is_empty(), model.is_empty());
         assert_eq!(v.last(), model.last());
-        assert_eq!(v.iter().len(), model.len());
-        assert!(v.iter().eq(model.iter()));
-        assert!(v.clone().into_iter().eq(model.iter().copied()));
         for (i, x) in model.iter().enumerate() {
             assert_eq!((v[i], v.get(i)), (*x, Some(x)));
         }
         assert_eq!(v.get(model.len()), None);
-        assert_eq!(format!("{v:?}"), format!("{model:?}"));
     }
 
     #[test]
@@ -296,21 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn ranges_straddle_chunks() {
-        let (v, model) = filled(3 * C + 1);
-        for a in 0..=model.len() {
-            for b in a..=model.len() {
-                let r = v.range(a..b);
-                assert_eq!(r.len(), b - a);
-                assert!(r.eq(model[a..b].iter()), "range {a}..{b}");
-            }
-        }
-    }
-
-    #[test]
     fn partition_point_matches_a_slice() {
-        let v: Small = (0..3 * C as u32 + 1).map(|i| i / 2).collect();
-        let model: Vec<u32> = v.iter().copied().collect();
+        let mut v = Small::new();
+        for i in 0..3 * C as u32 + 1 {
+            v.push(i / 2);
+        }
+        let model: Vec<u32> = (0..v.len()).map(|i| v[i]).collect();
         for k in 0..=model.len() as u32 {
             assert_eq!(
                 v.partition_point(|&x| x < k),
@@ -320,26 +159,17 @@ mod tests {
     }
 
     #[test]
-    fn clone_keeps_full_capacity_and_equality_is_elementwise() {
-        let (mut v, mut model) = filled(C + 1);
-        let mut w = v.clone();
-        assert!(w.chunks.iter().all(|c| c.capacity() == C));
-        assert_eq!(v, w);
-        w[C] ^= 1;
-        assert_ne!(v, w);
-        w[C] ^= 1;
-        assert_eq!(v, w);
-        w.push(7);
-        assert_ne!(v, w, "lengths differ");
-        v.push(7);
-        model.push(7);
+    fn index_mut_writes_in_place() {
+        let (mut v, mut model) = filled(2 * C + 1);
+        v[C] ^= 1;
+        model[C] ^= 1;
         agrees(&v, &model);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
-        // Push, read, index, iterate, compare and clone at random lengths,
-        // against a `Vec` of the same values.
+        // Push, read and index at random lengths, against a `Vec` of the
+        // same values.
         #[test]
         fn random_lengths_match_a_vec(xs in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..40)) {
             let mut v = Small::new();
@@ -349,9 +179,6 @@ mod tests {
                 proptest::prop_assert_eq!(v.last(), Some(&x));
             }
             agrees(&v, &xs);
-            let c = v.clone();
-            proptest::prop_assert!(c == v);
-            agrees(&c, &xs);
         }
     }
 }

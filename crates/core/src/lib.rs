@@ -85,7 +85,6 @@ pub(crate) mod tsink;
 
 pub use array::{ArrayId, ArrayProxy, ObjId};
 pub use chare::{Callback, Chare, RedOp, RedValue, SysEvent};
-pub use chunked::ChunkVec;
 pub use ctx::Ctx;
 pub use elastic::{ElasticConfig, HysteresisPolicy, RunOutcome};
 pub use ft::{buddy_pe, write_atomic, RestoreError};

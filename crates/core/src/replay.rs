@@ -16,21 +16,27 @@
 //! [`RuntimeBuilder::perturb`](crate::RuntimeBuilder::perturb) was called:
 //! the per-message hooks reduce to a branch on `None`, exactly like tracing.
 //!
-//! In memory a log is flat arrays addressed by small indices, the way the
-//! engine holds envelopes and elements (DESIGN §4.4): an exec names its chare
-//! by an index into [`ReplayLog::chares`] and its sends by an offset into
-//! [`ReplayLog::sends`]. Execs and sends sit in [`ChunkVec`]s, which grow by
-//! fixed-size chunks and never copy. The `.rlog` wire layout is the nested
-//! one — an `ObjId` per exec and a send list per exec — written and read by
-//! a hand-written [`Pup`] for [`ReplayLog`].
+//! A log is held the way `.rlog` v2 stores it (DESIGN §4.4, "Recording
+//! memory"). The recorder encodes each exec, with the sends routed while it
+//! was current, into fixed-capacity byte chunks as the run goes, and seals
+//! each chunk with its own CRC. Sends that route after their exec ended —
+//! limbo flushes and reduction-fold sends — follow in late chunks, sorted
+//! by exec. The tables (entry names, chares, roots, state points, final
+//! state) grow with the chares, not with the run, and are held decoded.
+//! [`ExecLog::iter`] decodes the execs in order, each with its sends; an
+//! exec names its chare by an index into [`ReplayLog::chares`]. `.rlog` v1,
+//! the nested layout (an `ObjId` per exec, a send list per exec), is still
+//! read by [`ReplayLog::read_v1`].
 
 use crate::array::{ElemRef, ObjId};
 use crate::chare::{RedValue, SysEvent};
-use crate::chunked::{self, ChunkVec};
+use crate::chunked::ChunkVec;
+use crate::ft::crc32;
 use crate::runtime::KEY_SLOT_SHIFT;
 use charm_machine::SimTime;
 use charm_pup::{Pup, Puper};
 use fxhash::FxHashMap;
+use std::io::Write;
 
 /// Configuration for [`RuntimeBuilder::record`](crate::RuntimeBuilder::record).
 #[derive(Debug, Clone, Default)]
@@ -66,9 +72,9 @@ impl ReplayConfig {
 /// RTS-origin event.
 pub const NO_CHARE: u32 = u32::MAX;
 
-/// One recorded message send, held in [`ReplayLog::sends`] under the
-/// execution that produced it (or in [`ReplayLog::roots`] for host/RTS-injected
-/// messages).
+/// One recorded message send, as [`ExecLog::iter`] yields it under the
+/// execution that produced it (or as held in [`ReplayLog::roots`] for
+/// host/RTS-injected messages).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SendRec {
     /// Runtime-wide message id (`Envelope::rec_id`).
@@ -88,7 +94,8 @@ pub struct SendRec {
     pub rtt_bytes: u32,
 }
 
-/// `bytes` and `rtt_bytes` travel as `u64`: the `.rlog` v1 layout.
+/// `bytes` and `rtt_bytes` travel as `u64`: the `.rlog` v1 layout, which
+/// the tables section of v2 keeps for the roots.
 impl Pup for SendRec {
     fn pup(&mut self, p: &mut Puper) {
         let (mut bytes, mut rtt_bytes) = (self.bytes as u64, self.rtt_bytes as u64);
@@ -105,9 +112,9 @@ impl Pup for SendRec {
     }
 }
 
-/// One executed entry method: the unit of the recorded DAG. Its index in
-/// [`ReplayLog::execs`] is its place in the global execution order (the
-/// total order the deterministic scheduler produced); `msg_id` and the sends
+/// One executed entry method: the unit of the recorded DAG. Its position in
+/// [`ExecLog::iter`] is its place in the global execution order (the total
+/// order the deterministic scheduler produced); `msg_id` and the sends
 /// stitch executions into a causal graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecRec {
@@ -137,9 +144,6 @@ pub struct ExecRec {
     pub n_remote: u32,
     /// Sends charged at local-delivery cost.
     pub n_local: u32,
-    /// Offset of this execution's first send in [`ReplayLog::sends`]; its
-    /// sends run up to the next execution's ([`ReplayLog::sends_of`]).
-    pub first_send: u32,
 }
 
 impl Default for ExecRec {
@@ -157,7 +161,6 @@ impl Default for ExecRec {
             work: 0.0,
             n_remote: 0,
             n_local: 0,
-            first_send: 0,
         }
     }
 }
@@ -177,7 +180,8 @@ charm_pup::impl_pup_struct!(DigestPoint { seq, t_ns, digests });
 
 /// The complete record of one run. Produced by
 /// [`Runtime::take_replay_log`](crate::Runtime::take_replay_log); persisted
-/// and consumed by the `charm-replay` crate.
+/// and consumed by the `charm-replay` crate. Equality is equality of the
+/// encoded chunks and of the decoded header and tables.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplayLog {
     /// Free-form application label (set by the recording driver).
@@ -199,13 +203,11 @@ pub struct ReplayLog {
     /// Every chare that executed, in the order it first executed
     /// (`ExecRec::dst` and `ExecRec::msg_src` index this).
     pub chares: Vec<ObjId>,
-    /// Every executed entry, in execution order.
-    pub execs: ChunkVec<ExecRec>,
-    /// Every message an execution produced, grouped by execution in
-    /// execution order; within one execution, routed sends in routing
-    /// order, then reduction-fold sends in fold order.
-    pub sends: ChunkVec<SendRec>,
-    /// Messages injected from outside any execution (host sends, RTS).
+    /// Every executed entry, in execution order, with the messages it
+    /// produced: encoded chunks, read through [`ExecLog::iter`].
+    pub execs: ExecLog,
+    /// Messages injected from outside any execution (host sends, RTS),
+    /// then reduction-fold sends whose contributor is not on the record.
     pub roots: Vec<SendRec>,
     /// Periodic state-digest points (when configured).
     pub state_points: Vec<DigestPoint>,
@@ -227,29 +229,12 @@ impl ReplayLog {
         (e.msg_src != NO_CHARE).then(|| self.chare(e.msg_src))
     }
 
-    /// The messages execution `i` produced, in recorded order (they may
-    /// straddle two chunks of [`ReplayLog::sends`]).
-    pub fn sends_of(&self, i: usize) -> chunked::Iter<'_, SendRec> {
-        let end = self
-            .execs
-            .get(i + 1)
-            .map_or(self.sends.len(), |e| e.first_send as usize);
-        self.sends.range(self.execs[i].first_send as usize..end)
-    }
-
-    /// The packed `.rlog` body, from a shared borrow (no copy of the log).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut sizer = Puper::sizer();
-        self.pack(&mut sizer);
-        let mut p = Puper::packer(sizer.size());
-        self.pack(&mut p);
-        p.into_bytes()
-    }
-
-    /// Drive a sizing, packing or digesting puper through the v1 layout:
-    /// each exec carries its index as `seq`, its chares as `ObjId`s and its
-    /// sends as a nested list.
-    fn pack(&self, p: &mut Puper) {
+    /// Write the `.rlog` v2 body: a header frame, the exec chunks and the
+    /// late chunks as they are held (their CRCs were taken when they were
+    /// sealed), then the tables frame. A frame is `u32` record count ·
+    /// `u32` byte length · `u32` CRC32 of the bytes · the bytes.
+    pub fn write_v2(&self, w: &mut dyn Write) -> std::io::Result<()> {
+        let mut p = Puper::packer(0);
         p.p(&mut self.app.clone());
         p.p(&mut self.machine.clone());
         for mut v in [
@@ -261,58 +246,121 @@ impl ReplayLog {
             p.p(&mut v);
         }
         p.p(&mut { self.flops_per_sec });
+        for mut v in [
+            self.end_ns,
+            self.execs.len as u64,
+            self.execs.chunks.len() as u64,
+            self.execs.late.len() as u64,
+        ] {
+            p.p(&mut v);
+        }
+        write_frame(w, 0, &p.into_bytes(), None)?;
+        for c in self.execs.chunks.iter().chain(&self.execs.late) {
+            write_frame(w, c.records, &c.bytes, Some(c.crc))?;
+        }
+        let mut p = Puper::packer(0);
         p.p(&mut self.entry_names.clone());
-        p.p(&mut (self.execs.len() as u64));
-        for (i, e) in self.execs.iter().enumerate() {
-            p.p(&mut (i as u64));
-            p.p(&mut { e.pe });
-            p.p(&mut { e.start_ns });
-            p.p(&mut { e.dur_ns });
-            p.p(&mut self.chare(e.dst));
-            p.p(&mut { e.entry });
-            p.p(&mut { e.msg_id });
-            p.p(&mut self.msg_src(e));
-            p.p(&mut { e.msg_digest });
-            p.p(&mut (e.msg_bytes as u64));
-            p.p(&mut { e.work });
-            p.p(&mut { e.n_remote });
-            p.p(&mut { e.n_local });
-            pack_sends(p, self.sends_of(i));
-        }
-        pack_sends(p, self.roots.iter());
-        p.p(&mut (self.state_points.len() as u64));
-        for d in &self.state_points {
-            pack_point(p, d);
-        }
-        pack_point(p, &self.final_state);
-        p.p(&mut { self.end_ns });
+        p.p(&mut self.chares.clone());
+        p.p(&mut self.roots.clone());
+        p.p(&mut self.state_points.clone());
+        p.p(&mut self.final_state.clone());
+        write_frame(w, 0, &p.into_bytes(), None)
     }
 
-    /// Read the v1 layout back into the flat form: chares are interned in
-    /// first-appearance order, which is the recorder's first-exec order.
-    fn unpack(&mut self, p: &mut Puper) {
-        *self = ReplayLog::default();
-        p.p(&mut self.app);
-        p.p(&mut self.machine);
-        p.p(&mut self.num_pes);
-        p.p(&mut self.seed);
-        p.p(&mut self.sched_overhead_ns);
-        p.p(&mut self.collective_arity);
-        p.p(&mut self.flops_per_sec);
-        p.p(&mut self.entry_names);
-        let n = unpack_len(p);
+    /// Read a `.rlog` v2 body written by [`ReplayLog::write_v2`]. Every
+    /// frame's CRC is checked and every chunk decoded once; the chunks are
+    /// then kept as they are. The error names the frame that is corrupt or
+    /// where the body ends early. A header or tables frame with a valid CRC
+    /// that does not unpack panics (the caller turns that into an error).
+    pub fn read_v2(body: &[u8]) -> Result<ReplayLog, String> {
+        let mut at = 0;
+        let header = read_frame(body, &mut at, || "header".into())?;
+        let mut log = ReplayLog::default();
+        let mut p = Puper::unpacker(header.bytes);
+        p.p(&mut log.app);
+        p.p(&mut log.machine);
+        p.p(&mut log.num_pes);
+        p.p(&mut log.seed);
+        p.p(&mut log.sched_overhead_ns);
+        p.p(&mut log.collective_arity);
+        p.p(&mut log.flops_per_sec);
+        p.p(&mut log.end_ns);
+        let [len, n_chunks, n_late] = [0; 3].map(|_| unpack_len(&mut p));
+        if p.remaining() != 0 {
+            return Err("header: trailing bytes".into());
+        }
+        // Every frame takes at least its 12-byte head.
+        if n_chunks.saturating_add(n_late) > (body.len() - at) / 12 {
+            return Err("header: more chunks than the body has room for".into());
+        }
+        let mut chunks = |n: usize, kind: &str| {
+            (0..n)
+                .map(|k| {
+                    read_frame(body, &mut at, || format!("{kind} chunk {k} of {n}")).map(|f| {
+                        Chunk {
+                            bytes: f.bytes.to_vec(),
+                            records: f.records,
+                            crc: f.crc,
+                        }
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()
+        };
+        log.execs = ExecLog {
+            chunks: chunks(n_chunks, "exec")?,
+            late: chunks(n_late, "late")?,
+            len,
+        };
+        let tables = read_frame(body, &mut at, || "tables".into())?;
+        if at != body.len() {
+            return Err(format!("{} bytes after the tables", body.len() - at));
+        }
+        let mut p = Puper::unpacker(tables.bytes);
+        p.p(&mut log.entry_names);
+        p.p(&mut log.chares);
+        p.p(&mut log.roots);
+        p.p(&mut log.state_points);
+        p.p(&mut log.final_state);
+        if p.remaining() != 0 {
+            return Err("tables: trailing bytes".into());
+        }
+        log.execs.check(log.chares.len())?;
+        Ok(log)
+    }
+
+    /// Read a `.rlog` v1 body — an exec with its index as `seq`, its chares
+    /// as `ObjId`s and its sends as a nested list — into the v2 form.
+    /// Chares are interned in first-appearance order, which is the
+    /// recorder's first-exec order; every send is the exec's own (v1 does
+    /// not say which routed late). A body that does not unpack panics.
+    pub fn read_v1(body: &[u8]) -> Result<ReplayLog, String> {
+        let mut log = ReplayLog::default();
+        let mut p = Puper::unpacker(body);
+        p.p(&mut log.app);
+        p.p(&mut log.machine);
+        p.p(&mut log.num_pes);
+        p.p(&mut log.seed);
+        p.p(&mut log.sched_overhead_ns);
+        p.p(&mut log.collective_arity);
+        p.p(&mut log.flops_per_sec);
+        p.p(&mut log.entry_names);
+        let n = unpack_len(&mut p);
         let mut ids: FxHashMap<ObjId, u32> = FxHashMap::default();
-        let chares = &mut self.chares;
+        let chares = &mut log.chares;
         let mut intern = |o: ObjId| {
             *ids.entry(o).or_insert_with(|| {
                 chares.push(o);
                 narrow(chares.len() as u64 - 1, "chare index")
             })
         };
+        let mut w = LogWriter::default();
+        let mut sends = Vec::new();
         for i in 0..n {
             let mut seq = 0u64;
             p.p(&mut seq);
-            assert_eq!(seq, i as u64, "exec {i} carries seq {seq} while unpacking");
+            if seq != i as u64 {
+                return Err(format!("exec {i} carries seq {seq}"));
+            }
             let mut e = ExecRec::default();
             let (mut dst, mut msg_src, mut msg_bytes) = (ObjId::default(), None, 0u64);
             p.p(&mut e.pe);
@@ -330,35 +378,27 @@ impl ReplayLog {
             e.dst = intern(dst);
             e.msg_src = msg_src.map_or(NO_CHARE, &mut intern);
             e.msg_bytes = narrow(msg_bytes, "exec msg_bytes");
-            e.first_send = narrow(self.sends.len() as u64, "send offset");
-            for _ in 0..unpack_len(p) {
+            sends.clear();
+            for _ in 0..unpack_len(&mut p) {
                 let mut s = SendRec::default();
                 p.p(&mut s);
-                self.sends.push(s);
+                sends.push(s);
             }
-            self.execs.push(e);
+            w.push_exec(&e, &sends);
         }
-        p.p(&mut self.roots);
-        p.p(&mut self.state_points);
-        p.p(&mut self.final_state);
-        p.p(&mut self.end_ns);
+        log.execs = w.finish();
+        p.p(&mut log.roots);
+        p.p(&mut log.state_points);
+        p.p(&mut log.final_state);
+        p.p(&mut log.end_ns);
+        if p.remaining() != 0 {
+            return Err(format!("{} trailing bytes", p.remaining()));
+        }
+        Ok(log)
     }
 }
 
-/// The `.rlog` body: packing, sizing and digesting read the log through
-/// [`ReplayLog::to_bytes`]'s shared-borrow traversal; unpacking rebuilds
-/// the flat form.
-impl Pup for ReplayLog {
-    fn pup(&mut self, p: &mut Puper) {
-        if p.is_unpacking() {
-            self.unpack(p);
-        } else {
-            self.pack(p);
-        }
-    }
-}
-
-/// A `u64` from the wire that the flat form keeps as `u32`.
+/// A `u64` from the wire that the log keeps as `u32`.
 fn narrow(v: u64, what: &str) -> u32 {
     u32::try_from(v).unwrap_or_else(|_| panic!("{what} {v} overflows u32 while unpacking"))
 }
@@ -369,20 +409,720 @@ fn unpack_len(p: &mut Puper) -> usize {
     usize::try_from(n).expect("length overflows usize while unpacking")
 }
 
-fn pack_sends<'a>(p: &mut Puper, sends: impl ExactSizeIterator<Item = &'a SendRec>) {
-    p.p(&mut (sends.len() as u64));
-    for s in sends {
-        p.p(&mut { *s });
+// ---------------------------------------------------------------------------
+// `.rlog` v2: chunks of varint-coded records.
+
+/// Capacity of one chunk. A chunk holds whole records; a record larger
+/// than this (an exec with thousands of sends) gets a chunk of its own.
+pub const CHUNK_BYTES: usize = 1 << 16;
+
+/// Most bytes an exec record takes before its sends (a tag, thirteen
+/// varints of at most ten bytes and a raw digest), one send (its slot, its
+/// counter and five `u32` varints) and one late send (its key and a send).
+const EXEC_BOUND: usize = 1 + 13 * 10 + 8;
+const SEND_BOUND: usize = 2 * 10 + 5 * 5;
+const LATE_BOUND: usize = 10 + SEND_BOUND;
+
+/// A sealed run of whole records that decodes on its own: the coding state
+/// starts afresh in every chunk.
+#[derive(Clone, PartialEq)]
+struct Chunk {
+    bytes: Vec<u8>,
+    records: u32,
+    /// CRC32 of `bytes`, taken when the chunk was sealed.
+    crc: u32,
+}
+
+/// The execs of a [`ReplayLog`] with the sends each produced, in `.rlog` v2
+/// form: exec chunks, then late chunks of the sends that routed after
+/// their exec ended, sorted by exec. [`ExecLog::iter`] is the one way in.
+#[derive(Clone, Default, PartialEq)]
+pub struct ExecLog {
+    chunks: Vec<Chunk>,
+    late: Vec<Chunk>,
+    len: usize,
+}
+
+impl std::fmt::Debug for ExecLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ExecLog {{ {} execs in {} chunks, {} late chunks, {} bytes }}",
+            self.len,
+            self.chunks.len(),
+            self.late.len(),
+            self.encoded_bytes()
+        )
     }
 }
 
-fn pack_point(p: &mut Puper, d: &DigestPoint) {
-    p.p(&mut { d.seq });
-    p.p(&mut { d.t_ns });
-    p.p(&mut (d.digests.len() as u64));
-    for &pair in &d.digests {
-        p.p(&mut { pair });
+/// What an exec chunk that does not decode panics with: only
+/// [`ExecLog::check`]ed chunks are ever iterated.
+const VALID: &str = "a recorded or checked chunk decodes";
+
+impl ExecLog {
+    /// Number of executions recorded.
+    pub fn len(&self) -> usize {
+        self.len
     }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes of encoded records, exec and late chunks together: what the
+    /// `.rlog` v2 file holds besides its frame headers and tables.
+    pub fn encoded_bytes(&self) -> usize {
+        self.chunks
+            .iter()
+            .chain(&self.late)
+            .map(|c| c.bytes.len())
+            .sum()
+    }
+
+    /// Every execution in execution order, each with its sends in recorded
+    /// order: those routed while it ran, in routing order, then its limbo
+    /// flushes in routing order, then its reduction-fold sends in fold
+    /// order.
+    pub fn iter(&self) -> Execs<'_> {
+        Execs {
+            chunks: self.chunks.iter(),
+            r: Reader::new(&[]),
+            left: 0,
+            st: Deltas::default(),
+            late: Late::new(&self.late),
+            index: 0,
+            remaining: self.len,
+        }
+    }
+
+    /// Decode every chunk once, without panicking: each holds exactly its
+    /// records, they add up to the length, chare indices are below
+    /// `chares`, and late sends name recorded execs in ascending order.
+    fn check(&self, chares: usize) -> Result<(), String> {
+        let chare =
+            |c: u32, missing_ok: bool| (c as usize) < chares || (missing_ok && c == NO_CHARE);
+        let mut n = 0usize;
+        for (k, c) in self.chunks.iter().enumerate() {
+            let bad = |why: &str| format!("exec chunk {k} of {}: {why}", self.chunks.len());
+            let mut r = Reader::new(&c.bytes);
+            let mut st = Deltas::default();
+            for _ in 0..c.records {
+                let (e, sends) = r
+                    .exec(&mut st)
+                    .ok_or_else(|| bad("an exec does not decode"))?;
+                if !chare(e.dst, false) || !chare(e.msg_src, true) {
+                    return Err(bad("an exec names a chare the tables lack"));
+                }
+                for _ in 0..sends {
+                    r.send(&mut st.send_ctr)
+                        .ok_or_else(|| bad("a send does not decode"))?;
+                }
+            }
+            if !r.done() {
+                return Err(bad("bytes past its last record"));
+            }
+            n += c.records as usize;
+        }
+        if n != self.len {
+            return Err(format!(
+                "the chunks hold {n} execs, the header says {}",
+                self.len
+            ));
+        }
+        let mut last = 0u64;
+        for (k, c) in self.late.iter().enumerate() {
+            let bad = |why: &str| format!("late chunk {k} of {}: {why}", self.late.len());
+            let mut r = Reader::new(&c.bytes);
+            let mut st = LateDeltas::default();
+            for _ in 0..c.records {
+                let (key, _) = r
+                    .late(&mut st)
+                    .ok_or_else(|| bad("a send does not decode"))?;
+                if key < last || (key >> 1) as usize >= self.len {
+                    return Err(bad("a send names no exec, or is out of order"));
+                }
+                last = key;
+            }
+            if !r.done() {
+                return Err(bad("bytes past its last record"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A log of execs in order, each with the sends it routed while it ran.
+impl FromIterator<(ExecRec, Vec<SendRec>)> for ExecLog {
+    fn from_iter<I: IntoIterator<Item = (ExecRec, Vec<SendRec>)>>(iter: I) -> Self {
+        let mut w = LogWriter::default();
+        for (e, sends) in iter {
+            w.push_exec(&e, &sends);
+        }
+        w.finish()
+    }
+}
+
+/// Iterator of [`ExecLog::iter`]: decodes one exec at a time.
+pub struct Execs<'a> {
+    chunks: std::slice::Iter<'a, Chunk>,
+    r: Reader<'a>,
+    /// Records left in the current chunk.
+    left: u32,
+    st: Deltas,
+    late: Late<'a>,
+    index: u64,
+    remaining: usize,
+}
+
+impl<'a> Iterator for Execs<'a> {
+    type Item = (ExecRec, Sends<'a>);
+
+    #[inline]
+    fn next(&mut self) -> Option<(ExecRec, Sends<'a>)> {
+        while self.left == 0 {
+            let c = self.chunks.next()?;
+            (self.r, self.left, self.st) = (Reader::new(&c.bytes), c.records, Deltas::default());
+        }
+        self.left -= 1;
+        self.remaining -= 1;
+        let (e, n) = self.r.exec(&mut self.st).expect(VALID);
+        let (own, own_prev) = (self.r.clone(), self.st.send_ctr);
+        for _ in 0..n {
+            self.r.send(&mut self.st.send_ctr).expect(VALID);
+        }
+        let mut late = None;
+        let mut late_left = 0;
+        while self.late.peek_exec() == Some(self.index) {
+            late.get_or_insert_with(|| self.late.clone());
+            self.late.pop();
+            late_left += 1;
+        }
+        self.index += 1;
+        let sends = Sends {
+            own,
+            own_prev,
+            own_left: n,
+            late,
+            late_left,
+        };
+        Some((e, sends))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Execs<'_> {}
+
+/// The sends of one exec, decoded as they are read.
+#[derive(Clone)]
+pub struct Sends<'a> {
+    own: Reader<'a>,
+    own_prev: u64,
+    own_left: u32,
+    /// The late chunks from this exec's first late send, if it has any.
+    late: Option<Late<'a>>,
+    late_left: u32,
+}
+
+impl Iterator for Sends<'_> {
+    type Item = SendRec;
+
+    #[inline]
+    fn next(&mut self) -> Option<SendRec> {
+        if self.own_left > 0 {
+            self.own_left -= 1;
+            return Some(self.own.send(&mut self.own_prev).expect(VALID));
+        }
+        if self.late_left > 0 {
+            self.late_left -= 1;
+            return self.late.as_mut()?.pop().map(|(_, s)| s);
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.own_left + self.late_left) as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Sends<'_> {}
+
+/// A cursor over the late chunks, one decoded entry ahead.
+#[derive(Clone)]
+struct Late<'a> {
+    chunks: std::slice::Iter<'a, Chunk>,
+    r: Reader<'a>,
+    left: u32,
+    st: LateDeltas,
+    /// The next `(key, send)`: key `2 × exec` for a limbo flush,
+    /// `2 × exec + 1` for a reduction-fold send.
+    next: Option<(u64, SendRec)>,
+}
+
+impl<'a> Late<'a> {
+    fn new(chunks: &'a [Chunk]) -> Self {
+        let mut l = Late {
+            chunks: chunks.iter(),
+            r: Reader::new(&[]),
+            left: 0,
+            st: LateDeltas::default(),
+            next: None,
+        };
+        l.pop();
+        l
+    }
+
+    fn peek_exec(&self) -> Option<u64> {
+        self.next.map(|(key, _)| key >> 1)
+    }
+
+    /// The next entry, decoding the one after it.
+    fn pop(&mut self) -> Option<(u64, SendRec)> {
+        let out = self.next.take();
+        while self.left == 0 {
+            let Some(c) = self.chunks.next() else {
+                return out;
+            };
+            (self.r, self.left, self.st) =
+                (Reader::new(&c.bytes), c.records, LateDeltas::default());
+        }
+        self.left -= 1;
+        self.next = Some(self.r.late(&mut self.st).expect(VALID));
+        out
+    }
+}
+
+/// The coding state of an exec chunk: start times and message-id counters
+/// travel as deltas, and a payload digest that repeats one of the last four
+/// as that one's position.
+#[derive(Clone, Copy, Default)]
+struct Deltas {
+    start_ns: u64,
+    msg_ctr: u64,
+    send_ctr: u64,
+    /// Most recent first.
+    digests: [u64; 4],
+}
+
+impl Deltas {
+    /// Move `d`, coded as `code` (0 = new, `k` = the `k`-th most recent),
+    /// to the front of the recent digests.
+    #[inline]
+    fn note_digest(&mut self, code: u8, d: u64) {
+        let last = if code == 0 { 3 } else { code as usize - 1 };
+        for j in (1..=last).rev() {
+            self.digests[j] = self.digests[j - 1];
+        }
+        self.digests[0] = d;
+    }
+}
+
+/// The coding state of a late chunk.
+#[derive(Clone, Copy, Default)]
+struct LateDeltas {
+    key: u64,
+    send_ctr: u64,
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// `v - prev` as a zigzag varint: small either way.
+fn put_delta(out: &mut Vec<u8>, prev: &mut u64, v: u64) {
+    let d = v.wrapping_sub(*prev) as i64;
+    put_varint(out, ((d << 1) ^ (d >> 63)) as u64);
+    *prev = v;
+}
+
+/// A message id, `slot << KEY_SLOT_SHIFT | counter`: the producer slot as
+/// a varint, then the counter as a delta from the last one in the chunk.
+/// Every slot counts at about the rate of the others, so the delta stays
+/// small across slots.
+fn put_msg_id(out: &mut Vec<u8>, prev_ctr: &mut u64, id: u64) {
+    put_varint(out, id >> KEY_SLOT_SHIFT);
+    put_delta(out, prev_ctr, id & ((1 << KEY_SLOT_SHIFT) - 1));
+}
+
+/// How an exec's `work` travels: `0` is `+0.0`, `1` an integral value as a
+/// varint, `2` the raw bits.
+fn work_code(w: f64) -> u8 {
+    if w.to_bits() == 0 {
+        0
+    } else if (w as u64 as f64).to_bits() == w.to_bits() {
+        1
+    } else {
+        2
+    }
+}
+
+/// One exec record: a tag byte (digest code in bits 0–2, work code in bits
+/// 3–4), then varints — the PE, the start time as a delta, the duration,
+/// the chare, the entry, the message id, `msg_src + 1` — the
+/// digest (8 raw bytes unless it repeats), the message size, the work, the
+/// send counts, and the sends routed while it ran.
+fn put_exec(out: &mut Vec<u8>, st: &mut Deltas, e: &ExecRec, sends: &[SendRec]) {
+    let digest = match st.digests.iter().position(|&d| d == e.msg_digest) {
+        Some(k) => k as u8 + 1,
+        None => 0,
+    };
+    st.note_digest(digest, e.msg_digest);
+    let work = work_code(e.work);
+    out.push(digest | work << 3);
+    put_varint(out, e.pe as u64);
+    put_delta(out, &mut st.start_ns, e.start_ns);
+    put_varint(out, e.dur_ns);
+    put_varint(out, e.dst as u64);
+    put_varint(out, e.entry as u64);
+    put_msg_id(out, &mut st.msg_ctr, e.msg_id);
+    put_varint(out, e.msg_src.wrapping_add(1) as u64);
+    if digest == 0 {
+        out.extend_from_slice(&e.msg_digest.to_le_bytes());
+    }
+    put_varint(out, e.msg_bytes as u64);
+    match work {
+        0 => {}
+        1 => put_varint(out, e.work as u64),
+        _ => out.extend_from_slice(&e.work.to_bits().to_le_bytes()),
+    }
+    put_varint(out, e.n_remote as u64);
+    put_varint(out, e.n_local as u64);
+    put_varint(out, sends.len() as u64);
+    for s in sends {
+        put_send(out, &mut st.send_ctr, s);
+    }
+}
+
+/// One send: its message id, with the counter a delta from the chunk's
+/// previous send's, then five varints.
+fn put_send(out: &mut Vec<u8>, prev_ctr: &mut u64, s: &SendRec) {
+    put_msg_id(out, prev_ctr, s.msg_id);
+    for v in [s.bytes, s.src_pe, s.dst_pe, s.tree_depth, s.rtt_bytes] {
+        put_varint(out, v as u64);
+    }
+}
+
+/// One late send: its key as a delta, then the send.
+fn put_late(out: &mut Vec<u8>, st: &mut LateDeltas, key: u64, s: &SendRec) {
+    put_delta(out, &mut st.key, key);
+    put_send(out, &mut st.send_ctr, s);
+}
+
+/// Decodes records; `None` where the bytes end early or hold no record.
+#[derive(Clone)]
+struct Reader<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(b: &'a [u8]) -> Self {
+        Reader { b, pos: 0 }
+    }
+
+    fn done(&self) -> bool {
+        self.pos == self.b.len()
+    }
+
+    #[inline]
+    fn byte(&mut self) -> Option<u8> {
+        let v = *self.b.get(self.pos)?;
+        self.pos += 1;
+        Some(v)
+    }
+
+    fn raw64(&mut self) -> Option<u64> {
+        let s = self.b.get(self.pos..self.pos + 8)?;
+        self.pos += 8;
+        Some(u64::from_le_bytes(s.try_into().expect("eight bytes")))
+    }
+
+    /// Most varints here are one byte: that case is one load and one test.
+    #[inline]
+    fn varint(&mut self) -> Option<u64> {
+        let b = self.byte()?;
+        if b < 0x80 {
+            return Some(b as u64);
+        }
+        let mut v = u64::from(b & 0x7f);
+        let mut shift = 7;
+        loop {
+            let b = self.byte()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return (shift < 63 || b <= 1).then_some(v);
+            }
+            shift += 7;
+            if shift > 63 {
+                return None;
+            }
+        }
+    }
+
+    #[inline]
+    fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.varint()?).ok()
+    }
+
+    #[inline]
+    fn delta(&mut self, prev: &mut u64) -> Option<u64> {
+        let z = self.varint()?;
+        *prev = prev.wrapping_add(((z >> 1) as i64 ^ -((z & 1) as i64)) as u64);
+        Some(*prev)
+    }
+
+    #[inline]
+    fn msg_id(&mut self, prev_ctr: &mut u64) -> Option<u64> {
+        let slot = self.varint()?;
+        let ctr = self.delta(prev_ctr)?;
+        (slot >> (64 - KEY_SLOT_SHIFT) == 0 && ctr >> KEY_SLOT_SHIFT == 0)
+            .then_some(slot << KEY_SLOT_SHIFT | ctr)
+    }
+
+    /// An exec record up to its sends, and how many sends follow.
+    #[inline]
+    fn exec(&mut self, st: &mut Deltas) -> Option<(ExecRec, u32)> {
+        let tag = self.byte()?;
+        let (digest, work) = (tag & 7, tag >> 3);
+        if digest > 4 || work > 2 {
+            return None;
+        }
+        let pe = self.u32()?;
+        let start_ns = self.delta(&mut st.start_ns)?;
+        let dur_ns = self.varint()?;
+        let dst = self.u32()?;
+        let entry = self.u32()?;
+        let msg_id = self.msg_id(&mut st.msg_ctr)?;
+        let msg_src = self.u32()?.wrapping_sub(1);
+        let msg_digest = match digest {
+            0 => self.raw64()?,
+            k => st.digests[k as usize - 1],
+        };
+        st.note_digest(digest, msg_digest);
+        let msg_bytes = self.u32()?;
+        let work = match work {
+            0 => 0.0,
+            1 => self.varint()? as f64,
+            _ => f64::from_bits(self.raw64()?),
+        };
+        let rec = ExecRec {
+            pe,
+            start_ns,
+            dur_ns,
+            dst,
+            entry,
+            msg_id,
+            msg_src,
+            msg_digest,
+            msg_bytes,
+            work,
+            n_remote: self.u32()?,
+            n_local: self.u32()?,
+        };
+        Some((rec, self.u32()?))
+    }
+
+    #[inline]
+    fn send(&mut self, prev_ctr: &mut u64) -> Option<SendRec> {
+        Some(SendRec {
+            msg_id: self.msg_id(prev_ctr)?,
+            bytes: self.u32()?,
+            src_pe: self.u32()?,
+            dst_pe: self.u32()?,
+            tree_depth: self.u32()?,
+            rtt_bytes: self.u32()?,
+        })
+    }
+
+    fn late(&mut self, st: &mut LateDeltas) -> Option<(u64, SendRec)> {
+        let key = self.delta(&mut st.key)?;
+        Some((key, self.send(&mut st.send_ctr)?))
+    }
+}
+
+/// Fills fixed-capacity chunks with whole records and seals each with its
+/// CRC. `S` is the chunk's coding state, reset at every chunk.
+struct ChunkWriter<S> {
+    sealed: Vec<Chunk>,
+    cur: Vec<u8>,
+    records: u32,
+    st: S,
+    /// One record, encoded before it is known to fit.
+    scratch: Vec<u8>,
+}
+
+impl<S: Copy + Default> Default for ChunkWriter<S> {
+    fn default() -> Self {
+        ChunkWriter {
+            sealed: Vec::new(),
+            cur: Vec::new(),
+            records: 0,
+            st: S::default(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl<S: Copy + Default> ChunkWriter<S> {
+    /// Append the record `put` encodes in at most `bound` bytes. A record
+    /// is written in place while `bound` more bytes fit; near the end of
+    /// the chunk it is encoded aside first, and when it does not fit the
+    /// chunk is sealed and the record starts the next one from a fresh
+    /// state.
+    fn push(&mut self, bound: usize, put: impl Fn(&mut Vec<u8>, &mut S)) {
+        if self.records > 0 && self.cur.len() + bound > CHUNK_BYTES {
+            let mut st = self.st;
+            self.scratch.clear();
+            put(&mut self.scratch, &mut st);
+            if self.cur.len() + self.scratch.len() <= CHUNK_BYTES {
+                self.cur.extend_from_slice(&self.scratch);
+                self.records += 1;
+                self.st = st;
+                return;
+            }
+            self.seal();
+        }
+        if self.records == 0 {
+            self.cur = Vec::with_capacity(CHUNK_BYTES.max(bound));
+        }
+        let at = self.cur.len();
+        put(&mut self.cur, &mut self.st);
+        debug_assert!(self.cur.len() - at <= bound, "a record overran its bound");
+        self.records += 1;
+    }
+
+    fn seal(&mut self) {
+        let bytes = std::mem::take(&mut self.cur);
+        let crc = crc32(&bytes);
+        self.sealed.push(Chunk {
+            bytes,
+            records: self.records,
+            crc,
+        });
+        self.records = 0;
+        self.st = S::default();
+    }
+
+    fn finish(mut self) -> Vec<Chunk> {
+        if self.records > 0 {
+            self.seal();
+        }
+        self.sealed
+    }
+}
+
+/// Builds an [`ExecLog`]: execs as they end, late sends as they route.
+#[derive(Default)]
+struct LogWriter {
+    execs: ChunkWriter<Deltas>,
+    late: ChunkWriter<LateDeltas>,
+    len: usize,
+    /// Key of the last late send, and whether they have all come in key
+    /// order so far.
+    late_key: u64,
+    late_unsorted: bool,
+}
+
+impl LogWriter {
+    fn push_exec(&mut self, e: &ExecRec, sends: &[SendRec]) {
+        let bound = EXEC_BOUND + SEND_BOUND * sends.len();
+        self.execs
+            .push(bound, |out, st| put_exec(out, st, e, sends));
+        self.len += 1;
+    }
+
+    /// A send of exec `exec` that routed after it ended: a reduction-fold
+    /// send when `fold`, else a limbo flush.
+    fn push_late(&mut self, exec: u32, fold: bool, s: &SendRec) {
+        let key = 2 * exec as u64 + fold as u64;
+        self.late_unsorted |= key < self.late_key;
+        self.late_key = key;
+        self.late
+            .push(LATE_BOUND, |out, st| put_late(out, st, key, s));
+    }
+
+    /// Seal the last chunks. Late sends that did not route in key order are
+    /// sorted — stably, so each exec keeps its limbo flushes in routing
+    /// order, then its fold sends in fold order — and encoded again.
+    fn finish(self) -> ExecLog {
+        let mut late = self.late.finish();
+        if self.late_unsorted {
+            let mut sends: Vec<(u64, SendRec)> = Vec::new();
+            let mut l = Late::new(&late);
+            while let Some(entry) = l.pop() {
+                sends.push(entry);
+            }
+            late.clear();
+            sends.sort_by_key(|&(key, _)| key);
+            let mut w = ChunkWriter::<LateDeltas>::default();
+            for (key, s) in sends {
+                w.push(LATE_BOUND, |out, st| put_late(out, st, key, &s));
+            }
+            late = w.finish();
+        }
+        ExecLog {
+            chunks: self.execs.finish(),
+            late,
+            len: self.len,
+        }
+    }
+}
+
+/// One frame of a v2 body, borrowed from it.
+struct Frame<'a> {
+    records: u32,
+    crc: u32,
+    bytes: &'a [u8],
+}
+
+fn write_frame(
+    w: &mut dyn Write,
+    records: u32,
+    bytes: &[u8],
+    crc: Option<u32>,
+) -> std::io::Result<()> {
+    let len = u32::try_from(bytes.len()).expect("a frame fits in u32 bytes");
+    let crc = crc.unwrap_or_else(|| crc32(bytes));
+    let mut head = [0u8; 12];
+    for (i, v) in [records, len, crc].into_iter().enumerate() {
+        head[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
+    }
+    w.write_all(&head)?;
+    w.write_all(bytes)
+}
+
+/// The frame at `*at`, its CRC checked; `name` says which one it is.
+fn read_frame<'a>(
+    body: &'a [u8],
+    at: &mut usize,
+    name: impl Fn() -> String,
+) -> Result<Frame<'a>, String> {
+    let truncated = || format!("{}: truncated (the file ends inside it)", name());
+    let word = |i: usize| -> Result<u32, String> {
+        let b = body
+            .get(*at + 4 * i..*at + 4 * i + 4)
+            .ok_or_else(truncated)?;
+        Ok(u32::from_le_bytes(b.try_into().expect("four bytes")))
+    };
+    let (records, len, crc) = (word(0)?, word(1)? as usize, word(2)?);
+    let bytes = body.get(*at + 12..*at + 12 + len).ok_or_else(truncated)?;
+    if crc32(bytes) != crc {
+        return Err(format!("{}: CRC mismatch", name()));
+    }
+    *at += 12 + len;
+    Ok(Frame {
+        records,
+        crc,
+        bytes,
+    })
 }
 
 /// Digest a system event the way user payloads are digested — manually,
@@ -516,8 +1256,8 @@ impl MsgLanes {
 }
 
 /// The in-flight recording state. Lives inside the [`Runtime`](crate::Runtime)
-/// behind an `Option`, tracer-style. It fills the log's own arrays as the
-/// run goes, so building the log moves them.
+/// behind an `Option`, tracer-style. It encodes the log's chunks as the run
+/// goes, so building the log moves them.
 pub(crate) struct Recorder {
     pub(crate) cfg: ReplayConfig,
     entry_names: Vec<String>,
@@ -531,16 +1271,15 @@ pub(crate) struct Recorder {
     /// executed yet): a handle names one index for the whole run, so an
     /// exec finds its chare with two indexed loads and no hashing.
     chare_lanes: Vec<Vec<u32>>,
-    /// Every exec so far. `first_send` counts the sends in `sends` before
-    /// it; building the log adds those that routed late.
-    execs: ChunkVec<ExecRec>,
-    /// Sends routed while their exec was current — in exec order, so
-    /// already grouped by exec.
-    sends: ChunkVec<SendRec>,
-    /// Sends routed after their exec ended, in routing order, keyed
-    /// `2 × exec` (a limbo flush) or `2 × exec + 1` (a reduction-fold
-    /// send): building the log merges them in behind the exec's own.
-    late: ChunkVec<(u32, SendRec)>,
+    /// Every exec that has ended, encoded, and the late sends.
+    log: LogWriter,
+    /// [`ExecRec::dst`] of every exec so far: how the consumer of a
+    /// chare's send names its sender.
+    exec_chare: ChunkVec<u32>,
+    /// The exec applying its actions and the sends it has routed so far:
+    /// encoded together when it ends.
+    pending: Option<ExecRec>,
+    pending_sends: Vec<SendRec>,
     roots: Vec<SendRec>,
     /// Fold sends whose contributor is not on the record; they follow
     /// `roots`.
@@ -572,9 +1311,10 @@ impl Recorder {
             entry_memo: Vec::new(),
             chares: Vec::new(),
             chare_lanes: Vec::new(),
-            execs: ChunkVec::new(),
-            sends: ChunkVec::new(),
-            late: ChunkVec::new(),
+            log: LogWriter::default(),
+            exec_chare: ChunkVec::new(),
+            pending: None,
+            pending_sends: Vec::new(),
             roots: Vec::new(),
             orphans: Vec::new(),
             state_points: Vec::new(),
@@ -589,9 +1329,7 @@ impl Recorder {
 
     /// Has the exec cap been reached?
     fn capped(&self) -> bool {
-        self.cfg
-            .max_execs
-            .is_some_and(|m| self.execs.len() as u64 >= m)
+        self.cfg.max_execs.is_some_and(|m| self.execs_len() >= m)
     }
 
     /// Entry executions shed past the cap.
@@ -650,7 +1388,7 @@ impl Recorder {
 
     /// Number of entries executed so far.
     pub(crate) fn execs_len(&self) -> u64 {
-        self.execs.len() as u64
+        self.exec_chare.len() as u64
     }
 
     /// The current exec contributed to a reduction under scheduler
@@ -738,10 +1476,10 @@ impl Recorder {
         match state {
             MsgState::Routed | MsgState::RoutedFrom(_) => unreachable!("returned above"),
             MsgState::Exec(i) | MsgState::Sent(i) if self.current == Some(i) => {
-                self.sends.push(rec)
+                self.pending_sends.push(rec)
             }
-            MsgState::Exec(i) | MsgState::Sent(i) => self.late.push((2 * i, rec)),
-            MsgState::Fold(i) => self.late.push((2 * i + 1, rec)),
+            MsgState::Exec(i) | MsgState::Sent(i) => self.log.push_late(i, false, &rec),
+            MsgState::Fold(i) => self.log.push_late(i, true, &rec),
             MsgState::Orphan => self.orphans.push(rec),
             // An untracked message under a capped recording was produced
             // past the cap: shed it (visibly) instead of growing `roots`.
@@ -771,20 +1509,24 @@ impl Recorder {
         n_remote: u32,
         n_local: u32,
     ) {
+        self.end_exec();
         if self.capped() {
             self.shed_execs += 1;
-            self.current = None;
             return;
         }
-        assert!(self.execs.len() < MsgState::MAX_INDEX, "exec index overflow");
+        assert!(
+            self.exec_chare.len() < MsgState::MAX_INDEX,
+            "exec index overflow"
+        );
         let entry = self.entry_index(dst.array.0 as usize, array_name, kind);
         let msg_src = match MsgState::unpack(*self.msgs.cell(msg_id)) {
-            MsgState::Sent(i) | MsgState::RoutedFrom(i) => self.execs[i as usize].dst,
+            MsgState::Sent(i) | MsgState::RoutedFrom(i) => self.exec_chare[i as usize],
             _ => NO_CHARE,
         };
         let dst = self.chare_index(dst, obj);
-        self.current = Some(self.execs.len() as u32);
-        self.execs.push(ExecRec {
+        self.current = Some(self.exec_chare.len() as u32);
+        self.exec_chare.push(dst);
+        self.pending = Some(ExecRec {
             pe: pe as u32,
             start_ns: start.0,
             dur_ns: dur.0,
@@ -797,12 +1539,16 @@ impl Recorder {
             work,
             n_remote,
             n_local,
-            first_send: self.sends.len() as u32,
         });
     }
 
+    /// The current exec is done: encode it with the sends it routed.
     pub(crate) fn end_exec(&mut self) {
         self.current = None;
+        if let Some(e) = self.pending.take() {
+            self.log.push_exec(&e, &self.pending_sends);
+            self.pending_sends.clear();
+        }
     }
 
     pub(crate) fn push_state_point(&mut self, t: SimTime, digests: Vec<(ObjId, u64)>) {
@@ -812,14 +1558,13 @@ impl Recorder {
             return;
         }
         self.state_points.push(DigestPoint {
-            seq: self.execs.len() as u64,
+            seq: self.execs_len(),
             t_ns: t.0,
             digests,
         });
     }
 
-    /// Consume the recorder into a finished log. When nothing routed late
-    /// the arrays move into it as they are.
+    /// Consume the recorder into a finished log: the chunks move into it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn into_log(
         mut self,
@@ -832,19 +1577,11 @@ impl Recorder {
         end: SimTime,
         final_digests: Vec<(ObjId, u64)>,
     ) -> ReplayLog {
-        let sends = if self.late.is_empty() {
-            self.sends
-        } else if self.late.iter().map(|&(k, _)| k).is_sorted() {
-            merge_late(&mut self.execs, self.sends, self.late)
-        } else {
-            let mut late: Vec<_> = self.late.into_iter().collect();
-            late.sort_by_key(|&(k, _)| k);
-            merge_late(&mut self.execs, self.sends, late)
-        };
-        u32::try_from(sends.len()).expect("send offsets fit in u32");
+        self.end_exec();
         self.roots.append(&mut self.orphans);
+        let execs = self.log.finish();
         let final_state = DigestPoint {
-            seq: self.execs.len() as u64,
+            seq: execs.len() as u64,
             t_ns: end.0,
             digests: final_digests,
         };
@@ -858,42 +1595,13 @@ impl Recorder {
             flops_per_sec,
             entry_names: self.entry_names,
             chares: self.chares,
-            execs: self.execs,
-            sends,
+            execs,
             roots: self.roots,
             state_points: self.state_points,
             final_state,
             end_ns: end.0,
         }
     }
-}
-
-/// One streaming pass that puts each exec's late sends (sorted by key)
-/// behind the sends it routed while it ran — limbo flushes in routing
-/// order, then fold sends in fold order — and moves every exec's
-/// `first_send` to match. Each input chunk is freed once it is read, so the
-/// sends are never held twice.
-fn merge_late(
-    execs: &mut ChunkVec<ExecRec>,
-    sends: ChunkVec<SendRec>,
-    late: impl IntoIterator<Item = (u32, SendRec)>,
-) -> ChunkVec<SendRec> {
-    let total = sends.len();
-    let mut sends = sends.into_iter();
-    let mut late = late.into_iter().peekable();
-    let mut out = ChunkVec::new();
-    for i in 0..execs.len() {
-        let end = execs.get(i + 1).map_or(total, |e| e.first_send as usize);
-        let e = &mut execs[i];
-        let own = end - e.first_send as usize;
-        e.first_send = out.len() as u32;
-        out.extend(sends.by_ref().take(own));
-        while let Some((_, s)) = late.next_if(|&(k, _)| (k >> 1) as usize == i) {
-            out.push(s);
-        }
-    }
-    debug_assert!(late.next().is_none(), "every late send has a recorded exec");
-    out
 }
 
 #[cfg(test)]
@@ -917,57 +1625,192 @@ mod tests {
         }
     }
 
-    #[test]
-    fn log_roundtrips_through_pup() {
-        let chare = obj(0, Ix::I1(3));
-        let mut log = ReplayLog {
-            app: "t".into(),
-            machine: "homog".into(),
-            num_pes: 4,
-            seed: 7,
-            sched_overhead_ns: 250,
-            collective_arity: 2,
-            flops_per_sec: 1e9,
-            entry_names: vec!["A::on_message".into()],
-            chares: vec![chare],
-            execs: [ExecRec {
-                pe: 1,
-                start_ns: 10,
-                dur_ns: 20,
-                msg_id: 1,
-                msg_digest: 0xdead,
-                msg_bytes: 48,
-                work: 1000.0,
-                n_remote: 1,
+    /// Every exec with its sends, decoded.
+    fn decoded(log: &ReplayLog) -> Vec<(ExecRec, Vec<SendRec>)> {
+        log.execs.iter().map(|(e, s)| (e, s.collect())).collect()
+    }
+
+    fn v2(log: &ReplayLog) -> Vec<u8> {
+        let mut out = Vec::new();
+        log.write_v2(&mut out).unwrap();
+        out
+    }
+
+    /// A log of `n` execs on one chare through [`LogWriter`]: exec `i` sends
+    /// `sends(i)` messages, and every third one also gets a late send.
+    fn written(n: u32, sends: impl Fn(u32) -> u32) -> ReplayLog {
+        let mut w = LogWriter::default();
+        let mut out = Vec::new();
+        for i in 0..n {
+            let e = ExecRec {
+                pe: i % 7,
+                start_ns: 1_000 * i as u64 + (i as u64 % 3) * 17,
+                dur_ns: 250 + i as u64 % 11,
+                msg_id: ((i as u64 % 5) << KEY_SLOT_SHIFT) | i as u64,
+                msg_src: if i.is_multiple_of(4) { NO_CHARE } else { 0 },
+                msg_digest: [0xfeed, 0xbeef, u64::MAX, i as u64][i as usize % 4],
+                msg_bytes: 48 + i % 9,
+                work: [0.0, 1e3, 0.5, -0.0, f64::NAN, 1e30][i as usize % 6],
+                n_remote: i % 2,
+                n_local: i % 3,
                 ..Default::default()
-            }]
-            .into_iter()
-            .collect(),
-            sends: [SendRec {
-                msg_id: 2,
-                bytes: 48,
-                src_pe: 1,
-                dst_pe: 2,
-                tree_depth: 0,
-                rtt_bytes: 40,
-            }]
-            .into_iter()
-            .collect(),
-            roots: vec![SendRec::default()],
-            state_points: vec![],
-            final_state: DigestPoint {
-                seq: 1,
-                t_ns: 30,
-                digests: vec![(chare, 9)],
-            },
-            end_ns: 30,
-        };
-        let bytes = charm_pup::to_bytes(&mut log);
-        assert_eq!(bytes, log.to_bytes(), "the shared-borrow packer is the Pup");
-        let back: ReplayLog = charm_pup::from_bytes_exact(&bytes).unwrap();
-        assert_eq!(back, log);
-        assert!(back.sends_of(0).eq(log.sends.iter()));
-        assert_eq!(back.msg_src(&back.execs[0]), None);
+            };
+            out.clear();
+            out.extend((0..sends(i)).map(|k| SendRec {
+                msg_id: ((i as u64 % 3) << KEY_SLOT_SHIFT) | (i + k) as u64,
+                bytes: 48 + k,
+                src_pe: i % 7,
+                dst_pe: k % 7,
+                tree_depth: k % 2,
+                rtt_bytes: 40 * (k % 2),
+            }));
+            w.push_exec(&e, &out);
+        }
+        // Late sends out of order: folds first, then the limbo flushes.
+        for fold in [true, false] {
+            for i in (0..n).step_by(3) {
+                w.push_late(
+                    i,
+                    fold,
+                    &SendRec {
+                        msg_id: u64::MAX - i as u64,
+                        ..Default::default()
+                    },
+                );
+            }
+        }
+        ReplayLog {
+            app: "written".into(),
+            chares: vec![obj(0, Ix::i1(1))],
+            execs: w.finish(),
+            end_ns: 1_000 * n as u64,
+            ..Default::default()
+        }
+    }
+
+    /// Chunks seal at their capacity, a record larger than one gets a chunk
+    /// of its own, every field survives its coding (NaN and −0.0 work by
+    /// their bits), and unsorted late sends come out behind their exec's
+    /// own: limbo flushes, then fold sends.
+    #[test]
+    fn chunks_decode_what_was_written() {
+        let big = CHUNK_BYTES as u32 / 4;
+        let n = 40_000;
+        let log = written(n, |i| if i == 7 { big } else { i % 3 });
+        assert!(log.execs.chunks.len() > 2, "many chunks");
+        for c in &log.execs.chunks {
+            assert!(
+                c.bytes.len() <= CHUNK_BYTES || c.records == 1,
+                "only a lone record overflows"
+            );
+            assert_eq!(c.crc, crc32(&c.bytes));
+        }
+        let execs = decoded(&log);
+        assert_eq!(execs.len(), n as usize);
+        assert_eq!(log.execs.iter().len(), n as usize);
+        for (i, (e, sends)) in execs.iter().enumerate() {
+            let i = i as u32;
+            assert_eq!(e.start_ns, 1_000 * i as u64 + (i as u64 % 3) * 17);
+            assert_eq!(
+                e.msg_digest,
+                [0xfeed, 0xbeef, u64::MAX, i as u64][i as usize % 4]
+            );
+            let w = [0.0, 1e3, 0.5, -0.0, f64::NAN, 1e30][i as usize % 6];
+            assert_eq!(e.work.to_bits(), w.to_bits());
+            assert_eq!(e.msg_src, if i.is_multiple_of(4) { NO_CHARE } else { 0 });
+            let own = if i == 7 { big } else { i % 3 };
+            let late = if i.is_multiple_of(3) { 2 } else { 0 };
+            assert_eq!(sends.len() as u32, own + late, "exec {i}");
+            assert!(sends[..own as usize]
+                .iter()
+                .enumerate()
+                .all(|(k, s)| s.bytes == 48 + k as u32));
+            assert!(sends[own as usize..]
+                .iter()
+                .all(|s| s.msg_id == u64::MAX - i as u64));
+        }
+        let back = ReplayLog::read_v2(&v2(&log)).unwrap();
+        assert_eq!(back, log, "v2 keeps the chunks as they are");
+    }
+
+    /// A flipped byte is named by the frame it sits in, a cut file by the
+    /// frame it ends in, and a chunk whose CRC holds but whose records do
+    /// not decode is refused.
+    #[test]
+    fn corrupt_v2_bodies_name_the_frame() {
+        let log = written(20_000, |i| i % 3);
+        let body = v2(&log);
+        let header = 12 + u32::from_le_bytes(body[4..8].try_into().unwrap()) as usize;
+        let second = header + 12 + log.execs.chunks[0].bytes.len();
+        let mut flipped = body.clone();
+        flipped[second + 12 + 5] ^= 0x40;
+        let err = ReplayLog::read_v2(&flipped).unwrap_err();
+        assert!(err.starts_with("exec chunk 1 of"), "{err}");
+        assert!(err.ends_with("CRC mismatch"), "{err}");
+        let err = ReplayLog::read_v2(&body[..second + 100]).unwrap_err();
+        assert!(
+            err.starts_with("exec chunk 1 of") && err.contains("truncated"),
+            "{err}"
+        );
+        let err = ReplayLog::read_v2(&body[..body.len() - 1]).unwrap_err();
+        assert!(err.starts_with("tables"), "{err}");
+
+        // Re-seal the first chunk with one record fewer than it holds.
+        let mut short = log.clone();
+        short.execs.chunks[0].records -= 1;
+        let err = ReplayLog::read_v2(&v2(&short)).unwrap_err();
+        assert!(err.starts_with("exec chunk 0 of"), "{err}");
+
+        // A header whose CRC holds but which claims more chunks than the
+        // body could frame is refused before anything is allocated for them.
+        let mut p = Puper::packer(0);
+        p.p(&mut String::new());
+        p.p(&mut String::new());
+        for mut v in [0u64, 0, 0, 0] {
+            p.p(&mut v);
+        }
+        p.p(&mut 0f64);
+        for mut v in [0u64, 1, u64::MAX / 2, 0] {
+            p.p(&mut v);
+        }
+        let mut huge = Vec::new();
+        write_frame(&mut huge, 0, &p.into_bytes(), None).unwrap();
+        let err = ReplayLog::read_v2(&huge).unwrap_err();
+        assert!(err.starts_with("header: more chunks"), "{err}");
+    }
+
+    #[test]
+    fn varints_and_deltas_roundtrip_at_the_edges() {
+        let vals = [
+            0,
+            1,
+            127,
+            128,
+            300,
+            u32::MAX as u64,
+            1 << 40,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut out = Vec::new();
+        let mut prev = 0;
+        for v in vals {
+            put_varint(&mut out, v);
+            put_delta(&mut out, &mut prev, v);
+        }
+        let mut r = Reader::new(&out);
+        let mut prev = 0;
+        for v in vals {
+            assert_eq!(r.varint(), Some(v));
+            assert_eq!(r.delta(&mut prev), Some(v));
+        }
+        assert!(r.done());
+        assert_eq!(
+            Reader::new(&[0xff; 11]).varint(),
+            None,
+            "no varint runs past ten bytes"
+        );
+        assert_eq!(Reader::new(&[0x80]).varint(), None, "a cut varint");
     }
 
     #[test]
@@ -990,7 +1833,11 @@ mod tests {
         ] {
             assert_eq!(MsgState::unpack(s.pack()), s);
         }
-        assert_eq!(MsgState::Unknown.pack(), 0, "fresh lane cells read as unknown");
+        assert_eq!(
+            MsgState::Unknown.pack(),
+            0,
+            "fresh lane cells read as unknown"
+        );
     }
 
     /// The recorder's bookkeeping end to end: origins survive until the
@@ -1003,7 +1850,21 @@ mod tests {
         let mut r = Recorder::new(ReplayConfig::default());
         let begin = |r: &mut Recorder| {
             let (start, dur, o) = (SimTime(0), SimTime(1), obj(0, Ix::I1(0)));
-            r.begin_exec(0, start, dur, elem(0, 0), o, "a", "on_message", 0, 0, 8, 0.0, 0, 0)
+            r.begin_exec(
+                0,
+                start,
+                dur,
+                elem(0, 0),
+                o,
+                "a",
+                "on_message",
+                0,
+                0,
+                8,
+                0.0,
+                0,
+                0,
+            )
         };
         let route = |r: &mut Recorder, msg_id| r.on_routed(msg_id, 8, 0, 1, 0, 0);
 
@@ -1040,13 +1901,18 @@ mod tests {
         fold(&mut r, (99, 9), id(5, 2));
 
         let log = r.into_log("m".into(), 2, 0, SimTime(0), 2, 1e9, SimTime(30), vec![]);
-        let ids = |sends: &mut dyn Iterator<Item = &SendRec>| sends.map(|s| s.msg_id).collect::<Vec<_>>();
+        let ids = |sends: &[SendRec]| sends.iter().map(|s| s.msg_id).collect::<Vec<_>>();
         assert_eq!(log.entry_names, vec!["a::on_message".to_string()]);
-        assert_eq!(ids(&mut log.sends_of(0)), vec![id(0, 0), id(0, 1), id(5, 1)]);
-        assert_eq!(ids(&mut log.sends_of(1)), vec![id(1, 0), id(5, 0)]);
-        assert_eq!(log.sends.len(), 5, "the sends are one array");
+        let execs = decoded(&log);
+        assert_eq!(ids(&execs[0].1), vec![id(0, 0), id(0, 1), id(5, 1)]);
+        assert_eq!(ids(&execs[1].1), vec![id(1, 0), id(5, 0)]);
+        assert_eq!(
+            log.execs.late.iter().map(|c| c.records).sum::<u32>(),
+            3,
+            "three routed late"
+        );
         // The key no contributor has falls back to the roots, after them.
-        assert_eq!(ids(&mut log.roots.iter()), vec![id(9, 0), id(5, 2)]);
+        assert_eq!(ids(&log.roots), vec![id(9, 0), id(5, 2)]);
     }
 
     /// A consumed message's sender is the chare of the exec that sent it —
@@ -1060,7 +1926,21 @@ mod tests {
         let mut r = Recorder::new(ReplayConfig::default());
         let begin = |r: &mut Recorder, i: i64, msg_id, seq: u64| {
             let (start, dur, dst) = (SimTime(seq), SimTime(1), elem(0, i as u32));
-            r.begin_exec(0, start, dur, dst, o(i), "a", "on_message", msg_id, 0, 8, 0.0, 0, 0)
+            r.begin_exec(
+                0,
+                start,
+                dur,
+                dst,
+                o(i),
+                "a",
+                "on_message",
+                msg_id,
+                0,
+                8,
+                0.0,
+                0,
+                0,
+            )
         };
         r.note_origin(id(0), false); // host send
         r.on_routed(id(0), 8, 0, 0, 0, 0);
@@ -1078,10 +1958,10 @@ mod tests {
         begin(&mut r, 7, id(3), 3);
         r.end_exec();
         let log = r.into_log("m".into(), 2, 0, SimTime(0), 2, 1e9, SimTime(3), vec![]);
-        let srcs: Vec<_> = log.execs.iter().map(|e| log.msg_src(e)).collect();
+        let srcs: Vec<_> = log.execs.iter().map(|(e, _)| log.msg_src(&e)).collect();
         assert_eq!(srcs, vec![None, Some(o(7)), None, None]);
         assert_eq!(log.chares, vec![o(7), o(8), o(9)]);
-        let dsts: Vec<_> = log.execs.iter().map(|e| e.dst).collect();
+        let dsts: Vec<_> = log.execs.iter().map(|(e, _)| e.dst).collect();
         assert_eq!(dsts, vec![0, 1, 2, 0]);
     }
 
@@ -1107,11 +1987,10 @@ mod tests {
         );
     }
 
-    /// The log as it was stored before it went flat — an `ObjId` per exec
-    /// and a nested send list — with the derived `Pup` that defined the
-    /// `.rlog` v1 layout, and a recorder that builds it the obvious way
-    /// (hash maps keyed by message id). The reference model of the
-    /// property test below.
+    /// The log as `.rlog` v1 stored it — an `ObjId` per exec and a nested
+    /// send list — with the derived `Pup` that defined the v1 layout, and a
+    /// recorder that builds it the obvious way (hash maps keyed by message
+    /// id). The reference model of the property test below.
     mod v1 {
         use super::*;
 
@@ -1348,10 +2227,11 @@ mod tests {
         // execs contributing to reductions none, one or two times,
         // reduction-fold sends keyed to a contributor or to no exec, state
         // points, chares of every index shape in two arrays, capped or not —
-        // fed to the recorder and to the reference one: the flat log packs
-        // to the reference's bytes and unpacks to itself.
+        // fed to the recorder and to the reference one: the recorder's log
+        // decodes to what the reference's v1 bytes read back as, and goes
+        // through v2 unchanged.
         #[test]
-        fn flat_log_packs_to_the_nested_reference(
+        fn recorded_log_decodes_to_the_nested_reference(
             ops in proptest::collection::vec((0u8..8, proptest::prelude::any::<u8>()), 0..160),
             cap in proptest::option::of(0u64..24)
         ) {
@@ -1459,12 +2339,16 @@ mod tests {
                 }
             }
             let fin = vec![(obj(1, Ix::i2(3, 4)), 77)];
-            let mut log = r.into_log(String::new(), 0, 0, SimTime(0), 0, 0.0, SimTime(t), fin.clone());
-            let mut reference = m.finish(t, fin);
-            let bytes = log.to_bytes();
-            proptest::prop_assert_eq!(&bytes, &charm_pup::to_bytes(&mut reference));
-            proptest::prop_assert_eq!(&bytes, &charm_pup::to_bytes(&mut log));
-            let back: ReplayLog = charm_pup::from_bytes_exact(&bytes).unwrap();
+            let log = r.into_log(String::new(), 0, 0, SimTime(0), 0, 0.0, SimTime(t), fin.clone());
+            let reference = ReplayLog::read_v1(&charm_pup::to_bytes(&mut m.finish(t, fin))).unwrap();
+            proptest::prop_assert_eq!(decoded(&log), decoded(&reference));
+            proptest::prop_assert_eq!(&log.chares, &reference.chares);
+            proptest::prop_assert_eq!(&log.entry_names, &reference.entry_names);
+            proptest::prop_assert_eq!(&log.roots, &reference.roots);
+            proptest::prop_assert_eq!(&log.state_points, &reference.state_points);
+            proptest::prop_assert_eq!(&log.final_state, &reference.final_state);
+            proptest::prop_assert_eq!(log.end_ns, reference.end_ns);
+            let back = ReplayLog::read_v2(&v2(&log)).unwrap();
             proptest::prop_assert_eq!(&back, &log);
             if let Some(cap) = cap {
                 proptest::prop_assert!(log.execs.len() as u64 <= cap);

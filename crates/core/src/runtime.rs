@@ -103,14 +103,6 @@ const _: () = assert!(
     std::mem::size_of::<Envelope>() == 56,
     "an envelope must stay 56 bytes"
 );
-const _: () = assert!(
-    std::mem::size_of::<crate::replay::ExecRec>() <= 80,
-    "a recorded exec must stay within 80 bytes"
-);
-const _: () = assert!(
-    std::mem::size_of::<crate::replay::SendRec>() <= 32,
-    "a recorded send must stay within 32 bytes"
-);
 
 /// A migrating chare's serialized state en route to its new PE.
 pub(crate) struct MigrateArrive {

@@ -383,7 +383,8 @@ pub trait TraceSink: Send {
     fn stats(&self) -> SinkStats;
 }
 
-/// Bounded ring: keeps the newest `cap` records, counts what it sheds.
+/// Bounded ring: keeps the newest `cap` (≥ 1) records, counts what it
+/// sheds.
 struct Ring {
     cap: usize,
     buf: Vec<TraceRecord>,
@@ -403,9 +404,7 @@ impl Ring {
     }
 
     fn push(&mut self, r: TraceRecord) {
-        if self.cap == 0 {
-            self.dropped += 1;
-        } else if self.buf.len() < self.cap {
+        if self.buf.len() < self.cap {
             self.buf.push(r);
         } else {
             self.buf[self.next] = r;
@@ -795,7 +794,10 @@ impl UtilTimeline {
 pub struct Tracer {
     cfg: TraceConfig,
     num_pes: usize,
+    /// One ring per track; none when `log_capacity == 0`, which keeps no
+    /// record and only counts them in `unretained`.
     rings: Vec<Ring>,
+    unretained: u64,
     sinks: Vec<Box<dyn TraceSink>>,
     sinks_begun: bool,
     sinks_finished: bool,
@@ -817,13 +819,17 @@ pub struct Tracer {
 
 impl Tracer {
     pub(crate) fn new(cfg: TraceConfig, num_pes: usize) -> Self {
-        let rings = (0..=num_pes).map(|_| Ring::new(cfg.log_capacity)).collect();
+        let rings = match cfg.log_capacity {
+            0 => Vec::new(),
+            cap => (0..=num_pes).map(|_| Ring::new(cap)).collect(),
+        };
         Tracer {
             util: UtilTimeline::new(UTIL_BIN, MAX_UTIL_BINS, num_pes, UTIL_PE_CAP),
             comm: CommMatrix::new(num_pes, cfg.comm_fanout_cap),
             cfg,
             num_pes,
             rings,
+            unretained: 0,
             sinks: Vec::new(),
             sinks_begun: false,
             sinks_finished: false,
@@ -844,7 +850,7 @@ impl Tracer {
 
     /// Number of tracks (PEs + the RTS track).
     pub fn num_tracks(&self) -> usize {
-        self.rings.len()
+        self.num_pes + 1
     }
 
     /// The RTS track index (`num_pes`).
@@ -854,19 +860,21 @@ impl Tracer {
 
     /// Records currently retained on a track, oldest first.
     pub fn track(&self, track: usize) -> impl Iterator<Item = &TraceRecord> {
-        self.rings[track].iter()
+        assert!(track < self.num_tracks(), "track {track} out of range");
+        self.rings.get(track).into_iter().flat_map(Ring::iter)
     }
 
     /// Records retained on a track.
     pub fn track_len(&self, track: usize) -> usize {
-        self.rings[track].buf.len()
+        assert!(track < self.num_tracks(), "track {track} out of range");
+        self.rings.get(track).map_or(0, |r| r.buf.len())
     }
 
     /// Log records shed across all tracks (ring overflow, or everything
     /// when `log_capacity == 0`). Summary aggregates and streaming sinks
     /// never drop.
     pub fn dropped_events(&self) -> u64 {
-        self.rings.iter().map(|r| r.dropped).sum()
+        self.unretained + self.rings.iter().map(|r| r.dropped).sum::<u64>()
     }
 
     /// Tracked remote comm pairs `(src, dst, bytes, msgs)`, hottest first.
@@ -967,7 +975,7 @@ impl Tracer {
         if !self.sinks.is_empty() {
             if !self.sinks_begun {
                 self.sinks_begun = true;
-                let n = self.rings.len();
+                let n = self.num_tracks();
                 for s in &mut self.sinks {
                     s.begin(n, &self.names);
                 }
@@ -976,7 +984,10 @@ impl Tracer {
                 s.record(&rec, &self.names);
             }
         }
-        self.rings[track].push(rec);
+        match self.rings.get_mut(track) {
+            Some(ring) => ring.push(rec),
+            None => self.unretained += 1,
+        }
     }
 
     fn ledger_line(&mut self, t: SimTime, line: String) {
@@ -1410,19 +1421,24 @@ mod tests {
         assert_eq!(kept, vec![6, 7, 8, 9], "newest records are retained, in order");
     }
 
+    /// Capacity 0 keeps no ring at all, yet still reports its tracks and
+    /// counts every record it shed.
     #[test]
-    fn zero_capacity_ring_drops_everything() {
-        let mut r = Ring::new(0);
+    fn zero_capacity_tracer_holds_no_rings_and_counts_drops() {
+        let cfg = TraceConfig {
+            log_capacity: 0,
+            ..TraceConfig::default()
+        };
+        let mut tr = Tracer::new(cfg, 3);
         for i in 0..5u64 {
-            r.push(TraceRecord {
-                t: SimTime(i),
-                track: 0,
-                seq: i,
-                kind: TraceEventKind::PeIdle,
-            });
+            tr.push(i as usize % 4, SimTime(i), TraceEventKind::PeIdle);
         }
-        assert_eq!(r.buf.len(), 0);
-        assert_eq!(r.dropped, 5);
+        assert!(tr.rings.is_empty());
+        assert_eq!(tr.num_tracks(), 4);
+        assert_eq!(tr.rts_track(), 3);
+        assert_eq!(tr.dropped_events(), 5);
+        assert_eq!(tr.track_len(3), 0);
+        assert_eq!(tr.track(0).count(), 0);
     }
 
     #[test]

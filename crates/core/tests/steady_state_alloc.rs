@@ -133,10 +133,11 @@ fn run_ring(hops: u64, observe: Observe) -> u64 {
     let (mut rt, arr) = ring(hops, observe);
     rt.run();
     // Dropping the runtime finishes the sinks. The recorder's log is built:
-    // it takes over the recorder's chunked arrays.
+    // it takes over the recorder's encoded chunks.
     if let Observe::Recorder = observe {
         let log = rt.take_replay_log().expect("recording was on");
-        assert_eq!(log.sends.len(), log.execs.len() - 8, "one send per hop");
+        let sends: usize = log.execs.iter().map(|(_, s)| s.len()).sum();
+        assert_eq!(sends, log.execs.len() - 8, "one send per hop");
     }
     (0..N)
         .map(|i| rt.inspect(arr, &Ix::i1(i), |r| r.seen).unwrap())
@@ -235,9 +236,10 @@ fn steady_state_paths_bypass_the_global_allocator() {
     // One exec and one send per message, and the log built at the end. With
     // a `Vec` of sends per exec the recorder made 36 014 calls here, one per
     // exec, and so did building the log; doubling flat buffers made 33.
-    // Chunks make 43: a 4 096-record chunk each for 9 of execs, 9 of sends
-    // and 16 of message lanes, and 9 growths of the chunk tables. The log
-    // moves them.
+    // Encoded chunks make 46: about 15 64 KiB chunks of execs with their
+    // sends, 9 chunks of the exec-to-chare table and 16 of message lanes
+    // (4 096 entries each), and the growths of the chunk tables. The log
+    // moves the encoded chunks.
     let (extra, msgs) = extra_allocs(Observe::Recorder);
     assert!(
         extra <= 48,

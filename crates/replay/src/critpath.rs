@@ -18,7 +18,7 @@
 //! of the recorded DAG: the chain stops there and charges the whole wait
 //! back to t = 0 (DESIGN §7).
 
-use crate::{ExecRec, ReplayLog};
+use crate::ReplayLog;
 use std::collections::HashMap;
 
 /// No predecessor: the exec is the first on its PE.
@@ -52,32 +52,43 @@ pub struct CritPath {
     pub by_entry: Vec<(String, u64)>,
 }
 
+/// What the walk needs of one exec, decoded once.
+struct Node {
+    start_ns: u64,
+    end_ns: u64,
+    msg_id: u64,
+    pe: u32,
+    entry: u32,
+}
+
 /// Extract the exact critical path of `log`. Returns `None` when the log
 /// recorded no executions.
 pub fn critical_path(log: &ReplayLog) -> Option<CritPath> {
-    let execs = &log.execs;
-    let last = (0..execs.len()).max_by_key(|&i| end(&execs[i]))?;
-
-    // msg_id -> producing exec, in one pass over the flat sends.
-    let mut producer: HashMap<u64, usize> = HashMap::with_capacity(log.sends.len());
-    for i in 0..execs.len() {
-        for s in log.sends_of(i) {
-            producer.insert(s.msg_id, i);
-        }
-    }
-    // Each exec's predecessor on its PE, through the latest exec seen per
-    // PE: execs are recorded in the global execution order, which is
-    // start-ordered per PE.
-    let mut prev_on_pe = vec![NONE; execs.len()];
+    // One pass over the log: each exec's node, msg_id -> producing exec,
+    // and each exec's predecessor on its PE through the latest exec seen
+    // per PE (execs are recorded in the global execution order, which is
+    // start-ordered per PE).
+    let mut execs = Vec::with_capacity(log.execs.len());
+    let mut producer: HashMap<u64, usize> = HashMap::with_capacity(log.execs.len());
+    let mut prev_on_pe = Vec::with_capacity(log.execs.len());
     let mut head: Vec<u32> = Vec::new();
-    for (i, e) in execs.iter().enumerate() {
+    for (i, (e, sends)) in log.execs.iter().enumerate() {
+        producer.extend(sends.map(|s| (s.msg_id, i)));
         let pe = e.pe as usize;
         if pe >= head.len() {
             head.resize(pe + 1, NONE);
         }
-        prev_on_pe[i] = head[pe];
+        prev_on_pe.push(head[pe]);
         head[pe] = i as u32;
+        execs.push(Node {
+            start_ns: e.start_ns,
+            end_ns: e.start_ns + e.dur_ns,
+            msg_id: e.msg_id,
+            pe: e.pe,
+            entry: e.entry,
+        });
     }
+    let last = (0..execs.len()).max_by_key(|&i| execs[i].end_ns)?;
 
     let mut segments = Vec::new();
     let mut wait_total = 0u64;
@@ -87,11 +98,11 @@ pub fn critical_path(log: &ReplayLog) -> Option<CritPath> {
         // Binding dependency: same-PE predecessor that ran right up to this
         // start beats the message edge (the PE, not the network, held us).
         let p = prev_on_pe[i] as usize;
-        let pe_pred = (prev_on_pe[i] != NONE && end(&execs[p]) == e.start_ns).then_some(p);
+        let pe_pred = (prev_on_pe[i] != NONE && execs[p].end_ns == e.start_ns).then_some(p);
         let (next, wait) = match pe_pred {
             Some(p) => (Some(p), 0),
             None => match producer.get(&e.msg_id) {
-                Some(&p) => (Some(p), e.start_ns - end(&execs[p])),
+                Some(&p) => (Some(p), e.start_ns - execs[p].end_ns),
                 // Root message (host send / RTS): the wait back to t=0.
                 None => (None, e.start_ns),
             },
@@ -99,8 +110,8 @@ pub fn critical_path(log: &ReplayLog) -> Option<CritPath> {
         wait_total += wait;
         segments.push(CritSeg {
             pe: e.pe,
-            entry: entry_name(log, e),
-            dur_ns: e.dur_ns,
+            entry: entry_name(log, e.entry),
+            dur_ns: e.end_ns - e.start_ns,
             wait_ns: wait,
         });
         cur = next;
@@ -114,31 +125,34 @@ pub fn critical_path(log: &ReplayLog) -> Option<CritPath> {
     by_entry.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
     Some(CritPath {
-        len_ns: end(&execs[last]),
+        len_ns: execs[last].end_ns,
         wait_ns: wait_total,
         segments,
         by_entry,
     })
 }
 
-fn end(e: &ExecRec) -> u64 {
-    e.start_ns + e.dur_ns
-}
-
-fn entry_name(log: &ReplayLog, e: &ExecRec) -> String {
+fn entry_name(log: &ReplayLog, entry: u32) -> String {
     log.entry_names
-        .get(e.entry as usize)
+        .get(entry as usize)
         .cloned()
-        .unwrap_or_else(|| format!("entry#{}", e.entry))
+        .unwrap_or_else(|| format!("entry#{entry}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExecRec, SendRec};
 
     /// An exec on `pe` over `[start, start + dur)` that consumed `msg_id`
     /// and sent `sends`.
-    fn exec(pe: u32, start: u64, dur: u64, msg_id: u64, sends: Vec<u64>) -> (ExecRec, Vec<u64>) {
+    fn exec(
+        pe: u32,
+        start: u64,
+        dur: u64,
+        msg_id: u64,
+        sends: Vec<u64>,
+    ) -> (ExecRec, Vec<SendRec>) {
         let e = ExecRec {
             pe,
             start_ns: start,
@@ -146,24 +160,27 @@ mod tests {
             msg_id,
             ..Default::default()
         };
+        let sends = sends
+            .into_iter()
+            .map(|msg_id| SendRec {
+                msg_id,
+                ..Default::default()
+            })
+            .collect();
         (e, sends)
     }
 
-    fn log(execs: Vec<(ExecRec, Vec<u64>)>) -> ReplayLog {
-        let mut l = ReplayLog {
+    fn log(execs: Vec<(ExecRec, Vec<SendRec>)>) -> ReplayLog {
+        ReplayLog {
             entry_names: vec!["a::m".into()],
+            end_ns: execs
+                .iter()
+                .map(|(e, _)| e.start_ns + e.dur_ns)
+                .max()
+                .unwrap_or(0),
+            execs: execs.into_iter().collect(),
             ..Default::default()
-        };
-        for (mut e, sends) in execs {
-            e.first_send = l.sends.len() as u32;
-            l.end_ns = l.end_ns.max(end(&e));
-            l.execs.push(e);
-            l.sends.extend(sends.into_iter().map(|msg_id| crate::SendRec {
-                msg_id,
-                ..Default::default()
-            }));
         }
-        l
     }
 
     #[test]

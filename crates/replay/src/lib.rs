@@ -7,7 +7,8 @@
 //! * **Record** — [`RuntimeBuilder::record`](charm_core::RuntimeBuilder::record)
 //!   captures the causal message log (per-message src/dst/entry/seq/payload
 //!   digest) plus periodic PUP-based chare-state digests;
-//!   [`save`]/[`load`] persist it in a compact, versioned, checksummed file.
+//!   [`save`]/[`load`] persist it as `.rlog` v2: the chunks the recorder
+//!   encoded, each with its own CRC, written and read back as they are.
 //! * **Replay & verify** — re-run the same program with the same seed and
 //!   recorder, then [`verify`] the two logs digest-for-digest: every
 //!   executed entry, every state-digest point, and the final chare states
@@ -25,7 +26,9 @@
 //!   [`charm_machine::simulate_dag`], predicting makespan and per-PE
 //!   utilization without re-running application logic (BigSim-lite).
 
-pub use charm_core::replay::{DigestPoint, ExecRec, ReplayConfig, ReplayLog, SendRec, NO_CHARE};
+pub use charm_core::replay::{
+    DigestPoint, ExecLog, ExecRec, ReplayConfig, ReplayLog, SendRec, Sends, NO_CHARE,
+};
 
 pub mod demo;
 mod critpath;
@@ -35,7 +38,7 @@ mod verify;
 mod whatif;
 
 pub use critpath::{critical_path, CritPath};
-pub use logfile::{load, save};
+pub use logfile::{load, save, LogError};
 pub use races::{diff_runs, hunt, HuntOutcome};
 pub use verify::verify;
 pub use whatif::whatif;

@@ -77,7 +77,7 @@ impl RaceReport {
 /// each consumption (for earliest-divergence ranking).
 fn consumed_seqs(log: &ReplayLog) -> BTreeMap<ObjId, Vec<(u64, MsgDesc)>> {
     let mut out: BTreeMap<ObjId, Vec<(u64, MsgDesc)>> = BTreeMap::new();
-    for (seq, e) in log.execs.iter().enumerate() {
+    for (seq, (e, _)) in log.execs.iter().enumerate() {
         let entry = log
             .entry_names
             .get(e.entry as usize)
@@ -88,7 +88,7 @@ fn consumed_seqs(log: &ReplayLog) -> BTreeMap<ObjId, Vec<(u64, MsgDesc)>> {
             MsgDesc {
                 entry,
                 digest: e.msg_digest,
-                src: log.msg_src(e),
+                src: log.msg_src(&e),
             },
         ));
     }

@@ -2,7 +2,7 @@
 //! recorded run's computation/communication DAG on a *different*
 //! [`MachineConfig`] and predict makespan + per-PE utilization.
 
-use crate::ReplayLog;
+use crate::{ReplayLog, SendRec};
 use charm_machine::{simulate_dag, DagEdge, DagNode, MachineConfig, SimTime};
 use std::collections::HashMap;
 
@@ -66,17 +66,22 @@ pub fn whatif(log: &ReplayLog, machine: &MachineConfig) -> WhatIfReport {
     let p_new = machine.num_pes.max(1);
     let map_pe = |pe: u32| -> usize { ((pe as usize) * p_new / p_old).min(p_new - 1) };
 
-    // msg_id → (producing node, how it was sent): the roots, then one pass
-    // over the flat sends.
-    let mut producers: HashMap<u64, (Option<usize>, &crate::SendRec)> =
-        HashMap::with_capacity(log.roots.len() + log.sends.len());
+    // msg_id → (producing node, how it was sent), and one DAG node per
+    // exec, in one pass over the log.
+    let mut producers: HashMap<u64, (Option<usize>, SendRec)> =
+        HashMap::with_capacity(log.roots.len() + log.execs.len());
     for s in &log.roots {
-        producers.insert(s.msg_id, (None, s));
+        producers.insert(s.msg_id, (None, *s));
     }
-    for i in 0..log.execs.len() {
-        for s in log.sends_of(i) {
-            producers.insert(s.msg_id, (Some(i), s));
-        }
+    let mut nodes = Vec::with_capacity(log.execs.len());
+    for (i, (e, sends)) in log.execs.iter().enumerate() {
+        producers.extend(sends.map(|s| (s.msg_id, (Some(i), s))));
+        nodes.push(DagNode {
+            pe: map_pe(e.pe),
+            work: e.work,
+            n_remote: e.n_remote,
+            n_local: e.n_local,
+        });
     }
 
     // Collective depths were recorded for the old machine's tree; rescale
@@ -92,22 +97,11 @@ pub fn whatif(log: &ReplayLog, machine: &MachineConfig) -> WhatIfReport {
         }
     };
 
-    let nodes: Vec<DagNode> = log
-        .execs
-        .iter()
-        .map(|e| DagNode {
-            pe: map_pe(e.pe),
-            work: e.work,
-            n_remote: e.n_remote,
-            n_local: e.n_local,
-        })
-        .collect();
-
     let edges: Vec<DagEdge> = log
         .execs
         .iter()
         .enumerate()
-        .map(|(i, e)| match producers.get(&e.msg_id) {
+        .map(|(i, (e, _))| match producers.get(&e.msg_id) {
             Some(&(src, s)) => DagEdge {
                 src,
                 dst: i,

@@ -23,8 +23,11 @@ use charm_apps::kv::{self, KvConfig};
 use charm_apps::{leanmd, pdes, stencil, strategy_by_name};
 use charm_core::{ReplayConfig, SimTime};
 use charm_machine::presets;
-use charm_replay::{load, save, verify, ReplayLog};
+use charm_replay::{load, verify, ReplayLog};
 use std::path::PathBuf;
+
+#[path = "support/v1.rs"]
+mod v1;
 
 fn golden_path(app: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,14 +40,15 @@ fn blessing() -> bool {
 }
 
 /// Compare a fresh recording against the committed golden log: first
-/// digest-for-digest (good diagnostics on divergence), then byte-for-byte
-/// through the on-disk codec (catches anything verify() doesn't model).
+/// digest-for-digest (good diagnostics on divergence), then byte-for-byte:
+/// the fresh log's v1 encoding against the committed v1 file (catches
+/// anything verify() doesn't model).
 fn check_against_golden(app: &str, mut log: ReplayLog) {
     log.app = app.to_string();
     let path = golden_path(app);
     if blessing() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        save(&log, &path).unwrap();
+        std::fs::write(&path, v1::v1_file(&log)).unwrap();
         eprintln!("blessed {}", path.display());
         return;
     }
@@ -64,15 +68,9 @@ fn check_against_golden(app: &str, mut log: ReplayLog) {
         !log.final_state.digests.is_empty(),
         "{app}: no final state digests"
     );
-
-    let tmp = std::env::temp_dir().join(format!("charm_hotpath_{app}_{}.rlog", std::process::id()));
-    save(&log, &tmp).unwrap();
-    let fresh_bytes = std::fs::read(&tmp).unwrap();
-    let golden_bytes = std::fs::read(&path).unwrap();
-    let _ = std::fs::remove_file(&tmp);
-    assert_eq!(
-        fresh_bytes, golden_bytes,
-        "{app}: serialized replay log is not byte-identical to the golden log"
+    assert!(
+        v1::v1_file(&log) == std::fs::read(&path).unwrap(),
+        "{app}: the replay log's v1 encoding is not byte-identical to the golden log"
     );
 }
 

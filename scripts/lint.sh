@@ -22,7 +22,7 @@ once 'slab.insert(Envelope'      # mint an envelope: Runtime::mint
 once '1.min(self.live_pes - 1)' # price a tree hop: Runtime::tree_hop
 once 'loc_cache.iter_mut()'     # flush location caches: Runtime::flush_loc_caches
 once 'Hash::hash(ix,'           # hash an index: ArrayStore::probe (DESIGN §4.3)
-once '(i >> BITS, i & ((1 << BITS) - 1))' # chunk an index: ChunkVec, under the slab and the log (DESIGN §4.4)
+once '(i >> BITS, i & ((1 << BITS) - 1))' # chunk an index: ChunkVec, under the slab and the recorder's tables (DESIGN §4.4)
 once 'bytes_moved += (m.image + ENVELOPE_BYTES)' # charge a chare move: Runtime::account_move (DESIGN §7)
 once 'net.delay(m.from, m.to'  # price a chare move: MoveCost::add (DESIGN §7)
 # A chare moves in process in one place (Runtime::move_chare), a move is
@@ -53,6 +53,14 @@ unpacked=$(awk '/^ *(pub(\([a-z]+\))? )?fn [a-z_]+/ { f = $0; sub(/^.*fn /, "", 
 if [ -n "$unpacked" ]; then
     echo "lint: 'unpack_insert(' in placement.rs outside on_migrate_arrive (move in process with AnyArray::move_element):"
     printf '%s\n' "$unpacked"
+    exit 1
+fi
+# A recording has one in-memory form, its `.rlog` v2 chunks (DESIGN §4.4):
+# no library crate keeps an array of decoded execs or sends beside them.
+decoded=$(grep -rnE 'ChunkVec<(ExecRec|SendRec)>' crates/*/src || true)
+if [ -n "$decoded" ]; then
+    echo "lint: decoded replay records in a ChunkVec (a log is its encoded chunks; read it with ExecLog::iter):"
+    printf '%s\n' "$decoded"
     exit 1
 fi
 boxed=$(grep -rnF 'Box<Envelope>' "$src" || true)
@@ -86,7 +94,7 @@ if [ -n "$cp" ]; then
     printf '%s\n' "$cp"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, the in-process move (move_element; only MigrateMe unpacks), its one charge and its one price, the index probe, chunk indexing, the user payload; no boxed envelope; message path by handle; critical path only in charm-replay"
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, the in-process move (move_element; only MigrateMe unpacks), its one charge and its one price, the index probe, chunk indexing, the user payload; a recording only as its chunks; no boxed envelope; message path by handle; critical path only in charm-replay"
 
 # Modeled data is a length (charm_pup::SyntheticBlob, DESIGN §4.2): the
 # mini-apps and AMPI build no zero buffer outside their tests.

@@ -1,15 +1,16 @@
-//! Recording memory that never copies. The replay recorder and the log it
-//! builds keep their records in fixed-size chunks, so a recording costs the
-//! same in every run of a process — no block grows by copying itself — and
-//! building the log never holds the sends twice.
+//! Recording memory at wire density. The replay recorder encodes the log
+//! into fixed-capacity byte chunks as the run goes (`.rlog` v2), so a
+//! recording costs the same in every run of a process — no block grows by
+//! copying itself — building the log holds no second copy of it, and the
+//! log holds a few tens of bytes per exec.
 //!
 //! A counting allocator wraps `System`. This file is its own test binary so
 //! the `#[global_allocator]` cannot leak into any other test, and it holds a
 //! single `#[test]` because the counters are process-wide.
 
 use charm_rs::apps::stencil;
-use charm_rs::core::replay::{ExecRec, SendRec};
-use charm_rs::core::{ChunkVec, ReplayConfig};
+use charm_rs::core::replay::CHUNK_BYTES;
+use charm_rs::core::ReplayConfig;
 use charm_rs::machine::presets;
 use charm_rs::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, Pup, Puper, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -84,8 +85,9 @@ const RING: i64 = 16;
 const TOKENS: i64 = 8;
 const HOPS: u64 = 2_500;
 
-/// Run the ring, recorded or not, and return the execs its log holds.
-fn ring(record: bool) -> usize {
+/// Run the ring, recorded or not, and return the execs its log holds and
+/// the heap bytes the log holds (what dropping it frees).
+fn ring(record: bool) -> (usize, usize) {
     let mut b = Runtime::builder(MachineConfig::homogeneous(4));
     if record {
         b = b.record(ReplayConfig::default());
@@ -99,25 +101,31 @@ fn ring(record: bool) -> usize {
         rt.send(arr, Ix::i1(t * 2), HOPS);
     }
     rt.run();
-    rt.take_replay_log().map_or(0, |log| log.execs.len())
+    let Some(log) = rt.take_replay_log() else {
+        return (0, 0);
+    };
+    let (execs, live) = (log.execs.len(), LIVE.load(Ordering::Relaxed));
+    drop(log);
+    (execs, live - LIVE.load(Ordering::Relaxed))
 }
 
-/// Allocator calls and the largest `realloc` growth of one recorded ring,
-/// from building the runtime to dropping the log.
-fn record_ring() -> (usize, usize) {
+/// Allocator calls, the largest `realloc` growth and the log's bytes of one
+/// recorded ring, from building the runtime to dropping the log.
+fn record_ring() -> (usize, usize, usize) {
     MAX_GROWN.store(0, Ordering::Relaxed);
     let before = CALLS.load(Ordering::Relaxed);
-    let execs = ring(true);
+    let (execs, held) = ring(true);
     assert_eq!(execs, (TOKENS as usize) * (HOPS as usize + 1));
     (
         CALLS.load(Ordering::Relaxed) - before,
         MAX_GROWN.load(Ordering::Relaxed),
+        held,
     )
 }
 
 /// Allocator calls `take_replay_log` makes on a recorded `stencil2d` run,
-/// the most bytes it holds beyond what was live before it, and the sends
-/// of the log it builds.
+/// the most bytes it holds beyond what was live before it, and the bytes
+/// of encoded records in the log it builds.
 fn build_stencil_log() -> (usize, usize, usize) {
     let mut cfg = stencil::StencilConfig::cloud_4k(presets::cloud(8), 8);
     cfg.steps = 240;
@@ -129,45 +137,45 @@ fn build_stencil_log() -> (usize, usize, usize) {
     let log = rt.take_replay_log().expect("recording was on");
     let calls = CALLS.load(Ordering::Relaxed) - before;
     let held = PEAK.load(Ordering::Relaxed) - live;
-    (calls, held, log.sends.len())
+    (calls, held, log.execs.encoded_bytes())
 }
 
 #[test]
 fn recording_grows_by_chunks_and_never_copies() {
     // Warm the arena's pools, so both recordings below start alike.
     ring(false);
-    let (first, first_grown) = record_ring();
-    let (second, second_grown) = record_ring();
+    let (first, first_grown, first_held) = record_ring();
+    let (second, second_grown, _) = record_ring();
     assert_eq!(
         first, second,
         "the second recording made {second} allocator calls, the first {first}"
     );
-    // The largest chunk is one of execs. A doubling `Vec` of 20 008 execs
-    // reallocated itself up to 32 768 × 72 bytes.
-    let chunk_bytes = ChunkVec::<ExecRec>::CHUNK * std::mem::size_of::<ExecRec>();
+    // A doubling `Vec` of 20 008 execs reallocated itself up to 32 768 × 72
+    // bytes; an encoded chunk is allocated once at its full capacity.
     let grown = first_grown.max(second_grown);
     assert!(
-        grown <= chunk_bytes,
-        "a realloc grew a block to {grown} bytes, past one {chunk_bytes}-byte chunk"
+        grown <= CHUNK_BYTES,
+        "a realloc grew a block to {grown} bytes, past one {CHUNK_BYTES}-byte chunk"
+    );
+    // A 72-byte exec and a 32-byte send held 104 bytes per exec here.
+    let execs = (TOKENS * (HOPS as i64 + 1)) as usize;
+    let per_exec = first_held as f64 / execs as f64;
+    assert!(
+        per_exec <= 40.0,
+        "the ring's log holds {first_held} bytes, {per_exec:.1} per exec"
     );
 
-    // Each reduction's fold sends route after the run's other sends, so the
-    // log merges them in: one pass that writes a chunk of sends for each it
-    // reads and frees. It holds the chunk being read and at most one chunk
-    // written ahead of it (≈ 263 KB here), where a second array of every
-    // send held 2.46 MB. Its allocator calls are one per output chunk, 4
-    // for the chunk table and 4 for the final state digest.
-    let (calls, held, sends) = build_stencil_log();
-    let send_chunk = ChunkVec::<SendRec>::CHUNK;
-    let send_chunks = sends.div_ceil(send_chunk);
-    assert!(send_chunks >= 16, "a real log: {sends} sends");
+    // Building the log seals the last chunks and moves them. Each
+    // reduction's fold sends route after the run's other sends, into late
+    // chunks in key order, so nothing is sorted or encoded again: the log
+    // holds no chunk beyond those the recorder held, and makes a handful of
+    // allocator calls (the final state digest, the chunk tables).
+    let (calls, held, bytes) = build_stencil_log();
+    let chunks = bytes.div_ceil(CHUNK_BYTES);
+    assert!(chunks >= 8, "a real log: {bytes} bytes of records");
+    assert!(calls <= 8, "take_replay_log made {calls} allocator calls");
     assert!(
-        calls <= send_chunks + 8,
-        "take_replay_log made {calls} allocator calls for {send_chunks} chunks of sends"
-    );
-    let chunk_bytes = send_chunk * std::mem::size_of::<SendRec>();
-    assert!(
-        held < 3 * chunk_bytes,
-        "take_replay_log held {held} more bytes, against {chunk_bytes}-byte chunks of sends"
+        held < CHUNK_BYTES,
+        "take_replay_log held {held} more bytes, against {CHUNK_BYTES}-byte chunks"
     );
 }
