@@ -95,8 +95,6 @@ pub struct KvConfig {
     /// Record a replay log (bound it with `ReplayConfig::max_execs` for
     /// long-running service recordings).
     pub record: Option<charm_core::ReplayConfig>,
-    /// Schedule-perturbation seed for race hunting (None = off).
-    pub(crate) perturb: Option<u64>,
     /// Projections-lite tracing (None = off).
     pub trace: Option<charm_core::TraceConfig>,
     /// Streaming trace sinks (require `trace`).
@@ -137,7 +135,6 @@ impl KvConfig {
             max_polls: 200_000,
             seed: 42,
             record: None,
-            perturb: None,
             trace: None,
             trace_sinks: Vec::new(),
             threads: 1,
@@ -763,9 +760,6 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
     }
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
-    }
-    if let Some(seed) = config.perturb {
-        b = b.perturb(seed);
     }
     if let Some(tc) = config.trace.take() {
         b = b.tracing(tc);

@@ -50,8 +50,6 @@ pub struct PdesConfig {
     pub seed: u64,
     /// Record a replay log (None = off; see `charm_core::replay`).
     pub record: Option<charm_core::ReplayConfig>,
-    /// Schedule-perturbation seed for race hunting (None = off).
-    pub perturb: Option<u64>,
     /// Projections-lite tracing (None = off; see `charm_core::trace`).
     pub trace: Option<charm_core::TraceConfig>,
     #[doc(hidden)] // no longer read: kept for `benchmark/`'s 2-thread pass
@@ -71,7 +69,6 @@ impl Default for PdesConfig {
             tram: None,
             seed: 42,
             record: None,
-            perturb: None,
             trace: None,
             threads: 1,
         }
@@ -371,9 +368,6 @@ pub fn run_with_runtime(mut config: PdesConfig) -> (PdesRun, Runtime) {
     .seed(config.seed);
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
-    }
-    if let Some(seed) = config.perturb {
-        b = b.perturb(seed);
     }
     if let Some(tc) = config.trace.take() {
         b = b.tracing(tc);

@@ -46,8 +46,6 @@ pub struct StencilConfig {
     pub seed: u64,
     /// Record a replay log (None = off; see `charm_core::replay`).
     pub record: Option<charm_core::ReplayConfig>,
-    /// Schedule-perturbation seed for race hunting (None = off).
-    pub perturb: Option<u64>,
     /// Projections-lite tracing (None = off; see `charm_core::trace`).
     pub trace: Option<charm_core::TraceConfig>,
     /// Streaming trace sinks, installed right after the runtime is built —
@@ -79,7 +77,6 @@ impl StencilConfig {
             elastic: None,
             seed: 42,
             record: None,
-            perturb: None,
             trace: None,
             trace_sinks: Vec::new(),
             threads: 1,
@@ -301,9 +298,6 @@ pub fn run_with_runtime(mut config: StencilConfig) -> (AppRun, Runtime) {
     if let Some(rc) = config.record.take() {
         b = b.record(rc);
     }
-    if let Some(seed) = config.perturb {
-        b = b.perturb(seed);
-    }
     if let Some(tc) = config.trace.take() {
         b = b.tracing(tc);
     }
@@ -475,5 +469,29 @@ mod tests {
             r.step_times.len()
         );
         assert!(r.total_s > probe.total_s, "recovery costs time");
+    }
+
+    /// The auto-checkpoint tick re-arms while any work is outstanding. A
+    /// tick that lands while the only work left is a reduction's callback
+    /// in flight must keep the chain going: with `ft_campaign`'s stencil
+    /// configuration and interval (a fifth of the failure-free run), the
+    /// chain runs to the last step: a tick finds the previous checkpoint
+    /// still replicating at most every other interval.
+    #[test]
+    fn auto_checkpoints_continue_until_the_job_drains() {
+        let mut c = base(8, 2, 10);
+        c.grid = 256;
+        let interval = SimTime::from_secs_f64(0.8113924e-3);
+        c.auto_ckpt = Some(interval);
+        let (r, rt) = run_with_runtime(c);
+        assert_eq!(r.step_times.len(), 10);
+        let ckpts = rt.metric("ckpt_time_s");
+        assert_eq!(ckpts.len(), 8, "auto checkpoints: {ckpts:?}");
+        let last = ckpts.last().expect("checkpoints").0;
+        assert!(
+            r.total_s - last < 2.0 * interval.as_secs_f64(),
+            "the last checkpoint at {last} s is within two intervals of the end at {} s",
+            r.total_s
+        );
     }
 }

@@ -35,7 +35,6 @@ fn config(scheme: DvfsScheme, with_lb: bool, scale: Scale) -> StencilConfig {
         elastic: None,
         seed: 42,
         record: None,
-        perturb: None,
         trace: None,
         trace_sinks: Vec::new(),
         threads: 1,

@@ -18,6 +18,9 @@ use charm_replay::demo::{run_commute, run_racy};
 use charm_replay::{hunt, load, save, HuntOutcome, ReplayLog};
 use std::path::PathBuf;
 
+/// File name of the racy baseline log under `results/`.
+const BASELINE: &str = "race_hunt_baseline.rlog";
+
 /// Save `log` to `results/<name>`, reload it, and check the round trip.
 fn persist(log: &ReplayLog, name: &str) -> Result<PathBuf, String> {
     let path = results_path(name).map_err(|e| format!("results directory: {e}"))?;
@@ -70,9 +73,11 @@ fn main() {
             .map(|w| w.to_string())
             .unwrap_or_else(|| "-".into()),
     ]);
-    let saved = persist(&baseline, "race_hunt_baseline.rlog");
-    if let Ok(p) = &saved {
-        fig.note(format!("baseline log: {}", p.display()));
+    let saved = persist(&baseline, BASELINE);
+    if saved.is_ok() {
+        // Relative to the repository, so the CSV is the same from any
+        // checkout.
+        fig.note(format!("baseline log: results/{BASELINE}"));
     }
 
     let commute_base = run_commute(7, None);

@@ -56,28 +56,6 @@ impl<T, const BITS: u32> ChunkVec<T, BITS> {
             }
         }
     }
-
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> Option<&T> {
-        let (c, o) = Self::split(i);
-        self.chunks.get(c)?.get(o)
-    }
-
-    pub(crate) fn last(&self) -> Option<&T> {
-        self.chunks.last()?.last()
-    }
-
-    /// The index of the first element for which `pred` is false, when
-    /// `pred` holds for a prefix of the array (as `slice::partition_point`).
-    pub(crate) fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
-        let c = self
-            .chunks
-            .partition_point(|ch| ch.last().is_some_and(&mut pred));
-        match self.chunks.get(c) {
-            Some(ch) => (c << BITS) + ch.partition_point(pred),
-            None => self.len(),
-        }
-    }
 }
 
 impl<T, const BITS: u32> Index<usize> for ChunkVec<T, BITS> {
@@ -119,11 +97,9 @@ mod tests {
 
     fn agrees(v: &Small, model: &[u32]) {
         assert_eq!(v.len(), model.len());
-        assert_eq!(v.last(), model.last());
         for (i, x) in model.iter().enumerate() {
-            assert_eq!((v[i], v.get(i)), (*x, Some(x)));
+            assert_eq!(v[i], *x);
         }
-        assert_eq!(v.get(model.len()), None);
     }
 
     #[test]
@@ -139,21 +115,6 @@ mod tests {
             assert!(
                 v.chunks.iter().all(|c| c.capacity() == C),
                 "chunks never reallocate"
-            );
-        }
-    }
-
-    #[test]
-    fn partition_point_matches_a_slice() {
-        let mut v = Small::new();
-        for i in 0..3 * C as u32 + 1 {
-            v.push(i / 2);
-        }
-        let model: Vec<u32> = (0..v.len()).map(|i| v[i]).collect();
-        for k in 0..=model.len() as u32 {
-            assert_eq!(
-                v.partition_point(|&x| x < k),
-                model.partition_point(|&x| x < k)
             );
         }
     }
@@ -176,7 +137,7 @@ mod tests {
             for (i, &x) in xs.iter().enumerate() {
                 v.push(x);
                 proptest::prop_assert_eq!(v.len(), i + 1);
-                proptest::prop_assert_eq!(v.last(), Some(&x));
+                proptest::prop_assert_eq!(v[i], x);
             }
             agrees(&v, &xs);
         }

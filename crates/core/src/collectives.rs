@@ -1,29 +1,13 @@
 //! Collectives over the `collective_arity`-ary spanning tree: how a tree
-//! hop is priced, the spanning broadcast, reductions (buffered, then folded
-//! at α-window boundaries), callback and system-event delivery, and
-//! quiescence detection.
+//! hop is priced, the spanning broadcast, reductions (each contribution
+//! folds as it is made; the last one sends the callback), callback and
+//! system-event delivery, and quiescence detection.
 
 use crate::arena::UserMsg;
 use crate::array::{ArrayId, ElemRef, Payload};
 use crate::chare::{Callback, RedOp, RedValue, SysEvent};
 use crate::runtime::{Runtime, ENVELOPE_BYTES, TOKEN_AUX};
 use charm_machine::SimTime;
-
-/// A buffered reduction contribution, folded at window boundaries.
-pub(crate) struct ContribRec {
-    /// Dispatch time of the entry method that contributed — the fold sorts
-    /// by `(merge_t, merge_key)` so values combine in dispatch order.
-    merge_t: u64,
-    /// Dispatch key of the contributing entry (see `Envelope::rec_id`).
-    merge_key: u64,
-    /// When the contributing entry completed (the contribution's own time).
-    at: SimTime,
-    array: ArrayId,
-    tag: u32,
-    value: RedValue,
-    op: RedOp,
-    cb: Callback,
-}
 
 pub(crate) struct RedState {
     expected: usize,
@@ -92,8 +76,9 @@ impl Runtime {
         }
     }
 
-    /// Buffer a contribution; reductions fold at window boundaries, in the
-    /// order the contributing entries were dispatched.
+    /// Fold a contribution into its reduction. The contribution that
+    /// completes it sends the callback up the spanning tree from `at`, the
+    /// contributing entry's end, under keys from the reduction slot.
     pub(crate) fn contribute(
         &mut self,
         array: ArrayId,
@@ -103,87 +88,37 @@ impl Runtime {
         cb: Callback,
         at: SimTime,
     ) {
-        if let Some(r) = &mut self.recorder {
-            r.on_contribute(self.cur_dispatch);
-        }
-        self.pending_contribs.push(ContribRec {
-            merge_t: self.cur_dispatch.0,
-            merge_key: self.cur_dispatch.1,
-            at,
-            array,
-            tag,
-            value,
-            op,
-            cb,
+        let expected = self.stores[array.0 as usize].len();
+        let entry = self
+            .reductions
+            .entry((array, tag))
+            .or_insert_with(|| RedState {
+                expected,
+                count: 0,
+                acc: None,
+                op,
+                cb,
+                bytes: value.wire_size(),
+            });
+        assert_eq!(entry.op, op, "mixed reduction ops for tag {tag}");
+        entry.count += 1;
+        entry.acc = Some(match entry.acc.take() {
+            None => value,
+            Some(acc) => entry.op.combine(acc, &value),
         });
-    }
-
-    /// Fold every buffered contribution in dispatch order. Completion
-    /// callbacks allocate keys from the reduction slot.
-    pub(crate) fn fold_contributions(&mut self) {
-        if self.pending_contribs.is_empty() {
+        if entry.count < entry.expected {
             return;
         }
+        let st = self.reductions.remove(&(array, tag)).expect("just there");
+        let value = st.acc.expect("at least one contribution");
+        // k-ary spanning tree: log_k(P) combine hops of the value size.
+        let depth = self.tree_depth();
+        let hop = self.tree_hop(st.bytes + ENVELOPE_BYTES, self.cur_dispatch.1 ^ TOKEN_AUX);
+        let done = at + SimTime(hop.0 * depth);
         let saved_slot = self.cur_slot;
         self.cur_slot = self.red_slot();
-        let mut recs = std::mem::take(&mut self.pending_contribs);
-        recs.sort_by_key(|r| (r.merge_t, r.merge_key));
-        for rec in recs {
-            self.fold_one(rec);
-        }
+        self.deliver_callback_tree(st.cb, SysEvent::Reduction { tag, value }, done, depth);
         self.cur_slot = saved_slot;
-    }
-
-    fn fold_one(&mut self, rec: ContribRec) {
-        let ContribRec {
-            merge_t,
-            merge_key,
-            at,
-            array,
-            tag,
-            value,
-            op,
-            cb,
-        } = rec;
-        let expected = self.stores[array.0 as usize].len();
-        let done = {
-            let entry = self
-                .reductions
-                .entry((array, tag))
-                .or_insert_with(|| RedState {
-                    expected,
-                    count: 0,
-                    acc: None,
-                    op,
-                    cb,
-                    bytes: value.wire_size(),
-                });
-            assert_eq!(entry.op, op, "mixed reduction ops for tag {tag}");
-            entry.count += 1;
-            entry.acc = Some(match entry.acc.take() {
-                None => value,
-                Some(acc) => entry.op.combine(acc, &value),
-            });
-            entry.count >= entry.expected
-        };
-        if done {
-            let st = self.reductions.remove(&(array, tag)).expect("just there");
-            let value = st.acc.expect("at least one contribution");
-            // k-ary spanning tree: log_k(P) combine hops of the value size.
-            let depth = self.tree_depth();
-            let hop = self.tree_hop(st.bytes + ENVELOPE_BYTES, merge_key ^ TOKEN_AUX);
-            let done = at + SimTime(hop.0 * depth);
-            // Attribute the callback sends to the completing contributor's
-            // exec (identified by dispatch key), not to whatever exec
-            // happens to surround this boundary fold.
-            if let Some(r) = &mut self.recorder {
-                r.begin_fold((merge_t, merge_key));
-            }
-            self.deliver_callback_tree(st.cb, SysEvent::Reduction { tag, value }, done, depth);
-            if let Some(r) = &mut self.recorder {
-                r.end_fold();
-            }
-        }
     }
 
     pub(crate) fn deliver_callback(&mut self, cb: Callback, ev: SysEvent, at: SimTime) {
@@ -251,13 +186,7 @@ impl Runtime {
         if self.qd.is_none() {
             return;
         }
-        // `pending_contribs` guard: a buffered (not-yet-folded) reduction is
-        // outstanding work even though no message carries it yet.
-        if self.inflight == 0
-            && self.queued == 0
-            && self.busy_pes == 0
-            && self.pending_contribs.is_empty()
-        {
+        if !self.work_outstanding() {
             let cb = self.qd.take().expect("checked");
             // Two waves of a spanning-tree counting algorithm.
             let depth = self.tree_depth() * 2;

@@ -330,11 +330,7 @@ impl Runtime {
         let Some(mut ctl) = self.elastic.take() else {
             return;
         };
-        let outstanding = self.inflight > 0
-            || self.queued > 0
-            || self.busy_pes > 0
-            || !self.pending_contribs.is_empty();
-        if !outstanding || self.exit_requested {
+        if !self.work_outstanding() || self.exit_requested {
             self.elastic = Some(ctl);
             return;
         }

@@ -195,8 +195,7 @@ impl Runtime {
         let Some(interval) = self.auto_ckpt_interval else {
             return;
         };
-        let outstanding = self.inflight > 0 || self.queued > 0 || self.busy_pes > 0;
-        if !outstanding || self.exit_requested {
+        if !self.work_outstanding() || self.exit_requested {
             return;
         }
         if self.ckpt_pending.is_none() {

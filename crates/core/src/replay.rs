@@ -20,9 +20,9 @@
 //! memory"). The recorder encodes each exec, with the sends routed while it
 //! was current, into fixed-capacity byte chunks as the run goes, and seals
 //! each chunk with its own CRC. Sends that route after their exec ended —
-//! limbo flushes and reduction-fold sends — follow in late chunks, sorted
-//! by exec. The tables (entry names, chares, roots, state points, final
-//! state) grow with the chares, not with the run, and are held decoded.
+//! limbo flushes — follow in late chunks, sorted by exec. The tables
+//! (entry names, chares, roots, state points, final state) grow with the
+//! chares, not with the run, and are held decoded.
 //! [`ExecLog::iter`] decodes the execs in order, each with its sends; an
 //! exec names its chare by an index into [`ReplayLog::chares`]. `.rlog` v1,
 //! the nested layout (an `ObjId` per exec, a send list per exec), is still
@@ -206,8 +206,7 @@ pub struct ReplayLog {
     /// Every executed entry, in execution order, with the messages it
     /// produced: encoded chunks, read through [`ExecLog::iter`].
     pub execs: ExecLog,
-    /// Messages injected from outside any execution (host sends, RTS),
-    /// then reduction-fold sends whose contributor is not on the record.
+    /// Messages injected from outside any execution (host sends, RTS).
     pub roots: Vec<SendRec>,
     /// Periodic state-digest points (when configured).
     pub state_points: Vec<DigestPoint>,
@@ -482,8 +481,9 @@ impl ExecLog {
 
     /// Every execution in execution order, each with its sends in recorded
     /// order: those routed while it ran, in routing order, then its limbo
-    /// flushes in routing order, then its reduction-fold sends in fold
-    /// order.
+    /// flushes in routing order. (A log written before reductions folded in
+    /// their last contributor's exec lists that exec's reduction-fold sends
+    /// last.)
     pub fn iter(&self) -> Execs<'_> {
         Execs {
             chunks: self.chunks.iter(),
@@ -658,8 +658,9 @@ struct Late<'a> {
     r: Reader<'a>,
     left: u32,
     st: LateDeltas,
-    /// The next `(key, send)`: key `2 × exec` for a limbo flush,
-    /// `2 × exec + 1` for a reduction-fold send.
+    /// The next `(key, send)`: key `2 × exec` for a limbo flush. Logs
+    /// written before reductions folded in their last contributor's exec
+    /// also hold `2 × exec + 1`, a reduction-fold send.
     next: Option<(u64, SendRec)>,
 }
 
@@ -1039,19 +1040,18 @@ impl LogWriter {
         self.len += 1;
     }
 
-    /// A send of exec `exec` that routed after it ended: a reduction-fold
-    /// send when `fold`, else a limbo flush.
-    fn push_late(&mut self, exec: u32, fold: bool, s: &SendRec) {
-        let key = 2 * exec as u64 + fold as u64;
+    /// A send of exec `exec` that routed after it ended: a limbo flush.
+    fn push_late(&mut self, exec: u32, s: &SendRec) {
+        let key = 2 * exec as u64;
         self.late_unsorted |= key < self.late_key;
         self.late_key = key;
         self.late
             .push(LATE_BOUND, |out, st| put_late(out, st, key, s));
     }
 
-    /// Seal the last chunks. Late sends that did not route in key order are
-    /// sorted — stably, so each exec keeps its limbo flushes in routing
-    /// order, then its fold sends in fold order — and encoded again.
+    /// Seal the last chunks. Late sends that did not route in exec order
+    /// are sorted — stably, so each exec keeps its limbo flushes in routing
+    /// order — and encoded again.
     fn finish(self) -> ExecLog {
         let mut late = self.late.finish();
         if self.late_unsorted {
@@ -1171,15 +1171,10 @@ enum MsgState {
     Routed,
     /// Host send or RTS-origin event: becomes a [`ReplayLog::roots`] entry.
     External,
-    /// Sent by a reduction fold whose contributor is not on the record
-    /// (shed past the cap): a root, listed after every other root.
-    Orphan,
     /// Produced by the exec at this local index without being sent by its
-    /// chare (a system event the exec's actions triggered).
+    /// chare (a system event the exec's actions triggered, a reduction
+    /// callback its contribution completed).
     Exec(u32),
-    /// Produced by the window-boundary reduction fold, which runs outside
-    /// any exec, on behalf of the contributing exec at this local index.
-    Fold(u32),
     /// Sent by the chare of the exec at this local index.
     Sent(u32),
     /// [`MsgState::Sent`] after its routing was recorded.
@@ -1190,23 +1185,20 @@ impl MsgState {
     const UNKNOWN: u32 = 0;
     const ROUTED: u32 = 1;
     const EXTERNAL: u32 = 2;
-    const ORPHAN: u32 = 3;
-    /// First cell value that carries an index: `BASE + 4 * i + t`, with
-    /// `t` = 0 `Exec`, 1 `Fold`, 2 `Sent`, 3 `RoutedFrom`.
-    const BASE: u32 = 4;
+    /// First cell value that carries an index: `BASE + 3 * i + t`, with
+    /// `t` = 0 `Exec`, 1 `Sent`, 2 `RoutedFrom`.
+    const BASE: u32 = 3;
     /// Largest index a cell can carry.
-    const MAX_INDEX: usize = ((u32::MAX - Self::BASE - 3) / 4) as usize;
+    const MAX_INDEX: usize = ((u32::MAX - Self::BASE - 2) / 3) as usize;
 
     fn pack(self) -> u32 {
         match self {
             MsgState::Unknown => Self::UNKNOWN,
             MsgState::Routed => Self::ROUTED,
             MsgState::External => Self::EXTERNAL,
-            MsgState::Orphan => Self::ORPHAN,
-            MsgState::Exec(i) => Self::BASE + 4 * i,
-            MsgState::Fold(i) => Self::BASE + 4 * i + 1,
-            MsgState::Sent(i) => Self::BASE + 4 * i + 2,
-            MsgState::RoutedFrom(i) => Self::BASE + 4 * i + 3,
+            MsgState::Exec(i) => Self::BASE + 3 * i,
+            MsgState::Sent(i) => Self::BASE + 3 * i + 1,
+            MsgState::RoutedFrom(i) => Self::BASE + 3 * i + 2,
         }
     }
 
@@ -1215,13 +1207,11 @@ impl MsgState {
             Self::UNKNOWN => MsgState::Unknown,
             Self::ROUTED => MsgState::Routed,
             Self::EXTERNAL => MsgState::External,
-            Self::ORPHAN => MsgState::Orphan,
             c => {
-                let i = (c - Self::BASE) / 4;
-                match (c - Self::BASE) % 4 {
+                let i = (c - Self::BASE) / 3;
+                match (c - Self::BASE) % 3 {
                     0 => MsgState::Exec(i),
-                    1 => MsgState::Fold(i),
-                    2 => MsgState::Sent(i),
+                    1 => MsgState::Sent(i),
                     _ => MsgState::RoutedFrom(i),
                 }
             }
@@ -1281,22 +1271,12 @@ pub(crate) struct Recorder {
     pending: Option<ExecRec>,
     pending_sends: Vec<SendRec>,
     roots: Vec<SendRec>,
-    /// Fold sends whose contributor is not on the record; they follow
-    /// `roots`.
-    orphans: Vec<SendRec>,
     state_points: Vec<DigestPoint>,
     /// msg id → origin until routed, then the routed mark (re-routes after
     /// limbo flushes and stale-cache forwards must not duplicate the send).
     msgs: MsgLanes,
     /// Index of the exec currently applying its actions.
     current: Option<u32>,
-    /// `(scheduler dispatch key, exec index)` of every exec that
-    /// contributed to a reduction, ascending in both: how a fold finds the
-    /// exec it sends for.
-    contribs: ChunkVec<((u64, u64), u32)>,
-    /// While set, new messages are attributed to this fold origin instead
-    /// of `current` (reduction-fold callbacks).
-    fold: Option<MsgState>,
     /// Entry executions dropped past [`ReplayConfig::max_execs`].
     shed_execs: u64,
     /// Sends dropped because their producing exec was shed.
@@ -1316,12 +1296,9 @@ impl Recorder {
             pending: None,
             pending_sends: Vec::new(),
             roots: Vec::new(),
-            orphans: Vec::new(),
             state_points: Vec::new(),
             msgs: MsgLanes::default(),
             current: None,
-            contribs: ChunkVec::new(),
-            fold: None,
             shed_execs: 0,
             shed_sends: 0,
         }
@@ -1391,55 +1368,17 @@ impl Recorder {
         self.exec_chare.len() as u64
     }
 
-    /// The current exec contributed to a reduction under scheduler
-    /// dispatch key `dispatch`. Execs run in key order, so the list stays
-    /// sorted; an exec that contributes twice is listed once.
-    pub(crate) fn on_contribute(&mut self, dispatch: (u64, u64)) {
-        let Some(i) = self.current else {
-            return; // shed past the cap
-        };
-        match self.contribs.last() {
-            Some(&(_, j)) if j == i => {}
-            last => {
-                debug_assert!(
-                    last.is_none_or(|&(k, _)| k < dispatch),
-                    "execs run in key order"
-                );
-                self.contribs.push((dispatch, i));
-            }
-        }
-    }
-
-    /// A reduction fold is about to send on behalf of the contribution made
-    /// under `dispatch`: until [`Recorder::end_fold`], new messages belong
-    /// to that contributor's exec.
-    pub(crate) fn begin_fold(&mut self, dispatch: (u64, u64)) {
-        let k = self.contribs.partition_point(|&(key, _)| key < dispatch);
-        self.fold = Some(match self.contribs.get(k) {
-            Some(&(key, i)) if key == dispatch => MsgState::Fold(i),
-            _ => MsgState::Orphan,
-        });
-    }
-
-    pub(crate) fn end_fold(&mut self) {
-        self.fold = None;
-    }
-
     /// A new message was created; remember which exec (if any) produced it
     /// and whether that exec's chare sent it (`from_chare`).
     pub(crate) fn note_origin(&mut self, msg_id: u64, from_chare: bool) {
-        let origin = match (self.fold, self.current) {
-            (Some(fold), _) => {
-                debug_assert!(!from_chare, "a reduction fold sends nothing for a chare");
-                fold
-            }
-            (None, Some(i)) if from_chare => MsgState::Sent(i),
-            (None, Some(i)) => MsgState::Exec(i),
+        let origin = match self.current {
+            Some(i) if from_chare => MsgState::Sent(i),
+            Some(i) => MsgState::Exec(i),
             // Past the exec cap nothing executes on the record, so a
             // message without a current exec has no recordable producer:
             // leave its cell unknown and count the send when it routes.
-            (None, None) if self.capped() => return,
-            (None, None) => MsgState::External,
+            None if self.capped() => return,
+            None => MsgState::External,
         };
         *self.msgs.cell(msg_id) = origin.pack();
     }
@@ -1478,9 +1417,7 @@ impl Recorder {
             MsgState::Exec(i) | MsgState::Sent(i) if self.current == Some(i) => {
                 self.pending_sends.push(rec)
             }
-            MsgState::Exec(i) | MsgState::Sent(i) => self.log.push_late(i, false, &rec),
-            MsgState::Fold(i) => self.log.push_late(i, true, &rec),
-            MsgState::Orphan => self.orphans.push(rec),
+            MsgState::Exec(i) | MsgState::Sent(i) => self.log.push_late(i, &rec),
             // An untracked message under a capped recording was produced
             // past the cap: shed it (visibly) instead of growing `roots`.
             MsgState::Unknown if self.capped() => self.shed_sends += 1,
@@ -1578,7 +1515,6 @@ impl Recorder {
         final_digests: Vec<(ObjId, u64)>,
     ) -> ReplayLog {
         self.end_exec();
-        self.roots.append(&mut self.orphans);
         let execs = self.log.finish();
         let final_state = DigestPoint {
             seq: execs.len() as u64,
@@ -1666,12 +1602,11 @@ mod tests {
             }));
             w.push_exec(&e, &out);
         }
-        // Late sends out of order: folds first, then the limbo flushes.
-        for fold in [true, false] {
+        // Late sends out of exec order: two rounds of limbo flushes.
+        for _ in 0..2 {
             for i in (0..n).step_by(3) {
                 w.push_late(
                     i,
-                    fold,
                     &SendRec {
                         msg_id: u64::MAX - i as u64,
                         ..Default::default()
@@ -1691,7 +1626,7 @@ mod tests {
     /// Chunks seal at their capacity, a record larger than one gets a chunk
     /// of its own, every field survives its coding (NaN and −0.0 work by
     /// their bits), and unsorted late sends come out behind their exec's
-    /// own: limbo flushes, then fold sends.
+    /// own.
     #[test]
     fn chunks_decode_what_was_written() {
         let big = CHUNK_BYTES as u32 / 4;
@@ -1820,12 +1755,9 @@ mod tests {
             MsgState::Unknown,
             MsgState::Routed,
             MsgState::External,
-            MsgState::Orphan,
             MsgState::Exec(0),
             MsgState::Exec(7),
             MsgState::Exec(top),
-            MsgState::Fold(0),
-            MsgState::Fold(top),
             MsgState::Sent(3),
             MsgState::Sent(top),
             MsgState::RoutedFrom(0),
@@ -1841,9 +1773,9 @@ mod tests {
     }
 
     /// The recorder's bookkeeping end to end: origins survive until the
-    /// first routing (however late), re-routes are not recorded twice, fold
-    /// callbacks find the exec that contributed under their dispatch key,
-    /// and every exec's sends come out in routing order.
+    /// first routing (however late), re-routes are not recorded twice, a
+    /// reduction callback is a send of the exec whose contribution completed
+    /// it, and every exec's sends come out in routing order.
     #[test]
     fn sends_attach_to_their_producing_exec_in_routing_order() {
         let id = |slot: u64, ctr: u64| (slot << KEY_SLOT_SHIFT) | ctr;
@@ -1872,47 +1804,65 @@ mod tests {
         route(&mut r, id(9, 0));
 
         begin(&mut r);
-        r.on_contribute((10, 1));
-        r.on_contribute((10, 1)); // a second contribution lists the exec once
         r.note_origin(id(0, 0), true);
         r.note_origin(id(0, 1), true); // destination missing: parked unrouted
         route(&mut r, id(0, 0));
+        r.note_origin(id(5, 0), false); // the reduction callback it completed
+        route(&mut r, id(5, 0));
         r.end_exec();
 
         begin(&mut r);
-        r.on_contribute((20, 2));
         r.note_origin(id(1, 0), false); // a system event the exec triggered
+        r.note_origin(id(1, 1), true); // parked too
         route(&mut r, id(1, 0));
         route(&mut r, id(0, 0)); // limbo re-flush of a routed message
         r.end_exec();
 
-        // A fold for the second exec, then the first exec's parked send,
-        // then a fold for the first exec and one whose contributor is not
-        // on the record — all outside any exec.
-        let fold = |r: &mut Recorder, key, msg_id| {
-            r.begin_fold(key);
-            r.note_origin(msg_id, false);
-            route(r, msg_id);
-            r.end_fold();
-        };
-        fold(&mut r, (20, 2), id(5, 0));
+        // The parked sends route after both execs ended, the second exec's
+        // first.
+        route(&mut r, id(1, 1));
         route(&mut r, id(0, 1));
-        fold(&mut r, (10, 1), id(5, 1));
-        fold(&mut r, (99, 9), id(5, 2));
 
         let log = r.into_log("m".into(), 2, 0, SimTime(0), 2, 1e9, SimTime(30), vec![]);
         let ids = |sends: &[SendRec]| sends.iter().map(|s| s.msg_id).collect::<Vec<_>>();
         assert_eq!(log.entry_names, vec!["a::on_message".to_string()]);
         let execs = decoded(&log);
-        assert_eq!(ids(&execs[0].1), vec![id(0, 0), id(0, 1), id(5, 1)]);
-        assert_eq!(ids(&execs[1].1), vec![id(1, 0), id(5, 0)]);
+        assert_eq!(ids(&execs[0].1), vec![id(0, 0), id(5, 0), id(0, 1)]);
+        assert_eq!(ids(&execs[1].1), vec![id(1, 0), id(1, 1)]);
         assert_eq!(
             log.execs.late.iter().map(|c| c.records).sum::<u32>(),
-            3,
-            "three routed late"
+            2,
+            "two routed late"
         );
-        // The key no contributor has falls back to the roots, after them.
-        assert_eq!(ids(&log.roots), vec![id(9, 0), id(5, 2)]);
+        assert_eq!(ids(&log.roots), vec![id(9, 0)]);
+    }
+
+    /// A late chunk of a log that still holds reduction-fold sends (key
+    /// `2 × exec + 1`) checks and decodes: each fold send comes after its
+    /// exec's own sends and limbo flushes.
+    #[test]
+    fn late_fold_sends_of_older_logs_still_decode() {
+        let send = |msg_id| SendRec {
+            msg_id,
+            ..Default::default()
+        };
+        let mut w = LogWriter::default();
+        for i in 0..3 {
+            w.push_exec(&ExecRec::default(), &[send(i)]);
+        }
+        let mut execs = w.finish();
+        let mut late = ChunkWriter::<LateDeltas>::default();
+        // Exec 1's limbo flush and fold send, then exec 2's fold send.
+        for (key, msg_id) in [(2, 10), (3, 11), (5, 12)] {
+            late.push(LATE_BOUND, |out, st| put_late(out, st, key, &send(msg_id)));
+        }
+        execs.late = late.finish();
+        execs.check(1).unwrap();
+        let ids: Vec<Vec<u64>> = execs
+            .iter()
+            .map(|(_, s)| s.map(|s| s.msg_id).collect())
+            .collect();
+        assert_eq!(ids, vec![vec![0], vec![1, 10, 11], vec![2, 12]]);
     }
 
     /// A consumed message's sender is the chare of the exec that sent it —
@@ -2085,7 +2035,6 @@ mod tests {
         #[derive(Clone, Copy)]
         enum Origin {
             Exec { exec: usize, sent: bool },
-            Dispatch((u64, u64)),
             External,
         }
 
@@ -2094,12 +2043,9 @@ mod tests {
         pub struct Recorder {
             pub cap: Option<u64>,
             pub log: ReplayLog,
-            keys: Vec<(u64, u64)>,
             origin: HashMap<u64, Origin>,
             routed: HashSet<u64>,
             current: Option<usize>,
-            pub dispatch: Option<(u64, u64)>,
-            deferred: Vec<((u64, u64), SendRec)>,
         }
 
         impl Recorder {
@@ -2115,11 +2061,10 @@ mod tests {
             }
 
             pub fn note_origin(&mut self, msg_id: u64, from_chare: bool) {
-                let origin = match (self.dispatch, self.current) {
-                    (Some(dk), _) => Origin::Dispatch(dk),
-                    (None, Some(exec)) => Origin::Exec { exec, sent: from_chare },
-                    (None, None) if self.capped() => return,
-                    (None, None) => Origin::External,
+                let origin = match self.current {
+                    Some(exec) => Origin::Exec { exec, sent: from_chare },
+                    None if self.capped() => return,
+                    None => Origin::External,
                 };
                 self.origin.insert(msg_id, origin);
             }
@@ -2138,13 +2083,12 @@ mod tests {
                 };
                 match self.origin.get(&msg_id) {
                     Some(Origin::Exec { exec, .. }) => self.log.execs[*exec].sends.push(rec),
-                    Some(Origin::Dispatch(dk)) => self.deferred.push((*dk, rec)),
                     None if self.capped() => {}
                     Some(Origin::External) | None => self.log.roots.push(rec),
                 }
             }
 
-            pub fn begin_exec(&mut self, pe: u32, dst: ObjId, name: String, msg_id: u64, key: (u64, u64)) {
+            pub fn begin_exec(&mut self, pe: u32, dst: ObjId, name: String, msg_id: u64, start_ns: u64) {
                 if self.capped() {
                     self.current = None;
                     return;
@@ -2160,11 +2104,10 @@ mod tests {
                 };
                 let seq = self.log.execs.len() as u64;
                 self.current = Some(seq as usize);
-                self.keys.push(key);
                 self.log.execs.push(ExecRec {
                     seq,
                     pe,
-                    start_ns: key.0,
+                    start_ns,
                     dur_ns: seq % 5,
                     dst,
                     entry,
@@ -2191,12 +2134,6 @@ mod tests {
             }
 
             pub fn finish(mut self, end_ns: u64, digests: Vec<(ObjId, u64)>) -> ReplayLog {
-                for (dk, rec) in std::mem::take(&mut self.deferred) {
-                    match self.keys.iter().position(|k| *k == dk) {
-                        Some(i) => self.log.execs[i].sends.push(rec),
-                        None => self.log.roots.push(rec),
-                    }
-                }
                 let seq = self.log.execs.len() as u64;
                 self.log.final_state = DigestPoint { seq, t_ns: end_ns, digests };
                 self.log.end_ns = end_ns;
@@ -2224,9 +2161,8 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
         // Random recordings — host sends, chare sends and the system events
         // an exec triggers, routed at once, re-routed or late out of limbo,
-        // execs contributing to reductions none, one or two times,
-        // reduction-fold sends keyed to a contributor or to no exec, state
-        // points, chares of every index shape in two arrays, capped or not —
+        // state points, chares of every index shape in two arrays, capped
+        // or not —
         // fed to the recorder and to the reference one: the recorder's log
         // decodes to what the reference's v1 bytes read back as, and goes
         // through v2 unchanged.
@@ -2240,8 +2176,6 @@ mod tests {
             let mut m = v1::Recorder::new(cap);
             let mut msgs: Vec<u64> = Vec::new();
             let mut ctr = [0u64; 4];
-            // Dispatch keys of the execs that contributed to a reduction.
-            let mut keys: Vec<(u64, u64)> = Vec::new();
             let mut t = 0u64;
             let mut in_exec = false;
             for (op, a) in ops {
@@ -2253,7 +2187,6 @@ mod tests {
                             m.end_exec();
                         }
                         t += 1 + a as u64 % 3;
-                        let key = (t, a as u64);
                         let unseen = 5 << KEY_SLOT_SHIFT;
                         let msg_id = msgs.get(a as usize % (msgs.len() + 1)).copied().unwrap_or(unseen);
                         let (array, k) = (a as u32 % 2, a / 2 % 12);
@@ -2262,7 +2195,7 @@ mod tests {
                         let kind = entries[a as usize % 3];
                         r.begin_exec(
                             pe as usize,
-                            SimTime(key.0),
+                            SimTime(t),
                             SimTime(m.log.execs.len() as u64 % 5),
                             elem(array, k as u32),
                             dst,
@@ -2275,15 +2208,8 @@ mod tests {
                             pe % 2,
                             pe % 3,
                         );
-                        m.begin_exec(pe, dst, format!("arr{array}::{kind}"), msg_id, key);
+                        m.begin_exec(pe, dst, format!("arr{array}::{kind}"), msg_id, t);
                         in_exec = true;
-                        let contributions = a / 24 % 3;
-                        for _ in 0..contributions {
-                            r.on_contribute(key);
-                        }
-                        if contributions > 0 {
-                            keys.push(key);
-                        }
                     }
                     // Create a message: from the current exec's chare, from
                     // its actions, or from the host when no exec runs.
@@ -2309,32 +2235,16 @@ mod tests {
                         m.end_exec();
                         in_exec = false;
                     }
-                    // A reduction fold outside any exec, keyed to an exec
-                    // or to a key no exec has; or a state point.
+                    // A state point, between execs.
                     _ => {
                         if in_exec {
                             r.end_exec();
                             m.end_exec();
                             in_exec = false;
                         }
-                        if a % 4 == 0 {
-                            let digests = vec![(obj(0, universe(a)), a as u64)];
-                            r.push_state_point(SimTime(t), digests.clone());
-                            m.state_point(t, digests);
-                            continue;
-                        }
-                        let key = keys.get(a as usize % (keys.len() + 1)).copied().unwrap_or((t, 999));
-                        let slot = a as u64 % 4;
-                        let id = (slot << KEY_SLOT_SHIFT) | ctr[slot as usize];
-                        ctr[slot as usize] += 1;
-                        r.begin_fold(key);
-                        m.dispatch = Some(key);
-                        r.note_origin(id, false);
-                        m.note_origin(id, false);
-                        r.on_routed(id, 40, 0, 1, 0, 40);
-                        m.on_routed(id, 40, 0, 1);
-                        r.end_fold();
-                        m.dispatch = None;
+                        let digests = vec![(obj(0, universe(a)), a as u64)];
+                        r.push_state_point(SimTime(t), digests.clone());
+                        m.state_point(t, digests);
                     }
                 }
             }

@@ -1,13 +1,13 @@
-//! The engine: one event heap drained in α-windows, event dispatch, the
-//! per-PE scheduler, entry-method execution and the application of the
-//! actions an entry method buffered, plus the key slots the deterministic
-//! tie-break is made of and the host-side API. Everything else extends
-//! [`Runtime`] from a sibling module: `routing` (location management),
-//! `collectives`, `placement` (moves, drains, AtSync, the LB round), and the
-//! services over them — [`crate::ft`], [`crate::power`], `malleable`,
-//! [`crate::elastic`]. Messages in flight live in the runtime's envelope
-//! slab (`slab`), addressed by handle, and name their destination by its
-//! location record's handle ([`ElemRef`]).
+//! The engine: one event heap drained in `(time, key)` order, event
+//! dispatch, the per-PE scheduler, entry-method execution and the
+//! application of the actions an entry method buffered, plus the key slots
+//! the deterministic tie-break is made of and the host-side API. Everything
+//! else extends [`Runtime`] from a sibling module: `routing` (location
+//! management), `collectives`, `placement` (moves, drains, AtSync, the LB
+//! round), and the services over them — [`crate::ft`], [`crate::power`],
+//! `malleable`, [`crate::elastic`]. Messages in flight live in the runtime's
+//! envelope slab (`slab`), addressed by handle, and name their destination
+//! by its location record's handle ([`ElemRef`]).
 
 mod builder;
 mod slab;
@@ -18,7 +18,7 @@ pub(crate) use slab::{EnvId, EnvSlab};
 use crate::arena::UserMsg;
 use crate::array::{AnyArray, ArrayId, ArrayProxy, ArrayStore, ElemId, ElemRef, ObjId, Payload};
 use crate::chare::{Callback, Chare, SysEvent};
-use crate::collectives::{ContribRec, RedState};
+use crate::collectives::RedState;
 use crate::ctrl::{ControlRegistry, ControlValues};
 use crate::ctx::{Action, Ctx};
 use crate::ft::{MemCheckpoint, PendingCkpt};
@@ -43,7 +43,7 @@ pub(crate) const ENVELOPE_BYTES: usize = 40;
 pub(crate) const KEY_SLOT_SHIFT: u32 = 40;
 /// Key-slot offset (past `num_pes`) for host-side sends before/between runs.
 pub(crate) const SLOT_HOST: usize = 0;
-/// Key-slot offset for events produced while folding reductions.
+/// Key-slot offset for reduction callbacks.
 pub(crate) const SLOT_RED: usize = 1;
 /// Key-slot offset for runtime-system events (failures, DVFS, checkpoints…).
 pub(crate) const SLOT_RTS: usize = 2;
@@ -356,15 +356,12 @@ pub struct Runtime {
     /// [`SLOT_RTS`] offsets past `num_pes` (see [`Runtime::fresh_key`]).
     pub(crate) keys: Vec<u64>,
     /// Which key slot new events are charged to right now; maintained by
-    /// [`Runtime::dispatch`], the host APIs, and the reduction fold.
+    /// [`Runtime::dispatch`], the host APIs, and a completing reduction.
     pub(crate) cur_slot: usize,
     /// `(time_ns, key)` of the event currently being dispatched — the
-    /// global total order that tags contributions and replay records.
+    /// global total order; its key salts the jitter draws of the
+    /// collectives the event starts.
     pub(crate) cur_dispatch: (u64, u64),
-    /// Reduction contributions buffered since the last window boundary;
-    /// folded in deterministic `(dispatch time, dispatch key)` order at the
-    /// boundary.
-    pub(crate) pending_contribs: Vec<ContribRec>,
     /// End of the α-window currently executing.
     pub(crate) cur_win_end: SimTime,
     /// Window quantum: the minimum cross-PE network latency (α) in ns.
@@ -637,23 +634,15 @@ impl Runtime {
     /// Run until virtual time `deadline` (events after it stay queued) or a
     /// chare calls `exit`.
     ///
-    /// The engine: one event heap drained in α-windows. Events execute in
-    /// windows of width `win_ns` (the minimum cross-PE latency α); reduction
-    /// folds and state-digest points happen at window boundaries.
+    /// The engine: one event heap drained in (time, key) order. Time is
+    /// cut into α-windows of width `win_ns` (the minimum cross-PE latency)
+    /// only where a run can see them: `exit` stops at the first window edge
+    /// after it, and state-digest points are taken at window edges.
     pub fn run_until(&mut self, deadline: SimTime) -> RunSummary {
         self.ctrl_snapshot = self.ctrl.snapshot();
         let wall_start = std::time::Instant::now();
         let mut batch = std::mem::take(&mut self.batch_scratch);
-        loop {
-            let Some(t) = self.events.peek_time() else {
-                // Quiet heap, but buffered contributions can still complete
-                // a reduction whose callback re-seeds the heap.
-                if !self.pending_contribs.is_empty() && !self.exit_requested {
-                    self.boundary_work();
-                    continue;
-                }
-                break;
-            };
+        while let Some(t) = self.events.peek_time() {
             if t > deadline {
                 break;
             }
@@ -662,23 +651,10 @@ impl Runtime {
                 if self.exit_requested {
                     break;
                 }
-                // Idle boundary (no buffered contributions, no digest due):
-                // nothing observable happens, so jump the window straight
-                // to the one containing `t`. With α-sized windows this is
-                // the common case and keeps boundary cost off the hot path.
-                if self.pending_contribs.is_empty() && !self.digest_due() {
-                    self.windows_executed += 1;
-                    self.cur_win_end = self.win_end_after(t);
-                } else {
-                    self.boundary_work();
-                    // The fold may have scheduled callbacks earlier than
-                    // `t`; re-aim the window at the true next event.
-                    if let Some(t2) = self.events.peek_time() {
-                        self.windows_executed += 1;
-                        self.cur_win_end = self.win_end_after(t2);
-                    }
-                    continue;
-                }
+                self.take_due_digest_point();
+                // Jump the window straight to the one containing `t`.
+                self.windows_executed += 1;
+                self.cur_win_end = self.win_end_after(t);
             }
             self.drain_batch_at(t, &mut batch);
         }
@@ -711,20 +687,9 @@ impl Runtime {
         }
     }
 
-    /// Is a periodic state-digest point due at the next window boundary?
-    fn digest_due(&self) -> bool {
-        self.recorder.as_ref().is_some_and(|r| {
-            r.cfg
-                .digest_every
-                .is_some_and(|n| r.execs_len() - self.last_digest_seq >= n)
-        })
-    }
-
-    /// Window-boundary bookkeeping: fold buffered reduction contributions
-    /// and emit a state-digest point when one is due.
-    fn boundary_work(&mut self) {
+    /// At a window edge: emit a state-digest point when one is due.
+    fn take_due_digest_point(&mut self) {
         let boundary = self.cur_win_end;
-        self.fold_contributions();
         let due = self.recorder.as_ref().and_then(|r| {
             let n = r.cfg.digest_every?;
             let execs = r.execs_len();
@@ -925,12 +890,21 @@ impl Runtime {
         }
     }
 
+    /// Is work outstanding: a message or migration in flight, a message
+    /// queued, or an entry running? A reduction still waiting on
+    /// contributions is not work by itself: only a message can bring the
+    /// contributions it lacks. Quiescence detection, the auto-checkpoint
+    /// tick and the elastic tick ask this.
+    pub(crate) fn work_outstanding(&self) -> bool {
+        self.inflight > 0 || self.queued > 0 || self.busy_pes > 0
+    }
+
     /// Key-slot index for host-side sends.
     pub(crate) fn host_slot(&self) -> usize {
         self.machine.num_pes + SLOT_HOST
     }
 
-    /// Key-slot index for reduction-fold deliveries.
+    /// Key-slot index for reduction-callback deliveries.
     pub(crate) fn red_slot(&self) -> usize {
         self.machine.num_pes + SLOT_RED
     }
@@ -1152,8 +1126,8 @@ impl Runtime {
         if let Some(r) = &mut self.recorder {
             r.end_exec();
         }
-        // State-digest points are taken at window boundaries (see
-        // `boundary_work`), not here.
+        // State-digest points are taken at window edges (see
+        // `take_due_digest_point`), not here.
         true
     }
 

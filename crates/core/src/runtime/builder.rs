@@ -282,7 +282,6 @@ impl RuntimeBuilder {
             keys,
             cur_slot: n + SLOT_HOST,
             cur_dispatch: (0, 0),
-            pending_contribs: Vec::new(),
             cur_win_end: SimTime::ZERO,
             win_ns: net_min_remote.max(1),
             last_digest_seq: 0,

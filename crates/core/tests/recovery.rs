@@ -483,3 +483,161 @@ fn expand_spreads_elements_to_new_pes() {
     let steps: Vec<f64> = rt.metric("step_done").iter().map(|s| s.1).collect();
     assert_eq!(*steps.last().unwrap(), TARGET_STEPS as f64);
 }
+
+const EPOCH_WORKERS: i64 = 16;
+const EPOCH_STEPS: u64 = 5;
+const EPOCH_CKPT_AT: u64 = 2;
+
+/// One step of an iteration, tagged with the main chare's restart count so a
+/// contribution says which execution of the step made it.
+#[derive(Default, Clone)]
+struct EpochStep {
+    step: u64,
+    epoch: u64,
+}
+
+impl Pup for EpochStep {
+    fn pup(&mut self, p: &mut Puper) {
+        p.p(&mut self.step);
+        p.p(&mut self.epoch);
+    }
+}
+
+/// A worker that contributes `1 + 1000·epoch` to its step's reduction and
+/// logs when each step was dispatched to it.
+#[derive(Default)]
+struct EpochWorker;
+
+impl Pup for EpochWorker {
+    fn pup(&mut self, _p: &mut Puper) {}
+}
+
+impl Chare for EpochWorker {
+    type Msg = EpochStep;
+    fn on_message(&mut self, m: EpochStep, ctx: &mut Ctx<'_>) {
+        ctx.log_metric("dispatch_ns", ctx.now().as_nanos() as f64);
+        ctx.work(2e6);
+        let workers = charm_core::ArrayProxy::<EpochWorker>::from_id(ctx.my_id().array);
+        ctx.contribute(
+            workers,
+            m.step as u32,
+            RedValue::I64(1 + 1000 * m.epoch as i64),
+            RedOp::Sum,
+            Callback::ToChare {
+                array: charm_core::ArrayId(1),
+                ix: Ix::i1(0),
+            },
+        );
+    }
+}
+
+/// The main chare: checkpoints after step 2, re-broadcasts the checkpointed
+/// step under the next epoch after a restart, and logs every reduction
+/// beside the value its epoch predicts.
+#[derive(Default)]
+struct EpochMain {
+    step: u64,
+    epoch: u64,
+}
+
+impl Pup for EpochMain {
+    fn pup(&mut self, p: &mut Puper) {
+        p.p(&mut self.step);
+        p.p(&mut self.epoch);
+    }
+}
+
+impl Chare for EpochMain {
+    type Msg = EpochStep;
+    fn on_message(&mut self, _m: EpochStep, _ctx: &mut Ctx<'_>) {}
+
+    fn on_event(&mut self, ev: SysEvent, ctx: &mut Ctx<'_>) {
+        let workers = charm_core::ArrayProxy::<EpochWorker>::from_id(charm_core::ArrayId(0));
+        let next = |s: &Self| EpochStep {
+            step: s.step,
+            epoch: s.epoch,
+        };
+        match ev {
+            SysEvent::Reduction { tag, value } => {
+                ctx.log_metric("tag", tag as f64);
+                ctx.log_metric("sum", value.as_i64() as f64);
+                let want = EPOCH_WORKERS * (1 + 1000 * self.epoch as i64);
+                ctx.log_metric("want", want as f64);
+                self.step += 1;
+                if self.step == EPOCH_CKPT_AT {
+                    ctx.start_mem_checkpoint(ctx.cb_self());
+                } else if self.step < EPOCH_STEPS {
+                    ctx.broadcast(workers, next(self));
+                } else {
+                    ctx.exit();
+                }
+            }
+            SysEvent::CheckpointDone => ctx.broadcast(workers, next(self)),
+            SysEvent::Restarted { .. } => {
+                self.epoch += 1;
+                ctx.broadcast(workers, next(self));
+            }
+            _ => {}
+        }
+    }
+}
+
+fn epoch_run(fail_at: Option<SimTime>) -> Runtime {
+    let mut rt = Runtime::homogeneous(8);
+    let workers = rt.create_array::<EpochWorker>("workers");
+    let main = rt.create_array::<EpochMain>("main");
+    for i in 0..EPOCH_WORKERS {
+        rt.insert(workers, Ix::i1(i), EpochWorker, None);
+    }
+    rt.insert(main, Ix::i1(0), EpochMain::default(), Some(0));
+    rt.broadcast(workers, EpochStep::default());
+    if let Some(at) = fail_at {
+        rt.schedule_failure(at, 5);
+    }
+    rt.run();
+    rt
+}
+
+/// A failure rolls every chare back to the checkpoint, so the reduction of
+/// a re-executed step must fold only contributions made after the restart:
+/// every reduction sums the 16 contributions of one epoch. The failure is
+/// placed one nanosecond after each step dispatch past the checkpoint, so
+/// some workers of the step have contributed and others have not.
+#[test]
+fn rollback_folds_no_contribution_made_before_the_failure() {
+    let probe = epoch_run(None);
+    let committed = (probe.metric("ckpt_committed")[0].0 * 1e9).round() as u64;
+    let mut times: Vec<u64> = probe
+        .metric("dispatch_ns")
+        .iter()
+        .map(|&(_, ns)| ns as u64)
+        .filter(|&ns| ns > committed)
+        .collect();
+    times.sort_unstable();
+    times.dedup();
+    assert!(
+        times.len() >= (EPOCH_STEPS - EPOCH_CKPT_AT) as usize,
+        "a dispatch per step past the checkpoint: {times:?}"
+    );
+    for ns in times {
+        let rt = epoch_run(Some(SimTime::from_nanos(ns + 1)));
+        assert_eq!(
+            rt.metric("restart_time_s").len(),
+            1,
+            "failure at {ns} + 1 ns"
+        );
+        let vals = |name| rt.metric(name).iter().map(|s| s.1).collect::<Vec<f64>>();
+        assert_eq!(vals("sum"), vals("want"), "failure at {ns} + 1 ns");
+        let tags = vals("tag");
+        assert_eq!(
+            tags.last(),
+            Some(&((EPOCH_STEPS - 1) as f64)),
+            "failure at {ns} + 1 ns: the run finishes"
+        );
+        assert_eq!(
+            vals("want").last(),
+            Some(&((EPOCH_WORKERS * 1001) as f64)),
+            "failure at {ns} + 1 ns: the last step ran after the restart"
+        );
+    }
+}
