@@ -35,7 +35,7 @@ use crate::util::{oct_bits, oct_coords, SyntheticBlob};
 use crate::AppRun;
 use charm_core::{
     ArrayProxy, Callback, Chare, Ctx, Ix, MachineConfig, RedOp, RedValue, Runtime,
-    Strategy, SysEvent,
+    SimTime, Strategy, SysEvent,
 };
 use charm_pup::{Pup, Puper};
 
@@ -71,6 +71,8 @@ pub struct AmrConfig {
     pub strategy: Option<Box<dyn Strategy>>,
     /// Take an in-memory checkpoint at this step.
     pub ckpt_at: Option<u64>,
+    /// PE failures to inject, as `(time, pe)` pairs.
+    pub failures: Vec<(SimTime, usize)>,
     /// Seed.
     pub seed: u64,
 }
@@ -89,6 +91,7 @@ impl Default for AmrConfig {
             lb_after_regrid: false,
             strategy: None,
             ckpt_at: None,
+            failures: Vec::new(),
             seed: 42,
         }
     }
@@ -633,6 +636,9 @@ pub fn run_with_runtime(mut config: AmrConfig) -> (AppRun, usize, Runtime) {
         b = b.strategy(s);
     }
     let mut rt = b.build();
+    for (t, pe) in &config.failures {
+        rt.schedule_failure(*t, *pe);
+    }
     let blocks: ArrayProxy<Block> = rt.create_array("amr_blocks");
     let driver: ArrayProxy<Driver> = rt.create_array("amr_driver");
 

@@ -69,7 +69,7 @@ impl StencilConfig {
             flops_per_point: 6.0,
             strategy: None,
             lb_period: None,
-            dvfs: DvfsScheme::Off,
+            dvfs: DvfsScheme::Base,
             dvfs_period: SimTime::from_secs(1),
             auto_ckpt: None,
             failures: Vec::new(),

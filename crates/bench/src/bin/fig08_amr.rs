@@ -25,6 +25,7 @@ fn cfg(pes: usize, lb: bool, ckpt: Option<u64>, scale: Scale) -> AmrConfig {
         lb_after_regrid: lb,
         strategy: lb.then(|| Box::new(charm_lb::DistributedLb::default()) as _),
         ckpt_at: ckpt,
+        failures: Vec::new(),
         seed: 42,
     }
 }
@@ -82,10 +83,7 @@ fn main() {
             .map(|&(t, _)| t)
             .unwrap_or(0.0);
         let fail_t = ckpt_t.map(|c| (c + end_t) / 2.0).unwrap_or(end_t * 0.7);
-        c.machine.failures.push(
-            charm_core::SimTime::from_secs_f64(fail_t),
-            p / 3,
-        );
+        c.failures.push((charm_core::SimTime::from_secs_f64(fail_t), p / 3));
         let (_, _, rt) = run_with_runtime(c);
         let ck = rt
             .metric("ckpt_time_s")

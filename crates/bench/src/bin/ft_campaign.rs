@@ -224,10 +224,8 @@ fn main() {
             Some(mut l) => {
                 l.app = app.to_string();
                 let name = format!("ftcamp_{app}_{k:02}.rlog");
-                match results_path(&name)
-                    .and_then(|p| charm_replay::save(&l, &p).map(|()| p))
-                {
-                    Ok(p) => p.display().to_string(),
+                match results_path(&name).and_then(|p| charm_replay::save(&l, &p)) {
+                    Ok(()) => format!("results/{name}"),
                     Err(e) => format!("save failed: {e}"),
                 }
             }

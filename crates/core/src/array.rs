@@ -182,8 +182,10 @@ pub(crate) trait AnyArray: Send {
     /// Insert a type-erased chare (from `Ctx::insert` buffering).
     fn insert_boxed(&mut self, ix: Ix, pe: usize, chare: Box<dyn Any + Send>) -> ElemId;
     /// Snapshot (index, pe, measured load, hint) for all elements in index
-    /// order, resetting the measured loads when `reset` — called at LB time.
-    fn drain_loads(&mut self, reset: bool) -> Vec<(Ix, usize, f64, f64)>;
+    /// order — called at LB time.
+    fn loads(&mut self) -> Vec<(Ix, usize, f64, f64)>;
+    /// Zero every element's measured load: a new LB window starts.
+    fn reset_loads(&mut self);
     /// Is this array participating in AtSync load balancing?
     fn uses_at_sync(&self) -> bool;
     fn set_uses_at_sync(&mut self, v: bool);
@@ -516,19 +518,22 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
         self.insert(ix, pe, chare)
     }
 
-    fn drain_loads(&mut self, reset: bool) -> Vec<(Ix, usize, f64, f64)> {
+    fn loads(&mut self) -> Vec<(Ix, usize, f64, f64)> {
         self.sort();
         let mut v = Vec::with_capacity(self.live);
         for id in &self.sorted {
-            let rec = &mut self.recs[id.0 as usize];
-            if let Some(e) = &mut rec.elem {
+            let rec = &self.recs[id.0 as usize];
+            if let Some(e) = &rec.elem {
                 v.push((rec.ix, e.pe, e.load, e.chare.load_hint()));
-                if reset {
-                    e.load = 0.0;
-                }
             }
         }
         v
+    }
+
+    fn reset_loads(&mut self) {
+        for e in self.recs.iter_mut().filter_map(|r| r.elem.as_mut()) {
+            e.load = 0.0;
+        }
     }
 
     fn uses_at_sync(&self) -> bool {
@@ -588,18 +593,18 @@ mod tests {
     }
 
     #[test]
-    fn drain_loads_resets() {
+    fn loads_survive_a_read_and_reset_zeroes_them() {
         let mut s = ArrayStore::<Dummy>::new(ArrayId(0), "dummy");
         s.insert(Ix::i1(1), 1, Dummy::default());
         let a = s.insert(Ix::i1(0), 0, Dummy::default());
         s.recs[a.0 as usize].elem.as_mut().unwrap().load = 0.75;
-        let peeked = s.drain_loads(false);
-        assert_eq!(peeked, s.drain_loads(true), "a peek leaves the loads");
-        assert_eq!(peeked.len(), 2);
-        assert_eq!(peeked[0], (Ix::i1(0), 0, 0.75, 1.0));
-        assert_eq!(peeked[1], (Ix::i1(1), 1, 0.0, 1.0));
-        let again = s.drain_loads(true);
-        assert_eq!(again[0].2, 0.0, "loads reset after drain");
+        let read = s.loads();
+        assert_eq!(read, s.loads(), "a read leaves the loads");
+        assert_eq!(read.len(), 2);
+        assert_eq!(read[0], (Ix::i1(0), 0, 0.75, 1.0));
+        assert_eq!(read[1], (Ix::i1(1), 1, 0.0, 1.0));
+        s.reset_loads();
+        assert_eq!(s.loads()[0].2, 0.0, "loads reset");
     }
 
     #[test]

@@ -439,6 +439,8 @@ impl Runtime {
             }
             self.stores[obj.array.0 as usize].unpack_insert(obj.ix, pe, bytes);
         }
+        // The restored chares start at load 0; their traffic starts with them.
+        self.start_lb_window();
 
         // ---- cost model ------------------------------------------------------
         // Each dead PE's buddy streams its checkpoint to the replacement
@@ -651,8 +653,9 @@ impl Runtime {
         })
     }
 
-    /// Inject a failure of the node containing `pe` at virtual time `at`
-    /// (on top of any failures already in the machine's `FailurePlan`).
+    /// Inject a failure of the node containing `pe` at virtual time `at`.
+    /// This is the one place a node failure is scheduled; same-time
+    /// failures fire in call order, because event keys follow it.
     pub fn schedule_failure(&mut self, at: SimTime, pe: usize) {
         let k = self.fresh_key(self.host_slot());
         self.events
@@ -664,16 +667,13 @@ impl Runtime {
     /// before the kill's, so a zero-warning announcement still precedes the
     /// kill on the same timestamp.
     pub fn schedule_preemption(&mut self, at: SimTime, pe: usize, warning: SimTime) {
-        let visible = at.saturating_sub(warning);
         let kw = self.fresh_key(self.host_slot());
         let warn = Ev::PreemptWarn {
             pe: pe as u32,
             deadline: at,
         };
-        self.events.push_keyed(visible, kw, warn);
-        let kf = self.fresh_key(self.host_slot());
-        self.events
-            .push_keyed(at, kf, Ev::NodeFail { pe: pe as u32 });
+        self.events.push_keyed(at.saturating_sub(warning), kw, warn);
+        self.schedule_failure(at, pe);
     }
 }
 

@@ -12,15 +12,6 @@ use crate::trace::TraceEventKind;
 use charm_machine::{NetworkModel, SimTime};
 use std::collections::HashMap;
 
-/// Whether [`Runtime::collect_lb_stats`] resets the measurement windows
-/// (`Drain`, at the head of an LB round) or leaves them intact (`Peek`,
-/// for trigger logic that only inspects the imbalance).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StatsMode {
-    Peek,
-    Drain,
-}
-
 /// One chare changing PE, and the size of its PUP image.
 #[derive(Clone, Copy)]
 pub(crate) struct Move {
@@ -222,52 +213,36 @@ impl Runtime {
         let skip = match self.lb_trigger {
             LbTrigger::AtSync => false,
             LbTrigger::Adaptive { min_imbalance } => {
-                self.collect_lb_stats(StatsMode::Peek).imbalance() < min_imbalance
+                self.collect_lb_stats().imbalance() < min_imbalance
             }
         };
         if skip || self.lb.is_none() {
             // Resume immediately: a barrier's worth of cost only.
             let resume = at + self.barrier_cost();
-            // Loads must still be drained so the next window is fresh.
-            for s in self.stores.iter_mut() {
-                if s.uses_at_sync() {
-                    s.drain_loads(true);
-                }
-            }
+            self.start_lb_window();
             self.resume_from_sync(resume);
             return;
         }
         self.run_lb_round(at, true);
     }
 
-    /// The single stats-collection path: both the LB-trigger peek and the
-    /// destructive collection at the head of an LB round go through here, so
-    /// instrumentation and load-accounting rules can't drift apart.
-    ///
-    /// `Peek` leaves the load windows intact and skips the communication
-    /// journal; `Drain` resets both (the round consumes the window).
-    pub(crate) fn collect_lb_stats(&mut self, mode: StatsMode) -> LbStats {
-        // Drain the communication journal (if tracked) in a deterministic
-        // order and aggregate per-sender totals.
-        let (comm, sent_by) = match mode {
-            StatsMode::Peek => (Vec::new(), HashMap::new()),
-            StatsMode::Drain => {
-                let mut comm: Vec<(ObjId, ObjId, u64)> = self
-                    .comm
-                    .drain()
-                    .map(|((a, b), v)| (a, b, v))
-                    .collect();
-                comm.sort_unstable_by(|x, y| {
-                    (x.0.array, x.0.ix, x.1.array, x.1.ix)
-                        .cmp(&(y.0.array, y.0.ix, y.1.array, y.1.ix))
-                });
-                let mut sent_by: HashMap<ObjId, u64> = HashMap::new();
-                for (a, _, v) in &comm {
-                    *sent_by.entry(*a).or_default() += v;
-                }
-                (comm, sent_by)
-            }
-        };
+    /// The single stats-collection path: the LB-trigger peeks and the
+    /// collection at the head of an LB round both go through here, so
+    /// instrumentation and load-accounting rules can't drift apart. It
+    /// reads the current window and leaves it intact; see
+    /// [`Runtime::start_lb_window`].
+    pub(crate) fn collect_lb_stats(&mut self) -> LbStats {
+        // The communication journal (if tracked) in a deterministic order,
+        // and per-sender totals.
+        let mut comm: Vec<(ObjId, ObjId, u64)> =
+            self.comm.iter().map(|(&(a, b), &v)| (a, b, v)).collect();
+        comm.sort_unstable_by(|x, y| {
+            (x.0.array, x.0.ix, x.1.array, x.1.ix).cmp(&(y.0.array, y.0.ix, y.1.array, y.1.ix))
+        });
+        let mut sent_by: HashMap<ObjId, u64> = HashMap::new();
+        for (a, _, v) in &comm {
+            *sent_by.entry(*a).or_default() += v;
+        }
 
         let mut objs = Vec::new();
         for s in self.stores.iter_mut() {
@@ -275,8 +250,7 @@ impl Runtime {
                 continue;
             }
             let id = s.id();
-            let drained = s.drain_loads(mode == StatsMode::Drain);
-            for (ix, pe, load, hint) in &drained {
+            for (ix, pe, load, hint) in &s.loads() {
                 let obj = ObjId { array: id, ix: *ix };
                 objs.push(ObjStat {
                     id: obj,
@@ -294,12 +268,27 @@ impl Runtime {
         }
     }
 
-    /// Collect stats (destructive), run the strategy, enact migrations, and
-    /// (optionally) deliver ResumeFromSync. Charges the modeled cost of the
-    /// whole round. Used by AtSync, RTS-triggered (thermal/cloud) LB, and
-    /// reconfiguration.
+    /// Start a fresh LB measurement window: zero every AtSync chare's
+    /// measured load and empty the communication journal together, so a
+    /// strategy never weighs one window's load against several windows'
+    /// traffic. An LB round, a round the trigger skips and a failure
+    /// rollback each start their window here.
+    pub(crate) fn start_lb_window(&mut self) {
+        for s in self.stores.iter_mut() {
+            if s.uses_at_sync() {
+                s.reset_loads();
+            }
+        }
+        self.comm.clear();
+    }
+
+    /// Collect stats, start a fresh window, run the strategy, enact
+    /// migrations, and (optionally) deliver ResumeFromSync. Charges the
+    /// modeled cost of the whole round. Used by AtSync, RTS-triggered
+    /// (thermal/cloud) LB, and reconfiguration.
     pub(crate) fn run_lb_round(&mut self, at: SimTime, resume: bool) {
-        let stats = self.collect_lb_stats(StatsMode::Drain);
+        let stats = self.collect_lb_stats();
+        self.start_lb_window();
         let imbalance_before = stats.imbalance();
 
         let Some(lb) = self.lb.as_mut() else {

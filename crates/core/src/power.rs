@@ -3,8 +3,8 @@
 //!
 //! Reproduces the five schemes of Fig. 4:
 //!
-//! * `Off` — temperature not even sampled (machines without a thermal model),
-//! * `Base` — temperatures tracked, no DVFS, no LB: fast but hot,
+//! * `Base` — temperatures tracked (on machines with a thermal model), no
+//!   DVFS, no LB: fast but hot,
 //! * `Naive` — DVFS caps temperature but the resulting heterogeneity is
 //!   ignored, so tightly coupled apps slow to the hottest chip's pace,
 //! * `WithLb { period }` — DVFS plus frequency-aware LB every `period`
@@ -12,7 +12,6 @@
 //! * `MetaTemp` — DVFS plus LB triggered only when the measured imbalance
 //!   makes rebalancing worth its cost.
 
-use crate::placement::StatsMode;
 use crate::runtime::{Ev, Runtime};
 use crate::trace::TraceEventKind;
 use charm_machine::SimTime;
@@ -20,9 +19,7 @@ use charm_machine::SimTime;
 /// The temperature-control scheme the RTS applies at each DVFS tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DvfsScheme {
-    /// No thermal control at all.
-    Off,
-    /// Track temperature only (the paper's "Base" case).
+    /// Track temperature only (the paper's "Base" case); the default.
     Base,
     /// DVFS without load balancing ("Naive_DVFS").
     Naive,
@@ -54,7 +51,7 @@ impl Runtime {
             let util = (busy.as_secs_f64() / (period_s * cores)).clamp(0.0, 1.0);
             thermal.advance(chip, period_s, util);
             match self.dvfs {
-                DvfsScheme::Off | DvfsScheme::Base => {}
+                DvfsScheme::Base => {}
                 DvfsScheme::Naive | DvfsScheme::WithLb { .. } | DvfsScheme::MetaTemp { .. } => {
                     if thermal.dvfs_step(chip) {
                         any_freq_change = true;
@@ -92,7 +89,7 @@ impl Runtime {
                 }
             DvfsScheme::MetaTemp { min_imbalance }
                 if any_freq_change => {
-                    let stats = self.collect_lb_stats(StatsMode::Peek);
+                    let stats = self.collect_lb_stats();
                     if stats.imbalance() > min_imbalance {
                         self.last_rts_lb = self.now;
                         self.rts_triggered_lb();

@@ -162,25 +162,7 @@ impl RuntimeBuilder {
         // Pre-size for a few in-flight events per PE; saves the first
         // handful of heap reallocations on every run.
         let mut events = EventQueue::with_capacity(8 * n);
-        // Schedule injected failures and the DVFS sampler. A preemption
-        // becomes visible at its announcement time (warning before the
-        // kill); its warn key is allocated before its kill key, so a
-        // zero-warning announcement still pops before the kill on ties.
-        for f in self.machine.failures.events() {
-            if let charm_machine::FailureKind::Preemption { .. } = f.kind {
-                let k = rts_key(&mut keys);
-                events.push_keyed(
-                    f.visible_at(),
-                    k,
-                    Ev::PreemptWarn {
-                        pe: f.pe as u32,
-                        deadline: f.time,
-                    },
-                );
-            }
-            let k = rts_key(&mut keys);
-            events.push_keyed(f.time, k, Ev::NodeFail { pe: f.pe as u32 });
-        }
+        // Schedule the DVFS sampler and the RTS tick chains.
         let thermal = self
             .machine
             .thermal
@@ -301,7 +283,7 @@ impl Runtime {
             seed: 42,
             lb: None,
             lb_trigger: LbTrigger::AtSync,
-            dvfs: DvfsScheme::Off,
+            dvfs: DvfsScheme::Base,
             dvfs_period: SimTime::from_secs(1),
             location_cache: true,
             collective_arity: 2,

@@ -582,26 +582,6 @@ impl EntryAgg {
     }
 }
 
-/// Machine-readable per-entry-method latency SLO row, carried on
-/// [`RunSummary`](crate::RunSummary) so bench drivers and service monitors
-/// read p50/p99/p999 directly instead of parsing the projections report
-/// text. A slim projection of [`TraceProfile`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EntrySlo {
-    /// `<array>::<entry>` (same naming as [`TraceProfile::name`]).
-    pub name: String,
-    /// Executions observed.
-    pub(crate) count: u64,
-    /// Total busy seconds across executions.
-    pub(crate) total_s: f64,
-    /// Median execution time, seconds (log-bucket estimate).
-    pub(crate) p50_s: f64,
-    /// 99th-percentile execution time, seconds (log-bucket estimate).
-    pub(crate) p99_s: f64,
-    /// 99.9th-percentile execution time, seconds (log-bucket estimate).
-    pub(crate) p999_s: f64,
-}
-
 /// Resolved per-entry-method profile, ready for reports and tuners.
 #[derive(Debug, Clone)]
 pub struct TraceProfile {
@@ -1129,10 +1109,9 @@ impl Runtime {
         }
     }
 
-    /// Every entry method's aggregate under its export name, sorted by
-    /// total time (descending, then name, then id): the one walk profiles
-    /// and SLO rows are built from. Empty when tracing is off.
-    fn sorted_entries(&self) -> Vec<(String, ArrayId, EntryKind, &EntryAgg)> {
+    /// Per-entry-method profiles under their export names, sorted by total
+    /// time (descending, then name, then id). Empty when tracing is off.
+    pub fn trace_profiles(&self) -> Vec<TraceProfile> {
         let Some(tr) = &self.tracer else {
             return Vec::new();
         };
@@ -1146,37 +1125,13 @@ impl Runtime {
                 .cmp(&a.3.total)
                 .then_with(|| (&a.0, a.1, a.2).cmp(&(&b.0, b.1, b.2)))
         });
-        rows
-    }
-
-    /// Per-entry-method profiles, sorted by total time (descending, then
-    /// name). Empty when tracing is off.
-    pub fn trace_profiles(&self) -> Vec<TraceProfile> {
-        self.sorted_entries()
-            .into_iter()
+        rows.into_iter()
             .map(|(name, _, _, a)| TraceProfile {
                 name,
                 count: a.qhist.count(),
                 total_s: a.total.as_secs_f64(),
                 min_s: a.min.min(a.max).as_secs_f64(),
                 max_s: a.max.as_secs_f64(),
-                p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
-                p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
-                p999_s: a.qhist.quantile(0.999) as f64 / 1e9,
-            })
-            .collect()
-    }
-
-    /// Structured per-entry p50/p99/p999 rows — the machine-readable form
-    /// of the projections report's SLO columns. Sorted by total busy time
-    /// (descending, then name). Empty when tracing is off.
-    pub fn entry_slos(&self) -> Vec<EntrySlo> {
-        self.sorted_entries()
-            .into_iter()
-            .map(|(name, _, _, a)| EntrySlo {
-                name,
-                count: a.qhist.count(),
-                total_s: a.total.as_secs_f64(),
                 p50_s: a.qhist.quantile(0.5) as f64 / 1e9,
                 p99_s: a.qhist.quantile(0.99) as f64 / 1e9,
                 p999_s: a.qhist.quantile(0.999) as f64 / 1e9,

@@ -209,7 +209,6 @@ fn profiles_and_exports_name_an_unnamed_array_alike() {
         .to_string();
     assert_eq!(exported, "?::entry");
     assert_eq!(rt.trace_profiles()[0].name, exported);
-    assert_eq!(rt.entry_slos()[0].name, exported);
 }
 
 #[test]

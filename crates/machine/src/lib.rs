@@ -11,7 +11,6 @@
 //! * [`thermal`] — a lumped-RC chip temperature model with a DVFS ladder,
 //! * `SpeedModel` — static per-PE heterogeneity plus timed interference
 //!   windows (cloud multi-tenancy),
-//! * [`FailurePlan`] — scheduled node crashes,
 //! * `DiskModel` — checkpoint I/O cost,
 //! * [`presets`] — parameterizations approximating each machine the paper
 //!   used.
@@ -24,7 +23,6 @@
 pub(crate) mod dagsim;
 mod disk;
 mod events;
-mod failure;
 mod network;
 pub mod presets;
 pub mod rss;
@@ -37,7 +35,6 @@ pub use dagsim::{simulate_dag, DagEdge, DagNode};
 pub use disk::DiskFault;
 pub(crate) use disk::DiskModel;
 pub use events::{EventQueue, PrioQueue};
-pub use failure::{Failure, FailureKind, FailurePlan};
 pub use network::{NetworkModel, NetworkParams};
 pub use rss::peak_rss_bytes;
 pub use speed::InterferenceWindow;
@@ -74,8 +71,6 @@ pub struct MachineConfig {
     pub thermal: Option<ThermalConfig>,
     /// Per-PE static speed plus dynamic interference.
     pub speed: SpeedModel,
-    /// Node failures to inject.
-    pub failures: FailurePlan,
     /// Disk used for file-based checkpoints.
     pub disk: DiskModel,
 }
@@ -93,7 +88,6 @@ impl MachineConfig {
             network: NetworkParams::infiniband(),
             thermal: None,
             speed: SpeedModel::uniform(num_pes),
-            failures: FailurePlan::none(),
             disk: DiskModel::default(),
         }
     }

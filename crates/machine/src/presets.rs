@@ -3,7 +3,7 @@
 //! specifications; EXPERIMENTS.md documents how each affects its figures.
 
 use crate::thermal::ThermalConfig;
-use crate::{DiskModel, FailurePlan, MachineConfig, NetworkParams, SpeedModel};
+use crate::{DiskModel, MachineConfig, NetworkParams, SpeedModel};
 
 fn torus_dims_for(num_pes: usize, ndims: usize) -> Vec<usize> {
     crate::Torus::balanced(num_pes, ndims).dims().to_vec()
@@ -22,7 +22,6 @@ pub fn bgq(num_pes: usize) -> MachineConfig {
         network: NetworkParams::bgq_torus(torus_dims_for(num_pes, 5)),
         thermal: None,
         speed: SpeedModel::uniform(num_pes),
-        failures: FailurePlan::none(),
         disk: DiskModel::default(),
     }
 }
@@ -39,7 +38,6 @@ pub fn xe6(num_pes: usize) -> MachineConfig {
         network: NetworkParams::gemini_torus(torus_dims_for(num_pes, 3)),
         thermal: None,
         speed: SpeedModel::uniform(num_pes),
-        failures: FailurePlan::none(),
         disk: DiskModel::default(),
     }
 }
@@ -55,7 +53,6 @@ pub fn xk7(num_pes: usize) -> MachineConfig {
         network: NetworkParams::gemini_torus(torus_dims_for(num_pes, 3)),
         thermal: None,
         speed: SpeedModel::uniform(num_pes),
-        failures: FailurePlan::none(),
         disk: DiskModel::default(),
     }
 }
@@ -71,7 +68,6 @@ pub fn xt5(num_pes: usize) -> MachineConfig {
         network: NetworkParams::seastar_torus(torus_dims_for(num_pes, 3)),
         thermal: None,
         speed: SpeedModel::uniform(num_pes),
-        failures: FailurePlan::none(),
         disk: DiskModel::default(),
     }
 }
@@ -88,7 +84,6 @@ pub fn hopper(num_pes: usize) -> MachineConfig {
         network: NetworkParams::gemini_torus(torus_dims_for(num_pes, 3)),
         thermal: None,
         speed: SpeedModel::uniform(num_pes),
-        failures: FailurePlan::none(),
         disk: DiskModel::default(),
     }
 }
@@ -104,7 +99,6 @@ pub fn stampede(num_pes: usize) -> MachineConfig {
         network: NetworkParams::infiniband(),
         thermal: None,
         speed: SpeedModel::uniform(num_pes),
-        failures: FailurePlan::none(),
         disk: DiskModel::default(),
     }
 }
@@ -121,7 +115,6 @@ pub fn cloud(num_pes: usize) -> MachineConfig {
         network: NetworkParams::ethernet_1g(),
         thermal: None,
         speed: SpeedModel::uniform(num_pes),
-        failures: FailurePlan::none(),
         disk: DiskModel::default(),
     }
 }
@@ -138,7 +131,6 @@ pub fn thermal_testbed(num_pes: usize) -> MachineConfig {
         network: NetworkParams::infiniband(),
         thermal: Some(ThermalConfig::fig4()),
         speed: SpeedModel::uniform(num_pes),
-        failures: FailurePlan::none(),
         disk: DiskModel::default(),
     }
 }

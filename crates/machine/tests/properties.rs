@@ -1,9 +1,7 @@
 //! Property tests for the machine models: torus geometry, network cost
 //! monotonicity, thermal stability, and event-queue ordering.
 
-use charm_machine::{
-    EventQueue, Failure, FailureKind, FailurePlan, NetworkModel, NetworkParams, SimTime, Torus,
-};
+use charm_machine::{EventQueue, NetworkModel, NetworkParams, SimTime, Torus};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -49,50 +47,6 @@ impl HeapModel {
     fn clear(&mut self) {
         self.seq = 0;
         self.heap.clear();
-    }
-}
-
-/// One scripted mutation of a [`FailurePlan`] under test: a crash push, a
-/// preemption push, or a correlated multi-PE event at one timestamp.
-#[derive(Debug, Clone)]
-enum PlanOp {
-    Crash { time: u64, pe: usize },
-    Preempt { time: u64, pe: usize, warning: u64 },
-    Correlated { time: u64, first_pe: usize, n: usize },
-}
-
-fn plan_op() -> impl Strategy<Value = PlanOp> {
-    (0u8..3, 0u64..500, 0usize..64, 0u64..600, 1usize..5).prop_map(
-        |(which, time, pe, warning, n)| match which {
-            0 => PlanOp::Crash { time, pe },
-            1 => PlanOp::Preempt { time, pe, warning },
-            _ => PlanOp::Correlated { time, first_pe: pe, n },
-        },
-    )
-}
-
-fn ops_len(ops: &[PlanOp]) -> usize {
-    ops.iter()
-        .map(|op| match op {
-            PlanOp::Correlated { n, .. } => *n,
-            _ => 1,
-        })
-        .sum()
-}
-
-fn apply_ops(plan: &mut FailurePlan, ops: &[PlanOp]) {
-    for op in ops {
-        match *op {
-            PlanOp::Crash { time, pe } => plan.push(SimTime::from_secs(time), pe),
-            PlanOp::Preempt { time, pe, warning } => {
-                plan.push_preemption(SimTime::from_secs(time), pe, SimTime::from_secs(warning))
-            }
-            PlanOp::Correlated { time, first_pe, n } => {
-                for k in 0..n {
-                    plan.push(SimTime::from_secs(time), first_pe + k);
-                }
-            }
-        }
     }
 }
 
@@ -160,40 +114,6 @@ proptest! {
         let (small, large) = if bytes_a <= bytes_b { (bytes_a, bytes_b) } else { (bytes_b, bytes_a) };
         prop_assert!(net.delay(0, 1, small, 0) <= net.delay(0, 1, large, 0));
         prop_assert_eq!(net.delay(2, 5, small, 0), net.delay(5, 2, small, 0));
-    }
-
-    /// Interleaved crash/preemption/correlated pushes plus a merge leave
-    /// the plan sorted by kill time, with a drift-free tie-break: every
-    /// same-time group fires in the order it was inserted (pushes from this
-    /// plan before merged ones), so two runs that build the same schedule
-    /// see the same firing order.
-    #[test]
-    fn failure_plan_stays_sorted_and_stable(
-        ops_a in vec(plan_op(), 0..40),
-        ops_b in vec(plan_op(), 0..40),
-    ) {
-        let mut a = FailurePlan::none();
-        apply_ops(&mut a, &ops_a);
-        let mut b = FailurePlan::none();
-        apply_ops(&mut b, &ops_b);
-
-        // Reference order: stable sort by kill time over (a's inserts in
-        // order, then b's) — exactly what push/merge promise.
-        let mut expect: Vec<Failure> = a.events().to_vec();
-        expect.extend_from_slice(b.events());
-        expect.sort_by_key(|f| f.time);
-
-        a.merge(&b);
-        prop_assert_eq!(a.events().len(), ops_len(&ops_a) + ops_len(&ops_b));
-        prop_assert!(a.events().windows(2).all(|w| w[0].time <= w[1].time));
-        prop_assert_eq!(a.events(), expect.as_slice());
-
-        // Preemption metadata survives scheduling untouched.
-        for f in a.events() {
-            if let FailureKind::Preemption { warning } = f.kind {
-                prop_assert_eq!(f.visible_at(), f.time.saturating_sub(warning));
-            }
-        }
     }
 
     /// The event queue pops in nondecreasing time order for arbitrary

@@ -13,7 +13,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`pup`] | `charm-pup` | the PUP serialization framework |
-//! | [`machine`] | `charm-machine` | deterministic machine simulator (network, thermal, failures) |
+//! | [`machine`] | `charm-machine` | deterministic machine simulator (network, thermal, interference, disk) |
 //! | [`core`] | `charm-core` | chares, proxies, scheduler, LB framework, FT, malleability, control points |
 //! | [`lb`] | `charm-lb` | Greedy/Refine/Hybrid/Distributed/Orb/Comm/Rotate balancers |
 //! | [`tram`] | `charm-tram` | Topological Routing and Aggregation Module |
