@@ -3,9 +3,9 @@
 
 use crate::arena::UserMsg;
 use crate::chare::{Chare, SysEvent};
+use crate::chunked::{ChunkVec, HandleIndex, ROW_CHUNK_BITS};
 use crate::index::Ix;
 use crate::Ctx;
-use fxhash::FxHashMap;
 use std::any::Any;
 
 /// Identifier of a chare array within a runtime.
@@ -196,32 +196,62 @@ pub(crate) trait AnyArray: Send {
     fn as_any(&self) -> &dyn Any;
 }
 
-/// One source PE's location cache: the last-known PE of every remote
-/// element this PE has sent to, keyed by `(array << 32) | handle` — no
-/// index is hashed, and memory follows the entries. A stale entry is caught
-/// where the message lands: the PE it reached forwards it.
-#[derive(Clone, Default)]
-pub(crate) struct LocCache(FxHashMap<u64, u32>);
+/// The location cache: the last-known PE of every remote element each
+/// source PE has sent to, in one runtime-wide table keyed by `(source PE,
+/// array, handle)`. No index is hashed, and memory follows the entries: a
+/// 16-byte row and, at scale, under three 4-byte index slots each. A stale
+/// entry is caught where the message lands: the PE it reached forwards it.
+#[derive(Default)]
+pub(crate) struct LocCache {
+    /// `[source PE, array, handle, cached PE]`, first-come.
+    rows: ChunkVec<[u32; 4], ROW_CHUNK_BITS>,
+    index: HandleIndex,
+}
 
 impl LocCache {
-    /// Cached PE of `dst`, if any.
+    fn hash([src, array, elem]: [u32; 3]) -> u64 {
+        let key = (src, (u64::from(array) << 32) | u64::from(elem));
+        std::hash::BuildHasher::hash_one(&fxhash::FxBuildHasher::default(), key)
+    }
+
+    /// The cached PE of `dst` as `src` knows it, and whether it was there:
+    /// a miss makes the row, with `pe`.
+    fn row(&mut self, src: usize, dst: ElemRef, pe: usize) -> (&mut u32, bool) {
+        let key = [src as u32, dst.array.0, dst.elem.0];
+        let rows = &self.rows;
+        let found = self.index.probe(Self::hash(key), |h| {
+            let [s, a, e, _] = rows[h as usize];
+            [s, a, e] == key
+        });
+        let h = found.unwrap_or_else(|at| {
+            let h = self.rows.len() as u32;
+            self.rows.push([key[0], key[1], key[2], pe as u32]);
+            let rows = &self.rows;
+            self.index.insert(at, h, |r| {
+                let [s, a, e, _] = rows[r as usize];
+                Self::hash([s, a, e])
+            });
+            h
+        });
+        (&mut self.rows[h as usize][3], found.is_ok())
+    }
+
+    /// Cached PE of `dst` as `src` knows it; on a miss, record `pe` and
+    /// return `None`.
     #[inline]
-    pub(crate) fn get(&self, dst: ElemRef) -> Option<usize> {
-        self.0.get(&Self::key(dst)).map(|&pe| pe as usize)
+    pub(crate) fn get_or_insert(&mut self, src: usize, dst: ElemRef, pe: usize) -> Option<usize> {
+        let (row, hit) = self.row(src, dst, pe);
+        hit.then_some(*row as usize)
     }
 
-    /// Record `dst` as last seen on `pe`.
-    pub(crate) fn insert(&mut self, dst: ElemRef, pe: usize) {
-        self.0.insert(Self::key(dst), pe as u32);
+    /// Record that `src` last saw `dst` on `pe`.
+    pub(crate) fn insert(&mut self, src: usize, dst: ElemRef, pe: usize) {
+        *self.row(src, dst, pe).0 = pe as u32;
     }
 
-    fn key(dst: ElemRef) -> u64 {
-        ((dst.array.0 as u64) << 32) | dst.elem.0 as u64
-    }
-
-    /// Drop every entry.
+    /// Drop every entry of every source PE, and the memory they took.
     pub(crate) fn clear(&mut self) {
-        self.0.clear();
+        *self = LocCache::default();
     }
 }
 
@@ -244,10 +274,8 @@ struct Record<C> {
 /// is hashed once, when it is inserted or addressed; everything the engine
 /// does with an element afterwards indexes its record by handle.
 ///
-/// The index map holds 4-byte handles, not keys: open addressing whose
-/// slots store `handle + 1` (0 = empty) and compare against the record's own
-/// index. Records are never removed, so neither are slots — no tombstones,
-/// and a probe ends at the first empty slot. A bucket of an
+/// The index map is a [`HandleIndex`] over the records, which are never
+/// removed: 4-byte handles, not keys. A bucket of an
 /// `FxHashMap<Ix, ElemId>` would repeat the 32-byte index the record holds,
 /// ten times the bytes of a slot, and inserting a large array paid for them
 /// in page faults and rehashing (EXPERIMENTS.md, "Elements by handle").
@@ -260,8 +288,8 @@ pub(crate) struct ArrayStore<C: Chare> {
     name: String,
     /// Append-only: a record outlives its element as a tombstone.
     recs: Vec<Record<C>>,
-    /// The index map: a power-of-two number of slots, at most half full.
-    by_ix: Vec<u32>,
+    /// The index map.
+    by_ix: HandleIndex,
     /// Records holding an element.
     live: usize,
     /// Every handle in index order, as of the last `sort`; shorter than
@@ -281,34 +309,27 @@ impl<C: Chare> ArrayStore<C> {
             id,
             name: name.to_string(),
             recs: Vec::new(),
-            by_ix: Vec::new(),
+            by_ix: HandleIndex::default(),
             live: 0,
             sorted: Vec::new(),
             at_sync: false,
         }
     }
 
-    /// `ix`'s slot in the index map if it has a record, else the empty
-    /// slot it would take: the one way into the map. Fx hashing ends in a
-    /// multiply, so the slot comes from the hash's well-mixed high bits.
+    /// `ix`'s handle if it has a record, else the empty slot it would take
+    /// in the index map: the one way into the map.
     #[inline]
     fn probe(&self, ix: &Ix) -> Result<ElemId, usize> {
         #[cfg(test)]
         PROBES.with(|p| p.set(p.get() + 1));
-        if self.by_ix.is_empty() {
-            return Err(0);
-        }
-        let mask = self.by_ix.len() - 1;
+        let recs = &self.recs;
+        self.by_ix.probe(Self::hash(ix), |h| recs[h as usize].ix == *ix).map(ElemId)
+    }
+
+    fn hash(ix: &Ix) -> u64 {
         let mut h = fxhash::FxHasher::default();
         std::hash::Hash::hash(ix, &mut h);
-        let mut at = (std::hash::Hasher::finish(&h) >> (64 - mask.count_ones())) as usize;
-        loop {
-            match self.by_ix[at] {
-                0 => return Err(at),
-                s if self.recs[s as usize - 1].ix == *ix => return Ok(ElemId(s - 1)),
-                _ => at = (at + 1) & mask,
-            }
-        }
+        std::hash::Hasher::finish(&h)
     }
 
     #[inline]
@@ -392,20 +413,8 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
         let n = u32::try_from(self.recs.len()).ok().filter(|&n| n < u32::MAX);
         let id = ElemId(n.expect("element handles fit in u32"));
         self.recs.push(Record { ix: *ix, elem: None });
-        if 2 * self.recs.len() > self.by_ix.len() {
-            // Double (at least 16 slots) and re-place every record in
-            // handle order.
-            let len = (2 * self.by_ix.len()).max(16);
-            self.by_ix = vec![0; len];
-            for h in 0..self.recs.len() as u32 {
-                let Err(at) = self.probe(&self.recs[h as usize].ix) else {
-                    unreachable!("an index has one record")
-                };
-                self.by_ix[at] = h + 1;
-            }
-        } else {
-            self.by_ix[slot] = id.0 + 1;
-        }
+        let recs = &self.recs;
+        self.by_ix.insert(slot, id.0, |h| Self::hash(&recs[h as usize].ix));
         id
     }
 

@@ -1,8 +1,8 @@
-//! An append-only array that never reallocates: elements live in
-//! fixed-capacity chunks of `1 << BITS`, so growing appends a chunk and
-//! never copies what is already stored. The envelope slab (64-element
-//! chunks) and the replay recorder's per-message and per-exec tables hold
-//! their records this way (DESIGN §4.4).
+//! Append-only tables. [`ChunkVec`] never reallocates: elements live in
+//! chunks of `1 << BITS`, so growing appends a chunk and never copies. The
+//! envelope slab, the recorder's per-message and per-exec tables, the
+//! location cache and the comm matrix hold their rows this way (DESIGN
+//! §4.4). [`HandleIndex`] finds a row by key.
 //!
 //! A doubling `Vec` copies itself on every growth once glibc's dynamic mmap
 //! threshold has risen past its size — which a process that has freed one
@@ -15,9 +15,12 @@ use std::ops::{Index, IndexMut};
 /// `BITS` of a recorder table: 4 096 entries a chunk (DESIGN §4.4,
 /// "Recording memory").
 pub(crate) const LOG_CHUNK_BITS: u32 = 12;
+/// `BITS` of the location cache's and comm matrix's rows: a few KiB a chunk.
+pub(crate) const ROW_CHUNK_BITS: u32 = 8;
 
 /// A `Vec`-like array of fixed-capacity chunks. Every chunk but the last is
 /// full, and no chunk ever reallocates.
+#[derive(Default)]
 pub(crate) struct ChunkVec<T, const BITS: u32 = LOG_CHUNK_BITS> {
     chunks: Vec<Vec<T>>,
 }
@@ -73,6 +76,56 @@ impl<T, const BITS: u32> IndexMut<usize> for ChunkVec<T, BITS> {
     fn index_mut(&mut self, i: usize) -> &mut T {
         let (c, o) = Self::split(i);
         &mut self.chunks[c][o]
+    }
+}
+
+/// An open-addressed index over a table whose rows, handles `0..n`, are
+/// never removed one by one: a power-of-two number of 4-byte slots, each
+/// `handle + 1` (0 = empty). A probe compares against the row's own key, so
+/// a slot repeats nothing the table holds, and it ends at the first empty
+/// slot. Below 2¹⁵ slots the index is at most half full, because a small
+/// one is probed on every insert and send; above, three-quarters, because a
+/// large one is where the bytes are (DESIGN §4.3–4.4).
+#[derive(Default)]
+pub(crate) struct HandleIndex(Vec<u32>);
+
+impl HandleIndex {
+    /// The handle `is` accepts among the rows hashed like it, else the
+    /// empty slot its row would take. The slot comes from the hash's high
+    /// bits: Fx hashing ends in a multiply, so those are the well mixed.
+    #[inline]
+    pub(crate) fn probe(&self, hash: u64, is: impl Fn(u32) -> bool) -> Result<u32, usize> {
+        if self.0.is_empty() {
+            return Err(0);
+        }
+        let mask = self.0.len() - 1;
+        let mut at = (hash >> (64 - mask.count_ones())) as usize;
+        loop {
+            match self.0[at] {
+                0 => return Err(at),
+                s if is(s - 1) => return Ok(s - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Index the newest row, handle `h`, at the empty slot `at` its probe
+    /// returned. Past the fill limit, double the slots (at least 16) and
+    /// re-place every row in handle order by the hash `hash_of` gives.
+    pub(crate) fn insert(&mut self, at: usize, h: u32, hash_of: impl Fn(u32) -> u64) {
+        let len = self.0.len();
+        let limit = if len < 1 << 15 { len / 2 } else { len / 4 * 3 };
+        if (h as usize) < limit {
+            self.0[at] = h + 1;
+            return;
+        }
+        self.0 = vec![0; (2 * self.0.len()).max(16)];
+        for r in 0..=h {
+            let Err(at) = self.probe(hash_of(r), |_| false) else {
+                unreachable!("a probe that accepts nothing ends at an empty slot")
+            };
+            self.0[at] = r + 1;
+        }
     }
 }
 

@@ -168,6 +168,7 @@ impl Runtime {
         let mut stranded = Vec::new();
         for &pe in pes {
             while let Some(env) = self.pes[pe].pending.pop() {
+                self.pe_queue_ops += 1;
                 stranded.push(env);
             }
         }

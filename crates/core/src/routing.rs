@@ -71,14 +71,10 @@ impl Runtime {
             // Ablation: no caching — every remote send queries the home PE.
             (true_pe, self.home_query_rtt(src, dst, rec_id))
         } else {
-            match self.loc_cache[src].get(dst) {
+            match self.loc_cache.get_or_insert(src, dst, true_pe) {
                 // Send to the cached PE; if stale, `execute` forwards.
                 Some(pe) => (pe, SimTime::ZERO),
-                None => {
-                    let rtt = self.home_query_rtt(src, dst, rec_id);
-                    self.loc_cache[src].insert(dst, true_pe);
-                    (true_pe, rtt)
-                }
+                None => (true_pe, self.home_query_rtt(src, dst, rec_id)),
             }
         };
         let target_pe = if self.pes[target_pe].alive {
@@ -151,9 +147,7 @@ impl Runtime {
     /// Forget every cached location: after PEs come or go, the cached PEs
     /// may name processes that no longer exist.
     pub(crate) fn flush_loc_caches(&mut self) {
-        for c in self.loc_cache.iter_mut() {
-            c.clear();
-        }
+        self.loc_cache.clear();
     }
 }
 

@@ -61,8 +61,8 @@ pub(crate) const TOKEN_AUX: u64 = 3 << 62;
 pub(crate) enum Ev {
     /// A message arrives at a PE's scheduler queue.
     Deliver { pe: u32, env: EnvId },
-    /// The PE finishes its current entry method.
-    PeFree { pe: u32 },
+    /// The PE finishes its current entry method, which ran for `dur`.
+    PeFree { pe: u32, dur: SimTime },
     /// A PE blocked by a global operation re-checks its queue.
     PeRetry { pe: u32 },
     /// A migrating chare's data arrives at its new PE.
@@ -103,6 +103,10 @@ const _: () = assert!(
     std::mem::size_of::<Envelope>() == 56,
     "an envelope must stay 56 bytes"
 );
+const _: () = assert!(
+    std::mem::size_of::<PeState>() <= 80,
+    "a PE's scheduler state must stay within 80 bytes"
+);
 
 /// A migrating chare's serialized state en route to its new PE.
 pub(crate) struct MigrateArrive {
@@ -139,6 +143,8 @@ pub(crate) struct Envelope {
 /// PE's queue carry globally monotone sequence numbers (the `messages`
 /// counter), so the FIFO-within-priority [`PrioQueue`] reproduces the old
 /// `BinaryHeap<(prio, seq)>` pop order exactly, in O(1) per operation.
+/// One per simulated PE (DESIGN §4.4, "Per-PE memory"): the running entry
+/// names its chare by handle, and only the tracer resolves its [`ObjId`].
 pub(crate) struct PeState {
     pub(crate) pending: PrioQueue<EnvId>,
     pub(crate) busy: bool,
@@ -147,8 +153,7 @@ pub(crate) struct PeState {
     /// may not start new work before this time.
     pub(crate) blocked_until: SimTime,
     pub(crate) busy_time: SimTime,
-    pub(crate) msgs_executed: u64,
-    pub(crate) current: Option<(ObjId, SimTime, EntryKind)>,
+    pub(crate) current: Option<(ElemRef, EntryKind)>,
 }
 
 impl PeState {
@@ -159,7 +164,6 @@ impl PeState {
             alive: true,
             blocked_until: SimTime::ZERO,
             busy_time: SimTime::ZERO,
-            msgs_executed: 0,
             current: None,
         }
     }
@@ -256,6 +260,8 @@ pub struct Runtime {
     pub(crate) now: SimTime,
     pub(crate) events: EventQueue<Ev>,
     pub(crate) pes: Vec<PeState>,
+    /// Pushes onto and pops off the PEs' scheduler queues.
+    pub(crate) pe_queue_ops: u64,
     /// PEs currently participating (≤ machine.num_pes under shrink).
     pub(crate) live_pes: usize,
     pub(crate) stores: Vec<Box<dyn AnyArray>>,
@@ -265,10 +271,10 @@ pub struct Runtime {
     pub(crate) rngs: Vec<StdRng>,
     pub(crate) ctrl: ControlRegistry,
     pub(crate) ctrl_snapshot: ControlValues,
-    /// Per-PE location caches: handle → PE. Looked up once per
-    /// remote send on the routing hot path, without hashing an index (see
-    /// [`crate::array::LocCache`]).
-    pub(crate) loc_cache: Vec<crate::array::LocCache>,
+    /// Every PE's location cache: (source PE, handle) → PE. Looked up once
+    /// per remote send on the routing hot path, without hashing an index
+    /// (see [`crate::array::LocCache`]).
+    pub(crate) loc_cache: crate::array::LocCache,
     /// Every envelope in flight, queued or parked.
     pub(crate) slab: EnvSlab,
     /// Messages for not-yet-existing elements (dynamic insertion races,
@@ -756,8 +762,7 @@ impl Runtime {
                 .map_or_else(Vec::new, |t| t.sink_stats()),
             replay_shed_execs: self.recorder.as_ref().map_or(0, |r| r.shed_execs()),
             replay_shed_sends: self.recorder.as_ref().map_or(0, |r| r.shed_sends()),
-            queue_ops: self.events.ops()
-                + self.pes.iter().map(|p| p.pending.ops()).sum::<u64>(),
+            queue_ops: self.events.ops() + self.pe_queue_ops,
             arena_bytes: crate::arena::stats()
                 .bytes_served
                 .saturating_sub(self.arena_base.bytes_served),
@@ -774,7 +779,7 @@ impl Runtime {
         // Events produced while handling this one are charged to the
         // handling PE's key slot (RTS slot for runtime-system events).
         self.cur_slot = match &ev {
-            Ev::Deliver { pe, .. } | Ev::PeFree { pe } | Ev::PeRetry { pe } => *pe as usize,
+            Ev::Deliver { pe, .. } | Ev::PeFree { pe, .. } | Ev::PeRetry { pe } => *pe as usize,
             Ev::MigrateArrive(m) => m.to_pe,
             _ => self.rts_slot(),
         };
@@ -812,13 +817,13 @@ impl Runtime {
                 self.enqueue_local(pe, env);
                 self.try_start(pe);
             }
-            Ev::PeFree { pe } => {
+            Ev::PeFree { pe, dur } => {
                 let pe = pe as usize;
                 if !self.pes[pe].alive {
                     // The PE died mid-entry; the completion never happens.
                     return;
                 }
-                let (dst, dur, entry) = self.pes[pe]
+                let (dst, entry) = self.pes[pe]
                     .current
                     .take()
                     .expect("PeFree without a running entry");
@@ -834,7 +839,8 @@ impl Runtime {
                 // agree exactly with `pe_busy_time` even when failures or
                 // rollbacks cancel in-flight completions.
                 if let Some(tr) = &mut self.tracer {
-                    tr.on_entry(pe, dst, entry, self.now.saturating_sub(dur), dur);
+                    let obj = dst.obj(&self.stores);
+                    tr.on_entry(pe, obj, entry, self.now.saturating_sub(dur), dur);
                 }
                 self.try_start(pe);
                 if let Some(tr) = &mut self.tracer {
@@ -866,6 +872,7 @@ impl Runtime {
             tr.on_recv(self.now, pe, e.src_pe as usize, dst, e.bytes.get() as usize);
         }
         self.pes[pe].pending.push(e.prio, env);
+        self.pe_queue_ops += 1;
     }
 
     /// Begin executing the next queued message on `pe` if it is idle.
@@ -883,6 +890,7 @@ impl Runtime {
                 return;
             }
             let env = p.pending.pop().expect("non-empty");
+            self.pe_queue_ops += 1;
             self.queued -= 1;
             if self.execute(pe, env) {
                 return;
@@ -1000,7 +1008,7 @@ impl Runtime {
                 // Forward along and update the original sender's cache.
                 let (bytes, rec_id, src_pe) = (e.bytes.get() as usize, e.rec_id, e.src_pe as usize);
                 let delay = self.net.delay(pe, actual, bytes, rec_id ^ TOKEN_AUX);
-                self.loc_cache[src_pe].insert(dst, actual);
+                self.loc_cache.insert(src_pe, dst, actual);
                 self.bytes_moved += bytes as u64;
                 self.sched_deliver(self.now + delay, actual, env);
                 return false;
@@ -1094,12 +1102,11 @@ impl Runtime {
         let end = self.now + duration;
         self.pes[pe].busy = true;
         self.busy_pes += 1;
-        self.pes[pe].msgs_executed += 1;
-        self.pes[pe].current = Some((obj, duration, entry_kind));
+        self.pes[pe].current = Some((dst, entry_kind));
         if let Some(tr) = &mut self.tracer {
             tr.pe_transition(self.now, pe, true);
         }
-        self.push_ev(end, Ev::PeFree { pe: pe as u32 });
+        self.push_ev(end, Ev::PeFree { pe: pe as u32, dur: duration });
 
         if let (Some((digest, kind)), Some(r)) = (rec_consumed, self.recorder.as_mut()) {
             r.begin_exec(

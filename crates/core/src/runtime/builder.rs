@@ -159,9 +159,7 @@ impl RuntimeBuilder {
             keys[rts] += 1;
             k
         };
-        // Pre-size for a few in-flight events per PE; saves the first
-        // handful of heap reallocations on every run.
-        let mut events = EventQueue::with_capacity(8 * n);
+        let mut events = EventQueue::new();
         // Schedule the DVFS sampler and the RTS tick chains.
         let thermal = self
             .machine
@@ -209,6 +207,7 @@ impl RuntimeBuilder {
             now: SimTime::ZERO,
             events,
             pes: (0..n).map(|_| PeState::new()).collect(),
+            pe_queue_ops: 0,
             live_pes: n,
             stores: Vec::new(),
             home_maps: Vec::new(),
@@ -216,7 +215,7 @@ impl RuntimeBuilder {
             rngs,
             ctrl: ControlRegistry::new(),
             ctrl_snapshot: ControlValues::default(),
-            loc_cache: vec![crate::array::LocCache::default(); n],
+            loc_cache: crate::array::LocCache::default(),
             slab: EnvSlab::new(),
             limbo: FxHashMap::default(),
             reductions: FxHashMap::default(),

@@ -50,6 +50,7 @@
 //! ([`Runtime::trace_chrome_json_arrival`]) whenever nothing was dropped.
 
 use crate::array::{ArrayId, ObjId};
+use crate::chunked::{ChunkVec, HandleIndex, ROW_CHUNK_BITS};
 use crate::runtime::Runtime;
 use crate::tracefmt::{
     into_string, push_json_escaped, write_chrome_event, write_chrome_track, write_csv_row,
@@ -620,85 +621,74 @@ impl TraceProfile {
 
 #[derive(Debug, Clone)]
 struct CommCell {
-    src: u32,
-    dst: u32,
+    /// `src << 32 | dst`.
+    key: u64,
     bytes: u64,
     msgs: u64,
 }
 
 /// Sparse top-K comm matrix: tracks up to `cap` destinations per source
-/// (first-come, like a flow cache) and sheds the rest into counters.
-/// O(PE · cap) memory instead of the dense O(PE²) array.
+/// (first-come, like a flow cache) and sheds the rest into counters. It
+/// holds a 24-byte cell per tracked (src, dst) pair, at scale under three
+/// 4-byte index slots per cell, and a 4-byte degree per PE — never the
+/// dense O(PE²) array.
 struct CommMatrix {
     cap: usize,
-    idx: FxHashMap<u64, u32>,
-    cells: Vec<CommCell>,
+    /// Tracked pairs, first-come; a cell's handle is its position.
+    cells: ChunkVec<CommCell, ROW_CHUNK_BITS>,
+    idx: HandleIndex,
     /// Tracked destinations per source PE.
     deg: Vec<u32>,
     shed_msgs: u64,
     shed_bytes: u64,
-    /// One-slot flow memo: `(key, cell index)` of the most recent hit.
-    /// Message streams are bursty per (src, dst) pair, so the common case
-    /// skips the hash probe entirely. Valid forever: `cells` is push-only.
-    last: (u64, u32),
 }
 
 impl CommMatrix {
     fn new(num_pes: usize, cap: usize) -> Self {
         CommMatrix {
             cap,
-            idx: FxHashMap::default(),
-            cells: Vec::new(),
+            cells: ChunkVec::new(),
+            idx: HandleIndex::default(),
             deg: vec![0; num_pes],
             shed_msgs: 0,
             shed_bytes: 0,
-            // `key()` never produces u64::MAX for real PE pairs.
-            last: (u64::MAX, 0),
         }
     }
 
-    fn key(src: usize, dst: usize) -> u64 {
-        ((src as u64) << 32) | dst as u64
+    fn hash(key: u64) -> u64 {
+        std::hash::BuildHasher::hash_one(&fxhash::FxBuildHasher::default(), key)
     }
 
     fn add(&mut self, src: usize, dst: usize, bytes: u64) {
-        let key = Self::key(src, dst);
-        if self.last.0 == key {
-            let c = &mut self.cells[self.last.1 as usize];
-            c.bytes += bytes;
-            c.msgs += 1;
-            return;
-        }
-        if let Some(&i) = self.idx.get(&key) {
-            let c = &mut self.cells[i as usize];
-            c.bytes += bytes;
-            c.msgs += 1;
-            self.last = (key, i);
-        } else if self.cap == 0 || (self.deg[src] as usize) < self.cap {
-            let i = self.cells.len() as u32;
-            self.idx.insert(key, i);
-            self.cells.push(CommCell {
-                src: src as u32,
-                dst: dst as u32,
-                bytes,
-                msgs: 1,
-            });
-            self.deg[src] += 1;
-            self.last = (key, i);
-        } else {
-            self.shed_msgs += 1;
-            self.shed_bytes += bytes;
+        let key = ((src as u64) << 32) | dst as u64;
+        let cells = &self.cells;
+        match self.idx.probe(Self::hash(key), |h| cells[h as usize].key == key) {
+            Ok(h) => {
+                let c = &mut self.cells[h as usize];
+                c.bytes += bytes;
+                c.msgs += 1;
+            }
+            Err(at) if self.cap == 0 || (self.deg[src] as usize) < self.cap => {
+                self.deg[src] += 1;
+                let h = self.cells.len() as u32;
+                self.cells.push(CommCell { key, bytes, msgs: 1 });
+                let cells = &self.cells;
+                self.idx.insert(at, h, |h| Self::hash(cells[h as usize].key));
+            }
+            Err(_) => {
+                self.shed_msgs += 1;
+                self.shed_bytes += bytes;
+            }
         }
     }
 
     /// All tracked remote pairs, hottest first (bytes desc, then
     /// (src, dst) asc — insertion-order independent).
     fn top(&self) -> Vec<(usize, usize, u64, u64)> {
-        let mut pairs: Vec<(usize, usize, u64, u64)> = self
-            .cells
-            .iter()
-            .filter(|c| c.bytes > 0 && c.src != c.dst)
-            .map(|c| (c.src as usize, c.dst as usize, c.bytes, c.msgs))
+        let mut pairs: Vec<(usize, usize, u64, u64)> = (0..self.cells.len())
+            .map(|i| &self.cells[i])
+            .map(|c| ((c.key >> 32) as usize, c.key as u32 as usize, c.bytes, c.msgs))
+            .filter(|&(src, dst, bytes, _)| bytes > 0 && src != dst)
             .collect();
         pairs.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
         pairs
@@ -1492,6 +1482,51 @@ mod tests {
         m.add(1, 3, 10); // different source has its own budget
         assert_eq!((m.shed_msgs, m.shed_bytes), (1, 999));
         assert_eq!(m.top(), vec![(0, 1, 125, 2), (0, 2, 50, 1), (1, 3, 10, 1)]);
+    }
+
+    /// Past the fanout cap, with every pair carrying equal bytes and the
+    /// pairs arriving in shuffled order, the tracer reports what a naive
+    /// first-come model in a `BTreeMap` does — over enough cells that the
+    /// index doubles several times.
+    #[test]
+    fn comm_matrix_matches_a_first_come_model() {
+        let (pes, cap) = (64usize, 6usize);
+        let mut tr = Tracer::new(TraceConfig { log_capacity: 0, comm_fanout_cap: cap }, pes);
+        let obj = ObjId { array: ArrayId(0), ix: crate::Ix::I1(0) };
+        // Every source sends to itself and to ten partners, three times
+        // over, in an order shuffled by a fixed LCG.
+        let mut sends: Vec<(usize, usize)> = (0..pes)
+            .flat_map(|s| (0..=10).map(move |k| (s, (s + 7 * k) % pes)))
+            .flat_map(|p| [p; 3])
+            .collect();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in (1..sends.len()).rev() {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            sends.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let mut model = std::collections::BTreeMap::<(usize, usize), (u64, u64)>::new();
+        let mut deg = vec![0usize; pes];
+        let mut shed = (0u64, 0u64);
+        for &(s, d) in &sends {
+            tr.on_send(SimTime::ZERO, s, d, obj, 100);
+            if let Some(c) = model.get_mut(&(s, d)) {
+                *c = (c.0 + 100, c.1 + 1);
+            } else if deg[s] < cap {
+                deg[s] += 1;
+                model.insert((s, d), (100, 1));
+            } else {
+                shed = (shed.0 + 1, shed.1 + 100);
+            }
+        }
+        let mut top: Vec<_> = model
+            .into_iter()
+            .filter(|&((s, d), _)| s != d)
+            .map(|((s, d), (bytes, msgs))| (s, d, bytes, msgs))
+            .collect();
+        top.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
+        assert!(shed.0 > 0 && top.len() > 256, "the cap sheds and the index grows");
+        assert_eq!(tr.comm_top(), top);
+        assert_eq!(tr.comm_shed(), shed);
     }
 
     #[test]

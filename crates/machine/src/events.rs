@@ -81,18 +81,14 @@ impl<T> Bucket<T> {
 const BUCKET_POOL_MAX: usize = 32;
 
 impl<T> EventQueue<T> {
-    /// An empty queue.
+    /// An empty queue; it allocates nothing until the first push. The heap
+    /// grows with the distinct timestamps pending, which do not scale with
+    /// the PE count.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty queue with room for `cap` distinct timestamps before
-    /// reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             seq: 0,
             ops: 0,
-            times: BinaryHeap::with_capacity(cap),
+            times: BinaryHeap::new(),
             buckets: FxHashMap::default(),
             pool: Vec::new(),
             len: 0,
@@ -352,104 +348,96 @@ impl<T> Default for EventQueue<T> {
 /// but the sequence numbers pushed into any one queue come from a globally
 /// monotone message counter, so FIFO-within-priority *is* `(prio, seq)`
 /// order. This structure exploits that: a short sorted list of the distinct
-/// active priorities (almost always 1–2: system and default) selects a
-/// per-priority `VecDeque` lane, making push and pop O(1) instead of
-/// O(log queue-depth).
+/// active priorities (almost always 1–2: system and default), each with its
+/// `VecDeque` lane, makes push and pop O(1) instead of O(log queue-depth).
+/// The engine holds one per simulated PE, so it is one `Vec` and keeps no
+/// counters: the length is the lanes' and the engine counts its own ops.
 pub struct PrioQueue<T> {
-    /// Parallel arrays: the distinct active priorities, sorted descending —
-    /// the minimum (highest-urgency, pops first) sits at the back — and
-    /// their FIFO lanes. A sorted `Vec` beats a hash map here: almost every
-    /// push hits the priority already at the back, so the common path is a
-    /// single integer compare with no hashing at all.
-    prios: Vec<i64>,
-    lanes: Vec<VecDeque<T>>,
-    /// Drained lane storage, recycled so push/pop cycles allocate nothing.
-    pool: Vec<VecDeque<T>>,
-    len: usize,
-    ops: u64,
+    /// The active classes and their FIFO lanes, sorted descending by
+    /// priority — the minimum (highest urgency, pops first) sits at the
+    /// back. A sorted `Vec` beats a hash map here: almost every push hits
+    /// the class already at the back, so the common path is a single
+    /// integer compare with no hashing at all. Every lane holds items but
+    /// one: an empty lane at the front is the spare, a drained class's
+    /// storage kept for the next new class, so push/pop cycles allocate
+    /// nothing.
+    lanes: Vec<(i64, VecDeque<T>)>,
 }
-
-/// Lanes kept for reuse after they drain; a few distinct priorities are
-/// ever live at once.
-const LANE_POOL_MAX: usize = 8;
 
 impl<T> PrioQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
-        PrioQueue {
-            prios: Vec::new(),
-            lanes: Vec::new(),
-            pool: Vec::new(),
-            len: 0,
-            ops: 0,
-        }
+        PrioQueue { lanes: Vec::new() }
     }
 
     /// Append `v` to the `prio` class. Smaller `prio` values pop first;
     /// equal priorities pop in insertion order.
     pub fn push(&mut self, prio: i64, v: T) {
-        self.ops += 1;
-        self.len += 1;
         // Fast path: the class already active at the back (the common
-        // single-priority case).
-        if self.prios.last() == Some(&prio) {
-            self.lanes.last_mut().expect("lane per prio").push_back(v);
-            return;
+        // single-priority case), or the spare of an empty queue.
+        if let Some((p, lane)) = self.lanes.last_mut() {
+            if *p == prio || lane.is_empty() {
+                *p = prio;
+                lane.push_back(v);
+                return;
+            }
         }
-        let pos = self.prios.partition_point(|&p| p > prio);
-        if self.prios.get(pos) == Some(&prio) {
-            self.lanes[pos].push_back(v);
-        } else {
-            let mut lane = self.pool.pop().unwrap_or_default();
-            lane.push_back(v);
-            self.prios.insert(pos, prio);
-            self.lanes.insert(pos, lane);
+        let spare = usize::from(self.lanes.first().is_some_and(|(_, l)| l.is_empty()));
+        let pos = spare + self.lanes[spare..].partition_point(|&(p, _)| p > prio);
+        match self.lanes.get_mut(pos) {
+            Some((p, lane)) if *p == prio => lane.push_back(v),
+            _ => {
+                let mut lane = if spare == 1 { self.lanes.remove(0).1 } else { VecDeque::new() };
+                lane.push_back(v);
+                self.lanes.insert(pos - spare, (prio, lane));
+            }
         }
     }
 
     /// Remove and return the front of the lowest-priority-value class.
     pub fn pop(&mut self) -> Option<T> {
-        let lane = self.lanes.last_mut()?;
-        let v = lane.pop_front().expect("non-empty lane");
-        if lane.is_empty() {
-            self.prios.pop();
-            let lane = self.lanes.pop().expect("lane per prio");
-            if self.pool.len() < LANE_POOL_MAX {
-                self.pool.push(lane);
+        let (_, lane) = self.lanes.last_mut()?;
+        let v = lane.pop_front()?;
+        if lane.is_empty() && self.lanes.len() > 1 {
+            let (_, lane) = self.lanes.pop().expect("lane just read");
+            if self.lanes[0].1.is_empty() {
+                self.keep(lane);
+            } else {
+                self.lanes.insert(0, (0, lane));
             }
         }
-        self.len -= 1;
-        self.ops += 1;
         Some(v)
+    }
+
+    /// Keep `lane`'s storage as the spare's if it is the larger.
+    fn keep(&mut self, lane: VecDeque<T>) {
+        if lane.capacity() > self.lanes[0].1.capacity() {
+            self.lanes[0].1 = lane;
+        }
     }
 
     /// Queued item count.
     pub fn len(&self) -> usize {
-        self.len
+        self.lanes.iter().map(|(_, lane)| lane.len()).sum()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Queue operations performed so far (one per push, one per pop).
-    pub fn ops(&self) -> u64 {
-        self.ops
+        self.lanes.last().is_none_or(|(_, lane)| lane.is_empty())
     }
 
     /// Drop everything, handing each item to `f` on the way out — for
-    /// items that own something elsewhere. Lane storage is retained for
-    /// reuse. Not counted in [`ops`](Self::ops).
+    /// items that own something elsewhere — class by class from the
+    /// largest priority value, each in FIFO order. The largest lane stays
+    /// as the spare.
     pub fn clear_with(&mut self, mut f: impl FnMut(T)) {
-        for mut lane in self.lanes.drain(..) {
+        for (_, lane) in &mut self.lanes {
             lane.drain(..).for_each(&mut f);
-            if self.pool.len() < LANE_POOL_MAX {
-                self.pool.push(lane);
-            }
         }
-        self.prios.clear();
-        self.len = 0;
+        while self.lanes.len() > 1 {
+            let (_, lane) = self.lanes.pop().expect("two lanes");
+            self.keep(lane);
+        }
     }
 }
 
@@ -622,16 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut q = EventQueue::with_capacity(64);
-        assert!(q.is_empty());
-        q.push(SimTime::from_nanos(2), "b");
-        q.push(SimTime::from_nanos(1), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    #[test]
     fn interleaved_pops_and_same_time_pushes_order_by_key() {
         // Partial single-pop drain of a bucket, then more keyed pushes at
         // the same timestamp, including one that must pop *before* the
@@ -697,12 +675,9 @@ mod tests {
         for (prio, v) in [(3, 1), (-1, 2), (3, 3)] {
             q.push(prio, v);
         }
-        let ops = q.ops();
         let mut out = Vec::new();
         q.clear_with(|v| out.push(v));
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2, 3]);
+        assert_eq!(out, vec![1, 3, 2], "largest priority value first, FIFO within");
         assert!(q.is_empty());
-        assert_eq!(q.ops(), ops, "uncounted, like clear");
     }
 }

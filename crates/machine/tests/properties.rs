@@ -1,7 +1,8 @@
 //! Property tests for the machine models: torus geometry, network cost
-//! monotonicity, thermal stability, and event-queue ordering.
+//! monotonicity, thermal stability, and event- and scheduler-queue
+//! ordering.
 
-use charm_machine::{EventQueue, NetworkModel, NetworkParams, SimTime, Torus};
+use charm_machine::{EventQueue, NetworkModel, NetworkParams, PrioQueue, SimTime, Torus};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -191,6 +192,52 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The PE scheduler queue against its contract, stated as a binary heap
+    /// over `(prio, seq)`: random interleavings of pushes over 1–8
+    /// priority classes, pops and `clear_with`, with the length, emptiness
+    /// and every item handed out compared after each step.
+    #[test]
+    fn prio_queue_matches_heap_reference(classes in 1usize..9, ops in vec(prio_op(), 0..200)) {
+        const PRIOS: [i64; 8] = [0, i64::MIN + 1, 5, -3, 1 << 40, 1, i64::MAX, -1];
+        let mut q = PrioQueue::new();
+        let mut heap = BinaryHeap::new();
+        for (n, (which, class)) in ops.into_iter().enumerate() {
+            let seq = n as u64;
+            match which {
+                0..=5 => {
+                    let prio = PRIOS[class as usize % classes];
+                    q.push(prio, seq);
+                    heap.push(Reverse((prio, seq)));
+                }
+                6..=8 => prop_assert_eq!(q.pop(), heap.pop().map(|Reverse((_, s))| s)),
+                _ => {
+                    // Class by class from the largest priority value, FIFO
+                    // within a class.
+                    let mut model: Vec<(i64, u64)> = heap.drain().map(|Reverse(e)| e).collect();
+                    model.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                    let mut out = Vec::new();
+                    q.clear_with(|s| out.push(s));
+                    prop_assert_eq!(out, model.into_iter().map(|(_, s)| s).collect::<Vec<_>>());
+                }
+            }
+            prop_assert_eq!(q.len(), heap.len());
+            prop_assert_eq!(q.is_empty(), heap.is_empty());
+        }
+        while let Some(Reverse((_, s))) = heap.pop() {
+            prop_assert_eq!(q.pop(), Some(s));
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+}
+
+/// `(operation, priority class)`: a push, a pop or, rarely, a `clear_with`.
+fn prio_op() -> impl Strategy<Value = (u8, u8)> {
+    (0u8..10, any::<u8>())
 }
 
 /// One scripted operation against the event queue and its model at once.

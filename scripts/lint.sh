@@ -20,8 +20,9 @@ once() {
 }
 once 'slab.insert(Envelope'      # mint an envelope: Runtime::mint
 once '1.min(self.live_pes - 1)' # price a tree hop: Runtime::tree_hop
-once 'loc_cache.iter_mut()'     # flush location caches: Runtime::flush_loc_caches
+once 'loc_cache.clear()'        # flush location caches: Runtime::flush_loc_caches
 once 'Hash::hash(ix,'           # hash an index: ArrayStore::probe (DESIGN §4.3)
+once 'at = (at + 1) & mask'     # probe an open-addressed table: HandleIndex::probe (DESIGN §4.3)
 once '(i >> BITS, i & ((1 << BITS) - 1))' # chunk an index: ChunkVec, under the slab and the recorder's tables (DESIGN §4.4)
 once 'bytes_moved += (m.image + ENVELOPE_BYTES)' # charge a chare move: Runtime::account_move (DESIGN §7)
 once 'net.delay(m.from, m.to'  # price a chare move: MoveCost::add (DESIGN §7)
@@ -95,7 +96,7 @@ if [ -n "$cp" ]; then
     printf '%s\n' "$cp"
     exit 1
 fi
-echo "mechanisms single: mint, tree_hop, flush_loc_caches, the node failure (schedule_failure), the in-process move (move_element; only MigrateMe unpacks), its one charge and its one price, the index probe, chunk indexing, the user payload; a recording only as its chunks; no boxed envelope; message path by handle; critical path only in charm-replay"
+echo "mechanisms single: mint, tree_hop, flush_loc_caches, the node failure (schedule_failure), the in-process move (move_element; only MigrateMe unpacks), its one charge and its one price, the index probe, the handle index, chunk indexing, the user payload; a recording only as its chunks; no boxed envelope; message path by handle; critical path only in charm-replay"
 
 # Modeled data is a length (charm_pup::SyntheticBlob, DESIGN §4.2): the
 # mini-apps and AMPI build no zero buffer outside their tests.
