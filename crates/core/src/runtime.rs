@@ -48,6 +48,9 @@ pub(crate) const SLOT_RED: usize = 1;
 /// Key-slot offset for runtime-system events (failures, DVFS, checkpoints…).
 pub(crate) const SLOT_RTS: usize = 2;
 
+/// Events the reused dispatch buffer keeps between batches.
+const BATCH_RETAIN: usize = 1 << 12;
+
 /// Jitter-token salts distinguishing the several delay draws one event can
 /// make (location-query round trips, tree hops, forwards). Same convention
 /// as the DAG re-simulator's edge tokens.
@@ -106,6 +109,10 @@ const _: () = assert!(
 const _: () = assert!(
     std::mem::size_of::<PeState>() <= 80,
     "a PE's scheduler state must stay within 80 bytes"
+);
+const _: () = assert!(
+    EventQueue::<Ev>::ENTRY_BYTES == 24 && EventQueue::<Ev>::SLOT_BYTES == 24,
+    "a pending event must stay a 24-byte entry, and a timestamp's slot one entry wide"
 );
 
 /// A migrating chare's serialized state en route to its new PE.
@@ -540,10 +547,9 @@ impl Runtime {
     /// stores are visited in `ArrayId` order and elements in sorted index
     /// order.
     pub fn state_digest(&mut self) -> Vec<(ObjId, u64)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.stores.iter().map(|s| s.len()).sum());
         for s in self.stores.iter_mut() {
             let array = s.id();
-            out.reserve(s.len());
             s.visit_sorted(&mut |ix, _pe, chare| {
                 out.push((ObjId { array, ix }, charm_pup::digest_of(chare)));
             });
@@ -665,6 +671,10 @@ impl Runtime {
             self.drain_batch_at(t, &mut batch);
         }
         self.batch_scratch = batch;
+        if self.events.is_empty() {
+            // A finished run lets go of its high-water queue storage.
+            self.events.clear();
+        }
         debug_assert_eq!(
             self.slab.live(),
             self.envelopes_accounted(),
@@ -690,6 +700,12 @@ impl Runtime {
             self.cur_dispatch = (t.0, key);
             self.dispatch(ev);
             self.maybe_detect_quiescence();
+        }
+        // A batch far above the usual (a lockstep step delivers one event
+        // per PE at one timestamp) is not kept for the rest of the run; the
+        // queue let go of its block when the batch left it.
+        if batch.capacity() > BATCH_RETAIN {
+            *batch = Vec::new();
         }
     }
 

@@ -10,6 +10,13 @@
 //! one `extend` instead of N heap pops, so the per-event cost does not pay
 //! O(log n) against the full event population.
 //!
+//! A bucket is one map slot: the timestamp's event inline while it is alone,
+//! else the handle of a run of entries in one arena shared by every bucket
+//! (power-of-two blocks in chunks, a free list per size), so a pending event
+//! costs its 24-byte entry and a timestamp its key, its slot and its heap
+//! word. No bucket owns an allocation, and a block too large for a chunk is
+//! returned to the allocator as soon as its timestamp drains.
+//!
 //! The ordering contract is `(time, key)`, exactly what a `BinaryHeap` over
 //! that pair pops; `tests/properties.rs` checks the queue against such a
 //! model, and the committed replay logs (recorded on a plain heap) pin it
@@ -20,6 +27,9 @@ use fxhash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// One pending event: its tie-break key and its payload.
+type Entry<T> = (u64, T);
+
 /// A deterministic event queue.
 ///
 /// Events with equal timestamps pop in key order — insertion order, or the
@@ -29,58 +39,186 @@ pub struct EventQueue<T> {
     seq: u64,
     ops: u64,
     /// Distinct pending timestamps (min-heap). Invariant: `t` is in this
-    /// heap exactly once iff `buckets[t]` exists and is non-empty.
+    /// heap exactly once iff `slots[t]` exists.
     times: BinaryHeap<Reverse<u64>>,
-    buckets: FxHashMap<u64, Bucket<T>>,
-    /// Emptied bucket storage, recycled so steady-state push/drain cycles
-    /// allocate nothing.
-    pool: Vec<VecDeque<(u64, T)>>,
+    slots: FxHashMap<u64, Slot<T>>,
+    arena: Arena<T>,
     len: usize,
 }
 
-/// One timestamp's events: appended in arrival order, sorted by key only
-/// when a drain needs the order and an out-of-order key actually arrived.
-///
-/// Jittered-delay workloads (PDES, random networks) produce mostly-distinct
-/// timestamps, so the overwhelmingly common population is exactly one event.
-/// That case is stored inline — no deque allocation, no pool round trip —
-/// and upgraded to a real deque only when a second event lands on the same
-/// timestamp.
-enum Bucket<T> {
+/// One timestamp's events. Jittered-delay workloads (PDES, random
+/// networks) produce mostly-distinct timestamps, so the common population
+/// is one event, held inline; a second event moves both into a run.
+enum Slot<T> {
     One(u64, T),
-    Many {
-        items: VecDeque<(u64, T)>,
-        /// `items` is ascending by key. Maintained on push by comparing
-        /// against the current back (cheap: pushes from a monotone sequence
-        /// counter never unsort the bucket); repaired lazily on drain
-        /// otherwise.
-        sorted: bool,
-    },
+    Run(Run),
 }
 
-impl<T> Bucket<T> {
-    fn ensure_sorted(&mut self) {
-        if let Bucket::Many { items, sorted } = self {
-            if !*sorted {
-                items.make_contiguous().sort_unstable_by_key(|e| e.0);
-                *sorted = true;
+/// A timestamp's events in an arena block of `1 << class` entries: `len`
+/// pending from offset `head`, appended in arrival order.
+#[derive(Clone, Copy)]
+struct Run {
+    block: u32,
+    head: u32,
+    len: u32,
+    class: u8,
+    /// The pending entries ascend by key. Maintained on push by comparing
+    /// against the back (pushes from a monotone sequence counter never
+    /// unsort a run); repaired lazily when a pop needs the order.
+    sorted: bool,
+}
+
+/// Blocks of a smaller class are carved from shared chunks of
+/// `1 << CHUNK_BITS` entries; a block of this class or larger is a chunk of
+/// its own, released when its run drains.
+const CHUNK_BITS: u32 = 12;
+const CHUNK: u32 = 1 << CHUNK_BITS;
+
+/// The entries of every run. A block is addressed by the handle
+/// `chunk << CHUNK_BITS | offset`.
+struct Arena<T> {
+    chunks: Vec<Vec<Option<Entry<T>>>>,
+    /// Freed blocks, one list per class below `CHUNK_BITS`.
+    free: [Vec<u32>; CHUNK_BITS as usize],
+    /// The chunk being carved (a handle at offset 0) and its next offset.
+    cur: u32,
+    bump: u32,
+    /// Chunk ids whose storage was released.
+    vacant: Vec<u32>,
+}
+
+impl<T> Arena<T> {
+    fn new() -> Self {
+        Arena { chunks: Vec::new(), free: Default::default(), cur: 0, bump: CHUNK, vacant: Vec::new() }
+    }
+
+    fn entries(&mut self, block: u32, from: u32, len: u32) -> &mut [Option<Entry<T>>] {
+        let at = ((block & (CHUNK - 1)) + from) as usize;
+        &mut self.chunks[(block >> CHUNK_BITS) as usize][at..at + len as usize]
+    }
+
+    fn at(&mut self, block: u32, i: u32) -> &mut Option<Entry<T>> {
+        &mut self.entries(block, i, 1)[0]
+    }
+
+    fn new_chunk(&mut self, entries: usize) -> u32 {
+        let storage = Vec::with_capacity(entries);
+        let id = match self.vacant.pop() {
+            Some(id) => {
+                self.chunks[id as usize] = storage;
+                id
+            }
+            None => {
+                self.chunks.push(storage);
+                (self.chunks.len() - 1) as u32
+            }
+        };
+        id << CHUNK_BITS
+    }
+
+    /// A block of `1 << class` empty entries: from the class's free list,
+    /// split off a larger free block, or carved from the current chunk.
+    /// Every block on a free list already has its entries.
+    #[inline]
+    fn alloc(&mut self, class: u8) -> u32 {
+        match self.free.get_mut(usize::from(class)).and_then(Vec::pop) {
+            Some(b) => b,
+            None => self.alloc_new(class),
+        }
+    }
+
+    #[inline(never)]
+    fn alloc_new(&mut self, class: u8) -> u32 {
+        let c = usize::from(class);
+        let block = if c >= CHUNK_BITS as usize {
+            self.new_chunk(1 << c)
+        } else if let Some(k) = (c + 1..CHUNK_BITS as usize).find(|&k| !self.free[k].is_empty()) {
+            let b = self.free[k].pop().expect("a free block");
+            for j in c..k {
+                self.free[j].push(b + (1 << j));
+            }
+            return b;
+        } else {
+            if self.bump + (1 << c) > CHUNK {
+                // The current chunk's tail goes to the free lists whole.
+                if let Some(chunk) = self.chunks.get_mut((self.cur >> CHUNK_BITS) as usize) {
+                    chunk.resize_with(CHUNK as usize, || None);
+                }
+                while self.bump < CHUNK {
+                    let j = (CHUNK - self.bump).ilog2();
+                    self.free[j as usize].push(self.cur + self.bump);
+                    self.bump += 1 << j;
+                }
+                self.cur = self.new_chunk(CHUNK as usize);
+                self.bump = 0;
+            }
+            self.bump += 1 << c;
+            self.cur + self.bump - (1 << c)
+        };
+        let end = (block & (CHUNK - 1)) as usize + (1 << c);
+        self.chunks[(block >> CHUNK_BITS) as usize].resize_with(end, || None);
+        block
+    }
+
+    #[inline]
+    fn free(&mut self, block: u32, class: u8) {
+        if u32::from(class) >= CHUNK_BITS {
+            self.chunks[(block >> CHUNK_BITS) as usize] = Vec::new();
+            self.vacant.push(block >> CHUNK_BITS);
+        } else {
+            self.free[usize::from(class)].push(block);
+        }
+    }
+
+    /// Append to `run`. A full block moves to a fresh one: the next class
+    /// up, or the same class when at least half of it lies before `head`.
+    #[inline]
+    fn push(&mut self, run: &mut Run, key: u64, payload: T) {
+        if run.head + run.len == 1 << run.class {
+            let class = if run.head >= run.len { run.class } else { run.class + 1 };
+            let to = self.alloc(class);
+            self.move_entries(run.block + run.head, to, run.len as usize);
+            self.free(run.block, run.class);
+            *run = Run { block: to, head: 0, class, ..*run };
+        }
+        let at = ((run.block & (CHUNK - 1)) + run.head + run.len) as usize;
+        let chunk = &mut self.chunks[(run.block >> CHUNK_BITS) as usize];
+        run.sorted &= chunk[at - 1].as_ref().is_some_and(|e| e.0 < key);
+        chunk[at] = Some((key, payload));
+        run.len += 1;
+    }
+
+    /// Move `n` entries from handle `from` to handle `to`, leaving `None`.
+    fn move_entries(&mut self, from: u32, to: u32, n: usize) {
+        let (src, dst) = (((from >> CHUNK_BITS) as usize), ((to >> CHUNK_BITS) as usize));
+        let (from, to) = ((from & (CHUNK - 1)) as usize, (to & (CHUNK - 1)) as usize);
+        match self.chunks.get_disjoint_mut([src, dst]) {
+            Ok([a, b]) => a[from..from + n].swap_with_slice(&mut b[to..to + n]),
+            Err(_) => {
+                let (lo, hi) = self.chunks[src].split_at_mut(from.max(to));
+                let low = from.min(to);
+                lo[low..low + n].swap_with_slice(&mut hi[..n]);
             }
         }
     }
 
-    fn len(&self) -> usize {
-        match self {
-            Bucket::One(..) => 1,
-            Bucket::Many { items, .. } => items.len(),
+    /// The run's pending entries, in key order.
+    fn sorted(&mut self, run: &mut Run) -> &mut [Option<Entry<T>>] {
+        let entries = self.entries(run.block, run.head, run.len);
+        if !run.sorted {
+            entries.sort_unstable_by_key(|e| e.as_ref().map(|e| e.0));
+            run.sorted = true;
         }
+        entries
     }
 }
 
-/// Buckets kept for reuse after they drain. A handful suffices: only a few
-/// distinct timestamps are live at once in practice.
-const BUCKET_POOL_MAX: usize = 32;
-
 impl<T> EventQueue<T> {
+    /// Bytes of one pending entry in a run.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Option<Entry<T>>>();
+    /// Bytes of a timestamp's map value: its one event, or its run's handle.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+
     /// An empty queue; it allocates nothing until the first push. The heap
     /// grows with the distinct timestamps pending, which do not scale with
     /// the PE count.
@@ -89,8 +227,8 @@ impl<T> EventQueue<T> {
             seq: 0,
             ops: 0,
             times: BinaryHeap::new(),
-            buckets: FxHashMap::default(),
-            pool: Vec::new(),
+            slots: FxHashMap::default(),
+            arena: Arena::new(),
             len: 0,
         }
     }
@@ -102,47 +240,29 @@ impl<T> EventQueue<T> {
     }
 
     fn insert(&mut self, time: SimTime, key: u64, payload: T) {
-        use std::collections::hash_map::Entry;
+        use std::collections::hash_map::Entry as MapEntry;
         self.ops += 1;
         self.len += 1;
-        match self.buckets.entry(time.0) {
-            Entry::Occupied(mut e) => match e.get_mut() {
-                b @ Bucket::One(..) => {
-                    // Second event on this timestamp: upgrade to a deque.
-                    // `VecDeque::new()` is allocation-free, so the interim
-                    // placeholder costs nothing.
-                    let placeholder = Bucket::Many { items: VecDeque::new(), sorted: true };
-                    let Bucket::One(k0, p0) = std::mem::replace(b, placeholder) else {
+        match self.slots.entry(time.0) {
+            MapEntry::Occupied(mut e) => match e.get_mut() {
+                Slot::Run(run) => self.arena.push(run, key, payload),
+                slot => {
+                    // A second event on this timestamp: both move to a run,
+                    // in key order.
+                    let block = self.arena.alloc(1);
+                    let run = Run { block, head: 0, len: 2, class: 1, sorted: true };
+                    let Slot::One(k0, p0) = std::mem::replace(slot, Slot::Run(run)) else {
                         unreachable!()
                     };
-                    let mut items = self.pool.pop().unwrap_or_default();
-                    let sorted = k0 <= key;
-                    items.push_back((k0, p0));
-                    items.push_back((key, payload));
-                    *b = Bucket::Many { items, sorted };
-                }
-                Bucket::Many { items, sorted } => {
-                    if *sorted {
-                        if let Some(&(back, _)) = items.back() {
-                            if key < back {
-                                *sorted = false;
-                            }
-                        }
-                    }
-                    items.push_back((key, payload));
+                    let (a, b) = if k0 < key { ((k0, p0), (key, payload)) } else { ((key, payload), (k0, p0)) };
+                    *self.arena.at(block, 0) = Some(a);
+                    *self.arena.at(block, 1) = Some(b);
                 }
             },
-            Entry::Vacant(e) => {
-                e.insert(Bucket::One(key, payload));
+            MapEntry::Vacant(e) => {
+                e.insert(Slot::One(key, payload));
                 self.times.push(Reverse(time.0));
             }
-        }
-    }
-
-    fn recycle(&mut self, mut items: VecDeque<(u64, T)>) {
-        if self.pool.len() < BUCKET_POOL_MAX {
-            items.clear();
-            self.pool.push(items);
         }
     }
 
@@ -151,42 +271,50 @@ impl<T> EventQueue<T> {
     fn pop_entry(&mut self) -> Option<(u64, u64, T)> {
         let &Reverse(t) = self.times.peek()?;
         self.len -= 1;
-        match self.buckets.get_mut(&t).expect("bucket for scheduled time") {
-            Bucket::One(..) => {
-                let Bucket::One(key, payload) = self.buckets.remove(&t).expect("just accessed")
-                else {
-                    unreachable!()
-                };
-                self.times.pop();
-                Some((t, key, payload))
-            }
-            b @ Bucket::Many { .. } => {
-                b.ensure_sorted();
-                let Bucket::Many { items, .. } = b else { unreachable!() };
-                let (key, payload) = items.pop_front().expect("non-empty bucket");
-                if items.is_empty() {
-                    let Bucket::Many { items, .. } =
-                        self.buckets.remove(&t).expect("just accessed")
-                    else {
-                        unreachable!()
-                    };
-                    self.recycle(items);
-                    self.times.pop();
-                }
-                Some((t, key, payload))
+        if let Some(Slot::Run(run)) = self.slots.get_mut(&t) {
+            if run.len > 1 {
+                let (key, payload) = self.arena.sorted(run)[0].take().expect("pending entry");
+                run.head += 1;
+                run.len -= 1;
+                return Some((t, key, payload));
             }
         }
+        // The timestamp's last event: its slot goes with it.
+        self.times.pop();
+        let (key, payload) = match self.slots.remove(&t).expect("slot for scheduled time") {
+            Slot::One(key, payload) => (key, payload),
+            Slot::Run(run) => {
+                let e = self.arena.at(run.block, run.head).take();
+                self.arena.free(run.block, run.class);
+                e.expect("pending entry")
+            }
+        };
+        Some((t, key, payload))
     }
 
-    /// Remove and return the whole bucket at the head timestamp `t`, key-
-    /// sorted. Caller guarantees `t` is the head.
-    fn take_head_bucket(&mut self, t: u64) -> Bucket<T> {
-        let mut b = self.buckets.remove(&t).expect("head bucket");
-        b.ensure_sorted();
+    /// Pop every event at the head timestamp `t` into `out` (cleared
+    /// first) through `f`, in key order. Nothing happens unless `t` is the
+    /// head.
+    fn pop_batch_with<U>(&mut self, t: SimTime, out: &mut Vec<U>, f: impl Fn(Entry<T>) -> U) {
+        out.clear();
+        if self.peek_time() != Some(t) {
+            return;
+        }
         self.times.pop();
-        self.len -= b.len();
-        self.ops += b.len() as u64;
-        b
+        let n = match self.slots.remove(&t.0).expect("head slot") {
+            Slot::One(k, p) => {
+                out.push(f((k, p)));
+                1
+            }
+            Slot::Run(mut run) => {
+                let entries = self.arena.sorted(&mut run).iter_mut();
+                out.extend(entries.map(|e| f(e.take().expect("pending entry"))));
+                self.arena.free(run.block, run.class);
+                run.len as usize
+            }
+        };
+        self.len -= n;
+        self.ops += n as u64;
     }
 
     /// Schedule `payload` at `time`.
@@ -230,34 +358,14 @@ impl<T> EventQueue<T> {
     /// across timesteps. Events pushed at `t` *after* this call surface in
     /// the next batch.
     pub fn pop_batch_at_into(&mut self, t: SimTime, out: &mut Vec<T>) {
-        out.clear();
-        if self.peek_time() != Some(t) {
-            return;
-        }
-        match self.take_head_bucket(t.0) {
-            Bucket::One(_, p) => out.push(p),
-            Bucket::Many { mut items, .. } => {
-                out.extend(items.drain(..).map(|(_, p)| p));
-                self.recycle(items);
-            }
-        }
+        self.pop_batch_with(t, out, |(_, p)| p);
     }
 
     /// [`pop_batch_at_into`](Self::pop_batch_at_into), but each payload is
     /// paired with its tie-break key (the dispatch order the runtime tags
     /// contributions and replay records with).
     pub fn pop_batch_at_seq_into(&mut self, t: SimTime, out: &mut Vec<(u64, T)>) {
-        out.clear();
-        if self.peek_time() != Some(t) {
-            return;
-        }
-        match self.take_head_bucket(t.0) {
-            Bucket::One(k, p) => out.push((k, p)),
-            Bucket::Many { mut items, .. } => {
-                out.extend(items.drain(..));
-                self.recycle(items);
-            }
-        }
+        self.pop_batch_with(t, out, |e| e);
     }
 
     /// Number of pending events.
@@ -270,20 +378,17 @@ impl<T> EventQueue<T> {
         self.len == 0
     }
 
-    /// Current allocated capacity, in entries, across the queue's internal
-    /// storage (timestamp index, live buckets, and the recycled-bucket
-    /// pool).
+    /// Current allocated capacity, in slots, summed over every allocation
+    /// the queue owns: the timestamp heap, the slot map, the arena's chunks
+    /// and its chunk and free lists.
     pub fn capacity(&self) -> usize {
+        let a = &self.arena;
         self.times.capacity()
-            + self
-                .buckets
-                .values()
-                .map(|b| match b {
-                    Bucket::One(..) => 1,
-                    Bucket::Many { items, .. } => items.capacity(),
-                })
-                .sum::<usize>()
-            + self.pool.iter().map(|v| v.capacity()).sum::<usize>()
+            + self.slots.capacity()
+            + a.chunks.capacity()
+            + a.chunks.iter().map(Vec::capacity).sum::<usize>()
+            + a.free.iter().map(Vec::capacity).sum::<usize>()
+            + a.vacant.capacity()
     }
 
     /// Remove every pending entry with its `(time, key)` coordinates, in
@@ -309,28 +414,21 @@ impl<T> EventQueue<T> {
     /// reset the tie-break sequence, so a cleared queue is indistinguishable
     /// from a fresh one — reruns after an abort stay deterministic.
     ///
-    /// Capacity above [`CLEAR_RETAIN_CAP`](Self::CLEAR_RETAIN_CAP) is
-    /// released; a modest working buffer is kept so clear-then-refill
-    /// cycles don't pay reallocation from zero.
+    /// The arena is released; the heap and the slot map keep at most a
+    /// quarter of [`CLEAR_RETAIN_CAP`](Self::CLEAR_RETAIN_CAP) each, so
+    /// clear-then-refill cycles don't pay reallocation from zero.
     pub fn clear(&mut self) {
         self.seq = 0;
-        let retain = Self::CLEAR_RETAIN_CAP / 2;
-        for (_, b) in self.buckets.drain() {
-            if let Bucket::Many { mut items, .. } = b {
-                if self.pool.len() < BUCKET_POOL_MAX {
-                    items.clear();
-                    self.pool.push(items);
-                }
-            }
-        }
-        self.times.clear();
         self.len = 0;
-        if self.times.capacity() > retain {
-            self.times.shrink_to(retain);
+        self.times.clear();
+        self.slots.clear();
+        self.arena = Arena::new();
+        let keep = Self::CLEAR_RETAIN_CAP / 4;
+        if self.times.capacity() > keep {
+            self.times.shrink_to(keep);
         }
-        // Bound the recycled-bucket pool the same way.
-        while self.pool.iter().map(|v| v.capacity()).sum::<usize>() > retain {
-            self.pool.pop();
+        if self.slots.capacity() > keep {
+            self.slots.shrink_to(keep);
         }
     }
 }
@@ -607,6 +705,51 @@ mod tests {
         // Still fully usable after the shrink.
         q.push(SimTime::from_nanos(1), 42);
         assert_eq!(q.pop().unwrap().1, 42);
+    }
+
+    #[test]
+    fn freed_blocks_split_for_smaller_runs() {
+        // Runs of 20 drain and leave 32-entry blocks free; pairs then take
+        // them split in halves, and no two live runs may share an entry.
+        let mut q = EventQueue::new();
+        for t in 0..64u64 {
+            for i in 0..20 {
+                q.push(SimTime(t), t * 100 + i);
+            }
+        }
+        let mut out = Vec::new();
+        for t in 0..64u64 {
+            q.pop_batch_at_into(SimTime(t), &mut out);
+            assert_eq!(out, (t * 100..t * 100 + 20).collect::<Vec<_>>());
+        }
+        for t in 100..400u64 {
+            q.push(SimTime(t), 2 * t);
+            q.push(SimTime(t), 2 * t + 1);
+        }
+        for t in 100..400u64 {
+            assert_eq!(q.pop(), Some((SimTime(t), 2 * t)));
+            assert_eq!(q.pop(), Some((SimTime(t), 2 * t + 1)));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_large_run_is_released_when_it_drains() {
+        let mut q = EventQueue::new();
+        let n = 3 * CHUNK as u64;
+        for k in (0..n).rev() {
+            q.push_keyed(SimTime(5), k, k);
+        }
+        q.push(SimTime(6), n);
+        let before = q.capacity();
+        // Single pops from the head, then a push behind it, then the rest.
+        assert_eq!(q.pop(), Some((SimTime(5), 0)));
+        q.push_keyed(SimTime(5), n + 1, n + 1);
+        let mut out = Vec::new();
+        q.pop_batch_at_into(SimTime(5), &mut out);
+        assert_eq!(out, (1..n).chain([n + 1]).collect::<Vec<_>>());
+        assert!(q.capacity() + (4 * CHUNK as usize) <= before, "the run's own block is freed");
+        assert_eq!(q.pop(), Some((SimTime(6), n)));
     }
 
     #[test]

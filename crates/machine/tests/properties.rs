@@ -235,6 +235,69 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The calendar against the same heap model on the shape a large run
+    /// gives it: thousands of distinct timestamps within about 2¹⁶ ns of a
+    /// head that moves as events pop, so lone events keep upgrading to runs,
+    /// plus "hot" pushes that either join the head's own, partly popped
+    /// timestamp or pile onto the next multiple of 4 096 ns, whose runs grow
+    /// through several block sizes before the head reaches them. Keyed
+    /// pushes arrive out of key order; pops and batch pops interleave.
+    #[test]
+    fn calendar_matches_heap_reference_wide(ops in vec((0u8..20, any::<u16>()), 1_000..4_000)) {
+        let mut cal = EventQueue::new();
+        let mut heap = HeapModel::default();
+        let mut now = 0u64;
+        for (n, (which, dt)) in ops.into_iter().enumerate() {
+            let (n, dt) = (n as u64, u64::from(dt));
+            let t = match which {
+                0..=4 => now + dt,
+                5..=8 => now + (dt % 2) * (4_096 - now % 4_096),
+                _ => 0,
+            };
+            match which {
+                0..=2 | 5..=6 => {
+                    cal.push(SimTime(t), n);
+                    heap.push(SimTime(t), n);
+                }
+                3..=4 | 7..=8 => {
+                    // Unique, out of order, and disjoint from the sequence.
+                    let key = (1u64 << 40) + (n.wrapping_mul(0x9e37_79b9) & 0xffff_ffff);
+                    cal.push_keyed(SimTime(t), key, n);
+                    heap.push_keyed(SimTime(t), key, n);
+                }
+                9..=16 => {
+                    let popped = cal.pop();
+                    prop_assert_eq!(popped, heap.pop());
+                    if let Some((t, _)) = popped {
+                        now = t.0;
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                    if let Some(t) = cal.peek_time() {
+                        let mut a = Vec::new();
+                        cal.pop_batch_at_seq_into(t, &mut a);
+                        prop_assert_eq!(&a, &heap.pop_batch_at_seq(t));
+                        now = t.0;
+                    }
+                }
+            }
+            prop_assert_eq!(cal.len(), heap.heap.len());
+            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+        }
+        loop {
+            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+}
+
 /// `(operation, priority class)`: a push, a pop or, rarely, a `clear_with`.
 fn prio_op() -> impl Strategy<Value = (u8, u8)> {
     (0u8..10, any::<u8>())

@@ -67,12 +67,14 @@ fn a_simulated_pe_costs_under_its_heap_budget() {
     let per_pe = (PEAK.load(Ordering::Relaxed) - live) / PES;
     assert_eq!(run.step_times.len(), 1);
     assert!(rt.summary().trace_sinks[0].records > 0, "the sink saw the run");
-    // 1 118 B here. It was 1 540 B while a PE's scheduler state was 184
-    // bytes, each PE's location cache was a hash map of its own, the comm
-    // matrix hashed its pairs into a map beside a doubling cell array, and
-    // the event heap was pre-sized at eight timestamps per PE.
+    // 1 050 B here. It was 1 118 B while every timestamp with more than one
+    // event owned a deque (and the hash map a 48-byte slot per timestamp),
+    // and 1 540 B while a PE's scheduler state was 184 bytes, each PE's
+    // location cache was a hash map of its own, the comm matrix hashed its
+    // pairs into a map beside a doubling cell array, and the event heap was
+    // pre-sized at eight timestamps per PE.
     assert!(
-        per_pe <= 1_200,
+        per_pe <= 1_100,
         "peak live heap {per_pe} B per PE over a {PES}-PE one-step stencil"
     );
 }
