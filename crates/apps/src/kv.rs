@@ -145,18 +145,12 @@ impl KvConfig {
 /// Result of a charm-kv run.
 #[derive(Debug, Clone)]
 pub struct KvRun {
-    /// Offered arrival rate (requests/s of virtual time).
-    pub offered_rps: f64,
     /// Requests acknowledged end-to-end.
     pub acked: u64,
     /// Request retransmissions (timeouts and post-rollback re-drives).
     pub retries: u64,
     /// Virtual seconds from start to the last ack.
     pub duration_s: f64,
-    /// Acked requests per virtual second.
-    pub throughput_rps: f64,
-    /// Mean end-to-end latency, seconds.
-    pub mean_latency_s: f64,
     /// End-to-end latency SLOs, seconds (client-observed, log-bucket
     /// estimates from the merged [`LogHist`]).
     pub p50_s: f64,
@@ -173,8 +167,6 @@ pub struct KvRun {
     /// Elastic reconfigurations and checkpoint rollbacks observed.
     pub reconfigures: usize,
     pub rollbacks: usize,
-    /// Mean PE utilization over the run.
-    pub avg_utilization: f64,
     /// Messages delivered.
     pub messages: u64,
     /// Order-independent digest of the final store contents (all shards).
@@ -858,12 +850,10 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
 
     // ---- host-side collection ------------------------------------------
     let mut lat = LogHist::new();
-    let mut lat_sum = 0u64;
     let (mut acked, mut retries) = (0u64, 0u64);
     for c in 0..n_clients {
         rt.inspect(clients, &Ix::i1(c as i64), |cl: &Client| {
             lat.merge(&cl.lat);
-            lat_sum += cl.lat_sum_ns;
             acked += cl.acked;
             retries += cl.retries;
         });
@@ -888,20 +878,9 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
     let duration_s = summary.end_time.as_secs_f64();
     let migrations = rt.lb_rounds().iter().map(|r| r.migrations).sum();
     let run = KvRun {
-        offered_rps: total_rps,
         acked,
         retries,
         duration_s,
-        throughput_rps: if duration_s > 0.0 {
-            acked as f64 / duration_s
-        } else {
-            0.0
-        },
-        mean_latency_s: if acked > 0 {
-            lat_sum as f64 / acked as f64 / 1e9
-        } else {
-            0.0
-        },
         p50_s: lat.quantile(0.5) as f64 / 1e9,
         p99_s: lat.quantile(0.99) as f64 / 1e9,
         p999_s: lat.quantile(0.999) as f64 / 1e9,
@@ -911,7 +890,6 @@ pub fn run_with_runtime(mut config: KvConfig) -> (KvRun, Runtime) {
         migrations,
         reconfigures: rt.metric("reconfigure").len(),
         rollbacks: rt.metric("restart_time_s").len(),
-        avg_utilization: summary.avg_utilization,
         messages: summary.messages,
         store_digest,
         state_digest,
@@ -1002,7 +980,7 @@ mod tests {
         let a = run(mk());
         assert_eq!(a.acked, 4 * 40);
         assert!(a.p50_s > 0.0 && a.p50_s <= a.p99_s && a.p99_s <= a.p999_s);
-        assert!(a.throughput_rps > 0.0);
+        assert!(a.duration_s > 0.0);
         assert!(a.unrecoverable.is_none());
         let b = run(mk());
         assert_eq!(a.store_digest, b.store_digest);

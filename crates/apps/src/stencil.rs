@@ -26,7 +26,8 @@ pub struct StencilConfig {
     pub steps: u64,
     /// Flops charged per grid point per step.
     pub flops_per_point: f64,
-    /// Optional LB strategy with RTS-triggered period in steps... seconds.
+    /// LB strategy for the DVFS schemes' rebalancing and the rounds every
+    /// `lb_period`.
     pub strategy: Option<Box<dyn Strategy>>,
     /// Period of RTS-triggered LB (None = LB only via DVFS schemes).
     pub lb_period: Option<SimTime>,

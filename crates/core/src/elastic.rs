@@ -272,15 +272,23 @@ impl Runtime {
         RunOutcome::Completed(summary)
     }
 
-    /// The degradation record, if capacity ever fell through the floor.
-    pub fn degraded(&self) -> Option<&Degraded> {
-        self.degraded.as_ref()
-    }
-
     /// PEs currently alive inside the live boundary (preempted/retired PEs
     /// stay dead and are excluded).
     pub fn alive_pes(&self) -> usize {
         self.pes[..self.live_pes].iter().filter(|p| p.alive).count()
+    }
+
+    /// PE-seconds rented up to `until_s` (what a cloud bill charges): the
+    /// integral over virtual time of the `capacity` journal, a step
+    /// function that starts at the machine's PE count.
+    pub fn pe_seconds(&self, until_s: f64) -> f64 {
+        let (mut level, mut t, mut acc) = (self.pes.len() as f64, 0.0, 0.0);
+        for &(ts, v) in self.metric("capacity") {
+            let ts = ts.min(until_s);
+            acc += level * (ts - t).max(0.0);
+            (t, level) = (ts, v);
+        }
+        acc + level * (until_s - t).max(0.0)
     }
 
     /// Is any form of buddy checkpointing in play? (Shrinking to one PE

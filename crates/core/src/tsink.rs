@@ -7,10 +7,12 @@
 //! / [`trace_csv_arrival`](crate::Runtime::trace_csv_arrival) whenever the
 //! rings retained every record (property-tested in `tests/trace_stream.rs`)
 //! — but unlike the rings they hold O(1) memory no matter how many events
-//! the run produces, which is what lets full event logs survive 128 K–1 M
-//! simulated PEs (`scale_bench`). Records are formatted straight into one
-//! fixed buffer per sink; the per-record path neither allocates nor makes
-//! a system call.
+//! the run produces, which is what lets a full event log stream out of a
+//! large run: the benchmark's `observe` workload streams a 16 384-PE
+//! stencil into both sinks, and `tests/pe_memory.rs` holds a traced run
+//! with empty rings under 1 100 B per PE up to 1 M PEs. Records are
+//! formatted straight into one fixed buffer per sink; the per-record path
+//! neither allocates nor makes a system call.
 //!
 //! Write errors never abort the simulation: every record that did not
 //! reach the file is counted in [`SinkStats::dropped`] and surfaced in the

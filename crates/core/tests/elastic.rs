@@ -1,6 +1,9 @@
 //! Elastic controller and spot-preemption edge cases: the shrink guard,
 //! typed graceful degradation, closed-loop shrink, failures racing
-//! reconfiguration, and retired capacity staying retired.
+//! reconfiguration, and retired capacity staying retired. Then the §III-D
+//! claims on the cloud for stencil2d and leanmd: observing is free, a
+//! hysteresis autoscaler beats static under interference, and a
+//! long-warning preemption evacuates faster than a checkpoint restart.
 
 mod campaign;
 
@@ -8,9 +11,11 @@ use campaign::{
     lockstep_build, lockstep_build_migratable, lockstep_build_packed, lockstep_spec,
     lockstep_verify,
 };
+use charm_apps::{leanmd, stencil, AppRun};
 use charm_core::{
     ElasticConfig, HysteresisPolicy, MachineConfig, RunOutcome, Runtime, SimTime,
 };
+use charm_machine::{presets, InterferenceWindow};
 
 const PES: usize = 8;
 
@@ -126,6 +131,8 @@ fn hysteresis_controller_shrinks_an_underutilized_job() {
     assert!(!rt.metric("reconfigure").is_empty(), "decision must reach the malleability path");
     assert!(rt.alive_pes() < PES, "idle capacity must actually be retired");
     assert!(rt.alive_pes() >= 2, "never below the policy floor");
+    let rented = rt.pe_seconds(rt.now().as_secs_f64()) / rt.now().as_secs_f64();
+    assert!((2.0..PES as f64).contains(&rented), "retired PEs stop renting: {rented} PEs");
 }
 
 #[test]
@@ -250,4 +257,150 @@ fn expand_never_revives_a_preempted_pe() {
     );
     assert_eq!(rt.metric("evacuations").len(), 1);
     assert!(rt.metric("restart_time_s").is_empty(), "no rollback anywhere in this dance");
+}
+
+// ---------------------------------------------------------------------------
+// §III-D on the cloud: stencil2d and leanmd under autoscaling policies and
+// spot preemptions.
+// ---------------------------------------------------------------------------
+
+/// Spot preemptions: (kill time, PE, warning lead).
+type Preemptions = Vec<(SimTime, usize, SimTime)>;
+
+/// An app run with an optional controller, checkpoint interval and
+/// preemptions.
+type AppFn = dyn Fn(Option<ElasticConfig>, Option<SimTime>, Preemptions) -> (AppRun, Runtime);
+
+const CLOUD_PES: usize = 16;
+
+/// 16 single-PE VMs whose tail six (PEs 10..16) a noisy neighbor slows to
+/// 0.35x for the whole run: high indices, so a shrink retires exactly the
+/// slowed instances.
+fn interfered_cloud() -> MachineConfig {
+    let mut m = presets::cloud(CLOUD_PES);
+    m.speed = m.speed.clone().with_interference(InterferenceWindow {
+        first_pe: 10,
+        num_pes: 6,
+        start: SimTime::from_millis(10),
+        end: SimTime::MAX,
+        speed_factor: 0.35,
+    });
+    m
+}
+
+/// Runs the static arm, an observe-only controller and two hysteresis
+/// autoscalers, each through a spot reclamation of the top VM 40 % into
+/// the static makespan, announced 2 s ahead. Observation must be free: the
+/// observe arm ends at static's makespan with static's state digest. At
+/// least one hysteresis arm must Pareto-dominate static: no later, and
+/// strictly fewer PE-seconds rented. The cadence is long relative to an
+/// entry method and the cooldowns long relative to a reconfiguration, or
+/// the controller reacts to its own blackouts.
+fn assert_autoscaling_pays(app: &str, run: &AppFn) {
+    let probe = run(None, None, Vec::new()).0.total_s;
+    let reclaim = vec![(SimTime::from_secs_f64(probe * 0.4), CLOUD_PES - 1, SimTime::from_secs(2))];
+    let cadence = SimTime::from_secs(2);
+    let hysteresis = |expand, shrink, step, cooldown_s, min_pes| {
+        let cooldown = SimTime::from_secs(cooldown_s);
+        let p = HysteresisPolicy::new(expand, shrink, step, cooldown, min_pes, CLOUD_PES);
+        Some(ElasticConfig::new(cadence, Box::new(p)))
+    };
+    let arms = [
+        None,
+        Some(ElasticConfig::observe_only(cadence)),
+        hysteresis(0.98, 0.70, 2, 5, 6),
+        hysteresis(0.90, 0.75, 4, 3, 4),
+    ];
+    let rows: Vec<_> = arms
+        .into_iter()
+        .map(|elastic| {
+            let (run, mut rt) = run(elastic, None, reclaim.clone());
+            assert!(rt.unrecoverable().is_none(), "{app}: every arm survives the reclaim");
+            (run.total_s, rt.pe_seconds(run.total_s), rt.state_digest())
+        })
+        .collect();
+    let (static_s, static_pe_s, static_digest) = &rows[0];
+    assert_eq!((rows[1].0, &rows[1].2), (*static_s, static_digest), "{app}: observing is free");
+    assert!(
+        rows[2..].iter().any(|&(s, pe_s, _)| s <= *static_s && pe_s < *static_pe_s),
+        "{app}: no hysteresis arm dominates static ({static_s:.3} s, {static_pe_s:.1} PE-s): {:?}",
+        rows[2..].iter().map(|r| (r.0, r.1)).collect::<Vec<_>>()
+    );
+}
+
+/// Compute-heavy blocks, so the virtual run lasts long enough for the
+/// 2 s / 6.5 s malleability overheads to amortize.
+#[test]
+fn autoscaling_stencil2d_under_interference_pays() {
+    assert_autoscaling_pays("stencil2d", &|elastic, _, preemptions| {
+        let mut c = stencil::StencilConfig::cloud_4k(interfered_cloud(), 4);
+        (c.grid, c.blocks_per_side, c.steps, c.flops_per_point) = (2048, 8, 30, 6000.0);
+        (c.elastic, c.preemptions) = (elastic, preemptions);
+        stencil::run_with_runtime(c)
+    });
+}
+
+/// Heavy cells of uniform density, so the sweep isolates
+/// interference-driven idling (under the default Gaussian blob the hot cell
+/// gates every step and a utilization controller rightly shrinks to the
+/// floor). At 70 steps or fewer no hysteresis arm dominates yet.
+#[test]
+fn autoscaling_leanmd_under_interference_pays() {
+    assert_autoscaling_pays("leanmd", &|elastic, _, preemptions| {
+        leanmd::run_with_runtime(leanmd::LeanMdConfig {
+            machine: interfered_cloud(),
+            atoms_per_cell: 800,
+            density_peak: 1.0,
+            steps: 80,
+            elastic,
+            preemptions,
+            ..leanmd::LeanMdConfig::default()
+        })
+    });
+}
+
+/// The same spot reclamation of PE 5 twice, at 55 % of the failure-free
+/// makespan with checkpoints every fifth of it: announced 30 % of the
+/// makespan ahead, the runtime drains the doomed VM through the migration
+/// path with no rollback; with no warning it falls back to a
+/// buddy-checkpoint restart, which must take longer.
+fn assert_evacuation_beats_restart(app: &str, run: &AppFn) {
+    let t = run(None, None, Vec::new()).0.total_s;
+    let kill = SimTime::from_secs_f64(t * 0.55);
+    let arm = |warning| {
+        let (run, rt) = run(None, Some(SimTime::from_secs_f64(t / 5.0)), vec![(kill, 5, warning)]);
+        assert!(rt.unrecoverable().is_none(), "{app}: {:?}", rt.unrecoverable());
+        (run.total_s, rt.metric("restart_time_s").len(), rt.metric("evacuations").len())
+    };
+    let (evac_s, evac_rollbacks, evacuations) = arm(SimTime::from_secs_f64(t * 0.30));
+    assert_eq!((evac_rollbacks, evacuations), (0, 1), "{app}: a long warning drains");
+    let (restart_s, restart_rollbacks, _) = arm(SimTime::ZERO);
+    assert!(restart_rollbacks >= 1, "{app}: no warning rolls back");
+    assert!(evac_s < restart_s, "{app}: evacuation {evac_s:.4} s vs restart {restart_s:.4} s");
+}
+
+#[test]
+fn long_warning_preemption_evacuates_and_beats_restart() {
+    assert_evacuation_beats_restart(
+        "stencil2d",
+        &|_, auto_ckpt, preemptions| {
+            let mut c = stencil::StencilConfig::cloud_4k(presets::cloud(8), 4);
+            (c.grid, c.blocks_per_side, c.steps, c.flops_per_point) = (1024, 8, 12, 120.0);
+            (c.auto_ckpt, c.preemptions) = (auto_ckpt, preemptions);
+            stencil::run_with_runtime(c)
+        },
+    );
+    assert_evacuation_beats_restart(
+        "leanmd",
+        &|_, auto_ckpt, preemptions| {
+            leanmd::run_with_runtime(leanmd::LeanMdConfig {
+                machine: presets::cloud(8),
+                atoms_per_cell: 40,
+                steps: 6,
+                auto_ckpt,
+                preemptions,
+                ..leanmd::LeanMdConfig::default()
+            })
+        },
+    );
 }

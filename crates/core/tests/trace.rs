@@ -94,6 +94,17 @@ fn tracing_disabled_records_nothing() {
     assert!(rt.trace_profiles().is_empty());
 }
 
+/// A tracer records the run and does not change it: untraced,
+/// summary-only and capacity-0 rings run the same events to the same end.
+#[test]
+fn tracing_leaves_the_virtual_work_alone() {
+    let work = |rt: Runtime| (rt.summary().events, rt.summary().entries, rt.now());
+    let off = work(hopper_run(None));
+    for tc in [TraceConfig::summary_only(), TraceConfig { log_capacity: 0, comm_fanout_cap: 8 }] {
+        assert_eq!(work(hopper_run(Some(tc))), off);
+    }
+}
+
 #[test]
 fn same_seed_same_machine_byte_identical_exports() {
     let a = hopper_run(Some(TraceConfig::default()));

@@ -1,11 +1,12 @@
 //! Host-process peak memory, read from `/proc/self/status`.
 //!
-//! The scale benchmark (`scale_bench`) proves that streaming observability
-//! holds peak memory bounded as simulated PE counts grow into the
-//! 128 K–1 M range; this is how it measures that. `VmHWM` is the
-//! kernel's high-water mark for resident set size — monotonic over the
-//! process lifetime, which is why `scale_bench` runs each measurement
-//! point in a fresh subprocess.
+//! `VmHWM` is the kernel's high-water mark for resident set size —
+//! monotonic over the process lifetime, so one measurement needs one
+//! process: the figure pool reports each worker's peak. Memory per
+//! simulated PE is measured elsewhere: the benchmark's `observe` workload
+//! runs a 16 384-PE stencil into file sinks in a child process of its own,
+//! and `tests/pe_memory.rs` counts peak live heap per PE at 4 096 PEs and,
+//! `#[ignore]`d, at 1 M PEs.
 //!
 //! On platforms without procfs it returns `None`; callers
 //! should degrade to reporting the metric as unavailable rather than fail.
