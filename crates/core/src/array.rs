@@ -5,6 +5,7 @@ use crate::arena::UserMsg;
 use crate::chare::{Chare, SysEvent};
 use crate::chunked::{ChunkVec, HandleIndex, ROW_CHUNK_BITS};
 use crate::index::Ix;
+use crate::routing::HomeMap;
 use crate::Ctx;
 use std::any::Any;
 
@@ -189,6 +190,9 @@ pub(crate) trait AnyArray: Send {
     /// Is this array participating in AtSync load balancing?
     fn uses_at_sync(&self) -> bool;
     fn set_uses_at_sync(&mut self, v: bool);
+    /// How indices map to home PEs (default [`HomeMap::Hash`]).
+    fn home_map(&self) -> HomeMap;
+    fn set_home_map(&mut self, map: HomeMap);
     /// Remove every element (used by failure rollback before restoring the
     /// checkpointed population). Records, and so handles, survive.
     fn clear(&mut self);
@@ -296,6 +300,7 @@ pub(crate) struct ArrayStore<C: Chare> {
     /// `recs` once a record has been created since.
     sorted: Vec<ElemId>,
     at_sync: bool,
+    home_map: HomeMap,
 }
 
 impl<C: Chare> ArrayStore<C> {
@@ -313,6 +318,7 @@ impl<C: Chare> ArrayStore<C> {
             live: 0,
             sorted: Vec::new(),
             at_sync: false,
+            home_map: HomeMap::Hash,
         }
     }
 
@@ -551,6 +557,14 @@ impl<C: Chare> AnyArray for ArrayStore<C> {
 
     fn set_uses_at_sync(&mut self, v: bool) {
         self.at_sync = v;
+    }
+
+    fn home_map(&self) -> HomeMap {
+        self.home_map
+    }
+
+    fn set_home_map(&mut self, map: HomeMap) {
+        self.home_map = map;
     }
 
     fn clear(&mut self) {

@@ -67,10 +67,9 @@ impl Runtime {
             if let Some(r) = &mut self.recorder {
                 r.on_routed(rec_id, bytes, src_pe, pe, depth, 0);
             }
-            self.bytes_moved += bytes as u64;
+            self.stats.bytes_moved += bytes as u64;
             if let Some(tr) = &mut self.tracer {
-                tr.on_send(at, src_pe, pe, dst.obj(&self.stores), bytes);
-                tr.on_msg_latency(tree_delay);
+                tr.on_send(at, src_pe, pe, dst.obj(&self.stores), bytes, tree_delay);
             }
             self.sched_deliver(at + tree_delay, pe, env);
         }
@@ -117,33 +116,22 @@ impl Runtime {
         let done = at + SimTime(hop.0 * depth);
         let saved_slot = self.cur_slot;
         self.cur_slot = self.red_slot();
-        self.deliver_callback_tree(st.cb, SysEvent::Reduction { tag, value }, done, depth);
+        self.deliver_callback(st.cb, SysEvent::Reduction { tag, value }, done, depth);
         self.cur_slot = saved_slot;
     }
 
-    pub(crate) fn deliver_callback(&mut self, cb: Callback, ev: SysEvent, at: SimTime) {
-        self.deliver_callback_tree(cb, ev, at, 0);
-    }
-
-    /// Like [`Runtime::deliver_callback`], but tags the delivery with the
-    /// spanning-tree depth whose latency the caller folded into `at`, so a
-    /// recorded what-if replay can re-price the collective on a different
-    /// network.
-    fn deliver_callback_tree(&mut self, cb: Callback, ev: SysEvent, at: SimTime, tree_depth: u64) {
+    /// Deliver `ev` to `cb` at `at`, tagged with the spanning-tree depth
+    /// whose latency the caller folded into `at` (0 for none), so a recorded
+    /// what-if replay can re-price the collective on a different network.
+    pub(crate) fn deliver_callback(&mut self, cb: Callback, ev: SysEvent, at: SimTime, depth: u64) {
         match cb {
             Callback::ToChare { array, ix } => {
                 let elem = self.stores[array.0 as usize].intern(&ix);
-                self.deliver_sys_tree(ElemRef { array, elem }, ev, at, tree_depth);
+                self.deliver_sys(ElemRef { array, elem }, ev, at, depth);
             }
-            Callback::BroadcastTo { array } => self.deliver_sys_to_all(array, &ev, at, tree_depth),
+            Callback::BroadcastTo { array } => self.deliver_sys_to_all(array, &ev, at, depth),
             Callback::Ignore => {}
         }
-    }
-
-    /// Deliver a system event to one chare at `at` (local-queue cost only;
-    /// collective costs are charged by callers).
-    pub(crate) fn deliver_sys(&mut self, dst: ElemRef, ev: SysEvent, at: SimTime) {
-        self.deliver_sys_tree(dst, ev, at, 0);
     }
 
     /// Deliver `ev` to every current element of `array`, in index order
@@ -153,16 +141,18 @@ impl Runtime {
         array: ArrayId,
         ev: &SysEvent,
         at: SimTime,
-        tree_depth: u64,
+        depth: u64,
     ) {
         for k in 0..self.stores[array.0 as usize].sorted_len() {
             if let (elem, Some(_)) = self.stores[array.0 as usize].sorted_nth(k) {
-                self.deliver_sys_tree(ElemRef { array, elem }, ev.clone(), at, tree_depth);
+                self.deliver_sys(ElemRef { array, elem }, ev.clone(), at, depth);
             }
         }
     }
 
-    fn deliver_sys_tree(&mut self, dst: ElemRef, ev: SysEvent, at: SimTime, tree_depth: u64) {
+    /// Deliver a system event to one chare at `at` (local-queue cost only;
+    /// collective costs are charged by callers, and tagged by `depth`).
+    pub(crate) fn deliver_sys(&mut self, dst: ElemRef, ev: SysEvent, at: SimTime, depth: u64) {
         let Some(pe) = self.stores[dst.array.0 as usize].locate(dst.elem) else {
             return;
         };
@@ -171,7 +161,7 @@ impl Runtime {
         let env = self.mint(dst, payload, ENVELOPE_BYTES, i64::MIN + 1, pe, false);
         let rec_id = self.slab[env].rec_id;
         if let Some(r) = &mut self.recorder {
-            r.on_routed(rec_id, ENVELOPE_BYTES, pe, pe, tree_depth, 0);
+            r.on_routed(rec_id, ENVELOPE_BYTES, pe, pe, depth, 0);
         }
         let local = self.net.params().local_delivery;
         if let Some(tr) = &mut self.tracer {
@@ -191,7 +181,7 @@ impl Runtime {
             // Two waves of a spanning-tree counting algorithm.
             let depth = self.tree_depth() * 2;
             let done = self.now + SimTime(self.barrier_cost().0 * 2);
-            self.deliver_callback_tree(cb, SysEvent::QuiescenceDetected, done, depth);
+            self.deliver_callback(cb, SysEvent::QuiescenceDetected, done, depth);
         }
     }
 }

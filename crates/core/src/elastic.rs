@@ -215,6 +215,13 @@ impl std::fmt::Display for Degraded {
     }
 }
 
+/// A run's sticky verdict, latched by [`Runtime::latch`]: the first breach
+/// of the capacity floor, or the first fatal failure, which outranks it.
+pub(crate) enum Verdict {
+    Degraded(Degraded),
+    Unrecoverable(Unrecoverable),
+}
+
 /// Typed outcome of [`Runtime::run_outcome`]: the three ways a run with
 /// failure injection can end, none of them a panic.
 #[derive(Debug, Clone)]
@@ -260,16 +267,34 @@ impl Runtime {
     /// [`run_outcome`](Runtime::run_outcome) with a virtual-time budget.
     pub fn run_until_outcome(&mut self, deadline: SimTime) -> RunOutcome {
         let summary = self.run_until(deadline);
-        if let Some(u) = &self.unrecoverable {
-            return RunOutcome::Unrecoverable(u.clone());
+        match &self.verdict {
+            None => RunOutcome::Completed(summary),
+            Some(Verdict::Degraded(info)) => RunOutcome::Degraded { summary, info: info.clone() },
+            Some(Verdict::Unrecoverable(u)) => RunOutcome::Unrecoverable(u.clone()),
         }
-        if let Some(d) = &self.degraded {
-            return RunOutcome::Degraded {
-                summary,
-                info: d.clone(),
-            };
+    }
+
+    /// The fatal-failure record, if a failure destroyed unrecoverable state.
+    pub fn unrecoverable(&self) -> Option<&Unrecoverable> {
+        match &self.verdict {
+            Some(Verdict::Unrecoverable(u)) => Some(u),
+            _ => None,
         }
-        RunOutcome::Completed(summary)
+    }
+
+    /// Latch `v` as the run's verdict, and say whether it took. The first
+    /// verdict of each kind wins, and Unrecoverable outranks Degraded: it
+    /// replaces a latched Degraded and is never replaced.
+    pub(crate) fn latch(&mut self, v: Verdict) -> bool {
+        let takes = match self.verdict {
+            None => true,
+            Some(Verdict::Degraded(_)) => matches!(v, Verdict::Unrecoverable(_)),
+            Some(Verdict::Unrecoverable(_)) => false,
+        };
+        if takes {
+            self.verdict = Some(v);
+        }
+        takes
     }
 
     /// PEs currently alive inside the live boundary (preempted/retired PEs
@@ -291,42 +316,22 @@ impl Runtime {
         acc + level * (until_s - t).max(0.0)
     }
 
-    /// Is any form of buddy checkpointing in play? (Shrinking to one PE
-    /// would then co-locate both checkpoint copies.)
-    pub(crate) fn ckpt_active(&self) -> bool {
-        self.auto_ckpt_interval.is_some() || self.mem_ckpt.is_some() || self.ckpt_pending.is_some()
-    }
-
-    /// The capacity floor in force: the policy's promise, raised to 2 when
-    /// buddy checkpointing needs distinct owner/buddy PEs.
-    pub(crate) fn capacity_floor(&self) -> usize {
-        let policy = self
-            .elastic
-            .as_ref()
-            .map(|c| c.policy.min_pes())
-            .unwrap_or(1);
-        let ckpt = if self.ckpt_active() { 2 } else { 1 };
-        policy.max(ckpt)
-    }
-
-    /// Journal a capacity change and latch the [`Degraded`] outcome when
-    /// alive capacity falls through the floor (first breach wins; an
-    /// unrecoverable verdict takes precedence).
+    /// Journal a capacity change and latch the [`Degraded`] verdict when
+    /// alive capacity falls through the floor in force: the policy's
+    /// promise, raised to 2 when buddy checkpointing needs distinct
+    /// owner/buddy PEs.
     pub(crate) fn note_capacity(&mut self, reason: &str) {
         let have = self.alive_pes();
         self.journal("capacity", self.now, have as f64);
-        let floor = self.capacity_floor();
-        if have < floor && self.degraded.is_none() && self.unrecoverable.is_none() {
-            if let Some(tr) = &mut self.tracer {
-                tr.rts(self.now, TraceEventKind::DegradedCapacity { have, floor });
-            }
+        let policy = self.elastic.as_ref().map_or(1, |c| c.policy.min_pes());
+        let floor = policy.max(if self.ft.ckpt_active() { 2 } else { 1 });
+        if have >= floor {
+            return;
+        }
+        let info = Degraded { at: self.now, have_pes: have, floor, reason: reason.to_string() };
+        if self.latch(Verdict::Degraded(info)) {
+            self.trace_rts(self.now, TraceEventKind::DegradedCapacity { have, floor });
             self.journal("degraded", self.now, have as f64);
-            self.degraded = Some(Degraded {
-                at: self.now,
-                have_pes: have,
-                floor,
-                reason: reason.to_string(),
-            });
         }
     }
 
@@ -335,13 +340,12 @@ impl Runtime {
     /// re-arming once the job drains (same shape as the auto-checkpoint
     /// tick), so the run still terminates.
     pub(crate) fn on_elastic_tick(&mut self) {
+        if !self.work_outstanding() || self.exit_requested {
+            return;
+        }
         let Some(mut ctl) = self.elastic.take() else {
             return;
         };
-        if !self.work_outstanding() || self.exit_requested {
-            self.elastic = Some(ctl);
-            return;
-        }
 
         // Mean utilization of alive PEs over the window since the last
         // tick. `busy_time` accrues at entry completion, so entries longer
@@ -378,16 +382,10 @@ impl Runtime {
             let floor = ctl.policy.min_pes().max(1);
             let target = target.clamp(floor, self.machine.num_pes);
             if target != self.live_pes {
-                if let Some(tr) = &mut self.tracer {
-                    tr.rts(
-                        self.now,
-                        TraceEventKind::ElasticDecision {
-                            from: self.live_pes,
-                            to: target,
-                            util,
-                        },
-                    );
-                }
+                self.trace_rts(
+                    self.now,
+                    TraceEventKind::ElasticDecision { from: self.live_pes, to: target, util },
+                );
                 self.journal("elastic_decision", self.now, target as f64);
                 self.on_reconfigure(target);
             }

@@ -23,9 +23,11 @@
 
 use crate::array::ObjId;
 use crate::chare::{Callback, SysEvent};
+use crate::elastic::Verdict;
 use crate::runtime::{Ev, Runtime, Unrecoverable, ENVELOPE_BYTES, TOKEN_AUX};
 use crate::trace::TraceEventKind;
 use charm_machine::SimTime;
+use fxhash::FxHashMap;
 use std::collections::{BTreeMap, HashSet};
 
 use std::io::Write;
@@ -59,37 +61,57 @@ const RESTART_BARRIERS: u64 = 6;
 /// length + CRC32 header over the payload).
 const DISK_MAGIC: &[u8; 8] = b"CHMCKPT2";
 
-/// An in-memory snapshot of the entire application.
-pub(crate) struct MemCheckpoint {
-    /// Packed state of every chare, keyed by identity. Ordered map: restore
-    /// iterates it, and record/replay requires that order to be
-    /// deterministic across runs.
-    pub(crate) bytes: BTreeMap<ObjId, Vec<u8>>,
-    /// PE each chare lived on at checkpoint time — where the *local* copy
-    /// resides; the second copy lives on that PE's [`buddy_pe`].
-    pub(crate) placement: BTreeMap<ObjId, usize>,
-    /// Virtual time the checkpoint was taken.
-    pub(crate) taken_at: SimTime,
-    /// Per-PE checkpoint volume (drives the buddy-transfer cost model).
-    pub(crate) per_pe_bytes: Vec<usize>,
-    /// PE count when the checkpoint was taken (fixes the buddy mapping).
-    pub(crate) num_pes: usize,
+/// Fault-tolerance state: the recovery point, the checkpoint replicating,
+/// the restart protocol's open windows and the auto-checkpoint period.
+pub(crate) struct Ft {
+    /// The committed double in-memory checkpoint.
+    mem_ckpt: Option<MemCheckpoint>,
+    /// A checkpoint whose buddy replication is still in flight; it becomes
+    /// `mem_ckpt` only when the matching [`Ev::CkptCommit`] fires. A failure
+    /// before then aborts it (rollback uses the previous `mem_ckpt`).
+    pending: Option<PendingCkpt>,
+    /// PEs whose held checkpoint copies are invalid until the given time
+    /// (the restart protocol is still re-replicating them). A failure that
+    /// lands inside such a window widens the effective dead set.
+    copy_missing: FxHashMap<usize, SimTime>,
+    /// Automatic checkpoint period, when enabled.
+    auto_interval: Option<SimTime>,
 }
 
-impl MemCheckpoint {
-    /// Number of chares captured.
-    pub(crate) fn num_chares(&self) -> usize {
-        self.bytes.len()
+impl Ft {
+    pub(crate) fn new(auto_interval: Option<SimTime>) -> Self {
+        Ft { mem_ckpt: None, pending: None, copy_missing: FxHashMap::default(), auto_interval }
     }
+
+    /// Is any form of buddy checkpointing in play? (Shrinking to one PE
+    /// would then co-locate both checkpoint copies.)
+    pub(crate) fn ckpt_active(&self) -> bool {
+        self.auto_interval.is_some() || self.mem_ckpt.is_some() || self.pending.is_some()
+    }
+}
+
+/// An in-memory snapshot of the entire application.
+struct MemCheckpoint {
+    /// Every chare's PE at checkpoint time — where the *local* copy
+    /// resides; the second copy lives on that PE's [`buddy_pe`] — and its
+    /// packed state, keyed by identity. Ordered map: restore iterates it,
+    /// and record/replay requires that order to be deterministic across runs.
+    chares: BTreeMap<ObjId, (usize, Vec<u8>)>,
+    /// Virtual time the checkpoint was taken.
+    taken_at: SimTime,
+    /// Per-PE checkpoint volume (drives the buddy-transfer cost model).
+    per_pe_bytes: Vec<usize>,
+    /// PE count when the checkpoint was taken (fixes the buddy mapping).
+    num_pes: usize,
 }
 
 /// A checkpoint whose buddy replication is still in flight (§III-B: the
 /// snapshot is usable only once both copies exist everywhere).
-pub(crate) struct PendingCkpt {
-    pub(crate) ckpt: MemCheckpoint,
-    pub(crate) cb: Callback,
+struct PendingCkpt {
+    ckpt: MemCheckpoint,
+    cb: Callback,
     /// When replication finishes and the checkpoint commits.
-    pub(crate) done: SimTime,
+    done: SimTime,
 }
 
 /// Buddy of a PE in the double in-memory scheme: the PE half the machine
@@ -103,23 +125,20 @@ impl Runtime {
     /// [`Ctx::start_mem_checkpoint`](crate::Ctx::start_mem_checkpoint)
     /// action application and from the automatic checkpoint tick.
     pub(crate) fn start_mem_checkpoint(&mut self, cb: Callback, at: SimTime) {
-        if let Some(p) = &self.ckpt_pending {
+        if let Some(p) = &self.ft.pending {
             // A checkpoint is already replicating; coalesce into it.
             let done = p.done;
-            self.deliver_callback(cb, SysEvent::CheckpointDone, done);
+            self.deliver_callback(cb, SysEvent::CheckpointDone, done, 0);
             return;
         }
-        let mut bytes = BTreeMap::new();
-        let mut placement = BTreeMap::new();
+        let mut chares = BTreeMap::new();
         let mut per_pe = vec![0usize; self.machine.num_pes];
         for s in self.stores.iter_mut() {
             let array = s.id();
             s.visit_sorted(&mut |ix, pe, chare| {
                 let b = charm_pup::to_bytes(chare);
                 per_pe[pe] += b.len();
-                let obj = ObjId { array, ix };
-                placement.insert(obj, pe);
-                bytes.insert(obj, b);
+                chares.insert(ObjId { array, ix }, (pe, b));
             });
         }
 
@@ -128,29 +147,18 @@ impl Runtime {
         // complete. Checkpoint time *decreases* with PE count because the
         // per-PE volume shrinks (paper Fig. 8-right, Fig. 10).
         let max_bytes = per_pe.iter().copied().max().unwrap_or(0);
-        let transfer = if self.live_pes > 1 {
-            self.net
-                .delay(0, 1, max_bytes + ENVELOPE_BYTES, self.cur_dispatch.1 ^ TOKEN_AUX)
-        } else {
-            SimTime::ZERO
-        };
+        let transfer = self.ckpt_stream(0, 1, max_bytes);
         let barrier = self.barrier_cost();
         let total = transfer + barrier;
         let done = at + total;
 
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                at,
-                TraceEventKind::CkptBegin {
-                    chares: bytes.len(),
-                    bytes: per_pe.iter().sum(),
-                },
-            );
-        }
-        self.ckpt_pending = Some(PendingCkpt {
+        self.trace_rts(
+            at,
+            TraceEventKind::CkptBegin { chares: chares.len(), bytes: per_pe.iter().sum() },
+        );
+        self.ft.pending = Some(PendingCkpt {
             ckpt: MemCheckpoint {
-                bytes,
-                placement,
+                chares,
                 taken_at: at,
                 per_pe_bytes: per_pe,
                 num_pes: self.live_pes,
@@ -166,7 +174,7 @@ impl Runtime {
     /// Buddy replication finished: the pending snapshot becomes the
     /// recovery point and the requester learns the checkpoint succeeded.
     pub(crate) fn on_ckpt_commit(&mut self) {
-        let Some(p) = self.ckpt_pending.take() else {
+        let Some(p) = self.ft.pending.take() else {
             // The checkpoint this commit belonged to was aborted by a
             // failure; nothing to do.
             return;
@@ -174,33 +182,30 @@ impl Runtime {
         if p.done != self.now {
             // A stale commit event for an aborted checkpoint; the live
             // pending one commits at its own time.
-            self.ckpt_pending = Some(p);
+            self.ft.pending = Some(p);
             return;
         }
         // Both copies of every chare are now in place; rebuild windows
         // from any earlier restart are superseded.
-        self.copy_missing.clear();
-        self.mem_ckpt = Some(p.ckpt);
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(self.now, TraceEventKind::CkptCommit);
-        }
+        self.ft.copy_missing.clear();
+        self.ft.mem_ckpt = Some(p.ckpt);
+        self.trace_rts(self.now, TraceEventKind::CkptCommit);
         self.journal("ckpt_committed", self.now, 1.0);
-        self.deliver_callback(p.cb, SysEvent::CheckpointDone, self.now);
+        self.deliver_callback(p.cb, SysEvent::CheckpointDone, self.now, 0);
     }
 
     /// Automatic periodic checkpoint tick: checkpoint if the application
     /// still has work outstanding, and re-arm only in that case so the run
     /// terminates once the job drains.
     pub(crate) fn on_auto_ckpt(&mut self) {
-        let Some(interval) = self.auto_ckpt_interval else {
+        let Some(interval) = self.ft.auto_interval else {
             return;
         };
         if !self.work_outstanding() || self.exit_requested {
             return;
         }
-        if self.ckpt_pending.is_none() {
-            self.start_mem_checkpoint(Callback::Ignore, self.now);
-        }
+        // A checkpoint still replicating absorbs this one.
+        self.start_mem_checkpoint(Callback::Ignore, self.now);
         let at = self.now + interval;
         self.push_ev(at, Ev::AutoCkpt);
     }
@@ -220,7 +225,7 @@ impl Runtime {
         let doomed: Vec<usize> = self
             .machine
             .node_pe_range(node)
-            .filter(|&p| p < self.live_pes && self.pes[p].alive && !self.retired[p])
+            .filter(|&p| p < self.live_pes && self.pes[p].alive && !self.pes[p].retired)
             .collect();
         if doomed.is_empty() {
             return;
@@ -228,7 +233,7 @@ impl Runtime {
         // The platform never hands a preempted instance back: retire the
         // PEs now so neither a restart nor a later expand resurrects them.
         for &p in &doomed {
-            self.retired[p] = true;
+            self.pes[p].retired = true;
         }
         let survivors: Vec<usize> = (0..self.live_pes)
             .filter(|&p| self.pes[p].alive && !doomed.contains(&p))
@@ -246,17 +251,15 @@ impl Runtime {
         let evac_cost = cost.total + self.barrier_cost();
         let proactive = !survivors.is_empty() && self.now + evac_cost <= deadline;
 
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                self.now,
-                TraceEventKind::PreemptWarning {
-                    first_pe: doomed[0],
-                    num_pes: doomed.len(),
-                    deadline,
-                    proactive,
-                },
-            );
-        }
+        self.trace_rts(
+            self.now,
+            TraceEventKind::PreemptWarning {
+                first_pe: doomed[0],
+                num_pes: doomed.len(),
+                deadline,
+                proactive,
+            },
+        );
         if !proactive {
             // Warning too short (or nowhere to go): let the scheduled
             // NodeFail take the buddy-checkpoint restart path.
@@ -275,16 +278,10 @@ impl Runtime {
         let done = self.now + evac_cost;
         self.block_all_pes(done);
 
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                self.now,
-                TraceEventKind::Evacuation {
-                    chares,
-                    first_pe: doomed[0],
-                    num_pes: doomed.len(),
-                },
-            );
-        }
+        self.trace_rts(
+            self.now,
+            TraceEventKind::Evacuation { chares, first_pe: doomed[0], num_pes: doomed.len() },
+        );
         self.journal("evacuations", self.now, doomed.len() as f64);
         self.journal("evacuation_cost_s", self.now, evac_cost.as_secs_f64());
         self.note_capacity("spot preemption evacuated the node");
@@ -307,29 +304,22 @@ impl Runtime {
         if failed.is_empty() {
             return;
         }
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                self.now,
-                TraceEventKind::NodeFail {
-                    first_pe: failed[0],
-                    num_pes: failed.len(),
-                },
-            );
-        }
+        self.trace_rts(
+            self.now,
+            TraceEventKind::NodeFail { first_pe: failed[0], num_pes: failed.len() },
+        );
 
         // A checkpoint still replicating to buddies can no longer commit:
         // abort it and fall back to the previous committed checkpoint.
-        if let Some(pending) = self.ckpt_pending.take() {
-            if let Some(tr) = &mut self.tracer {
-                tr.rts(self.now, TraceEventKind::CkptAbort);
-            }
+        if let Some(pending) = self.ft.pending.take() {
+            self.trace_rts(self.now, TraceEventKind::CkptAbort);
             self.journal("ckpt_aborted", self.now, pending.ckpt.taken_at.as_secs_f64());
         }
         // Restart windows that have completed by now are fully rebuilt.
         let now = self.now;
-        self.copy_missing.retain(|_, until| *until > now);
+        self.ft.copy_missing.retain(|_, until| *until > now);
 
-        let Some(ckpt) = self.mem_ckpt.take() else {
+        let Some(ckpt) = self.ft.mem_ckpt.take() else {
             // No committed checkpoint: the processes and everything on
             // them are simply lost; messages to them vanish. Survivors
             // keep running.
@@ -350,17 +340,17 @@ impl Runtime {
         // buddy PE) sits on a PE that is neither newly dead nor still
         // rebuilding its copies after an earlier restart.
         let mut dead: HashSet<usize> = failed.iter().copied().collect();
-        dead.extend(self.copy_missing.keys().copied());
+        dead.extend(self.ft.copy_missing.keys().copied());
         // PEs already down (earlier preemptions/unrecovered kills) hold no
         // checkpoint copies either.
         dead.extend((0..self.live_pes).filter(|&p| !self.pes[p].alive));
         let lost = ckpt
-            .placement
+            .chares
             .values()
-            .filter(|&&p| dead.contains(&p) && dead.contains(&buddy_pe(p, ckpt.num_pes)))
+            .filter(|&&(p, _)| dead.contains(&p) && dead.contains(&buddy_pe(p, ckpt.num_pes)))
             .count();
         if lost > 0 {
-            self.mem_ckpt = Some(ckpt); // keep for post-mortem inspection
+            self.ft.mem_ckpt = Some(ckpt); // keep for post-mortem inspection
             self.journal("unrecoverable_failures", self.now, lost as f64);
             self.kill_pes(&failed);
             self.mark_unrecoverable(
@@ -372,15 +362,10 @@ impl Runtime {
         }
 
         // ---- rollback: discard all execution/message state -----------------
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                self.now,
-                TraceEventKind::Rollback {
-                    to: ckpt.taken_at,
-                    chares: ckpt.num_chares(),
-                },
-            );
-        }
+        self.trace_rts(
+            self.now,
+            TraceEventKind::Rollback { to: ckpt.taken_at, chares: ckpt.chares.len() },
+        );
         self.purge_volatile_events();
         for pe in 0..self.live_pes {
             self.discard_queue(pe);
@@ -391,21 +376,18 @@ impl Runtime {
             // Crashed processes are replaced by fresh ones — except PEs the
             // platform reclaimed outright (spot preemptions): those stay
             // retired and the run continues on reduced capacity.
-            p.alive = !self.retired[pe];
+            p.alive = !p.retired;
         }
         if let Some(tr) = &mut self.tracer {
             for pe in 0..self.live_pes {
                 tr.pe_transition(now, pe, false);
             }
         }
-        self.queued = 0;
-        self.inflight = 0;
-        self.migrating = 0;
-        self.busy_pes = 0;
+        self.work = Default::default();
         self.discard_limbo();
         self.reductions.clear();
         self.qd = None;
-        self.at_sync_waiting.clear();
+        self.lb.forget_waiting();
         self.flush_loc_caches();
 
         // ---- restore chare state from the checkpoint ------------------------
@@ -416,8 +398,8 @@ impl Runtime {
             .filter(|&p| self.pes[p].alive)
             .collect();
         if alive_targets.is_empty() {
-            let lost = ckpt.num_chares();
-            self.mem_ckpt = Some(ckpt);
+            let lost = ckpt.chares.len();
+            self.ft.mem_ckpt = Some(ckpt);
             self.mark_unrecoverable(&failed, lost, "no alive PE left to restore onto".to_string());
             return;
         }
@@ -425,8 +407,8 @@ impl Runtime {
             s.clear();
         }
         let mut rr = 0usize;
-        for (obj, bytes) in &ckpt.bytes {
-            let mut pe = ckpt.placement[obj];
+        for (obj, (home, bytes)) in &ckpt.chares {
+            let mut pe = *home;
             if pe >= self.live_pes || !self.pes[pe].alive {
                 let b = buddy_pe(pe, ckpt.num_pes);
                 pe = if b < self.live_pes && self.pes[b].alive {
@@ -451,16 +433,7 @@ impl Runtime {
             .iter()
             .map(|&p| {
                 let bytes = ckpt.per_pe_bytes.get(p).copied().unwrap_or(0);
-                if self.live_pes > 1 {
-                    self.net.delay(
-                        buddy_pe(p, ckpt.num_pes),
-                        p,
-                        bytes + ENVELOPE_BYTES,
-                        self.cur_dispatch.1 ^ TOKEN_AUX,
-                    )
-                } else {
-                    SimTime::ZERO
-                }
+                self.ckpt_stream(buddy_pe(p, ckpt.num_pes), p, bytes)
             })
             .max()
             .unwrap_or(SimTime::ZERO);
@@ -473,7 +446,7 @@ impl Runtime {
         // hold no checkpoint copies: a failure overlapping them before
         // `done` can still destroy both copies of a chare.
         for &p in &failed {
-            self.copy_missing.insert(p, done);
+            self.ft.copy_missing.insert(p, done);
         }
 
         self.journal("restart_time_s", self.now, total.as_secs_f64());
@@ -483,12 +456,22 @@ impl Runtime {
         self.note_capacity("node failure rolled the run back");
 
         // Keep the checkpoint for further failures.
-        self.mem_ckpt = Some(ckpt);
+        self.ft.mem_ckpt = Some(ckpt);
 
         // Tell everyone to resume from checkpointed state.
         let restarted = SysEvent::Restarted { failed_pe: failed[0] };
         for array in self.stores.iter().map(|s| s.id()).collect::<Vec<_>>() {
             self.deliver_sys_to_all(array, &restarted, done, 0);
+        }
+    }
+
+    /// Time to stream `bytes` of checkpoint from PE `from` to PE `to`: one
+    /// message, and nothing when the job runs on one PE.
+    fn ckpt_stream(&mut self, from: usize, to: usize, bytes: usize) -> SimTime {
+        if self.live_pes > 1 {
+            self.net.delay(from, to, bytes + ENVELOPE_BYTES, self.cur_dispatch.1 ^ TOKEN_AUX)
+        } else {
+            SimTime::ZERO
         }
     }
 
@@ -516,19 +499,15 @@ impl Runtime {
         self.note_capacity("node failure killed PEs without recovery");
     }
 
-    /// Record the (sticky) fatal outcome — the first fatal failure wins.
+    /// Latch the fatal verdict — the first fatal failure wins.
     fn mark_unrecoverable(&mut self, failed: &[usize], lost_chares: usize, reason: String) {
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(self.now, TraceEventKind::Unrecoverable { lost: lost_chares });
-        }
-        if self.unrecoverable.is_none() {
-            self.unrecoverable = Some(Unrecoverable {
-                at: self.now,
-                failed_pes: failed.to_vec(),
-                lost_chares,
-                reason,
-            });
-        }
+        self.trace_rts(self.now, TraceEventKind::Unrecoverable { lost: lost_chares });
+        self.latch(Verdict::Unrecoverable(Unrecoverable {
+            at: self.now,
+            failed_pes: failed.to_vec(),
+            lost_chares,
+            reason,
+        }));
     }
 
     /// Drop Deliver/PeFree/PeRetry/MigrateArrive/CkptCommit events (message,

@@ -19,7 +19,7 @@ impl Runtime {
         // buddy copies would co-locate (`buddy_pe(0, 1) == 0`) and the next
         // failure would be unrecoverable by construction. Reject by
         // clamping to the checkpoint floor.
-        let floor = if self.ckpt_active() { 2 } else { 1 };
+        let floor = if self.ft.ckpt_active() { 2 } else { 1 };
         let requested = to;
         let to = to.clamp(floor, self.machine.num_pes);
         if to != requested {
@@ -61,7 +61,7 @@ impl Runtime {
             // Expand: revive PEs, then spread load with an LB round. PEs
             // the platform reclaimed (spot preemptions) never come back.
             for pe in old..to {
-                if self.retired[pe] {
+                if self.pes[pe].retired {
                     continue;
                 }
                 self.pes[pe].alive = true;
@@ -78,9 +78,7 @@ impl Runtime {
 
     fn journal_reconfig(&mut self, from: usize, to: usize, done: SimTime) {
         let cost = done.saturating_sub(self.now).as_secs_f64();
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(self.now, TraceEventKind::Reconfigure { from, to });
-        }
+        self.trace_rts(self.now, TraceEventKind::Reconfigure { from, to });
         self.journal("reconfigure", self.now, to as f64);
         self.journal("reconfigure_cost_s", self.now, cost);
         self.note_capacity("malleable reconfiguration");

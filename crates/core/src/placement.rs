@@ -2,15 +2,50 @@
 //! one move and its one price (`move_chare`, `MoveCost`) behind the
 //! load-balancing round, the draining of a PE set for shrink and
 //! preemption, and `MigrateMe` (a real PUP round trip split across a
-//! network delay); the global pause and the AtSync protocol.
+//! network delay); the global pause, the AtSync protocol, and the load
+//! balancer's state ([`Lb`]).
 
 use crate::array::{ArrayId, ElemRef, ObjId};
 use crate::chare::SysEvent;
-use crate::lbframework::{LbRound, LbStats, LbTrigger, ObjStat};
+use crate::lbframework::{LbRound, LbStats, LbTrigger, ObjStat, Strategy};
 use crate::runtime::{Ev, MigrateArrive, Runtime, ENVELOPE_BYTES, TOKEN_AUX};
 use crate::trace::TraceEventKind;
 use charm_machine::{NetworkModel, SimTime};
+use fxhash::{FxHashMap, FxHashSet};
 use std::collections::HashMap;
+
+/// The load balancer's state: what balances, when, who is waiting at the
+/// AtSync barrier, what it has done, and the traffic it weighs.
+pub(crate) struct Lb {
+    strategy: Option<Box<dyn Strategy>>,
+    trigger: LbTrigger,
+    /// Elements waiting at the AtSync barrier; a repeat call is a no-op.
+    waiting: FxHashSet<ElemRef>,
+    rounds: Vec<LbRound>,
+    /// Aggregated obj→obj bytes since the last LB window started: `Some`
+    /// iff the strategy [`wants_comm`](Strategy::wants_comm).
+    comm: Option<FxHashMap<(ObjId, ObjId), u64>>,
+}
+
+impl Lb {
+    pub(crate) fn new(strategy: Option<Box<dyn Strategy>>, trigger: LbTrigger) -> Self {
+        let comm = strategy.as_ref().is_some_and(|s| s.wants_comm()).then(FxHashMap::default);
+        Lb { strategy, trigger, waiting: FxHashSet::default(), rounds: Vec::new(), comm }
+    }
+
+    /// Journal `bytes` sent from `src` to `dst` if the strategy weighs them.
+    #[inline]
+    pub(crate) fn note_comm(&mut self, src: ObjId, dst: ObjId, bytes: usize) {
+        if let Some(comm) = &mut self.comm {
+            *comm.entry((src, dst)).or_default() += bytes as u64;
+        }
+    }
+
+    /// A rollback discarded the run: nobody waits at the barrier any more.
+    pub(crate) fn forget_waiting(&mut self) {
+        self.waiting.clear();
+    }
+}
 
 /// One chare changing PE, and the size of its PUP image.
 #[derive(Clone, Copy)]
@@ -63,10 +98,8 @@ impl Runtime {
     /// Account one move made at `at`: its image and an envelope are added
     /// to `bytes_moved`, and it leaves one `Migration` record.
     fn account_move(&mut self, m: &Move, at: SimTime) {
-        self.bytes_moved += (m.image + ENVELOPE_BYTES) as u64;
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(at, TraceEventKind::Migration { obj: m.obj, from_pe: m.from, to_pe: m.to });
-        }
+        self.stats.bytes_moved += (m.image + ENVELOPE_BYTES) as u64;
+        self.trace_rts(at, TraceEventKind::Migration { obj: m.obj, from_pe: m.from, to_pe: m.to });
     }
 
     /// Make `m` now, in process (`AnyArray::move_element`: the record
@@ -92,8 +125,8 @@ impl Runtime {
         m.image = bytes.len();
         self.account_move(&m, at);
         let delay = self.move_batch().add(&mut self.net, &m).total;
-        self.inflight += 1;
-        self.migrating += 1;
+        self.work.inflight += 1;
+        self.work.migrating += 1;
         let arrive = MigrateArrive { dst: src, to_pe: m.to, from_pe: from, bytes };
         self.push_ev(at + delay, Ev::MigrateArrive(Box::new(arrive)));
     }
@@ -102,11 +135,11 @@ impl Runtime {
     /// then flush any messages parked while it was in transit.
     pub(crate) fn on_migrate_arrive(&mut self, m: MigrateArrive) {
         let MigrateArrive { dst, to_pe, from_pe, bytes } = m;
-        self.inflight -= 1;
-        self.migrating -= 1;
+        self.work.inflight -= 1;
+        self.work.migrating -= 1;
         let elem = self.stores[dst.array.0 as usize].unpack_insert(dst.ix, to_pe, &bytes);
         let dst = ElemRef { array: dst.array, elem };
-        self.deliver_sys(dst, SysEvent::Migrated { from_pe }, self.now);
+        self.deliver_sys(dst, SysEvent::Migrated { from_pe }, self.now, 0);
         self.flush_limbo(dst);
     }
 
@@ -142,17 +175,17 @@ impl Runtime {
     /// Take `pes` down: their queues stop counting as queued work, the
     /// entry a PE was running is abandoned (its `PeFree` still fires but
     /// finds the PE dead, so the busy accounting is released here or
-    /// `busy_pes` leaks and periodic ticks re-arm forever), the PEs are
+    /// `work.busy_pes` leaks and periodic ticks re-arm forever), the PEs are
     /// marked dead and each leaves a PE-idle trace record. The queued
     /// envelopes stay where they are for the caller to re-route or drop.
     pub(crate) fn take_down(&mut self, pes: &[usize]) {
         for &pe in pes {
             let p = &mut self.pes[pe];
-            self.queued -= p.pending.len() as u64;
+            self.work.queued -= p.pending.len() as u64;
             if p.busy {
                 p.busy = false;
                 p.current = None;
-                self.busy_pes -= 1;
+                self.work.busy_pes -= 1;
             }
             p.alive = false;
             if let Some(tr) = &mut self.tracer {
@@ -168,7 +201,7 @@ impl Runtime {
         let mut stranded = Vec::new();
         for &pe in pes {
             while let Some(env) = self.pes[pe].pending.pop() {
-                self.pe_queue_ops += 1;
+                self.stats.pe_queue_ops += 1;
                 stranded.push(env);
             }
         }
@@ -200,24 +233,24 @@ impl Runtime {
              (enable it with Runtime::set_at_sync)",
             store.name()
         );
-        self.at_sync_waiting.insert(from);
+        self.lb.waiting.insert(from);
         let expected: usize = self
             .stores
             .iter()
             .filter(|s| s.uses_at_sync())
             .map(|s| s.len())
             .sum();
-        if self.at_sync_waiting.len() < expected {
+        if self.lb.waiting.len() < expected {
             return;
         }
-        self.at_sync_waiting.clear();
-        let skip = match self.lb_trigger {
+        self.lb.waiting.clear();
+        let skip = match self.lb.trigger {
             LbTrigger::AtSync => false,
             LbTrigger::Adaptive { min_imbalance } => {
                 self.collect_lb_stats().imbalance() < min_imbalance
             }
         };
-        if skip || self.lb.is_none() {
+        if skip || self.lb.strategy.is_none() {
             // Resume immediately: a barrier's worth of cost only.
             let resume = at + self.barrier_cost();
             self.start_lb_window();
@@ -236,7 +269,7 @@ impl Runtime {
         // The communication journal (if tracked) in a deterministic order,
         // and per-sender totals.
         let mut comm: Vec<(ObjId, ObjId, u64)> =
-            self.comm.iter().map(|(&(a, b), &v)| (a, b, v)).collect();
+            self.lb.comm.iter().flatten().map(|(&(a, b), &v)| (a, b, v)).collect();
         comm.sort_unstable_by(|x, y| {
             (x.0.array, x.0.ix, x.1.array, x.1.ix).cmp(&(y.0.array, y.0.ix, y.1.array, y.1.ix))
         });
@@ -280,7 +313,24 @@ impl Runtime {
                 s.reset_loads();
             }
         }
-        self.comm.clear();
+        if let Some(comm) = &mut self.lb.comm {
+            comm.clear();
+        }
+    }
+
+    /// Completed load-balancing rounds.
+    pub fn lb_rounds(&self) -> &[LbRound] {
+        &self.lb.rounds
+    }
+
+    /// An RTS-triggered LB round (no AtSync barrier involved): used by the
+    /// thermal schemes and by cloud interference handling (§IV-F: "instead
+    /// of application-triggered periodic load balancing, we switch to an
+    /// RTS-triggered approach").
+    pub(crate) fn rts_triggered_lb(&mut self) {
+        if self.lb.strategy.is_some() {
+            self.run_lb_round(self.now, false);
+        }
     }
 
     /// Collect stats, start a fresh window, run the strategy, enact
@@ -292,26 +342,18 @@ impl Runtime {
         self.start_lb_window();
         let imbalance_before = stats.imbalance();
 
-        let Some(lb) = self.lb.as_mut() else {
-            if resume {
-                self.resume_from_sync(at);
-            }
-            return;
-        };
+        // Both callers, AtSync and `rts_triggered_lb`, skip the round when
+        // no strategy is installed.
+        let lb = self.lb.strategy.as_mut().expect("an LB round needs a strategy");
         let assignment = lb.assign(&stats);
         assert_eq!(assignment.len(), stats.objs.len());
         let strategy_name = lb.name();
         let distributed = lb.is_distributed();
         let decision_work = lb.decision_cost(stats.objs.len(), self.live_pes);
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                at,
-                TraceEventKind::LbBegin {
-                    strategy: strategy_name,
-                    objs: stats.objs.len(),
-                },
-            );
-        }
+        self.trace_rts(
+            at,
+            TraceEventKind::LbBegin { strategy: strategy_name, objs: stats.objs.len() },
+        );
 
         // --- modeled cost of the LB round -----------------------------------
         // One jitter draw prices the small hop; the gossip/scatter waves and
@@ -358,17 +400,11 @@ impl Runtime {
             &stats.pe_speed,
             self.live_pes,
         );
-        if let Some(tr) = &mut self.tracer {
-            tr.rts(
-                resume_at,
-                TraceEventKind::LbEnd {
-                    strategy: strategy_name,
-                    migrations,
-                    cost: total,
-                },
-            );
-        }
-        self.lb_rounds.push(LbRound {
+        self.trace_rts(
+            resume_at,
+            TraceEventKind::LbEnd { strategy: strategy_name, migrations, cost: total },
+        );
+        self.lb.rounds.push(LbRound {
             strategy: strategy_name,
             migrations,
             imbalance_before,
@@ -408,7 +444,7 @@ mod tests {
         }
     }
 
-    /// What `queued`, `busy_pes` and `inflight` claim to track, counted
+    /// What the `Work` counters claim to track, counted
     /// afresh from the PE queues and the event heap.
     fn recount(rt: &mut Runtime) -> (u64, usize, u64) {
         let queued = rt.pes.iter().map(|p| p.pending.len() as u64).sum();
@@ -449,11 +485,11 @@ mod tests {
             }
             rt.run_until(half_ms);
             assert_eq!(rt.alive_pes(), alive_after, "{name}: the take-down ran");
-            assert!(rt.queued > 0 && rt.busy_pes > 0, "{name}: caught mid-flight");
-            assert_eq!((rt.queued, rt.busy_pes, rt.inflight), recount(&mut rt), "{name}");
+            assert!(rt.work.queued > 0 && rt.work.busy_pes > 0, "{name}: caught mid-flight");
+            assert_eq!((rt.work.queued, rt.work.busy_pes, rt.work.inflight), recount(&mut rt), "{name}");
             let s = rt.run();
             assert_eq!(s.entries, 96, "{name}: every stranded envelope still executes");
-            assert_eq!((rt.queued, rt.busy_pes, rt.inflight), (0, 0, 0), "{name}: drained");
+            assert_eq!((rt.work.queued, rt.work.busy_pes, rt.work.inflight), (0, 0, 0), "{name}: drained");
         }
     }
 
@@ -575,7 +611,7 @@ mod tests {
             }
             rt.insert(arr, Ix::i1(i), c, Some(if i < on_pe0 { 0 } else { 1 }));
         }
-        let bytes_before = rt.bytes_moved;
+        let bytes_before = rt.stats.bytes_moved;
         UNPACKS.with(|u| u.set(0));
         rt.run_lb_round(SimTime::ZERO, false);
 
@@ -583,7 +619,7 @@ mod tests {
         assert_eq!(round.migrations, on_pe0 as usize);
         assert_eq!(UNPACKS.with(|u| u.get()), 0, "an LB move unpacks nothing");
         let wire: Vec<usize> = images.iter().map(|image| image + ENVELOPE_BYTES).collect();
-        assert_eq!(rt.bytes_moved - bytes_before, wire.iter().sum::<usize>() as u64);
+        assert_eq!(rt.stats.bytes_moved - bytes_before, wire.iter().sum::<usize>() as u64);
         // The round's model (`run_lb_round`): gather the stats, scatter the
         // decisions, send PE 0's chares to PE 1 one after another, close
         // with a barrier.

@@ -14,7 +14,8 @@
 
 use crate::runtime::{Ev, Runtime};
 use crate::trace::TraceEventKind;
-use charm_machine::SimTime;
+use charm_machine::thermal::ThermalModel;
+use charm_machine::{MachineConfig, SimTime};
 
 /// The temperature-control scheme the RTS applies at each DVFS tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,40 +37,84 @@ pub enum DvfsScheme {
     },
 }
 
+/// Temperature and DVFS control: the chips' thermal state and what the
+/// scheme keeps between ticks. Only a machine with a thermal model has it.
+pub(crate) struct Power {
+    thermal: ThermalModel,
+    scheme: DvfsScheme,
+    /// Sampling / control period.
+    period: SimTime,
+    /// Busy time per chip accumulated since the last tick.
+    chip_busy: Vec<SimTime>,
+    /// When the `WithLb` scheme last balanced: its period's timer.
+    last_lb: SimTime,
+}
+
+impl Power {
+    /// The controller for `machine`, if it has a thermal model.
+    pub(crate) fn new(machine: &MachineConfig, scheme: DvfsScheme, period: SimTime) -> Option<Self> {
+        let chips = machine.num_chips();
+        machine.thermal.as_ref().map(|cfg| Power {
+            thermal: ThermalModel::new(cfg.clone(), chips),
+            scheme,
+            period,
+            chip_busy: vec![SimTime::ZERO; chips],
+            last_lb: SimTime::ZERO,
+        })
+    }
+
+    /// Charge `dur` of busy time to `chip`.
+    #[inline]
+    pub(crate) fn note_busy(&mut self, chip: usize, dur: SimTime) {
+        self.chip_busy[chip] += dur;
+    }
+}
+
 impl Runtime {
+    /// The thermal model, when the machine has one.
+    pub fn thermal(&self) -> Option<&ThermalModel> {
+        self.power.as_ref().map(|p| &p.thermal)
+    }
+
+    /// Effective speed of a PE: static heterogeneity × interference × DVFS.
+    #[inline]
+    pub(crate) fn effective_speed(&self, pe: usize) -> f64 {
+        let mut s = self.machine.speed.speed_at(pe, self.now);
+        if let Some(p) = &self.power {
+            s *= p.thermal.freq_factor(self.machine.chip_of(pe));
+        }
+        s
+    }
+
     /// One temperature-sampling / DVFS-control period elapsed.
     pub(crate) fn on_dvfs_tick(&mut self) {
-        let Some(thermal) = self.thermal.as_mut() else {
+        let Some(pw) = self.power.as_mut() else {
             return;
         };
-        let period_s = self.dvfs_period.as_secs_f64();
+        let thermal = &mut pw.thermal;
+        let period_s = pw.period.as_secs_f64();
         let cores = self.machine.cores_per_chip as f64;
         let mut any_freq_change = false;
 
         for chip in 0..thermal.num_chips() {
-            let busy = std::mem::replace(&mut self.chip_busy[chip], SimTime::ZERO);
+            let busy = std::mem::replace(&mut pw.chip_busy[chip], SimTime::ZERO);
             let util = (busy.as_secs_f64() / (period_s * cores)).clamp(0.0, 1.0);
             thermal.advance(chip, period_s, util);
-            match self.dvfs {
-                DvfsScheme::Base => {}
-                DvfsScheme::Naive | DvfsScheme::WithLb { .. } | DvfsScheme::MetaTemp { .. } => {
-                    if thermal.dvfs_step(chip) {
-                        any_freq_change = true;
-                        if let Some(tr) = &mut self.tracer {
-                            tr.rts(
-                                self.now,
-                                TraceEventKind::DvfsFreq {
-                                    chip,
-                                    freq_factor: thermal.freq_factor(chip),
-                                },
-                            );
-                        }
-                    }
+            if pw.scheme != DvfsScheme::Base && thermal.dvfs_step(chip) {
+                any_freq_change = true;
+                if let Some(tr) = &mut self.tracer {
+                    tr.rts(
+                        self.now,
+                        TraceEventKind::DvfsFreq {
+                            chip,
+                            freq_factor: thermal.freq_factor(chip),
+                        },
+                    );
                 }
             }
         }
 
-        // Journal temperature / frequency observations.
+        // Temperature / frequency observations.
         let max_t = (0..thermal.num_chips())
             .map(|c| thermal.temp(c))
             .fold(f64::NEG_INFINITY, f64::max);
@@ -77,40 +122,28 @@ impl Runtime {
             .map(|c| thermal.freq_factor(c))
             .sum::<f64>()
             / thermal.num_chips().max(1) as f64;
+        // Frequency-aware LB, per scheme: every `period`, or when a
+        // frequency changed and the imbalance is worth a round.
+        let (scheme, next) = (pw.scheme, self.now + pw.period);
+        let periodic = match scheme {
+            DvfsScheme::WithLb { period } => self.now.saturating_sub(pw.last_lb) >= period,
+            _ => false,
+        };
+        if periodic {
+            pw.last_lb = self.now;
+        }
         self.journal("max_temp_c", self.now, max_t);
         self.journal("avg_freq", self.now, avg_f);
-
-        // Frequency-aware LB, per scheme.
-        match self.dvfs {
-            DvfsScheme::WithLb { period }
-                if self.now.saturating_sub(self.last_rts_lb) >= period => {
-                    self.last_rts_lb = self.now;
-                    self.rts_triggered_lb();
-                }
-            DvfsScheme::MetaTemp { min_imbalance }
-                if any_freq_change => {
-                    let stats = self.collect_lb_stats();
-                    if stats.imbalance() > min_imbalance {
-                        self.last_rts_lb = self.now;
-                        self.rts_triggered_lb();
-                    }
-                }
-            _ => {}
+        let balance = match scheme {
+            DvfsScheme::MetaTemp { min_imbalance } => {
+                any_freq_change && self.collect_lb_stats().imbalance() > min_imbalance
+            }
+            _ => periodic,
+        };
+        if balance {
+            self.rts_triggered_lb();
         }
-
-        let next = self.now + self.dvfs_period;
         self.push_ev(next, Ev::DvfsTick);
-    }
-
-    /// An RTS-triggered LB round (no AtSync barrier involved): used by the
-    /// thermal schemes and by cloud interference handling (§IV-F: "instead
-    /// of application-triggered periodic load balancing, we switch to an
-    /// RTS-triggered approach").
-    pub(crate) fn rts_triggered_lb(&mut self) {
-        if self.lb.is_none() {
-            return;
-        }
-        self.run_lb_round(self.now, false);
     }
 
     /// Schedule `rounds` RTS-triggered load-balancing rounds, one every

@@ -1281,6 +1281,8 @@ pub(crate) struct Recorder {
     shed_execs: u64,
     /// Sends dropped because their producing exec was shed.
     shed_sends: u64,
+    /// Exec count at the last state-digest point.
+    last_digest_seq: u64,
 }
 
 impl Recorder {
@@ -1301,7 +1303,19 @@ impl Recorder {
             current: None,
             shed_execs: 0,
             shed_sends: 0,
+            last_digest_seq: 0,
         }
+    }
+
+    /// Is a state-digest point due (`digest_every` execs since the last
+    /// one)? If so it counts as taken from here.
+    pub(crate) fn take_digest_due(&mut self) -> bool {
+        let execs = self.execs_len();
+        let due = self.cfg.digest_every.is_some_and(|n| execs - self.last_digest_seq >= n);
+        if due {
+            self.last_digest_seq = execs;
+        }
+        due
     }
 
     /// Has the exec cap been reached?

@@ -83,10 +83,7 @@ impl Runtime {
             true_pe
         };
         let delay = self.net.delay(src, target_pe, bytes, rec_id);
-        self.bytes_moved += bytes as u64;
-        if let Some(tr) = &mut self.tracer {
-            tr.on_send(at, src, target_pe, dst.obj(&self.stores), bytes);
-        }
+        self.stats.bytes_moved += bytes as u64;
         if let Some(r) = &mut self.recorder {
             // A home-PE query round trip was charged iff `extra > 0`; its
             // control messages are envelope-sized.
@@ -106,10 +103,11 @@ impl Runtime {
             }
             _ => SimTime::ZERO,
         };
+        let latency = extra + delay + jitter;
         if let Some(tr) = &mut self.tracer {
-            tr.on_msg_latency(extra + delay + jitter);
+            tr.on_send(at, src, target_pe, dst.obj(&self.stores), bytes, latency);
         }
-        self.sched_deliver(at + extra + delay + jitter, target_pe, env);
+        self.sched_deliver(at + latency, target_pe, env);
     }
 
     /// Ask `dst`'s home PE where it lives: request + response round trip.
@@ -123,7 +121,7 @@ impl Runtime {
     /// Home PE of an index under its array's home map.
     pub(crate) fn home_pe(&self, array: ArrayId, ix: &crate::Ix) -> usize {
         let p = self.live_pes;
-        match self.home_maps.get(array.0 as usize).copied().unwrap_or(HomeMap::Hash) {
+        match self.stores[array.0 as usize].home_map() {
             HomeMap::Hash => (ix.stable_hash() % p as u64) as usize,
             HomeMap::Blocked { total } => match ix {
                 crate::Ix::I1(i) if *i >= 0 && (*i as u64) < total && total > 0 => {

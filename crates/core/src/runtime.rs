@@ -21,15 +21,15 @@ use crate::chare::{Callback, Chare, SysEvent};
 use crate::collectives::RedState;
 use crate::ctrl::{ControlRegistry, ControlValues};
 use crate::ctx::{Action, Ctx};
-use crate::ft::{MemCheckpoint, PendingCkpt};
-use crate::lbframework::{LbRound, LbTrigger, Strategy};
-use crate::power::DvfsScheme;
+use crate::elastic::Verdict;
+use crate::ft::Ft;
+use crate::placement::Lb;
+use crate::power::Power;
 use crate::replay::{sys_event_digest, Recorder, ReplayLog};
 use crate::routing::HomeMap;
-use crate::trace::{EntryKind, Tracer};
-use charm_machine::thermal::ThermalModel;
+use crate::trace::{EntryKind, TraceEventKind, Tracer};
 use charm_machine::{EventQueue, MachineConfig, NetworkModel, PrioQueue, SimTime};
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use std::num::NonZeroU32;
 
@@ -47,6 +47,10 @@ pub(crate) const SLOT_HOST: usize = 0;
 pub(crate) const SLOT_RED: usize = 1;
 /// Key-slot offset for runtime-system events (failures, DVFS, checkpoints…).
 pub(crate) const SLOT_RTS: usize = 2;
+
+/// Per-entry scheduling overhead. One value has ever been in use; the
+/// `.rlog` header carries it for what-if replay.
+const SCHED_OVERHEAD: SimTime = SimTime::from_nanos(250);
 
 /// Events the reused dispatch buffer keeps between batches.
 const BATCH_RETAIN: usize = 1 << 12;
@@ -156,6 +160,9 @@ pub(crate) struct PeState {
     pub(crate) pending: PrioQueue<EnvId>,
     pub(crate) busy: bool,
     pub(crate) alive: bool,
+    /// Permanently reclaimed by the platform (a spot preemption): never
+    /// revived by restart or expand.
+    pub(crate) retired: bool,
     /// PEs blocked by a global operation (LB, checkpoint, reconfigure)
     /// may not start new work before this time.
     pub(crate) blocked_until: SimTime,
@@ -169,6 +176,7 @@ impl PeState {
             pending: PrioQueue::new(),
             busy: false,
             alive: true,
+            retired: false,
             blocked_until: SimTime::ZERO,
             busy_time: SimTime::ZERO,
             current: None,
@@ -260,21 +268,51 @@ impl std::fmt::Display for Unrecoverable {
 
 impl std::error::Error for Unrecoverable {}
 
+/// The engine's counters, read together by [`Runtime::summary`].
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub(crate) entries: u64,
+    pub(crate) messages: u64,
+    pub(crate) bytes_moved: u64,
+    pub(crate) events_processed: u64,
+    /// Pushes onto and pops off the PEs' scheduler queues.
+    pub(crate) pe_queue_ops: u64,
+    /// α-windows committed: see [`RunSummary::windows_executed`].
+    pub(crate) windows_executed: u64,
+    /// Wall-clock time accumulated inside `run*` calls (not virtual time).
+    pub(crate) wall_run: std::time::Duration,
+    /// This thread's arena counters when the runtime was built; `summary()`
+    /// reports the delta.
+    pub(crate) arena_base: crate::arena::ArenaStats,
+}
+
+/// The work in the system, read together by [`Runtime::work_outstanding`].
+#[derive(Default)]
+pub(crate) struct Work {
+    /// Deliver/MigrateArrive events in flight.
+    pub(crate) inflight: u64,
+    /// The MigrateArrive share of `inflight`.
+    pub(crate) migrating: u64,
+    /// Envelopes sitting in PE queues.
+    pub(crate) queued: u64,
+    /// PEs running an entry.
+    pub(crate) busy_pes: usize,
+}
+
 /// The charm-rs runtime: one instance simulates one parallel job.
+///
+/// Each runtime service keeps its state in one struct whose fields only its
+/// own module touches (DESIGN §4.3): `Lb` in `placement`, `Ft` in `ft`,
+/// `Power` in `power` and the elastic controller in `elastic`.
 pub struct Runtime {
     pub(crate) machine: MachineConfig,
     pub(crate) net: NetworkModel,
     pub(crate) now: SimTime,
     pub(crate) events: EventQueue<Ev>,
     pub(crate) pes: Vec<PeState>,
-    /// Pushes onto and pops off the PEs' scheduler queues.
-    pub(crate) pe_queue_ops: u64,
     /// PEs currently participating (≤ machine.num_pes under shrink).
     pub(crate) live_pes: usize,
     pub(crate) stores: Vec<Box<dyn AnyArray>>,
-    /// Per-array home-mapping scheme (parallel to `stores`).
-    pub(crate) home_maps: Vec<HomeMap>,
-    pub(crate) array_names: FxHashMap<String, ArrayId>,
     pub(crate) rngs: Vec<StdRng>,
     pub(crate) ctrl: ControlRegistry,
     pub(crate) ctrl_snapshot: ControlValues,
@@ -289,55 +327,20 @@ pub struct Runtime {
     pub(crate) limbo: FxHashMap<ElemRef, Vec<EnvId>>,
     pub(crate) reductions: FxHashMap<(ArrayId, u32), RedState>,
     pub(crate) qd: Option<Callback>,
-    /// Deliver/MigrateArrive events in flight.
-    pub(crate) inflight: u64,
-    /// The MigrateArrive share of `inflight`.
-    pub(crate) migrating: u64,
-    /// Envelopes sitting in PE queues.
-    pub(crate) queued: u64,
-    pub(crate) busy_pes: usize,
-    pub(crate) lb: Option<Box<dyn Strategy>>,
-    pub(crate) lb_trigger: LbTrigger,
-    /// Elements waiting at the AtSync barrier; a repeat call is a no-op.
-    pub(crate) at_sync_waiting: FxHashSet<ElemRef>,
-    pub(crate) lb_rounds: Vec<LbRound>,
-    pub(crate) mem_ckpt: Option<MemCheckpoint>,
-    /// A checkpoint whose buddy replication is still in flight; it becomes
-    /// `mem_ckpt` only when the matching [`Ev::CkptCommit`] fires. A failure
-    /// before then aborts it (rollback uses the previous `mem_ckpt`).
-    pub(crate) ckpt_pending: Option<PendingCkpt>,
-    /// PEs whose held checkpoint copies are invalid until the given time
-    /// (the restart protocol is still re-replicating them). A failure that
-    /// lands inside such a window widens the effective dead set.
-    pub(crate) copy_missing: FxHashMap<usize, SimTime>,
-    /// Automatic checkpoint period, when enabled.
-    pub(crate) auto_ckpt_interval: Option<SimTime>,
-    /// Set (once, sticky) when a failure destroys state beyond recovery.
-    pub(crate) unrecoverable: Option<Unrecoverable>,
+    pub(crate) work: Work,
+    /// The load balancer: strategy, trigger, AtSync barrier, rounds, comm.
+    pub(crate) lb: Lb,
+    /// Fault tolerance: checkpoints and the restart protocol's windows.
+    pub(crate) ft: Ft,
+    /// The run's sticky verdict, once a failure or a capacity breach set it.
+    pub(crate) verdict: Option<Verdict>,
     /// The elastic controller, when installed ([`RuntimeBuilder::elastic`]).
     pub(crate) elastic: Option<crate::elastic::ElasticCtl>,
-    /// PEs permanently reclaimed by the platform (spot preemptions). A
-    /// retired PE is never revived by restart or expand.
-    pub(crate) retired: Vec<bool>,
-    /// Set (once, sticky) when alive capacity fell through the floor; the
-    /// run still completes, with a [`crate::elastic::Degraded`] outcome.
-    pub(crate) degraded: Option<crate::elastic::Degraded>,
-    pub(crate) thermal: Option<ThermalModel>,
-    pub(crate) dvfs: DvfsScheme,
-    pub(crate) dvfs_period: SimTime,
-    /// Last time an RTS-triggered (non-AtSync) LB round ran.
-    pub(crate) last_rts_lb: SimTime,
-    /// Busy time per chip accumulated since the last DVFS tick.
-    pub(crate) chip_busy: Vec<SimTime>,
-    pub(crate) sched_overhead: SimTime,
+    /// Temperature and DVFS control, when the machine has a thermal model.
+    pub(crate) power: Option<Power>,
     /// The metric journal; written only through [`Runtime::journal`].
     metrics: FxHashMap<String, Vec<(f64, f64)>>,
-    pub(crate) entries: u64,
-    pub(crate) messages: u64,
-    pub(crate) bytes_moved: u64,
-    pub(crate) events_processed: u64,
-    /// Wall-clock time accumulated inside `run*` calls (not virtual time).
-    pub(crate) wall_run: std::time::Duration,
+    pub(crate) stats: Counters,
     /// Reusable buffer for the actions a `Ctx` collects during one entry
     /// method — saves a heap allocation per executed message.
     pub(crate) action_scratch: Vec<Action>,
@@ -353,11 +356,6 @@ pub struct Runtime {
     pub(crate) location_cache: bool,
     /// Spanning-tree branching factor for collectives.
     pub(crate) collective_arity: u64,
-    /// Record obj→obj communication for the LB? Set once at build time from
-    /// [`Strategy::wants_comm`](crate::Strategy::wants_comm).
-    pub(crate) track_comm: bool,
-    /// Aggregated obj→obj bytes since the last LB round (when tracked).
-    pub(crate) comm: FxHashMap<(ObjId, ObjId), u64>,
     /// Projections-lite tracing, when enabled ([`RuntimeBuilder::tracing`]).
     pub(crate) tracer: Option<Tracer>,
     /// Replay recording, when enabled ([`RuntimeBuilder::record`]).
@@ -379,18 +377,10 @@ pub struct Runtime {
     pub(crate) cur_win_end: SimTime,
     /// Window quantum: the minimum cross-PE network latency (α) in ns.
     pub(crate) win_ns: u64,
-    /// Recorder exec count at the last emitted state-digest point.
-    pub(crate) last_digest_seq: u64,
     /// Modeled process tear-down/reconnect cost on shrink (paper: 2.7 s).
     pub reconfig_overhead_shrink: SimTime,
     /// Modeled process start-up/reconnect cost on expand (paper: 7.2 s).
     pub reconfig_overhead_expand: SimTime,
-    /// This thread's arena counters when the runtime was built; `summary()`
-    /// reports the delta.
-    pub(crate) arena_base: crate::arena::ArenaStats,
-    /// α-windows committed (drain-horizon advances) — see
-    /// [`RunSummary::windows_executed`].
-    pub(crate) windows_executed: u64,
 }
 
 impl Runtime {
@@ -404,14 +394,9 @@ impl Runtime {
     /// Create (register) a chare array. The name is the stable identity used
     /// by disk checkpoints.
     pub fn create_array<C: Chare>(&mut self, name: &str) -> ArrayProxy<C> {
-        assert!(
-            !self.array_names.contains_key(name),
-            "array '{name}' already exists"
-        );
+        assert!(self.array_id(name).is_none(), "array '{name}' already exists");
         let id = ArrayId(self.stores.len() as u32);
         self.stores.push(Box::new(ArrayStore::<C>::new(id, name)));
-        self.home_maps.push(HomeMap::Hash);
-        self.array_names.insert(name.to_string(), id);
         if let Some(tr) = self.tracer.as_mut() {
             tr.register_array(id, name);
         }
@@ -421,7 +406,7 @@ impl Runtime {
     /// Install a home-mapping scheme for an array (before inserting
     /// elements). The default is [`HomeMap::Hash`].
     pub fn set_home_map<C: Chare>(&mut self, proxy: ArrayProxy<C>, map: HomeMap) {
-        self.home_maps[proxy.id.0 as usize] = map;
+        self.stores[proxy.id.0 as usize].set_home_map(map);
     }
 
     /// Opt an array into AtSync load balancing (its elements both call
@@ -455,7 +440,7 @@ impl Runtime {
 
     /// Look up an array id by name (for checkpoint restore paths).
     pub fn array_id(&self, name: &str) -> Option<ArrayId> {
-        self.array_names.get(name).copied()
+        self.stores.iter().find(|s| s.name() == name).map(|s| s.id())
     }
 
     /// Host-side inspection of a chare's state (read-only). Returns `None`
@@ -567,7 +552,7 @@ impl Runtime {
             self.machine.name.clone(),
             self.machine.num_pes,
             self.seed,
-            self.sched_overhead,
+            SCHED_OVERHEAD,
             self.collective_arity,
             self.machine.flops_per_sec,
             self.now,
@@ -592,6 +577,13 @@ impl Runtime {
         }
     }
 
+    /// Trace an RTS-level event at `t`: how every runtime service reports.
+    pub(crate) fn trace_rts(&mut self, t: SimTime, kind: TraceEventKind) {
+        if let Some(tr) = &mut self.tracer {
+            tr.rts(t, kind);
+        }
+    }
+
     /// Messages parked for not-yet-existing elements (diagnostic). A
     /// steady-state nonzero value usually means a send to a wrong index.
     pub fn limbo_messages(&self) -> Vec<(ObjId, usize)> {
@@ -604,11 +596,6 @@ impl Runtime {
         v
     }
 
-    /// Completed load-balancing rounds.
-    pub fn lb_rounds(&self) -> &[LbRound] {
-        &self.lb_rounds
-    }
-
     /// Busy time of a PE so far.
     pub fn pe_busy_time(&self, pe: usize) -> SimTime {
         self.pes[pe].busy_time
@@ -617,11 +604,6 @@ impl Runtime {
     /// Control-point registry (register knobs here before running).
     pub fn control_registry(&mut self) -> &mut ControlRegistry {
         &mut self.ctrl
-    }
-
-    /// The thermal model, when the machine has one.
-    pub fn thermal(&self) -> Option<&ThermalModel> {
-        self.thermal.as_ref()
     }
 
     #[doc(hidden)] // always false: kept for `benchmark/`'s 2-thread pass
@@ -665,7 +647,7 @@ impl Runtime {
                 }
                 self.take_due_digest_point();
                 // Jump the window straight to the one containing `t`.
-                self.windows_executed += 1;
+                self.stats.windows_executed += 1;
                 self.cur_win_end = self.win_end_after(t);
             }
             self.drain_batch_at(t, &mut batch);
@@ -683,7 +665,7 @@ impl Runtime {
         if deadline != SimTime::MAX && !self.exit_requested {
             self.now = self.now.max(deadline);
         }
-        self.wall_run += wall_start.elapsed();
+        self.stats.wall_run += wall_start.elapsed();
         self.summary()
     }
 
@@ -696,7 +678,7 @@ impl Runtime {
         self.now = t;
         self.events.pop_batch_at_seq_into(t, batch);
         for (key, ev) in batch.drain(..) {
-            self.events_processed += 1;
+            self.stats.events_processed += 1;
             self.cur_dispatch = (t.0, key);
             self.dispatch(ev);
             self.maybe_detect_quiescence();
@@ -711,17 +693,10 @@ impl Runtime {
 
     /// At a window edge: emit a state-digest point when one is due.
     fn take_due_digest_point(&mut self) {
-        let boundary = self.cur_win_end;
-        let due = self.recorder.as_ref().and_then(|r| {
-            let n = r.cfg.digest_every?;
-            let execs = r.execs_len();
-            (execs - self.last_digest_seq >= n).then_some(execs)
-        });
-        if let Some(execs) = due {
-            self.last_digest_seq = execs;
+        if self.recorder.as_mut().is_some_and(Recorder::take_digest_due) {
             let digests = self.state_digest();
             if let Some(r) = &mut self.recorder {
-                r.push_state_point(boundary, digests);
+                r.push_state_point(self.cur_win_end, digests);
             }
         }
     }
@@ -739,11 +714,6 @@ impl Runtime {
         self.run_until(deadline)
     }
 
-    /// The fatal-failure record, if a failure destroyed unrecoverable state.
-    pub fn unrecoverable(&self) -> Option<&Unrecoverable> {
-        self.unrecoverable.as_ref()
-    }
-
     /// Summary of progress so far.
     pub fn summary(&self) -> RunSummary {
         let elapsed = self.now.as_secs_f64();
@@ -757,17 +727,19 @@ impl Runtime {
         } else {
             0.0
         };
-        let wall = self.wall_run.as_secs_f64();
+        let c = &self.stats;
+        let wall = c.wall_run.as_secs_f64();
+        let arena = crate::arena::stats();
         RunSummary {
             end_time: self.now,
-            events: self.events_processed,
-            entries: self.entries,
-            messages: self.messages,
-            bytes: self.bytes_moved,
+            events: c.events_processed,
+            entries: c.entries,
+            messages: c.messages,
+            bytes: c.bytes_moved,
             avg_utilization: util,
             wall_time_s: wall,
             events_per_sec: if wall > 0.0 {
-                self.events_processed as f64 / wall
+                c.events_processed as f64 / wall
             } else {
                 0.0
             },
@@ -778,14 +750,10 @@ impl Runtime {
                 .map_or_else(Vec::new, |t| t.sink_stats()),
             replay_shed_execs: self.recorder.as_ref().map_or(0, |r| r.shed_execs()),
             replay_shed_sends: self.recorder.as_ref().map_or(0, |r| r.shed_sends()),
-            queue_ops: self.events.ops() + self.pe_queue_ops,
-            arena_bytes: crate::arena::stats()
-                .bytes_served
-                .saturating_sub(self.arena_base.bytes_served),
-            alloc_bypass: crate::arena::stats()
-                .bypass
-                .saturating_sub(self.arena_base.bypass),
-            windows_executed: self.windows_executed,
+            queue_ops: self.events.ops() + c.pe_queue_ops,
+            arena_bytes: arena.bytes_served.saturating_sub(c.arena_base.bytes_served),
+            alloc_bypass: arena.bypass.saturating_sub(c.arena_base.bypass),
+            windows_executed: c.windows_executed,
             barriers_waited: 0,
             barriers_elided: 0,
         }
@@ -802,7 +770,7 @@ impl Runtime {
         match ev {
             Ev::Deliver { pe, env } => {
                 let pe = pe as usize;
-                self.inflight -= 1;
+                self.work.inflight -= 1;
                 if !self.pes[pe].alive {
                     // The process is gone. If its chares were evacuated
                     // (graceful shrink) the envelope chases them; if the
@@ -819,7 +787,7 @@ impl Runtime {
                 // order are identical.
                 let p = &self.pes[pe];
                 if !p.busy && p.pending.is_empty() && self.now >= p.blocked_until {
-                    self.messages += 1;
+                    self.stats.messages += 1;
                     if let Some(tr) = &mut self.tracer {
                         let e = &self.slab[env];
                         let dst = e.dst.obj(&self.stores);
@@ -844,11 +812,10 @@ impl Runtime {
                     .take()
                     .expect("PeFree without a running entry");
                 self.pes[pe].busy = false;
-                self.busy_pes -= 1;
+                self.work.busy_pes -= 1;
                 self.pes[pe].busy_time += dur;
-                let chip = self.machine.chip_of(pe);
-                if chip < self.chip_busy.len() {
-                    self.chip_busy[chip] += dur;
+                if let Some(power) = &mut self.power {
+                    power.note_busy(self.machine.chip_of(pe), dur);
                 }
                 // Entry spans are traced here, at completion — the same
                 // place `busy_time` accrues — so traced per-entry totals
@@ -880,15 +847,15 @@ impl Runtime {
         // Arrival order within a priority lane is the old `seq` tiebreak:
         // `messages` is bumped once per enqueue, so FIFO-per-lane in the
         // [`PrioQueue`] reproduces the former `(prio, seq)` heap order.
-        self.messages += 1;
-        self.queued += 1;
+        self.stats.messages += 1;
+        self.work.queued += 1;
         let e = &self.slab[env];
         if let Some(tr) = &mut self.tracer {
             let dst = e.dst.obj(&self.stores);
             tr.on_recv(self.now, pe, e.src_pe as usize, dst, e.bytes.get() as usize);
         }
         self.pes[pe].pending.push(e.prio, env);
-        self.pe_queue_ops += 1;
+        self.stats.pe_queue_ops += 1;
     }
 
     /// Begin executing the next queued message on `pe` if it is idle.
@@ -906,8 +873,8 @@ impl Runtime {
                 return;
             }
             let env = p.pending.pop().expect("non-empty");
-            self.pe_queue_ops += 1;
-            self.queued -= 1;
+            self.stats.pe_queue_ops += 1;
+            self.work.queued -= 1;
             if self.execute(pe, env) {
                 return;
             }
@@ -920,7 +887,7 @@ impl Runtime {
     /// contributions it lacks. Quiescence detection, the auto-checkpoint
     /// tick and the elastic tick ask this.
     pub(crate) fn work_outstanding(&self) -> bool {
-        self.inflight > 0 || self.queued > 0 || self.busy_pes > 0
+        self.work.inflight > 0 || self.work.queued > 0 || self.work.busy_pes > 0
     }
 
     /// Key-slot index for host-side sends.
@@ -967,7 +934,7 @@ impl Runtime {
 
     /// Schedule a message delivery under its envelope key.
     pub(crate) fn sched_deliver(&mut self, t: SimTime, pe: usize, env: EnvId) {
-        self.inflight += 1;
+        self.work.inflight += 1;
         let k = self.slab[env].rec_id;
         self.events
             .push_keyed(t, k, Ev::Deliver { pe: pe as u32, env });
@@ -1025,7 +992,7 @@ impl Runtime {
                 let (bytes, rec_id, src_pe) = (e.bytes.get() as usize, e.rec_id, e.src_pe as usize);
                 let delay = self.net.delay(pe, actual, bytes, rec_id ^ TOKEN_AUX);
                 self.loc_cache.insert(src_pe, dst, actual);
-                self.bytes_moved += bytes as u64;
+                self.stats.bytes_moved += bytes as u64;
                 self.sched_deliver(self.now + delay, actual, env);
                 return false;
             }
@@ -1073,7 +1040,7 @@ impl Runtime {
         // Runs the chare and charges its load in the one record borrow.
         let ok = store.execute(dst.elem, payload, &mut ctx, self.machine.flops_per_sec);
         debug_assert!(ok, "element existed a moment ago");
-        self.entries += 1;
+        self.stats.entries += 1;
 
         let work_units = ctx.work_units;
         let actions = std::mem::take(&mut ctx.actions);
@@ -1113,11 +1080,11 @@ impl Runtime {
                 _ => {}
             }
         }
-        let duration = work_time + self.sched_overhead + send_cost;
+        let duration = work_time + SCHED_OVERHEAD + send_cost;
 
         let end = self.now + duration;
         self.pes[pe].busy = true;
-        self.busy_pes += 1;
+        self.work.busy_pes += 1;
         self.pes[pe].current = Some((dst, entry_kind));
         if let Some(tr) = &mut self.tracer {
             tr.pe_transition(self.now, pe, true);
@@ -1154,18 +1121,6 @@ impl Runtime {
         true
     }
 
-    /// Effective speed of a PE: static heterogeneity × interference × DVFS.
-    pub(crate) fn effective_speed(&self, pe: usize) -> f64 {
-        let mut s = self.machine.speed.speed_at(pe, self.now);
-        if let Some(th) = &self.thermal {
-            let chip = self.machine.chip_of(pe);
-            if chip < th.num_chips() {
-                s *= th.freq_factor(chip);
-            }
-        }
-        s
-    }
-
     /// Apply one entry method's buffered actions; `src` and `src_ref` name
     /// the chare that ran, and `sends` holds the handles `execute` interned
     /// for its `Send`s, in order.
@@ -1188,9 +1143,7 @@ impl Runtime {
                     prio,
                     delay,
                 } => {
-                    if self.track_comm {
-                        *self.comm.entry((src, dst)).or_default() += bytes as u64;
-                    }
+                    self.lb.note_comm(src, dst, bytes);
                     let elem = *sends.next().expect("a handle per send");
                     let dst = ElemRef { array: dst.array, elem };
                     let env = self.mint(dst, Payload::User(payload), bytes, prio, src_pe, true);
@@ -1224,7 +1177,7 @@ impl Runtime {
                     let pe = pe.min(self.live_pes - 1);
                     let elem = self.stores[array.0 as usize].insert_boxed(ix, pe, chare);
                     let dst = ElemRef { array, elem };
-                    self.deliver_sys(dst, SysEvent::Inserted, at);
+                    self.deliver_sys(dst, SysEvent::Inserted, at, 0);
                     self.flush_limbo(dst);
                 }
                 Action::DestroyMe => {

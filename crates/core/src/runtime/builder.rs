@@ -3,21 +3,18 @@
 //! before the run starts (failures, DVFS sampling, checkpoints, the elastic
 //! controller).
 
-use super::{EnvSlab, Ev, PeState, Runtime, KEY_SLOT_SHIFT, SLOT_HOST, SLOT_RTS};
+use super::{Counters, EnvSlab, Ev, PeState, Runtime, Work, SLOT_HOST};
 use crate::ctrl::{ControlRegistry, ControlValues};
+use crate::ft::Ft;
 use crate::lbframework::{LbTrigger, Strategy};
-use crate::power::DvfsScheme;
+use crate::placement::Lb;
+use crate::power::{DvfsScheme, Power};
 use crate::replay::{Recorder, ReplayConfig};
 use crate::trace::{TraceConfig, Tracer};
-use charm_machine::thermal::ThermalModel;
 use charm_machine::{EventQueue, MachineConfig, NetworkModel, SimTime};
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Per-entry scheduling overhead. One value has ever been in use; the
-/// [`Runtime`] field and the `.rlog` header carry it for what-if replay.
-const SCHED_OVERHEAD: SimTime = SimTime::from_nanos(250);
 
 /// Configures and constructs a [`Runtime`].
 pub struct RuntimeBuilder {
@@ -150,38 +147,8 @@ impl RuntimeBuilder {
     /// Construct the runtime.
     pub fn build(self) -> Runtime {
         let n = self.machine.num_pes;
-        // Slot-partitioned event keys: one counter per PE plus the three
-        // runtime slots (host, reductions, RTS). See [`Runtime::fresh_key`].
-        let mut keys = vec![0u64; n + 3];
-        let rts = n + SLOT_RTS;
-        let rts_key = |keys: &mut Vec<u64>| {
-            let k = ((rts as u64) << KEY_SLOT_SHIFT) | keys[rts];
-            keys[rts] += 1;
-            k
-        };
-        let mut events = EventQueue::new();
-        // Schedule the DVFS sampler and the RTS tick chains.
-        let thermal = self
-            .machine
-            .thermal
-            .as_ref()
-            .map(|cfg| ThermalModel::new(cfg.clone(), self.machine.num_chips()));
-        if thermal.is_some() {
-            let k = rts_key(&mut keys);
-            events.push_keyed(self.dvfs_period, k, Ev::DvfsTick);
-        }
-        if let Some(interval) = self.auto_ckpt {
-            let k = rts_key(&mut keys);
-            events.push_keyed(interval, k, Ev::AutoCkpt);
-        }
-        let elastic = self.elastic.map(|cfg| {
-            let k = rts_key(&mut keys);
-            events.push_keyed(cfg.cadence, k, Ev::ElasticTick);
-            crate::elastic::ElasticCtl::new(cfg, n)
-        });
         let net = NetworkModel::new(self.machine.network.clone(), self.seed);
         let net_min_remote = net.min_remote_delay().0;
-        let num_chips = self.machine.num_chips();
         let rngs = (0..n)
             .map(|pe| StdRng::seed_from_u64(self.seed ^ (pe as u64).wrapping_mul(0x9E3779B97F4A7C15)))
             .collect();
@@ -196,22 +163,15 @@ impl RuntimeBuilder {
             }
             tr
         });
-        let recorder = self.record.map(Recorder::new);
-        let perturb = self
-            .perturb
-            .map(|seed| StdRng::seed_from_u64(seed ^ 0x0070_6572_7475_7262)); // "perturb"
-        let track_comm = self.lb.as_ref().is_some_and(|s| s.wants_comm());
-        Runtime {
+        let power = Power::new(&self.machine, self.dvfs, self.dvfs_period);
+        let mut rt = Runtime {
             machine: self.machine,
             net,
             now: SimTime::ZERO,
-            events,
+            events: EventQueue::new(),
             pes: (0..n).map(|_| PeState::new()).collect(),
-            pe_queue_ops: 0,
             live_pes: n,
             stores: Vec::new(),
-            home_maps: Vec::new(),
-            array_names: FxHashMap::default(),
             rngs,
             ctrl: ControlRegistry::new(),
             ctrl_snapshot: ControlValues::default(),
@@ -220,34 +180,14 @@ impl RuntimeBuilder {
             limbo: FxHashMap::default(),
             reductions: FxHashMap::default(),
             qd: None,
-            inflight: 0,
-            migrating: 0,
-            queued: 0,
-            busy_pes: 0,
-            lb: self.lb,
-            lb_trigger: self.lb_trigger,
-            at_sync_waiting: FxHashSet::default(),
-            lb_rounds: Vec::new(),
-            mem_ckpt: None,
-            ckpt_pending: None,
-            copy_missing: FxHashMap::default(),
-            auto_ckpt_interval: self.auto_ckpt,
-            unrecoverable: None,
-            elastic,
-            retired: vec![false; n],
-            degraded: None,
-            thermal,
-            dvfs: self.dvfs,
-            dvfs_period: self.dvfs_period,
-            last_rts_lb: SimTime::ZERO,
-            chip_busy: vec![SimTime::ZERO; num_chips],
-            sched_overhead: SCHED_OVERHEAD,
+            work: Work::default(),
+            lb: Lb::new(self.lb, self.lb_trigger),
+            ft: Ft::new(self.auto_ckpt),
+            verdict: None,
+            elastic: self.elastic.map(|cfg| crate::elastic::ElasticCtl::new(cfg, n)),
+            power,
             metrics: FxHashMap::default(),
-            entries: 0,
-            messages: 0,
-            bytes_moved: 0,
-            events_processed: 0,
-            wall_run: std::time::Duration::ZERO,
+            stats: Counters { arena_base: crate::arena::stats(), ..Counters::default() },
             action_scratch: Vec::new(),
             send_scratch: Vec::new(),
             batch_scratch: Vec::new(),
@@ -255,22 +195,31 @@ impl RuntimeBuilder {
             seed: self.seed,
             location_cache: self.location_cache,
             collective_arity: self.collective_arity,
-            track_comm,
-            comm: FxHashMap::default(),
             tracer,
-            recorder,
-            perturb,
-            keys,
+            recorder: self.record.map(Recorder::new),
+            // Salted with "perturb": independent of the run seed's streams.
+            perturb: self.perturb.map(|seed| StdRng::seed_from_u64(seed ^ 0x0070_6572_7475_7262)),
+            // Slot-partitioned event keys: one counter per PE plus the three
+            // runtime slots (host, reductions, RTS). See [`Runtime::fresh_key`].
+            keys: vec![0u64; n + 3],
             cur_slot: n + SLOT_HOST,
             cur_dispatch: (0, 0),
             cur_win_end: SimTime::ZERO,
             win_ns: net_min_remote.max(1),
-            last_digest_seq: 0,
             reconfig_overhead_shrink: SimTime::from_secs_f64(2.0),
             reconfig_overhead_expand: SimTime::from_secs_f64(6.5),
-            arena_base: crate::arena::stats(),
-            windows_executed: 0,
+        };
+        // The DVFS sampler and the RTS tick chains, keyed in this order.
+        let ticks = [
+            rt.power.as_ref().map(|_| (self.dvfs_period, Ev::DvfsTick)),
+            self.auto_ckpt.map(|interval| (interval, Ev::AutoCkpt)),
+            rt.elastic.as_ref().map(|ctl| (ctl.cadence, Ev::ElasticTick)),
+        ];
+        for (at, ev) in ticks.into_iter().flatten() {
+            let k = rt.fresh_key(rt.rts_slot());
+            rt.events.push_keyed(at, k, ev);
         }
+        rt
     }
 }
 

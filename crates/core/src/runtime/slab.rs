@@ -114,7 +114,7 @@ impl Runtime {
     /// double-freed slot.
     pub(crate) fn envelopes_accounted(&self) -> usize {
         let parked: usize = self.limbo.values().map(Vec::len).sum();
-        (self.inflight - self.migrating + self.queued) as usize + parked
+        (self.work.inflight - self.work.migrating + self.work.queued) as usize + parked
     }
 
     /// Drop everything queued on `pe`.
@@ -250,7 +250,7 @@ mod tests {
         rt.run_until(fail.saturating_sub(SimTime(100)));
         rt.send(arr, Ix::i1(1), 0); // still on the wire at the failure
         assert!(
-            rt.queued > 0 && !rt.limbo.is_empty(),
+            rt.work.queued > 0 && !rt.limbo.is_empty(),
             "caught with work queued and parked"
         );
         let before = conserved(&rt);
@@ -269,7 +269,7 @@ mod tests {
         spinners(&mut rt, 8);
         rt.schedule_reconfigure(half_ms, 4);
         rt.run_until(half_ms);
-        assert!(rt.queued > 0 && conserved(&rt) > 0, "caught mid-flight");
+        assert!(rt.work.queued > 0 && conserved(&rt) > 0, "caught mid-flight");
         let s = rt.run();
         assert_eq!(s.entries, 96, "every stranded envelope still executes");
         assert_eq!(conserved(&rt), 0);
@@ -318,7 +318,7 @@ mod tests {
         rt.run_until(fail.saturating_sub(SimTime(100)));
         rt.send(arr, Ix::i1(1), 0); // lands on PE 1 after it died
         rt.run_until(fail);
-        assert!(rt.unrecoverable().is_some() && rt.inflight > 0);
+        assert!(rt.unrecoverable().is_some() && rt.work.inflight > 0);
         conserved(&rt);
         rt.run();
         assert_eq!(conserved(&rt), 0);

@@ -979,7 +979,16 @@ impl Tracer {
         self.push(pe, start, TraceEventKind::Entry { obj, entry, dur });
     }
 
-    pub(crate) fn on_send(&mut self, t: SimTime, src_pe: usize, dst_pe: usize, dst: ObjId, bytes: usize) {
+    /// A message sent at `t` that arrives `lat` later.
+    pub(crate) fn on_send(
+        &mut self,
+        t: SimTime,
+        src_pe: usize,
+        dst_pe: usize,
+        dst: ObjId,
+        bytes: usize,
+        lat: SimTime,
+    ) {
         if src_pe < self.num_pes && dst_pe < self.num_pes {
             self.comm.add(src_pe, dst_pe, bytes as u64);
         }
@@ -988,13 +997,15 @@ impl Tracer {
             t,
             TraceEventKind::MsgSend { dst, dst_pe, bytes },
         );
+        self.on_msg_latency(lat);
     }
 
     pub(crate) fn on_recv(&mut self, t: SimTime, pe: usize, src_pe: usize, dst: ObjId, bytes: usize) {
         self.push(pe, t, TraceEventKind::MsgRecv { src_pe, dst, bytes });
     }
 
-    /// Modeled end-to-end latency of one delivered message.
+    /// Modeled end-to-end latency of one delivered message that has no
+    /// [`on_send`](Self::on_send) record (a local system event).
     pub(crate) fn on_msg_latency(&mut self, lat: SimTime) {
         self.msg_latency.add(lat.as_nanos());
     }
@@ -1508,7 +1519,7 @@ mod tests {
         let mut deg = vec![0usize; pes];
         let mut shed = (0u64, 0u64);
         for &(s, d) in &sends {
-            tr.on_send(SimTime::ZERO, s, d, obj, 100);
+            tr.on_send(SimTime::ZERO, s, d, obj, 100, SimTime::ZERO);
             if let Some(c) = model.get_mut(&(s, d)) {
                 *c = (c.0 + 100, c.1 + 1);
             } else if deg[s] < cap {

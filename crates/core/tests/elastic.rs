@@ -220,6 +220,54 @@ fn failure_on_just_expanded_pe_before_any_checkpoint_is_typed() {
     assert!(rt.unrecoverable().is_some());
 }
 
+/// The run's verdict is latched once, and Unrecoverable outranks Degraded:
+/// it replaces a latched Degraded, and a capacity breach after it latches
+/// nothing.
+#[test]
+fn unrecoverable_outranks_degraded_in_either_order() {
+    let t_free = probe_t_free();
+    let at = |f: f64| SimTime::from_secs_f64(f * t_free);
+
+    // Degraded first: preempting PE 5 breaks a floor of 8. The checkpoints
+    // taken after it hold PE 1's chares on PE 1 and its buddy, PE 5, which
+    // is gone, so a failure of PE 1 loses both copies.
+    let mut rt = Runtime::builder(MachineConfig::homogeneous(PES))
+        .elastic(floor_only(PES))
+        .auto_checkpoint(at(0.1))
+        .build();
+    lockstep_build(&mut rt);
+    rt.schedule_preemption(at(0.2), 5, at(0.1));
+    rt.schedule_failure(at(0.6), 1);
+    match rt.run_outcome() {
+        RunOutcome::Unrecoverable(u) => {
+            assert_eq!(u.failed_pes, vec![1]);
+            assert!(u.reason.contains("both checkpoint copies"), "{u}");
+        }
+        other => panic!("expected Unrecoverable over Degraded, got {other:?}"),
+    }
+    assert_eq!(rt.metric("evacuations").len(), 1);
+    assert_eq!(rt.metric("degraded").len(), 1, "Degraded latched first");
+
+    // Unrecoverable first: without a checkpoint, losing PE 0 is fatal while
+    // seven PEs still meet the floor of 6; losing PEs 1 and 2 later breaks it.
+    let mut rt = Runtime::builder(MachineConfig::homogeneous(PES))
+        .elastic(floor_only(6))
+        .build();
+    lockstep_build(&mut rt);
+    for (i, pe) in [0usize, 1, 2].into_iter().enumerate() {
+        rt.schedule_failure(at(0.2 + 0.1 * i as f64), pe);
+    }
+    match rt.run_outcome() {
+        RunOutcome::Unrecoverable(u) => {
+            assert_eq!(u.failed_pes, vec![0], "the first fatal failure wins")
+        }
+        other => panic!("expected Unrecoverable, got {other:?}"),
+    }
+    let capacity: Vec<f64> = rt.metric("capacity").iter().map(|&(_, v)| v).collect();
+    assert_eq!(capacity, vec![7.0, 6.0, 5.0], "the floor was broken");
+    assert!(rt.metric("degraded").is_empty(), "a breach after Unrecoverable latches nothing");
+}
+
 #[test]
 fn expand_never_revives_a_preempted_pe() {
     let spec = lockstep_spec();

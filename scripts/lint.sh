@@ -27,6 +27,16 @@ once '(i >> BITS, i & ((1 << BITS) - 1))' # chunk an index: ChunkVec, under the 
 once 'bytes_moved += (m.image + ENVELOPE_BYTES)' # charge a chare move: Runtime::account_move (DESIGN §7)
 once 'net.delay(m.from, m.to'  # price a chare move: MoveCost::add (DESIGN §7)
 once 'Ev::NodeFail { pe:'       # schedule a node failure: Runtime::schedule_failure
+# Each runtime service owns its state (DESIGN §4.3): `Runtime` holds at
+# most 40 fields, so service state cannot drift back onto it one by one.
+fields=$(awk '/^pub struct Runtime \{/ { on = 1; next } on && /^\}/ { exit }
+    on && /^    (pub(\(crate\))? )?[a-z_0-9]+: / { sub(/:.*/, ""); sub(/.* /, ""); print }' "$src/runtime.rs")
+nfields=$(printf '%s\n' "$fields" | grep -c .)
+if [ "$nfields" -gt 40 ]; then
+    echo "lint: pub struct Runtime has $nfields fields, more than 40 (give service state to its service's struct):"
+    printf '%s\n' "$fields"
+    exit 1
+fi
 # A chare moves in process in one place (Runtime::move_chare), a move is
 # priced in one place (MoveCost::add), and the services that move chares
 # never charge a move themselves (DESIGN §7).
@@ -96,6 +106,7 @@ if [ -n "$cp" ]; then
     printf '%s\n' "$cp"
     exit 1
 fi
+echo "Runtime fields: $nfields (at most 40)"
 echo "mechanisms single: mint, tree_hop, flush_loc_caches, the node failure (schedule_failure), the in-process move (move_element; only MigrateMe unpacks), its one charge and its one price, the index probe, the handle index, chunk indexing, the user payload; a recording only as its chunks; no boxed envelope; message path by handle; critical path only in charm-replay"
 
 # Modeled data is a length (charm_pup::SyntheticBlob, DESIGN §4.2): the

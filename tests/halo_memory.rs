@@ -2,47 +2,17 @@
 //! payloads — a length, never a buffer — so the live heap of a run does not
 //! depend on how many bytes each face stands for.
 //!
-//! A counting allocator wraps `System`. This file is its own test binary so
-//! the `#[global_allocator]` cannot leak into any other test, and it holds a
-//! single `#[test]` because the counters are process-wide.
+//! The counting allocator (`support/counting.rs`) wraps `System`. This file
+//! is its own test binary so the `#[global_allocator]` cannot leak into any
+//! other test, and it holds a single `#[test]` because the counters are
+//! process-wide.
+
+#[path = "support/counting.rs"]
+mod counting;
 
 use charm_rs::apps::lulesh::{run, LuleshConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-/// Bytes live now, and the most live since the last reset.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            grew(new_size - layout.size());
-        } else {
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use counting::{Counting, LIVE, PEAK};
+use std::sync::atomic::Ordering;
 
 #[global_allocator]
 static COUNTER: Counting = Counting;

@@ -3,52 +3,21 @@
 //! queue — set how many PEs one host can simulate, so a one-step stencil
 //! with one chare per PE must stay under a per-PE heap budget.
 //!
-//! A counting allocator wraps `System`. This file is its own test binary so
-//! the `#[global_allocator]` cannot leak into any other test. The counters
-//! are process-wide, so its tests take a lock, and the 1 M-PE twin is
-//! `#[ignore]`d: run it alone with
+//! The counting allocator (`support/counting.rs`) wraps `System`. This file
+//! is its own test binary so the `#[global_allocator]` cannot leak into any
+//! other test. The counters are process-wide, so its tests take a lock, and
+//! the 1 M-PE twin is `#[ignore]`d: run it alone with
 //! `cargo test --release --test pe_memory -- --ignored`.
+
+#[path = "support/counting.rs"]
+mod counting;
 
 use charm_rs::apps::stencil::{self, StencilConfig};
 use charm_rs::core::{CountingSink, TraceConfig, TraceSink};
 use charm_rs::machine::presets;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use counting::{Counting, LIVE, PEAK};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
-
-struct Counting;
-
-/// Bytes live now, and the most live since the last reset.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            grew(new_size - layout.size());
-        } else {
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static COUNTER: Counting = Counting;

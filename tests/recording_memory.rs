@@ -4,54 +4,21 @@
 //! copying itself — building the log holds no second copy of it, and the
 //! log holds a few tens of bytes per exec.
 //!
-//! A counting allocator wraps `System`. This file is its own test binary so
-//! the `#[global_allocator]` cannot leak into any other test, and it holds a
-//! single `#[test]` because the counters are process-wide.
+//! The counting allocator (`support/counting.rs`) wraps `System`. This file
+//! is its own test binary so the `#[global_allocator]` cannot leak into any
+//! other test, and it holds a single `#[test]` because the counters are
+//! process-wide.
+
+#[path = "support/counting.rs"]
+mod counting;
 
 use charm_rs::apps::stencil;
 use charm_rs::core::replay::CHUNK_BYTES;
 use charm_rs::core::ReplayConfig;
 use charm_rs::machine::presets;
 use charm_rs::{ArrayProxy, Chare, Ctx, Ix, MachineConfig, Pup, Puper, Runtime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-/// Allocator calls (`alloc` and `realloc`).
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-/// Largest size a `realloc` grew a block to.
-static MAX_GROWN: AtomicUsize = AtomicUsize::new(0);
-/// Bytes live now, and the most live since the last reset.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        if new_size > layout.size() {
-            MAX_GROWN.fetch_max(new_size, Ordering::Relaxed);
-            grew(new_size - layout.size());
-        } else {
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use counting::{Counting, CALLS, LIVE, MAX_GROWN, PEAK};
+use std::sync::atomic::Ordering;
 
 #[global_allocator]
 static COUNTER: Counting = Counting;

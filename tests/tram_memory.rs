@@ -3,43 +3,19 @@
 //! batch message carries — so the live heap per staged item is about its
 //! packed size, not the size of a typed `(u64, Ix, M)` tuple.
 //!
-//! A counting allocator wraps `System`. This file is its own test binary so
-//! the `#[global_allocator]` cannot leak into any other test, and it holds a
-//! single `#[test]` because the counters are process-wide.
+//! The counting allocator (`support/counting.rs`) wraps `System`. This file
+//! is its own test binary so the `#[global_allocator]` cannot leak into any
+//! other test, and it holds a single `#[test]` because the counters are
+//! process-wide.
+
+#[path = "support/counting.rs"]
+mod counting;
 
 use charm_rs::pup::{Pup, Puper};
 use charm_rs::tram::{Tram, TramBuf, TramConfig};
 use charm_rs::{Chare, Ctx, Ix, MachineConfig, Runtime, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-/// Bytes live now.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            LIVE.fetch_add(new_size - layout.size(), Ordering::Relaxed);
-        } else {
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use counting::{Counting, LIVE};
+use std::sync::atomic::Ordering;
 
 #[global_allocator]
 static COUNTER: Counting = Counting;
